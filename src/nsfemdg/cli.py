@@ -107,6 +107,13 @@ class RunConfig:
         return self
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _convert(key: str, raw: str, where: str):
     known = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | {"box", "ns"}
     if key not in known:
@@ -115,9 +122,9 @@ def _convert(key: str, raw: str, where: str):
         if key in _INT_KEYS:
             return int(raw)
         if key in _FLOAT_KEYS:
-            return float(raw)
+            return _finite(raw)
         if key == "box":
-            vals = tuple(float(t) for t in raw.replace(",", " ").split())
+            vals = tuple(_finite(t) for t in raw.replace(",", " ").split())
             if len(vals) != 6:
                 raise ValueError("need 6 numbers")
             return vals
@@ -400,7 +407,8 @@ def main(argv=None) -> int:
         ("check", "run the invariant suite on small fixed meshes"),
         ("study", "refinement studies: rates, cauchy, pdecay"),
     ):
-        p = sub.add_parser(name, help=doc)
+        # No prefix matching, so that --c stays the c key instead of --config.
+        p = sub.add_parser(name, help=doc, allow_abbrev=False)
         p.add_argument("--config", default=None, help="key = value configuration file")
 
     args, extra = parser.parse_known_args(argv)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scheme
-from .fluxes import upwind_momentum, upwind_scalar
+from .fluxes import upwind_momentum
 from .mesh import Mesh, find_elements
 from .spaces import (
     broken_divergence,
@@ -66,8 +66,7 @@ def energy_ledger(state, params, mesh: Mesh, prev=None) -> EnergyLedger:
     grad_diss = float(np.sum(vol * np.sum(G**2, axis=(1, 2))))
 
     int_f, own, nbr, _ = scheme._interior(mesh)
-    flux = np.einsum("fi,fi->f", state.u.dofs[int_f], mesh.face_normal[int_f])
-    up = upwind_scalar(rho[own], rho[nbr], flux)
+    _, up = scheme.interior_fluxes(state, mesh)
     jump2 = np.sum((uhat[nbr] - uhat[own]) ** 2, axis=1)
     d2 = float(0.5 * np.sum(mesh.face_area[int_f] * np.abs(up) * jump2))
 
@@ -150,8 +149,7 @@ def continuity_transport(state, mesh: Mesh, phi, degree: int = 2):
     rho = state.rho.values
     int_f, own, nbr, _ = scheme._interior(mesh)
     area = mesh.face_area[int_f]
-    flux = np.einsum("fi,fi->f", state.u.dofs[int_f], mesh.face_normal[int_f])
-    up = upwind_scalar(rho[own], rho[nbr], flux)
+    flux, up = scheme.interior_fluxes(state, mesh)
 
     phat = cell_means(phi, mesh, degree)
     lhs = float(np.sum(area * up * (phat[nbr] - phat[own])))
@@ -188,9 +186,8 @@ def momentum_transport(state, mesh: Mesh, v, degree: int = 2):
     vol = mesh.elem_volume
     int_f, own, nbr, _ = scheme._interior(mesh)
     area = mesh.face_area[int_f]
-    flux = np.einsum("fi,fi->f", state.u.dofs[int_f], mesh.face_normal[int_f])
+    flux, up = scheme.interior_fluxes(state, mesh)
     uhat = element_average(state.u, mesh)
-    up = upwind_scalar(rho[own], rho[nbr], flux)
     upm = upwind_momentum(up, uhat[own], uhat[nbr])
 
     interp = interpolate_v(v, mesh, degree=degree)

@@ -52,8 +52,8 @@ def stab_momentum(jump_rho, uhat_minus, uhat_plus, jump_vhat, h_power, area):
 class FaceTraces:
     """Both-side traces and geometry of one interior face.
 
-    Used by the slow reference (oracle) assembly paths; the vectorized sums
-    inline the same formulas over arrays.
+    Used by the slow reference (oracle) assembly paths; the vectorized
+    assembly in `scheme` calls the same kernels on arrays of faces.
     """
 
     rho_minus: float

@@ -19,6 +19,20 @@ velocity are elementwise constant, every volume term reduces exactly: the
 integral of a constant against a basis function over an element is |E|/4
 times the constant, so no quadrature appears anywhere in the assembly.
 
+Every term is a face jump or an element average applied to a face or element
+quantity, so both residual blocks are products of a few sparse operators
+built once per mesh (`mesh_operators`) with the face fluxes of `fluxes.py`:
+
+    continuity rows = |E| drho/dt + alpha jump^T (|f| (Up - h^(1-eps) [rho]))
+    momentum rows   = avg^T (|E| d(rho uhat)/dt) + K u
+                      + alpha (avg^T jump^T F - G p)
+
+with [rho] = rho_neighbor - rho_owner, jump^T scattering a face value +owner
+and -neighbor, avg the 1/4 element average of face dofs, K the broken-gradient
+stiffness, G the |E|-weighted basis gradients, and F = |f| (UpM - h^(1-eps)
+[rho] mean(uhat)) the momentum face flux.  The Jacobian is the same products
+with diagonal scalings, scattered into a fixed per-mesh sparsity pattern.
+
 `residual` and `jacobian` take a continuation weight alpha in [0, 1] that
 scales convection, pressure and both stabilization terms; time terms and
 viscous diffusion are never scaled.  alpha = 1 is the scheme itself, and the
@@ -30,19 +44,19 @@ solvable start for continuation.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh, NDArrayF, build_box_mesh
+from .fluxes import stab_continuity, upwind_momentum, upwind_scalar
+from .mesh import Mesh, NDArrayF, NDArrayI
 from .spaces import (
     ScalarQField,
     VelocityCRField,
     apply_bc,
     basis_gradients,
-    broken_gradient,
     cell_means,
     element_average,
     elem_quad_points,
@@ -211,65 +225,130 @@ def unpack(x: NDArrayF, mesh: Mesh, k: int, t: float) -> State:
     )
 
 
+def interior_fluxes(state: State, mesh: Mesh) -> tuple[NDArrayF, NDArrayF]:
+    """Normal velocity flux and upwind mass flux Up on the interior faces."""
+    int_f, own, nbr, _ = _interior(mesh)
+    flux = np.einsum("fi,fi->f", state.u.dofs[int_f], mesh.face_normal[int_f])
+    rho = state.rho.values
+    return flux, upwind_scalar(rho[own], rho[nbr], flux)
+
+
+@dataclass(frozen=True)
+class MeshOperators:
+    """Sparse operators the residual, Jacobian and alpha = 0 blocks are made of.
+
+    Shapes use ne elements, nf faces and ni interior faces.  Face rows follow
+    the interior faces in face-index order; momentum rows and velocity
+    columns interleave the three components face by face, as `pack` does.
+    """
+
+    own: sp.csr_matrix          # (ni, ne) selects the owner element of a face
+    nbr: sp.csr_matrix          # (ni, ne) selects the neighbor element
+    jump: sp.csr_matrix         # own - nbr; jump.T scatters a face flux +owner/-neighbor
+    avg: sp.csr_matrix          # (ne, ni) element average of the interior face dofs
+    face_test: sp.csr_matrix    # (ni, ni) avg.T jump.T: face fluxes tested with the face basis
+    face_test3: sp.csr_matrix   # face_test per velocity component
+    stiffness: sp.csr_matrix    # (ni, nf) broken-gradient stiffness on every face dof
+    stiffness_int: sp.csr_matrix  # (ni, ni) its interior columns
+    pressure: sp.csr_matrix     # (3 ni, ne) |E| times the basis gradients
+    normal: sp.csr_matrix       # (ni, 3 ni) interior dofs to normal fluxes
+    pattern: sp.csr_matrix      # stored sparsity pattern of the Jacobian
+    keys: NDArrayI              # row * n_unknowns + column of each pattern entry
+
+
+def mesh_operators(mesh: Mesh) -> MeshOperators:
+    """The scheme's operators on `mesh`, built on first use and cached."""
+    cached = mesh._space_cache.get("operators")
+    if cached is not None:
+        return cached
+    int_f, own_e, nbr_e, _ = _interior(mesh)
+    ne, nf, ni = mesh.n_elems, mesh.n_faces, len(int_f)
+    eye = sp.identity(ne, format="csr")
+    own, nbr = eye[own_e], eye[nbr_e]
+    jump = own - nbr
+
+    ef = mesh.elem_faces
+    avg = sp.csr_matrix((np.full(ef.size, 0.25), ef.ravel(), np.arange(0, ef.size + 1, 4)),
+                        shape=(ne, nf))[:, int_f]
+    face_test = (avg.T @ jump.T).tocsr()
+
+    gb = basis_gradients(mesh)                                    # (ne, 3, 4)
+    grad = sp.csr_matrix((gb.ravel(), np.repeat(ef, 3, axis=0).ravel(),
+                          np.arange(0, gb.size + 1, 4)), shape=(3 * ne, nf))  # rows 3e+d
+    weighted = sp.diags(np.repeat(mesh.elem_volume, 3)) @ grad
+    stiffness = (grad.T @ weighted).tocsr()[int_f]
+    # Pressure row 3i+d is column int_f[i] of the weighted rows 3e+d.
+    pressure_op = sp.vstack([weighted[d::3].T for d in range(3)]).tocsr()[
+        (np.arange(3) * nf + int_f[:, None]).ravel()]
+    normal = sp.csr_matrix(
+        (mesh.face_normal[int_f].ravel(), np.arange(3 * ni), np.arange(0, 3 * ni + 1, 3)),
+        shape=(ni, 3 * ni),
+    )
+
+    # The Jacobian keeps one stored pattern per mesh, explicit zeros included:
+    # scipy's sparse sums and products drop entries that happen to cancel (at
+    # alpha = 0, at rest, at upwind kinks), and a pattern that changes with
+    # the state gives SuperLU a different ordering and more fill (12.1M
+    # against 9.6M L+U entries on the first n=6 bump Newton matrix).  The
+    # pattern is the union of every term's stencil, taken from products of
+    # nonnegative operators so that nothing cancels.
+    adj = own + nbr
+    near = adj.T @ adj + sp.identity(ne)                          # same or adjacent elements
+    pattern = sp.bmat([
+        [near, sp.kron(adj.T, np.ones((1, 3)))],
+        [sp.kron(avg.T @ near, np.ones((3, 1))),
+         sp.kron(avg.T @ near @ avg, sp.identity(3)) + sp.kron(avg.T @ adj.T, np.ones((3, 3)))],
+    ], format="csr")
+    pattern.sort_indices()
+    n = pattern.shape[0]
+    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(pattern.indptr)) * n + pattern.indices
+
+    cached = MeshOperators(
+        own=own, nbr=nbr, jump=jump, avg=avg, face_test=face_test,
+        face_test3=sp.kron(face_test, sp.identity(3), format="csr"),
+        stiffness=stiffness, stiffness_int=stiffness[:, int_f],
+        pressure=pressure_op, normal=normal, pattern=pattern, keys=keys,
+    )
+    mesh._space_cache["operators"] = cached
+    return cached
+
+
 def residual(
     prev: State, guess: State, params: SchemeParams, mesh: Mesh, alpha: float = 1.0
 ) -> ResidualVector:
     """Scheme residual at `guess`, with continuation weight `alpha`."""
-    ne = mesh.n_elems
+    ops = mesh_operators(mesh)
     dt = params.dt(mesh)
-    hp = params.h_power(mesh)
     int_f, own, nbr, _ = _interior(mesh)
+    vol, area = mesh.elem_volume, mesh.face_area[int_f]
 
     rho = guess.rho.values
     rho_prev = prev.rho.values
     uhat = element_average(guess.u, mesh)
     uhat_prev = element_average(prev.u, mesh)
-    vol = mesh.elem_volume
 
-    flux = np.einsum("fi,fi->f", guess.u.dofs[int_f], mesh.face_normal[int_f])
-    area = mesh.face_area[int_f]
-    rho_m, rho_p = rho[own], rho[nbr]
-    up = rho_m * np.maximum(flux, 0.0) + rho_p * np.minimum(flux, 0.0)
+    _, up = interior_fluxes(guess, mesh)
+    stab = stab_continuity(rho[nbr] - rho[own], params.h_power(mesh), area)
+    cont = vol * (rho - rho_prev) / dt + alpha * (ops.jump.T @ (area * up - stab))
 
-    # Continuity: time term unscaled, upwind flux and stabilization scaled.
-    cont = vol * (rho - rho_prev) / dt
-    scaled = np.zeros(ne)
-    np.add.at(scaled, own, area * up)
-    np.add.at(scaled, nbr, -area * up)
-    jump = hp * area * (rho_p - rho_m)
-    np.add.at(scaled, own, -jump)
-    np.add.at(scaled, nbr, jump)
-    cont = cont + alpha * scaled
-
-    # Momentum, accumulated over all faces and restricted to interior ones.
-    base = np.zeros((mesh.n_faces, 3))
-    scaled_m = np.zeros((mesh.n_faces, 3))
-    gb = basis_gradients(mesh)
-
-    per_elem = (vol / (4.0 * dt))[:, None] * (
-        rho[:, None] * uhat - rho_prev[:, None] * uhat_prev
+    mom_flux = (area[:, None] * upwind_momentum(up, uhat[own], uhat[nbr])
+                - stab[:, None] * 0.5 * (uhat[own] + uhat[nbr]))
+    time = (vol / dt)[:, None] * (rho[:, None] * uhat - rho_prev[:, None] * uhat_prev)
+    mom = (
+        ops.avg.T @ time
+        + ops.stiffness @ guess.u.dofs        # every face dof, no-slip ones included
+        + alpha * (ops.face_test @ mom_flux
+                   - (ops.pressure @ pressure(rho, params)).reshape(-1, 3))
     )
-    np.add.at(base, mesh.elem_faces, per_elem[:, None, :])
-
-    G = broken_gradient(guess.u, mesh)
-    np.add.at(base, mesh.elem_faces, np.einsum("e,edk,ekl->eld", vol, G, gb))
-
-    p_vol = pressure(rho, params) * vol
-    np.add.at(scaled_m, mesh.elem_faces, -np.einsum("e,edl->eld", p_vol, gb))
-
-    upm = (
-        np.maximum(up, 0.0)[:, None] * uhat[own] + np.minimum(up, 0.0)[:, None] * uhat[nbr]
-    )
-    conv = 0.25 * area[:, None] * upm
-    np.add.at(scaled_m, mesh.elem_faces[own], conv[:, None, :])
-    np.add.at(scaled_m, mesh.elem_faces[nbr], -conv[:, None, :])
-
-    stab = 0.25 * (hp * area * (rho_p - rho_m))[:, None] * 0.5 * (uhat[own] + uhat[nbr])
-    np.add.at(scaled_m, mesh.elem_faces[own], -stab[:, None, :])
-    np.add.at(scaled_m, mesh.elem_faces[nbr], stab[:, None, :])
-
-    mom = base[int_f] + alpha * scaled_m[int_f]
     return ResidualVector(continuity=cont, momentum=mom)
+
+
+def _vec_diag(v: NDArrayF) -> sp.csr_matrix:
+    """(m, 3) values as the (3m, m) matrix with v[i, d] at row 3i+d, column i."""
+    m = len(v)
+    return sp.csr_matrix(
+        (v.ravel(), np.repeat(np.arange(m), 3), np.arange(3 * m + 1)), shape=(3 * m, m)
+    )
 
 
 def jacobian(
@@ -280,128 +359,57 @@ def jacobian(
     The kinks of x+ and x- use the one-sided convention d(x+)/dx = 1 for
     x > 0 else 0, and d(x-)/dx = 1 for x < 0 else 0, so the derivative at a
     kink is zero.  Away from sign changes of the fluxes the matrix is the
-    classical derivative.
+    classical derivative.  The stored pattern depends on the mesh only.
     """
-    ne = mesh.n_elems
+    ops = mesh_operators(mesh)
     dt = params.dt(mesh)
     hp = params.h_power(mesh)
-    int_f, own, nbr, slot = _interior(mesh)
-    ni = len(int_f)
-    nun = ne + 3 * ni
+    int_f, own, nbr, _ = _interior(mesh)
+    vol, area = mesh.elem_volume, mesh.face_area[int_f]
+    diag = sp.diags
 
     rho = guess.rho.values
     uhat = element_average(guess.u, mesh)
-    vol = mesh.elem_volume
-    gb = basis_gradients(mesh)
-
-    flux = np.einsum("fi,fi->f", guess.u.dofs[int_f], mesh.face_normal[int_f])
-    area = mesh.face_area[int_f]
-    nu = mesh.face_normal[int_f]
-    rho_m, rho_p = rho[own], rho[nbr]
+    flux, up = interior_fluxes(guess, mesh)
     fp, fm = np.maximum(flux, 0.0), np.minimum(flux, 0.0)
-    up = rho_m * fp + rho_p * fm
-    upp, upn = np.maximum(up, 0.0), np.minimum(up, 0.0)
-    dup_dflux = rho_m * (flux > 0.0) + rho_p * (flux < 0.0)
+    half_stab = 0.5 * hp * (rho[nbr] - rho[own])
+    dup_dflux = rho[own] * (flux > 0.0) + rho[nbr] * (flux < 0.0)
     # Upwind-selected mean velocity (zero exactly at the kink).
     wsel = (up > 0.0)[:, None] * uhat[own] + (up < 0.0)[:, None] * uhat[nbr]
+    mean = 0.5 * (uhat[own] + uhat[nbr])
 
-    rows: list[NDArrayF] = []
-    cols: list[NDArrayF] = []
-    vals: list[NDArrayF] = []
-
-    def add(r, c, v, m=None):
-        shape = np.broadcast_shapes(np.shape(r), np.shape(c), np.shape(v))
-        r = np.broadcast_to(r, shape)
-        c = np.broadcast_to(c, shape)
-        v = np.broadcast_to(v, shape)
-        if m is not None:
-            m = np.broadcast_to(m, shape)
-            r, c, v = r[m], c[m], v[m]
-        rows.append(np.asarray(r, dtype=np.int64).ravel())
-        cols.append(np.asarray(c, dtype=np.int64).ravel())
-        vals.append(np.asarray(v, dtype=float).ravel())
-
-    d3 = np.arange(3)
-    ucol_f = ne + 3 * slot[int_f]                                 # (ni,)
-
-    # --- continuity wrt rho ---
-    add(np.arange(ne), np.arange(ne), vol / dt)
-    add(own, own, alpha * (area * fp + hp * area))
-    add(own, nbr, alpha * (area * fm - hp * area))
-    add(nbr, own, alpha * (-area * fp - hp * area))
-    add(nbr, nbr, alpha * (-area * fm + hp * area))
-
-    # --- continuity wrt u (through the face's own flux) ---
-    dflux = (area * dup_dflux)[:, None] * nu                      # (ni, 3)
-    add(own[:, None], ucol_f[:, None] + d3, alpha * dflux)
-    add(nbr[:, None], ucol_f[:, None] + d3, -alpha * dflux)
-
-    # --- momentum: element-local terms ---
-    ef = mesh.elem_faces                                          # (ne, 4)
-    ef_int = slot[ef] >= 0                                        # (ne, 4)
-    row_ed = (ne + 3 * slot[ef])[:, :, None] + d3                 # (ne, 4, 3)
-    mask_ed = ef_int[:, :, None]
-
-    # time wrt rho: (vol/4dt) uhat_d
-    add(row_ed, np.arange(ne)[:, None, None],
-        (vol / (4.0 * dt))[:, None, None] * uhat[:, None, :], mask_ed)
-    # pressure wrt rho
-    dp_vol = pressure_derivative(rho, params) * vol
-    add(row_ed, np.arange(ne)[:, None, None],
-        -alpha * np.einsum("e,edl->eld", dp_vol, gb), mask_ed)
-    # time and diffusion wrt u: face-pair blocks, diagonal in the component
-    pair_row = row_ed[:, :, None, :]                              # (ne,4,1,3)
-    pair_col = (ne + 3 * slot[ef])[:, None, :, None] + d3         # (ne,1,4,3)
-    pair_mask = ef_int[:, :, None, None] & ef_int[:, None, :, None]
-    add(pair_row, pair_col, (vol * rho / (16.0 * dt))[:, None, None, None], pair_mask)
-    kpair = np.einsum("e,ekf,ekg->efg", vol, gb, gb)              # (ne,4,4)
-    add(pair_row, pair_col, kpair[:, :, :, None], pair_mask)
-
-    # --- momentum: face-coupled terms ---
-    # Eight test faces per interior face (owner's four then neighbor's four);
-    # the test-jump coefficient [vhat] of face g's basis is C8.
-    G8 = np.concatenate([ef[own], ef[nbr]], axis=1)               # (ni, 8)
-    C8 = np.concatenate([np.full(4, -0.25), np.full(4, 0.25)])
-    g8_int = slot[G8] >= 0
-    row8 = (ne + 3 * slot[G8])[:, :, None] + d3                   # (ni, 8, 3)
-    mask8 = g8_int[:, :, None]
-
-    # convection wrt rho: dR/drho_side = -A c_g (dup/drho_side) wsel_d
-    coef = -area[:, None] * C8[None, :]                           # (ni, 8)
-    for col_e, fpart in ((own, fp), (nbr, fm)):
-        add(row8, col_e[:, None, None],
-            alpha * coef[:, :, None] * fpart[:, None, None] * wsel[:, None, :], mask8)
-    # stabilization wrt rho
-    avg = 0.5 * (uhat[own] + uhat[nbr])
-    scoef = (hp * area)[:, None] * C8[None, :]                    # (ni, 8)
-    add(row8, own[:, None, None], -alpha * scoef[:, :, None] * avg[:, None, :], mask8)
-    add(row8, nbr[:, None, None], alpha * scoef[:, :, None] * avg[:, None, :], mask8)
-
-    # convection wrt the face's own flux dof: rows (g, d), cols (face, e)
-    crow = row8[:, :, :, None]                                    # (ni,8,3,1)
-    ccol = ucol_f[:, None, None, None] + d3                       # (ni,1,1,3)
-    cval = alpha * np.einsum("ik,i,id,ie->ikde", coef, dup_dflux, wsel, nu)
-    add(crow, ccol, cval, mask8[:, :, :, None])
-
-    # convection wrt mean velocities: rows (g, d), cols (g', d)
-    rowm = row8[:, :, None, :]                                    # (ni,8,1,3)
-    for col_faces, uppart in ((ef[own], upp), (ef[nbr], upn)):
-        colm = (ne + 3 * slot[col_faces])[:, None, :, None] + d3  # (ni,1,4,3)
-        maskm = g8_int[:, :, None, None] & (slot[col_faces] >= 0)[:, None, :, None]
-        add(rowm, colm,
-            alpha * 0.25 * coef[:, :, None, None] * uppart[:, None, None, None], maskm)
-
-    # stabilization wrt mean velocities: hp A (rho_nbr - rho_own) c_g / 8
-    col8 = (ne + 3 * slot[G8])[:, None, :, None] + d3             # (ni,1,8,3)
-    mask88 = g8_int[:, :, None, None] & g8_int[:, None, :, None]
-    add(rowm, col8,
-        alpha * 0.125 * (scoef * (rho_p - rho_m)[:, None])[:, :, None, None], mask88)
-
-    J = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nun, nun),
+    cont_rho = diag(vol / dt) + alpha * ops.jump.T @ (
+        diag(area * (fp + hp)) @ ops.own + diag(area * (fm - hp)) @ ops.nbr
     )
-    return J.tocsr()
+    cont_u = alpha * ops.jump.T @ diag(area * dup_dflux) @ ops.normal
+
+    a = area[:, None]
+    mom_rho = (
+        sp.kron(ops.avg.T, sp.identity(3)) @ _vec_diag((vol / dt)[:, None] * uhat)
+        - alpha * ops.pressure @ diag(pressure_derivative(rho, params))
+        + alpha * ops.face_test3 @ (
+            _vec_diag(a * (fp[:, None] * wsel + hp * mean)) @ ops.own
+            + _vec_diag(a * (fm[:, None] * wsel - hp * mean)) @ ops.nbr
+        )
+    )
+    mom_u_scalar = (
+        interior_weighted_mass(mesh, rho / dt) + interior_stiffness(mesh)
+        + alpha * ops.face_test @ (
+            diag(area * (np.maximum(up, 0.0) - half_stab)) @ ops.own
+            + diag(area * (np.minimum(up, 0.0) - half_stab)) @ ops.nbr
+        ) @ ops.avg
+    )
+    mom_u = (sp.kron(mom_u_scalar, sp.identity(3))
+             + alpha * ops.face_test3 @ _vec_diag(a * dup_dflux[:, None] * wsel) @ ops.normal)
+
+    # Scatter the blocks' entries into the mesh's fixed pattern.
+    J = sp.bmat([[cont_rho, cont_u], [mom_rho, mom_u]], format="coo")
+    n = ops.pattern.shape[0]
+    pos = np.searchsorted(ops.keys, J.row.astype(np.int64) * n + J.col)
+    data = np.bincount(pos, weights=J.data, minlength=ops.pattern.nnz)
+    return sp.csr_matrix(
+        (data, ops.pattern.indices.copy(), ops.pattern.indptr.copy()), shape=(n, n)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -410,35 +418,13 @@ def jacobian(
 
 def interior_stiffness(mesh: Mesh) -> sp.csr_matrix:
     """Scalar broken-gradient stiffness on interior face dofs, cached."""
-    cached = mesh._space_cache.get("stiffness")
-    if cached is None:
-        gb = basis_gradients(mesh)
-        kpair = np.einsum("e,ekf,ekg->efg", mesh.elem_volume, gb, gb)
-        ef = mesh.elem_faces
-        r = np.broadcast_to(ef[:, :, None], kpair.shape)
-        c = np.broadcast_to(ef[:, None, :], kpair.shape)
-        K = sp.coo_matrix(
-            (kpair.ravel(), (r.ravel(), c.ravel())),
-            shape=(mesh.n_faces, mesh.n_faces),
-        ).tocsr()
-        int_f = mesh.interior_faces
-        cached = K[int_f][:, int_f]
-        mesh._space_cache["stiffness"] = cached
-    return cached
+    return mesh_operators(mesh).stiffness_int
 
 
 def interior_weighted_mass(mesh: Mesh, rho: NDArrayF) -> sp.csr_matrix:
     """Scalar matrix of sum_E |E| rho_E uhat_E vhat_E on interior face dofs."""
-    w = mesh.elem_volume * rho / 16.0
-    ef = mesh.elem_faces
-    r = np.broadcast_to(ef[:, :, None], (mesh.n_elems, 4, 4))
-    c = np.broadcast_to(ef[:, None, :], (mesh.n_elems, 4, 4))
-    v = np.broadcast_to(w[:, None, None], (mesh.n_elems, 4, 4))
-    M = sp.coo_matrix(
-        (v.ravel(), (r.ravel(), c.ravel())), shape=(mesh.n_faces, mesh.n_faces)
-    ).tocsr()
-    int_f = mesh.interior_faces
-    return M[int_f][:, int_f]
+    avg = mesh_operators(mesh).avg
+    return (avg.T @ sp.diags(mesh.elem_volume * rho) @ avg).tocsr()
 
 
 # ---------------------------------------------------------------------------

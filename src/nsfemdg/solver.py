@@ -14,7 +14,7 @@ to near machine precision.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -88,11 +88,6 @@ def linear_solve(A: sp.spmatrix, b: NDArrayF) -> NDArrayF:
     return x
 
 
-def alpha_residual(prev, guess, params, mesh: Mesh, alpha: float):
-    """Residual of the continuation system; alpha = 1 is the scheme itself."""
-    return scheme.residual(prev, guess, params, mesh, alpha=alpha)
-
-
 def alpha0_solve(prev, params, mesh: Mesh) -> "scheme.State":
     """Exact solution of the alpha = 0 system.
 
@@ -101,7 +96,6 @@ def alpha0_solve(prev, params, mesh: Mesh) -> "scheme.State":
     mass and K the broken-gradient stiffness, both SPD on interior dofs.
     """
     dt = params.dt(mesh)
-    int_f = mesh.interior_faces
     rho_prev = prev.rho.values
 
     Ms = scheme.interior_weighted_mass(mesh, rho_prev)
@@ -109,13 +103,8 @@ def alpha0_solve(prev, params, mesh: Mesh) -> "scheme.State":
     A = sp.kron(Ms + dt * Ks, sp.identity(3), format="csr")
 
     uhat_prev = scheme.element_average(prev.u, mesh)
-    rhs = np.zeros((mesh.n_faces, 3))
-    np.add.at(
-        rhs,
-        mesh.elem_faces,
-        ((mesh.elem_volume * rho_prev / 4.0)[:, None] * uhat_prev)[:, None, :],
-    )
-    x = linear_solve(A, rhs[int_f].ravel())
+    rhs = scheme.mesh_operators(mesh).avg.T @ ((mesh.elem_volume * rho_prev)[:, None] * uhat_prev)
+    x = linear_solve(A, rhs.ravel())
 
     state = scheme.unpack(
         np.concatenate([rho_prev, x]), mesh, prev.k + 1, prev.t + dt

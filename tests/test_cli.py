@@ -95,6 +95,9 @@ def test_box_needs_six_numbers():
     ("ns", "2 0 8", "ns"),
     ("gamma", "1.0", "gamma"),
     ("epsilon", "0.1", "epsilon"),
+    ("T", "inf", "not a finite number"),
+    ("T", "nan", "not a finite number"),
+    ("gamma", "nan", "not a finite number"),
 ])
 def test_validation_rejects(key, value, match):
     with pytest.raises(ConfigError, match=match):
@@ -164,6 +167,22 @@ def test_config_error_exits_one(tmp_path, capsys):
     rc = cli.main(["run", "--gamma", "0.5", "--outdir", str(tmp_path)])
     assert rc == 1
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_non_finite_flag_exits_one(tmp_path, capsys):
+    rc = cli.main(["run", "--T", "inf", "--outdir", str(tmp_path)])
+    assert rc == 1
+    assert "not a finite number" in capsys.readouterr().err
+
+
+def test_short_key_is_not_an_abbreviation(tmp_path):
+    """--c sets the time step factor c; it is not a prefix of --config."""
+    outdir = tmp_path / "out"
+    rc = cli.main(["run", "--c", "4", "--n", "1", "--steps", "1", "--outdir", str(outdir)])
+    assert rc == 0
+    header, _, row1 = (outdir / "diagnostics.csv").read_text().strip().splitlines()
+    t = float(row1.split(",")[header.split(",").index("t")])
+    assert t == pytest.approx(4.0 * cli.build_box_mesh(1).h, rel=1e-12)
 
 
 def test_unconverged_run_exits_two(tmp_path, capsys):

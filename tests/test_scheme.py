@@ -1,6 +1,7 @@
 """Residual assembly, Jacobian, parameters, and initial data."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nsfemdg import oracles, scheme
 from nsfemdg.mesh import build_box_mesh
@@ -217,10 +218,25 @@ def test_continuity_matches_reference(n, params):
     assert np.abs(res.continuity - ref).max() / scale < 1e-13
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_momentum_matches_reference(n, params):
+def unconstrained_pair(mesh, params, seed):
+    """Like random_pair, but the no-slip dofs keep their random values."""
+    prev, cur = random_pair(mesh, params, seed)
+    rng = np.random.default_rng(seed)
+    for state in (prev, cur):
+        bnd = mesh.is_boundary_face
+        state.u.dofs[bnd] = 0.3 * rng.standard_normal((int(bnd.sum()), 3))
+    return prev, cur
+
+
+@pytest.mark.parametrize("n,pair", [
+    pytest.param(1, random_pair, id="1"),
+    pytest.param(2, random_pair, id="2"),
+    pytest.param(2, unconstrained_pair, id="2-boundary-dofs"),
+])
+def test_momentum_matches_reference(n, pair, params):
+    """The assembly reads every face dof, as the reference does."""
     mesh = build_box_mesh(n)
-    prev, cur = random_pair(mesh, params, seed=20 + n)
+    prev, cur = pair(mesh, params, seed=20 + n)
     res = scheme.residual(prev, cur, params, mesh)
     ref = oracles.momentum_rows_reference(prev, cur, params, mesh)
     scale = 1.0 + np.abs(ref).max()
@@ -264,6 +280,22 @@ def test_jacobian_fd_at_half_alpha(mesh1, params):
     J = scheme.jacobian(prev, cur, params, mesh1, alpha=0.5).toarray()
     J_fd = oracles.jacobian_fd(prev, cur, params, mesh1, alpha=0.5)
     assert np.abs(J - J_fd).max() / np.abs(J_fd).max() < 1e-5
+
+
+def test_jacobian_pattern_is_fixed(mesh2, params):
+    """Explicit zeros stay stored: the pattern depends on the mesh only."""
+    prev, cur = random_pair(mesh2, params, seed=34)
+    rest = scheme.State(ScalarQField(np.full(mesh2.n_elems, 1.3)),
+                        VelocityCRField(np.zeros((mesh2.n_faces, 3)),
+                                        mesh2.is_boundary_face.copy()), k=1, t=cur.t)
+    mats = [scheme.jacobian(prev, cur, params, mesh2, alpha=0.0),
+            scheme.jacobian(prev, cur, params, mesh2, alpha=1.0),
+            scheme.jacobian(rest, rest, params, mesh2, alpha=1.0)]
+    for J in mats:
+        assert isinstance(J, sp.csr_matrix)
+        assert J.nnz == 7428
+        assert np.array_equal(J.indptr, mats[0].indptr)
+        assert np.array_equal(J.indices, mats[0].indices)
 
 
 def test_interior_stiffness_spd(mesh1):
