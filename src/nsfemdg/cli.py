@@ -194,6 +194,11 @@ def cmd_run(cfg: RunConfig) -> int:
     print(f"run: {len(result.states) - 1} steps on {mesh.n_elems} elements, dt={result.dt:.6g}")
     print(f"run: mass drift {drift:.3e}, final energy {last['kinetic'] + last['internal']:.9g}, "
           f"min_rho {last['min_rho']:.9g}")
+    steps = result.diagnostics[1:]
+    print(f"run: {sum(d.newton_iters for d in steps)} Newton iterations, "
+          f"{sum(d.linesearch_backtracks for d in steps)} line-search backtracks, "
+          f"{sum(d.krylov_iters for d in steps)} Krylov iterations, "
+          f"{sum(d.direct_fallbacks for d in steps)} direct fallbacks")
     print(f"run: wrote {outdir / 'diagnostics.csv'}")
     return 0
 

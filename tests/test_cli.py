@@ -1,6 +1,7 @@
 """Tests for configuration parsing, commands, and exit codes."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -129,6 +130,8 @@ def test_run_writes_outputs_and_summary(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "mass drift" in out
+    assert re.search(r"^run: \d+ Newton iterations, \d+ line-search backtracks, "
+                     r"\d+ Krylov iterations, \d+ direct fallbacks$", out, re.M)
     outdir = tmp_path / "out"
     assert (outdir / "diagnostics.csv").exists()
     for k in range(4):

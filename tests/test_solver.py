@@ -60,6 +60,54 @@ def test_linear_solve_permutation_invariant():
     assert np.allclose(xp, x[perm], atol=1e-9)
 
 
+def newton_system(mesh, params):
+    """First Newton matrix and right-hand side of the second bump step."""
+    first, _ = solver.homotopy_newton_solve(bump_state(mesh, params), params, mesh)
+    guess = solver.alpha0_solve(first, params, mesh)
+    J = scheme.jacobian(first, guess, params, mesh, alpha=1.0)
+    r = scheme.residual(first, guess, params, mesh, alpha=1.0)
+    return J, -r.ravel()
+
+
+def test_newton_solve_matches_direct(mesh2, params):
+    J, b = newton_system(mesh2, params)
+    stats = solver.StepDiagnostics()
+    x = solver.linear_solve(J, b, n_density=mesh2.n_elems, stats=stats)
+    direct = spla.spsolve(sp.csc_matrix(J), b)
+    assert np.abs(x - direct).max() <= 1e-12 * np.abs(direct).max()
+    assert stats.direct_fallbacks == 0
+    # 8 iterations; a preconditioner without the coupling C needs 16.
+    assert 0 < stats.krylov_iters <= 12
+
+
+def test_newton_solve_falls_back_to_direct():
+    """A large upper-right block B, which the preconditioner ignores, leaves
+    GMRES short of the acceptance bound; the direct solve answers instead."""
+    rng = np.random.default_rng(3)
+    ne, ni = 120, 60
+    A = sp.diags(1.0 + rng.uniform(0.0, 1.0, ne))
+    B = sp.random(ne, 3 * ni, density=0.2, random_state=rng) * 100.0
+    C = sp.random(3 * ni, ne, density=0.2, random_state=rng)
+    S = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(ni, ni))
+    J = sp.bmat([[A, B], [C, sp.kron(S, sp.identity(3))]], format="csr")
+    b = rng.standard_normal(ne + 3 * ni)
+    stats = solver.StepDiagnostics()
+    x = solver.linear_solve(J, b, n_density=ne, stats=stats)
+    assert stats.krylov_iters == solver.KRYLOV_MAXITER
+    assert stats.direct_fallbacks == 1
+    assert np.allclose(x, np.linalg.solve(J.toarray(), b), rtol=1e-10, atol=1e-12)
+
+
+def test_newton_solve_rejects_singular(mesh1, params):
+    J, b = newton_system(mesh1, params)
+    J = J.tolil()
+    J[0, :] = 0.0
+    stats = solver.StepDiagnostics()
+    with pytest.warns(spla.MatrixRankWarning), pytest.raises(solver.SolverError):
+        solver.linear_solve(J.tocsr(), b, n_density=mesh1.n_elems, stats=stats)
+    assert stats.direct_fallbacks == 1
+
+
 # ---------------------------------------------------------------------------
 # Settings.
 
@@ -190,6 +238,24 @@ def test_step_failure_reports_context(mesh2):
     assert 0.0 < exc.alpha <= 1.0
     assert exc.iterations >= 1
     assert exc.residual_norm > 0
+
+
+def test_alpha0_solved_once_per_step(mesh2, monkeypatch):
+    """Every continuation schedule starts from one alpha = 0 solve."""
+    params = scheme.SchemeParams(newton_tol=1e-16, newton_max_iter=1,
+                                 homotopy_steps=2)
+    calls = []
+    original = solver.alpha0_solve
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(solver, "alpha0_solve", counted)
+    with pytest.raises(solver.StepFailure):
+        solver.homotopy_newton_solve(bump_state(mesh2, params), params, mesh2)
+    assert len(solver.HomotopySettings().schedules(params.homotopy_steps)) == 3
+    assert len(calls) == 1
 
 
 def test_time_step_wrapper(mesh2, params):
