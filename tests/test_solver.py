@@ -80,20 +80,39 @@ def test_newton_solve_matches_direct(mesh2, params):
     assert 0 < stats.krylov_iters <= 12
 
 
-def test_newton_solve_falls_back_to_direct():
-    """A large upper-right block B, which the preconditioner ignores, leaves
-    GMRES short of the acceptance bound; the direct solve answers instead."""
+def newton_layout(b_scale):
+    """A Newton-layout system whose upper-right block B, which the
+    preconditioner ignores, is scaled by `b_scale`."""
     rng = np.random.default_rng(3)
     ne, ni = 120, 60
     A = sp.diags(1.0 + rng.uniform(0.0, 1.0, ne))
-    B = sp.random(ne, 3 * ni, density=0.2, random_state=rng) * 100.0
+    B = sp.random(ne, 3 * ni, density=0.2, random_state=rng) * b_scale
     C = sp.random(3 * ni, ne, density=0.2, random_state=rng)
     S = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(ni, ni))
     J = sp.bmat([[A, B], [C, sp.kron(S, sp.identity(3))]], format="csr")
-    b = rng.standard_normal(ne + 3 * ni)
+    return J, rng.standard_normal(ne + 3 * ni), ne
+
+
+def test_newton_solve_restarts_before_falling_back():
+    """A system that one GMRES cycle leaves short of the acceptance bound is
+    finished by a restarted cycle, without the direct solve."""
+    J, b, ne = newton_layout(1.0)
     stats = solver.StepDiagnostics()
     x = solver.linear_solve(J, b, n_density=ne, stats=stats)
-    assert stats.krylov_iters == solver.KRYLOV_MAXITER
+    direct = np.linalg.solve(J.toarray(), b)
+    # 195 iterations today.
+    assert solver.KRYLOV_RESTART < stats.krylov_iters < 3 * solver.KRYLOV_RESTART
+    assert stats.direct_fallbacks == 0
+    assert np.abs(x - direct).max() <= 1e-10 * np.abs(direct).max()
+
+
+def test_newton_solve_falls_back_to_direct():
+    """A large upper-right block B leaves every GMRES cycle short of the
+    acceptance bound; the direct solve answers instead."""
+    J, b, ne = newton_layout(100.0)
+    stats = solver.StepDiagnostics()
+    x = solver.linear_solve(J, b, n_density=ne, stats=stats)
+    assert stats.krylov_iters == solver.KRYLOV_RESTART * solver.KRYLOV_CYCLES
     assert stats.direct_fallbacks == 1
     assert np.allclose(x, np.linalg.solve(J.toarray(), b), rtol=1e-10, atol=1e-12)
 
