@@ -16,15 +16,17 @@ import numpy as np
 
 from . import scheme
 from .fluxes import upwind_momentum
-from .mesh import Mesh, find_elements
+from .mesh import Mesh, NDArrayF, build_box_mesh, find_elements
 from .spaces import (
+    ScalarQField,
+    apply_bc,
     broken_divergence,
     broken_gradient,
     cell_means,
     element_average,
     elem_quad_points,
-    eval_flux_reconstruction,
     face_quad_points,
+    flux_reconstruction,
     interpolate_v,
     interpolation_errors,
     normal_flux,
@@ -142,45 +144,93 @@ def csv_row(step, t, ledger: EnergyLedger, energy_margin, positivity_slack_val,
 # others read: the volume correction enters as
 # -(sum_E rho div u uhat . int_E (interp v - v)), which the identity check
 # below verifies numerically.
+#
+# Everything the test functions contribute depends on the mesh alone, so it
+# is evaluated once per mesh by `transport_moments`: the quadrature points
+# are visited there and nowhere else.  On each element utilde = w + s x, so
+# the volume integrals reduce to element moments of the test functions,
+#
+#   int_E utilde . grad phi       = |E| (w . <grad phi> + s <x . grad phi>),
+#   int_E uhat . Dv utilde        = |E| uhat . (<Dv> w + s <Dv x>),
+#
+# with <.> the element quadrature mean; this is the same finite quadrature
+# sum regrouped.  The per-state functions then do O(elements + faces) work.
 
 
-def continuity_transport(state, mesh: Mesh, phi, degree: int = 2):
+@dataclass(frozen=True)
+class TransportMoments:
+    """State-independent moments of the test functions phi and v on one mesh.
+
+    Element quantities are quadrature means (or integrals) at the degree the
+    moments were built with; face integrals are area times face mean.
+    """
+
+    phat: NDArrayF          # (n_elems,) element means of phi
+    grad_phi: NDArrayF      # (n_elems, 3) element means of grad phi
+    x_grad_phi: NDArrayF    # (n_elems,) element means of x . grad phi
+    phi_face: NDArrayF      # (n_faces,) face integrals of phi
+    what: NDArrayF          # (n_elems, 3) element averages of interpolate_v(v)
+    dv: NDArrayF            # (n_elems, 3, 3) element means of Dv
+    dv_x: NDArrayF          # (n_elems, 3) element means of Dv x
+    v_face: NDArrayF        # (n_faces, 3) face integrals of v
+    v_elem: NDArrayF        # (n_elems, 3) element integrals of v
+
+
+def transport_moments(mesh: Mesh, phi, v, degree: int = 2) -> TransportMoments:
+    """Evaluate phi, grad phi, v and Dv once at the element and face points."""
+    pts, w = elem_quad_points(mesh, degree)
+    ne, nq = pts.shape[:2]
+    flat = pts.reshape(-1, 3)
+    grad = phi.gradient(flat).reshape(ne, nq, 3)
+    J = v.jacobian(flat).reshape(ne, nq, 3, 3)
+    phat = np.einsum("q,eq->e", w, np.asarray(phi(flat), dtype=float).reshape(ne, nq))
+    v_mean = np.einsum("q,eqi->ei", w, np.asarray(v(flat), dtype=float).reshape(ne, nq, 3))
+
+    fpts, fw = face_quad_points(mesh, degree)
+    fflat = fpts.reshape(-1, 3)
+    nf, nfq = fpts.shape[:2]
+    phi_fmean = np.einsum("q,fq->f", fw, np.asarray(phi(fflat), dtype=float).reshape(nf, nfq))
+    v_fmean = np.einsum("q,fqi->fi", fw, np.asarray(v(fflat), dtype=float).reshape(nf, nfq, 3))
+
+    return TransportMoments(
+        phat=phat,
+        grad_phi=np.einsum("q,eqi->ei", w, grad),
+        x_grad_phi=np.einsum("q,eqi,eqi->e", w, pts, grad),
+        phi_face=mesh.face_area * phi_fmean,
+        # v_fmean are the face dofs of interpolate_v(v).
+        what=v_fmean[mesh.elem_faces].mean(axis=1),
+        dv=np.einsum("q,eqij->eij", w, J),
+        dv_x=np.einsum("q,eqij,eqj->ei", w, J, pts),
+        v_face=mesh.face_area[:, None] * v_fmean,
+        v_elem=mesh.elem_volume[:, None] * v_mean,
+    )
+
+
+def continuity_transport(state, mesh: Mesh, moments: TransportMoments):
     """Returns (lhs, volume_term, p1) of the continuity transport identity."""
     rho = state.rho.values
     int_f, own, nbr, _ = scheme._interior(mesh)
     area = mesh.face_area[int_f]
     flux, up = scheme.interior_fluxes(state, mesh)
 
-    phat = cell_means(phi, mesh, degree)
+    phat = moments.phat
     lhs = float(np.sum(area * up * (phat[nbr] - phat[own])))
 
-    pts, w = elem_quad_points(mesh, degree)
-    ut = eval_flux_reconstruction(normal_flux(state.u, mesh), mesh, pts)
-    grad = phi.gradient(pts.reshape(-1, 3)).reshape(pts.shape[0], -1, 3)
-    volume = float(
-        np.sum(rho * mesh.elem_volume * np.einsum("q,eqi,eqi->e", w, ut, grad))
-    )
+    w, s = flux_reconstruction(normal_flux(state.u, mesh), mesh)
+    volume = float(np.sum(
+        rho * mesh.elem_volume
+        * (np.einsum("ei,ei->e", w, moments.grad_phi) + s * moments.x_grad_phi)
+    ))
 
-    fpts, fw = face_quad_points(mesh, degree)
-    phi_int = mesh.face_area * np.einsum(
-        "q,fq->f", fw, np.asarray(phi(fpts.reshape(-1, 3))).reshape(fpts.shape[0], -1)
-    )
+    phi_int = moments.phi_face[int_f]
     p1 = float(
-        np.sum(
-            (rho[own] - rho[nbr])
-            * np.minimum(flux, 0.0)
-            * (area * phat[own] - phi_int[int_f])
-        )
-        + np.sum(
-            (rho[nbr] - rho[own])
-            * np.minimum(-flux, 0.0)
-            * (area * phat[nbr] - phi_int[int_f])
-        )
+        np.sum((rho[own] - rho[nbr]) * np.minimum(flux, 0.0) * (area * phat[own] - phi_int))
+        + np.sum((rho[nbr] - rho[own]) * np.minimum(-flux, 0.0) * (area * phat[nbr] - phi_int))
     )
     return lhs, volume, p1
 
 
-def momentum_transport(state, mesh: Mesh, v, degree: int = 2):
+def momentum_transport(state, mesh: Mesh, moments: TransportMoments):
     """Returns (lhs, volume_term, p2, p3, p4) of the momentum transport identity."""
     rho = state.rho.values
     vol = mesh.elem_volume
@@ -190,23 +240,16 @@ def momentum_transport(state, mesh: Mesh, v, degree: int = 2):
     uhat = element_average(state.u, mesh)
     upm = upwind_momentum(up, uhat[own], uhat[nbr])
 
-    interp = interpolate_v(v, mesh, degree=degree)
-    what = element_average(interp, mesh)
+    what = moments.what
     lhs = float(np.sum(area * np.einsum("ij,ij->i", upm, what[nbr] - what[own])))
 
-    pts, w = elem_quad_points(mesh, degree)
-    ut = eval_flux_reconstruction(normal_flux(state.u, mesh), mesh, pts)
-    J = v.jacobian(pts.reshape(-1, 3)).reshape(pts.shape[0], -1, 3, 3)
-    volume = float(
-        np.sum(rho * vol * np.einsum("q,ei,eqij,eqj->e", w, uhat, J, ut))
-    )
+    w, s = flux_reconstruction(normal_flux(state.u, mesh), mesh)
+    dv_ut = np.einsum("eij,ej->ei", moments.dv, w) + s[:, None] * moments.dv_x
+    volume = float(np.sum(rho * vol * np.einsum("ei,ei->e", uhat, dv_ut)))
 
-    fpts, fw = face_quad_points(mesh, degree)
-    v_int = mesh.face_area[:, None] * np.einsum(
-        "q,fqi->fi", fw, np.asarray(v(fpts.reshape(-1, 3))).reshape(fpts.shape[0], -1, 3)
-    )
-    defect_own = area[:, None] * what[own] - v_int[int_f]      # int_f (what_E - v)
-    defect_nbr = area[:, None] * what[nbr] - v_int[int_f]
+    v_int = moments.v_face[int_f]
+    defect_own = area[:, None] * what[own] - v_int      # int_f (what_E - v)
+    defect_nbr = area[:, None] * what[nbr] - v_int
 
     p2 = float(
         np.sum((rho[own] - rho[nbr]) * np.minimum(flux, 0.0)
@@ -220,22 +263,29 @@ def momentum_transport(state, mesh: Mesh, v, degree: int = 2):
         + np.sum(np.minimum(-up, 0.0) * np.einsum("ij,ij->i", -jump, defect_nbr))
     )
 
-    v_elem_int = vol[:, None] * cell_means(v, mesh, degree)
     div = broken_divergence(state.u, mesh)
     p4 = float(
-        -np.sum(rho * div * np.einsum("ei,ei->e", uhat, vol[:, None] * what - v_elem_int))
+        -np.sum(rho * div * np.einsum("ei,ei->e", uhat, vol[:, None] * what - moments.v_elem))
     )
     return lhs, volume, p2, p3, p4
 
 
 def transport_identity_residuals(state, mesh: Mesh, phi, v, degree: int = 2) -> dict:
     """Relative defects |LHS - RHS| / (1 + |LHS|) of both transport identities."""
-    lhs_c, vol_c, p1 = continuity_transport(state, mesh, phi, degree)
-    lhs_m, vol_m, p2, p3, p4 = momentum_transport(state, mesh, v, degree)
+    moments = transport_moments(mesh, phi, v, degree)
+    lhs_c, vol_c, p1 = continuity_transport(state, mesh, moments)
+    lhs_m, vol_m, p2, p3, p4 = momentum_transport(state, mesh, moments)
     return {
         "continuity": abs(lhs_c - (vol_c + p1)) / (1.0 + abs(lhs_c)),
         "momentum": abs(lhs_m - (vol_m + p2 + p3 + p4)) / (1.0 + abs(lhs_m)),
     }
+
+
+def _defect_terms(state, mesh: Mesh, moments: TransportMoments) -> dict[str, float]:
+    """The four defect terms P1-P4 of one state."""
+    _, _, p1 = continuity_transport(state, mesh, moments)
+    _, _, p2, p3, p4 = momentum_transport(state, mesh, moments)
+    return {"P1": p1, "P2": p2, "P3": p3, "P4": p4}
 
 
 def transport_defect_integrals(result, phi, v, degree: int = 4) -> dict[str, float]:
@@ -246,14 +296,11 @@ def transport_defect_integrals(result, phi, v, degree: int = 4) -> dict[str, flo
     all states after the initial one.
     """
     mesh, dt = result.mesh, result.dt
+    moments = transport_moments(mesh, phi, v, degree)
     totals = {"P1": 0.0, "P2": 0.0, "P3": 0.0, "P4": 0.0}
     for state in result.states[1:]:
-        _, _, p1 = continuity_transport(state, mesh, phi, degree)
-        _, _, p2, p3, p4 = momentum_transport(state, mesh, v, degree)
-        totals["P1"] += dt * abs(p1)
-        totals["P2"] += dt * abs(p2)
-        totals["P3"] += dt * abs(p3)
-        totals["P4"] += dt * abs(p4)
+        for key, val in _defect_terms(state, mesh, moments).items():
+            totals[key] += dt * abs(val)
     return totals
 
 
@@ -312,14 +359,12 @@ def p_decay_study(ns, data, phi, v, T: float = 0.5, params=None,
     Returns per-mesh rows plus the log2 decay rates between consecutive
     refinements.
     """
-    from .mesh import build_box_mesh
-    from .spaces import ScalarQField, apply_bc, cell_means, interpolate_v
-
     if params is None:
         params = scheme.SchemeParams()
     rows = []
     for n in ns:
         mesh = build_box_mesh(n, box_lo, box_hi)
+        moments = transport_moments(mesh, phi, v, degree)
         dt = params.dt(mesh)
         steps = max(1, int(np.ceil(T / dt - 1e-9)))
         totals = {"P1": 0.0, "P2": 0.0, "P3": 0.0, "P4": 0.0}
@@ -330,9 +375,7 @@ def p_decay_study(ns, data, phi, v, T: float = 0.5, params=None,
                 u=apply_bc(interpolate_v(u_fn, mesh, degree=degree)),
                 k=k, t=k * dt,
             )
-            _, _, p1 = continuity_transport(state, mesh, phi, degree)
-            _, _, p2, p3, p4 = momentum_transport(state, mesh, v, degree)
-            for key, val in (("P1", p1), ("P2", p2), ("P3", p3), ("P4", p4)):
+            for key, val in _defect_terms(state, mesh, moments).items():
                 totals[key] += dt * abs(val)
         rows.append({"n": n, "h": mesh.h, **totals})
     rates = {
@@ -351,8 +394,6 @@ def p_decay_study(ns, data, phi, v, T: float = 0.5, params=None,
 
 def interpolation_rate_study(field, ns, box_lo=(0, 0, 0), box_hi=(1, 1, 1), degree: int = 6) -> dict:
     """Interpolation errors over a mesh family and least-squares orders."""
-    from .mesh import build_box_mesh
-
     hs, l2, h1 = [], [], []
     for n in ns:
         mesh = build_box_mesh(n, box_lo, box_hi)

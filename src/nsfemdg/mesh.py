@@ -101,27 +101,20 @@ def build_box_mesh(n: int, box_lo=(0.0, 0.0, 0.0), box_hi=(1.0, 1.0, 1.0)) -> Me
         raise ValueError(f"degenerate box: lo={lo}, hi={hi}")
 
     axis = [np.linspace(lo[d], hi[d], n + 1) for d in range(3)]
-    # Vertex id (i, j, k) -> i*(n+1)^2 + j*(n+1) + k.
     grid = np.stack(np.meshgrid(*axis, indexing="ij"), axis=-1)
     vertices = grid.reshape(-1, 3)
 
-    def vid(i, j, k):
-        return (i * (n + 1) + j) * (n + 1) + k
-
-    perms = list(itertools.permutations((0, 1, 2)))
-    tets = np.empty((6 * n**3, 4), dtype=np.int64)
-    e = 0
-    for i, j, k in itertools.product(range(n), repeat=3):
-        corner = np.array([i, j, k])
-        for perm in perms:
-            steps = [corner.copy()]
-            for p in perm:
-                nxt = steps[-1].copy()
-                nxt[p] += 1
-                steps.append(nxt)
-            ids = [vid(*s) for s in steps]
-            tets[e] = ids
-            e += 1
+    # Each cube is split along the six monotone vertex paths from its lowest
+    # to its highest corner, one per axis permutation, cubes in (i, j, k)
+    # order.  Vertex id (i, j, k) -> i*(n+1)^2 + j*(n+1) + k is linear, so a
+    # tet is its cube's corner id plus the path's id offsets.
+    stride = np.array([(n + 1) ** 2, n + 1, 1])
+    paths = np.zeros((6, 4, 3), dtype=np.int64)
+    for p, perm in enumerate(itertools.permutations((0, 1, 2))):
+        for s, axis_step in enumerate(perm, start=1):
+            paths[p, s:, axis_step] += 1
+    cubes = np.stack(np.meshgrid(*[np.arange(n)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    tets = ((cubes @ stride)[:, None, None] + (paths @ stride)[None]).reshape(-1, 4)
 
     # Enforce positive orientation: swap the last two vertices where needed.
     v = vertices[tets]
@@ -150,32 +143,26 @@ def _mesh_from_tets(vertices, tets, box_lo=None, box_hi=None, n_per_axis=None) -
     elem_centroid = v.mean(axis=1)
 
     # Collect faces; each sorted vertex triple appears in one or two elements.
-    first: dict[tuple, int] = {}
-    face_verts: list[tuple] = []
-    owner: list[int] = []
-    neighbor: list[int] = []
-    elem_faces = np.empty((n_elems, 4), dtype=np.int64)
-    for e in range(n_elems):
-        for l, loc in enumerate(_LOCAL_FACES):
-            key = tuple(sorted(tets[e, i] for i in loc))
-            f = first.get(key)
-            if f is None:
-                f = len(face_verts)
-                first[key] = f
-                face_verts.append(key)
-                owner.append(e)
-                neighbor.append(-1)
-            else:
-                if neighbor[f] != -1:
-                    raise ValueError(f"face {key} shared by more than two tets")
-                neighbor[f] = e
-            elem_faces[e, l] = f
+    # Faces are numbered by first appearance in (element, local face) order,
+    # so the owner, the first element seen, is the lower adjacent index.
+    keys = np.sort(tets[:, _LOCAL_FACES], axis=2).reshape(-1, 3)
+    uniq, first, inverse, counts = np.unique(
+        keys, axis=0, return_index=True, return_inverse=True, return_counts=True)
+    if np.any(counts > 2):
+        key = tuple(int(i) for i in uniq[np.argmax(counts > 2)])
+        raise ValueError(f"face {key} shared by more than two tets")
+    order = np.argsort(first)                     # face id -> unique row
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    slot_face = rank[inverse.reshape(-1)]         # face id of each (element, local face)
+    elem_faces = slot_face.reshape(n_elems, 4)
 
-    face_vertices = np.array(face_verts, dtype=np.int64)
-    face_owner = np.array(owner, dtype=np.int64)
-    face_neighbor = np.array(neighbor, dtype=np.int64)
-    # Owner is the lower of the two adjacent indices: elements are visited in
-    # increasing order, so first-seen already is the smaller one.
+    face_vertices = uniq[order]
+    first_slot = first[order]
+    face_owner = first_slot // 4
+    face_neighbor = np.full(len(order), -1, dtype=np.int64)
+    second = np.flatnonzero(first_slot[slot_face] != np.arange(len(keys)))
+    face_neighbor[slot_face[second]] = second // 4
 
     fv = vertices[face_vertices]
     cross = np.cross(fv[:, 1] - fv[:, 0], fv[:, 2] - fv[:, 0])
@@ -264,18 +251,18 @@ def find_elements(mesh: Mesh, points: NDArrayF, tol: float = 1e-12) -> NDArrayI:
     cell = np.clip((rel * n).astype(np.int64), 0, n - 1)
     cell_id = (cell[:, 0] * n + cell[:, 1]) * n + cell[:, 2]
 
-    out = np.empty(len(pts), dtype=np.int64)
-    for i, (p, c) in enumerate(zip(pts, cell_id)):
-        found = -1
-        for e in range(6 * c, 6 * c + 6):
-            lam = barycentric_coordinates(mesh, e, p)
-            if lam.min() >= -1e-10:
-                found = e
-                break
-        if found < 0:
-            raise ValueError(f"point {p} not located in its candidate cube")
-        out[i] = found
-    return out
+    # Barycentric coordinates of every point in each of its cube's six tets.
+    cand = 6 * cell_id[:, None] + np.arange(6)                    # (npts, 6)
+    v = mesh.vertices[mesh.tets[cand]]                            # (npts, 6, 4, 3)
+    T = (v[:, :, 1:] - v[:, :, :1]).swapaxes(-1, -2)
+    lam = np.linalg.solve(T, (pts[:, None, :] - v[:, :, 0])[..., None])[..., 0]
+    lam_min = np.minimum(1.0 - lam.sum(axis=-1), lam.min(axis=-1))
+    inside = lam_min >= -1e-10
+    missing = ~inside.any(axis=1)
+    if np.any(missing):
+        raise ValueError(f"point {pts[np.argmax(missing)]} not located in its candidate cube")
+    # argmax picks the first candidate that contains the point.
+    return cand[np.arange(len(pts)), inside.argmax(axis=1)]
 
 
 def barycentric_coordinates(mesh: Mesh, elem: int, point: NDArrayF) -> NDArrayF:

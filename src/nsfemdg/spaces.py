@@ -331,27 +331,42 @@ def interpolation_errors(field, mesh: Mesh, degree: int = 6) -> tuple[float, flo
     coeff = np.einsum("elk,eki->eli", p1_coefficients(mesh), interp.dofs[mesh.elem_faces])
     a, d = coeff[:, :3, :], coeff[:, 3, :]
     pts, w = elem_quad_points(mesh, degree)
-    interp_vals = np.einsum("eqj,eji->eqi", pts, a) + d[:, None, :]
-    vals = np.asarray(field(pts.reshape(-1, 3))).reshape(pts.shape[0], -1, 3)
-    err2 = np.einsum("q,eqi->e", w, (interp_vals - vals) ** 2)
-    l2 = np.sqrt(np.sum(mesh.elem_volume * err2))
+    # The errors are formed in place and contracted with themselves: at high
+    # degree on fine meshes each (n_elems, nq, ...) array is tens of MB.
+    err = np.einsum("eqj,eji->eqi", pts, a)
+    err += d[:, None, :]
+    err -= np.asarray(field(pts.reshape(-1, 3))).reshape(err.shape)
+    l2 = np.sqrt(np.sum(mesh.elem_volume * np.einsum("q,eqi,eqi->e", w, err, err)))
 
-    G = broken_gradient(interp, mesh)
-    J = field.jacobian(pts.reshape(-1, 3)).reshape(pts.shape[0], -1, 3, 3)
-    dif = G[:, None, :, :] - J
-    h1 = np.sqrt(np.sum(mesh.elem_volume * np.einsum("q,eqij->e", w, dif**2)))
+    # (J - G)^2 = (G - J)^2 bit for bit.
+    dif = field.jacobian(pts.reshape(-1, 3)).reshape(pts.shape[0], -1, 3, 3)
+    dif -= broken_gradient(interp, mesh)[:, None, :, :]
+    h1 = np.sqrt(np.sum(mesh.elem_volume * np.einsum("q,eqij,eqij->e", w, dif, dif)))
     return float(l2), float(h1)
 
 
 # ---------------------------------------------------------------------------
 # Smooth test fields with exact Jacobians.
+#
+# The quadratic fields use the monomial basis 1, x, y, z, x^2, y^2, z^2, xy,
+# xz, yz.  Their derivatives are affine, d/dx_d = const_d + sum_k x_k lin_kd,
+# and the two tables below read const and lin off the ten coefficients.
 
-_MONO_POWERS = np.array(
-    [
-        [0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
-        [2, 0, 0], [0, 2, 0], [0, 0, 2], [1, 1, 0], [1, 0, 1], [0, 1, 1],
-    ]
-)
+
+def _monomials(pts: NDArrayF) -> NDArrayF:
+    """(npts, 10) values of the monomial basis at the points."""
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    return np.stack([np.ones_like(x), x, y, z, x * x, y * y, z * z, x * y, x * z, y * z],
+                    axis=1)
+
+
+# _GRAD_CONST[d, m]: constant part of d(monomial m)/dx_d.
+_GRAD_CONST = np.zeros((3, 10))
+_GRAD_CONST[[0, 1, 2], [1, 2, 3]] = 1.0
+# _GRAD_LIN[k, d, m]: coefficient of x_k in d(monomial m)/dx_d.
+_GRAD_LIN = np.zeros((3, 3, 10))
+_GRAD_LIN[[0, 1, 2], [0, 1, 2], [4, 5, 6]] = 2.0
+_GRAD_LIN[[1, 0, 2, 0, 2, 1], [0, 1, 0, 2, 1, 2], [7, 7, 8, 8, 9, 9]] = 1.0
 
 
 @dataclass
@@ -369,24 +384,13 @@ class PolynomialField:
         return cls(rng.uniform(-scale, scale, size=(3, 10)))
 
     def __call__(self, pts: NDArrayF) -> NDArrayF:
-        pts = np.atleast_2d(pts)
-        mono = np.prod(pts[:, None, :] ** _MONO_POWERS[None, :, :], axis=2)
-        return mono @ self.coeffs.T
+        return _monomials(np.atleast_2d(pts)) @ self.coeffs.T
 
     def jacobian(self, pts: NDArrayF) -> NDArrayF:
         pts = np.atleast_2d(pts)
-        x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-        zero = np.zeros_like(x)
-        one = np.ones_like(x)
-        dmono = np.stack(
-            [
-                np.stack([zero, one, zero, zero, 2 * x, zero, zero, y, z, zero], axis=1),
-                np.stack([zero, zero, one, zero, zero, 2 * y, zero, x, zero, z], axis=1),
-                np.stack([zero, zero, zero, one, zero, zero, 2 * z, zero, x, y], axis=1),
-            ],
-            axis=1,
-        )  # (npts, 3 deriv, 10)
-        return np.einsum("pdm,im->pid", dmono, self.coeffs)
+        const = self.coeffs @ _GRAD_CONST.T                          # (3 comp, 3 deriv)
+        lin = np.einsum("kdm,im->kid", _GRAD_LIN, self.coeffs).reshape(3, 9)
+        return const + (pts @ lin).reshape(-1, 3, 3)
 
 
 @dataclass
@@ -407,7 +411,7 @@ class SineField:
         kp = self.k * np.pi
         s = np.sin(kp * pts)
         c = np.cos(kp * pts)
-        grad = np.stack(
+        grad = self.amplitude * np.stack(
             [
                 kp * c[:, 0] * s[:, 1] * s[:, 2],
                 kp * s[:, 0] * c[:, 1] * s[:, 2],
@@ -415,7 +419,7 @@ class SineField:
             ],
             axis=1,
         )
-        return self.amplitude * np.repeat(grad[:, None, :], 3, axis=1)
+        return np.repeat(grad[:, None, :], 3, axis=1)
 
 
 @dataclass
@@ -429,21 +433,7 @@ class ScalarPolynomial:
         return cls(rng.uniform(-scale, scale, size=10))
 
     def __call__(self, pts: NDArrayF) -> NDArrayF:
-        pts = np.atleast_2d(pts)
-        mono = np.prod(pts[:, None, :] ** _MONO_POWERS[None, :, :], axis=2)
-        return mono @ self.coeffs
+        return _monomials(np.atleast_2d(pts)) @ self.coeffs
 
     def gradient(self, pts: NDArrayF) -> NDArrayF:
-        pts = np.atleast_2d(pts)
-        x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-        zero = np.zeros_like(x)
-        one = np.ones_like(x)
-        dmono = np.stack(
-            [
-                np.stack([zero, one, zero, zero, 2 * x, zero, zero, y, z, zero], axis=1),
-                np.stack([zero, zero, one, zero, zero, 2 * y, zero, x, zero, z], axis=1),
-                np.stack([zero, zero, zero, one, zero, zero, 2 * z, zero, x, y], axis=1),
-            ],
-            axis=1,
-        )
-        return np.einsum("pdm,m->pd", dmono, self.coeffs)
+        return _GRAD_CONST @ self.coeffs + np.atleast_2d(pts) @ (_GRAD_LIN @ self.coeffs)

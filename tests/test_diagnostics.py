@@ -15,7 +15,10 @@ from nsfemdg.spaces import (
     broken_divergence,
     cell_means,
     element_average,
+    elem_quad_points,
+    eval_flux_reconstruction,
     interpolate_v,
+    normal_flux,
 )
 
 
@@ -199,8 +202,9 @@ def test_transport_identity_has_teeth():
     phi = ScalarPolynomial.random(rng)
     v = PolynomialField.random(rng)
     state = _random_state(mesh, rng, u_scale=0.6)
-    lhs_c, vol_c, p1 = diagnostics.continuity_transport(state, mesh, phi, degree=4)
-    lhs_m, vol_m, p2, p3, p4 = diagnostics.momentum_transport(state, mesh, v, degree=4)
+    moments = diagnostics.transport_moments(mesh, phi, v, degree=4)
+    lhs_c, vol_c, p1 = diagnostics.continuity_transport(state, mesh, moments)
+    lhs_m, vol_m, p2, p3, p4 = diagnostics.momentum_transport(state, mesh, moments)
     assert max(abs(lhs_c), abs(vol_c), abs(p1)) > 1e-4
     assert max(abs(lhs_m), abs(vol_m), abs(p2), abs(p3), abs(p4)) > 1e-4
     assert abs(lhs_c - (vol_c + p1)) <= 1e-12 * (1.0 + abs(lhs_c))
@@ -216,11 +220,77 @@ def test_transport_constant_test_functions_vanish():
     v = PolynomialField(coeffs=np.zeros((3, 10)))
     v.coeffs[:, 0] = (1.0, -2.0, 0.5)
 
-    lhs_c, vol_c, p1 = diagnostics.continuity_transport(state, mesh, phi)
+    moments = diagnostics.transport_moments(mesh, phi, v)
+    lhs_c, vol_c, p1 = diagnostics.continuity_transport(state, mesh, moments)
     assert abs(lhs_c) < 1e-13 and abs(vol_c) < 1e-13 and abs(p1) < 1e-13
-    lhs_m, vol_m, p2, p3, p4 = diagnostics.momentum_transport(state, mesh, v)
+    lhs_m, vol_m, p2, p3, p4 = diagnostics.momentum_transport(state, mesh, moments)
     for val in (lhs_m, vol_m, p2, p3, p4):
         assert abs(val) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("degree", [2, 4])
+def test_transport_volume_terms_match_direct_quadrature(n, degree):
+    """The moment form is the quadrature sum regrouped: compare with the sum."""
+    mesh = build_box_mesh(n)
+    rng = np.random.default_rng(40 + 10 * n + degree)
+    phi = ScalarPolynomial.random(rng)
+    v = PolynomialField.random(rng)
+    moments = diagnostics.transport_moments(mesh, phi, v, degree)
+    pts, w = elem_quad_points(mesh, degree)
+    flat = pts.reshape(-1, 3)
+    grad = phi.gradient(flat).reshape(pts.shape[0], -1, 3)
+    J = v.jacobian(flat).reshape(pts.shape[0], -1, 3, 3)
+    for _ in range(3):
+        state = _random_state(mesh, rng, u_scale=0.6)
+        rho_vol = state.rho.values * mesh.elem_volume
+        ut = eval_flux_reconstruction(normal_flux(state.u, mesh), mesh, pts)
+        uhat = element_average(state.u, mesh)
+        ref_c = np.sum(rho_vol * np.einsum("q,eqi,eqi->e", w, ut, grad))
+        ref_m = np.sum(rho_vol * np.einsum("q,ei,eqij,eqj->e", w, uhat, J, ut))
+        _, vol_c, _ = diagnostics.continuity_transport(state, mesh, moments)
+        _, vol_m, *_ = diagnostics.momentum_transport(state, mesh, moments)
+        assert abs(ref_c) > 1e-3 and abs(ref_m) > 1e-3
+        assert vol_c == pytest.approx(ref_c, rel=1e-13)
+        assert vol_m == pytest.approx(ref_m, rel=1e-13)
+
+
+def _count_moments(monkeypatch):
+    """Counts transport_moments calls by mesh identity."""
+    calls = []
+    original = diagnostics.transport_moments
+
+    def counted(mesh, *args, **kwargs):
+        calls.append(id(mesh))
+        return original(mesh, *args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "transport_moments", counted)
+    return calls
+
+
+def test_defect_integrals_build_moments_once(monkeypatch):
+    mesh = build_box_mesh(1)
+    params = scheme.SchemeParams()
+    rng = np.random.default_rng(32)
+    dt = params.dt(mesh)
+    states = [_random_state(mesh, rng, k=k, t=k * dt) for k in range(4)]
+    result = scheme.RunResult(mesh=mesh, params=params, dt=dt,
+                              states=states, rows=[], diagnostics=[])
+    calls = _count_moments(monkeypatch)
+    diagnostics.transport_defect_integrals(
+        result, ScalarPolynomial.random(rng), PolynomialField.random(rng))
+    assert calls == [id(mesh)]
+
+
+def test_p_decay_study_builds_moments_once_per_mesh(monkeypatch):
+    rng = np.random.default_rng(33)
+    calls = _count_moments(monkeypatch)
+    # T = 0.8 gives one step at n=1 and two at n=2.
+    diagnostics.p_decay_study((1, 2), diagnostics.bump_flow_data(),
+                              ScalarPolynomial.random(rng), PolynomialField.random(rng),
+                              T=0.8)
+    assert len(calls) == 2
+    assert len(set(calls)) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +321,10 @@ def test_transport_defect_integrals_hand_loop():
 
     totals = diagnostics.transport_defect_integrals(result, phi, v, degree=4)
     expected = dict.fromkeys(("P1", "P2", "P3", "P4"), 0.0)
+    moments = diagnostics.transport_moments(mesh, phi, v, degree=4)
     for state in states[1:]:  # state k holds on ((k-1) dt, k dt]
-        _, _, p1 = diagnostics.continuity_transport(state, mesh, phi, degree=4)
-        _, _, p2, p3, p4 = diagnostics.momentum_transport(state, mesh, v, degree=4)
+        _, _, p1 = diagnostics.continuity_transport(state, mesh, moments)
+        _, _, p2, p3, p4 = diagnostics.momentum_transport(state, mesh, moments)
         for key, val in zip(("P1", "P2", "P3", "P4"), (p1, p2, p3, p4)):
             expected[key] += dt * abs(val)
     for key in expected:
@@ -356,8 +427,9 @@ def test_p_decay_study_shapes_and_hand_check():
     state = scheme.State(
         rho=ScalarQField(cell_means(rho_fn, mesh, 4)),
         u=apply_bc(interpolate_v(u_fn, mesh, degree=4)), k=1, t=dt)
-    _, _, p1 = diagnostics.continuity_transport(state, mesh, phi, degree=4)
-    _, _, p2, p3, p4 = diagnostics.momentum_transport(state, mesh, v, degree=4)
+    moments = diagnostics.transport_moments(mesh, phi, v, degree=4)
+    _, _, p1 = diagnostics.continuity_transport(state, mesh, moments)
+    _, _, p2, p3, p4 = diagnostics.momentum_transport(state, mesh, moments)
     row = study["rows"][0]
     for key, val in zip(("P1", "P2", "P3", "P4"), (p1, p2, p3, p4)):
         assert row[key] == pytest.approx(dt * abs(val), rel=1e-13)

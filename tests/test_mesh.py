@@ -1,8 +1,12 @@
 """Mesh construction, connectivity, and geometry invariants."""
+import itertools
+
 import numpy as np
 import pytest
 
 from nsfemdg.mesh import (
+    _LOCAL_FACES,
+    _mesh_from_tets,
     build_box_mesh,
     barycentric_coordinates,
     find_elements,
@@ -148,3 +152,102 @@ def test_positive_orientation(mesh2):
     v = mesh2.vertices[mesh2.tets]
     det = np.linalg.det(v[:, 1:] - v[:, :1])
     assert det.min() > 0
+
+
+# ---------------------------------------------------------------------------
+# Vectorized construction against a loop reference
+
+
+def _reference_tets(n, vertices):
+    """Cube-by-cube, path-by-path loop, positively oriented."""
+    def vid(i, j, k):
+        return (i * (n + 1) + j) * (n + 1) + k
+
+    tets = []
+    for corner in itertools.product(range(n), repeat=3):
+        for perm in itertools.permutations((0, 1, 2)):
+            steps = [list(corner)]
+            for p in perm:
+                nxt = list(steps[-1])
+                nxt[p] += 1
+                steps.append(nxt)
+            tets.append([vid(*s) for s in steps])
+    tets = np.array(tets, dtype=np.int64)
+    v = vertices[tets]
+    det = np.einsum("ei,ei->e", np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]),
+                    v[:, 3] - v[:, 0])
+    tets[det < 0, 2:] = tets[det < 0, 2:][:, ::-1]
+    return tets
+
+
+def _reference_faces(tets):
+    """Faces numbered by first appearance, through a dict of sorted triples."""
+    first, face_verts, owner, neighbor = {}, [], [], []
+    elem_faces = np.empty((len(tets), 4), dtype=np.int64)
+    for e in range(len(tets)):
+        for l, loc in enumerate(_LOCAL_FACES):
+            key = tuple(sorted(int(tets[e, i]) for i in loc))
+            f = first.get(key)
+            if f is None:
+                f = first[key] = len(face_verts)
+                face_verts.append(key)
+                owner.append(e)
+                neighbor.append(-1)
+            else:
+                neighbor[f] = e
+            elem_faces[e, l] = f
+    return np.array(face_verts), np.array(owner), np.array(neighbor), elem_faces
+
+
+@pytest.mark.parametrize("n, lo, hi", [
+    (1, (0, 0, 0), (1, 1, 1)), (2, (0, 0, 0), (1, 1, 1)),
+    (3, (0, 0, 0), (1, 1, 1)), (4, (0, 0, 0), (1, 1, 1)),
+    (3, (0.0, -1.0, 0.5), (2.0, 1.0, 1.5)),
+])
+def test_box_mesh_matches_loop_reference(n, lo, hi):
+    mesh = build_box_mesh(n, lo, hi)
+    tets = _reference_tets(n, mesh.vertices)
+    assert np.array_equal(mesh.tets, tets)
+    face_vertices, owner, neighbor, elem_faces = _reference_faces(tets)
+    assert np.array_equal(mesh.face_vertices, face_vertices)
+    assert np.array_equal(mesh.face_owner, owner)
+    assert np.array_equal(mesh.face_neighbor, neighbor)
+    assert np.array_equal(mesh.elem_faces, elem_faces)
+
+
+def test_face_shared_by_three_tets_raises(mesh1):
+    tets = np.vstack([mesh1.tets, mesh1.tets[:1]])
+    with pytest.raises(ValueError, match="shared by more than two tets"):
+        _mesh_from_tets(mesh1.vertices, tets)
+
+
+def _reference_find(mesh, pts):
+    """First of the cube's six candidate tets whose coordinates are >= -1e-10."""
+    n = mesh.n_per_axis
+    cell = np.clip((pts * n).astype(np.int64), 0, n - 1)
+    out = []
+    for p, (i, j, k) in zip(pts, cell):
+        c = (i * n + j) * n + k
+        out.append(next(e for e in range(6 * c, 6 * c + 6)
+                        if barycentric_coordinates(mesh, e, p).min() >= -1e-10))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_find_elements_matches_per_point_reference(n):
+    coarse = build_box_mesh(n)
+    fine = build_box_mesh(2 * n)
+    rng = np.random.default_rng(n)
+    # Fine vertices lie on coarse vertices, edges and shared faces: the
+    # first-candidate tie-break decides them.
+    for pts in (fine.elem_centroid, fine.vertices, fine.face_centroid,
+                rng.uniform(0.0, 1.0, size=(300, 3))):
+        assert np.array_equal(find_elements(coarse, pts), _reference_find(coarse, pts))
+
+
+def test_find_elements_not_located_raises(mesh2):
+    # With the first two cubes' tets swapped, no candidate covers their points.
+    broken = _mesh_from_tets(mesh2.vertices, mesh2.tets[np.r_[6:12, 0:6, 12:48]],
+                             mesh2.box_lo, mesh2.box_hi, 2)
+    with pytest.raises(ValueError, match="not located"):
+        find_elements(broken, broken.elem_centroid)

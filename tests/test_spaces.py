@@ -228,6 +228,38 @@ def test_interpolation_error_decreases():
 # Test fields.
 
 
+# Power-form monomial tables: exponents of 1, x, y, z, x^2, y^2, z^2, xy, xz, yz.
+_POWERS = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 0, 0],
+                    [0, 2, 0], [0, 0, 2], [1, 1, 0], [1, 0, 1], [0, 1, 1]])
+
+
+def _power_tables(pts):
+    """(npts, 10) monomials and (npts, 3, 10) their derivatives, by powers."""
+    mono = np.prod(pts[:, None, :] ** _POWERS[None], axis=2)
+    dmono = np.empty((len(pts), 3, 10))
+    for d in range(3):
+        lowered = np.maximum(_POWERS - np.eye(3, dtype=int)[d], 0)
+        dmono[:, d, :] = _POWERS[:, d] * np.prod(pts[:, None, :] ** lowered[None], axis=2)
+    return mono, dmono
+
+
+def test_quadratic_fields_match_power_form():
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(-0.5, 1.5, size=(200, 3))
+    mono, dmono = _power_tables(pts)
+    phi = ScalarPolynomial.random(rng)
+    field = PolynomialField.random(rng)
+    tol = dict(rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(phi(pts), mono @ phi.coeffs, **tol)
+    np.testing.assert_allclose(phi.gradient(pts), dmono @ phi.coeffs, **tol)
+    np.testing.assert_allclose(field(pts), mono @ field.coeffs.T, **tol)
+    np.testing.assert_allclose(field.jacobian(pts),
+                               np.einsum("pdm,im->pid", dmono, field.coeffs), **tol)
+    # single points keep the (1, ...) leading axis
+    assert phi.gradient(pts[0]).shape == (1, 3)
+    assert field.jacobian(pts[0]).shape == (1, 3, 3)
+
+
 def test_polynomial_jacobian_matches_fd():
     rng = np.random.default_rng(9)
     field = PolynomialField.random(rng)
