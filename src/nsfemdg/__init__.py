@@ -31,9 +31,8 @@ from .scheme import (
     make_initial_data,
     residual,
     run,
-    time_step,
 )
-from .solver import HomotopySettings, SolverError, StepFailure, homotopy_newton_solve
+from .solver import SolverError, StepFailure, homotopy_newton_solve
 from .spaces import (
     PolynomialField,
     ScalarPolynomial,
@@ -50,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EnergyLedger",
-    "HomotopySettings",
     "Mesh",
     "PRESETS",
     "PolynomialField",
@@ -78,6 +76,5 @@ __all__ = [
     "renormalized_margin",
     "residual",
     "run",
-    "time_step",
     "__version__",
 ]

@@ -95,6 +95,8 @@ class RunConfig:
             raise ConfigError(f"T must be > 0, got {self.T}")
         if self.steps is not None and self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
+        if self.T is not None and self.steps is not None:
+            raise ConfigError("give either T or steps, not both")
         if self.cadence < 1:
             raise ConfigError(f"cadence must be >= 1, got {self.cadence}")
         if self.preset not in scheme.PRESETS:

@@ -19,15 +19,14 @@ from .fluxes import upwind_momentum
 from .mesh import Mesh, NDArrayF, build_box_mesh, find_elements
 from .spaces import (
     ScalarQField,
+    VelocityCRField,
     apply_bc,
     broken_divergence,
     broken_gradient,
-    cell_means,
     element_average,
     elem_quad_points,
     face_quad_points,
     flux_reconstruction,
-    interpolate_v,
     interpolation_errors,
     normal_flux,
 )
@@ -67,7 +66,7 @@ def energy_ledger(state, params, mesh: Mesh, prev=None) -> EnergyLedger:
     G = broken_gradient(state.u, mesh)
     grad_diss = float(np.sum(vol * np.sum(G**2, axis=(1, 2))))
 
-    int_f, own, nbr, _ = scheme._interior(mesh)
+    int_f, own, nbr = scheme._interior(mesh)
     _, up = scheme.interior_fluxes(state, mesh)
     jump2 = np.sum((uhat[nbr] - uhat[own]) ** 2, axis=1)
     d2 = float(0.5 * np.sum(mesh.face_area[int_f] * np.abs(up) * jump2))
@@ -209,7 +208,7 @@ def transport_moments(mesh: Mesh, phi, v, degree: int = 2) -> TransportMoments:
 def continuity_transport(state, mesh: Mesh, moments: TransportMoments):
     """Returns (lhs, volume_term, p1) of the continuity transport identity."""
     rho = state.rho.values
-    int_f, own, nbr, _ = scheme._interior(mesh)
+    int_f, own, nbr = scheme._interior(mesh)
     area = mesh.face_area[int_f]
     flux, up = scheme.interior_fluxes(state, mesh)
 
@@ -234,7 +233,7 @@ def momentum_transport(state, mesh: Mesh, moments: TransportMoments):
     """Returns (lhs, volume_term, p2, p3, p4) of the momentum transport identity."""
     rho = state.rho.values
     vol = mesh.elem_volume
-    int_f, own, nbr, _ = scheme._interior(mesh)
+    int_f, own, nbr = scheme._interior(mesh)
     area = mesh.face_area[int_f]
     flux, up = scheme.interior_fluxes(state, mesh)
     uhat = element_average(state.u, mesh)
@@ -365,14 +364,22 @@ def p_decay_study(ns, data, phi, v, T: float = 0.5, params=None,
     for n in ns:
         mesh = build_box_mesh(n, box_lo, box_hi)
         moments = transport_moments(mesh, phi, v, degree)
+        # Every injected state is sampled at these points, by the contractions
+        # of cell_means and interpolate_v.
+        pts, w = elem_quad_points(mesh, degree)
+        fpts, fw = face_quad_points(mesh, degree)
+        flat, fflat = pts.reshape(-1, 3), fpts.reshape(-1, 3)
         dt = params.dt(mesh)
         steps = max(1, int(np.ceil(T / dt - 1e-9)))
         totals = {"P1": 0.0, "P2": 0.0, "P3": 0.0, "P4": 0.0}
         for k in range(1, steps + 1):
             rho_fn, u_fn = data(k * dt)
+            rho = np.asarray(rho_fn(flat), dtype=float).reshape(pts.shape[0], pts.shape[1], -1)
+            u = np.asarray(u_fn(fflat), dtype=float).reshape(fpts.shape[0], -1, 3)
             state = scheme.State(
-                rho=ScalarQField(cell_means(rho_fn, mesh, degree)),
-                u=apply_bc(interpolate_v(u_fn, mesh, degree=degree)),
+                rho=ScalarQField(np.einsum("q,eqm->em", w, rho)[:, 0]),
+                u=apply_bc(VelocityCRField(np.einsum("q,fqi->fi", fw, u),
+                                           mesh.is_boundary_face.copy())),
                 k=k, t=k * dt,
             )
             for key, val in _defect_terms(state, mesh, moments).items():

@@ -31,7 +31,7 @@ with [rho] = rho_neighbor - rho_owner, jump^T scattering a face value +owner
 and -neighbor, avg the 1/4 element average of face dofs, K the broken-gradient
 stiffness, G the |E|-weighted basis gradients, and F = |f| (UpM - h^(1-eps)
 [rho] mean(uhat)) the momentum face flux.  The Jacobian is the same products
-with diagonal scalings, scattered into a fixed per-mesh sparsity pattern.
+with diagonal scalings, assembled as a 2x2 block matrix.
 
 `residual` and `jacobian` take a continuation weight alpha in [0, 1] that
 scales convection, pressure and both stabilization terms; time terms and
@@ -45,13 +45,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
 from .fluxes import stab_continuity, upwind_momentum, upwind_scalar
-from .mesh import Mesh, NDArrayF, NDArrayI
+from .mesh import Mesh, NDArrayF
 from .spaces import (
     ScalarQField,
     VelocityCRField,
@@ -63,9 +63,6 @@ from .spaces import (
     face_quad_points,
     interpolate_v,
 )
-
-if TYPE_CHECKING:
-    from .solver import HomotopySettings, StepDiagnostics
 
 
 @dataclass(frozen=True)
@@ -195,25 +192,23 @@ def _interior(mesh: Mesh):
     cached = mesh._space_cache.get("interior")
     if cached is None:
         int_f = mesh.interior_faces
-        slot = np.full(mesh.n_faces, -1, dtype=np.int64)
-        slot[int_f] = np.arange(len(int_f))
-        cached = (int_f, mesh.face_owner[int_f], mesh.face_neighbor[int_f], slot)
+        cached = (int_f, mesh.face_owner[int_f], mesh.face_neighbor[int_f])
         mesh._space_cache["interior"] = cached
     return cached
 
 
 def n_unknowns(mesh: Mesh) -> int:
-    int_f, _, _, _ = _interior(mesh)
+    int_f, _, _ = _interior(mesh)
     return mesh.n_elems + 3 * len(int_f)
 
 
 def pack(state: State, mesh: Mesh) -> NDArrayF:
-    int_f, _, _, _ = _interior(mesh)
+    int_f, _, _ = _interior(mesh)
     return np.concatenate([state.rho.values, state.u.dofs[int_f].ravel()])
 
 
 def unpack(x: NDArrayF, mesh: Mesh, k: int, t: float) -> State:
-    int_f, _, _, _ = _interior(mesh)
+    int_f, _, _ = _interior(mesh)
     ne = mesh.n_elems
     dofs = np.zeros((mesh.n_faces, 3))
     dofs[int_f] = x[ne:].reshape(-1, 3)
@@ -227,7 +222,7 @@ def unpack(x: NDArrayF, mesh: Mesh, k: int, t: float) -> State:
 
 def interior_fluxes(state: State, mesh: Mesh) -> tuple[NDArrayF, NDArrayF]:
     """Normal velocity flux and upwind mass flux Up on the interior faces."""
-    int_f, own, nbr, _ = _interior(mesh)
+    int_f, own, nbr = _interior(mesh)
     flux = np.einsum("fi,fi->f", state.u.dofs[int_f], mesh.face_normal[int_f])
     rho = state.rho.values
     return flux, upwind_scalar(rho[own], rho[nbr], flux)
@@ -252,8 +247,6 @@ class MeshOperators:
     stiffness_int: sp.csr_matrix  # (ni, ni) its interior columns
     pressure: sp.csr_matrix     # (3 ni, ne) |E| times the basis gradients
     normal: sp.csr_matrix       # (ni, 3 ni) interior dofs to normal fluxes
-    pattern: sp.csr_matrix      # stored sparsity pattern of the Jacobian
-    keys: NDArrayI              # row * n_unknowns + column of each pattern entry
 
 
 def mesh_operators(mesh: Mesh) -> MeshOperators:
@@ -261,7 +254,7 @@ def mesh_operators(mesh: Mesh) -> MeshOperators:
     cached = mesh._space_cache.get("operators")
     if cached is not None:
         return cached
-    int_f, own_e, nbr_e, _ = _interior(mesh)
+    int_f, own_e, nbr_e = _interior(mesh)
     ne, nf, ni = mesh.n_elems, mesh.n_faces, len(int_f)
     eye = sp.identity(ne, format="csr")
     own, nbr = eye[own_e], eye[nbr_e]
@@ -285,29 +278,11 @@ def mesh_operators(mesh: Mesh) -> MeshOperators:
         shape=(ni, 3 * ni),
     )
 
-    # The Jacobian keeps one stored pattern per mesh, explicit zeros included:
-    # scipy's sparse sums and products drop entries that happen to cancel (at
-    # alpha = 0, at rest, at upwind kinks), and a pattern that changes with
-    # the state gives SuperLU a different ordering and more fill (12.1M
-    # against 9.6M L+U entries on the first n=6 bump Newton matrix).  The
-    # pattern is the union of every term's stencil, taken from products of
-    # nonnegative operators so that nothing cancels.
-    adj = own + nbr
-    near = adj.T @ adj + sp.identity(ne)                          # same or adjacent elements
-    pattern = sp.bmat([
-        [near, sp.kron(adj.T, np.ones((1, 3)))],
-        [sp.kron(avg.T @ near, np.ones((3, 1))),
-         sp.kron(avg.T @ near @ avg, sp.identity(3)) + sp.kron(avg.T @ adj.T, np.ones((3, 3)))],
-    ], format="csr")
-    pattern.sort_indices()
-    n = pattern.shape[0]
-    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(pattern.indptr)) * n + pattern.indices
-
     cached = MeshOperators(
         own=own, nbr=nbr, jump=jump, avg=avg, face_test=face_test,
         face_test3=sp.kron(face_test, sp.identity(3), format="csr"),
         stiffness=stiffness, stiffness_int=stiffness[:, int_f],
-        pressure=pressure_op, normal=normal, pattern=pattern, keys=keys,
+        pressure=pressure_op, normal=normal,
     )
     mesh._space_cache["operators"] = cached
     return cached
@@ -319,7 +294,7 @@ def residual(
     """Scheme residual at `guess`, with continuation weight `alpha`."""
     ops = mesh_operators(mesh)
     dt = params.dt(mesh)
-    int_f, own, nbr, _ = _interior(mesh)
+    int_f, own, nbr = _interior(mesh)
     vol, area = mesh.elem_volume, mesh.face_area[int_f]
 
     rho = guess.rho.values
@@ -359,12 +334,14 @@ def jacobian(
     The kinks of x+ and x- use the one-sided convention d(x+)/dx = 1 for
     x > 0 else 0, and d(x-)/dx = 1 for x < 0 else 0, so the derivative at a
     kink is zero.  Away from sign changes of the fluxes the matrix is the
-    classical derivative.  The stored pattern depends on the mesh only.
+    classical derivative.  Sparse sums and products drop entries that cancel
+    exactly (at alpha = 0, at rest, at upwind kinks), so the stored pattern
+    depends on the state.
     """
     ops = mesh_operators(mesh)
     dt = params.dt(mesh)
     hp = params.h_power(mesh)
-    int_f, own, nbr, _ = _interior(mesh)
+    int_f, own, nbr = _interior(mesh)
     vol, area = mesh.elem_volume, mesh.face_area[int_f]
     diag = sp.diags
 
@@ -402,14 +379,7 @@ def jacobian(
     mom_u = (sp.kron(mom_u_scalar, sp.identity(3))
              + alpha * ops.face_test3 @ _vec_diag(a * dup_dflux[:, None] * wsel) @ ops.normal)
 
-    # Scatter the blocks' entries into the mesh's fixed pattern.
-    J = sp.bmat([[cont_rho, cont_u], [mom_rho, mom_u]], format="coo")
-    n = ops.pattern.shape[0]
-    pos = np.searchsorted(ops.keys, J.row.astype(np.int64) * n + J.col)
-    data = np.bincount(pos, weights=J.data, minlength=ops.pattern.nnz)
-    return sp.csr_matrix(
-        (data, ops.pattern.indices.copy(), ops.pattern.indptr.copy()), shape=(n, n)
-    )
+    return sp.bmat([[cont_rho, cont_u], [mom_rho, mom_u]], format="csr")
 
 
 # ---------------------------------------------------------------------------
@@ -429,19 +399,6 @@ def interior_weighted_mass(mesh: Mesh, rho: NDArrayF) -> sp.csr_matrix:
 
 # ---------------------------------------------------------------------------
 # Time stepping and full runs.
-
-
-def time_step(
-    prev: State,
-    params: SchemeParams,
-    mesh: Mesh,
-    settings: "HomotopySettings | None" = None,
-) -> tuple[State, "StepDiagnostics"]:
-    """Advance one step of size c*h; raises StepFailure when no continuation
-    schedule converges."""
-    from . import solver
-
-    return solver.homotopy_newton_solve(prev, params, mesh, settings)
 
 
 def stationary_data(rho_bar: float = 1.0):
@@ -515,18 +472,17 @@ def run(
     m0: Callable,
     T: float | None = None,
     steps: int | None = None,
-    settings: "HomotopySettings | None" = None,
     on_state: Callable | None = None,
 ) -> RunResult:
     """Run the scheme from projected initial data for `steps` steps, or until
-    the piecewise-constant-in-time extension covers [0, T]."""
+    the piecewise-constant-in-time extension covers [0, T]; give exactly one."""
     from . import diagnostics as diag
     from . import solver
 
     dt = params.dt(mesh)
+    if (T is None) == (steps is None):
+        raise ValueError("provide either T or steps, not both")
     if steps is None:
-        if T is None:
-            raise ValueError("provide either T or steps")
         if T <= 0.0:
             raise ValueError(f"T must be > 0, got {T}")
         steps = max(1, int(np.ceil(T / dt - 1e-9)))
@@ -541,7 +497,7 @@ def run(
 
     for k in range(1, steps + 1):
         try:
-            new, sd = solver.homotopy_newton_solve(state, params, mesh, settings)
+            new, sd = solver.homotopy_newton_solve(state, params, mesh)
         except solver.StepFailure as exc:
             exc.step = k
             raise

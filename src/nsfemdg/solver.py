@@ -5,13 +5,13 @@ where the density equation returns the previous density and the momentum
 equation is a symmetric positive definite linear system, then tracks the
 solution along a schedule of alpha nodes up to alpha = 1 with damped Newton.
 The alpha = 0 state is computed once per step and is the start of every
-schedule.  The default schedule is {0, 1}; on failure the step restarts with
-{0, 1/4, 1/2, 3/4, 1} and finally a uniform schedule.  A trial Newton update
-is accepted only if every density stays strictly positive and the residual
-norm decreases; after the tolerance is met the iteration continues while it
-still gains whole digits, so accepted steps typically sit at the rounding
-floor of the residual, which is what makes discrete mass conservation hold
-to near machine precision.
+schedule.  The first schedule is {0, 1}; on failure the step restarts with
+{0, 1/4, 1/2, 3/4, 1} and finally the uniform schedule of `homotopy_steps`
+steps (`schedules`).  A trial Newton update is accepted only if every density
+stays strictly positive and the residual norm decreases; after the tolerance
+is met the iteration continues while it still gains whole digits, so accepted
+steps typically sit at the rounding floor of the residual, which is what makes
+discrete mass conservation hold to near machine precision.
 
 Each Newton matrix J = [[A, B], [C, D]] (densities first, then the
 interleaved velocity components) is solved by GMRES, restarted every 100
@@ -21,7 +21,8 @@ structure: the density block A and one scalar velocity-component block of
 D, each factored by SuperLU, with the coupling C; B is ignored.  A result
 that fails the residual acceptance check of `linear_solve` is discarded and
 the same system is solved by sparse direct LU, which every other linear
-solve uses.
+solve uses.  GMRES needs J only through products and its diagonal blocks,
+so J has no fixed pattern: entries that cancel exactly are not stored.
 """
 from __future__ import annotations
 
@@ -51,32 +52,24 @@ class StepFailure(RuntimeError):
         self.step = step
 
 
-@dataclass(frozen=True)
-class HomotopySettings:
-    """Continuation schedules and line-search controls."""
+# Line search: the step length is multiplied by BACKTRACK_FACTOR until the
+# update keeps every density positive and lowers the residual norm, giving up
+# below BACKTRACK_FLOOR.  Below the Newton tolerance the iteration goes on
+# while each step still divides the residual norm by at least POLISH_GAIN.
+BACKTRACK_FACTOR = 0.5
+BACKTRACK_FLOOR = 1e-4
+POLISH_GAIN = 10.0
 
-    alpha_schedule: tuple = (0.0, 1.0)
-    backtrack_factor: float = 0.5
-    backtrack_floor: float = 1e-4     # smallest admissible step length
-    polish_gain: float = 10.0         # keep iterating below tol while gaining this factor
 
-    def __post_init__(self):
-        s = self.alpha_schedule
-        if len(s) < 2 or s[0] != 0.0 or s[-1] != 1.0 or np.any(np.diff(s) <= 0.0):
-            raise ValueError(
-                f"alpha_schedule must increase from 0 to 1, got {s}"
-            )
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must be in (0, 1)")
-
-    def schedules(self, uniform_steps: int) -> list[tuple]:
-        fallback = (0.0, 0.25, 0.5, 0.75, 1.0)
-        uniform = tuple(np.linspace(0.0, 1.0, uniform_steps + 1))
-        out = [self.alpha_schedule]
-        for s in (fallback, uniform):
-            if s not in out:
-                out.append(s)
-        return out
+def schedules(uniform_steps: int) -> list[tuple]:
+    """Continuation schedules in the order they are tried: {0, 1}, then
+    {0, 1/4, 1/2, 3/4, 1}, then `uniform_steps` equal steps, without repeats."""
+    out = []
+    for s in ((0.0, 1.0), (0.0, 0.25, 0.5, 0.75, 1.0),
+              tuple(np.linspace(0.0, 1.0, uniform_steps + 1))):
+        if s not in out:
+            out.append(s)
+    return out
 
 
 @dataclass
@@ -203,25 +196,21 @@ def alpha0_solve(prev, params, mesh: Mesh) -> "scheme.State":
     return state
 
 
-def homotopy_newton_solve(
-    prev, params, mesh: Mesh, settings: HomotopySettings | None = None
-) -> tuple["scheme.State", StepDiagnostics]:
+def homotopy_newton_solve(prev, params, mesh: Mesh) -> tuple["scheme.State", StepDiagnostics]:
     """Advance `prev` by one time step; raises StepFailure if all schedules fail."""
-    if settings is None:
-        settings = HomotopySettings()
     dt = params.dt(mesh)
     k, t = prev.k + 1, prev.t + dt
     last_fail = (1.0, 0, np.inf)
     # Every schedule starts here; _newton_at_alpha rebinds x, never mutates it.
     x0 = scheme.pack(alpha0_solve(prev, params, mesh), mesh)
 
-    for ischedule, schedule in enumerate(settings.schedules(params.homotopy_steps)):
+    for ischedule, schedule in enumerate(schedules(params.homotopy_steps)):
         x = x0
         diag = StepDiagnostics(schedule_index=ischedule, alpha_nodes_used=1)
         ok = True
         for alpha in schedule[1:]:
             diag.alpha_nodes_used += 1
-            x, ok = _newton_at_alpha(prev, x, alpha, params, mesh, settings, diag)
+            x, ok = _newton_at_alpha(prev, x, alpha, params, mesh, diag)
             if not ok:
                 last_fail = (alpha, diag.newton_iters, diag.residual_norm)
                 break
@@ -238,7 +227,7 @@ def homotopy_newton_solve(
     )
 
 
-def _newton_at_alpha(prev, x, alpha, params, mesh, settings, diag):
+def _newton_at_alpha(prev, x, alpha, params, mesh, diag):
     ne = mesh.n_elems
     tol = params.newton_tol
 
@@ -253,7 +242,7 @@ def _newton_at_alpha(prev, x, alpha, params, mesh, settings, diag):
         diag.residual_norm = norm
         if norm == 0.0:
             return x, True
-        if norm <= tol and gain < settings.polish_gain:
+        if norm <= tol and gain < POLISH_GAIN:
             return x, True
         J = scheme.jacobian(prev, guess, params, mesh, alpha=alpha)
         try:
@@ -263,14 +252,14 @@ def _newton_at_alpha(prev, x, alpha, params, mesh, settings, diag):
 
         step = 1.0
         accepted = False
-        while step >= settings.backtrack_floor:
+        while step >= BACKTRACK_FLOOR:
             x_try = x + step * delta
             if x_try[:ne].min() > 0.0:
                 guess_try, r_try, norm_try = res_norm(x_try)
                 if np.isfinite(norm_try) and norm_try < norm:
                     accepted = True
                     break
-            step *= settings.backtrack_factor
+            step *= BACKTRACK_FACTOR
             diag.linesearch_backtracks += 1
         if not accepted:
             # No admissible decrease; fine if already converged.

@@ -135,13 +135,6 @@ class VelocityCRField:
         return VelocityCRField(self.dofs.copy(), self.boundary_mask)
 
 
-@dataclass
-class FaceFluxField:
-    """One normal flux per face, in the stored face-normal orientation."""
-
-    values: NDArrayF
-
-
 def apply_bc(u: VelocityCRField) -> VelocityCRField:
     out = u.copy()
     out.dofs[out.boundary_mask] = 0.0
@@ -186,9 +179,10 @@ def element_average(u: VelocityCRField, mesh: Mesh) -> NDArrayF:
     return u.dofs[mesh.elem_faces].mean(axis=1)
 
 
-def normal_flux(u: VelocityCRField, mesh: Mesh) -> FaceFluxField:
-    """Normal flux per face; the dof being the face average makes this exact."""
-    return FaceFluxField(np.einsum("fi,fi->f", u.dofs, mesh.face_normal))
+def normal_flux(u: VelocityCRField, mesh: Mesh) -> NDArrayF:
+    """Normal flux per face, in the stored face-normal orientation; the dof
+    being the face average makes this exact."""
+    return np.einsum("fi,fi->f", u.dofs, mesh.face_normal)
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +244,16 @@ def broken_curl(u: VelocityCRField, mesh: Mesh) -> NDArrayF:
     )
 
 
-def flux_reconstruction(flux: FaceFluxField, mesh: Mesh) -> tuple[NDArrayF, NDArrayF]:
-    """Per-element (w, s) of the div-conforming field u = w + s*x."""
+def flux_reconstruction(flux: NDArrayF, mesh: Mesh) -> tuple[NDArrayF, NDArrayF]:
+    """Per-element (w, s) of the div-conforming field u = w + s*x matching the
+    (n_faces,) normal fluxes `flux`."""
     coeff = np.einsum(
-        "elk,ek->el", flux_reconstruction_coefficients(mesh), flux.values[mesh.elem_faces]
+        "elk,ek->el", flux_reconstruction_coefficients(mesh), flux[mesh.elem_faces]
     )
     return coeff[:, :3], coeff[:, 3]
 
 
-def eval_flux_reconstruction(flux: FaceFluxField, mesh: Mesh, pts: NDArrayF) -> NDArrayF:
+def eval_flux_reconstruction(flux: NDArrayF, mesh: Mesh, pts: NDArrayF) -> NDArrayF:
     """Evaluate the reconstructed field at (n_elems, nq, 3) element points."""
     w, s = flux_reconstruction(flux, mesh)
     return w[:, None, :] + s[:, None, None] * pts

@@ -105,6 +105,14 @@ def test_validation_rejects(key, value, match):
         parse_config(None, [(key, value)])
 
 
+def test_T_with_steps_exits_one(tmp_path, capsys):
+    rc = cli.main(["run", "--preset", "bump", "--n", "1", "--T", "0.05", "--steps", "3",
+                   "--outdir", str(tmp_path)])
+    assert rc == 1
+    assert "not both" in capsys.readouterr().err
+    assert not (tmp_path / "diagnostics.csv").exists()
+
+
 def test_override_pairs_forms():
     pairs = cli._override_pairs(["--n", "4", "--preset=bump", "--T", "0.25"])
     assert pairs == [("n", "4"), ("preset", "bump"), ("T", "0.25")]

@@ -1,5 +1,7 @@
 """Tests for the energy ledger, structure checks, and refinement studies."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -291,6 +293,23 @@ def test_p_decay_study_builds_moments_once_per_mesh(monkeypatch):
                               T=0.8)
     assert len(calls) == 2
     assert len(set(calls)) == 2
+
+
+def test_p_decay_study_builds_quadrature_points_once_per_mesh(monkeypatch):
+    rng = np.random.default_rng(34)
+    calls = []   # (function, calling function, mesh)
+    for name in ("elem_quad_points", "face_quad_points"):
+        def counted(mesh, degree, _name=name, _original=getattr(diagnostics, name)):
+            calls.append((_name, sys._getframe(1).f_code.co_name, id(mesh)))
+            return _original(mesh, degree)
+        monkeypatch.setattr(diagnostics, name, counted)
+    # T = 0.8 gives one step at n=1 and two at n=2.
+    diagnostics.p_decay_study((1, 2), diagnostics.bump_flow_data(),
+                              ScalarPolynomial.random(rng), PolynomialField.random(rng),
+                              T=0.8)
+    # Per mesh, each function once for the moments and once for the states.
+    assert len(set(calls)) == len(calls) == 8
+    assert {caller for _, caller, _ in calls} == {"transport_moments", "p_decay_study"}
 
 
 # ---------------------------------------------------------------------------

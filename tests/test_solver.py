@@ -128,30 +128,16 @@ def test_newton_solve_rejects_singular(mesh1, params):
 
 
 # ---------------------------------------------------------------------------
-# Settings.
-
-
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        solver.HomotopySettings(alpha_schedule=(0.5, 1.0))
-    with pytest.raises(ValueError):
-        solver.HomotopySettings(alpha_schedule=(0.0, 0.5))
-    with pytest.raises(ValueError):
-        solver.HomotopySettings(alpha_schedule=(0.0, 0.7, 0.3, 1.0))
-    with pytest.raises(ValueError):
-        solver.HomotopySettings(backtrack_factor=1.5)
+# Continuation schedules.
 
 
 def test_settings_schedules_dedup():
-    s = solver.HomotopySettings(alpha_schedule=(0.0, 0.25, 0.5, 0.75, 1.0))
-    schedules = s.schedules(4)
-    # the fallback {0,.25,.5,.75,1} coincides with both others here
-    assert len(schedules) == 1
+    # four uniform steps repeat the fallback {0,.25,.5,.75,1}
+    assert solver.schedules(4) == [(0.0, 1.0), (0.0, 0.25, 0.5, 0.75, 1.0)]
 
 
 def test_settings_schedules_order():
-    s = solver.HomotopySettings()
-    schedules = s.schedules(10)
+    schedules = solver.schedules(10)
     assert schedules[0] == (0.0, 1.0)
     assert schedules[1] == (0.0, 0.25, 0.5, 0.75, 1.0)
     assert len(schedules[2]) == 11
@@ -273,15 +259,8 @@ def test_alpha0_solved_once_per_step(mesh2, monkeypatch):
     monkeypatch.setattr(solver, "alpha0_solve", counted)
     with pytest.raises(solver.StepFailure):
         solver.homotopy_newton_solve(bump_state(mesh2, params), params, mesh2)
-    assert len(solver.HomotopySettings().schedules(params.homotopy_steps)) == 3
+    assert len(solver.schedules(params.homotopy_steps)) == 3
     assert len(calls) == 1
-
-
-def test_time_step_wrapper(mesh2, params):
-    prev = bump_state(mesh2, params)
-    new, diag = scheme.time_step(prev, params, mesh2)
-    assert new.k == 1
-    assert diag.residual_norm <= params.newton_tol
 
 
 def test_run_trajectory_contract(mesh2, params):
@@ -311,6 +290,8 @@ def test_run_requires_T_or_steps(mesh2, params):
         scheme.run(mesh2, params, rho0, m0)
     with pytest.raises(ValueError):
         scheme.run(mesh2, params, rho0, m0, T=-1.0)
+    with pytest.raises(ValueError, match="not both"):
+        scheme.run(mesh2, params, rho0, m0, T=0.05, steps=3)
 
 
 def test_step_failure_carries_step_index(mesh2):

@@ -167,7 +167,7 @@ def test_flux_reconstruction_matches_fluxes(mesh2):
         for l in range(4):
             f = mesh2.elem_faces[e, l]
             vals = (w[e][None, :] + s[e] * pts[f]) @ mesh2.face_normal[f]
-            assert np.allclose(vals, flux.values[f], atol=1e-10)
+            assert np.allclose(vals, flux[f], atol=1e-10)
 
 
 def test_flux_reconstruction_divergence(mesh2):
