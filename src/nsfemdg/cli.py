@@ -109,6 +109,13 @@ class RunConfig:
         return self
 
 
+def _reject_unused(cfg: RunConfig, command: str, keys: tuple) -> None:
+    """Raise ConfigError if `cfg` sets any of `keys`, which `command` would ignore."""
+    given = [key for key in keys if getattr(cfg, key) is not None]
+    if given:
+        raise ConfigError(f"{command} does not use {' or '.join(given)}")
+
+
 def _finite(raw: str) -> float:
     value = float(raw)
     if not np.isfinite(value):
@@ -200,6 +207,7 @@ def cmd_run(cfg: RunConfig) -> int:
     print(f"run: {sum(d.newton_iters for d in steps)} Newton iterations, "
           f"{sum(d.linesearch_backtracks for d in steps)} line-search backtracks, "
           f"{sum(d.krylov_iters for d in steps)} Krylov iterations, "
+          f"{sum(d.factorizations for d in steps)} preconditioner factorizations, "
           f"{sum(d.direct_fallbacks for d in steps)} direct fallbacks")
     print(f"run: wrote {outdir / 'diagnostics.csv'}")
     return 0
@@ -239,7 +247,9 @@ def cmd_check(cfg: RunConfig, corrupt: str | None = None) -> int:
 
     `corrupt="flux-sign"` is a test hook that hands the reference assembly a
     velocity with flipped sign, which must make the equivalence checks fail.
+    The physics keys apply; a time horizon does not.
     """
+    _reject_unused(cfg, "check", ("T", "steps"))
     params = cfg.params()
     rng = np.random.default_rng(20240831)
     results: list[tuple[str, float, float]] = []
@@ -324,6 +334,7 @@ def _study_run(cfg: RunConfig, n: int, T: float):
 
 
 def cmd_study(cfg: RunConfig) -> int:
+    _reject_unused(cfg, "study", ("steps",))   # every run of a study ends at T
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     # The defect-decay study needs a longer window so even the coarsest mesh

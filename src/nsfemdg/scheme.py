@@ -239,8 +239,9 @@ class MeshOperators:
 
     own: sp.csr_matrix          # (ni, ne) selects the owner element of a face
     nbr: sp.csr_matrix          # (ni, ne) selects the neighbor element
-    jump: sp.csr_matrix         # own - nbr; jump.T scatters a face flux +owner/-neighbor
+    jump_t: sp.csr_matrix       # (ne, ni) (own - nbr).T: scatters a face flux +owner/-neighbor
     avg: sp.csr_matrix          # (ne, ni) element average of the interior face dofs
+    avg_t3: sp.csr_matrix       # (3 ni, 3 ne) avg.T per velocity component
     face_test: sp.csr_matrix    # (ni, ni) avg.T jump.T: face fluxes tested with the face basis
     face_test3: sp.csr_matrix   # face_test per velocity component
     stiffness: sp.csr_matrix    # (ni, nf) broken-gradient stiffness on every face dof
@@ -279,7 +280,8 @@ def mesh_operators(mesh: Mesh) -> MeshOperators:
     )
 
     cached = MeshOperators(
-        own=own, nbr=nbr, jump=jump, avg=avg, face_test=face_test,
+        own=own, nbr=nbr, jump_t=jump.T.tocsr(), avg=avg,
+        avg_t3=sp.kron(avg.T, sp.identity(3), format="csr"), face_test=face_test,
         face_test3=sp.kron(face_test, sp.identity(3), format="csr"),
         stiffness=stiffness, stiffness_int=stiffness[:, int_f],
         pressure=pressure_op, normal=normal,
@@ -304,7 +306,7 @@ def residual(
 
     _, up = interior_fluxes(guess, mesh)
     stab = stab_continuity(rho[nbr] - rho[own], params.h_power(mesh), area)
-    cont = vol * (rho - rho_prev) / dt + alpha * (ops.jump.T @ (area * up - stab))
+    cont = vol * (rho - rho_prev) / dt + alpha * (ops.jump_t @ (area * up - stab))
 
     mom_flux = (area[:, None] * upwind_momentum(up, uhat[own], uhat[nbr])
                 - stab[:, None] * 0.5 * (uhat[own] + uhat[nbr]))
@@ -326,6 +328,12 @@ def _vec_diag(v: NDArrayF) -> sp.csr_matrix:
     )
 
 
+def _columns(block: sp.csr_matrix, first: int, n: int) -> sp.csr_matrix:
+    """`block` as rows of an n-column matrix, its columns starting at `first`."""
+    return sp.csr_matrix((block.data, block.indices + first, block.indptr),
+                         shape=(block.shape[0], n))
+
+
 def jacobian(
     prev: State, guess: State, params: SchemeParams, mesh: Mesh, alpha: float = 1.0
 ) -> sp.csr_matrix:
@@ -342,6 +350,7 @@ def jacobian(
     dt = params.dt(mesh)
     hp = params.h_power(mesh)
     int_f, own, nbr = _interior(mesh)
+    ne = mesh.n_elems
     vol, area = mesh.elem_volume, mesh.face_area[int_f]
     diag = sp.diags
 
@@ -355,20 +364,17 @@ def jacobian(
     wsel = (up > 0.0)[:, None] * uhat[own] + (up < 0.0)[:, None] * uhat[nbr]
     mean = 0.5 * (uhat[own] + uhat[nbr])
 
-    cont_rho = diag(vol / dt) + alpha * ops.jump.T @ (
-        diag(area * (fp + hp)) @ ops.own + diag(area * (fm - hp)) @ ops.nbr
+    # Each block is moved into its columns of J and the two blocks of a row
+    # are summed at once (their columns are disjoint, so the sum is exact):
+    # no block outlives its row, and the assembly holds little more than
+    # twice J, which matters while the solver holds preconditioner factors.
+    n = n_unknowns(mesh)
+    cont = (
+        _columns(diag(vol / dt, format="csr") + alpha * ops.jump_t @ (
+            diag(area * (fp + hp)) @ ops.own + diag(area * (fm - hp)) @ ops.nbr), 0, n)
+        + _columns(alpha * ops.jump_t @ diag(area * dup_dflux) @ ops.normal, ne, n)
     )
-    cont_u = alpha * ops.jump.T @ diag(area * dup_dflux) @ ops.normal
-
     a = area[:, None]
-    mom_rho = (
-        sp.kron(ops.avg.T, sp.identity(3)) @ _vec_diag((vol / dt)[:, None] * uhat)
-        - alpha * ops.pressure @ diag(pressure_derivative(rho, params))
-        + alpha * ops.face_test3 @ (
-            _vec_diag(a * (fp[:, None] * wsel + hp * mean)) @ ops.own
-            + _vec_diag(a * (fm[:, None] * wsel - hp * mean)) @ ops.nbr
-        )
-    )
     mom_u_scalar = (
         interior_weighted_mass(mesh, rho / dt) + interior_stiffness(mesh)
         + alpha * ops.face_test @ (
@@ -376,10 +382,22 @@ def jacobian(
             + diag(area * (np.minimum(up, 0.0) - half_stab)) @ ops.nbr
         ) @ ops.avg
     )
-    mom_u = (sp.kron(mom_u_scalar, sp.identity(3))
-             + alpha * ops.face_test3 @ _vec_diag(a * dup_dflux[:, None] * wsel) @ ops.normal)
-
-    return sp.bmat([[cont_rho, cont_u], [mom_rho, mom_u]], format="csr")
+    mom = (
+        _columns(
+            ops.avg_t3 @ _vec_diag((vol / dt)[:, None] * uhat)
+            - alpha * ops.pressure @ diag(pressure_derivative(rho, params))
+            + alpha * ops.face_test3 @ (
+                _vec_diag(a * (fp[:, None] * wsel + hp * mean)) @ ops.own
+                + _vec_diag(a * (fm[:, None] * wsel - hp * mean)) @ ops.nbr
+            ), 0, n)
+        + _columns(
+            sp.kron(mom_u_scalar, sp.identity(3), format="csr")
+            + alpha * ops.face_test3 @ _vec_diag(a * dup_dflux[:, None] * wsel) @ ops.normal,
+            ne, n)
+    )
+    J = sp.vstack([cont, mom], format="csr")
+    J.sort_indices()   # products leave rows unsorted; a canonical J keeps J @ x's rounding
+    return J
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,8 @@ def test_run_writes_outputs_and_summary(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "mass drift" in out
     assert re.search(r"^run: \d+ Newton iterations, \d+ line-search backtracks, "
-                     r"\d+ Krylov iterations, \d+ direct fallbacks$", out, re.M)
+                     r"\d+ Krylov iterations, \d+ preconditioner factorizations, "
+                     r"\d+ direct fallbacks$", out, re.M)
     outdir = tmp_path / "out"
     assert (outdir / "diagnostics.csv").exists()
     for k in range(4):
@@ -217,6 +218,20 @@ def test_check_passes(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("flags", [["--steps", "3"], ["--T", "0.5"]])
+def test_check_rejects_time_keys(flags, tmp_path, capsys):
+    rc = cli.main(["check", *flags, "--outdir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"configuration error: check does not use {flags[0][2:]}" in err
+
+
+def test_check_accepts_outdir_and_physics_keys(tmp_path, capsys):
+    rc = cli.main(["check", "--outdir", str(tmp_path), "--gamma", "4", "--epsilon", "0.3"])
+    assert rc == 0
+    assert "all passed" in capsys.readouterr().out
+
+
 def test_check_detects_corrupted_reference(capsys):
     rc = cli.cmd_check(RunConfig(), corrupt="flux-sign")
     assert rc == 2
@@ -249,6 +264,16 @@ def test_study_cauchy(tmp_path, capsys):
     assert lines[0] == "n_coarse,n_fine,l2_spacetime_diff"
     assert len(lines) == 2
     assert float(lines[1].split(",")[2]) > 0.0
+
+
+def test_study_rejects_steps(tmp_path, capsys):
+    """Every run of a study ends at T; steps used to be ignored silently."""
+    outdir = tmp_path / "study"
+    rc = cli.main(["study", "--kind", "cauchy", "--ns", "1 2", "--steps", "3",
+                   "--outdir", str(outdir)])
+    assert rc == 1
+    assert "configuration error: study does not use steps" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_thread_cap_env_var():

@@ -117,6 +117,78 @@ def test_newton_solve_falls_back_to_direct():
     assert np.allclose(x, np.linalg.solve(J.toarray(), b), rtol=1e-10, atol=1e-12)
 
 
+def row_scaled(J, ne, lo, hi):
+    """J with its density rows scaled by factors drawn from [lo, hi]."""
+    rng = np.random.default_rng(4)
+    scale = np.r_[rng.uniform(lo, hi, ne), np.ones(J.shape[0] - ne)]
+    return (sp.diags(scale) @ J).tocsr()
+
+
+def test_close_newton_matrices_share_factors():
+    """Held factors of one matrix precondition the next, close one."""
+    J, b, ne = newton_layout(0.01)
+    stats, factors = solver.StepDiagnostics(), solver.BlockFactors()
+    solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors)
+    assert factors.held and stats.factorizations == 1
+    J2 = row_scaled(J, ne, 1.0, 1.001)
+    x = solver.linear_solve(J2, b, n_density=ne, stats=stats, factors=factors)
+    assert stats.factorizations == 1
+    assert stats.direct_fallbacks == 0
+    assert np.allclose(x, np.linalg.solve(J2.toarray(), b), rtol=1e-10, atol=1e-12)
+
+
+def test_stale_factors_missing_their_cap_refactor_once():
+    """A stale cycle that misses its cap is discarded and the matrix is
+    refactored once; the fresh solve's result passes the acceptance check."""
+    J, b, ne = newton_layout(0.01)
+    stats, factors = solver.StepDiagnostics(), solver.BlockFactors()
+    solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors)
+    base = factors.base
+    first = stats.krylov_iters
+    J2 = row_scaled(J, ne, 0.1, 10.0)
+    x = solver.linear_solve(J2, b, n_density=ne, stats=stats, factors=factors)
+    assert stats.factorizations == 2
+    assert stats.direct_fallbacks == 0
+    assert solver._rejection(J2, x, b) is None
+    # The stale cycle's iterations, up to the cap, stay counted.
+    cap = int(solver.STALE_GROWTH * base)
+    assert stats.krylov_iters - first >= cap + 1
+    assert factors.held
+
+
+def test_direct_fallback_drops_factors(monkeypatch):
+    """The direct LU never runs while preconditioner factors are held."""
+    J, b, ne = newton_layout(0.01)
+    stats, factors = solver.StepDiagnostics(), solver.BlockFactors()
+    solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors)
+    assert factors.held
+    held_at_direct = []
+    spsolve = solver.spla.spsolve
+
+    def direct(A, b):
+        held_at_direct.append(factors.held)
+        return spsolve(A, b)
+
+    monkeypatch.setattr(solver.spla, "spsolve", direct)
+    J_bad, b_bad, _ = newton_layout(100.0)
+    x = solver.linear_solve(J_bad, b_bad, n_density=ne, stats=stats, factors=factors)
+    assert stats.direct_fallbacks == 1
+    assert held_at_direct == [False]
+    assert factors.lu_rho is None and factors.lu_u is None
+    assert solver._rejection(J_bad, x, b_bad) is None
+
+
+def test_bump_steps_reuse_factors(mesh2, params):
+    """Bump n=2 x3: fewer factorizations than Newton matrices, and the same
+    Newton iterations (5, 3, 3) as factoring every matrix."""
+    rho0, m0 = scheme.make_initial_data("bump", 1.0, 0.5, 0.15,
+                                        mesh2.box_lo, mesh2.box_hi)
+    steps = scheme.run(mesh2, params, rho0, m0, steps=3).diagnostics[1:]
+    assert [d.newton_iters for d in steps] == [5, 3, 3]
+    assert sum(d.factorizations for d in steps) < sum(d.newton_iters for d in steps)
+    assert all(d.direct_fallbacks == 0 for d in steps)
+
+
 def test_newton_solve_rejects_singular(mesh1, params):
     J, b = newton_system(mesh1, params)
     J = J.tolil()
