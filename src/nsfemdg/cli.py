@@ -207,6 +207,7 @@ def cmd_run(cfg: RunConfig) -> int:
     print(f"run: {sum(d.newton_iters for d in steps)} Newton iterations, "
           f"{sum(d.linesearch_backtracks for d in steps)} line-search backtracks, "
           f"{sum(d.krylov_iters for d in steps)} Krylov iterations, "
+          f"{sum(d.krylov_cycles for d in steps)} Krylov cycles, "
           f"{sum(d.factorizations for d in steps)} preconditioner factorizations, "
           f"{sum(d.direct_fallbacks for d in steps)} direct fallbacks")
     print(f"run: wrote {outdir / 'diagnostics.csv'}")

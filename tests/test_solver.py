@@ -76,7 +76,8 @@ def test_newton_solve_matches_direct(mesh2, params):
     direct = spla.spsolve(sp.csc_matrix(J), b)
     assert np.abs(x - direct).max() <= 1e-12 * np.abs(direct).max()
     assert stats.direct_fallbacks == 0
-    # 8 iterations; a preconditioner without the coupling C needs 16.
+    # 9 iterations today (8 with scipy's gmres); a preconditioner without the
+    # coupling C needed 16.
     assert 0 < stats.krylov_iters <= 12
 
 
@@ -100,7 +101,7 @@ def test_newton_solve_restarts_before_falling_back():
     stats = solver.StepDiagnostics()
     x = solver.linear_solve(J, b, n_density=ne, stats=stats)
     direct = np.linalg.solve(J.toarray(), b)
-    # 195 iterations today.
+    # 195 iterations over two cycles today.
     assert solver.KRYLOV_RESTART < stats.krylov_iters < 3 * solver.KRYLOV_RESTART
     assert stats.direct_fallbacks == 0
     assert np.abs(x - direct).max() <= 1e-10 * np.abs(direct).max()
@@ -115,6 +116,104 @@ def test_newton_solve_falls_back_to_direct():
     assert stats.krylov_iters == solver.KRYLOV_RESTART * solver.KRYLOV_CYCLES
     assert stats.direct_fallbacks == 1
     assert np.allclose(x, np.linalg.solve(J.toarray(), b), rtol=1e-10, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# GMRES kernel
+
+
+def block_preconditioner(J, ne):
+    factors = solver.BlockFactors()
+    factors.factor(J, ne)
+    return factors.preconditioner(J[ne:, :ne])
+
+
+def test_gmres_matches_scipy():
+    """One cycle passes the acceptance check within one iteration of scipy's
+    GMRES with the same preconditioner and tolerance."""
+    J, b, ne = newton_layout(0.01)
+    precondition = block_preconditioner(J, ne)
+    stats = solver.StepDiagnostics()
+    x, _, iters = solver._gmres(J, b, precondition, solver.KRYLOV_RESTART, 1, stats)
+    assert solver._rejection(x, b - J @ x, b) is None
+    assert (stats.krylov_iters, stats.krylov_cycles) == (iters, 1)
+    residuals = []
+    spla.gmres(J, b, rtol=solver.KRYLOV_RTOL, atol=0.0, restart=solver.KRYLOV_RESTART,
+               maxiter=1, M=spla.LinearOperator(J.shape, matvec=precondition, dtype=float),
+               callback=residuals.append, callback_type="pr_norm")
+    assert abs(iters - len(residuals)) <= 1
+
+
+def test_gmres_below_restart_only_at_tolerance():
+    """A cycle one iteration shorter than the converged one runs out of
+    iterations, and is restarted although its iterate passes the acceptance
+    check; one iteration longer ends at the tolerance."""
+    J, b, ne = newton_layout(0.01)
+    precondition = block_preconditioner(J, ne)
+    _, _, k = solver._gmres(J, b, precondition, solver.KRYLOV_RESTART, 1,
+                            solver.StepDiagnostics())
+    assert k < solver.KRYLOV_RESTART
+    _, accepted, short = solver._gmres(J, b, precondition, k - 1, 1, solver.StepDiagnostics())
+    assert short == k - 1 and accepted
+    stats = solver.StepDiagnostics()
+    solver._gmres(J, b, precondition, k - 1, solver.KRYLOV_CYCLES, stats)
+    assert stats.krylov_cycles == 2
+    _, accepted, longer = solver._gmres(J, b, precondition, k + 1, 1, solver.StepDiagnostics())
+    assert longer == k and accepted
+
+
+def test_gmres_breakdown_with_exact_preconditioner():
+    """With M = J^-1 exactly (a power-of-two diagonal), the first Arnoldi
+    vector spans the solution: one iteration, one cycle."""
+    d = np.tile(2.0 ** np.arange(-5, 6), 10)
+    J = sp.diags(d).tocsr()
+    b = np.random.default_rng(5).standard_normal(d.size)
+    stats = solver.StepDiagnostics()
+    x, accepted, iters = solver._gmres(J, b, lambda r: r / d, solver.KRYLOV_RESTART,
+                                       solver.KRYLOV_CYCLES, stats)
+    assert accepted and iters == 1 and stats.krylov_cycles == 1
+    assert np.allclose(x, b / d, rtol=1e-14, atol=0.0)
+
+
+def test_gmres_zero_rhs():
+    J, b, ne = newton_layout(0.01)
+    stats = solver.StepDiagnostics()
+    x, accepted, iters = solver._gmres(J, np.zeros_like(b), block_preconditioner(J, ne),
+                                       solver.KRYLOV_RESTART, solver.KRYLOV_CYCLES, stats)
+    assert accepted and iters == 0 and stats.krylov_cycles == 0
+    assert not x.any()
+
+
+def test_gmres_tightens_after_rejected_cycle():
+    """A cycle that reaches the tolerance with an iterate failing the
+    acceptance check is followed by one with a tighter tolerance, which
+    passes.  A preconditioner that shrinks the density rows by 1e-10 makes
+    the first cycle end that way."""
+    J, b, ne = newton_layout(0.01)
+    precondition = block_preconditioner(J, ne)
+    scale = np.r_[np.full(ne, 1e-10), np.ones(J.shape[0] - ne)]
+
+    def shrunk(r):
+        return scale * precondition(r)
+
+    _, accepted, first = solver._gmres(J, b, shrunk, solver.KRYLOV_RESTART, 1,
+                                       solver.StepDiagnostics())
+    assert first < solver.KRYLOV_RESTART and not accepted
+    stats = solver.StepDiagnostics()
+    x, accepted, _ = solver._gmres(J, b, shrunk, solver.KRYLOV_RESTART,
+                                   solver.KRYLOV_CYCLES, stats)
+    assert accepted and solver._rejection(x, b - J @ x, b) is None
+    assert 1 < stats.krylov_cycles < solver.KRYLOV_CYCLES
+
+
+def test_bump_step_runs_without_scipy_gmres(mesh2, params, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy's gmres called on the Newton path")
+
+    monkeypatch.setattr(spla, "gmres", refuse)
+    _, diag = solver.homotopy_newton_solve(bump_state(mesh2, params), params, mesh2)
+    assert diag.residual_norm <= params.newton_tol
+    assert diag.krylov_iters > 0 and diag.direct_fallbacks == 0
 
 
 def row_scaled(J, ne, lo, hi):
@@ -149,7 +248,7 @@ def test_stale_factors_missing_their_cap_refactor_once():
     x = solver.linear_solve(J2, b, n_density=ne, stats=stats, factors=factors)
     assert stats.factorizations == 2
     assert stats.direct_fallbacks == 0
-    assert solver._rejection(J2, x, b) is None
+    assert solver._rejection(x, b - J2 @ x, b) is None
     # The stale cycle's iterations, up to the cap, stay counted.
     cap = int(solver.STALE_GROWTH * base)
     assert stats.krylov_iters - first >= cap + 1
@@ -175,18 +274,20 @@ def test_direct_fallback_drops_factors(monkeypatch):
     assert stats.direct_fallbacks == 1
     assert held_at_direct == [False]
     assert factors.lu_rho is None and factors.lu_u is None
-    assert solver._rejection(J_bad, x, b_bad) is None
+    assert solver._rejection(x, b_bad - J_bad @ x, b_bad) is None
 
 
-def test_bump_steps_reuse_factors(mesh2, params):
-    """Bump n=2 x3: fewer factorizations than Newton matrices, and the same
-    Newton iterations (5, 3, 3) as factoring every matrix."""
+def test_bump_steps_reuse_factors(mesh2, params, monkeypatch):
+    """Bump n=2 x3: fewer factorizations than Newton matrices, and no step
+    takes more Newton iterations than with every matrix factored afresh."""
     rho0, m0 = scheme.make_initial_data("bump", 1.0, 0.5, 0.15,
                                         mesh2.box_lo, mesh2.box_hi)
-    steps = scheme.run(mesh2, params, rho0, m0, steps=3).diagnostics[1:]
-    assert [d.newton_iters for d in steps] == [5, 3, 3]
-    assert sum(d.factorizations for d in steps) < sum(d.newton_iters for d in steps)
-    assert all(d.direct_fallbacks == 0 for d in steps)
+    lagged = scheme.run(mesh2, params, rho0, m0, steps=3).diagnostics[1:]
+    monkeypatch.setattr(solver.BlockFactors, "held", property(lambda self: False))
+    fresh = scheme.run(mesh2, params, rho0, m0, steps=3).diagnostics[1:]
+    assert all(d.newton_iters <= f.newton_iters for d, f in zip(lagged, fresh))
+    assert sum(d.factorizations for d in lagged) < sum(d.newton_iters for d in lagged)
+    assert all(d.direct_fallbacks == 0 for d in lagged + fresh)
 
 
 def test_newton_solve_rejects_singular(mesh1, params):
