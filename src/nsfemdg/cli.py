@@ -1,16 +1,18 @@
 """Command-line entry point: time-stepping runs, invariant checks, studies.
 
 Configuration comes from a plain-text ``key = value`` file (``#`` starts a
-comment) and/or ``--key value`` flags; flags override file values and unknown
-keys are rejected.  Exit codes: 0 success, 1 configuration error, 2 numerical
-failure (a step that would not converge, or a failed invariant check).
+comment) and/or ``--key value`` flags; flags override file values.  Unknown
+keys are rejected, and so are keys the command does not read.  Exit codes:
+0 success, 1 configuration error, 2 numerical failure (a step that would not
+converge, or a failed invariant check).
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -34,34 +36,19 @@ class ConfigError(ValueError):
     """Invalid configuration file, flag, or value."""
 
 
-_INT_KEYS = frozenset(
-    {"n", "steps", "cadence", "newton_max_iter", "homotopy_steps", "quad_volume", "quad_face"}
-)
-_FLOAT_KEYS = frozenset(
-    {"T", "gamma", "a", "epsilon", "kappa", "c", "newton_tol", "rho_bar", "amp", "sigma"}
-)
-_STR_KEYS = frozenset({"preset", "outdir", "kind"})
-_STUDY_KINDS = ("rates", "cauchy", "pdecay")
-
-
 @dataclass
 class RunConfig:
-    """Validated settings for one invocation; defaults match the scheme's."""
+    """Validated settings for one invocation.
+
+    The annotated fields up to `ns` are the non-physics keys; the physics
+    keys are the fields of `scheme.SchemeParams`, which owns their types,
+    defaults and bounds.
+    """
 
     n: int = 2
-    box: tuple = (0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
+    box: tuple[float, ...] = (0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
     T: float | None = None
     steps: int | None = None
-    gamma: float = 3.5
-    a: float = 1.0
-    epsilon: float = 0.2
-    kappa: float = 0.01
-    c: float = 0.5
-    newton_tol: float = 1e-9
-    newton_max_iter: int = 50
-    homotopy_steps: int = 10
-    quad_volume: int = 2
-    quad_face: int = 2
     preset: str = "stationary"
     rho_bar: float = 1.0
     amp: float = 0.5
@@ -69,17 +56,13 @@ class RunConfig:
     outdir: str = "out"
     cadence: int = 1
     kind: str = "rates"
-    ns: tuple = (2, 4, 8)
+    ns: tuple[int, ...] = (2, 4, 8)
+    physics: dict = field(default_factory=dict)   # the SchemeParams keys that were set
+    given: tuple = ()                             # every key the file or the flags set
 
     def params(self) -> scheme.SchemeParams:
         try:
-            return scheme.SchemeParams(
-                gamma=self.gamma, a=self.a, epsilon=self.epsilon, kappa=self.kappa,
-                c=self.c, newton_tol=self.newton_tol,
-                newton_max_iter=self.newton_max_iter,
-                homotopy_steps=self.homotopy_steps,
-                quad_volume=self.quad_volume, quad_face=self.quad_face,
-            )
+            return scheme.SchemeParams(**self.physics)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -101,19 +84,36 @@ class RunConfig:
             raise ConfigError(f"cadence must be >= 1, got {self.cadence}")
         if self.preset not in scheme.PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}; choose from {sorted(scheme.PRESETS)}")
-        if self.kind not in _STUDY_KINDS:
-            raise ConfigError(f"unknown study kind {self.kind!r}; choose from {_STUDY_KINDS}")
+        if self.kind not in _STUDY_READS:
+            raise ConfigError(f"unknown study kind {self.kind!r}; choose from {tuple(_STUDY_READS)}")
         if not self.ns or any(m < 1 for m in self.ns):
             raise ConfigError(f"ns must be positive integers, got {self.ns}")
         self.params()  # surfaces scheme parameter violations as config errors
         return self
 
 
-def _reject_unused(cfg: RunConfig, command: str, keys: tuple) -> None:
-    """Raise ConfigError if `cfg` sets any of `keys`, which `command` would ignore."""
-    given = [key for key in keys if getattr(cfg, key) is not None]
-    if given:
-        raise ConfigError(f"{command} does not use {' or '.join(given)}")
+_PHYSICS = get_type_hints(scheme.SchemeParams)
+_KEY_TYPES = {**{key: tp for key, tp in get_type_hints(RunConfig).items()
+                 if key not in ("physics", "given")}, **_PHYSICS}
+_INITIAL_DATA = {"preset", "rho_bar", "amp", "sigma"}
+# The keys each command reads, and for `study` each kind; all take outdir.
+_READS = {
+    "run": {"n", "box", "T", "steps", "cadence", *_INITIAL_DATA, *_PHYSICS},
+    "check": {*_PHYSICS},
+}
+_STUDY_READS = {
+    "rates": {"kind", "ns", "box"},
+    "cauchy": {"kind", "ns", "box", "T", *_INITIAL_DATA, *_PHYSICS},
+    "pdecay": {"kind", "ns", "box", "T", "c"},   # c sets the time grid; nothing is solved
+}
+
+
+def _reject_unused(cfg: RunConfig, command: str) -> None:
+    """Raise ConfigError if `cfg` sets a key that `command` would ignore."""
+    reads = _STUDY_READS[cfg.kind] if command == "study" else _READS[command]
+    unused = [key for key in cfg.given if key != "outdir" and key not in reads]
+    if unused:
+        raise ConfigError(f"{command} does not use {' or '.join(unused)}")
 
 
 def _finite(raw: str) -> float:
@@ -123,23 +123,21 @@ def _finite(raw: str) -> float:
     return value
 
 
+def _parse(tp, raw: str):
+    """`raw` as a value of type `tp`: int, float, str, X | None or tuple[X, ...]."""
+    args = get_args(tp)
+    if get_origin(tp) is tuple:
+        return tuple(_parse(args[0], t) for t in raw.replace(",", " ").split())
+    if args:
+        return _parse(args[0], raw)
+    return _finite(raw) if tp is float else tp(raw)
+
+
 def _convert(key: str, raw: str, where: str):
-    known = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | {"box", "ns"}
-    if key not in known:
+    if key not in _KEY_TYPES:
         raise ConfigError(f"{where}: unknown key {key!r}")
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return _finite(raw)
-        if key == "box":
-            vals = tuple(_finite(t) for t in raw.replace(",", " ").split())
-            if len(vals) != 6:
-                raise ValueError("need 6 numbers")
-            return vals
-        if key == "ns":
-            return tuple(int(t) for t in raw.replace(",", " ").split())
-        return raw
+        return _parse(_KEY_TYPES[key], raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: invalid value {raw!r} for {key}: {exc}") from exc
 
@@ -162,7 +160,9 @@ def parse_config(path=None, overrides=()) -> RunConfig:
             values[key.strip()] = _convert(key.strip(), raw.strip(), f"{path}:{lineno}")
     for key, raw in overrides:
         values[key] = _convert(key, raw, f"--{key}")
-    return RunConfig(**values).validate()
+    given = tuple(values)
+    physics = {key: values.pop(key) for key in given if key in _PHYSICS}
+    return RunConfig(**values, physics=physics, given=given).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +248,8 @@ def cmd_check(cfg: RunConfig, corrupt: str | None = None) -> int:
 
     `corrupt="flux-sign"` is a test hook that hands the reference assembly a
     velocity with flipped sign, which must make the equivalence checks fail.
-    The physics keys apply; a time horizon does not.
+    Of the configuration only the physics keys apply.
     """
-    _reject_unused(cfg, "check", ("T", "steps"))
     params = cfg.params()
     rng = np.random.default_rng(20240831)
     results: list[tuple[str, float, float]] = []
@@ -326,16 +325,16 @@ def cmd_check(cfg: RunConfig, corrupt: str | None = None) -> int:
 
 def _study_run(cfg: RunConfig, n: int, T: float):
     mesh = build_box_mesh(n, cfg.box[:3], cfg.box[3:])
-    params = cfg.params()
+    # At rest the stationary default has no dynamics to refine; a study
+    # starts from the bump unless a preset is given.
+    preset = cfg.preset if "preset" in cfg.given else "bump"
     rho0, m0 = scheme.make_initial_data(
-        cfg.preset if cfg.preset != "stationary" else "bump",
-        cfg.rho_bar, cfg.amp, cfg.sigma, mesh.box_lo, mesh.box_hi,
+        preset, cfg.rho_bar, cfg.amp, cfg.sigma, mesh.box_lo, mesh.box_hi
     )
-    return scheme.run(mesh, params, rho0, m0, T=T)
+    return scheme.run(mesh, cfg.params(), rho0, m0, T=T)
 
 
 def cmd_study(cfg: RunConfig) -> int:
-    _reject_unused(cfg, "study", ("steps",))   # every run of a study ends at T
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     # The defect-decay study needs a longer window so even the coarsest mesh
@@ -433,6 +432,7 @@ def main(argv=None) -> int:
     args, extra = parser.parse_known_args(argv)
     try:
         cfg = parse_config(args.config, _override_pairs(extra))
+        _reject_unused(cfg, args.command)
         if args.command == "run":
             return cmd_run(cfg)
         if args.command == "check":

@@ -37,15 +37,15 @@ def stab_continuity(jump_rho, h_power, area):
     return h_power * area * jump_rho
 
 
-def stab_momentum(jump_rho, uhat_minus, uhat_plus, jump_vhat, h_power, area):
-    """Face term h^(1-eps) |face| [rho] mean(uhat).[vhat].
+def stab_momentum(jump_rho, uhat_minus, uhat_plus, h_power, area):
+    """Face flux h^(1-eps) |face| [rho] mean(uhat); multiplies the test jump [vhat].
 
     Tested with vhat = uhat this equals h^(1-eps) |face| [rho] [|uhat|^2/2],
     the continuity stabilization acting on the squared speed, which is what
     makes the kinetic-energy bookkeeping telescope.
     """
     mean = 0.5 * (np.asarray(uhat_minus) + np.asarray(uhat_plus))
-    return h_power * area * jump_rho * np.sum(mean * np.asarray(jump_vhat), axis=-1)
+    return np.asarray(stab_continuity(jump_rho, h_power, area))[..., None] * mean
 
 
 @dataclass(frozen=True)
@@ -72,15 +72,3 @@ class FaceTraces:
 
     def continuity_stab(self) -> float:
         return float(stab_continuity(self.rho_plus - self.rho_minus, self.h_power, self.area))
-
-    def momentum_stab(self, jump_vhat) -> float:
-        return float(
-            stab_momentum(
-                self.rho_plus - self.rho_minus,
-                self.uhat_minus,
-                self.uhat_plus,
-                jump_vhat,
-                self.h_power,
-                self.area,
-            )
-        )

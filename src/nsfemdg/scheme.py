@@ -50,7 +50,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .fluxes import stab_continuity, upwind_momentum, upwind_scalar
+from .fluxes import stab_continuity, stab_momentum, upwind_momentum, upwind_scalar
 from .mesh import Mesh, NDArrayF
 from .spaces import (
     ScalarQField,
@@ -83,8 +83,6 @@ class SchemeParams:
     newton_tol: float = 1e-9
     newton_max_iter: int = 50
     homotopy_steps: int = 10
-    quad_volume: int = 2
-    quad_face: int = 2
 
     def __post_init__(self):
         if self.gamma <= 1.0:
@@ -161,17 +159,20 @@ def pressure_derivative(rho, params: SchemeParams):
     return params.a * params.gamma * np.asarray(rho, dtype=float) ** (params.gamma - 1.0)
 
 
+_PROJECTION_DEGREE = 2   # quadrature degree of the initial projection
+
+
 def initial_state(rho0: Callable, m0: Callable, mesh: Mesh, params: SchemeParams) -> State:
     """Project initial data: elementwise mean density plus the kappa*h floor,
     and face averages of m0 / (rho0 + kappa*h) with no-slip dofs zeroed."""
     floor = params.kappa * mesh.h
 
-    pts, _ = elem_quad_points(mesh, params.quad_volume)
+    pts, _ = elem_quad_points(mesh, _PROJECTION_DEGREE)
     if np.asarray(rho0(pts.reshape(-1, 3))).min() < 0.0:
         raise ValueError("initial density is negative at a quadrature point")
-    rho = ScalarQField(cell_means(rho0, mesh, params.quad_volume) + floor)
+    rho = ScalarQField(cell_means(rho0, mesh, _PROJECTION_DEGREE) + floor)
 
-    fpts, _ = face_quad_points(mesh, params.quad_face)
+    fpts, _ = face_quad_points(mesh, _PROJECTION_DEGREE)
     if np.asarray(rho0(fpts.reshape(-1, 3))).min() < 0.0:
         raise ValueError("initial density is negative at a quadrature point")
 
@@ -180,7 +181,7 @@ def initial_state(rho0: Callable, m0: Callable, mesh: Mesh, params: SchemeParams
             np.asarray(rho0(p), dtype=float) + floor
         )[:, None]
 
-    u = apply_bc(interpolate_v(velocity, mesh, degree=params.quad_face))
+    u = apply_bc(interpolate_v(velocity, mesh, _PROJECTION_DEGREE))
     return State(rho=rho, u=u, k=0, t=0.0)
 
 
@@ -305,11 +306,12 @@ def residual(
     uhat_prev = element_average(prev.u, mesh)
 
     _, up = interior_fluxes(guess, mesh)
-    stab = stab_continuity(rho[nbr] - rho[own], params.h_power(mesh), area)
+    jump, hp = rho[nbr] - rho[own], params.h_power(mesh)
+    stab = stab_continuity(jump, hp, area)
     cont = vol * (rho - rho_prev) / dt + alpha * (ops.jump_t @ (area * up - stab))
 
     mom_flux = (area[:, None] * upwind_momentum(up, uhat[own], uhat[nbr])
-                - stab[:, None] * 0.5 * (uhat[own] + uhat[nbr]))
+                - stab_momentum(jump, uhat[own], uhat[nbr], hp, area))
     time = (vol / dt)[:, None] * (rho[:, None] * uhat - rho_prev[:, None] * uhat_prev)
     mom = (
         ops.avg.T @ time

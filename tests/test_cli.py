@@ -4,11 +4,13 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nsfemdg import cli
+from nsfemdg import cli, scheme
 from nsfemdg.cli import ConfigError, RunConfig, parse_config
 
 
@@ -49,9 +51,10 @@ def test_overrides_beat_file(tmp_path):
     conf.write_text("n = 4\ngamma = 2.5\n")
     with pytest.warns(UserWarning, match="gamma"):
         cfg = parse_config(conf, [("n", "8"), ("kappa", "0")])
+        params = cfg.params()
     assert cfg.n == 8
-    assert cfg.gamma == 2.5
-    assert cfg.kappa == 0.0
+    assert params.gamma == 2.5
+    assert params.kappa == 0.0
 
 
 def test_unknown_key_names_location(tmp_path):
@@ -103,6 +106,25 @@ def test_box_needs_six_numbers():
 def test_validation_rejects(key, value, match):
     with pytest.raises(ConfigError, match=match):
         parse_config(None, [(key, value)])
+
+
+def test_readme_key_table_matches_parser():
+    """The README key table lists exactly the accepted keys, each with its
+    default and the commands (study kinds) that read it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Configuration keys", 1)[1].split("###", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (.*?) \| (.*?) \|", table, re.M)
+    assert sorted(key for key, _, _ in rows) == sorted(cli._KEY_TYPES)
+    readers = {**cli._READS, **cli._STUDY_READS}
+    for key, default, read_by in rows:
+        if default != "—":
+            cfg = parse_config(None, [(key, default.strip("`"))])
+            assert cfg.params() == scheme.SchemeParams(), key
+            assert replace(cfg, physics={}, given=()) == RunConfig(), key
+        expected = sorted(name for name, reads in readers.items()
+                          if key in reads or key == "outdir")
+        listed = sorted(readers) if read_by == "all" else sorted(read_by.replace("`", "").split(", "))
+        assert listed == expected, key
 
 
 def test_T_with_steps_exits_one(tmp_path, capsys):
@@ -233,6 +255,23 @@ def test_check_accepts_outdir_and_physics_keys(tmp_path, capsys):
     assert "all passed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["check", "--n", "7", "--preset", "shear", "--kind", "pdecay"],
+     "check does not use n or preset or kind"),
+    (["study", "--kind", "rates", "--T", "5", "--gamma", "4", "--n", "9", "--cadence", "3"],
+     "study does not use T or gamma or n or cadence"),
+    (["run", "--kind", "pdecay", "--ns", "3 4"], "run does not use kind or ns"),
+    (["study", "--kind", "pdecay", "--gamma", "4"], "study does not use gamma"),
+])
+def test_command_rejects_keys_it_ignores(argv, message, tmp_path, capsys):
+    outdir = tmp_path / "out"
+    rc = cli.main([*argv, "--outdir", str(outdir)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {message}\n"
+    assert not outdir.exists()
+
+
 def test_check_detects_corrupted_reference(capsys):
     rc = cli.cmd_check(RunConfig(), corrupt="flux-sign")
     assert rc == 2
@@ -265,6 +304,21 @@ def test_study_cauchy(tmp_path, capsys):
     assert lines[0] == "n_coarse,n_fine,l2_spacetime_diff"
     assert len(lines) == 2
     assert float(lines[1].split(",")[2]) > 0.0
+
+
+def test_study_cauchy_preset(tmp_path):
+    """Without a preset the study refines the bump; an explicit stationary
+    preset is honoured, and only the kappa*h density floor then differs."""
+    def diff(*flags):
+        outdir = tmp_path / (flags[-1] if flags else "default")
+        assert cli.main(["study", "--kind", "cauchy", "--ns", "1 2", "--T", "0.1",
+                         *flags, "--outdir", str(outdir)]) == 0
+        return float((outdir / "cauchy.csv").read_text().splitlines()[1].split(",")[2])
+
+    assert diff() == diff("--preset", "bump")
+    h1, h2 = (cli.build_box_mesh(n).h for n in (1, 2))
+    kappa = scheme.SchemeParams().kappa
+    assert diff("--preset", "stationary") == pytest.approx(kappa * (h1 - h2) * np.sqrt(0.1))
 
 
 def test_study_rejects_steps(tmp_path, capsys):

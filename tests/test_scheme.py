@@ -126,12 +126,25 @@ def test_initial_state_velocity_division(mesh2, params):
     interior = mesh2.interior_faces
     from nsfemdg.spaces import face_quad_points
 
-    pts, w = face_quad_points(mesh2, params.quad_face)
+    pts, w = face_quad_points(mesh2, 2)
     vals = m0(pts.reshape(-1, 3)).reshape(pts.shape[0], -1, 3)
     dens = rho0(pts.reshape(-1, 3)).reshape(pts.shape[0], -1)
     expected = np.einsum("q,fqi->fi", w, vals / (dens + floor)[:, :, None])
     assert np.allclose(state.u.dofs[interior], expected[interior], atol=1e-14)
     assert np.all(state.u.dofs[mesh2.is_boundary_face] == 0.0)
+
+
+def test_run_calls_on_state_per_step(mesh1, params):
+    """on_state sees each new state in step order, with the row that run
+    appends to result.rows."""
+    calls = []
+    rho0, m0 = scheme.bump_data(center=0.5 * (mesh1.box_lo + mesh1.box_hi))
+    result = scheme.run(mesh1, params, rho0, m0, steps=3,
+                        on_state=lambda state, row: calls.append((state, row)))
+    assert [state.k for state, _ in calls] == [1, 2, 3]
+    for k, (state, row) in enumerate(calls, start=1):
+        assert state is result.states[k]
+        assert row is result.rows[k]
 
 
 def test_presets_shapes(mesh2):
