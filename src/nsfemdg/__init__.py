@@ -36,12 +36,9 @@ from .solver import SolverError, StepFailure, homotopy_newton_solve
 from .spaces import (
     PolynomialField,
     ScalarPolynomial,
-    ScalarQField,
     SineField,
-    VelocityCRField,
     apply_bc,
     interpolate_v,
-    project_q,
 )
 from .diagnostics import EnergyLedger, energy_ledger, positivity_slack, renormalized_margin
 
@@ -54,13 +51,11 @@ __all__ = [
     "PolynomialField",
     "RunResult",
     "ScalarPolynomial",
-    "ScalarQField",
     "SchemeParams",
     "SineField",
     "SolverError",
     "State",
     "StepFailure",
-    "VelocityCRField",
     "apply_bc",
     "build_box_mesh",
     "energy_ledger",
@@ -72,7 +67,6 @@ __all__ = [
     "make_initial_data",
     "mesh_metrics",
     "positivity_slack",
-    "project_q",
     "renormalized_margin",
     "residual",
     "run",

@@ -18,8 +18,6 @@ from . import scheme
 from .fluxes import upwind_momentum
 from .mesh import Mesh, NDArrayF, build_box_mesh, find_elements
 from .spaces import (
-    ScalarQField,
-    VelocityCRField,
     apply_bc,
     broken_divergence,
     broken_gradient,
@@ -56,7 +54,7 @@ class EnergyLedger:
 
 
 def energy_ledger(state, params, mesh: Mesh, prev=None) -> EnergyLedger:
-    rho = state.rho.values
+    rho = state.rho
     vol = mesh.elem_volume
     uhat = element_average(state.u, mesh)
 
@@ -75,7 +73,7 @@ def energy_ledger(state, params, mesh: Mesh, prev=None) -> EnergyLedger:
     if prev is not None:
         dt = params.dt(mesh)
         duhat2 = np.sum((uhat - element_average(prev.u, mesh)) ** 2, axis=1)
-        d5 = float(np.sum(vol * prev.rho.values * duhat2) / (2.0 * dt))
+        d5 = float(np.sum(vol * prev.rho * duhat2) / (2.0 * dt))
 
     return EnergyLedger(mass=mass, kinetic=kinetic, internal=internal,
                         grad_diss=grad_diss, d2=d2, d5=d5,
@@ -86,8 +84,8 @@ def positivity_slack(prev, new, params, mesh: Mesh) -> float:
     """min rho_new minus the proven lower bound min rho_prev / (1 + dt |div|_inf)."""
     dt = params.dt(mesh)
     div_inf = float(np.abs(broken_divergence(new.u, mesh)).max())
-    bound = prev.rho.values.min() / (1.0 + dt * div_inf)
-    return float(new.rho.values.min() - bound)
+    bound = prev.rho.min() / (1.0 + dt * div_inf)
+    return float(new.rho.min() - bound)
 
 
 def renormalized_margin(prev, new, params, mesh: Mesh) -> tuple[float, float, float]:
@@ -100,7 +98,7 @@ def renormalized_margin(prev, new, params, mesh: Mesh) -> tuple[float, float, fl
     """
     dt = params.dt(mesh)
     vol = mesh.elem_volume
-    rho, rho_prev = new.rho.values, prev.rho.values
+    rho, rho_prev = new.rho, prev.rho
     lhs = float(np.sum(vol * (rho**2 - rho_prev**2)) / (2.0 * dt))
     rhs = float(-np.sum(vol * 0.5 * rho**2 * broken_divergence(new.u, mesh)))
     return lhs, rhs, rhs - lhs
@@ -207,7 +205,7 @@ def transport_moments(mesh: Mesh, phi, v, degree: int = 2) -> TransportMoments:
 
 def continuity_transport(state, mesh: Mesh, moments: TransportMoments):
     """Returns (lhs, volume_term, p1) of the continuity transport identity."""
-    rho = state.rho.values
+    rho = state.rho
     int_f, own, nbr = scheme._interior(mesh)
     area = mesh.face_area[int_f]
     flux, up = scheme.interior_fluxes(state, mesh)
@@ -231,7 +229,7 @@ def continuity_transport(state, mesh: Mesh, moments: TransportMoments):
 
 def momentum_transport(state, mesh: Mesh, moments: TransportMoments):
     """Returns (lhs, volume_term, p2, p3, p4) of the momentum transport identity."""
-    rho = state.rho.values
+    rho = state.rho
     vol = mesh.elem_volume
     int_f, own, nbr = scheme._interior(mesh)
     area = mesh.face_area[int_f]
@@ -377,9 +375,8 @@ def p_decay_study(ns, data, phi, v, T: float = 0.5, params=None,
             rho = np.asarray(rho_fn(flat), dtype=float).reshape(pts.shape[0], pts.shape[1], -1)
             u = np.asarray(u_fn(fflat), dtype=float).reshape(fpts.shape[0], -1, 3)
             state = scheme.State(
-                rho=ScalarQField(np.einsum("q,eqm->em", w, rho)[:, 0]),
-                u=apply_bc(VelocityCRField(np.einsum("q,fqi->fi", fw, u),
-                                           mesh.is_boundary_face.copy())),
+                rho=np.einsum("q,eqm->em", w, rho)[:, 0],
+                u=apply_bc(np.einsum("q,fqi->fi", fw, u), mesh),
                 k=k, t=k * dt,
             )
             for key, val in _defect_terms(state, mesh, moments).items():
@@ -439,7 +436,7 @@ def cauchy_differences(results, T: float) -> list[float]:
             tm = 0.5 * (a + b)
             kc = min(int(tm / coarse.dt), len(coarse.states) - 1)
             kf = min(int(tm / fine.dt), len(fine.states) - 1)
-            diff = coarse.states[kc].rho.values[parent] - fine.states[kf].rho.values
+            diff = coarse.states[kc].rho[parent] - fine.states[kf].rho
             total += (b - a) * float(np.sum(vol_f * diff**2))
         out.append(float(np.sqrt(total)))
     return out

@@ -113,18 +113,13 @@ def build_box_mesh(n: int, box_lo=(0.0, 0.0, 0.0), box_hi=(1.0, 1.0, 1.0)) -> Me
     for p, perm in enumerate(itertools.permutations((0, 1, 2))):
         for s, axis_step in enumerate(perm, start=1):
             paths[p, s:, axis_step] += 1
+    # The box map scales each axis positively, so a path's orientation, the
+    # sign of its permutation, is the same in every cube: swap the last two
+    # vertices of the odd ones.
+    odd = np.linalg.det(paths[:, 1:]) < 0
+    paths[odd] = paths[odd][:, [0, 1, 3, 2]]
     cubes = np.stack(np.meshgrid(*[np.arange(n)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
     tets = ((cubes @ stride)[:, None, None] + (paths @ stride)[None]).reshape(-1, 4)
-
-    # Enforce positive orientation: swap the last two vertices where needed.
-    v = vertices[tets]
-    signed6 = np.einsum(
-        "ei,ei->e",
-        np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]),
-        v[:, 3] - v[:, 0],
-    )
-    flip = signed6 < 0
-    tets[flip, 2], tets[flip, 3] = tets[flip, 3].copy(), tets[flip, 2].copy()
 
     return _mesh_from_tets(vertices, tets, lo, hi, n)
 

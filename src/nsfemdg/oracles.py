@@ -57,8 +57,8 @@ def continuity_rows_reference(prev, guess, params, mesh: Mesh) -> np.ndarray:
     fid = _face_ids(mesh)
     dt = params.dt(mesh)
     hp = params.h_power(mesh)
-    rho = guess.rho.values
-    rho_prev = prev.rho.values
+    rho = guess.rho
+    rho_prev = prev.rho
 
     rows = np.zeros(len(tets))
     for e, tet in enumerate(tets):
@@ -73,7 +73,7 @@ def continuity_rows_reference(prev, guess, params, mesh: Mesh) -> np.ndarray:
                 continue  # no-slip wall: no flux, no interface stabilization
             other = sharing[0] if sharing[1] == e else sharing[1]
             area, normal, _ = _face_geometry(vertices, key, centroid)
-            f_out = float(np.dot(guess.u.dofs[fid[key]], normal))
+            f_out = float(np.dot(guess.u[fid[key]], normal))
             traces = FaceTraces(rho[e], rho[other],
                                 np.zeros(3), np.zeros(3), f_out, area, hp)
             acc += area * traces.mass_flux()
@@ -94,8 +94,8 @@ def momentum_rows_reference(prev, guess, params, mesh: Mesh) -> np.ndarray:
     fid = _face_ids(mesh)
     dt = params.dt(mesh)
     hp = params.h_power(mesh)
-    rho = guess.rho.values
-    rho_prev = prev.rho.values
+    rho = guess.rho
+    rho_prev = prev.rho
 
     acc = np.zeros((mesh.n_faces, 3))
     uhat = np.zeros((len(tets), 3))
@@ -111,9 +111,9 @@ def momentum_rows_reference(prev, guess, params, mesh: Mesh) -> np.ndarray:
         vand = np.array([
             [*np.mean(vertices[list(k)], axis=0), 1.0] for k in keys
         ])
-        dofs = guess.u.dofs[gids]                    # (4, 3)
+        dofs = guess.u[gids]                    # (4, 3)
         uhat[e] = dofs.mean(axis=0)
-        uhat_prev = prev.u.dofs[gids].mean(axis=0)
+        uhat_prev = prev.u[gids].mean(axis=0)
 
         grads = [np.linalg.solve(vand, np.eye(4)[l])[:3] for l in range(4)]
         G = np.array([np.linalg.solve(vand, dofs[:, c])[:3] for c in range(3)])
@@ -130,7 +130,7 @@ def momentum_rows_reference(prev, guess, params, mesh: Mesh) -> np.ndarray:
             continue
         e_lo, e_hi = min(sharing), max(sharing)
         area, normal, _ = _face_geometry(vertices, key, centroids[e_lo])
-        f = float(np.dot(guess.u.dofs[fid[key]], normal))
+        f = float(np.dot(guess.u[fid[key]], normal))
         traces = FaceTraces(rho[e_lo], rho[e_hi], uhat[e_lo], uhat[e_hi],
                             f, area, hp)
         upm = traces.momentum_flux()

@@ -53,8 +53,6 @@ import scipy.sparse as sp
 from .fluxes import stab_continuity, stab_momentum, upwind_momentum, upwind_scalar
 from .mesh import Mesh, NDArrayF
 from .spaces import (
-    ScalarQField,
-    VelocityCRField,
     apply_bc,
     basis_gradients,
     cell_means,
@@ -120,15 +118,16 @@ class SchemeParams:
 
 @dataclass
 class State:
-    """Discrete state at one time level."""
+    """Discrete state at one time level.
 
-    rho: ScalarQField
-    u: VelocityCRField
+    `rho` holds the (n_elems,) element densities and `u` the (n_faces, 3)
+    face-average velocities, no-slip dofs included (zero when admissible).
+    """
+
+    rho: NDArrayF
+    u: NDArrayF
     k: int = 0
     t: float = 0.0
-
-    def copy(self) -> "State":
-        return State(self.rho.copy(), self.u.copy(), self.k, self.t)
 
 
 @dataclass
@@ -170,7 +169,7 @@ def initial_state(rho0: Callable, m0: Callable, mesh: Mesh, params: SchemeParams
     pts, _ = elem_quad_points(mesh, _PROJECTION_DEGREE)
     if np.asarray(rho0(pts.reshape(-1, 3))).min() < 0.0:
         raise ValueError("initial density is negative at a quadrature point")
-    rho = ScalarQField(cell_means(rho0, mesh, _PROJECTION_DEGREE) + floor)
+    rho = cell_means(rho0, mesh, _PROJECTION_DEGREE) + floor
 
     fpts, _ = face_quad_points(mesh, _PROJECTION_DEGREE)
     if np.asarray(rho0(fpts.reshape(-1, 3))).min() < 0.0:
@@ -181,7 +180,7 @@ def initial_state(rho0: Callable, m0: Callable, mesh: Mesh, params: SchemeParams
             np.asarray(rho0(p), dtype=float) + floor
         )[:, None]
 
-    u = apply_bc(interpolate_v(velocity, mesh, _PROJECTION_DEGREE))
+    u = apply_bc(interpolate_v(velocity, mesh, _PROJECTION_DEGREE), mesh)
     return State(rho=rho, u=u, k=0, t=0.0)
 
 
@@ -205,27 +204,22 @@ def n_unknowns(mesh: Mesh) -> int:
 
 def pack(state: State, mesh: Mesh) -> NDArrayF:
     int_f, _, _ = _interior(mesh)
-    return np.concatenate([state.rho.values, state.u.dofs[int_f].ravel()])
+    return np.concatenate([state.rho, state.u[int_f].ravel()])
 
 
 def unpack(x: NDArrayF, mesh: Mesh, k: int, t: float) -> State:
     int_f, _, _ = _interior(mesh)
     ne = mesh.n_elems
-    dofs = np.zeros((mesh.n_faces, 3))
-    dofs[int_f] = x[ne:].reshape(-1, 3)
-    return State(
-        rho=ScalarQField(x[:ne].copy()),
-        u=VelocityCRField(dofs, mesh.is_boundary_face.copy()),
-        k=k,
-        t=t,
-    )
+    u = np.zeros((mesh.n_faces, 3))
+    u[int_f] = x[ne:].reshape(-1, 3)
+    return State(rho=x[:ne].copy(), u=u, k=k, t=t)
 
 
 def interior_fluxes(state: State, mesh: Mesh) -> tuple[NDArrayF, NDArrayF]:
     """Normal velocity flux and upwind mass flux Up on the interior faces."""
     int_f, own, nbr = _interior(mesh)
-    flux = np.einsum("fi,fi->f", state.u.dofs[int_f], mesh.face_normal[int_f])
-    rho = state.rho.values
+    flux = np.einsum("fi,fi->f", state.u[int_f], mesh.face_normal[int_f])
+    rho = state.rho
     return flux, upwind_scalar(rho[own], rho[nbr], flux)
 
 
@@ -300,8 +294,8 @@ def residual(
     int_f, own, nbr = _interior(mesh)
     vol, area = mesh.elem_volume, mesh.face_area[int_f]
 
-    rho = guess.rho.values
-    rho_prev = prev.rho.values
+    rho = guess.rho
+    rho_prev = prev.rho
     uhat = element_average(guess.u, mesh)
     uhat_prev = element_average(prev.u, mesh)
 
@@ -315,7 +309,7 @@ def residual(
     time = (vol / dt)[:, None] * (rho[:, None] * uhat - rho_prev[:, None] * uhat_prev)
     mom = (
         ops.avg.T @ time
-        + ops.stiffness @ guess.u.dofs        # every face dof, no-slip ones included
+        + ops.stiffness @ guess.u        # every face dof, no-slip ones included
         + alpha * (ops.face_test @ mom_flux
                    - (ops.pressure @ pressure(rho, params)).reshape(-1, 3))
     )
@@ -356,7 +350,7 @@ def jacobian(
     vol, area = mesh.elem_volume, mesh.face_area[int_f]
     diag = sp.diags
 
-    rho = guess.rho.values
+    rho = guess.rho
     uhat = element_average(guess.u, mesh)
     flux, up = interior_fluxes(guess, mesh)
     fp, fm = np.maximum(flux, 0.0), np.minimum(flux, 0.0)

@@ -342,7 +342,7 @@ def alpha0_solve(prev, params, mesh: Mesh) -> "scheme.State":
     mass and K the broken-gradient stiffness, both SPD on interior dofs.
     """
     dt = params.dt(mesh)
-    rho_prev = prev.rho.values
+    rho_prev = prev.rho
 
     Ms = scheme.interior_weighted_mass(mesh, rho_prev)
     Ks = scheme.interior_stiffness(mesh)

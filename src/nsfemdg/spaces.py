@@ -2,10 +2,10 @@
 
 Three discrete objects appear throughout:
 
-* piecewise-constant scalars (one value per element), with projection
-  ``project_q`` equal to the elementwise mean;
-* nonconforming piecewise-linear vector fields with one vector degree of
-  freedom per face (the face average), interpolated by ``interpolate_v``;
+* piecewise-constant scalars, an (n_elems,) array of element means;
+* nonconforming piecewise-linear vector fields, an (n_faces, 3) array of
+  face averages, interpolated by ``interpolate_v``; ``apply_bc`` zeroes the
+  no-slip (boundary) rows;
 * face normal fluxes (one scalar per face), obtained from a velocity by
   ``normal_flux``.  The lowest-order divergence-conforming reconstruction
   matching those fluxes, w + s*x on each element, is used when a flux field
@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.typing as npt
 from scipy.special import roots_jacobi
 
 from .mesh import Mesh, NDArrayF
@@ -107,41 +106,6 @@ def face_quad_points(mesh: Mesh, degree: int) -> tuple[NDArrayF, NDArrayF]:
 
 
 # ---------------------------------------------------------------------------
-# Fields.
-
-
-@dataclass
-class ScalarQField:
-    """Piecewise-constant scalar: one value per element."""
-
-    values: NDArrayF
-
-    def copy(self) -> "ScalarQField":
-        return ScalarQField(self.values.copy())
-
-
-@dataclass
-class VelocityCRField:
-    """Face-dof vector field; the dof of a face is the field's face average.
-
-    `boundary_mask` marks constrained (no-slip) dofs.  Construction does not
-    zero them; `apply_bc` does.
-    """
-
-    dofs: NDArrayF                       # (n_faces, 3)
-    boundary_mask: npt.NDArray[np.bool_]  # (n_faces,)
-
-    def copy(self) -> "VelocityCRField":
-        return VelocityCRField(self.dofs.copy(), self.boundary_mask)
-
-
-def apply_bc(u: VelocityCRField) -> VelocityCRField:
-    out = u.copy()
-    out.dofs[out.boundary_mask] = 0.0
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Interpolation.
 
 
@@ -154,35 +118,33 @@ def cell_means(f, mesh: Mesh, degree: int = 2) -> NDArrayF:
     return out[:, 0] if out.shape[1] == 1 else out
 
 
-def project_q(f, mesh: Mesh, degree: int = 2) -> ScalarQField:
-    """L2 projection of a scalar function onto piecewise constants."""
-    means = cell_means(f, mesh, degree)
-    if means.ndim != 1:
-        raise ValueError("project_q expects a scalar function")
-    return ScalarQField(means)
-
-
-def interpolate_v(f, mesh: Mesh, degree: int = 2) -> VelocityCRField:
-    """Face-average interpolation of a vector function (no BC applied)."""
+def interpolate_v(f, mesh: Mesh, degree: int = 2) -> NDArrayF:
+    """(n_faces, 3) face averages of a vector function (no BC applied)."""
     pts, w = face_quad_points(mesh, degree)
     vals = np.asarray(f(pts.reshape(-1, 3)), dtype=float).reshape(pts.shape[0], -1, 3)
-    dofs = np.einsum("q,fqi->fi", w, vals)
-    return VelocityCRField(dofs, mesh.is_boundary_face.copy())
+    return np.einsum("q,fqi->fi", w, vals)
 
 
-def element_average(u: VelocityCRField, mesh: Mesh) -> NDArrayF:
+def apply_bc(u: NDArrayF, mesh: Mesh) -> NDArrayF:
+    """A copy of the face dofs `u` with the no-slip (boundary) rows zeroed."""
+    out = u.copy()
+    out[mesh.is_boundary_face] = 0.0
+    return out
+
+
+def element_average(u: NDArrayF, mesh: Mesh) -> NDArrayF:
     """Elementwise mean velocity: the mean of the element's four face dofs.
 
     For a piecewise-linear field the mean over the element equals its value at
     the barycenter, which is the average of the four face centroids.
     """
-    return u.dofs[mesh.elem_faces].mean(axis=1)
+    return u[mesh.elem_faces].mean(axis=1)
 
 
-def normal_flux(u: VelocityCRField, mesh: Mesh) -> NDArrayF:
+def normal_flux(u: NDArrayF, mesh: Mesh) -> NDArrayF:
     """Normal flux per face, in the stored face-normal orientation; the dof
     being the face average makes this exact."""
-    return np.einsum("fi,fi->f", u.dofs, mesh.face_normal)
+    return np.einsum("fi,fi->f", u, mesh.face_normal)
 
 
 # ---------------------------------------------------------------------------
@@ -226,17 +188,17 @@ def flux_reconstruction_coefficients(mesh: Mesh) -> NDArrayF:
     return cached
 
 
-def broken_gradient(u: VelocityCRField, mesh: Mesh) -> NDArrayF:
+def broken_gradient(u: NDArrayF, mesh: Mesh) -> NDArrayF:
     """(n_elems, 3, 3) with G[e, i, j] = d u_i / d x_j, constant per element."""
-    coeff = np.einsum("elk,eki->eli", p1_coefficients(mesh), u.dofs[mesh.elem_faces])
+    coeff = np.einsum("elk,eki->eli", p1_coefficients(mesh), u[mesh.elem_faces])
     return coeff[:, :3, :].transpose(0, 2, 1)
 
 
-def broken_divergence(u: VelocityCRField, mesh: Mesh) -> NDArrayF:
+def broken_divergence(u: NDArrayF, mesh: Mesh) -> NDArrayF:
     return np.einsum("eii->e", broken_gradient(u, mesh))
 
 
-def broken_curl(u: VelocityCRField, mesh: Mesh) -> NDArrayF:
+def broken_curl(u: NDArrayF, mesh: Mesh) -> NDArrayF:
     G = broken_gradient(u, mesh)
     return np.stack(
         [G[:, 2, 1] - G[:, 1, 2], G[:, 0, 2] - G[:, 2, 0], G[:, 1, 0] - G[:, 0, 1]],
@@ -288,9 +250,7 @@ def commuting_residual(field, mesh: Mesh, degree: int = 2) -> dict[str, float]:
     res_curl = np.abs(broken_curl(interp, mesh) - curl_mean).max()
 
     # Face-averaged normal fluxes of the field itself.
-    pts, w = face_quad_points(mesh, degree)
-    vals = np.asarray(field(pts.reshape(-1, 3))).reshape(pts.shape[0], -1, 3)
-    fluxes = np.einsum("q,fqi,fi->f", w, vals, mesh.face_normal)
+    fluxes = normal_flux(interp, mesh)
     div_flux = (
         np.einsum(
             "el,el,el->e",
@@ -305,7 +265,7 @@ def commuting_residual(field, mesh: Mesh, degree: int = 2) -> dict[str, float]:
     return {"div": float(res_div), "curl": float(res_curl), "flux_div": float(res_flux)}
 
 
-def orthogonality_residual(u: VelocityCRField, field, mesh: Mesh, degree: int = 2) -> float:
+def orthogonality_residual(u: NDArrayF, field, mesh: Mesh, degree: int = 2) -> float:
     """Integral of grad_h u : grad_h(interp(field) - field) over the mesh.
 
     Vanishes for every dof field u because the face average of the
@@ -323,7 +283,7 @@ def orthogonality_residual(u: VelocityCRField, field, mesh: Mesh, degree: int = 
 def interpolation_errors(field, mesh: Mesh, degree: int = 6) -> tuple[float, float]:
     """(L2 error, broken-H1 seminorm error) of the face-average interpolant."""
     interp = interpolate_v(field, mesh, degree=degree)
-    coeff = np.einsum("elk,eki->eli", p1_coefficients(mesh), interp.dofs[mesh.elem_faces])
+    coeff = np.einsum("elk,eki->eli", p1_coefficients(mesh), interp[mesh.elem_faces])
     a, d = coeff[:, :3, :], coeff[:, 3, :]
     pts, w = elem_quad_points(mesh, degree)
     # The errors are formed in place and contracted with themselves: at high

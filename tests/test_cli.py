@@ -262,6 +262,7 @@ def test_check_accepts_outdir_and_physics_keys(tmp_path, capsys):
      "study does not use T or gamma or n or cadence"),
     (["run", "--kind", "pdecay", "--ns", "3 4"], "run does not use kind or ns"),
     (["study", "--kind", "pdecay", "--gamma", "4"], "study does not use gamma"),
+    (["check", "--newton_tol", "1e-3"], "check does not use newton_tol"),
 ])
 def test_command_rejects_keys_it_ignores(argv, message, tmp_path, capsys):
     outdir = tmp_path / "out"
@@ -331,8 +332,15 @@ def test_study_rejects_steps(tmp_path, capsys):
     assert not outdir.exists()
 
 
+def _child_env(**overrides):
+    """The environment with `overrides`, importing the package under test."""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **overrides)
+
+
 def test_thread_cap_env_var():
-    env = dict(os.environ, NSFEMDG_THREADS="1")
+    env = _child_env(NSFEMDG_THREADS="1")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
         env.pop(var, None)
@@ -346,7 +354,7 @@ def test_thread_cap_env_var():
 
 
 def test_thread_cap_does_not_override_explicit_setting():
-    env = dict(os.environ, NSFEMDG_THREADS="1", OMP_NUM_THREADS="4")
+    env = _child_env(NSFEMDG_THREADS="1", OMP_NUM_THREADS="4")
     out = subprocess.run(
         [sys.executable, "-c", "import nsfemdg, os; print(os.environ['OMP_NUM_THREADS'])"],
         env=env, capture_output=True, text=True, check=True,

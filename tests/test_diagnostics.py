@@ -10,9 +10,7 @@ from nsfemdg.mesh import build_box_mesh
 from nsfemdg.spaces import (
     PolynomialField,
     ScalarPolynomial,
-    ScalarQField,
     SineField,
-    VelocityCRField,
     apply_bc,
     broken_divergence,
     cell_means,
@@ -27,16 +25,12 @@ from nsfemdg.spaces import (
 def _random_state(mesh, rng, k=1, t=0.1, rho_scale=0.5, u_scale=0.4):
     """Admissible but otherwise arbitrary state: positive density, no-slip u."""
     rho = 1.0 + rho_scale * rng.uniform(size=len(mesh.tets))
-    u = apply_bc(VelocityCRField(
-        dofs=u_scale * rng.standard_normal((len(mesh.face_area), 3)),
-        boundary_mask=mesh.face_neighbor < 0,
-    ))
-    return scheme.State(rho=ScalarQField(rho), u=u, k=k, t=t)
+    u = apply_bc(u_scale * rng.standard_normal((len(mesh.face_area), 3)), mesh)
+    return scheme.State(rho=rho, u=u, k=k, t=t)
 
 
 def _constant_velocity(mesh, vec):
-    dofs = np.tile(np.asarray(vec, dtype=float), (len(mesh.face_area), 1))
-    return VelocityCRField(dofs=dofs, boundary_mask=mesh.face_neighbor < 0)
+    return np.tile(np.asarray(vec, dtype=float), (len(mesh.face_area), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +41,7 @@ def test_energy_ledger_uniform_rest():
     mesh = build_box_mesh(2)
     params = scheme.SchemeParams(gamma=4.0, a=1.0)
     state = scheme.State(
-        rho=ScalarQField(np.full(len(mesh.tets), 2.0)),
+        rho=np.full(len(mesh.tets), 2.0),
         u=_constant_velocity(mesh, (0.0, 0.0, 0.0)),
         k=0, t=0.0,
     )
@@ -67,7 +61,7 @@ def test_energy_ledger_constant_velocity_kinetic():
     mesh = build_box_mesh(2)
     params = scheme.SchemeParams()
     state = scheme.State(
-        rho=ScalarQField(np.full(len(mesh.tets), 2.0)),
+        rho=np.full(len(mesh.tets), 2.0),
         u=_constant_velocity(mesh, (1.0, 2.0, 3.0)),
         k=0, t=0.0,
     )
@@ -87,7 +81,7 @@ def test_energy_ledger_linear_velocity_grad_diss():
         return np.atleast_2d(p) @ A.T
 
     state = scheme.State(
-        rho=ScalarQField(np.ones(len(mesh.tets))),
+        rho=np.ones(len(mesh.tets)),
         u=interpolate_v(u_fn, mesh),
         k=0, t=0.0,
     )
@@ -105,11 +99,11 @@ def test_energy_ledger_d2_matches_hand_loop():
     led = diagnostics.energy_ledger(state, params, mesh)
 
     uhat = element_average(state.u, mesh)
-    rho = state.rho.values
+    rho = state.rho
     expected = 0.0
     for f in np.flatnonzero(mesh.face_neighbor >= 0):
         own, nbr = mesh.face_owner[f], mesh.face_neighbor[f]
-        flux = float(state.u.dofs[f] @ mesh.face_normal[f])
+        flux = float(state.u[f] @ mesh.face_normal[f])
         up = rho[own] * max(flux, 0.0) + rho[nbr] * min(flux, 0.0)
         jump2 = float(np.sum((uhat[nbr] - uhat[own]) ** 2))
         expected += 0.5 * mesh.face_area[f] * abs(up) * jump2
@@ -128,7 +122,7 @@ def test_energy_ledger_d5_matches_hand_loop():
     dt = params.dt(mesh)
     du = element_average(new.u, mesh) - element_average(prev.u, mesh)
     expected = float(
-        np.sum(mesh.elem_volume * prev.rho.values * np.sum(du**2, axis=1))
+        np.sum(mesh.elem_volume * prev.rho * np.sum(du**2, axis=1))
     ) / (2.0 * dt)
     assert led.d5 == pytest.approx(expected, rel=1e-13)
     assert led.d5 > 1e-6
@@ -147,10 +141,10 @@ def test_positivity_slack_hand_case():
         return np.atleast_2d(p) * s
 
     prev = scheme.State(
-        rho=ScalarQField(np.linspace(0.8, 1.2, len(mesh.tets))),
+        rho=np.linspace(0.8, 1.2, len(mesh.tets)),
         u=_constant_velocity(mesh, (0, 0, 0)), k=0, t=0.0)
     new = scheme.State(
-        rho=ScalarQField(np.linspace(0.9, 1.1, len(mesh.tets))),
+        rho=np.linspace(0.9, 1.1, len(mesh.tets)),
         u=interpolate_v(u_fn, mesh), k=1, t=params.dt(mesh))
 
     # div u = 0.4 - 0.1 + 0.3 = 0.6 exactly, everywhere
@@ -172,8 +166,8 @@ def test_renormalized_margin_recompute():
     lhs, rhs, margin = diagnostics.renormalized_margin(prev, new, params, mesh)
     dt = params.dt(mesh)
     vol = mesh.elem_volume
-    lhs_ref = np.sum(vol * (new.rho.values**2 - prev.rho.values**2)) / (2 * dt)
-    rhs_ref = -np.sum(vol * 0.5 * new.rho.values**2
+    lhs_ref = np.sum(vol * (new.rho**2 - prev.rho**2)) / (2 * dt)
+    rhs_ref = -np.sum(vol * 0.5 * new.rho**2
                       * broken_divergence(new.u, mesh))
     assert lhs == pytest.approx(lhs_ref, rel=1e-13)
     assert rhs == pytest.approx(rhs_ref, rel=1e-13)
@@ -245,7 +239,7 @@ def test_transport_volume_terms_match_direct_quadrature(n, degree):
     J = v.jacobian(flat).reshape(pts.shape[0], -1, 3, 3)
     for _ in range(3):
         state = _random_state(mesh, rng, u_scale=0.6)
-        rho_vol = state.rho.values * mesh.elem_volume
+        rho_vol = state.rho * mesh.elem_volume
         ut = eval_flux_reconstruction(normal_flux(state.u, mesh), mesh, pts)
         uhat = element_average(state.u, mesh)
         ref_c = np.sum(rho_vol * np.einsum("q,eqi,eqi->e", w, ut, grad))
@@ -358,7 +352,7 @@ def test_transport_defect_integrals_hand_loop():
 def _const_result(mesh, dt, values):
     """Trajectory of spatially constant densities, one value per time level."""
     states = [
-        scheme.State(rho=ScalarQField(np.full(len(mesh.tets), val)),
+        scheme.State(rho=np.full(len(mesh.tets), val),
                      u=_constant_velocity(mesh, (0, 0, 0)), k=k, t=k * dt)
         for k, val in enumerate(values)
     ]
@@ -444,8 +438,8 @@ def test_p_decay_study_shapes_and_hand_check():
     assert int(np.ceil(0.4 / dt - 1e-9)) == 1
     rho_fn, u_fn = data(dt)
     state = scheme.State(
-        rho=ScalarQField(cell_means(rho_fn, mesh, 4)),
-        u=apply_bc(interpolate_v(u_fn, mesh, degree=4)), k=1, t=dt)
+        rho=cell_means(rho_fn, mesh, 4),
+        u=apply_bc(interpolate_v(u_fn, mesh, degree=4), mesh), k=1, t=dt)
     moments = diagnostics.transport_moments(mesh, phi, v, degree=4)
     _, _, p1 = diagnostics.continuity_transport(state, mesh, moments)
     _, _, p2, p3, p4 = diagnostics.momentum_transport(state, mesh, moments)

@@ -7,7 +7,6 @@ from nsfemdg.spaces import (
     PolynomialField,
     ScalarPolynomial,
     SineField,
-    VelocityCRField,
     apply_bc,
     basis_gradients,
     broken_curl,
@@ -24,7 +23,6 @@ from nsfemdg.spaces import (
     interpolation_errors,
     normal_flux,
     orthogonality_residual,
-    project_q,
     tet_rule,
     tri_rule,
 )
@@ -94,16 +92,8 @@ def test_rules_have_no_spurious_points():
 def test_cell_means_of_linear_is_centroid_value(mesh2):
     means = cell_means(lambda p: np.atleast_2d(p)[:, 0], mesh2)
     assert np.allclose(means, mesh2.elem_centroid[:, 0], atol=1e-14)
-
-
-def test_project_q_mean_over_cube(mesh2):
-    proj = project_q(lambda p: np.atleast_2d(p)[:, 0], mesh2)
-    assert np.isclose(np.sum(mesh2.elem_volume * proj.values), 0.5, atol=1e-14)
-
-
-def test_project_q_rejects_vector_data(mesh1):
-    with pytest.raises(ValueError):
-        project_q(lambda p: np.atleast_2d(p), mesh1)
+    # the means integrate to the mean of x over the unit cube
+    assert np.isclose(np.sum(mesh2.elem_volume * means), 0.5, atol=1e-14)
 
 
 def test_interpolate_reproduces_linears(mesh2):
@@ -111,7 +101,7 @@ def test_interpolate_reproduces_linears(mesh2):
                                        np.zeros((3, 6))]))
     interp = interpolate_v(field, mesh2)
     # a linear function's face average is its value at the face centroid
-    assert np.allclose(interp.dofs, field(mesh2.face_centroid), atol=1e-13)
+    assert np.allclose(interp, field(mesh2.face_centroid), atol=1e-13)
     l2, h1 = interpolation_errors(field, mesh2)
     assert l2 < 1e-13 and h1 < 1e-12
 
@@ -125,12 +115,17 @@ def test_element_average_is_barycenter_value(mesh2):
 
 def test_apply_bc_zeros_only_boundary(mesh2):
     rng = np.random.default_rng(0)
-    u = VelocityCRField(rng.standard_normal((mesh2.n_faces, 3)),
-                        mesh2.is_boundary_face.copy())
-    v = apply_bc(u)
-    assert np.all(v.dofs[mesh2.is_boundary_face] == 0.0)
-    assert np.array_equal(v.dofs[~mesh2.is_boundary_face],
-                          u.dofs[~mesh2.is_boundary_face])
+    u = rng.standard_normal((mesh2.n_faces, 3))
+    v = apply_bc(u, mesh2)
+    assert np.all(v[mesh2.is_boundary_face] == 0.0)
+    assert np.array_equal(v[~mesh2.is_boundary_face], u[~mesh2.is_boundary_face])
+
+
+def test_apply_bc_leaves_its_input_unchanged(mesh2):
+    u = np.random.default_rng(1).standard_normal((mesh2.n_faces, 3))
+    before = u.copy()
+    apply_bc(u, mesh2)
+    assert np.array_equal(u, before)
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +153,7 @@ def test_basis_gradients_partition(mesh2):
 def test_flux_reconstruction_matches_fluxes(mesh2):
     """The reconstructed field has the prescribed constant normal flux per face."""
     rng = np.random.default_rng(3)
-    u = apply_bc(VelocityCRField(rng.standard_normal((mesh2.n_faces, 3)),
-                                 mesh2.is_boundary_face.copy()))
+    u = apply_bc(rng.standard_normal((mesh2.n_faces, 3)), mesh2)
     flux = normal_flux(u, mesh2)
     w, s = flux_reconstruction(flux, mesh2)
     pts, _ = face_quad_points(mesh2, 2)
@@ -172,8 +166,7 @@ def test_flux_reconstruction_matches_fluxes(mesh2):
 
 def test_flux_reconstruction_divergence(mesh2):
     rng = np.random.default_rng(4)
-    u = apply_bc(VelocityCRField(rng.standard_normal((mesh2.n_faces, 3)),
-                                 mesh2.is_boundary_face.copy()))
+    u = apply_bc(rng.standard_normal((mesh2.n_faces, 3)), mesh2)
     _, s = flux_reconstruction(normal_flux(u, mesh2), mesh2)
     assert np.allclose(3.0 * s, broken_divergence(u, mesh2), atol=1e-10)
 
@@ -210,8 +203,7 @@ def test_commuting_identities_inexact_beyond_quadratic(mesh1):
 def test_orthogonality_random_pairs(mesh2):
     rng = np.random.default_rng(42)
     for _ in range(5):
-        u = apply_bc(VelocityCRField(rng.standard_normal((mesh2.n_faces, 3)),
-                                     mesh2.is_boundary_face.copy()))
+        u = apply_bc(rng.standard_normal((mesh2.n_faces, 3)), mesh2)
         field = PolynomialField.random(rng)
         res = orthogonality_residual(u, field, mesh2)
         assert abs(res) < 1e-10
