@@ -31,7 +31,10 @@ with [rho] = rho_neighbor - rho_owner, jump^T scattering a face value +owner
 and -neighbor, avg the 1/4 element average of face dofs, K the broken-gradient
 stiffness, G the |E|-weighted basis gradients, and F = |f| (UpM - h^(1-eps)
 [rho] mean(uhat)) the momentum face flux.  The Jacobian is the same products
-with diagonal scalings, assembled as a 2x2 block matrix.
+with diagonal scalings, so its sparsity pattern is fixed per mesh: the first
+call on a mesh builds the pattern and a linear map from the scalings to the
+matrix values (`jacobian_map`), and every call fills the values with one
+sparse product.
 
 `residual` and `jacobian` take a continuation weight alpha in [0, 1] that
 scales convection, pressure and both stabilization terms; time terms and
@@ -51,7 +54,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fluxes import stab_continuity, stab_momentum, upwind_momentum, upwind_scalar
-from .mesh import Mesh, NDArrayF
+from .mesh import Mesh, NDArrayF, NDArrayI
 from .spaces import (
     apply_bc,
     basis_gradients,
@@ -236,9 +239,7 @@ class MeshOperators:
     nbr: sp.csr_matrix          # (ni, ne) selects the neighbor element
     jump_t: sp.csr_matrix       # (ne, ni) (own - nbr).T: scatters a face flux +owner/-neighbor
     avg: sp.csr_matrix          # (ne, ni) element average of the interior face dofs
-    avg_t3: sp.csr_matrix       # (3 ni, 3 ne) avg.T per velocity component
     face_test: sp.csr_matrix    # (ni, ni) avg.T jump.T: face fluxes tested with the face basis
-    face_test3: sp.csr_matrix   # face_test per velocity component
     stiffness: sp.csr_matrix    # (ni, nf) broken-gradient stiffness on every face dof
     stiffness_int: sp.csr_matrix  # (ni, ni) its interior columns
     pressure: sp.csr_matrix     # (3 ni, ne) |E| times the basis gradients
@@ -275,9 +276,7 @@ def mesh_operators(mesh: Mesh) -> MeshOperators:
     )
 
     cached = MeshOperators(
-        own=own, nbr=nbr, jump_t=jump.T.tocsr(), avg=avg,
-        avg_t3=sp.kron(avg.T, sp.identity(3), format="csr"), face_test=face_test,
-        face_test3=sp.kron(face_test, sp.identity(3), format="csr"),
+        own=own, nbr=nbr, jump_t=jump.T.tocsr(), avg=avg, face_test=face_test,
         stiffness=stiffness, stiffness_int=stiffness[:, int_f],
         pressure=pressure_op, normal=normal,
     )
@@ -316,18 +315,135 @@ def residual(
     return ResidualVector(continuity=cont, momentum=mom)
 
 
-def _vec_diag(v: NDArrayF) -> sp.csr_matrix:
-    """(m, 3) values as the (3m, m) matrix with v[i, d] at row 3i+d, column i."""
-    m = len(v)
-    return sp.csr_matrix(
-        (v.ravel(), np.repeat(np.arange(m), 3), np.arange(3 * m + 1)), shape=(3 * m, m)
-    )
+def _paths(left: sp.spmatrix, right: sp.spmatrix):
+    """Every path i -> k -> j of left @ diag(c) @ right with a nonzero weight,
+    as the arrays (i, k, j, left[i, k] * right[k, j])."""
+    left, right = sp.csc_matrix(left), sp.csr_matrix(right)
+    n_left, n_right = np.diff(left.indptr), np.diff(right.indptr)
+    count = (n_left * n_right).astype(np.int32)
+    k = np.repeat(np.arange(count.size, dtype=np.int32), count)
+    local = np.arange(count.sum(), dtype=np.int32)
+    local -= np.repeat(np.cumsum(count, dtype=np.int32) - count, count)
+    a = left.indptr[k] + local // n_right[k]
+    b = right.indptr[k] + local % n_right[k]
+    weight = left.data[a] * right.data[b]
+    keep = weight != 0.0
+    return left.indices[a[keep]], k[keep], right.indices[b[keep]], weight[keep]
 
 
-def _columns(block: sp.csr_matrix, first: int, n: int) -> sp.csr_matrix:
-    """`block` as rows of an n-column matrix, its columns starting at `first`."""
-    return sp.csr_matrix((block.data, block.indices + first, block.indptr),
-                         shape=(block.shape[0], n))
+# A Jacobian term (left, right, row0, col0, width) is left @ diag(c) @ right
+# placed at row row0 and column col0.  With width 1 it reads one coefficient
+# per column k of `left`, and its entry (i, j) lands at (row0 + i, col0 + j).
+# With width 3 it reads one per k and velocity component d, stored at
+# 3 k + d, and lands at (row0 + 3 i + d, col0 + j) for each d.  The
+# coefficient vector of a list of terms is the concatenation of theirs.
+
+
+def _pattern(terms, shape) -> sp.csr_matrix:
+    """Boolean pattern of the sum of `terms`, from their structural products."""
+    pattern = sp.csr_matrix(shape, dtype=bool)
+    for left, right, row0, col0, width in terms:
+        product = (abs(left) @ abs(right)).astype(bool)   # nothing cancels in it
+        product = sp.kron(product, np.ones((width, 1), dtype=bool), format="coo")
+        pattern = pattern + sp.csr_matrix(
+            (product.data, (product.row + row0, product.col + col0)), shape=shape)
+    return pattern
+
+
+def _index(pattern: sp.csr_matrix) -> sp.csr_matrix:
+    """`pattern` holding each entry's position in its data: indexed at stored
+    entries, it reads their positions."""
+    return sp.csr_matrix((np.arange(pattern.nnz, dtype=np.int32), pattern.indices,
+                          pattern.indptr), shape=pattern.shape)
+
+
+def _map(pattern: sp.csr_matrix, terms) -> sp.csc_matrix:
+    """The matrix that takes the coefficient vector of `terms` to the values
+    of `pattern`'s entries."""
+    index = _index(pattern)
+    positions, coefficients, weights = [], [], []
+    offset = 0
+    for left, right, row0, col0, width in terms:
+        i, k, j, w = _paths(left, right)
+        for d in range(width):
+            positions.append(np.asarray(index[row0 + width * i + d, col0 + j]).ravel())
+            coefficients.append(offset + width * k + d)
+            weights.append(w)
+        offset += width * left.shape[1]
+    del index
+    # Reassigned one at a time, so that each list is freed once joined.
+    positions = np.concatenate(positions)
+    coefficients = np.concatenate(coefficients)
+    weights = np.concatenate(weights)
+    return sp.csc_matrix((weights, (positions, coefficients)), shape=(pattern.nnz, offset))
+
+
+@dataclass(frozen=True)
+class JacobianMap:
+    """The Jacobian's fixed pattern on a mesh and the linear maps that fill it.
+
+    J.data is `coefficients @ c`, with c the coefficient vectors of
+    `jacobian` concatenated, plus the scalar velocity block's values
+    `scalar @ s` added at `scalar_positions[d]` for each velocity component d.
+    """
+
+    indptr: NDArrayI
+    indices: NDArrayI
+    coefficients: sp.csc_matrix   # (nnz, len(c))
+    scalar: sp.csc_matrix         # (nnz of the scalar block, len(s))
+    scalar_positions: NDArrayI    # (3, nnz of the scalar block)
+
+
+def jacobian_map(mesh: Mesh) -> JacobianMap:
+    """`mesh`'s Jacobian pattern and coefficient maps, built on first use and cached."""
+    cached = mesh._space_cache.get("jacobian_map")
+    if cached is not None:
+        return cached
+    ops = mesh_operators(mesh)
+    ne, ni = mesh.n_elems, ops.avg.shape[1]
+    n = ne + 3 * ni
+    eye, avg_t = sp.identity(ne, format="csr"), ops.avg.T
+    # Upwind terms read an owner and a neighbor coefficient per face, stored
+    # in turn, so that every entry sums its faces in face order.
+    twice = np.repeat(np.arange(ni), 2)
+    sides = np.arange(2 * ni).reshape(2, ni).T.ravel()
+
+    def upwind(left, own, nbr):
+        return left[:, twice], sp.vstack([own, nbr]).tocsr()[sides]
+
+    # Scalar velocity block: the weighted mass, the stiffness (coefficients 1)
+    # and the convection of the owner's or the neighbor's mean velocity.
+    scalar_terms = [
+        (avg_t, ops.avg, 0, 0, 1),
+        (ops.stiffness_int, sp.identity(ni, format="csr"), 0, 0, 1),
+        (*upwind(ops.face_test, ops.own @ ops.avg, ops.nbr @ ops.avg), 0, 0, 1),
+    ]
+    # The rest, in the order of `jacobian`'s coefficient vectors.
+    terms = [
+        (*upwind(ops.jump_t, ops.own, ops.nbr), 0, 0, 1),   # A: flux and stabilization
+        (eye, eye, 0, 0, 1),                                # A: time derivative
+        (ops.jump_t, ops.normal, 0, ne, 1),                 # B
+        (avg_t, eye, ne, 0, 3),                             # C: time derivative
+        (ops.pressure, eye, ne, 0, 1),                      # C: pressure
+        (*upwind(ops.face_test, ops.own, ops.nbr), ne, 0, 3),   # C: momentum flux
+        (ops.face_test, ops.normal, ne, ne, 3),             # D: momentum flux
+    ]
+    block = _pattern(scalar_terms, (ni, ni))
+    scalar = _map(block, scalar_terms)
+    # The scalar block's entry (i, j) is D's entry (3 i + d, 3 j + d) for each d.
+    pattern = _pattern(terms, (n, n)) + sp.block_diag(
+        [sp.csr_matrix((ne, ne), dtype=bool), sp.kron(block, sp.identity(3, dtype=bool))],
+        format="csr")
+    index = _index(pattern)
+    rows = ne + 3 * np.repeat(np.arange(ni, dtype=np.int32), np.diff(block.indptr))
+    cols = ne + 3 * block.indices
+    positions = np.stack([np.asarray(index[rows + d, cols + d]).ravel() for d in range(3)])
+    del block, index, rows, cols
+    cached = JacobianMap(indptr=pattern.indptr, indices=pattern.indices,
+                         coefficients=_map(pattern, terms), scalar=scalar,
+                         scalar_positions=positions)
+    mesh._space_cache["jacobian_map"] = cached
+    return cached
 
 
 def jacobian(
@@ -338,17 +454,17 @@ def jacobian(
     The kinks of x+ and x- use the one-sided convention d(x+)/dx = 1 for
     x > 0 else 0, and d(x-)/dx = 1 for x < 0 else 0, so the derivative at a
     kink is zero.  Away from sign changes of the fluxes the matrix is the
-    classical derivative.  Sparse sums and products drop entries that cancel
-    exactly (at alpha = 0, at rest, at upwind kinks), so the stored pattern
-    depends on the state.
+    classical derivative.  Its values fill a pattern fixed per mesh
+    (`jacobian_map`); entries that come out exactly zero (at alpha = 0, at
+    rest, at upwind kinks) are dropped, so the stored pattern is a subset of
+    it that depends on the state.  Each call returns a new matrix that shares
+    no array with the cache.
     """
-    ops = mesh_operators(mesh)
+    jm = jacobian_map(mesh)
     dt = params.dt(mesh)
     hp = params.h_power(mesh)
     int_f, own, nbr = _interior(mesh)
-    ne = mesh.n_elems
     vol, area = mesh.elem_volume, mesh.face_area[int_f]
-    diag = sp.diags
 
     rho = guess.rho
     uhat = element_average(guess.u, mesh)
@@ -360,39 +476,32 @@ def jacobian(
     wsel = (up > 0.0)[:, None] * uhat[own] + (up < 0.0)[:, None] * uhat[nbr]
     mean = 0.5 * (uhat[own] + uhat[nbr])
 
-    # Each block is moved into its columns of J and the two blocks of a row
-    # are summed at once (their columns are disjoint, so the sum is exact):
-    # no block outlives its row, and the assembly holds little more than
-    # twice J, which matters while the solver holds preconditioner factors.
-    n = n_unknowns(mesh)
-    cont = (
-        _columns(diag(vol / dt, format="csr") + alpha * ops.jump_t @ (
-            diag(area * (fp + hp)) @ ops.own + diag(area * (fm - hp)) @ ops.nbr), 0, n)
-        + _columns(alpha * ops.jump_t @ diag(area * dup_dflux) @ ops.normal, ne, n)
-    )
     a = area[:, None]
-    mom_u_scalar = (
-        interior_weighted_mass(mesh, rho / dt) + interior_stiffness(mesh)
-        + alpha * ops.face_test @ (
-            diag(area * (np.maximum(up, 0.0) - half_stab)) @ ops.own
-            + diag(area * (np.minimum(up, 0.0) - half_stab)) @ ops.nbr
-        ) @ ops.avg
-    )
-    mom = (
-        _columns(
-            ops.avg_t3 @ _vec_diag((vol / dt)[:, None] * uhat)
-            - alpha * ops.pressure @ diag(pressure_derivative(rho, params))
-            + alpha * ops.face_test3 @ (
-                _vec_diag(a * (fp[:, None] * wsel + hp * mean)) @ ops.own
-                + _vec_diag(a * (fm[:, None] * wsel - hp * mean)) @ ops.nbr
-            ), 0, n)
-        + _columns(
-            sp.kron(mom_u_scalar, sp.identity(3), format="csr")
-            + alpha * ops.face_test3 @ _vec_diag(a * dup_dflux[:, None] * wsel) @ ops.normal,
-            ne, n)
-    )
-    J = sp.vstack([cont, mom], format="csr")
-    J.sort_indices()   # products leave rows unsorted; a canonical J keeps J @ x's rounding
+
+    def sides(own_side, nbr_side):
+        return np.stack([own_side, nbr_side], axis=1).ravel()
+
+    c = np.concatenate([
+        alpha * sides(area * (fp + hp), area * (fm - hp)),
+        vol / dt,
+        alpha * (area * dup_dflux),
+        ((vol / dt)[:, None] * uhat).ravel(),
+        -alpha * pressure_derivative(rho, params),
+        alpha * sides(a * (fp[:, None] * wsel + hp * mean), a * (fm[:, None] * wsel - hp * mean)),
+        (alpha * (a * dup_dflux[:, None] * wsel)).ravel(),
+    ])
+    s = np.concatenate([
+        vol * (rho / dt), np.ones(len(int_f)),
+        alpha * sides(area * (np.maximum(up, 0.0) - half_stab),
+                      area * (np.minimum(up, 0.0) - half_stab)),
+    ])
+    data = jm.coefficients @ c
+    scalar = jm.scalar @ s
+    for pos in jm.scalar_positions:
+        data[pos] += scalar
+    n = len(jm.indptr) - 1
+    J = sp.csr_matrix((data, jm.indices.copy(), jm.indptr.copy()), shape=(n, n))
+    J.eliminate_zeros()
     return J
 
 

@@ -37,8 +37,8 @@ diagonal pivots, which their symmetric patterns allow.  A result that fails
 the residual acceptance check of `linear_solve` is discarded, the factors are
 dropped and the same system is solved by sparse direct LU, which every other
 linear solve uses.  GMRES needs J only through products and its diagonal
-blocks, so J has no fixed pattern: entries that cancel exactly are not
-stored.
+blocks; `scheme.jacobian` stores no exact zeros, so neither do the blocks
+factored here.
 """
 from __future__ import annotations
 

@@ -3,6 +3,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
 import nsfemdg
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -20,3 +24,16 @@ def test_benchmark_targets_exist():
     missing = [f"{mod}.{fn}" for mod, fn in spans.TARGETS
                if not callable(getattr(importlib.import_module(f"nsfemdg.{mod}"), fn, None))]
     assert missing == []
+
+
+def test_jacobian_is_a_sparse_matrix_superlu_factors():
+    """The benchmark reads J.nnz and factors J with SuperLU."""
+    mesh = nsfemdg.build_box_mesh(1)
+    params = nsfemdg.SchemeParams()
+    state = nsfemdg.initial_state(*nsfemdg.PRESETS["bump"](), mesh, params)
+    J = nsfemdg.jacobian(state, state, params, mesh)
+    assert sp.issparse(J)
+    assert J.nnz > 0
+    b = np.arange(1.0, J.shape[0] + 1.0)
+    x = spla.splu(sp.csc_matrix(J)).solve(b)
+    assert np.abs(J @ x - b).max() < 1e-10 * np.abs(b).max()

@@ -284,15 +284,27 @@ def test_jacobian_matches_fd(mesh1, params):
     assert np.abs(J - J_fd).max() / np.abs(J_fd).max() < 1e-5
 
 
+def _rest(mesh):
+    """Uniform rest: the state where most Jacobian entries cancel."""
+    return scheme.State(np.full(mesh.n_elems, 1.3), np.zeros((mesh.n_faces, 3)), k=1, t=0.0)
+
+
+def _assert_alpha_affine(prev, cur, params, mesh):
+    J0 = scheme.jacobian(prev, cur, params, mesh, alpha=0.0).toarray()
+    J1 = scheme.jacobian(prev, cur, params, mesh, alpha=1.0).toarray()
+    Jh = scheme.jacobian(prev, cur, params, mesh, alpha=0.5).toarray()
+    assert np.allclose(Jh, 0.5 * (J0 + J1), atol=1e-13)
+
+
 def test_jacobian_alpha_affine(mesh1, params):
-    # Uniform rest is the state where most entries cancel.
-    rest = scheme.State(np.full(mesh1.n_elems, 1.3), np.zeros((mesh1.n_faces, 3)),
-                        k=1, t=0.0)
+    rest = _rest(mesh1)
     for prev, cur in (random_pair(mesh1, params, seed=31), (rest, rest)):
-        J0 = scheme.jacobian(prev, cur, params, mesh1, alpha=0.0).toarray()
-        J1 = scheme.jacobian(prev, cur, params, mesh1, alpha=1.0).toarray()
-        Jh = scheme.jacobian(prev, cur, params, mesh1, alpha=0.5).toarray()
-        assert np.allclose(Jh, 0.5 * (J0 + J1), atol=1e-13)
+        _assert_alpha_affine(prev, cur, params, mesh1)
+
+
+def test_jacobian_alpha_affine_at_rest_on_several_cubes(mesh2, params):
+    rest = _rest(mesh2)
+    _assert_alpha_affine(rest, rest, params, mesh2)
 
 
 def test_jacobian_fd_at_half_alpha(mesh1, params):
@@ -301,6 +313,55 @@ def test_jacobian_fd_at_half_alpha(mesh1, params):
     J = scheme.jacobian(prev, cur, params, mesh1, alpha=0.5).toarray()
     J_fd = oracles.jacobian_fd(prev, cur, params, mesh1, alpha=0.5)
     assert np.abs(J - J_fd).max() / np.abs(J_fd).max() < 1e-5
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_jacobian_matches_fd_on_several_cubes(mesh2, params, alpha):
+    """On n = 2 faces and elements of different cubes couple, which n = 1 lacks."""
+    prev, cur = random_pair(mesh2, params, seed=34)
+    cur = _kink_safe(mesh2, cur)
+    J = scheme.jacobian(prev, cur, params, mesh2, alpha=alpha).toarray()
+    J_fd = oracles.jacobian_fd(prev, cur, params, mesh2, alpha=alpha)
+    assert np.abs(J - J_fd).max() / np.abs(J_fd).max() < 1e-5
+
+
+def test_jacobian_map_is_built_once_per_mesh(params):
+    mesh, twin = build_box_mesh(1), build_box_mesh(1)
+    prev, cur = random_pair(mesh, params, seed=35)
+    first = scheme.jacobian(prev, cur, params, mesh)
+    jm = scheme.jacobian_map(mesh)
+    again = scheme.jacobian(prev, cur, params, mesh)
+    assert scheme.jacobian_map(mesh) is jm
+    assert scheme.jacobian_map(twin) is not jm
+    assert scheme.jacobian_map(build_box_mesh(2)).indptr.size != jm.indptr.size
+    twin_J = scheme.jacobian(prev, cur, params, twin)
+    for J in (again, twin_J):
+        assert np.array_equal(J.indptr, first.indptr)
+        assert np.array_equal(J.indices, first.indices)
+        assert np.array_equal(J.data, first.data)
+
+
+def test_jacobian_is_canonical_without_stored_zeros(mesh2, params):
+    rest = _rest(mesh2)
+    for (prev, cur), alpha in ((random_pair(mesh2, params, seed=36), 1.0),
+                               ((rest, rest), 1.0), ((rest, rest), 0.0)):
+        J = scheme.jacobian(prev, cur, params, mesh2, alpha=alpha)
+        assert J.has_canonical_format
+        row = np.repeat(np.arange(J.shape[0]), np.diff(J.indptr))
+        assert np.all(np.diff(row * J.shape[1] + J.indices) > 0)   # sorted, no duplicates
+        assert np.all(J.data != 0.0)
+
+
+def test_changing_a_jacobian_leaves_the_next_one_unchanged(mesh2, params):
+    prev, cur = random_pair(mesh2, params, seed=37)
+    J = scheme.jacobian(prev, cur, params, mesh2)
+    expected = J.copy()
+    J.data[:] = 0.0
+    J.eliminate_zeros()
+    again = scheme.jacobian(prev, cur, params, mesh2)
+    assert np.array_equal(again.indptr, expected.indptr)
+    assert np.array_equal(again.indices, expected.indices)
+    assert np.array_equal(again.data, expected.data)
 
 
 def test_interior_stiffness_spd(mesh1):
