@@ -23,6 +23,7 @@ if _threads:
 from .mesh import Mesh, build_box_mesh, find_elements, mesh_metrics
 from .scheme import (
     PRESETS,
+    InitialDataError,
     RunResult,
     SchemeParams,
     State,
@@ -46,6 +47,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EnergyLedger",
+    "InitialDataError",
     "Mesh",
     "PRESETS",
     "PolynomialField",

@@ -86,8 +86,19 @@ class RunConfig:
             raise ConfigError(f"unknown study kind {self.kind!r}; choose from {tuple(_STUDY_READS)}")
         if not self.ns or any(m < 1 for m in self.ns):
             raise ConfigError(f"ns must be positive integers, got {self.ns}")
+        if self.kind == "cauchy" and not _nested(self.ns):
+            raise ConfigError(f"cauchy needs at least two ns, each a larger multiple of "
+                              f"the one before, got {self.ns}")
+        if self.sigma <= 0.0:
+            raise ConfigError(f"sigma must be > 0, got {self.sigma}")
         self.params()  # surfaces scheme parameter violations as config errors
         return self
+
+
+def _nested(ns: tuple[int, ...]) -> bool:
+    """Whether each mesh of the family refines the one before: n -> k n for
+    an integer k >= 2, the only case in which build_box_mesh nests them."""
+    return len(ns) >= 2 and all(b > a and b % a == 0 for a, b in zip(ns, ns[1:]))
 
 
 _PHYSICS = get_type_hints(scheme.SchemeParams)
@@ -430,7 +441,7 @@ def main(argv=None) -> int:
         if args.command == "check":
             return cmd_check(cfg)
         return cmd_study(cfg)
-    except ConfigError as exc:
+    except (ConfigError, scheme.InitialDataError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except (solver.StepFailure, solver.SolverError) as exc:

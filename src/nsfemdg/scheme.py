@@ -164,19 +164,21 @@ def pressure_derivative(rho, params: SchemeParams):
 _PROJECTION_DEGREE = 2   # quadrature degree of the initial projection
 
 
+class InitialDataError(ValueError):
+    """Initial data the scheme cannot start from."""
+
+
 def initial_state(rho0: Callable, m0: Callable, mesh: Mesh, params: SchemeParams) -> State:
     """Project initial data: elementwise mean density plus the kappa*h floor,
-    and face averages of m0 / (rho0 + kappa*h) with no-slip dofs zeroed."""
+    and face averages of m0 / (rho0 + kappa*h) with no-slip dofs zeroed.
+    Raises InitialDataError if rho0 is negative at a quadrature point."""
     floor = params.kappa * mesh.h
 
-    pts, _ = elem_quad_points(mesh, _PROJECTION_DEGREE)
-    if np.asarray(rho0(pts.reshape(-1, 3))).min() < 0.0:
-        raise ValueError("initial density is negative at a quadrature point")
+    for points in (elem_quad_points, face_quad_points):
+        pts, _ = points(mesh, _PROJECTION_DEGREE)
+        if np.asarray(rho0(pts.reshape(-1, 3))).min() < 0.0:
+            raise InitialDataError("initial density is negative at a quadrature point")
     rho = cell_means(rho0, mesh, _PROJECTION_DEGREE) + floor
-
-    fpts, _ = face_quad_points(mesh, _PROJECTION_DEGREE)
-    if np.asarray(rho0(fpts.reshape(-1, 3))).min() < 0.0:
-        raise ValueError("initial density is negative at a quadrature point")
 
     def velocity(p):
         return np.asarray(m0(p), dtype=float) / (

@@ -8,10 +8,16 @@ The alpha = 0 state is computed once per step and is the start of every
 schedule.  The first schedule is {0, 1}; on failure the step restarts with
 {0, 1/4, 1/2, 3/4, 1} and finally the uniform schedule of `homotopy_steps`
 steps (`schedules`).  A trial Newton update is accepted only if every density
-stays strictly positive and the residual norm decreases; after the tolerance
-is met the iteration continues while it still gains whole digits, so accepted
-steps typically sit at the rounding floor of the residual, which is what makes
-discrete mass conservation hold to near machine precision.
+stays strictly positive and the residual norm decreases.  After the tolerance
+is met the iteration goes on to the rounding floor of the residual, which is
+what makes discrete mass conservation hold to near machine precision: a node
+ends at an iterate below the tolerance once the step that reached it gained
+less than a digit, or once its residual is at most FLOOR_FACTOR u |||J| |x|||
+(u the unit roundoff, J and x the previous iterate's matrix and iterate), a
+normwise backward error of a few u at which no further step can gain a digit
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, ch.
+12).  The floor test costs no Jacobian, linear solve or residual: |J| is
+formed in place of J once J has been solved with.
 
 Each Newton matrix J = [[A, B], [C, D]] (densities first, then the
 interleaved velocity components) is solved by restarted GMRES (Saad &
@@ -35,10 +41,11 @@ base; if it misses, its iterate is discarded, the matrix is refactored and
 solved afresh.  Both blocks are ordered by minimum degree on A^T + A with
 diagonal pivots, which their symmetric patterns allow.  A result that fails
 the residual acceptance check of `linear_solve` is discarded, the factors are
-dropped and the same system is solved by sparse direct LU, which every other
-linear solve uses.  GMRES needs J only through products and its diagonal
-blocks; `scheme.jacobian` stores no exact zeros, so neither do the blocks
-factored here.
+dropped and the same system is solved by sparse direct LU.  The symmetric
+positive definite alpha = 0 system is factored with the blocks' settings.
+GMRES needs J only through products and its diagonal blocks;
+`scheme.jacobian` stores no exact zeros, so neither do the blocks factored
+here.
 """
 from __future__ import annotations
 
@@ -74,10 +81,17 @@ class StepFailure(RuntimeError):
 # Line search: the step length is multiplied by BACKTRACK_FACTOR until the
 # update keeps every density positive and lowers the residual norm, giving up
 # below BACKTRACK_FLOOR.  Below the Newton tolerance the iteration goes on
-# while each step still divides the residual norm by at least POLISH_GAIN.
+# while each step still divides the residual norm by at least POLISH_GAIN and
+# the residual is above FLOOR_FACTOR UNIT_ROUNDOFF |||J| |x|||_inf.  Over nine
+# bump, shear and stress configurations (n = 2-4), |r|_inf / (u |||J| |x|||)
+# was 0.11-3.9 at 92 of the 94 iterates below the tolerance whose next step
+# gained under a digit (6.1 and 6.6 at the other two) and at least 3.9 at the
+# 67 whose next step gained one or more; all but one of those were above 12.
 BACKTRACK_FACTOR = 0.5
 BACKTRACK_FLOOR = 1e-4
 POLISH_GAIN = 10.0
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+FLOOR_FACTOR = 4.0
 
 
 def schedules(uniform_steps: int) -> list[tuple]:
@@ -133,14 +147,17 @@ KRYLOV_RTOL = 1e-15
 # stress configuration (gamma 6, c 4, amp 30, n=4 x4) 6-7% slower.
 STALE_GROWTH = 2.0
 
-# SuperLU settings of both blocks.  Their patterns are symmetric, so they
-# are ordered by minimum degree on A^T + A and factored with diagonal
-# pivots.  Measured on the first bump Newton matrix, 2-core host: the
-# velocity block's fill at n = 4/6/8 falls 92k/708k/3.40M -> 53k/522k/2.49M
-# against SuperLU's default ordering, its factorization 4.4/43/323 ->
-# 2.6/42/248 ms; the same ordering with partial pivoting took 717 ms at n=8.
-# A zero pivot raises RuntimeError, which sends the system to the direct
-# solve.
+# SuperLU settings of both blocks and of the alpha = 0 system.  Their
+# patterns are symmetric, so they are ordered by minimum degree on A^T + A
+# and factored with diagonal pivots.  Measured on the first bump Newton
+# matrix, 2-core host: the velocity block's fill at n = 4/6/8 falls
+# 92k/708k/3.40M -> 53k/522k/2.49M against SuperLU's default ordering, its
+# factorization 4.4/43/323 -> 2.6/42/248 ms; the same ordering with partial
+# pivoting took 717 ms at n=8.  The alpha = 0 solve for three right-hand
+# sides, with its assembly, fell 5.7 -> 3.2 ms at n=4 and 32 -> 11 ms at n=6
+# against spsolve's defaults.
+# A zero pivot raises RuntimeError, which sends a Newton system to the
+# direct solve; in the alpha = 0 solve it becomes a SolverError.
 BLOCK_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options=dict(SymmetricMode=True))
 
@@ -347,10 +364,18 @@ def alpha0_solve(prev, params, mesh: Mesh) -> "scheme.State":
     Ms = scheme.interior_weighted_mass(mesh, rho_prev)
     Ks = scheme.interior_stiffness(mesh)
 
-    # One scalar system, factored once, for the three velocity components.
+    # One scalar system, factored once, for the three velocity components;
+    # it is symmetric positive definite, so the blocks' SuperLU settings hold.
     uhat_prev = scheme.element_average(prev.u, mesh)
     rhs = scheme.mesh_operators(mesh).avg.T @ ((mesh.elem_volume * rho_prev)[:, None] * uhat_prev)
-    u = linear_solve(Ms + dt * Ks, rhs)
+    A = sp.csc_matrix(Ms + dt * Ks)
+    try:
+        u = spla.splu(A, **BLOCK_LU).solve(rhs)
+    except RuntimeError as exc:   # exactly singular
+        raise SolverError(f"alpha = 0 system: {exc}") from exc
+    reason = _rejection(u, rhs - A @ u, rhs)
+    if reason is not None:
+        raise SolverError(reason)
 
     state = scheme.unpack(
         np.concatenate([rho_prev, u.ravel()]), mesh, prev.k + 1, prev.t + dt
@@ -401,18 +426,21 @@ def _newton_at_alpha(prev, x, alpha, params, mesh, diag, factors):
 
     guess, r, norm = res_norm(x)
     gain = 0.0   # entry below tolerance converges with zero iterations
+    floor = 0.0  # rounding floor of the residual, once a Jacobian is known
     while diag.newton_iters < params.newton_max_iter:
         diag.residual_norm = norm
-        if norm == 0.0:
+        if norm <= tol and (gain < POLISH_GAIN or norm <= floor):
             return x, True
-        if norm <= tol and gain < POLISH_GAIN:
-            return x, True
+        J = scheme.jacobian(prev, guess, params, mesh, alpha=alpha)
         try:
-            # No name holds J, so it is freed before the next one is built.
-            delta = linear_solve(scheme.jacobian(prev, guess, params, mesh, alpha=alpha), -r,
-                                 n_density=ne, stats=diag, factors=factors)
+            delta = linear_solve(J, -r, n_density=ne, stats=diag, factors=factors)
         except SolverError:
             return (x, True) if norm <= tol else (x, False)
+        # J is not needed again: made |J| in place, it gives the floor, and
+        # no name holds it while the next one is built.
+        np.abs(J.data, out=J.data)
+        floor = FLOOR_FACTOR * UNIT_ROUNDOFF * (J @ np.abs(x)).max()
+        del J
 
         step = 1.0
         accepted = False

@@ -102,6 +102,8 @@ def test_box_needs_six_numbers():
     ("T", "inf", "not a finite number"),
     ("T", "nan", "not a finite number"),
     ("gamma", "nan", "not a finite number"),
+    ("sigma", "0", "sigma must be > 0"),
+    ("sigma", "-0.1", "sigma must be > 0"),
 ])
 def test_validation_rejects(key, value, match):
     with pytest.raises(ConfigError, match=match):
@@ -220,6 +222,20 @@ def test_short_key_is_not_an_abbreviation(tmp_path):
     assert t == pytest.approx(4.0 * cli.build_box_mesh(1).h, rel=1e-12)
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--rho_bar", "-1"],
+    ["run", "--preset", "bump", "--amp", "-2", "--n", "4"],
+    ["study", "--kind", "cauchy", "--preset", "bump", "--amp", "-3", "--ns", "1 2"],
+])
+def test_negative_initial_density_exits_one(argv, tmp_path, capsys):
+    rc = cli.main([*argv, "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "configuration error: initial density is negative at a quadrature point\n")
+    assert not (tmp_path / "out" / "diagnostics.csv").exists()
+    assert not (tmp_path / "out" / "cauchy.csv").exists()
+
+
 def test_unconverged_run_exits_two(tmp_path, capsys):
     rc = cli.main(["run", "--preset", "bump", "--n", "1", "--steps", "1",
                    "--newton_tol", "1e-30", "--newton_max_iter", "1",
@@ -320,6 +336,20 @@ def test_study_cauchy_preset(tmp_path):
     h1, h2 = (cli.build_box_mesh(n).h for n in (1, 2))
     kappa = scheme.SchemeParams().kappa
     assert diff("--preset", "stationary") == pytest.approx(kappa * (h1 - h2) * np.sqrt(0.1))
+
+
+@pytest.mark.parametrize("ns", ["2", "4 2", "2 3", "3 3"])
+def test_study_cauchy_needs_nested_meshes(ns, tmp_path, capsys):
+    """Each mesh of a Cauchy family must refine the one before: n -> k n."""
+    outdir = tmp_path / "study"
+    rc = cli.main(["study", "--kind", "cauchy", "--ns", ns, "--outdir", str(outdir)])
+    assert rc == 1
+    assert "configuration error: cauchy needs at least two ns" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_rates_family_need_not_nest():
+    assert parse_config(None, [("kind", "rates"), ("ns", "4 2 3")]).ns == (4, 2, 3)
 
 
 def test_study_rejects_steps(tmp_path, capsys):

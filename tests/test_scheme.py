@@ -112,7 +112,7 @@ def test_initial_state_negative_density_rejected(mesh1, params):
     def m0(p):
         return np.zeros((np.atleast_2d(p).shape[0], 3))
 
-    with pytest.raises(ValueError):
+    with pytest.raises(scheme.InitialDataError, match="negative"):
         scheme.initial_state(rho0, m0, mesh1, params)
 
 

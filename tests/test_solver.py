@@ -401,6 +401,59 @@ def test_mass_conserved_per_step(mesh2, params):
     assert abs(m1 - m0) / m0 < 1e-12
 
 
+def rounding_floor(J, x):
+    """FLOOR_FACTOR u |||J| |x|||_inf: residuals below it are rounding noise."""
+    return solver.FLOOR_FACTOR * solver.UNIT_ROUNDOFF * (abs(J) @ np.abs(x)).max()
+
+
+def test_no_newton_solve_at_the_rounding_floor(mesh2, params, monkeypatch):
+    """Bump n=2: every Newton matrix is solved at an iterate whose residual
+    is above its rounding floor; the step still converges and conserves mass."""
+    floors, residuals = [], []
+    jacobian, linear_solve = scheme.jacobian, solver.linear_solve
+
+    def recorded_jacobian(prev, guess, *args, **kwargs):
+        J = jacobian(prev, guess, *args, **kwargs)
+        floors.append(rounding_floor(J, scheme.pack(guess, mesh2)))
+        return J
+
+    def recorded_solve(J, b, **kwargs):
+        residuals.append(np.abs(b).max())
+        return linear_solve(J, b, **kwargs)
+
+    monkeypatch.setattr(scheme, "jacobian", recorded_jacobian)
+    monkeypatch.setattr(solver, "linear_solve", recorded_solve)
+    prev = bump_state(mesh2, params)
+    new, diag = solver.homotopy_newton_solve(prev, params, mesh2)
+    assert len(residuals) == len(floors) == diag.newton_iters > 0
+    assert all(r > f for r, f in zip(residuals, floors))
+    assert scheme.residual(prev, new, params, mesh2).norm_inf() <= params.newton_tol
+    m0 = np.sum(mesh2.elem_volume * prev.rho)
+    assert abs(np.sum(mesh2.elem_volume * new.rho) - m0) / m0 < 1e-12
+
+
+def test_loose_tolerance_still_polishes_to_the_floor(mesh2, monkeypatch):
+    """With newton_tol 1e-4 the node goes on past the tolerance until the
+    residual reaches its rounding floor or a step gains under POLISH_GAIN."""
+    params = scheme.SchemeParams(newton_tol=1e-4)
+    solved_at = []
+    linear_solve = solver.linear_solve
+
+    def recorded_solve(J, b, **kwargs):
+        solved_at.append(np.abs(b).max())
+        return linear_solve(J, b, **kwargs)
+
+    monkeypatch.setattr(solver, "linear_solve", recorded_solve)
+    prev = bump_state(mesh2, params)
+    new, diag = solver.homotopy_newton_solve(prev, params, mesh2)
+    assert diag.schedule_index == 0 and diag.alpha_nodes_used == 2   # one node, alpha = 1
+    final = diag.residual_norm
+    assert final == scheme.residual(prev, new, params, mesh2).norm_inf()
+    assert min(solved_at) <= params.newton_tol   # polished past the tolerance
+    floor = rounding_floor(scheme.jacobian(prev, new, params, mesh2), scheme.pack(new, mesh2))
+    assert final <= floor or solved_at[-1] / final < solver.POLISH_GAIN
+
+
 def test_step_failure_reports_context(mesh2):
     params = scheme.SchemeParams(newton_tol=1e-16, newton_max_iter=1,
                                  homotopy_steps=2)
