@@ -67,6 +67,27 @@ class RunConfig:
     def mesh(self):
         return build_box_mesh(self.n, self.box[:3], self.box[3:])
 
+    @property
+    def initial_preset(self) -> str:
+        """The preset whose initial data a run starts from.  At rest the
+        stationary default has no dynamics to refine, so a Cauchy study
+        starts from the bump unless a preset is given."""
+        if self.kind == "cauchy" and "preset" not in self.given:
+            return "bump"
+        return self.preset
+
+    def initial_density_min(self) -> float:
+        """Minimum over the box of the initial density, in closed form: the
+        bump's extremum is its centre, the middle of the box, for amp < 0 and
+        the box corners otherwise; the other presets are uniform."""
+        if self.initial_preset != "bump":
+            return self.rho_bar
+        if self.amp < 0.0:
+            return self.rho_bar + self.amp
+        lo, hi = np.asarray(self.box[:3]), np.asarray(self.box[3:])
+        r2 = float(np.sum((0.5 * (hi - lo)) ** 2))
+        return self.rho_bar + self.amp * float(np.exp(-r2 / self.sigma**2))
+
     def validate(self) -> "RunConfig":
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
@@ -89,8 +110,14 @@ class RunConfig:
         if self.kind == "cauchy" and not _nested(self.ns):
             raise ConfigError(f"cauchy needs at least two ns, each a larger multiple of "
                               f"the one before, got {self.ns}")
+        if self.kind == "rates" and len(set(self.ns)) < 2:
+            raise ConfigError(f"rates fits an order, so it needs at least two distinct ns, "
+                              f"got {self.ns}")
         if self.sigma <= 0.0:
             raise ConfigError(f"sigma must be > 0, got {self.sigma}")
+        if self.initial_density_min() < 0.0:
+            raise ConfigError(f"initial density of preset {self.initial_preset} is negative: "
+                              f"its minimum over the box is {self.initial_density_min():.6g}")
         self.params()  # surfaces scheme parameter violations as config errors
         return self
 
@@ -328,11 +355,8 @@ def cmd_check(cfg: RunConfig, corrupt: str | None = None) -> int:
 
 def _study_run(cfg: RunConfig, n: int, T: float):
     mesh = build_box_mesh(n, cfg.box[:3], cfg.box[3:])
-    # At rest the stationary default has no dynamics to refine; a study
-    # starts from the bump unless a preset is given.
-    preset = cfg.preset if "preset" in cfg.given else "bump"
     rho0, m0 = scheme.make_initial_data(
-        preset, cfg.rho_bar, cfg.amp, cfg.sigma, mesh.box_lo, mesh.box_hi
+        cfg.initial_preset, cfg.rho_bar, cfg.amp, cfg.sigma, mesh.box_lo, mesh.box_hi
     )
     return scheme.run(mesh, cfg.params(), rho0, m0, T=T)
 

@@ -27,6 +27,7 @@ from .spaces import (
     flux_reconstruction,
     interpolation_errors,
     normal_flux,
+    quad_blocks,
 )
 
 
@@ -174,30 +175,48 @@ class TransportMoments:
 
 
 def transport_moments(mesh: Mesh, phi, v, degree: int = 2) -> TransportMoments:
-    """Evaluate phi, grad phi, v and Dv once at the element and face points."""
+    """Evaluate phi, grad phi, v and Dv once at the element and face points,
+    one block of elements (faces) at a time."""
     pts, w = elem_quad_points(mesh, degree)
     ne, nq = pts.shape[:2]
-    flat = pts.reshape(-1, 3)
-    grad = phi.gradient(flat).reshape(ne, nq, 3)
-    J = v.jacobian(flat).reshape(ne, nq, 3, 3)
-    phat = np.einsum("q,eq->e", w, np.asarray(phi(flat), dtype=float).reshape(ne, nq))
-    v_mean = np.einsum("q,eqi->ei", w, np.asarray(v(flat), dtype=float).reshape(ne, nq, 3))
+    phat, x_grad_phi = np.empty(ne), np.empty(ne)
+    grad_phi, dv_x, v_mean = np.empty((ne, 3)), np.empty((ne, 3)), np.empty((ne, 3))
+    dv = np.empty((ne, 3, 3))
+    for blk in quad_blocks(ne):
+        p = pts[blk]
+        flat = p.reshape(-1, 3)
+        nb = len(p)
+        grad = phi.gradient(flat).reshape(nb, nq, 3)
+        J = v.jacobian(flat).reshape(nb, nq, 3, 3)
+        phat[blk] = np.einsum("q,eq->e", w, np.asarray(phi(flat), dtype=float).reshape(nb, nq))
+        v_mean[blk] = np.einsum("q,eqi->ei", w,
+                                np.asarray(v(flat), dtype=float).reshape(nb, nq, 3))
+        grad_phi[blk] = np.einsum("q,eqi->ei", w, grad)
+        x_grad_phi[blk] = np.einsum("q,eqi,eqi->e", w, p, grad)
+        dv[blk] = np.einsum("q,eqij->eij", w, J)
+        dv_x[blk] = np.einsum("q,eqi->ei", w, (J @ p[..., None])[..., 0])
 
     fpts, fw = face_quad_points(mesh, degree)
-    fflat = fpts.reshape(-1, 3)
     nf, nfq = fpts.shape[:2]
-    phi_fmean = np.einsum("q,fq->f", fw, np.asarray(phi(fflat), dtype=float).reshape(nf, nfq))
-    v_fmean = np.einsum("q,fqi->fi", fw, np.asarray(v(fflat), dtype=float).reshape(nf, nfq, 3))
+    phi_fmean, v_fmean = np.empty(nf), np.empty((nf, 3))
+    for blk in quad_blocks(nf):
+        fp = fpts[blk]
+        fflat = fp.reshape(-1, 3)
+        nb = len(fp)
+        phi_fmean[blk] = np.einsum("q,fq->f", fw,
+                                   np.asarray(phi(fflat), dtype=float).reshape(nb, nfq))
+        v_fmean[blk] = np.einsum("q,fqi->fi", fw,
+                                 np.asarray(v(fflat), dtype=float).reshape(nb, nfq, 3))
 
     return TransportMoments(
         phat=phat,
-        grad_phi=np.einsum("q,eqi->ei", w, grad),
-        x_grad_phi=np.einsum("q,eqi,eqi->e", w, pts, grad),
+        grad_phi=grad_phi,
+        x_grad_phi=x_grad_phi,
         phi_face=mesh.face_area * phi_fmean,
         # v_fmean are the face dofs of interpolate_v(v).
         what=v_fmean[mesh.elem_faces].mean(axis=1),
-        dv=np.einsum("q,eqij->eij", w, J),
-        dv_x=np.einsum("q,eqij,eqj->ei", w, J, pts),
+        dv=dv,
+        dv_x=dv_x,
         v_face=mesh.face_area[:, None] * v_fmean,
         v_elem=mesh.elem_volume[:, None] * v_mean,
     )

@@ -222,8 +222,9 @@ class BlockFactors:
 def linear_solve(A: sp.spmatrix, b: NDArrayF, n_density: int | None = None,
                  stats: StepDiagnostics | None = None,
                  factors: BlockFactors | None = None) -> NDArrayF:
-    """Solve A x = b, accepting x only if it is finite with
-    |A x - b|_inf <= 1e-10 (1 + |b|_inf); raises SolverError otherwise.
+    """Solve A x = b for one right-hand side b, accepting x only if it is
+    finite with |A x - b|_inf <= 1e-10 (1 + |b|_inf); raises SolverError
+    otherwise.
 
     Given `n_density`, A is a Newton matrix with that many density unknowns
     first: it is solved by preconditioned GMRES, and by sparse direct LU only
@@ -231,7 +232,7 @@ def linear_solve(A: sp.spmatrix, b: NDArrayF, n_density: int | None = None,
     preconditioner from the previous Newton matrix and on to the next; without
     it the blocks are factored for this matrix alone.  `stats` then counts the
     Krylov iterations, factorizations and direct fallbacks.  Otherwise the
-    solve is direct; b may then hold several right-hand sides as columns.
+    solve is direct.
     """
     if n_density is not None:
         stats = stats if stats is not None else StepDiagnostics()

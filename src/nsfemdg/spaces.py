@@ -95,14 +95,29 @@ def _gauss01(n: int, alpha: int):
 def elem_quad_points(mesh: Mesh, degree: int) -> tuple[NDArrayF, NDArrayF]:
     """Physical quadrature points (n_elems, nq, 3) and weights summing to 1."""
     bary, w = tet_rule(degree)
-    pts = np.einsum("qi,eij->eqj", bary, mesh.vertices[mesh.tets])
-    return pts, w
+    return bary @ mesh.vertices[mesh.tets], w
 
 
 def face_quad_points(mesh: Mesh, degree: int) -> tuple[NDArrayF, NDArrayF]:
     bary, w = tri_rule(degree)
-    pts = np.einsum("qi,fij->fqj", bary, mesh.vertices[mesh.face_vertices])
-    return pts, w
+    return bary @ mesh.vertices[mesh.face_vertices], w
+
+
+# Elements (or faces) per block wherever whole-mesh arrays of values at the
+# quadrature points would be large (`interpolation_errors`,
+# `diagnostics.transport_moments`): one (QUAD_BLOCK, nq, 3, 3) float64 array
+# of the degree-6 rule (nq = 64) takes at most 2 MB, and a block's
+# temporaries about three times that.  Each block is reduced to per-element
+# values.  A multiple of 64 starts every block at a multiple of 64 nq
+# point rows, so BLAS kernels, whose results for a row can depend on its
+# offset modulo their unrolling, treat each point as in one whole-mesh call,
+# and no result depends on the blocking.
+QUAD_BLOCK = (2 << 20) // (64 * 3 * 3 * 8) // 64 * 64
+
+
+def quad_blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most QUAD_BLOCK rows covering range(n)."""
+    return [slice(start, min(start + QUAD_BLOCK, n)) for start in range(0, n, QUAD_BLOCK)]
 
 
 # ---------------------------------------------------------------------------
@@ -283,21 +298,28 @@ def orthogonality_residual(u: NDArrayF, field, mesh: Mesh, degree: int = 2) -> f
 def interpolation_errors(field, mesh: Mesh, degree: int = 6) -> tuple[float, float]:
     """(L2 error, broken-H1 seminorm error) of the face-average interpolant."""
     interp = interpolate_v(field, mesh, degree=degree)
-    coeff = np.einsum("elk,eki->eli", p1_coefficients(mesh), interp[mesh.elem_faces])
+    coeff = p1_coefficients(mesh) @ interp[mesh.elem_faces]
     a, d = coeff[:, :3, :], coeff[:, 3, :]
+    grad = a.transpose(0, 2, 1)                    # broken_gradient(interp, mesh)
     pts, w = elem_quad_points(mesh, degree)
-    # The errors are formed in place and contracted with themselves: at high
-    # degree on fine meshes each (n_elems, nq, ...) array is tens of MB.
-    err = np.einsum("eqj,eji->eqi", pts, a)
-    err += d[:, None, :]
-    err -= np.asarray(field(pts.reshape(-1, 3))).reshape(err.shape)
-    l2 = np.sqrt(np.sum(mesh.elem_volume * np.einsum("q,eqi,eqi->e", w, err, err)))
-
-    # (J - G)^2 = (G - J)^2 bit for bit.
-    dif = field.jacobian(pts.reshape(-1, 3)).reshape(pts.shape[0], -1, 3, 3)
-    dif -= broken_gradient(interp, mesh)[:, None, :, :]
-    h1 = np.sqrt(np.sum(mesh.elem_volume * np.einsum("q,eqij,eqij->e", w, dif, dif)))
-    return float(l2), float(h1)
+    # Squared errors are summed per element, one block of elements at a time:
+    # at high degree on fine meshes each (n_elems, nq, ...) array would be
+    # tens of MB.
+    l2_sq = np.empty(mesh.n_elems)
+    h1_sq = np.empty(mesh.n_elems)
+    for blk in quad_blocks(mesh.n_elems):
+        p = pts[blk]
+        flat = p.reshape(-1, 3)
+        err = p @ a[blk]
+        err += d[blk, None, :]
+        err -= np.asarray(field(flat)).reshape(err.shape)
+        l2_sq[blk] = np.einsum("q,eqi,eqi->e", w, err, err)
+        # (J - G)^2 = (G - J)^2 bit for bit.
+        dif = field.jacobian(flat).reshape(len(p), -1, 3, 3)
+        dif -= grad[blk, None, :, :]
+        h1_sq[blk] = np.einsum("q,eqij,eqij->e", w, dif, dif)
+    vol = mesh.elem_volume
+    return float(np.sqrt(np.sum(vol * l2_sq))), float(np.sqrt(np.sum(vol * h1_sq)))
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +331,15 @@ def interpolation_errors(field, mesh: Mesh, degree: int = 6) -> tuple[float, flo
 
 
 def _monomials(pts: NDArrayF) -> NDArrayF:
-    """(npts, 10) values of the monomial basis at the points."""
+    """(npts, 10) values of the monomial basis at the points, as the
+    transposed view of a row-per-monomial array."""
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    return np.stack([np.ones_like(x), x, y, z, x * x, y * y, z * z, x * y, x * z, y * z],
-                    axis=1)
+    out = np.empty((10, len(pts)))
+    out[0] = 1.0
+    out[1:4] = pts.T
+    for row, (i, j) in enumerate(((x, x), (y, y), (z, z), (x, y), (x, z), (y, z)), start=4):
+        np.multiply(i, j, out=out[row])
+    return out.T
 
 
 # _GRAD_CONST[d, m]: constant part of d(monomial m)/dx_d.

@@ -226,14 +226,39 @@ def test_short_key_is_not_an_abbreviation(tmp_path):
     ["run", "--rho_bar", "-1"],
     ["run", "--preset", "bump", "--amp", "-2", "--n", "4"],
     ["study", "--kind", "cauchy", "--preset", "bump", "--amp", "-3", "--ns", "1 2"],
+    # At n=2 no quadrature point of the projection lies near the bump's
+    # centre, where rho0 = 1 - 2 < 0; the closed-form minimum sees it.
+    ["run", "--preset", "bump", "--amp", "-2"],
+    ["run", "--preset", "bump", "--amp", "-1.05", "--n", "4"],
+    # A Cauchy study starts from the bump when no preset is given.
+    ["study", "--kind", "cauchy", "--amp", "-1.05", "--ns", "1 2"],
 ])
 def test_negative_initial_density_exits_one(argv, tmp_path, capsys):
     rc = cli.main([*argv, "--outdir", str(tmp_path / "out")])
     assert rc == 1
-    assert capsys.readouterr().err == (
-        "configuration error: initial density is negative at a quadrature point\n")
-    assert not (tmp_path / "out" / "diagnostics.csv").exists()
-    assert not (tmp_path / "out" / "cauchy.csv").exists()
+    preset = "stationary" if "--rho_bar" in argv else "bump"
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: initial density of preset {preset} is negative: "
+        f"its minimum over the box is -")
+    assert not (tmp_path / "out").exists()
+
+
+def test_initial_density_minimum_is_over_the_box():
+    """A positive bump on a negative background is admissible when it lifts
+    the box corners above zero, and only then."""
+    wide = [("preset", "bump"), ("rho_bar", "-0.1"), ("amp", "1"), ("sigma", "10")]
+    assert parse_config(None, wide).initial_density_min() == pytest.approx(
+        -0.1 + np.exp(-0.75 / 100.0))
+    with pytest.raises(ConfigError, match="minimum over the box is -0.1$"):
+        parse_config(None, [*wide[:3], ("sigma", "0.15")])
+    bump = [("preset", "bump"), ("amp", "-1.05")]
+    with pytest.raises(ConfigError, match="minimum over the box is -0.05$"):
+        parse_config(None, bump)
+    # A Cauchy study starts from the bump when no preset is given.
+    with pytest.raises(ConfigError, match="preset bump is negative"):
+        parse_config(None, [("kind", "cauchy"), ("ns", "1 2"), ("amp", "-1.05")])
+    # The shear amplitude is a momentum, not a density.
+    assert parse_config(None, [("preset", "shear"), ("amp", "-5")]).initial_density_min() == 1.0
 
 
 def test_unconverged_run_exits_two(tmp_path, capsys):
@@ -350,6 +375,24 @@ def test_study_cauchy_needs_nested_meshes(ns, tmp_path, capsys):
 
 def test_rates_family_need_not_nest():
     assert parse_config(None, [("kind", "rates"), ("ns", "4 2 3")]).ns == (4, 2, 3)
+
+
+@pytest.mark.parametrize("ns", ["2", "3 3"])
+def test_study_rates_needs_two_mesh_sizes(ns, tmp_path, capsys):
+    """An order fitted through one mesh size is no measurement."""
+    outdir = tmp_path / "study"
+    rc = cli.main(["study", "--kind", "rates", "--ns", ns, "--outdir", str(outdir)])
+    assert rc == 1
+    assert "configuration error: rates fits an order, so it needs at least two distinct ns" in (
+        capsys.readouterr().err)
+    assert not outdir.exists()
+
+
+def test_study_pdecay_accepts_one_mesh(tmp_path):
+    outdir = tmp_path / "study"
+    assert cli.main(["study", "--kind", "pdecay", "--ns", "1", "--T", "0.2",
+                     "--outdir", str(outdir)]) == 0
+    assert len((outdir / "pdecay.csv").read_text().strip().splitlines()) == 2
 
 
 def test_study_rejects_steps(tmp_path, capsys):

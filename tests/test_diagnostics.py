@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from nsfemdg import diagnostics, io, scheme, solver
+from nsfemdg import diagnostics, io, scheme, solver, spaces
 from nsfemdg.mesh import build_box_mesh
 from nsfemdg.spaces import (
     PolynomialField,
@@ -19,6 +19,8 @@ from nsfemdg.spaces import (
     eval_flux_reconstruction,
     interpolate_v,
     normal_flux,
+    tet_rule,
+    tri_rule,
 )
 
 
@@ -249,6 +251,53 @@ def test_transport_volume_terms_match_direct_quadrature(n, degree):
         assert abs(ref_c) > 1e-3 and abs(ref_m) > 1e-3
         assert vol_c == pytest.approx(ref_c, rel=1e-13)
         assert vol_m == pytest.approx(ref_m, rel=1e-13)
+
+
+def _transport_moments_reference(mesh, phi, v, degree):
+    """Whole-mesh einsum evaluation of every moment."""
+    bary, w = tet_rule(degree)
+    pts = np.einsum("qi,eij->eqj", bary, mesh.vertices[mesh.tets])
+    ne, nq = pts.shape[:2]
+    flat = pts.reshape(-1, 3)
+    grad = phi.gradient(flat).reshape(ne, nq, 3)
+    J = v.jacobian(flat).reshape(ne, nq, 3, 3)
+    fbary, fw = tri_rule(degree)
+    fpts = np.einsum("qi,fij->fqj", fbary, mesh.vertices[mesh.face_vertices])
+    fflat = fpts.reshape(-1, 3)
+    phi_fmean = np.einsum("q,fq->f", fw, phi(fflat).reshape(fpts.shape[:2]))
+    v_fmean = np.einsum("q,fqi->fi", fw, v(fflat).reshape(fpts.shape))
+    return diagnostics.TransportMoments(
+        phat=np.einsum("q,eq->e", w, phi(flat).reshape(ne, nq)),
+        grad_phi=np.einsum("q,eqi->ei", w, grad),
+        x_grad_phi=np.einsum("q,eqi,eqi->e", w, pts, grad),
+        phi_face=mesh.face_area * phi_fmean,
+        what=v_fmean[mesh.elem_faces].mean(axis=1),
+        dv=np.einsum("q,eqij->eij", w, J),
+        dv_x=np.einsum("q,eqij,eqj->ei", w, J, pts),
+        v_face=mesh.face_area[:, None] * v_fmean,
+        v_elem=mesh.elem_volume[:, None] * np.einsum("q,eqi->ei", w, v(flat).reshape(ne, nq, 3)),
+    )
+
+
+@pytest.mark.parametrize("degree", [2, 4])
+def test_transport_moments_do_not_depend_on_the_block(degree, monkeypatch):
+    """Blocks of 64 of the 162 elements and 378 faces (the last ones ragged)
+    give the bits of one block, and both match the whole-mesh einsum
+    evaluation to rounding."""
+    mesh = build_box_mesh(3)
+    rng = np.random.default_rng(90 + degree)
+    phi = ScalarPolynomial.random(rng)
+    v = PolynomialField.random(rng)
+    monkeypatch.setattr(spaces, "QUAD_BLOCK", mesh.n_faces)
+    whole = diagnostics.transport_moments(mesh, phi, v, degree)
+    monkeypatch.setattr(spaces, "QUAD_BLOCK", 64)
+    assert mesh.n_elems % 64 and mesh.n_faces % 64
+    blocked = diagnostics.transport_moments(mesh, phi, v, degree)
+    ref = _transport_moments_reference(mesh, phi, v, degree)
+    for name in diagnostics.TransportMoments.__dataclass_fields__:
+        got, want = getattr(whole, name), getattr(ref, name)
+        assert np.array_equal(getattr(blocked, name), got), name
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), name
 
 
 def _count_moments(monkeypatch):

@@ -1,7 +1,10 @@
 """Quadrature, interpolation, reconstructions, and the identity residuals."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from nsfemdg import spaces
 from nsfemdg.mesh import build_box_mesh
 from nsfemdg.spaces import (
     PolynomialField,
@@ -23,6 +26,8 @@ from nsfemdg.spaces import (
     interpolation_errors,
     normal_flux,
     orthogonality_residual,
+    p1_coefficients,
+    quad_blocks,
     tet_rule,
     tri_rule,
 )
@@ -214,6 +219,85 @@ def test_interpolation_error_decreases():
     errs = [interpolation_errors(field, build_box_mesh(n)) for n in (2, 4)]
     assert errs[1][0] < 0.4 * errs[0][0]
     assert errs[1][1] < 0.7 * errs[0][1]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 4, 6])
+@pytest.mark.parametrize("box", [((0, 0, 0), (1, 1, 1)), ((-3, 1, 2), (5, 2, 9))])
+def test_quad_points_match_einsum_mapping(degree, box):
+    """The points are the barycentric combinations of the corners, within
+    4 ulp of the coordinates."""
+    mesh = build_box_mesh(2, *box)
+    for points, rule, corners in (
+            (elem_quad_points, tet_rule, mesh.vertices[mesh.tets]),
+            (face_quad_points, tri_rule, mesh.vertices[mesh.face_vertices])):
+        pts, w = points(mesh, degree)
+        bary, w_rule = rule(degree)
+        ref = np.einsum("qi,eij->eqj", bary, corners)
+        assert pts.shape == ref.shape
+        assert np.array_equal(w, w_rule)
+        assert np.abs(pts - ref).max() <= 4 * np.spacing(np.abs(corners).max())
+
+
+def test_monomials_match_column_stack():
+    pts = np.random.default_rng(5).uniform(-2.0, 2.0, size=(1001, 3))
+    x, y, z = pts.T
+    ref = np.stack([np.ones_like(x), x, y, z, x * x, y * y, z * z, x * y, x * z, y * z],
+                   axis=1)
+    assert np.array_equal(spaces._monomials(pts), ref)
+
+
+def test_quad_blocks_cover_the_range(monkeypatch):
+    monkeypatch.setattr(spaces, "QUAD_BLOCK", 7)
+    blocks = quad_blocks(48)
+    assert [(b.start, b.stop) for b in blocks] == [(k, min(k + 7, 48)) for k in range(0, 48, 7)]
+
+
+def _interpolation_errors_reference(field, mesh, degree=6):
+    """Whole-mesh einsum evaluation of the two interpolation errors."""
+    interp = interpolate_v(field, mesh, degree=degree)
+    coeff = np.einsum("elk,eki->eli", p1_coefficients(mesh), interp[mesh.elem_faces])
+    bary, w = tet_rule(degree)
+    pts = np.einsum("qi,eij->eqj", bary, mesh.vertices[mesh.tets])
+    flat = pts.reshape(-1, 3)
+    err = (np.einsum("eqj,eji->eqi", pts, coeff[:, :3, :]) + coeff[:, None, 3, :]
+           - field(flat).reshape(pts.shape))
+    dif = (field.jacobian(flat).reshape(*pts.shape, 3)
+           - broken_gradient(interp, mesh)[:, None, :, :])
+    vol = mesh.elem_volume
+    return (np.sqrt(np.sum(vol * np.einsum("q,eqi,eqi->e", w, err, err))),
+            np.sqrt(np.sum(vol * np.einsum("q,eqij,eqij->e", w, dif, dif))))
+
+
+@pytest.mark.parametrize("degree", [4, 6])
+@pytest.mark.parametrize("field", [SineField(k=1.5, amplitude=0.7),
+                                   PolynomialField.random(np.random.default_rng(3))])
+def test_interpolation_errors_do_not_depend_on_the_block(field, degree, monkeypatch):
+    """Blocks of 64 of the 162 elements (the last one ragged) give the bits
+    of one block, and both match the whole-mesh einsum evaluation."""
+    mesh = build_box_mesh(3)
+    monkeypatch.setattr(spaces, "QUAD_BLOCK", mesh.n_elems)
+    whole = interpolation_errors(field, mesh, degree)
+    monkeypatch.setattr(spaces, "QUAD_BLOCK", 64)
+    assert interpolation_errors(field, mesh, degree) == whole
+    ref = _interpolation_errors_reference(field, mesh, degree)
+    assert min(ref) > 1e-3
+    np.testing.assert_allclose(whole, ref, rtol=1e-14, atol=0.0)
+
+
+def test_interpolation_errors_memory_is_bounded_by_the_block():
+    """At n=8 and degree 6 the traced peak stays below one whole-mesh
+    (n_elems, nq, 3, 3) array of the field's Jacobian."""
+    mesh = build_box_mesh(8)
+    field = SineField()
+    interpolation_errors(field, mesh)       # the mesh caches are not counted
+    tracemalloc.start()
+    try:
+        interpolation_errors(field, mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nq = len(tet_rule(6)[1])
+    assert peak < mesh.n_elems * nq * 3 * 3 * 8
 
 
 # ---------------------------------------------------------------------------
