@@ -19,15 +19,15 @@ from .fluxes import upwind_momentum
 from .mesh import Mesh, NDArrayF, build_box_mesh, find_elements
 from .spaces import (
     apply_bc,
+    at_points,
     broken_divergence,
     broken_gradient,
     element_average,
-    elem_quad_points,
-    face_quad_points,
+    element_means,
+    face_means,
     flux_reconstruction,
     interpolation_errors,
     normal_flux,
-    quad_blocks,
 )
 
 
@@ -144,9 +144,9 @@ def csv_row(step, t, ledger: EnergyLedger, energy_margin, positivity_slack_val,
 # below verifies numerically.
 #
 # Everything the test functions contribute depends on the mesh alone, so it
-# is evaluated once per mesh by `transport_moments`: the quadrature points
-# are visited there and nowhere else.  On each element utilde = w + s x, so
-# the volume integrals reduce to element moments of the test functions,
+# is evaluated once per mesh by `transport_moments`.  On each element
+# utilde = w + s x, so the volume integrals reduce to element moments of the
+# test functions,
 #
 #   int_E utilde . grad phi       = |E| (w . <grad phi> + s <x . grad phi>),
 #   int_E uhat . Dv utilde        = |E| uhat . (<Dv> w + s <Dv x>),
@@ -175,38 +175,17 @@ class TransportMoments:
 
 
 def transport_moments(mesh: Mesh, phi, v, degree: int = 2) -> TransportMoments:
-    """Evaluate phi, grad phi, v and Dv once at the element and face points,
-    one block of elements (faces) at a time."""
-    pts, w = elem_quad_points(mesh, degree)
-    ne, nq = pts.shape[:2]
-    phat, x_grad_phi = np.empty(ne), np.empty(ne)
-    grad_phi, dv_x, v_mean = np.empty((ne, 3)), np.empty((ne, 3)), np.empty((ne, 3))
-    dv = np.empty((ne, 3, 3))
-    for blk in quad_blocks(ne):
-        p = pts[blk]
-        flat = p.reshape(-1, 3)
-        nb = len(p)
-        grad = phi.gradient(flat).reshape(nb, nq, 3)
-        J = v.jacobian(flat).reshape(nb, nq, 3, 3)
-        phat[blk] = np.einsum("q,eq->e", w, np.asarray(phi(flat), dtype=float).reshape(nb, nq))
-        v_mean[blk] = np.einsum("q,eqi->ei", w,
-                                np.asarray(v(flat), dtype=float).reshape(nb, nq, 3))
-        grad_phi[blk] = np.einsum("q,eqi->ei", w, grad)
-        x_grad_phi[blk] = np.einsum("q,eqi,eqi->e", w, p, grad)
-        dv[blk] = np.einsum("q,eqij->eij", w, J)
-        dv_x[blk] = np.einsum("q,eqi->ei", w, (J @ p[..., None])[..., 0])
+    """Evaluate phi, grad phi, v and Dv once at the element and face points."""
 
-    fpts, fw = face_quad_points(mesh, degree)
-    nf, nfq = fpts.shape[:2]
-    phi_fmean, v_fmean = np.empty(nf), np.empty((nf, 3))
-    for blk in quad_blocks(nf):
-        fp = fpts[blk]
-        fflat = fp.reshape(-1, 3)
-        nb = len(fp)
-        phi_fmean[blk] = np.einsum("q,fq->f", fw,
-                                   np.asarray(phi(fflat), dtype=float).reshape(nb, nfq))
-        v_fmean[blk] = np.einsum("q,fqi->fi", fw,
-                                 np.asarray(v(fflat), dtype=float).reshape(nb, nfq, 3))
+    def element_terms(p, blk):
+        grad = at_points(phi.gradient, p)
+        J = at_points(v.jacobian, p)
+        return (at_points(phi, p), at_points(v, p), grad, np.einsum("eqi,eqi->eq", p, grad),
+                J, (J @ p[..., None])[..., 0])
+
+    phat, v_mean, grad_phi, x_grad_phi, dv, dv_x = element_means(element_terms, mesh, degree)
+    phi_fmean, v_fmean = face_means(lambda p, blk: (at_points(phi, p), at_points(v, p)),
+                                    mesh, degree)
 
     return TransportMoments(
         phat=phat,
@@ -381,23 +360,17 @@ def p_decay_study(ns, data, phi, v, T: float = 0.5, params=None,
     for n in ns:
         mesh = build_box_mesh(n, box_lo, box_hi)
         moments = transport_moments(mesh, phi, v, degree)
-        # Every injected state is sampled at these points, by the contractions
-        # of cell_means and interpolate_v.
-        pts, w = elem_quad_points(mesh, degree)
-        fpts, fw = face_quad_points(mesh, degree)
-        flat, fflat = pts.reshape(-1, 3), fpts.reshape(-1, 3)
         dt = params.dt(mesh)
         steps = max(1, int(np.ceil(T / dt - 1e-9)))
+        # Every sample of the data is injected in one pass over the points.
+        samples = [data(k * dt) for k in range(1, steps + 1)]
+        rhos = element_means(lambda p, blk: [at_points(rho_fn, p) for rho_fn, _ in samples],
+                             mesh, degree)
+        us = face_means(lambda p, blk: [at_points(u_fn, p) for _, u_fn in samples],
+                        mesh, degree)
         totals = {"P1": 0.0, "P2": 0.0, "P3": 0.0, "P4": 0.0}
-        for k in range(1, steps + 1):
-            rho_fn, u_fn = data(k * dt)
-            rho = np.asarray(rho_fn(flat), dtype=float).reshape(pts.shape[0], pts.shape[1], -1)
-            u = np.asarray(u_fn(fflat), dtype=float).reshape(fpts.shape[0], -1, 3)
-            state = scheme.State(
-                rho=np.einsum("q,eqm->em", w, rho)[:, 0],
-                u=apply_bc(np.einsum("q,fqi->fi", fw, u), mesh),
-                k=k, t=k * dt,
-            )
+        for k, (rho, u) in enumerate(zip(rhos, us), start=1):
+            state = scheme.State(rho=rho, u=apply_bc(u, mesh), k=k, t=k * dt)
             for key, val in _defect_terms(state, mesh, moments).items():
                 totals[key] += dt * abs(val)
         rows.append({"n": n, "h": mesh.h, **totals})

@@ -60,8 +60,6 @@ from .spaces import (
     basis_gradients,
     cell_means,
     element_average,
-    elem_quad_points,
-    face_quad_points,
     interpolate_v,
 )
 
@@ -171,19 +169,23 @@ class InitialDataError(ValueError):
 def initial_state(rho0: Callable, m0: Callable, mesh: Mesh, params: SchemeParams) -> State:
     """Project initial data: elementwise mean density plus the kappa*h floor,
     and face averages of m0 / (rho0 + kappa*h) with no-slip dofs zeroed.
-    Raises InitialDataError if rho0 is negative at a quadrature point."""
+    Raises InitialDataError if, at a quadrature point, rho0 is negative or
+    rho0 + kappa*h is zero (the velocity would divide by it)."""
     floor = params.kappa * mesh.h
 
-    for points in (elem_quad_points, face_quad_points):
-        pts, _ = points(mesh, _PROJECTION_DEGREE)
-        if np.asarray(rho0(pts.reshape(-1, 3))).min() < 0.0:
+    def density(p):
+        rho = np.asarray(rho0(p), dtype=float)
+        if rho.min() < 0.0:
             raise InitialDataError("initial density is negative at a quadrature point")
-    rho = cell_means(rho0, mesh, _PROJECTION_DEGREE) + floor
+        if rho.min() + floor <= 0.0:
+            raise InitialDataError("initial density is zero at a quadrature point and "
+                                   "kappa = 0 adds no floor, so m0 / rho0 is undefined there")
+        return rho
+
+    rho = cell_means(density, mesh, _PROJECTION_DEGREE) + floor
 
     def velocity(p):
-        return np.asarray(m0(p), dtype=float) / (
-            np.asarray(rho0(p), dtype=float) + floor
-        )[:, None]
+        return np.asarray(m0(p), dtype=float) / (density(p) + floor)[:, None]
 
     u = apply_bc(interpolate_v(velocity, mesh, _PROJECTION_DEGREE), mesh)
     return State(rho=rho, u=u, k=0, t=0.0)

@@ -25,6 +25,7 @@ gradient of the interpolation error of any smooth field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -38,17 +39,25 @@ from .mesh import Mesh, NDArrayF
 # integral over a simplex S of f  ~=  |S| * sum_q w_q f(x_q).
 # The degree-2 defaults are the 4-point tet rule and the edge-midpoint
 # triangle rule; higher degrees use collapsed Gauss-Jacobi product rules.
+# Each rule is computed once per degree and returned as read-only arrays.
 
 
+def _read_only(rule):
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
+@cache
 def tet_rule(degree: int) -> tuple[NDArrayF, NDArrayF]:
     if degree <= 1:
-        return np.full((1, 4), 0.25), np.array([1.0])
+        return _read_only((np.full((1, 4), 0.25), np.array([1.0])))
     if degree == 2:
         a = (5.0 + 3.0 * np.sqrt(5.0)) / 20.0
         b = (5.0 - np.sqrt(5.0)) / 20.0
         bary = np.full((4, 4), b)
         np.fill_diagonal(bary, a)
-        return bary, np.full(4, 0.25)
+        return _read_only((bary, np.full(4, 0.25)))
     n = (degree + 2) // 2
     xa, wa = _gauss01(n, 2)
     xb, wb = _gauss01(n, 1)
@@ -63,15 +72,16 @@ def tet_rule(degree: int) -> tuple[NDArrayF, NDArrayF]:
                 pts.append((1.0 - x - y - z, x, y, z))
                 wts.append(pa * pb * pc)
     w = np.array(wts)
-    return np.array(pts), w / w.sum()
+    return _read_only((np.array(pts), w / w.sum()))
 
 
+@cache
 def tri_rule(degree: int) -> tuple[NDArrayF, NDArrayF]:
     if degree <= 1:
-        return np.full((1, 3), 1.0 / 3.0), np.array([1.0])
+        return _read_only((np.full((1, 3), 1.0 / 3.0), np.array([1.0])))
     if degree == 2:
         bary = 0.5 * (1.0 - np.eye(3))
-        return bary, np.full(3, 1.0 / 3.0)
+        return _read_only((bary, np.full(3, 1.0 / 3.0)))
     n = (degree + 2) // 2
     xa, wa = _gauss01(n, 1)
     xb, wb = _gauss01(n, 0)
@@ -83,7 +93,7 @@ def tri_rule(degree: int) -> tuple[NDArrayF, NDArrayF]:
             pts.append((1.0 - x - y, x, y))
             wts.append(pa * pb)
     w = np.array(wts)
-    return np.array(pts), w / w.sum()
+    return _read_only((np.array(pts), w / w.sum()))
 
 
 def _gauss01(n: int, alpha: int):
@@ -92,26 +102,27 @@ def _gauss01(n: int, alpha: int):
     return (x + 1.0) / 2.0, w / w.sum()
 
 
-def elem_quad_points(mesh: Mesh, degree: int) -> tuple[NDArrayF, NDArrayF]:
-    """Physical quadrature points (n_elems, nq, 3) and weights summing to 1."""
+def elem_quad_points(mesh: Mesh, degree: int, block=slice(None)) -> tuple[NDArrayF, NDArrayF]:
+    """Physical quadrature points (n, nq, 3) of the elements in `block` (all
+    by default) and weights summing to 1."""
     bary, w = tet_rule(degree)
-    return bary @ mesh.vertices[mesh.tets], w
+    return bary @ mesh.vertices[mesh.tets[block]], w
 
 
-def face_quad_points(mesh: Mesh, degree: int) -> tuple[NDArrayF, NDArrayF]:
+def face_quad_points(mesh: Mesh, degree: int, block=slice(None)) -> tuple[NDArrayF, NDArrayF]:
     bary, w = tri_rule(degree)
-    return bary @ mesh.vertices[mesh.face_vertices], w
+    return bary @ mesh.vertices[mesh.face_vertices[block]], w
 
 
-# Elements (or faces) per block wherever whole-mesh arrays of values at the
-# quadrature points would be large (`interpolation_errors`,
-# `diagnostics.transport_moments`): one (QUAD_BLOCK, nq, 3, 3) float64 array
+# Elements (or faces) per block of every element and face mean
+# (`element_means`, `face_means`): one (QUAD_BLOCK, nq, 3, 3) float64 array
 # of the degree-6 rule (nq = 64) takes at most 2 MB, and a block's
-# temporaries about three times that.  Each block is reduced to per-element
-# values.  A multiple of 64 starts every block at a multiple of 64 nq
-# point rows, so BLAS kernels, whose results for a row can depend on its
-# offset modulo their unrolling, treat each point as in one whole-mesh call,
-# and no result depends on the blocking.
+# temporaries about three times that, so no array of points or values grows
+# with the mesh.  Each block is reduced to per-element values.  A multiple
+# of 64 starts every block at a multiple of 64 nq point rows, so BLAS
+# kernels, whose results for a row can depend on its offset modulo their
+# unrolling, treat each point as in one whole-mesh call, and no result
+# depends on the blocking.
 QUAD_BLOCK = (2 << 20) // (64 * 3 * 3 * 8) // 64 * 64
 
 
@@ -120,24 +131,50 @@ def quad_blocks(n: int) -> list[slice]:
     return [slice(start, min(start + QUAD_BLOCK, n)) for start in range(0, n, QUAD_BLOCK)]
 
 
+def element_means(fn, mesh: Mesh, degree: int) -> list[NDArrayF]:
+    """Element quadrature means, one (n_elems, ...) array for each (nb, nq, ...)
+    array that `fn(points, block)` returns at the (nb, nq, 3) points of the
+    elements in `block`."""
+    return _quad_means(fn, mesh, degree, mesh.n_elems, elem_quad_points)
+
+
+def face_means(fn, mesh: Mesh, degree: int) -> list[NDArrayF]:
+    """As `element_means`, over the faces: one (n_faces, ...) array each."""
+    return _quad_means(fn, mesh, degree, mesh.n_faces, face_quad_points)
+
+
+def _quad_means(fn, mesh: Mesh, degree: int, n: int, points) -> list[NDArrayF]:
+    means = None
+    for blk in quad_blocks(n):
+        pts, w = points(mesh, degree, blk)
+        vals = fn(pts, blk)
+        if means is None:
+            means = [np.empty((n,) + v.shape[2:]) for v in vals]
+        for mean, v in zip(means, vals):
+            mean[blk] = np.einsum("q,eq...->e...", w, v)
+    return means
+
+
+def at_points(f, pts: NDArrayF) -> NDArrayF:
+    """f, which maps (npts, 3) points to (npts, ...) values, at the
+    (nb, nq, 3) points `pts`, as an (nb, nq, ...) float array."""
+    vals = np.asarray(f(pts.reshape(-1, 3)), dtype=float)
+    return vals.reshape(pts.shape[:2] + vals.shape[1:])
+
+
 # ---------------------------------------------------------------------------
 # Interpolation.
 
 
 def cell_means(f, mesh: Mesh, degree: int = 2) -> NDArrayF:
-    """Elementwise means of a callable, (n_elems,) or (n_elems, m)."""
-    pts, w = elem_quad_points(mesh, degree)
-    vals = np.asarray(f(pts.reshape(-1, 3)), dtype=float)
-    vals = vals.reshape(pts.shape[0], pts.shape[1], -1)
-    out = np.einsum("q,eqm->em", w, vals)
-    return out[:, 0] if out.shape[1] == 1 else out
+    """Elementwise means of a callable: (n_elems,) for scalar values,
+    (n_elems, m) for (npts, m) values."""
+    return element_means(lambda p, blk: (at_points(f, p),), mesh, degree)[0]
 
 
 def interpolate_v(f, mesh: Mesh, degree: int = 2) -> NDArrayF:
     """(n_faces, 3) face averages of a vector function (no BC applied)."""
-    pts, w = face_quad_points(mesh, degree)
-    vals = np.asarray(f(pts.reshape(-1, 3)), dtype=float).reshape(pts.shape[0], -1, 3)
-    return np.einsum("q,fqi->fi", w, vals)
+    return face_means(lambda p, blk: (at_points(f, p),), mesh, degree)[0]
 
 
 def apply_bc(u: NDArrayF, mesh: Mesh) -> NDArrayF:
@@ -248,18 +285,13 @@ def commuting_residual(field, mesh: Mesh, degree: int = 2) -> dict[str, float]:
     """
     interp = interpolate_v(field, mesh, degree=degree)
 
-    def div_f(pts):
-        return np.einsum("pii->p", field.jacobian(pts))
+    def div_curl(p, blk):
+        J = at_points(field.jacobian, p)
+        curl = np.stack([J[..., 2, 1] - J[..., 1, 2], J[..., 0, 2] - J[..., 2, 0],
+                         J[..., 1, 0] - J[..., 0, 1]], axis=-1)
+        return np.einsum("eqii->eq", J), curl
 
-    def curl_f(pts):
-        J = field.jacobian(pts)
-        return np.stack(
-            [J[:, 2, 1] - J[:, 1, 2], J[:, 0, 2] - J[:, 2, 0], J[:, 1, 0] - J[:, 0, 1]],
-            axis=1,
-        )
-
-    div_mean = cell_means(div_f, mesh, degree)
-    curl_mean = cell_means(curl_f, mesh, degree)
+    div_mean, curl_mean = element_means(div_curl, mesh, degree)
 
     res_div = np.abs(broken_divergence(interp, mesh) - div_mean).max()
     res_curl = np.abs(broken_curl(interp, mesh) - curl_mean).max()
@@ -289,9 +321,7 @@ def orthogonality_residual(u: NDArrayF, field, mesh: Mesh, degree: int = 2) -> f
     """
     Gu = broken_gradient(u, mesh)
     Gi = broken_gradient(interpolate_v(field, mesh, degree=degree), mesh)
-    pts, w = elem_quad_points(mesh, degree)
-    J = field.jacobian(pts.reshape(-1, 3)).reshape(pts.shape[0], -1, 3, 3)
-    Gf = np.einsum("q,eqij->eij", w, J)
+    (Gf,) = element_means(lambda p, blk: (at_points(field.jacobian, p),), mesh, degree)
     return float(np.einsum("e,eij,eij->", mesh.elem_volume, Gu, Gi - Gf))
 
 
@@ -301,23 +331,15 @@ def interpolation_errors(field, mesh: Mesh, degree: int = 6) -> tuple[float, flo
     coeff = p1_coefficients(mesh) @ interp[mesh.elem_faces]
     a, d = coeff[:, :3, :], coeff[:, 3, :]
     grad = a.transpose(0, 2, 1)                    # broken_gradient(interp, mesh)
-    pts, w = elem_quad_points(mesh, degree)
-    # Squared errors are summed per element, one block of elements at a time:
-    # at high degree on fine meshes each (n_elems, nq, ...) array would be
-    # tens of MB.
-    l2_sq = np.empty(mesh.n_elems)
-    h1_sq = np.empty(mesh.n_elems)
-    for blk in quad_blocks(mesh.n_elems):
-        p = pts[blk]
-        flat = p.reshape(-1, 3)
+
+    def squared_errors(p, blk):
         err = p @ a[blk]
         err += d[blk, None, :]
-        err -= np.asarray(field(flat)).reshape(err.shape)
-        l2_sq[blk] = np.einsum("q,eqi,eqi->e", w, err, err)
-        # (J - G)^2 = (G - J)^2 bit for bit.
-        dif = field.jacobian(flat).reshape(len(p), -1, 3, 3)
-        dif -= grad[blk, None, :, :]
-        h1_sq[blk] = np.einsum("q,eqij,eqij->e", w, dif, dif)
+        err -= at_points(field, p)
+        dif = at_points(field.jacobian, p) - grad[blk, None, :, :]
+        return np.einsum("eqi,eqi->eq", err, err), np.einsum("eqij,eqij->eq", dif, dif)
+
+    l2_sq, h1_sq = element_means(squared_errors, mesh, degree)
     vol = mesh.elem_volume
     return float(np.sqrt(np.sum(vol * l2_sq))), float(np.sqrt(np.sum(vol * h1_sq)))
 
@@ -377,7 +399,9 @@ class PolynomialField:
 
 @dataclass
 class SineField:
-    """amplitude * (sin(k pi x) sin(k pi y) sin(k pi z)) in every component."""
+    """amplitude * (sin(k pi x) sin(k pi y) sin(k pi z)) in every component.
+
+    Values and Jacobians are read-only views that repeat one component."""
 
     k: float = 1.0
     amplitude: float = 1.0
@@ -386,7 +410,7 @@ class SineField:
         pts = np.atleast_2d(pts)
         s = np.sin(self.k * np.pi * pts)
         val = self.amplitude * s.prod(axis=1)
-        return np.repeat(val[:, None], 3, axis=1)
+        return np.broadcast_to(val[:, None], (len(val), 3))
 
     def jacobian(self, pts: NDArrayF) -> NDArrayF:
         pts = np.atleast_2d(pts)
@@ -401,7 +425,7 @@ class SineField:
             ],
             axis=1,
         )
-        return np.repeat(grad[:, None, :], 3, axis=1)
+        return np.broadcast_to(grad[:, None, :], (len(grad), 3, 3))
 
 
 @dataclass

@@ -243,6 +243,22 @@ def test_negative_initial_density_exits_one(argv, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--rho_bar", "0", "--kappa", "0"],
+    ["run", "--preset", "shear", "--rho_bar", "0", "--kappa", "0"],
+    ["study", "--kind", "cauchy", "--preset", "stationary", "--rho_bar", "0",
+     "--kappa", "0", "--ns", "1 2"],
+])
+def test_zero_initial_density_without_floor_exits_one(argv, tmp_path, capsys):
+    """rho0 = 0 with kappa = 0 leaves m0 / (rho0 + kappa h) undefined: a
+    configuration error, not a failed linear solve."""
+    rc = cli.main([*argv, "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: initial density is zero at a quadrature point")
+    assert "Warning" not in err
+
+
 def test_initial_density_minimum_is_over_the_box():
     """A positive bump on a negative background is admissible when it lifts
     the box corners above zero, and only then."""

@@ -1,7 +1,5 @@
 """Tests for the energy ledger, structure checks, and refinement studies."""
 
-import sys
-
 import numpy as np
 import pytest
 
@@ -338,21 +336,37 @@ def test_p_decay_study_builds_moments_once_per_mesh(monkeypatch):
     assert len(set(calls)) == 2
 
 
-def test_p_decay_study_builds_quadrature_points_once_per_mesh(monkeypatch):
+def test_p_decay_study_point_mappings_do_not_grow_with_steps(monkeypatch):
+    """All time samples of a mesh are injected in one pass over its points."""
     rng = np.random.default_rng(34)
-    calls = []   # (function, calling function, mesh)
+    phi, v = ScalarPolynomial.random(rng), PolynomialField.random(rng)
+    calls = []
     for name in ("elem_quad_points", "face_quad_points"):
-        def counted(mesh, degree, _name=name, _original=getattr(diagnostics, name)):
-            calls.append((_name, sys._getframe(1).f_code.co_name, id(mesh)))
-            return _original(mesh, degree)
-        monkeypatch.setattr(diagnostics, name, counted)
-    # T = 0.8 gives one step at n=1 and two at n=2.
-    diagnostics.p_decay_study((1, 2), diagnostics.bump_flow_data(),
-                              ScalarPolynomial.random(rng), PolynomialField.random(rng),
-                              T=0.8)
-    # Per mesh, each function once for the moments and once for the states.
-    assert len(set(calls)) == len(calls) == 8
-    assert {caller for _, caller, _ in calls} == {"transport_moments", "p_decay_study"}
+        def counted(*args, _original=getattr(spaces, name)):
+            calls.append(args[0])
+            return _original(*args)
+        monkeypatch.setattr(spaces, name, counted)
+    counts = []
+    # At n=2 dt = 0.433: T = 0.4 gives one step and T = 1.2 three.
+    for T in (0.4, 1.2):
+        calls.clear()
+        study = diagnostics.p_decay_study((2,), diagnostics.bump_flow_data(), phi, v, T=T)
+        assert study["rows"][0]["P1"] > 0.0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_p_decay_study_does_not_depend_on_the_block(monkeypatch):
+    rng = np.random.default_rng(35)
+    phi, v = ScalarPolynomial.random(rng), PolynomialField.random(rng)
+
+    def study():
+        return diagnostics.p_decay_study((2, 3), diagnostics.bump_flow_data(), phi, v, T=0.8)
+
+    monkeypatch.setattr(spaces, "QUAD_BLOCK", build_box_mesh(3).n_faces)
+    whole = study()
+    monkeypatch.setattr(spaces, "QUAD_BLOCK", 7)
+    assert study() == whole
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,28 @@ def test_initial_state_negative_density_rejected(mesh1, params):
         scheme.initial_state(rho0, m0, mesh1, params)
 
 
+def test_initial_state_zero_density_needs_a_floor(mesh1):
+    rho0, m0 = scheme.stationary_data(0.0)
+    with pytest.raises(scheme.InitialDataError, match="zero"):
+        scheme.initial_state(rho0, m0, mesh1, scheme.SchemeParams(kappa=0.0))
+    state = scheme.initial_state(rho0, m0, mesh1, scheme.SchemeParams())
+    assert np.all(state.rho == 0.01 * mesh1.h)
+
+
+def test_initial_state_evaluates_rho0_once_per_point_set(mesh2, params):
+    """The sign check rides on the projection: one call at the element
+    points and one at the face points."""
+    calls = []
+    rho0, m0 = scheme.shear_data(2.0, 0.8)
+
+    def counted(p):
+        calls.append(len(p))
+        return rho0(p)
+
+    scheme.initial_state(counted, m0, mesh2, params)
+    assert sum(calls) == mesh2.n_elems * 4 + mesh2.n_faces * 3
+
+
 def test_initial_state_velocity_division(mesh2, params):
     """u is interpolated from m0 / (rho0 + kappa h), then no-slip zeroed."""
     rho0, m0 = scheme.shear_data(2.0, 0.8)

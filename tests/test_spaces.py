@@ -300,6 +300,42 @@ def test_interpolation_errors_memory_is_bounded_by_the_block():
     assert peak < mesh.n_elems * nq * 3 * 3 * 8
 
 
+@pytest.mark.parametrize("field", [SineField(k=1.5, amplitude=0.7),
+                                   PolynomialField.random(np.random.default_rng(4))])
+def test_means_do_not_depend_on_the_block(field, monkeypatch):
+    """Blocks of 7 elements (faces), most of which start at a point row that
+    is not a multiple of 64, give the bits of one block."""
+    mesh = build_box_mesh(3)
+    u = interpolate_v(PolynomialField.random(np.random.default_rng(5)), mesh)
+
+    def means():
+        return (cell_means(field, mesh, 4), interpolate_v(field, mesh, 4),
+                orthogonality_residual(u, field, mesh, 4))
+
+    monkeypatch.setattr(spaces, "QUAD_BLOCK", mesh.n_faces)
+    whole = means()
+    monkeypatch.setattr(spaces, "QUAD_BLOCK", 7)
+    for got, want in zip(means(), whole):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("mean, points", [(cell_means, elem_quad_points),
+                                          (interpolate_v, face_quad_points)])
+def test_means_memory_is_bounded_by_the_block(mean, points):
+    """At n=8 and degree 6 the traced peak stays below one whole-mesh array
+    of the quadrature points."""
+    mesh = build_box_mesh(8)
+    field = SineField()
+    mean(field, mesh, 6)
+    tracemalloc.start()
+    try:
+        mean(field, mesh, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < points(mesh, 6)[0].nbytes
+
+
 # ---------------------------------------------------------------------------
 # Test fields.
 
@@ -373,6 +409,16 @@ def test_sine_field_jacobian_matches_fd():
         dp[d] = eps
         fd = (field(pts + dp) - field(pts - dp)) / (2 * eps)
         assert np.allclose(J[:, :, d], fd, atol=1e-6)
+
+
+def test_sine_field_repeats_one_component_read_only():
+    field = SineField(k=2.0, amplitude=0.7)
+    pts = np.random.default_rng(13).uniform(0, 1, size=(6, 3))
+    vals, J = field(pts), field.jacobian(pts)
+    assert vals.shape == (6, 3) and J.shape == (6, 3, 3)
+    assert not vals.flags.writeable and not J.flags.writeable
+    assert np.array_equal(vals, np.repeat(vals[:, :1], 3, axis=1))
+    assert np.array_equal(J, np.repeat(J[:, :1, :], 3, axis=1))
 
 
 def test_sine_field_vanishes_on_boundary(mesh2):
