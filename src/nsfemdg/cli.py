@@ -362,8 +362,7 @@ def _study_run(cfg: RunConfig, n: int, T: float):
 
 
 def cmd_study(cfg: RunConfig) -> int:
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = Path(cfg.outdir)   # made by write_table: a failed study leaves none
     # The defect-decay study needs a longer window so even the coarsest mesh
     # sees several time samples; the Cauchy study keeps a short horizon to
     # bound the fine-mesh cost.

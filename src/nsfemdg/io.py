@@ -1,6 +1,8 @@
 """Plain-text output: legacy VTK snapshots and diagnostics CSV."""
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from .mesh import Mesh
@@ -69,7 +71,9 @@ def write_csv(path, rows: list[dict]):
 
 
 def write_table(path, header: tuple[str, ...], rows):
-    """Write a small study table as CSV with the same deterministic formatting."""
+    """Write a small study table as CSV with the same deterministic formatting,
+    creating its directory first."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
         for row in rows:

@@ -621,10 +621,11 @@ def run(
     rows = [diag.csv_row(0, 0.0, ledger0, 0.0, 0.0, 0, 0)]
     dissipation = 0.0
     e0 = ledger0.total
+    factors = solver.BlockFactors()   # the preconditioner, carried from step to step
 
     for k in range(1, steps + 1):
         try:
-            new, sd = solver.homotopy_newton_solve(state, params, mesh)
+            new, sd = solver.homotopy_newton_solve(state, params, mesh, factors)
         except solver.StepFailure as exc:
             exc.step = k
             raise

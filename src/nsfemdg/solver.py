@@ -32,20 +32,24 @@ working precision (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005).
 A cycle that reaches the tolerance with an iterate that fails the residual
 acceptance check is followed by one whose tolerance is tightened by the
 factor the residual misses the bound by.  The factors are lagged
-(`BlockFactors`): one continuation schedule holds them across its Newton
-matrices, and refreshes them on evidence.  A fresh factorization gets GMRES
-restarted every 100 iterations for at most 10 cycles, and its iteration count
-becomes the base; the factors are kept for the next matrix only if that solve
-ended within one cycle.  Kept factors get a single cycle, capped at twice the
-base; if it misses, its iterate is discarded, the matrix is refactored and
-solved afresh.  Both blocks are ordered by minimum degree on A^T + A with
-diagonal pivots, which their symmetric patterns allow.  A result that fails
-the residual acceptance check of `linear_solve` is discarded, the factors are
-dropped and the same system is solved by sparse direct LU.  The symmetric
-positive definite alpha = 0 system is factored with the blocks' settings.
-GMRES needs J only through products and its diagonal blocks;
-`scheme.jacobian` stores no exact zeros, so neither do the blocks factored
-here.
+(`BlockFactors`): a run holds one set across its time steps, keyed to the
+continuation weight alpha they were made at, and refreshes them on evidence.
+Entering a node at another alpha drops them, so the default schedule {0, 1}
+carries them from step to step at alpha = 1 and a fallback schedule factors
+afresh at each of its nodes.  A fresh factorization gets GMRES restarted
+every 100 iterations for at most 10 cycles, and its iteration count becomes
+the base unless the solve took at most one, which leaves the base as it was;
+the factors are kept for the next matrix only if that solve ended within one
+cycle.  Kept factors get a single cycle, capped at twice the base, or a full
+cycle before any base is set; if it misses, its iterate is discarded, the
+matrix is refactored and solved afresh.  Both blocks are ordered by minimum
+degree on A^T + A with diagonal pivots, which their symmetric patterns allow.
+A result that fails the residual acceptance check of `linear_solve` is
+discarded, the factors are dropped and the same system is solved by sparse
+direct LU.  The symmetric positive definite alpha = 0 system is factored
+with the blocks' settings.  GMRES needs J only through products and its
+diagonal blocks; `scheme.jacobian` stores no exact zeros, so neither do the
+blocks factored here.
 """
 from __future__ import annotations
 
@@ -139,12 +143,19 @@ KRYLOV_CYCLES = 10
 KRYLOV_RTOL = 1e-15
 
 # Lagged preconditioner (Knoll & Keyes, JCP 193, 2004, section 3): the Newton
-# matrices of one schedule differ little, so block factors are kept while a
-# single GMRES cycle of fewer than STALE_GROWTH times the base iterations
-# still solves with them.  On bump n=4 x20 this cuts 66 factorizations to 21
-# for 811 -> 819 Krylov iterations, with the same 66 Newton iterations.  A
-# stale cycle of up to KRYLOV_RESTART iterations instead of the cap made the
-# stress configuration (gamma 6, c 4, amp 30, n=4 x4) 6-7% slower.
+# matrices at one continuation weight differ little, within a step and from
+# one step to the next, so block factors are kept while a single GMRES cycle
+# of fewer than STALE_GROWTH times the base iterations still solves with
+# them.  Held by the run and keyed to alpha, they cut bump n=4 x20 from 21
+# factorizations (one holder per schedule) to 1, for 558 -> 586 Krylov
+# iterations and the same 46 Newton iterations.  A stale cycle of up to
+# KRYLOV_RESTART iterations instead of the cap made the stress configuration
+# (gamma 6, c 4, amp 30, n=4 x4) 6-7% slower.  The first Newton matrix of a
+# node entered from the alpha = 0 state was solved in one iteration (a
+# breakdown) in every configuration measured; such a solve sets no base, and
+# the factors then get a full cycle.  A 16-iteration first cycle would cut
+# the stale cycle that fails in step 1 of the stress configuration from 100
+# iterations to 16, but the first stale solve of bump n=8 already takes 14.
 STALE_GROWTH = 2.0
 
 # SuperLU settings of both blocks and of the alpha = 0 system.  Their
@@ -183,13 +194,23 @@ class BlockFactors:
     `ne` density rows, held from one matrix to the next.
 
     `lu_rho` factors A and `lu_u` factors S = J[ne::3, ne::3], the first
-    velocity component's block of D; `base` is the iteration count of the
-    solve right after the factorization.
+    velocity component's block of D; `alpha` is the continuation weight of
+    the node they serve.  `base` is the iteration count of the latest solve
+    right after a factorization, among those that took more than one
+    iteration; 0 before there is one.  A run creates one holder and hands it to every step.
     """
 
     def __init__(self):
         self.lu_rho = self.lu_u = None
         self.base = 0
+        self.alpha = None
+
+    def keep_for(self, alpha: float) -> None:
+        """Enter a continuation node at weight `alpha`: factors made at another
+        weight are dropped."""
+        if alpha != self.alpha:
+            self.drop()
+            self.alpha = alpha
 
     @property
     def held(self) -> bool:
@@ -335,7 +356,7 @@ def _krylov_attempt(J: sp.csr_matrix, b: NDArrayF, ne: int, factors: BlockFactor
     memory never stacks on top of them."""
     C = J[ne:, :ne]
     if factors.held:
-        cap = min(KRYLOV_RESTART, max(1, int(STALE_GROWTH * factors.base)))
+        cap = min(KRYLOV_RESTART, int(STALE_GROWTH * factors.base)) or KRYLOV_RESTART
         x, accepted, iters = _gmres(J, b, factors.preconditioner(C), cap, 1, stats)
         if accepted and iters < cap:
             return x
@@ -346,7 +367,8 @@ def _krylov_attempt(J: sp.csr_matrix, b: NDArrayF, ne: int, factors: BlockFactor
     stats.factorizations += 1
     x, accepted, iters = _gmres(J, b, factors.preconditioner(C),
                                 KRYLOV_RESTART, KRYLOV_CYCLES, stats)
-    factors.base = iters
+    if iters > 1:   # a breakdown at once says nothing of the next matrix
+        factors.base = iters
     if not (accepted and iters < KRYLOV_RESTART):   # kept only after one cycle
         factors.drop()
     return x if accepted else None
@@ -384,21 +406,25 @@ def alpha0_solve(prev, params, mesh: Mesh) -> "scheme.State":
     return state
 
 
-def homotopy_newton_solve(prev, params, mesh: Mesh) -> tuple["scheme.State", StepDiagnostics]:
-    """Advance `prev` by one time step; raises StepFailure if all schedules fail."""
+def homotopy_newton_solve(prev, params, mesh: Mesh, factors: BlockFactors | None = None
+                          ) -> tuple["scheme.State", StepDiagnostics]:
+    """Advance `prev` by one time step; raises StepFailure if all schedules fail.
+    `factors` carries the preconditioner from the previous step and on to the
+    next; without it the step starts with none."""
     dt = params.dt(mesh)
     k, t = prev.k + 1, prev.t + dt
     last_fail = (1.0, 0, np.inf)
     # Every schedule starts here; _newton_at_alpha rebinds x, never mutates it.
     x0 = scheme.pack(alpha0_solve(prev, params, mesh), mesh)
+    factors = factors if factors is not None else BlockFactors()
 
     for ischedule, schedule in enumerate(schedules(params.homotopy_steps)):
         x = x0
         diag = StepDiagnostics(schedule_index=ischedule, alpha_nodes_used=1)
-        factors = BlockFactors()
         ok = True
         for alpha in schedule[1:]:
             diag.alpha_nodes_used += 1
+            factors.keep_for(alpha)
             x, ok = _newton_at_alpha(prev, x, alpha, params, mesh, diag, factors)
             if not ok:
                 last_fail = (alpha, diag.newton_iters, diag.residual_norm)

@@ -257,6 +257,7 @@ def test_zero_initial_density_without_floor_exits_one(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: initial density is zero at a quadrature point")
     assert "Warning" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_initial_density_minimum_is_over_the_box():
@@ -283,6 +284,16 @@ def test_unconverged_run_exits_two(tmp_path, capsys):
                    "--outdir", str(tmp_path / "out")])
     assert rc == 2
     assert "failed at step" in capsys.readouterr().err
+
+
+def test_unconverged_study_exits_two_and_leaves_no_outdir(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    rc = cli.main(["study", "--kind", "cauchy", "--ns", "1 2", "--T", "0.1",
+                   "--newton_tol", "1e-30", "--newton_max_iter", "1",
+                   "--outdir", str(outdir)])
+    assert rc == 2
+    assert "study failed at step 1" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,31 @@ def test_stale_factors_missing_their_cap_refactor_once():
     assert factors.held
 
 
+def test_one_iteration_solve_sets_no_base():
+    """With B = 0 the block preconditioner is J itself, so GMRES ends in one
+    iteration.  That solve sets no base: a nearby matrix is solved with the
+    held factors, where a cap of twice one iteration would refactor it, and
+    a base set before is kept."""
+    J, b, ne = newton_layout(0.0)
+    stats, factors = solver.StepDiagnostics(), solver.BlockFactors()
+    solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors)
+    assert stats.krylov_iters == 1 and factors.held and factors.base == 0
+    J2 = row_scaled(J, ne, 1.0, 1.001)
+    x = solver.linear_solve(J2, b, n_density=ne, stats=stats, factors=factors)
+    assert stats.factorizations == 1 and stats.direct_fallbacks == 0
+    assert stats.krylov_iters - 1 > 2
+    assert np.allclose(x, np.linalg.solve(J2.toarray(), b), rtol=1e-10, atol=1e-12)
+
+    J0, b0, _ = newton_layout(0.01)
+    factors.drop()
+    solver.linear_solve(J0, b0, n_density=ne, factors=factors)
+    base = factors.base
+    assert base > 1
+    factors.drop()
+    solver.linear_solve(J, b, n_density=ne, factors=factors)
+    assert factors.held and factors.base == base
+
+
 def test_direct_fallback_drops_factors(monkeypatch):
     """The direct LU never runs while preconditioner factors are held."""
     J, b, ne = newton_layout(0.01)
@@ -278,16 +303,52 @@ def test_direct_fallback_drops_factors(monkeypatch):
 
 
 def test_bump_steps_reuse_factors(mesh2, params, monkeypatch):
-    """Bump n=2 x3: fewer factorizations than Newton matrices, and no step
-    takes more Newton iterations than with every matrix factored afresh."""
+    """Bump n=2 x3: the run holds one preconditioner across its steps, so it
+    factors fewer times than it takes steps, and no step takes more Newton
+    iterations than with every matrix factored afresh.  A second run in the
+    same process starts with its own holder and gives bitwise-equal rows."""
     rho0, m0 = scheme.make_initial_data("bump", 1.0, 0.5, 0.15,
                                         mesh2.box_lo, mesh2.box_hi)
-    lagged = scheme.run(mesh2, params, rho0, m0, steps=3).diagnostics[1:]
+    first = scheme.run(mesh2, params, rho0, m0, steps=3)
+    again = scheme.run(mesh2, params, rho0, m0, steps=3)
+    assert again.rows == first.rows and again.diagnostics == first.diagnostics
+    lagged = first.diagnostics[1:]
     monkeypatch.setattr(solver.BlockFactors, "held", property(lambda self: False))
     fresh = scheme.run(mesh2, params, rho0, m0, steps=3).diagnostics[1:]
     assert all(d.newton_iters <= f.newton_iters for d, f in zip(lagged, fresh))
-    assert sum(d.factorizations for d in lagged) < sum(d.newton_iters for d in lagged)
+    assert sum(d.factorizations for d in lagged) < len(lagged)
     assert all(d.direct_fallbacks == 0 for d in lagged + fresh)
+
+
+def test_fallback_schedule_refactors_at_each_node(mesh2, params, monkeypatch):
+    """Factors are kept for one continuation weight: a step on the fallback
+    schedule factors afresh at the first Newton matrix of each of its nodes,
+    although the holder arrives with the previous step's alpha = 1 factors."""
+    factors = solver.BlockFactors()
+    first, _ = solver.homotopy_newton_solve(bump_state(mesh2, params), params, mesh2, factors)
+    assert factors.held and factors.alpha == 1.0
+
+    events = []
+    jacobian, factor = scheme.jacobian, solver.BlockFactors.factor
+
+    def recorded_jacobian(*args, alpha):
+        events.append(("J", alpha))
+        return jacobian(*args, alpha=alpha)
+
+    def recorded_factor(self, J, ne):
+        events.append(("F", self.alpha))
+        factor(self, J, ne)
+
+    monkeypatch.setattr(scheme, "jacobian", recorded_jacobian)
+    monkeypatch.setattr(solver.BlockFactors, "factor", recorded_factor)
+    monkeypatch.setattr(solver, "schedules", lambda steps: [(0.0, 0.25, 0.5, 0.75, 1.0)])
+    _, diag = solver.homotopy_newton_solve(first, params, mesh2, factors)
+    assert diag.alpha_nodes_used == 5
+    nodes = list(dict.fromkeys(alpha for kind, alpha in events if kind == "J"))
+    assert nodes == [0.25, 0.5, 0.75, 1.0]
+    for alpha in nodes:
+        i = events.index(("J", alpha))
+        assert events[i + 1] == ("F", alpha)
 
 
 def test_newton_solve_rejects_singular(mesh1, params):
