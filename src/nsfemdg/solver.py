@@ -16,19 +16,23 @@ less than a digit, or once its residual is at most FLOOR_FACTOR u |||J| |x|||
 (u the unit roundoff, J and x the previous iterate's matrix and iterate), a
 normwise backward error of a few u at which no further step can gain a digit
 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, ch.
-12).  The floor test costs no Jacobian, linear solve or residual: |J| is
-formed in place of J once J has been solved with.
+12).  The floor test costs no Jacobian, linear solve or residual: the floor
+of an iterate comes from the Jacobian it is solved with, and is computed
+before that solve, whose GMRES tolerance it also sets.
 
 Each Newton matrix J = [[A, B], [C, D]] (densities first, then the
 interleaved velocity components) is solved by restarted GMRES (Saad &
-Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) to relative tolerance 1e-15,
-left-preconditioned by the block lower triangle that keeps the alpha = 0
-structure: the density block A and one scalar velocity-component block S of
-D, each factored by SuperLU, with the coupling C of the current matrix; B is
-ignored.  The GMRES kernel is this module's own (`_gmres`): each Arnoldi step
-orthogonalizes against the whole basis with two classical Gram-Schmidt
-passes, two matrix-vector products each, which keep the basis orthogonal to
-working precision (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005).
+Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) to relative tolerance 1e-15, or
+to a tenth of the iterate's rounding floor relative to the right-hand side
+when that is larger, left-preconditioned by the block lower triangle that
+keeps the alpha = 0 structure: the density block A, factored exactly by
+SuperLU, and one scalar velocity-component block S of D, factored by
+SuperLU's threshold incomplete LU, with the coupling C of the current
+matrix; B is ignored.  The GMRES kernel is this module's own (`_gmres`):
+each Arnoldi step orthogonalizes against the whole basis with two classical
+Gram-Schmidt passes, two matrix-vector products each, which keep the basis
+orthogonal to working precision (Giraud, Langou & Rozloznik, Comput. Math.
+Appl. 50, 2005).
 A cycle that reaches the tolerance with an iterate that fails the residual
 acceptance check is followed by one whose tolerance is tightened by the
 factor the residual misses the bound by.  The factors are lagged
@@ -138,9 +142,24 @@ class StepDiagnostics:
 # sometimes ran cycles of 2-3 iterations that never passed; divided by the
 # factor the residual misses the bound by, the next cycle passed in every
 # case seen.
+#
+# The tolerance is loosened to FLOOR_MARGIN times the current iterate's
+# rounding floor (FLOOR_FACTOR u |||J| |x|||_inf, see above) relative to
+# |b|_inf, when that is larger: a step resolved further than the residual
+# the next iterate can show gains Newton nothing (Eisenstat & Walker, SIAM J.
+# Sci. Comput. 17, 1996), and the floor is far below the acceptance bound.
+# With the exact velocity factor this alone cut Krylov iterations 586 -> 389
+# on bump n=4 x20, 2263 -> 1937 on the stress configuration and 96 -> 69 on
+# the bump Cauchy pair n = 3, 6, all at seed 0 of the benchmark, with the
+# same Newton counts.  With the ILU below, a margin of 1.0 raised the Newton
+# counts of the first two 46 -> 48 and 37 -> 39; 0.01 took 462 / 1952 / 105
+# Krylov iterations against 0.1's 422 / 1878 / 100.  The previous iterate's
+# floor instead of the current one took 436 Krylov iterations instead of
+# 389 on bump n=4 x20 with the exact factor.
 KRYLOV_RESTART = 100
 KRYLOV_CYCLES = 10
 KRYLOV_RTOL = 1e-15
+FLOOR_MARGIN = 0.1
 
 # Lagged preconditioner (Knoll & Keyes, JCP 193, 2004, section 3): the Newton
 # matrices at one continuation weight differ little, within a step and from
@@ -167,10 +186,35 @@ STALE_GROWTH = 2.0
 # pivoting took 717 ms at n=8.  The alpha = 0 solve for three right-hand
 # sides, with its assembly, fell 5.7 -> 3.2 ms at n=4 and 32 -> 11 ms at n=6
 # against spsolve's defaults.
-# A zero pivot raises RuntimeError, which sends a Newton system to the
-# direct solve; in the alpha = 0 solve it becomes a SolverError.
+# A zero pivot raises RuntimeError, in the incomplete factor as in the exact
+# ones, which sends a Newton system to the direct solve; in the alpha = 0
+# solve it becomes a SolverError.
 BLOCK_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options=dict(SymmetricMode=True))
+
+# The velocity block S is factored incompletely, by SuperLU's threshold ILU
+# (ILUTP: Li & Shao, ACM TOMS 37, 2011) with BLOCK_LU's ordering and pivots:
+# entries below ILU_DROP_TOL relative to their column are dropped and the
+# factor keeps at most ILU_FILL_FACTOR times the entries of S.  The density
+# block A, a P0 upwind block, and the alpha = 0 system stay exact.  S of the
+# first alpha = 1 bump matrix: fill (L.nnz + U.nnz) / factorization / solve
+# for three right-hand sides, 2-core host, one thread:
+#
+#   n   splu                     spilu(1e-4, 10)        spilu(1e-3, 5)
+#   4   63.0k / 4.7 ms / 177 us  23.6k / 6.4 ms / 166 us 17.2k / 5.0 ms / 120 us
+#   6   771k / 73 ms / 2.68 ms   139k / 48 ms / 851 us   79.3k / 39 ms / 631 us
+#   8   2.75M / 309 ms / 10.1 ms 457k / 237 ms / 2.14 ms 227k / 179 ms / 1.59 ms
+#
+# and spilu(1e-2, 3): 10.6k / 4.7 ms / 89 us, 41.1k / 32 ms / 508 us, 103k /
+# 110 ms / 1.20 ms.  In a one-step bump run at n=16 the held factor of S
+# has 2.50M entries against 114-116M exact.  At seed 0 of the benchmark the
+# three ILU settings took 402 / 422 / 483 Krylov iterations on bump n=4 x20,
+# 1854 / 1878 / 1948 on the stress configuration (gamma 6, c 4, amp 30, n=4
+# x4) and 100 / 100 / 117 on the bump Cauchy pair n = 3, 6, with the Newton
+# counts of the exact factor; (1e-3, 5) takes about the iterations of
+# (1e-4, 10) at half its fill.
+ILU_DROP_TOL = 1e-3
+ILU_FILL_FACTOR = 5
 
 
 def _residual_bound(b: NDArrayF) -> float:
@@ -193,11 +237,12 @@ class BlockFactors:
     """Preconditioner factors for Newton matrices J = [[A, B], [C, D]] with
     `ne` density rows, held from one matrix to the next.
 
-    `lu_rho` factors A and `lu_u` factors S = J[ne::3, ne::3], the first
-    velocity component's block of D; `alpha` is the continuation weight of
-    the node they serve.  `base` is the iteration count of the latest solve
-    right after a factorization, among those that took more than one
-    iteration; 0 before there is one.  A run creates one holder and hands it to every step.
+    `lu_rho` factors A exactly and `lu_u` factors S = J[ne::3, ne::3], the
+    first velocity component's block of D, incompletely; `alpha` is the
+    continuation weight of the node they serve.  `base` is the iteration
+    count of the latest solve right after a factorization, among those that
+    took more than one iteration; 0 before there is one.  A run creates one
+    holder and hands it to every step.
     """
 
     def __init__(self):
@@ -217,10 +262,12 @@ class BlockFactors:
         return self.lu_u is not None
 
     def factor(self, J: sp.csr_matrix, ne: int) -> None:
-        """Factor the blocks of J; raises RuntimeError if one is singular."""
+        """Factor A exactly and S incompletely; raises RuntimeError at a zero
+        pivot."""
         self.drop()   # before the new factors are allocated
         lu_rho = spla.splu(sp.csc_matrix(J[:ne, :ne]), **BLOCK_LU)
-        lu_u = spla.splu(sp.csc_matrix(J[ne::3, ne::3]), **BLOCK_LU)
+        lu_u = spla.spilu(sp.csc_matrix(J[ne::3, ne::3]), drop_tol=ILU_DROP_TOL,
+                          fill_factor=ILU_FILL_FACTOR, **BLOCK_LU)
         self.lu_rho, self.lu_u = lu_rho, lu_u
 
     def drop(self) -> None:
@@ -242,7 +289,7 @@ class BlockFactors:
 
 def linear_solve(A: sp.spmatrix, b: NDArrayF, n_density: int | None = None,
                  stats: StepDiagnostics | None = None,
-                 factors: BlockFactors | None = None) -> NDArrayF:
+                 factors: BlockFactors | None = None, floor: float = 0.0) -> NDArrayF:
     """Solve A x = b for one right-hand side b, accepting x only if it is
     finite with |A x - b|_inf <= 1e-10 (1 + |b|_inf); raises SolverError
     otherwise.
@@ -251,14 +298,15 @@ def linear_solve(A: sp.spmatrix, b: NDArrayF, n_density: int | None = None,
     first: it is solved by preconditioned GMRES, and by sparse direct LU only
     when the GMRES result fails the check.  `factors` carries the
     preconditioner from the previous Newton matrix and on to the next; without
-    it the blocks are factored for this matrix alone.  `stats` then counts the
-    Krylov iterations, factorizations and direct fallbacks.  Otherwise the
-    solve is direct.
+    it the blocks are factored for this matrix alone.  `floor`, the rounding
+    floor of the Newton iterate, loosens GMRES's tolerance (`_gmres`).
+    `stats` then counts the Krylov iterations, factorizations and direct
+    fallbacks.  Otherwise the solve is direct.
     """
     if n_density is not None:
         stats = stats if stats is not None else StepDiagnostics()
         factors = factors if factors is not None else BlockFactors()
-        x = _krylov_attempt(A, b, n_density, factors, stats)
+        x = _krylov_attempt(A, b, n_density, factors, stats, floor)
         if x is not None:
             return x
         stats.direct_fallbacks += 1
@@ -270,15 +318,17 @@ def linear_solve(A: sp.spmatrix, b: NDArrayF, n_density: int | None = None,
 
 
 def _gmres(J: sp.csr_matrix, b: NDArrayF, precondition: Callable[[NDArrayF], NDArrayF],
-           restart: int, cycles: int, stats: StepDiagnostics) -> tuple[NDArrayF, bool, int]:
+           restart: int, cycles: int, stats: StepDiagnostics,
+           floor: float = 0.0) -> tuple[NDArrayF, bool, int]:
     """Up to `cycles` cycles of GMRES for J x = b from x = 0, left-preconditioned
     by `precondition` (M), each of at most `restart` iterations.
 
     A cycle ends when the preconditioned residual estimate reaches the
-    tolerance, KRYLOV_RTOL |M b|_2 at first, or at breakdown (the Krylov
-    space holds the solution).  Such a cycle ends the solve if its iterate
-    passes the acceptance check; if not, the tolerance is divided by the
-    factor by which |b - J x|_inf exceeds the check's bound.  The next cycle
+    tolerance, max(KRYLOV_RTOL, FLOOR_MARGIN floor / |b|_inf) |M b|_2 at
+    first (KRYLOV_RTOL |M b|_2 for a zero floor or b = 0), or at breakdown
+    (the Krylov space holds the solution).  Such a cycle ends the solve if
+    its iterate passes the acceptance check; if not, the tolerance is divided
+    by the factor by which |b - J x|_inf exceeds the check's bound.  The next cycle
     starts from the true residual, as after a cycle that runs out of
     iterations.  Returns the last iterate, whether it passes the acceptance
     check, and the iteration count, which is below `restart` if and only if
@@ -289,7 +339,10 @@ def _gmres(J: sp.csr_matrix, b: NDArrayF, precondition: Callable[[NDArrayF], NDA
     x = np.zeros_like(b)
     r = b
     z = precondition(b)
-    tol = KRYLOV_RTOL * np.linalg.norm(z)
+    rtol = KRYLOV_RTOL
+    if floor > 0.0 and b.any():
+        rtol = max(rtol, FLOOR_MARGIN * floor / np.abs(b).max())
+    tol = rtol * np.linalg.norm(z)
     V = np.empty((restart + 1, b.size))   # Arnoldi basis, one vector per row
     R = np.zeros((restart, restart))      # triangular factor of the Hessenberg matrix
     iters = 0
@@ -348,16 +401,17 @@ def _gmres(J: sp.csr_matrix, b: NDArrayF, precondition: Callable[[NDArrayF], NDA
 
 
 def _krylov_attempt(J: sp.csr_matrix, b: NDArrayF, ne: int, factors: BlockFactors,
-                    stats: StepDiagnostics) -> NDArrayF | None:
+                    stats: StepDiagnostics, floor: float = 0.0) -> NDArrayF | None:
     """GMRES for a Newton matrix J with ne density rows, preconditioned by
-    `factors`, which are kept or refreshed as the module docstring describes.
+    `factors`, which are kept or refreshed as the module docstring describes,
+    to the tolerance that `floor` sets (`_gmres`).
     Returns the iterate, or None if it fails the acceptance check or a block
     is singular; the factors are then dropped, so that the direct solve's LU
     memory never stacks on top of them."""
     C = J[ne:, :ne]
     if factors.held:
         cap = min(KRYLOV_RESTART, int(STALE_GROWTH * factors.base)) or KRYLOV_RESTART
-        x, accepted, iters = _gmres(J, b, factors.preconditioner(C), cap, 1, stats)
+        x, accepted, iters = _gmres(J, b, factors.preconditioner(C), cap, 1, stats, floor)
         if accepted and iters < cap:
             return x
     try:
@@ -366,7 +420,7 @@ def _krylov_attempt(J: sp.csr_matrix, b: NDArrayF, ne: int, factors: BlockFactor
         return None
     stats.factorizations += 1
     x, accepted, iters = _gmres(J, b, factors.preconditioner(C),
-                                KRYLOV_RESTART, KRYLOV_CYCLES, stats)
+                                KRYLOV_RESTART, KRYLOV_CYCLES, stats, floor)
     if iters > 1:   # a breakdown at once says nothing of the next matrix
         factors.base = iters
     if not (accepted and iters < KRYLOV_RESTART):   # kept only after one cycle
@@ -442,6 +496,14 @@ def homotopy_newton_solve(prev, params, mesh: Mesh, factors: BlockFactors | None
     )
 
 
+def _rounding_floor(J: sp.csr_matrix, x: NDArrayF) -> float:
+    """FLOOR_FACTOR u |||J| |x|||_inf, the residual of the iterate x at which
+    no Newton step with the matrix J can gain a digit; |J| shares J's index
+    arrays."""
+    abs_J = sp.csr_matrix((np.abs(J.data), J.indices, J.indptr), shape=J.shape)
+    return FLOOR_FACTOR * UNIT_ROUNDOFF * (abs_J @ np.abs(x)).max()
+
+
 def _newton_at_alpha(prev, x, alpha, params, mesh, diag, factors):
     ne = mesh.n_elems
     tol = params.newton_tol
@@ -459,15 +521,13 @@ def _newton_at_alpha(prev, x, alpha, params, mesh, diag, factors):
         if norm <= tol and (gain < POLISH_GAIN or norm <= floor):
             return x, True
         J = scheme.jacobian(prev, guess, params, mesh, alpha=alpha)
+        floor = _rounding_floor(J, x)
         try:
-            delta = linear_solve(J, -r, n_density=ne, stats=diag, factors=factors)
+            delta = linear_solve(J, -r, n_density=ne, stats=diag, factors=factors,
+                                 floor=floor)
         except SolverError:
             return (x, True) if norm <= tol else (x, False)
-        # J is not needed again: made |J| in place, it gives the floor, and
-        # no name holds it while the next one is built.
-        np.abs(J.data, out=J.data)
-        floor = FLOOR_FACTOR * UNIT_ROUNDOFF * (J @ np.abs(x)).max()
-        del J
+        del J   # no name holds it while the next one is built
 
         step = 1.0
         accepted = False

@@ -462,6 +462,16 @@ def test_thread_cap_does_not_override_explicit_setting():
     assert out.stdout.strip() == "4"
 
 
+def test_import_leaves_out_scipy_special():
+    """The quadrature rules need no scipy.special, so the package does not
+    import it."""
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, nsfemdg.cli; print('scipy.special' in sys.modules)"],
+        env=_child_env(), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_study_pdecay(tmp_path, capsys):
     outdir = tmp_path / "study"
     rc = cli.main(["study", "--kind", "pdecay", "--ns", "1 2", "--T", "0.5",

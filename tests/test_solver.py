@@ -1,4 +1,6 @@
 """Linear solves, the decoupled entry solve, and the continuation Newton loop."""
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -176,12 +178,55 @@ def test_gmres_breakdown_with_exact_preconditioner():
 
 
 def test_gmres_zero_rhs():
+    """b = 0 ends before any iteration, with or without a floor, and warns
+    of no 0/0."""
     J, b, ne = newton_layout(0.01)
-    stats = solver.StepDiagnostics()
-    x, accepted, iters = solver._gmres(J, np.zeros_like(b), block_preconditioner(J, ne),
-                                       solver.KRYLOV_RESTART, solver.KRYLOV_CYCLES, stats)
-    assert accepted and iters == 0 and stats.krylov_cycles == 0
-    assert not x.any()
+    for floor in (0.0, 1e-3):
+        stats = solver.StepDiagnostics()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, accepted, iters = solver._gmres(J, np.zeros_like(b), block_preconditioner(J, ne),
+                                               solver.KRYLOV_RESTART, solver.KRYLOV_CYCLES,
+                                               stats, floor)
+        assert accepted and iters == 0 and stats.krylov_cycles == 0
+        assert not x.any()
+
+
+def test_floor_shortens_the_solve():
+    """A rounding floor above KRYLOV_RTOL |b|_inf / FLOOR_MARGIN ends GMRES
+    sooner, at an iterate that still passes the acceptance check; one below
+    it gives the iterate of floor 0 bitwise."""
+    J, b, ne = newton_layout(0.01)
+    bmax = np.abs(b).max()
+
+    def solve(floor):
+        stats = solver.StepDiagnostics()
+        x = solver.linear_solve(J, b, n_density=ne, stats=stats, floor=floor)
+        assert stats.direct_fallbacks == 0
+        return x, stats.krylov_iters
+
+    exact, iters = solve(0.0)
+    x, fewer = solve(1e-10 * bmax)
+    assert fewer < iters
+    assert solver._rejection(x, b - J @ x, b) is None
+    below, same = solve(0.5 * solver.KRYLOV_RTOL * bmax / solver.FLOOR_MARGIN)
+    assert same == iters and np.array_equal(below, exact)
+
+
+def test_velocity_block_factor_is_incomplete(mesh2, params):
+    """On a bump Newton matrix the held velocity factor stores fewer entries
+    than SuperLU's exact factor of the same block, and preconditions GMRES
+    to an iterate that passes the acceptance check."""
+    J, b = newton_system(mesh2, params)
+    ne = mesh2.n_elems
+    factors = solver.BlockFactors()
+    factors.factor(J, ne)
+    exact = spla.splu(sp.csc_matrix(J[ne::3, ne::3]), **solver.BLOCK_LU)
+    assert factors.lu_u.nnz < exact.nnz   # 1574 against 4048 today
+    x, accepted, _ = solver._gmres(J, b, factors.preconditioner(J[ne:, :ne]),
+                                   solver.KRYLOV_RESTART, solver.KRYLOV_CYCLES,
+                                   solver.StepDiagnostics())
+    assert accepted and solver._rejection(x, b - J @ x, b) is None
 
 
 def test_gmres_tightens_after_rejected_cycle():
@@ -318,6 +363,17 @@ def test_bump_steps_reuse_factors(mesh2, params, monkeypatch):
     assert all(d.newton_iters <= f.newton_iters for d, f in zip(lagged, fresh))
     assert sum(d.factorizations for d in lagged) < len(lagged)
     assert all(d.direct_fallbacks == 0 for d in lagged + fresh)
+
+
+def test_bump_run_newton_counts(mesh2, params):
+    """Bump n=2 x3 takes 4, 3 and 2 Newton iterations, as with the exact
+    velocity factor and GMRES run to KRYLOV_RTOL: neither the incomplete
+    factor nor the floor-relative tolerance costs a Newton iteration."""
+    rho0, m0 = scheme.make_initial_data("bump", 1.0, 0.5, 0.15,
+                                        mesh2.box_lo, mesh2.box_hi)
+    steps = scheme.run(mesh2, params, rho0, m0, steps=3).diagnostics[1:]
+    assert [d.newton_iters for d in steps] == [4, 3, 2]
+    assert all(d.direct_fallbacks == 0 for d in steps)
 
 
 def test_fallback_schedule_refactors_at_each_node(mesh2, params, monkeypatch):

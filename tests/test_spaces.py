@@ -3,8 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
-from nsfemdg import spaces
+from nsfemdg import diagnostics, spaces
 from nsfemdg.mesh import build_box_mesh
 from nsfemdg.spaces import (
     PolynomialField,
@@ -88,6 +89,48 @@ def test_rules_have_no_spurious_points():
     assert len(tet_rule(1)[1]) == 1
     assert len(tet_rule(2)[1]) == 4
     assert len(tri_rule(2)[1]) == 3
+
+
+def roots_jacobi_rule(n, alpha):
+    """scipy's Gauss-Jacobi rule for (1-x)^alpha, mapped to [0, 1]."""
+    x, w = roots_jacobi(n, alpha, 0.0)
+    return (x + 1.0) / 2.0, w / w.sum()
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2])
+def test_gauss01_matches_roots_jacobi(alpha):
+    for n in range(1, 9):
+        x, w = roots_jacobi_rule(n, alpha)
+        nodes, weights = spaces._gauss01(n, alpha)
+        assert np.abs(nodes - x).max() <= 1e-15
+        assert np.abs(weights - w).max() <= 1e-14
+
+
+def test_studies_agree_with_roots_jacobi_rules(monkeypatch):
+    """The interpolation-rate and P1-P4 decay studies agree to 1e-13
+    relative whether the collapsed rules come from Golub-Welsch or from
+    scipy's roots_jacobi."""
+    rng = np.random.default_rng(7)
+    phi, v = ScalarPolynomial.random(rng), PolynomialField.random(rng)
+
+    def studies():
+        tet_rule.cache_clear()
+        tri_rule.cache_clear()
+        rates = diagnostics.interpolation_rate_study(SineField(), (2, 3))
+        pdecay = diagnostics.p_decay_study((1, 2), diagnostics.bump_flow_data(), phi, v, T=0.4)
+        return (np.array(rates["l2"] + rates["h1"]),
+                np.array([[row[k] for k in ("P1", "P2", "P3", "P4")] for row in pdecay["rows"]]))
+
+    try:
+        ours = studies()
+        monkeypatch.setattr(spaces, "_gauss01", roots_jacobi_rule)
+        theirs = studies()
+    finally:
+        monkeypatch.undo()
+        tet_rule.cache_clear()
+        tri_rule.cache_clear()
+    for a, b in zip(ours, theirs):
+        np.testing.assert_allclose(a, b, rtol=1e-13, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
