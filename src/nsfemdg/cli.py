@@ -214,16 +214,7 @@ def cmd_run(cfg: RunConfig) -> int:
     T, steps = cfg.T, cfg.steps
     if T is None and steps is None:
         steps = 10
-    try:
-        result = scheme.run(mesh, params, rho0, m0, T=T, steps=steps)
-    except solver.StepFailure as exc:
-        print(
-            f"run failed at step {exc.step}: alpha={exc.alpha:g}, "
-            f"{exc.iterations} iterations, residual {exc.residual_norm:.3e}",
-            file=sys.stderr,
-        )
-        return 2
-
+    result = scheme.run(mesh, params, rho0, m0, T=T, steps=steps)
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_csv(outdir / "diagnostics.csv", result.rows)
@@ -244,8 +235,7 @@ def cmd_run(cfg: RunConfig) -> int:
           f"{sum(d.linesearch_backtracks for d in steps)} line-search backtracks, "
           f"{sum(d.krylov_iters for d in steps)} Krylov iterations, "
           f"{sum(d.krylov_cycles for d in steps)} Krylov cycles, "
-          f"{sum(d.factorizations for d in steps)} preconditioner factorizations, "
-          f"{sum(d.direct_fallbacks for d in steps)} direct fallbacks")
+          f"{sum(d.factorizations for d in steps)} preconditioner factorizations")
     print(f"run: wrote {outdir / 'diagnostics.csv'}")
     return 0
 
@@ -401,13 +391,7 @@ def cmd_study(cfg: RunConfig) -> int:
         print(f"study pdecay: wrote {outdir / 'pdecay.csv'}")
         return 0
 
-    try:
-        runs = [_study_run(cfg, n, T) for n in cfg.ns]
-    except solver.StepFailure as exc:
-        print(f"study failed at step {exc.step}: alpha={exc.alpha:g}, "
-              f"residual {exc.residual_norm:.3e}", file=sys.stderr)
-        return 2
-
+    runs = [_study_run(cfg, n, T) for n in cfg.ns]
     diffs = diagnostics.cauchy_differences(runs, T)
     rows = [(a, b, d) for (a, b), d in zip(zip(cfg.ns[:-1], cfg.ns[1:]), diffs)]
     write_table(outdir / "cauchy.csv", ("n_coarse", "n_fine", "l2_spacetime_diff"), rows)
@@ -467,7 +451,12 @@ def main(argv=None) -> int:
     except (ConfigError, scheme.InitialDataError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except (solver.StepFailure, solver.SolverError) as exc:
+    except solver.StepFailure as exc:
+        print(f"{args.command} failed at step {exc.step}: alpha={exc.alpha:g}, "
+              f"{exc.iterations} iterations, residual {exc.residual_norm:.3e}",
+              file=sys.stderr)
+        return 2
+    except solver.SolverError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -32,34 +32,7 @@ def bump_state(mesh, params):
 
 
 # ---------------------------------------------------------------------------
-# linear_solve
-
-
-def test_linear_solve_matches_dense():
-    rng = np.random.default_rng(0)
-    A = rng.standard_normal((30, 30)) + 30 * np.eye(30)
-    b = rng.standard_normal(30)
-    x = solver.linear_solve(sp.csr_matrix(A), b)
-    assert np.allclose(x, np.linalg.solve(A, b), atol=1e-10)
-
-
-def test_linear_solve_rejects_singular():
-    A = sp.csr_matrix(np.diag([1.0, 1.0, 0.0]))
-    with pytest.warns(spla.MatrixRankWarning), pytest.raises(solver.SolverError):
-        solver.linear_solve(A, np.ones(3))
-
-
-def test_linear_solve_permutation_invariant():
-    """Row/column permutations permute the solution exactly."""
-    rng = np.random.default_rng(1)
-    n = 25
-    A = rng.standard_normal((n, n)) + n * np.eye(n)
-    b = rng.standard_normal(n)
-    perm = rng.permutation(n)
-    P = np.eye(n)[perm]
-    x = solver.linear_solve(sp.csr_matrix(A), b)
-    xp = solver.linear_solve(sp.csr_matrix(P @ A @ P.T), P @ b)
-    assert np.allclose(xp, x[perm], atol=1e-9)
+# Newton linear solve
 
 
 def newton_system(mesh, params):
@@ -77,7 +50,6 @@ def test_newton_solve_matches_direct(mesh2, params):
     x = solver.linear_solve(J, b, n_density=mesh2.n_elems, stats=stats)
     direct = spla.spsolve(sp.csc_matrix(J), b)
     assert np.abs(x - direct).max() <= 1e-12 * np.abs(direct).max()
-    assert stats.direct_fallbacks == 0
     # 9 iterations today (8 with scipy's gmres); a preconditioner without the
     # coupling C needed 16.
     assert 0 < stats.krylov_iters <= 12
@@ -96,28 +68,36 @@ def newton_layout(b_scale):
     return J, rng.standard_normal(ne + 3 * ni), ne
 
 
-def test_newton_solve_restarts_before_falling_back():
+def test_newton_solve_restarts_a_cycle_short_of_the_bound():
     """A system that one GMRES cycle leaves short of the acceptance bound is
-    finished by a restarted cycle, without the direct solve."""
+    finished by a restarted cycle."""
     J, b, ne = newton_layout(1.0)
     stats = solver.StepDiagnostics()
     x = solver.linear_solve(J, b, n_density=ne, stats=stats)
     direct = np.linalg.solve(J.toarray(), b)
     # 195 iterations over two cycles today.
     assert solver.KRYLOV_RESTART < stats.krylov_iters < 3 * solver.KRYLOV_RESTART
-    assert stats.direct_fallbacks == 0
     assert np.abs(x - direct).max() <= 1e-10 * np.abs(direct).max()
 
 
-def test_newton_solve_falls_back_to_direct():
-    """A large upper-right block B leaves every GMRES cycle short of the
-    acceptance bound; the direct solve answers instead."""
-    J, b, ne = newton_layout(100.0)
+def test_newton_solve_failure_raises_and_drops_factors():
+    """A large upper-right block B leaves every GMRES cycle on fresh factors
+    short of the acceptance bound: the solve raises SolverError with the
+    residual's reason and drops the factors, held from an earlier matrix."""
+    J, b, ne = newton_layout(0.01)
+    stats, factors = solver.StepDiagnostics(), solver.BlockFactors()
+    solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors)
+    assert factors.held
+    stale_cap = int(solver.STALE_GROWTH * factors.base)
+    J_bad, b_bad, _ = newton_layout(100.0)
     stats = solver.StepDiagnostics()
-    x = solver.linear_solve(J, b, n_density=ne, stats=stats)
-    assert stats.krylov_iters == solver.KRYLOV_RESTART * solver.KRYLOV_CYCLES
-    assert stats.direct_fallbacks == 1
-    assert np.allclose(x, np.linalg.solve(J.toarray(), b), rtol=1e-10, atol=1e-12)
+    with pytest.raises(solver.SolverError, match="residual too large"):
+        solver.linear_solve(J_bad, b_bad, n_density=ne, stats=stats, factors=factors)
+    # The held factors' capped stale cycle, then every cycle on fresh factors.
+    assert stats.krylov_iters == stale_cap + solver.KRYLOV_RESTART * solver.KRYLOV_CYCLES
+    assert stats.krylov_cycles == 1 + solver.KRYLOV_CYCLES
+    assert stats.factorizations == 1
+    assert factors.lu_rho is None and factors.lu_u is None
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +135,13 @@ def test_gmres_below_restart_only_at_tolerance():
     _, _, k = solver._gmres(J, b, precondition, solver.KRYLOV_RESTART, 1,
                             solver.StepDiagnostics())
     assert k < solver.KRYLOV_RESTART
-    _, accepted, short = solver._gmres(J, b, precondition, k - 1, 1, solver.StepDiagnostics())
-    assert short == k - 1 and accepted
+    _, reason, short = solver._gmres(J, b, precondition, k - 1, 1, solver.StepDiagnostics())
+    assert short == k - 1 and reason is None
     stats = solver.StepDiagnostics()
     solver._gmres(J, b, precondition, k - 1, solver.KRYLOV_CYCLES, stats)
     assert stats.krylov_cycles == 2
-    _, accepted, longer = solver._gmres(J, b, precondition, k + 1, 1, solver.StepDiagnostics())
-    assert longer == k and accepted
+    _, reason, longer = solver._gmres(J, b, precondition, k + 1, 1, solver.StepDiagnostics())
+    assert longer == k and reason is None
 
 
 def test_gmres_breakdown_with_exact_preconditioner():
@@ -171,9 +151,9 @@ def test_gmres_breakdown_with_exact_preconditioner():
     J = sp.diags(d).tocsr()
     b = np.random.default_rng(5).standard_normal(d.size)
     stats = solver.StepDiagnostics()
-    x, accepted, iters = solver._gmres(J, b, lambda r: r / d, solver.KRYLOV_RESTART,
-                                       solver.KRYLOV_CYCLES, stats)
-    assert accepted and iters == 1 and stats.krylov_cycles == 1
+    x, reason, iters = solver._gmres(J, b, lambda r: r / d, solver.KRYLOV_RESTART,
+                                     solver.KRYLOV_CYCLES, stats)
+    assert reason is None and iters == 1 and stats.krylov_cycles == 1
     assert np.allclose(x, b / d, rtol=1e-14, atol=0.0)
 
 
@@ -185,10 +165,10 @@ def test_gmres_zero_rhs():
         stats = solver.StepDiagnostics()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, accepted, iters = solver._gmres(J, np.zeros_like(b), block_preconditioner(J, ne),
-                                               solver.KRYLOV_RESTART, solver.KRYLOV_CYCLES,
-                                               stats, floor)
-        assert accepted and iters == 0 and stats.krylov_cycles == 0
+            x, reason, iters = solver._gmres(J, np.zeros_like(b), block_preconditioner(J, ne),
+                                             solver.KRYLOV_RESTART, solver.KRYLOV_CYCLES,
+                                             stats, floor)
+        assert reason is None and iters == 0 and stats.krylov_cycles == 0
         assert not x.any()
 
 
@@ -202,7 +182,6 @@ def test_floor_shortens_the_solve():
     def solve(floor):
         stats = solver.StepDiagnostics()
         x = solver.linear_solve(J, b, n_density=ne, stats=stats, floor=floor)
-        assert stats.direct_fallbacks == 0
         return x, stats.krylov_iters
 
     exact, iters = solve(0.0)
@@ -223,17 +202,18 @@ def test_velocity_block_factor_is_incomplete(mesh2, params):
     factors.factor(J, ne)
     exact = spla.splu(sp.csc_matrix(J[ne::3, ne::3]), **solver.BLOCK_LU)
     assert factors.lu_u.nnz < exact.nnz   # 1574 against 4048 today
-    x, accepted, _ = solver._gmres(J, b, factors.preconditioner(J[ne:, :ne]),
-                                   solver.KRYLOV_RESTART, solver.KRYLOV_CYCLES,
-                                   solver.StepDiagnostics())
-    assert accepted and solver._rejection(x, b - J @ x, b) is None
+    x, reason, _ = solver._gmres(J, b, factors.preconditioner(J[ne:, :ne]),
+                                 solver.KRYLOV_RESTART, solver.KRYLOV_CYCLES,
+                                 solver.StepDiagnostics())
+    assert reason is None and solver._rejection(x, b - J @ x, b) is None
 
 
 def test_gmres_tightens_after_rejected_cycle():
     """A cycle that reaches the tolerance with an iterate failing the
     acceptance check is followed by one with a tighter tolerance, which
-    passes.  A preconditioner that shrinks the density rows by 1e-10 makes
-    the first cycle end that way."""
+    passes, with or without a rounding floor loosening the first cycle's
+    tolerance.  A preconditioner that shrinks the density rows by 1e-10
+    makes the first cycle end that way."""
     J, b, ne = newton_layout(0.01)
     precondition = block_preconditioner(J, ne)
     scale = np.r_[np.full(ne, 1e-10), np.ones(J.shape[0] - ne)]
@@ -241,14 +221,15 @@ def test_gmres_tightens_after_rejected_cycle():
     def shrunk(r):
         return scale * precondition(r)
 
-    _, accepted, first = solver._gmres(J, b, shrunk, solver.KRYLOV_RESTART, 1,
-                                       solver.StepDiagnostics())
-    assert first < solver.KRYLOV_RESTART and not accepted
-    stats = solver.StepDiagnostics()
-    x, accepted, _ = solver._gmres(J, b, shrunk, solver.KRYLOV_RESTART,
-                                   solver.KRYLOV_CYCLES, stats)
-    assert accepted and solver._rejection(x, b - J @ x, b) is None
-    assert 1 < stats.krylov_cycles < solver.KRYLOV_CYCLES
+    for floor in (0.0, 1e-10 * np.abs(b).max()):
+        _, reason, first = solver._gmres(J, b, shrunk, solver.KRYLOV_RESTART, 1,
+                                         solver.StepDiagnostics(), floor)
+        assert first < solver.KRYLOV_RESTART and reason is not None
+        stats = solver.StepDiagnostics()
+        x, reason, _ = solver._gmres(J, b, shrunk, solver.KRYLOV_RESTART,
+                                     solver.KRYLOV_CYCLES, stats, floor)
+        assert reason is None and solver._rejection(x, b - J @ x, b) is None
+        assert 1 < stats.krylov_cycles < solver.KRYLOV_CYCLES
 
 
 def test_bump_step_runs_without_scipy_gmres(mesh2, params, monkeypatch):
@@ -258,7 +239,7 @@ def test_bump_step_runs_without_scipy_gmres(mesh2, params, monkeypatch):
     monkeypatch.setattr(spla, "gmres", refuse)
     _, diag = solver.homotopy_newton_solve(bump_state(mesh2, params), params, mesh2)
     assert diag.residual_norm <= params.newton_tol
-    assert diag.krylov_iters > 0 and diag.direct_fallbacks == 0
+    assert diag.krylov_iters > 0
 
 
 def row_scaled(J, ne, lo, hi):
@@ -277,7 +258,6 @@ def test_close_newton_matrices_share_factors():
     J2 = row_scaled(J, ne, 1.0, 1.001)
     x = solver.linear_solve(J2, b, n_density=ne, stats=stats, factors=factors)
     assert stats.factorizations == 1
-    assert stats.direct_fallbacks == 0
     assert np.allclose(x, np.linalg.solve(J2.toarray(), b), rtol=1e-10, atol=1e-12)
 
 
@@ -292,7 +272,6 @@ def test_stale_factors_missing_their_cap_refactor_once():
     J2 = row_scaled(J, ne, 0.1, 10.0)
     x = solver.linear_solve(J2, b, n_density=ne, stats=stats, factors=factors)
     assert stats.factorizations == 2
-    assert stats.direct_fallbacks == 0
     assert solver._rejection(x, b - J2 @ x, b) is None
     # The stale cycle's iterations, up to the cap, stay counted.
     cap = int(solver.STALE_GROWTH * base)
@@ -311,7 +290,7 @@ def test_one_iteration_solve_sets_no_base():
     assert stats.krylov_iters == 1 and factors.held and factors.base == 0
     J2 = row_scaled(J, ne, 1.0, 1.001)
     x = solver.linear_solve(J2, b, n_density=ne, stats=stats, factors=factors)
-    assert stats.factorizations == 1 and stats.direct_fallbacks == 0
+    assert stats.factorizations == 1
     assert stats.krylov_iters - 1 > 2
     assert np.allclose(x, np.linalg.solve(J2.toarray(), b), rtol=1e-10, atol=1e-12)
 
@@ -323,28 +302,6 @@ def test_one_iteration_solve_sets_no_base():
     factors.drop()
     solver.linear_solve(J, b, n_density=ne, factors=factors)
     assert factors.held and factors.base == base
-
-
-def test_direct_fallback_drops_factors(monkeypatch):
-    """The direct LU never runs while preconditioner factors are held."""
-    J, b, ne = newton_layout(0.01)
-    stats, factors = solver.StepDiagnostics(), solver.BlockFactors()
-    solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors)
-    assert factors.held
-    held_at_direct = []
-    spsolve = solver.spla.spsolve
-
-    def direct(A, b):
-        held_at_direct.append(factors.held)
-        return spsolve(A, b)
-
-    monkeypatch.setattr(solver.spla, "spsolve", direct)
-    J_bad, b_bad, _ = newton_layout(100.0)
-    x = solver.linear_solve(J_bad, b_bad, n_density=ne, stats=stats, factors=factors)
-    assert stats.direct_fallbacks == 1
-    assert held_at_direct == [False]
-    assert factors.lu_rho is None and factors.lu_u is None
-    assert solver._rejection(x, b_bad - J_bad @ x, b_bad) is None
 
 
 def test_bump_steps_reuse_factors(mesh2, params, monkeypatch):
@@ -362,7 +319,6 @@ def test_bump_steps_reuse_factors(mesh2, params, monkeypatch):
     fresh = scheme.run(mesh2, params, rho0, m0, steps=3).diagnostics[1:]
     assert all(d.newton_iters <= f.newton_iters for d, f in zip(lagged, fresh))
     assert sum(d.factorizations for d in lagged) < len(lagged)
-    assert all(d.direct_fallbacks == 0 for d in lagged + fresh)
 
 
 def test_bump_run_newton_counts(mesh2, params):
@@ -373,7 +329,6 @@ def test_bump_run_newton_counts(mesh2, params):
                                         mesh2.box_lo, mesh2.box_hi)
     steps = scheme.run(mesh2, params, rho0, m0, steps=3).diagnostics[1:]
     assert [d.newton_iters for d in steps] == [4, 3, 2]
-    assert all(d.direct_fallbacks == 0 for d in steps)
 
 
 def test_fallback_schedule_refactors_at_each_node(mesh2, params, monkeypatch):
@@ -408,13 +363,18 @@ def test_fallback_schedule_refactors_at_each_node(mesh2, params, monkeypatch):
 
 
 def test_newton_solve_rejects_singular(mesh1, params):
+    """A zero density row makes the density block exactly singular: the
+    solve raises SolverError before any GMRES iteration, and no LU of J
+    warns of a singular matrix."""
     J, b = newton_system(mesh1, params)
     J = J.tolil()
     J[0, :] = 0.0
     stats = solver.StepDiagnostics()
-    with pytest.warns(spla.MatrixRankWarning), pytest.raises(solver.SolverError):
-        solver.linear_solve(J.tocsr(), b, n_density=mesh1.n_elems, stats=stats)
-    assert stats.direct_fallbacks == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", spla.MatrixRankWarning)
+        with pytest.raises(solver.SolverError, match="singular"):
+            solver.linear_solve(J.tocsr(), b, n_density=mesh1.n_elems, stats=stats)
+    assert stats.krylov_iters == 0 and stats.factorizations == 0
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +529,23 @@ def test_loose_tolerance_still_polishes_to_the_floor(mesh2, monkeypatch):
     assert min(solved_at) <= params.newton_tol   # polished past the tolerance
     floor = rounding_floor(scheme.jacobian(prev, new, params, mesh2), scheme.pack(new, mesh2))
     assert final <= floor or solved_at[-1] / final < solver.POLISH_GAIN
+
+
+def test_stress_step_needs_no_direct_solve(mesh2, monkeypatch):
+    """Bump amp 200 with gamma 6, c 4 on n=2: step 1 needs the third
+    continuation schedule, and its hardest GMRES solves on fresh factors miss
+    the acceptance bound after their first cycle.  The restarted cycles pass
+    without any sparse direct solve."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("sparse direct solve called")
+
+    monkeypatch.setattr(spla, "spsolve", refuse)
+    params = scheme.SchemeParams(gamma=6.0, c=4.0)
+    rho0, m0 = scheme.make_initial_data("bump", 1.0, 200.0, 0.15,
+                                        mesh2.box_lo, mesh2.box_hi)
+    (diag,) = scheme.run(mesh2, params, rho0, m0, steps=1).diagnostics[1:]
+    assert diag.schedule_index == 2
+    assert diag.residual_norm <= params.newton_tol
 
 
 def test_step_failure_reports_context(mesh2):
