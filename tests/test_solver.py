@@ -80,10 +80,20 @@ def test_newton_solve_restarts_a_cycle_short_of_the_bound():
     assert np.abs(x - direct).max() <= 1e-10 * np.abs(direct).max()
 
 
-def test_newton_solve_failure_raises_and_drops_factors():
-    """A large upper-right block B leaves every GMRES cycle on fresh factors
-    short of the acceptance bound: the solve raises SolverError with the
-    residual's reason and drops the factors, held from an earlier matrix."""
+def test_newton_solve_failure_raises():
+    """A large upper-right block B leaves every GMRES cycle short of the
+    acceptance bound: the solve raises SolverError with the residual's reason."""
+    J, b, ne = newton_layout(100.0)
+    stats = solver.StepDiagnostics()
+    with pytest.raises(solver.SolverError, match="residual too large"):
+        solver.linear_solve(J, b, n_density=ne, stats=stats)
+    assert stats.krylov_iters == solver.KRYLOV_RESTART * solver.KRYLOV_CYCLES
+    assert stats.krylov_cycles == solver.KRYLOV_CYCLES
+
+
+def test_failed_solve_drops_factors():
+    """A solve that fails on factors held from an earlier matrix refactors
+    once, and drops the factors when the fresh ones fail too."""
     J, b, ne = newton_layout(0.01)
     stats, factors = solver.StepDiagnostics(), solver.BlockFactors()
     solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors)
