@@ -278,16 +278,16 @@ def cmd_check(cfg: RunConfig, corrupt: str | None = None) -> int:
     params = cfg.params()
     rng = np.random.default_rng(20240831)
     results: list[tuple[str, float, float]] = []
+    meshes = {n: build_box_mesh(n) for n in (1, 2)}
+    mesh1, mesh2 = meshes[1], meshes[2]
 
-    for n in (1, 2):
-        mesh = build_box_mesh(n)
+    for n, mesh in meshes.items():
         worst = 0.0
         for _ in range(3):
             field = PolynomialField.random(rng)
             worst = max(worst, max(commuting_residual(field, mesh).values()))
         results.append((f"commuting identities n={n}", worst, 1e-12))
 
-    mesh2 = build_box_mesh(2)
     u = apply_bc(rng.standard_normal((mesh2.n_faces, 3)), mesh2)
     worst = 0.0
     for _ in range(2):
@@ -295,8 +295,7 @@ def cmd_check(cfg: RunConfig, corrupt: str | None = None) -> int:
         worst = max(worst, abs(orthogonality_residual(u, field, mesh2)))
     results.append(("gradient orthogonality n=2", worst, 1e-9))
 
-    for n in (1, 2):
-        mesh = build_box_mesh(n)
+    for n, mesh in meshes.items():
         prev, guess = _probe_state(mesh, params, rng)
         guess_ref = guess
         if corrupt == "flux-sign":
@@ -311,7 +310,6 @@ def cmd_check(cfg: RunConfig, corrupt: str | None = None) -> int:
         results.append((f"momentum vs reference n={n}",
                         float(np.abs(res.momentum - ref_mom).max()) / scale_m, 1e-12))
 
-    mesh1 = build_box_mesh(1)
     prev, guess = _safe_jacobian_state(mesh1, params, rng)
     J = scheme.jacobian(prev, guess, params, mesh1).toarray()
     J_fd = oracles.jacobian_fd(prev, guess, params, mesh1)

@@ -107,6 +107,7 @@ def renormalized_margin(prev, new, params, mesh: Mesh) -> tuple[float, float, fl
 
 def csv_row(step, t, ledger: EnergyLedger, energy_margin, positivity_slack_val,
             newton_iters, alpha_nodes) -> dict:
+    """One row of diagnostics.csv; its keys, in order, are the file's columns."""
     return {
         "step": int(step),
         "t": float(t),
@@ -276,11 +277,17 @@ def transport_identity_residuals(state, mesh: Mesh, phi, v, degree: int = 2) -> 
     }
 
 
-def _defect_terms(state, mesh: Mesh, moments: TransportMoments) -> dict[str, float]:
-    """The four defect terms P1-P4 of one state."""
-    _, _, p1 = continuity_transport(state, mesh, moments)
-    _, _, p2, p3, p4 = momentum_transport(state, mesh, moments)
-    return {"P1": p1, "P2": p2, "P3": p3, "P4": p4}
+def _defect_integrals(states, mesh: Mesh, moments: TransportMoments,
+                      dt: float) -> dict[str, float]:
+    """sum_k dt |P_i| over `states`, one state at a time, for the four defect
+    terms P1-P4."""
+    totals = {"P1": 0.0, "P2": 0.0, "P3": 0.0, "P4": 0.0}
+    for state in states:
+        _, _, p1 = continuity_transport(state, mesh, moments)
+        _, _, p2, p3, p4 = momentum_transport(state, mesh, moments)
+        for key, val in zip(totals, (p1, p2, p3, p4)):
+            totals[key] += dt * abs(val)
+    return totals
 
 
 def transport_defect_integrals(result, phi, v, degree: int = 4) -> dict[str, float]:
@@ -290,13 +297,8 @@ def transport_defect_integrals(result, phi, v, degree: int = 4) -> dict[str, flo
     ((k-1) dt, k dt], so the integral over (0, T] is dt times the sum over
     all states after the initial one.
     """
-    mesh, dt = result.mesh, result.dt
-    moments = transport_moments(mesh, phi, v, degree)
-    totals = {"P1": 0.0, "P2": 0.0, "P3": 0.0, "P4": 0.0}
-    for state in result.states[1:]:
-        for key, val in _defect_terms(state, mesh, moments).items():
-            totals[key] += dt * abs(val)
-    return totals
+    moments = transport_moments(result.mesh, phi, v, degree)
+    return _defect_integrals(result.states[1:], result.mesh, moments, result.dt)
 
 
 def bump_flow_data(rho_bar: float = 1.0, amp: float = 0.4, sigma: float = 0.35,
@@ -361,18 +363,16 @@ def p_decay_study(ns, data, phi, v, T: float = 0.5, params=None,
         mesh = build_box_mesh(n, box_lo, box_hi)
         moments = transport_moments(mesh, phi, v, degree)
         dt = params.dt(mesh)
-        steps = max(1, int(np.ceil(T / dt - 1e-9)))
+        steps = scheme.step_count(T, dt)
         # Every sample of the data is injected in one pass over the points.
         samples = [data(k * dt) for k in range(1, steps + 1)]
         rhos = element_means(lambda p, blk: [at_points(rho_fn, p) for rho_fn, _ in samples],
                              mesh, degree)
         us = face_means(lambda p, blk: [at_points(u_fn, p) for _, u_fn in samples],
                         mesh, degree)
-        totals = {"P1": 0.0, "P2": 0.0, "P3": 0.0, "P4": 0.0}
-        for k, (rho, u) in enumerate(zip(rhos, us), start=1):
-            state = scheme.State(rho=rho, u=apply_bc(u, mesh), k=k, t=k * dt)
-            for key, val in _defect_terms(state, mesh, moments).items():
-                totals[key] += dt * abs(val)
+        states = (scheme.State(rho=rho, u=apply_bc(u, mesh), k=k, t=k * dt)
+                  for k, (rho, u) in enumerate(zip(rhos, us), start=1))
+        totals = _defect_integrals(states, mesh, moments, dt)
         rows.append({"n": n, "h": mesh.h, **totals})
     rates = {
         key: [

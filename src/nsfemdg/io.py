@@ -7,13 +7,6 @@ import numpy as np
 
 from .mesh import Mesh
 
-CSV_COLUMNS = (
-    "step", "t", "mass", "kinetic", "internal", "grad_diss", "D2", "D5",
-    "min_rho", "energy_margin", "positivity_slack", "newton_iters",
-    "alpha_nodes_used",
-)
-
-
 def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
@@ -59,20 +52,15 @@ def write_vtk(path, mesh: Mesh, density=None, velocity=None, title="nsfemdg snap
 
 
 def write_csv(path, rows: list[dict]):
-    """Write per-step diagnostics rows with a fixed column order.
-
-    Formatting is locale-independent and deterministic, so identical runs
-    produce byte-identical files.
-    """
-    with open(path, "w") as f:
-        f.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(row[c]) for c in CSV_COLUMNS) + "\n")
+    """Write per-step diagnostics rows, which share their keys; the first
+    row's key order is the column order."""
+    write_table(path, tuple(rows[0]), (row.values() for row in rows))
 
 
 def write_table(path, header: tuple[str, ...], rows):
-    """Write a small study table as CSV with the same deterministic formatting,
-    creating its directory first."""
+    """Write a table as CSV, creating its directory first.  Formatting is
+    locale-independent and deterministic, so identical runs produce
+    byte-identical files."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")

@@ -14,6 +14,7 @@ quantities are always `sign * stored`.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -51,7 +52,7 @@ class Mesh:
     box_lo: NDArrayF | None = None
     box_hi: NDArrayF | None = None
     n_per_axis: int | None = None
-    _space_cache: dict = field(default_factory=dict, repr=False)
+    _space_cache: dict = field(default_factory=dict, repr=False)   # see `cached`
 
     @property
     def n_elems(self) -> int:
@@ -76,6 +77,21 @@ class Mesh:
     @property
     def boundary_faces(self) -> NDArrayI:
         return np.flatnonzero(self.face_neighbor < 0)
+
+
+def cached(build):
+    """Decorate `build(mesh)`, which derives data from the mesh alone, to run
+    once per mesh: the result is stored on the mesh, keyed by `build`, and
+    every later call returns that same object."""
+
+    @functools.wraps(build)
+    def lookup(mesh: Mesh):
+        cache = mesh._space_cache
+        if build not in cache:
+            cache[build] = build(mesh)
+        return cache[build]
+
+    return lookup
 
 
 @dataclass(frozen=True)

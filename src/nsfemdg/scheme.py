@@ -54,7 +54,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fluxes import stab_continuity, stab_momentum, upwind_momentum, upwind_scalar
-from .mesh import Mesh, NDArrayF, NDArrayI
+from .mesh import Mesh, NDArrayF, NDArrayI, cached
 from .spaces import (
     apply_bc,
     basis_gradients,
@@ -195,13 +195,10 @@ def initial_state(rho0: Callable, m0: Callable, mesh: Mesh, params: SchemeParams
 # Assembly.
 
 
+@cached
 def _interior(mesh: Mesh):
-    cached = mesh._space_cache.get("interior")
-    if cached is None:
-        int_f = mesh.interior_faces
-        cached = (int_f, mesh.face_owner[int_f], mesh.face_neighbor[int_f])
-        mesh._space_cache["interior"] = cached
-    return cached
+    int_f = mesh.interior_faces
+    return int_f, mesh.face_owner[int_f], mesh.face_neighbor[int_f]
 
 
 def n_unknowns(mesh: Mesh) -> int:
@@ -250,11 +247,9 @@ class MeshOperators:
     normal: sp.csr_matrix       # (ni, 3 ni) interior dofs to normal fluxes
 
 
+@cached
 def mesh_operators(mesh: Mesh) -> MeshOperators:
     """The scheme's operators on `mesh`, built on first use and cached."""
-    cached = mesh._space_cache.get("operators")
-    if cached is not None:
-        return cached
     int_f, own_e, nbr_e = _interior(mesh)
     ne, nf, ni = mesh.n_elems, mesh.n_faces, len(int_f)
     eye = sp.identity(ne, format="csr")
@@ -279,13 +274,11 @@ def mesh_operators(mesh: Mesh) -> MeshOperators:
         shape=(ni, 3 * ni),
     )
 
-    cached = MeshOperators(
+    return MeshOperators(
         own=own, nbr=nbr, jump_t=jump.T.tocsr(), avg=avg, face_test=face_test,
         stiffness=stiffness, stiffness_int=stiffness[:, int_f],
         pressure=pressure_op, normal=normal,
     )
-    mesh._space_cache["operators"] = cached
-    return cached
 
 
 def residual(
@@ -398,11 +391,9 @@ class JacobianMap:
     scalar_positions: NDArrayI    # (3, nnz of the scalar block)
 
 
+@cached
 def jacobian_map(mesh: Mesh) -> JacobianMap:
     """`mesh`'s Jacobian pattern and coefficient maps, built on first use and cached."""
-    cached = mesh._space_cache.get("jacobian_map")
-    if cached is not None:
-        return cached
     ops = mesh_operators(mesh)
     ne, ni = mesh.n_elems, ops.avg.shape[1]
     n = ne + 3 * ni
@@ -443,11 +434,9 @@ def jacobian_map(mesh: Mesh) -> JacobianMap:
     cols = ne + 3 * block.indices
     positions = np.stack([np.asarray(index[rows + d, cols + d]).ravel() for d in range(3)])
     del block, index, rows, cols
-    cached = JacobianMap(indptr=pattern.indptr, indices=pattern.indices,
-                         coefficients=_map(pattern, terms), scalar=scalar,
-                         scalar_positions=positions)
-    mesh._space_cache["jacobian_map"] = cached
-    return cached
+    return JacobianMap(indptr=pattern.indptr, indices=pattern.indices,
+                       coefficients=_map(pattern, terms), scalar=scalar,
+                       scalar_positions=positions)
 
 
 def jacobian(
@@ -528,16 +517,6 @@ def interior_weighted_mass(mesh: Mesh, rho: NDArrayF) -> sp.csr_matrix:
 # Time stepping and full runs.
 
 
-def stationary_data(rho_bar: float = 1.0):
-    def rho0(p):
-        return np.full(np.atleast_2d(p).shape[0], rho_bar)
-
-    def m0(p):
-        return np.zeros((np.atleast_2d(p).shape[0], 3))
-
-    return rho0, m0
-
-
 def bump_data(rho_bar: float = 1.0, amp: float = 0.5, sigma: float = 0.15, center=(0.5, 0.5, 0.5)):
     """Gaussian density bump at rest."""
     ctr = np.asarray(center, dtype=float)
@@ -568,7 +547,14 @@ def shear_data(rho_bar: float = 1.0, amp: float = 0.5):
     return rho0, m0
 
 
-PRESETS = {"stationary": stationary_data, "bump": bump_data, "shear": shear_data}
+# Each preset takes (rho_bar, amp, sigma, center) and returns (rho0, m0).  The
+# stationary state is the default bump at amplitude zero: rho_bar + 0 exp(...)
+# is exactly rho_bar, since the default width keeps exp(...) finite.
+PRESETS = {
+    "stationary": lambda rho_bar=1.0, *rest: bump_data(rho_bar, 0.0),
+    "bump": bump_data,
+    "shear": lambda rho_bar=1.0, amp=0.5, *rest: shear_data(rho_bar, amp),
+}
 
 
 @dataclass
@@ -584,12 +570,15 @@ class RunResult:
 def make_initial_data(preset: str, rho_bar: float, amp: float, sigma: float, box_lo, box_hi):
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-    if preset == "stationary":
-        return stationary_data(rho_bar)
-    if preset == "shear":
-        return shear_data(rho_bar, amp)
     center = 0.5 * (np.asarray(box_lo, dtype=float) + np.asarray(box_hi, dtype=float))
-    return bump_data(rho_bar, amp, sigma, center)
+    return PRESETS[preset](rho_bar, amp, sigma, center)
+
+
+def step_count(T: float, dt: float) -> int:
+    """Steps of size dt whose piecewise-constant-in-time extension covers
+    [0, T]: state k holds on ((k-1) dt, k dt].  At least one; a T that is a
+    multiple of dt up to rounding is not rounded up."""
+    return max(1, int(np.ceil(T / dt - 1e-9)))
 
 
 def run(
@@ -612,7 +601,7 @@ def run(
     if steps is None:
         if T <= 0.0:
             raise ValueError(f"T must be > 0, got {T}")
-        steps = max(1, int(np.ceil(T / dt - 1e-9)))
+        steps = step_count(T, dt)
 
     state = initial_state(rho0, m0, mesh, params)
     ledger0 = diag.energy_ledger(state, params, mesh)

@@ -506,8 +506,8 @@ def _newton_at_alpha(prev, x, alpha, params, mesh, diag, factors):
 
     def res_norm(xv):
         guess = scheme.unpack(xv, mesh, prev.k + 1, prev.t)
-        r = scheme.residual(prev, guess, params, mesh, alpha=alpha)
-        return guess, r.ravel(), np.abs(r.ravel()).max()
+        r = scheme.residual(prev, guess, params, mesh, alpha=alpha).ravel()
+        return guess, r, np.abs(r).max()
 
     guess, r, norm = res_norm(x)
     gain = 0.0   # entry below tolerance converges with zero iterations

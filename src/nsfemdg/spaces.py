@@ -24,12 +24,13 @@ gradient of the interpolation error of any smooth field.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
-from .mesh import Mesh, NDArrayF
+from .mesh import Mesh, NDArrayF, cached
 
 # ---------------------------------------------------------------------------
 # Quadrature.
@@ -57,21 +58,7 @@ def tet_rule(degree: int) -> tuple[NDArrayF, NDArrayF]:
         bary = np.full((4, 4), b)
         np.fill_diagonal(bary, a)
         return _read_only((bary, np.full(4, 0.25)))
-    n = (degree + 2) // 2
-    xa, wa = _gauss01(n, 2)
-    xb, wb = _gauss01(n, 1)
-    xc, wc = _gauss01(n, 0)
-    pts, wts = [], []
-    for a, pa in zip(xa, wa):
-        for b, pb in zip(xb, wb):
-            for c, pc in zip(xc, wc):
-                x = a
-                y = b * (1.0 - a)
-                z = c * (1.0 - a) * (1.0 - b)
-                pts.append((1.0 - x - y - z, x, y, z))
-                wts.append(pa * pb * pc)
-    w = np.array(wts)
-    return _read_only((np.array(pts), w / w.sum()))
+    return _collapsed_rule(3, degree)
 
 
 @cache
@@ -81,16 +68,28 @@ def tri_rule(degree: int) -> tuple[NDArrayF, NDArrayF]:
     if degree == 2:
         bary = 0.5 * (1.0 - np.eye(3))
         return _read_only((bary, np.full(3, 1.0 / 3.0)))
+    return _collapsed_rule(2, degree)
+
+
+def _collapsed_rule(dim: int, degree: int) -> tuple[NDArrayF, NDArrayF]:
+    """Collapsed Gauss-Jacobi product rule on the dim-simplex, exact to
+    `degree`.  Axis i takes the rule for the weight (1-t)^(dim-1-i), and its
+    node is scaled by (1 - t_j) of every axis j before it."""
     n = (degree + 2) // 2
-    xa, wa = _gauss01(n, 1)
-    xb, wb = _gauss01(n, 0)
+    axes = [list(zip(*_gauss01(n, alpha))) for alpha in range(dim - 1, -1, -1)]
     pts, wts = [], []
-    for a, pa in zip(xa, wa):
-        for b, pb in zip(xb, wb):
-            x = a
-            y = b * (1.0 - a)
-            pts.append((1.0 - x - y, x, y))
-            wts.append(pa * pb)
+    for nodes in itertools.product(*axes):
+        coords, weight = [], 1.0
+        for i, (t, w) in enumerate(nodes):
+            for s, _ in nodes[:i]:
+                t = t * (1.0 - s)
+            coords.append(t)
+            weight *= w
+        first = 1.0
+        for x in coords:
+            first -= x
+        pts.append((first, *coords))
+        wts.append(weight)
     w = np.array(wts)
     return _read_only((np.array(pts), w / w.sum()))
 
@@ -215,6 +214,7 @@ def normal_flux(u: NDArrayF, mesh: Mesh) -> NDArrayF:
 # Per-element reconstructions (cached on the mesh).
 
 
+@cached
 def p1_coefficients(mesh: Mesh) -> NDArrayF:
     """(n_elems, 4, 4) maps 4 face values to [a1, a2, a3, d] with p = a.x + d.
 
@@ -222,13 +222,9 @@ def p1_coefficients(mesh: Mesh) -> NDArrayF:
     in `elem_faces` order; face values are imposed at face centroids, where a
     linear function attains its face average.
     """
-    cached = mesh._space_cache.get("p1")
-    if cached is None:
-        centroids = mesh.face_centroid[mesh.elem_faces]          # (ne, 4, 3)
-        V = np.concatenate([centroids, np.ones(centroids.shape[:2] + (1,))], axis=2)
-        cached = np.linalg.inv(V)
-        mesh._space_cache["p1"] = cached
-    return cached
+    centroids = mesh.face_centroid[mesh.elem_faces]          # (ne, 4, 3)
+    V = np.concatenate([centroids, np.ones(centroids.shape[:2] + (1,))], axis=2)
+    return np.linalg.inv(V)
 
 
 def basis_gradients(mesh: Mesh) -> NDArrayF:
@@ -236,20 +232,17 @@ def basis_gradients(mesh: Mesh) -> NDArrayF:
     return p1_coefficients(mesh)[:, :3, :]
 
 
+@cached
 def flux_reconstruction_coefficients(mesh: Mesh) -> NDArrayF:
     """(n_elems, 4, 4) maps 4 face fluxes to [w1, w2, w3, s] with u = w + s*x.
 
     The normal component of w + s*x is constant on each face plane, so
     matching the four stored-orientation fluxes is a 4x4 solve per element.
     """
-    cached = mesh._space_cache.get("rt0")
-    if cached is None:
-        nu = mesh.face_normal[mesh.elem_faces]                   # (ne, 4, 3)
-        d = np.einsum("eli,eli->el", nu, mesh.face_centroid[mesh.elem_faces])
-        V = np.concatenate([nu, d[:, :, None]], axis=2)
-        cached = np.linalg.inv(V)
-        mesh._space_cache["rt0"] = cached
-    return cached
+    nu = mesh.face_normal[mesh.elem_faces]                   # (ne, 4, 3)
+    d = np.einsum("eli,eli->el", nu, mesh.face_centroid[mesh.elem_faces])
+    V = np.concatenate([nu, d[:, :, None]], axis=2)
+    return np.linalg.inv(V)
 
 
 def broken_gradient(u: NDArrayF, mesh: Mesh) -> NDArrayF:

@@ -17,13 +17,30 @@ def test_all_names_resolve():
     assert missing == []
 
 
-def test_benchmark_targets_exist():
+def _missing(names) -> list[str]:
+    """The `(module, name)` pairs that are not a callable `nsfemdg.<module>.<name>`."""
+    return [f"{mod}.{fn}" for mod, fn in names
+            if not callable(getattr(importlib.import_module(f"nsfemdg.{mod}"), fn, None))]
+
+
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    missing = [f"{mod}.{fn}" for mod, fn in spans.TARGETS
-               if not callable(getattr(importlib.import_module(f"nsfemdg.{mod}"), fn, None))]
-    assert missing == []
+    return spans
+
+
+def test_benchmark_targets_exist():
+    assert _missing(_spans().TARGETS) == []
+
+
+def test_benchmark_patched_names_exist():
+    """The names the benchmark's pass patches, to capture runs and to perturb
+    the pdecay fields, and those its set-up timing calls; a missing one fails
+    the pass with AttributeError, as a missing TARGETS name does."""
+    names = (("scheme", "run"), ("diagnostics", "p_decay_study"), ("cli", "build_box_mesh"),
+             ("scheme", "make_initial_data"), ("scheme", "initial_state"))
+    assert _missing(names) == []
 
 
 def test_jacobian_is_a_sparse_matrix_superlu_factors():

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from nsfemdg import oracles, scheme
+from nsfemdg import oracles, scheme, spaces
 from nsfemdg.mesh import build_box_mesh
 from nsfemdg.spaces import apply_bc, element_average
 
@@ -99,7 +99,7 @@ def test_initial_state_density_floor():
     mesh = build_box_mesh(1, (0, 0, 0), (L, L, L))
     assert np.isclose(mesh.h, 0.5, atol=1e-15)
     p = scheme.SchemeParams()
-    rho0, m0 = scheme.stationary_data(1.0)
+    rho0, m0 = scheme.make_initial_data("stationary", 1.0, 0.5, 0.15, (0, 0, 0), (L, L, L))
     state = scheme.initial_state(rho0, m0, mesh, p)
     assert np.allclose(state.rho, 1.005, atol=1e-14)
     assert np.all(state.u == 0.0)
@@ -117,7 +117,7 @@ def test_initial_state_negative_density_rejected(mesh1, params):
 
 
 def test_initial_state_zero_density_needs_a_floor(mesh1):
-    rho0, m0 = scheme.stationary_data(0.0)
+    rho0, m0 = scheme.bump_data(0.0, 0.0)
     with pytest.raises(scheme.InitialDataError, match="zero"):
         scheme.initial_state(rho0, m0, mesh1, scheme.SchemeParams(kappa=0.0))
     state = scheme.initial_state(rho0, m0, mesh1, scheme.SchemeParams())
@@ -347,12 +347,20 @@ def test_jacobian_matches_fd_on_several_cubes(mesh2, params, alpha):
     assert np.abs(J - J_fd).max() / np.abs(J_fd).max() < 1e-5
 
 
-def test_jacobian_map_is_built_once_per_mesh(params):
+@pytest.mark.parametrize("build", [
+    scheme.jacobian_map, scheme._interior, scheme.mesh_operators,
+    spaces.p1_coefficients, spaces.flux_reconstruction_coefficients,
+], ids=lambda build: build.__name__)
+def test_jacobian_map_is_built_once_per_mesh(params, build):
+    """Every builder of mesh-derived data runs once per mesh object."""
     mesh, twin = build_box_mesh(1), build_box_mesh(1)
     prev, cur = random_pair(mesh, params, seed=35)
     first = scheme.jacobian(prev, cur, params, mesh)
+    built = build(mesh)
     jm = scheme.jacobian_map(mesh)
     again = scheme.jacobian(prev, cur, params, mesh)
+    assert build(mesh) is built
+    assert build(twin) is not built
     assert scheme.jacobian_map(mesh) is jm
     assert scheme.jacobian_map(twin) is not jm
     assert scheme.jacobian_map(build_box_mesh(2)).indptr.size != jm.indptr.size

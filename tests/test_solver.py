@@ -460,7 +460,7 @@ def test_alpha0_matches_dense_solve(mesh1, params):
 
 def test_stationary_converges_without_iterations(mesh2):
     params = scheme.SchemeParams(kappa=0.0)
-    rho0, m0 = scheme.stationary_data(1.0)
+    rho0, m0 = scheme.bump_data(1.0, 0.0)
     prev = scheme.initial_state(rho0, m0, mesh2, params)
     new, diag = solver.homotopy_newton_solve(prev, params, mesh2)
     assert diag.newton_iters == 0
@@ -611,7 +611,7 @@ def test_run_steps_from_final_time(mesh2, params):
 
 
 def test_run_requires_T_or_steps(mesh2, params):
-    rho0, m0 = scheme.stationary_data(1.0)
+    rho0, m0 = scheme.bump_data(1.0, 0.0)
     with pytest.raises(ValueError):
         scheme.run(mesh2, params, rho0, m0)
     with pytest.raises(ValueError):
