@@ -18,7 +18,7 @@ import numpy as np
 
 from . import diagnostics, oracles, scheme, solver
 from .io import write_csv, write_table, write_vtk
-from .mesh import build_box_mesh
+from .mesh import MAX_VERTS, build_box_mesh
 from .spaces import (
     PolynomialField,
     ScalarPolynomial,
@@ -107,6 +107,10 @@ class RunConfig:
             raise ConfigError(f"unknown study kind {self.kind!r}; choose from {tuple(_STUDY_READS)}")
         if not self.ns or any(m < 1 for m in self.ns):
             raise ConfigError(f"ns must be positive integers, got {self.ns}")
+        for m in (self.n, *self.ns):
+            if (m + 1) ** 3 >= MAX_VERTS:
+                raise ConfigError(f"a box mesh with n = {m} has {(m + 1) ** 3} vertices; "
+                                  f"meshes need fewer than {MAX_VERTS}")
         if self.kind == "cauchy" and not _nested(self.ns):
             raise ConfigError(f"cauchy needs at least two ns, each a larger multiple of "
                               f"the one before, got {self.ns}")
@@ -115,6 +119,8 @@ class RunConfig:
                               f"got {self.ns}")
         if self.sigma <= 0.0:
             raise ConfigError(f"sigma must be > 0, got {self.sigma}")
+        if self.sigma**2 == 0.0:
+            raise ConfigError(f"sigma is too small: sigma**2 underflows to 0, got {self.sigma}")
         if self.initial_density_min() < 0.0:
             raise ConfigError(f"initial density of preset {self.initial_preset} is negative: "
                               f"its minimum over the box is {self.initial_density_min():.6g}")

@@ -227,7 +227,14 @@ def continuity_transport(state, mesh: Mesh, moments: TransportMoments):
 
 
 def momentum_transport(state, mesh: Mesh, moments: TransportMoments):
-    """Returns (lhs, volume_term, p2, p3, p4) of the momentum transport identity."""
+    """Returns (lhs, volume_term, p2, p3, p4) of the momentum transport identity.
+
+    p4 is decided by rounding at n >= 8: its factor vol*what - v_elem is the
+    element integral of v's CR interpolant minus that of v, two quadrature
+    sums that agree to O(h^2) relative and cancel.  Quadrature-weight changes
+    of 2e-14 relative moved p4 by 1.3e-12 relative at n=8 and 1.1e-11 at
+    n=16, so comparisons of p4 across versions need rtol >= 1e-10.
+    """
     rho = state.rho
     vol = mesh.elem_volume
     int_f, own, nbr = scheme._interior(mesh)

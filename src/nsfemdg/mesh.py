@@ -26,6 +26,9 @@ NDArrayI = npt.NDArray[np.integer]
 
 # Local faces of a tet, opposite vertices 0..3.
 _LOCAL_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+# Face keys pack three vertex ids into one int64, so nv**3 must stay below
+# 2**63: a box up to n = 126.
+MAX_VERTS = 2**21
 
 
 @dataclass(eq=False)
@@ -141,6 +144,9 @@ def build_box_mesh(n: int, box_lo=(0.0, 0.0, 0.0), box_hi=(1.0, 1.0, 1.0)) -> Me
 
 
 def _mesh_from_tets(vertices, tets, box_lo=None, box_hi=None, n_per_axis=None) -> Mesh:
+    n_verts = len(vertices)
+    if n_verts >= MAX_VERTS:
+        raise ValueError(f"{n_verts} vertices: face keys need fewer than {MAX_VERTS}")
     n_elems = tets.shape[0]
     v = vertices[tets]
     signed6 = np.einsum(
@@ -156,11 +162,16 @@ def _mesh_from_tets(vertices, tets, box_lo=None, box_hi=None, n_per_axis=None) -
     # Collect faces; each sorted vertex triple appears in one or two elements.
     # Faces are numbered by first appearance in (element, local face) order,
     # so the owner, the first element seen, is the lower adjacent index.
+    # A triple (a, b, c) is packed into the int64 (a*nv + b)*nv + c, which
+    # orders as the triples do, so the 1-D `unique` numbers faces as a
+    # row-wise one would, without sorting a void view.
     keys = np.sort(tets[:, _LOCAL_FACES], axis=2).reshape(-1, 3)
-    uniq, first, inverse, counts = np.unique(
-        keys, axis=0, return_index=True, return_inverse=True, return_counts=True)
+    a, b, c = keys.astype(np.int64, copy=False).T
+    packed = (a * n_verts + b) * n_verts + c
+    _, first, inverse, counts = np.unique(
+        packed, return_index=True, return_inverse=True, return_counts=True)
     if np.any(counts > 2):
-        key = tuple(int(i) for i in uniq[np.argmax(counts > 2)])
+        key = tuple(int(i) for i in keys[first[np.argmax(counts > 2)]])
         raise ValueError(f"face {key} shared by more than two tets")
     order = np.argsort(first)                     # face id -> unique row
     rank = np.empty_like(order)
@@ -168,8 +179,8 @@ def _mesh_from_tets(vertices, tets, box_lo=None, box_hi=None, n_per_axis=None) -
     slot_face = rank[inverse.reshape(-1)]         # face id of each (element, local face)
     elem_faces = slot_face.reshape(n_elems, 4)
 
-    face_vertices = uniq[order]
     first_slot = first[order]
+    face_vertices = keys[first_slot]
     face_owner = first_slot // 4
     face_neighbor = np.full(len(order), -1, dtype=np.int64)
     second = np.flatnonzero(first_slot[slot_face] != np.arange(len(keys)))

@@ -518,6 +518,9 @@ def _newton_at_alpha(prev, x, alpha, params, mesh, diag, factors):
             return x, True
         J = scheme.jacobian(prev, guess, params, mesh, alpha=alpha)
         floor = _rounding_floor(J, x)
+        if not np.isfinite(norm + floor):
+            # An overflowed residual or Jacobian gives no Newton step.
+            return x, norm <= tol
         try:
             delta = linear_solve(J, -r, n_density=ne, stats=diag, factors=factors,
                                  floor=floor)

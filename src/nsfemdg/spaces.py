@@ -252,7 +252,10 @@ def broken_gradient(u: NDArrayF, mesh: Mesh) -> NDArrayF:
 
 
 def broken_divergence(u: NDArrayF, mesh: Mesh) -> NDArrayF:
-    return np.einsum("eii->e", broken_gradient(u, mesh))
+    """(n_elems,) trace of `broken_gradient`, forming only its diagonal: the
+    same sums of products, added in the same order, so the same bits."""
+    g = np.einsum("eik,eki->ei", p1_coefficients(mesh)[:, :3, :], u[mesh.elem_faces])
+    return g[:, 0] + g[:, 1] + g[:, 2]
 
 
 def broken_curl(u: NDArrayF, mesh: Mesh) -> NDArrayF:
@@ -411,25 +414,32 @@ class SineField:
     k: float = 1.0
     amplitude: float = 1.0
 
+    def _phase(self, pts: NDArrayF) -> NDArrayF:
+        """k pi x as a (3, npts) array, one contiguous row per axis."""
+        return np.multiply(self.k * np.pi, np.atleast_2d(pts).T, order="C")
+
     def __call__(self, pts: NDArrayF) -> NDArrayF:
-        pts = np.atleast_2d(pts)
-        s = np.sin(self.k * np.pi * pts)
-        val = self.amplitude * s.prod(axis=1)
+        phase = self._phase(pts)
+        s = np.sin(phase, out=phase)
+        val = s[0] * s[1]
+        val *= s[2]
+        val *= self.amplitude
         return np.broadcast_to(val[:, None], (len(val), 3))
 
     def jacobian(self, pts: NDArrayF) -> NDArrayF:
-        pts = np.atleast_2d(pts)
         kp = self.k * np.pi
-        s = np.sin(kp * pts)
-        c = np.cos(kp * pts)
-        grad = self.amplitude * np.stack(
-            [
-                kp * c[:, 0] * s[:, 1] * s[:, 2],
-                kp * s[:, 0] * c[:, 1] * s[:, 2],
-                kp * s[:, 0] * s[:, 1] * c[:, 2],
-            ],
-            axis=1,
-        )
+        phase = self._phase(pts)
+        s = np.sin(phase)
+        c = np.cos(phase, out=phase)
+        # Column i is ((kp * f_0) * f_1) * f_2 with f_i = c_i and the other
+        # two factors s.
+        grad = np.empty((s.shape[1], 3))
+        for i in range(3):
+            f = [c[m] if m == i else s[m] for m in range(3)]
+            col = np.multiply(kp, f[0], out=grad[:, i])
+            col *= f[1]
+            col *= f[2]
+        grad *= self.amplitude
         return np.broadcast_to(grad[:, None, :], (len(grad), 3, 3))
 
 

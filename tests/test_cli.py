@@ -104,6 +104,8 @@ def test_box_needs_six_numbers():
     ("gamma", "nan", "not a finite number"),
     ("sigma", "0", "sigma must be > 0"),
     ("sigma", "-0.1", "sigma must be > 0"),
+    ("n", "127", "n = 127 has 2097152 vertices"),
+    ("ns", "2 4 200", "n = 200 has"),
 ])
 def test_validation_rejects(key, value, match):
     with pytest.raises(ConfigError, match=match):
@@ -283,6 +285,29 @@ def test_unconverged_run_exits_two(tmp_path, capsys):
                    "--outdir", str(tmp_path / "out")])
     assert rc == 2
     assert "failed at step" in capsys.readouterr().err
+
+
+def test_underflowing_sigma_exits_one(tmp_path, capsys):
+    """sigma > 0 whose square underflows to 0 would divide by zero in the
+    bump's closed-form minimum: a configuration error, one line."""
+    rc = cli.main(["run", "--preset", "bump", "--n", "1", "--steps", "1",
+                   "--sigma", "1e-200", "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "configuration error: sigma is too small: sigma**2 underflows to 0, got 1e-200\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("flags", [["--a", "1e308"], ["--preset", "bump", "--amp", "1e308"]])
+def test_overflowing_residual_exits_two(flags, tmp_path, capsys):
+    """A residual or Jacobian that overflows fails the Newton node, and every
+    schedule with it: the step-failure line, not a traceback from GMRES."""
+    rc = cli.main(["run", "--n", "1", "--steps", "1", *flags,
+                   "--outdir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run failed at step 1: ") and err.count("\n") == 1
 
 
 def test_unconverged_study_exits_two_and_leaves_no_outdir(tmp_path, capsys):

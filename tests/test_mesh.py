@@ -202,7 +202,7 @@ def _reference_faces(tets):
 @pytest.mark.parametrize("n, lo, hi", [
     (1, (0, 0, 0), (1, 1, 1)), (2, (0, 0, 0), (1, 1, 1)),
     (3, (0, 0, 0), (1, 1, 1)), (4, (0, 0, 0), (1, 1, 1)),
-    (3, (0.0, -1.0, 0.5), (2.0, 1.0, 1.5)),
+    (3, (0.0, -1.0, 0.5), (2.0, 1.0, 1.5)), (6, (0, 0, 0), (1, 1, 1)),
 ])
 def test_box_mesh_matches_loop_reference(n, lo, hi):
     mesh = build_box_mesh(n, lo, hi)
@@ -213,6 +213,32 @@ def test_box_mesh_matches_loop_reference(n, lo, hi):
     assert np.array_equal(mesh.face_owner, owner)
     assert np.array_equal(mesh.face_neighbor, neighbor)
     assert np.array_equal(mesh.elem_faces, elem_faces)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_shuffled_tets_match_loop_reference(seed):
+    """Faces from packed keys are numbered as the loop numbers them in any
+    element order, and with each tet's vertices rotated by an even
+    permutation, which keeps its orientation but reorders its face keys."""
+    rng = np.random.default_rng(seed)
+    mesh = build_box_mesh(3)
+    tets = mesh.tets[rng.permutation(mesh.n_elems)]
+    rotate = rng.random(len(tets)) < 0.5
+    tets[rotate] = tets[rotate][:, [0, 2, 3, 1]]
+    shuffled = _mesh_from_tets(mesh.vertices, tets)
+    face_vertices, owner, neighbor, elem_faces = _reference_faces(tets)
+    assert np.array_equal(shuffled.face_vertices, face_vertices)
+    assert np.array_equal(shuffled.face_owner, owner)
+    assert np.array_equal(shuffled.face_neighbor, neighbor)
+    assert np.array_equal(shuffled.elem_faces, elem_faces)
+
+
+def test_face_keys_overflow_raises(mesh1):
+    """Packed face keys need nv**3 < 2**63; a read-only broadcast stands in
+    for the 2**21 vertices, so nothing that size is allocated."""
+    vertices = np.broadcast_to(np.zeros(3), (2**21, 3))
+    with pytest.raises(ValueError, match="2097152 vertices"):
+        _mesh_from_tets(vertices, mesh1.tets)
 
 
 def test_face_shared_by_three_tets_raises(mesh1):

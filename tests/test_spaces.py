@@ -192,6 +192,18 @@ def test_broken_gradient_exact_for_linear(mesh2):
     assert np.allclose(broken_curl(interp, mesh2), curl_exact[None, :], atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [3, 8])
+def test_broken_divergence_is_bitwise_trace_of_gradient(n):
+    """The diagonal-only divergence adds the same products in the same order
+    as the trace of the full broken gradient."""
+    mesh = build_box_mesh(n)
+    rng = np.random.default_rng(n)
+    for scale in (1e-6, 1.0, 1e6):
+        u = scale * rng.standard_normal((mesh.n_faces, 3))
+        assert np.array_equal(broken_divergence(u, mesh),
+                              np.einsum("eii->e", broken_gradient(u, mesh)))
+
+
 def test_basis_gradients_partition(mesh2):
     # the four basis functions sum to 1, so their gradients cancel
     gb = basis_gradients(mesh2)
@@ -462,6 +474,25 @@ def test_sine_field_repeats_one_component_read_only():
     assert not vals.flags.writeable and not J.flags.writeable
     assert np.array_equal(vals, np.repeat(vals[:, :1], 3, axis=1))
     assert np.array_equal(J, np.repeat(J[:, :1, :], 3, axis=1))
+
+
+@pytest.mark.parametrize("k, amplitude", [(1.0, 1.0), (1.5, 0.7), (2.0, -3.25), (0.3, 1e-3)])
+def test_sine_field_is_bitwise_the_product_formula(k, amplitude):
+    """Values and Jacobians equal, bit for bit, amplitude * prod(sin) and
+    amplitude * [kp c0 s1 s2, kp s0 c1 s2, kp s0 s1 c2] in that operand order."""
+    field = SineField(k=k, amplitude=amplitude)
+    rng = np.random.default_rng(14)
+    kp = k * np.pi
+    for pts in (rng.uniform(0, 1, size=(448 * 64, 3)), rng.uniform(-3, 3, size=(7, 3)),
+                np.array([0.25, 0.5, 0.125])):
+        p = np.atleast_2d(pts)
+        s, c = np.sin(kp * p), np.cos(kp * p)
+        val = amplitude * s.prod(axis=1)
+        grad = amplitude * np.stack([kp * c[:, 0] * s[:, 1] * s[:, 2],
+                                     kp * s[:, 0] * c[:, 1] * s[:, 2],
+                                     kp * s[:, 0] * s[:, 1] * c[:, 2]], axis=1)
+        assert np.array_equal(field(pts), np.repeat(val[:, None], 3, axis=1))
+        assert np.array_equal(field.jacobian(pts), np.repeat(grad[:, None, :], 3, axis=1))
 
 
 def test_sine_field_vanishes_on_boundary(mesh2):
