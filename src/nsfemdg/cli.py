@@ -3,8 +3,8 @@
 Configuration comes from a plain-text ``key = value`` file (``#`` starts a
 comment) and/or ``--key value`` flags; flags override file values.  Unknown
 keys are rejected, and so are keys the command does not read.  Exit codes:
-0 success, 1 configuration error, 2 numerical failure (a step that would not
-converge, or a failed invariant check).
+0 success, 1 configuration or usage error, 2 numerical failure (a step that
+would not converge, or a failed invariant check).
 """
 from __future__ import annotations
 
@@ -63,9 +63,6 @@ class RunConfig:
             return scheme.SchemeParams(**self.physics)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-
-    def mesh(self):
-        return build_box_mesh(self.n, self.box[:3], self.box[3:])
 
     @property
     def initial_preset(self) -> str:
@@ -211,16 +208,21 @@ def parse_config(path=None, overrides=()) -> RunConfig:
 # run
 
 
-def cmd_run(cfg: RunConfig) -> int:
-    mesh = cfg.mesh()
-    params = cfg.params()
+def _run(cfg: RunConfig, n: int, T: float | None = None,
+         steps: int | None = None) -> scheme.RunResult:
+    """`scheme.run` from the configured initial data on the n-per-axis mesh
+    of the box."""
+    mesh = build_box_mesh(n, cfg.box[:3], cfg.box[3:])
     rho0, m0 = scheme.make_initial_data(
-        cfg.preset, cfg.rho_bar, cfg.amp, cfg.sigma, mesh.box_lo, mesh.box_hi
+        cfg.initial_preset, cfg.rho_bar, cfg.amp, cfg.sigma, mesh.box_lo, mesh.box_hi
     )
-    T, steps = cfg.T, cfg.steps
-    if T is None and steps is None:
-        steps = 10
-    result = scheme.run(mesh, params, rho0, m0, T=T, steps=steps)
+    return scheme.run(mesh, cfg.params(), rho0, m0, T=T, steps=steps)
+
+
+def cmd_run(cfg: RunConfig) -> int:
+    steps = 10 if cfg.T is None and cfg.steps is None else cfg.steps
+    result = _run(cfg, cfg.n, cfg.T, steps)
+    mesh = result.mesh
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_csv(outdir / "diagnostics.csv", result.rows)
@@ -347,14 +349,6 @@ def cmd_check(cfg: RunConfig, corrupt: str | None = None) -> int:
 # study
 
 
-def _study_run(cfg: RunConfig, n: int, T: float):
-    mesh = build_box_mesh(n, cfg.box[:3], cfg.box[3:])
-    rho0, m0 = scheme.make_initial_data(
-        cfg.initial_preset, cfg.rho_bar, cfg.amp, cfg.sigma, mesh.box_lo, mesh.box_hi
-    )
-    return scheme.run(mesh, cfg.params(), rho0, m0, T=T)
-
-
 def cmd_study(cfg: RunConfig) -> int:
     outdir = Path(cfg.outdir)   # made by write_table: a failed study leaves none
     # The defect-decay study needs a longer window so even the coarsest mesh
@@ -395,7 +389,7 @@ def cmd_study(cfg: RunConfig) -> int:
         print(f"study pdecay: wrote {outdir / 'pdecay.csv'}")
         return 0
 
-    runs = [_study_run(cfg, n, T) for n in cfg.ns]
+    runs = [_run(cfg, n, T) for n in cfg.ns]
     diffs = diagnostics.cauchy_differences(runs, T)
     rows = [(a, b, d) for (a, b), d in zip(zip(cfg.ns[:-1], cfg.ns[1:]), diffs)]
     write_table(outdir / "cauchy.csv", ("n_coarse", "n_fine", "l2_spacetime_diff"), rows)
@@ -443,7 +437,10 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=doc, allow_abbrev=False)
         p.add_argument("--config", default=None, help="key = value configuration file")
 
-    args, extra = parser.parse_known_args(argv)
+    try:
+        args, extra = parser.parse_known_args(argv)
+    except SystemExit as exc:   # argparse printed the help, or usage and an error
+        return 1 if exc.code else 0
     try:
         cfg = parse_config(args.config, _override_pairs(extra))
         _reject_unused(cfg, args.command)

@@ -194,15 +194,9 @@ def _mesh_from_tets(vertices, tets, box_lo=None, box_hi=None, n_per_axis=None) -
     face_normal = cross / (2.0 * face_area)[:, None]
     face_centroid = fv.mean(axis=1)
 
-    # Orient normals owner -> neighbor (outward on the boundary).
-    interior = face_neighbor >= 0
-    target = np.where(
-        interior[:, None],
-        elem_centroid[np.where(interior, face_neighbor, 0)] - elem_centroid[face_owner],
-        face_centroid - elem_centroid[face_owner],
-    )
-    wrong = np.einsum("fi,fi->f", face_normal, target) < 0.0
-    face_normal[wrong] *= -1.0
+    # Orient normals away from the owner, owner -> neighbor on interior faces.
+    away = face_centroid - elem_centroid[face_owner]
+    face_normal[np.einsum("fi,fi->f", face_normal, away) < 0.0] *= -1.0
 
     elem_face_sign = np.where(
         face_owner[elem_faces] == np.arange(n_elems)[:, None], 1.0, -1.0

@@ -61,6 +61,7 @@ from .spaces import (
     cell_means,
     element_average,
     interpolate_v,
+    normal_flux,
 )
 
 
@@ -222,7 +223,7 @@ def unpack(x: NDArrayF, mesh: Mesh, k: int, t: float) -> State:
 def interior_fluxes(state: State, mesh: Mesh) -> tuple[NDArrayF, NDArrayF]:
     """Normal velocity flux and upwind mass flux Up on the interior faces."""
     int_f, own, nbr = _interior(mesh)
-    flux = np.einsum("fi,fi->f", state.u[int_f], mesh.face_normal[int_f])
+    flux = normal_flux(state.u, mesh)[int_f]
     rho = state.rho
     return flux, upwind_scalar(rho[own], rho[nbr], flux)
 
@@ -336,43 +337,38 @@ def _paths(left: sp.spmatrix, right: sp.spmatrix):
 # coefficient vector of a list of terms is the concatenation of theirs.
 
 
-def _pattern(terms, shape) -> sp.csr_matrix:
-    """Boolean pattern of the sum of `terms`, from their structural products."""
-    pattern = sp.csr_matrix(shape, dtype=bool)
-    for left, right, row0, col0, width in terms:
-        product = (abs(left) @ abs(right)).astype(bool)   # nothing cancels in it
-        product = sp.kron(product, np.ones((width, 1), dtype=bool), format="coo")
-        pattern = pattern + sp.csr_matrix(
-            (product.data, (product.row + row0, product.col + col0)), shape=shape)
-    return pattern
-
-
-def _index(pattern: sp.csr_matrix) -> sp.csr_matrix:
-    """`pattern` holding each entry's position in its data: indexed at stored
-    entries, it reads their positions."""
-    return sp.csr_matrix((np.arange(pattern.nnz, dtype=np.int32), pattern.indices,
-                          pattern.indptr), shape=pattern.shape)
-
-
-def _map(pattern: sp.csr_matrix, terms) -> sp.csc_matrix:
-    """The matrix that takes the coefficient vector of `terms` to the values
-    of `pattern`'s entries."""
-    index = _index(pattern)
-    positions, coefficients, weights = [], [], []
+def _map(terms, shape, extra=()):
+    """From the entries that the paths of `terms` reach and the `extra`
+    (rows, cols) entries: the boolean pattern they form, the matrix that
+    takes the coefficient vector of `terms` to the values of its entries, and
+    the positions of each extra entry in those values.  Every entry looked up
+    is in the pattern by construction."""
+    entries, coefficients, weights = [], [], []
     offset = 0
     for left, right, row0, col0, width in terms:
         i, k, j, w = _paths(left, right)
         for d in range(width):
-            positions.append(np.asarray(index[row0 + width * i + d, col0 + j]).ravel())
+            entries.append((row0 + width * i + d, col0 + j))
             coefficients.append(offset + width * k + d)
             weights.append(w)
         offset += width * left.shape[1]
+    entries += extra
+    # Summed entry by entry, so that no joined copy of the entries is made.
+    pattern = sum((sp.csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)), shape=shape)
+                   for rows, cols in entries), sp.csr_matrix(shape, dtype=bool))
+    # Indexed at stored entries, `index` reads their positions in the data.
+    index = sp.csr_matrix((np.arange(pattern.nnz, dtype=np.int32), pattern.indices,
+                           pattern.indptr), shape=shape)
+    # Popped, so that each entry is freed once looked up.
+    positions = [np.asarray(index[entries.pop(0)]).ravel() for _ in range(len(entries))]
     del index
+    extra_positions = positions[len(weights):]
     # Reassigned one at a time, so that each list is freed once joined.
-    positions = np.concatenate(positions)
+    positions = np.concatenate(positions[:len(weights)])
     coefficients = np.concatenate(coefficients)
     weights = np.concatenate(weights)
-    return sp.csc_matrix((weights, (positions, coefficients)), shape=(pattern.nnz, offset))
+    values = sp.csc_matrix((weights, (positions, coefficients)), shape=(pattern.nnz, offset))
+    return pattern, values, extra_positions
 
 
 @dataclass(frozen=True)
@@ -389,6 +385,16 @@ class JacobianMap:
     coefficients: sp.csc_matrix   # (nnz, len(c))
     scalar: sp.csc_matrix         # (nnz of the scalar block, len(s))
     scalar_positions: NDArrayI    # (3, nnz of the scalar block)
+
+
+def _component_copies(block: sp.csr_matrix, offset: int):
+    """For each velocity component d, the (rows, cols) arrays that place the
+    scalar block's entry (i, j) at (offset + 3 i + d, offset + 3 j + d)."""
+    rows = offset + 3 * np.repeat(np.arange(block.shape[0], dtype=np.int32),
+                                  np.diff(block.indptr))
+    cols = offset + 3 * block.indices
+    for d in range(3):
+        yield rows + d, cols + d
 
 
 @cached
@@ -423,20 +429,13 @@ def jacobian_map(mesh: Mesh) -> JacobianMap:
         (*upwind(ops.face_test, ops.own, ops.nbr), ne, 0, 3),   # C: momentum flux
         (ops.face_test, ops.normal, ne, ne, 3),             # D: momentum flux
     ]
-    block = _pattern(scalar_terms, (ni, ni))
-    scalar = _map(block, scalar_terms)
-    # The scalar block's entry (i, j) is D's entry (3 i + d, 3 j + d) for each d.
-    pattern = _pattern(terms, (n, n)) + sp.block_diag(
-        [sp.csr_matrix((ne, ne), dtype=bool), sp.kron(block, sp.identity(3, dtype=bool))],
-        format="csr")
-    index = _index(pattern)
-    rows = ne + 3 * np.repeat(np.arange(ni, dtype=np.int32), np.diff(block.indptr))
-    cols = ne + 3 * block.indices
-    positions = np.stack([np.asarray(index[rows + d, cols + d]).ravel() for d in range(3)])
-    del block, index, rows, cols
+    block, scalar, _ = _map(scalar_terms, (ni, ni))
+    copies = _component_copies(block, ne)
+    del block   # held by `copies` alone, and freed once `_map` has read them
+    pattern, coefficients, positions = _map(terms, (n, n), copies)
     return JacobianMap(indptr=pattern.indptr, indices=pattern.indices,
-                       coefficients=_map(pattern, terms), scalar=scalar,
-                       scalar_positions=positions)
+                       coefficients=coefficients, scalar=scalar,
+                       scalar_positions=np.stack(positions))
 
 
 def jacobian(

@@ -463,32 +463,33 @@ def homotopy_newton_solve(prev, params, mesh: Mesh, factors: BlockFactors | None
     next; without it the step starts with none."""
     dt = params.dt(mesh)
     k, t = prev.k + 1, prev.t + dt
-    last_fail = (1.0, 0, np.inf)
     # Every schedule starts here; _newton_at_alpha rebinds x, never mutates it.
     x0 = scheme.pack(alpha0_solve(prev, params, mesh), mesh)
     factors = factors if factors is not None else BlockFactors()
+    # One holder for the step: its counts add up over every schedule tried,
+    # the rest describes the last schedule's last node.
+    diag = StepDiagnostics()
 
     for ischedule, schedule in enumerate(schedules(params.homotopy_steps)):
         x = x0
-        diag = StepDiagnostics(schedule_index=ischedule, alpha_nodes_used=1)
+        diag.schedule_index, diag.alpha_nodes_used = ischedule, 1
+        budget = diag.newton_iters + params.newton_max_iter   # per schedule
         ok = True
         for alpha in schedule[1:]:
             diag.alpha_nodes_used += 1
             factors.keep_for(alpha)
-            x, ok = _newton_at_alpha(prev, x, alpha, params, mesh, diag, factors)
+            x, ok = _newton_at_alpha(prev, x, alpha, params, mesh, diag, factors, budget)
             if not ok:
-                last_fail = (alpha, diag.newton_iters, diag.residual_norm)
                 break
         if ok:
-            state = scheme.unpack(x, mesh, k, t)
-            return state, diag
+            return scheme.unpack(x, mesh, k, t), diag
 
     raise StepFailure(
-        f"no continuation schedule converged (last: alpha={last_fail[0]}, "
-        f"residual={last_fail[2]:.3e})",
-        alpha=last_fail[0],
-        iterations=last_fail[1],
-        residual_norm=last_fail[2],
+        f"no continuation schedule converged (last: alpha={alpha}, "
+        f"residual={diag.residual_norm:.3e})",
+        alpha=alpha,
+        iterations=diag.newton_iters,
+        residual_norm=diag.residual_norm,
     )
 
 
@@ -500,7 +501,8 @@ def _rounding_floor(J: sp.csr_matrix, x: NDArrayF) -> float:
     return FLOOR_FACTOR * UNIT_ROUNDOFF * (abs_J @ np.abs(x)).max()
 
 
-def _newton_at_alpha(prev, x, alpha, params, mesh, diag, factors):
+def _newton_at_alpha(prev, x, alpha, params, mesh, diag, factors, budget):
+    """Damped Newton at one alpha node, while diag.newton_iters < budget."""
     ne = mesh.n_elems
     tol = params.newton_tol
 
@@ -512,7 +514,7 @@ def _newton_at_alpha(prev, x, alpha, params, mesh, diag, factors):
     guess, r, norm = res_norm(x)
     gain = 0.0   # entry below tolerance converges with zero iterations
     floor = 0.0  # rounding floor of the residual, once a Jacobian is known
-    while diag.newton_iters < params.newton_max_iter:
+    while diag.newton_iters < budget:
         diag.residual_norm = norm
         if norm <= tol and (gain < POLISH_GAIN or norm <= floor):
             return x, True

@@ -139,6 +139,22 @@ def test_T_with_steps_exits_one(tmp_path, capsys):
     assert not (tmp_path / "diagnostics.csv").exists()
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["runn"], 1), ([], 1), (["run", "--config"], 1), (["--help"], 0), (["run", "--help"], 0),
+])
+def test_usage_errors_exit_one_and_help_exits_zero(argv, code, capsys):
+    """A misspelt or missing command, or --config without its value, exits 1,
+    the configuration-error code, with argparse's usage and error lines;
+    --help still exits 0."""
+    assert cli.main(argv) == code
+    out = capsys.readouterr()
+    if code:
+        usage, *_, error = out.err.splitlines()
+        assert usage.startswith("usage: nsfemdg") and ": error: " in error
+    else:
+        assert out.out.startswith("usage: nsfemdg") and not out.err
+
+
 def test_override_pairs_forms():
     pairs = cli._override_pairs(["--n", "4", "--preset=bump", "--T", "0.25"])
     assert pairs == [("n", "4"), ("preset", "bump"), ("T", "0.25")]

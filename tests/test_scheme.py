@@ -371,6 +371,39 @@ def test_jacobian_map_is_built_once_per_mesh(params, build):
         assert np.array_equal(J.data, first.data)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_pattern_slot_is_filled_by_a_path(n):
+    """The pattern holds only entries that some path reaches: with random
+    coefficients in [1, 2] no value of the map comes out zero."""
+    jm = scheme.jacobian_map(build_box_mesh(n))
+    rng = np.random.default_rng(n)
+    data = jm.coefficients @ rng.uniform(1.0, 2.0, jm.coefficients.shape[1])
+    scalar = jm.scalar @ rng.uniform(1.0, 2.0, jm.scalar.shape[1])
+    for pos in jm.scalar_positions:
+        data[pos] += scalar
+    assert np.all(data != 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_scalar_positions_are_the_component_copies(n):
+    """The scalar block's entry (i, j) lands at D's entry (3 i + d, 3 j + d)
+    for each component d, at distinct positions, in the block's row order."""
+    mesh = build_box_mesh(n)
+    jm = scheme.jacobian_map(mesh)
+    ne, ni = mesh.n_elems, len(mesh.interior_faces)
+    pos = jm.scalar_positions
+    assert pos.shape == (3, jm.scalar.shape[0])
+    assert np.unique(pos).size == pos.size
+    rows = np.repeat(np.arange(len(jm.indptr) - 1), np.diff(jm.indptr))[pos] - ne
+    cols = jm.indices[pos] - ne
+    assert rows.min() >= 0 and cols.min() >= 0
+    (i, di), (j, dj) = np.divmod(rows, 3), np.divmod(cols, 3)
+    assert np.array_equal(di, np.broadcast_to(np.arange(3)[:, None], pos.shape))
+    assert np.array_equal(dj, di)
+    assert np.all(i == i[0]) and np.all(j == j[0])
+    assert np.all(np.diff(i[0] * ni + j[0]) > 0)
+
+
 def test_jacobian_is_canonical_without_stored_zeros(mesh2, params):
     rest = _rest(mesh2)
     for (prev, cur), alpha in ((random_pair(mesh2, params, seed=36), 1.0),

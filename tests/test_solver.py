@@ -558,6 +558,36 @@ def test_stress_step_needs_no_direct_solve(mesh2, monkeypatch):
     assert diag.residual_norm <= params.newton_tol
 
 
+def test_step_counts_add_up_over_every_schedule(mesh2, monkeypatch):
+    """On a step that falls back to the third schedule, the step's counts are
+    the sums over every node tried, the failed schedules' nodes included."""
+    counts = ("newton_iters", "linesearch_backtracks", "krylov_iters", "krylov_cycles",
+              "factorizations")
+    sums = dict.fromkeys(counts, 0)
+    nodes = []
+    newton_at_alpha = solver._newton_at_alpha
+
+    def recorded(prev, x, alpha, params, mesh, diag, *args):
+        before = {key: getattr(diag, key) for key in counts}
+        x, ok = newton_at_alpha(prev, x, alpha, params, mesh, diag, *args)
+        for key in counts:
+            sums[key] += getattr(diag, key) - before[key]
+        nodes.append(ok)
+        return x, ok
+
+    monkeypatch.setattr(solver, "_newton_at_alpha", recorded)
+    params = scheme.SchemeParams(gamma=6.0, c=4.0)
+    rho0, m0 = scheme.make_initial_data("bump", 1.0, 200.0, 0.15,
+                                        mesh2.box_lo, mesh2.box_hi)
+    _, diag = solver.homotopy_newton_solve(scheme.initial_state(rho0, m0, mesh2, params),
+                                           params, mesh2)
+    assert diag.schedule_index == 2 and nodes.count(False) == 2
+    assert {key: getattr(diag, key) for key in counts} == sums
+    assert sums["newton_iters"] > 0 and sums["factorizations"] > 0
+    # The node count is the converged schedule's, alpha = 0 included.
+    assert diag.alpha_nodes_used == len(solver.schedules(params.homotopy_steps)[2])
+
+
 def test_step_failure_reports_context(mesh2):
     params = scheme.SchemeParams(newton_tol=1e-16, newton_max_iter=1,
                                  homotopy_steps=2)
