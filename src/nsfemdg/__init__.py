@@ -20,7 +20,7 @@ if _threads:
                  "NUMEXPR_NUM_THREADS"):
         _os.environ.setdefault(_var, _threads)
 
-from .mesh import Mesh, build_box_mesh, find_elements, mesh_metrics
+from .mesh import Mesh, build_box_mesh, find_elements
 from .scheme import (
     PRESETS,
     InitialDataError,
@@ -67,7 +67,6 @@ __all__ = [
     "interpolate_v",
     "jacobian",
     "make_initial_data",
-    "mesh_metrics",
     "positivity_slack",
     "renormalized_margin",
     "residual",

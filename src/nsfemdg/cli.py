@@ -1,14 +1,19 @@
 """Command-line entry point: time-stepping runs, invariant checks, studies.
 
+    nsfemdg run    time-step a preset and write VTK/CSV output
+    nsfemdg check  run the invariant suite on small fixed meshes
+    nsfemdg study  refinement studies: rates, cauchy, pdecay
+
 Configuration comes from a plain-text ``key = value`` file (``#`` starts a
-comment) and/or ``--key value`` flags; flags override file values.  Unknown
-keys are rejected, and so are keys the command does not read.  Exit codes:
-0 success, 1 configuration or usage error, 2 numerical failure (a step that
-would not converge, or a failed invariant check).
+comment) named by ``--config FILE`` and/or ``--key value`` (or
+``--key=value``) flags; flags override file values.  Unknown keys are
+rejected, and so are keys the command does not read.  Exit codes: 0 success,
+1 configuration or usage error, 2 numerical failure (a step that would not
+converge, or a failed invariant check).
 """
 from __future__ import annotations
 
-import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,7 +22,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import diagnostics, oracles, scheme, solver
-from .io import write_csv, write_table, write_vtk
+from .io import write_csv, write_vtk
 from .mesh import MAX_VERTS, build_box_mesh
 from .spaces import (
     PolynomialField,
@@ -73,17 +78,12 @@ class RunConfig:
             return "bump"
         return self.preset
 
-    def initial_density_min(self) -> float:
-        """Minimum over the box of the initial density, in closed form: the
-        bump's extremum is its centre, the middle of the box, for amp < 0 and
-        the box corners otherwise; the other presets are uniform."""
+    def initial_density_range(self) -> tuple[float, float]:
+        """Minimum and maximum over the box of the initial density, in closed
+        form; every preset but the bump is uniform."""
         if self.initial_preset != "bump":
-            return self.rho_bar
-        if self.amp < 0.0:
-            return self.rho_bar + self.amp
-        lo, hi = np.asarray(self.box[:3]), np.asarray(self.box[3:])
-        r2 = float(np.sum((0.5 * (hi - lo)) ** 2))
-        return self.rho_bar + self.amp * float(np.exp(-r2 / self.sigma**2))
+            return self.rho_bar, self.rho_bar
+        return scheme.bump_range(self.rho_bar, self.amp, self.sigma, self.box[:3], self.box[3:])
 
     def validate(self) -> "RunConfig":
         if self.n < 1:
@@ -116,13 +116,19 @@ class RunConfig:
                               f"got {self.ns}")
         if self.sigma <= 0.0:
             raise ConfigError(f"sigma must be > 0, got {self.sigma}")
+        if self.sigma > _SQRT_MAX:
+            raise ConfigError(f"sigma is too large: sigma**2 overflows, got {self.sigma}")
         if self.sigma**2 == 0.0:
             raise ConfigError(f"sigma is too small: sigma**2 underflows to 0, got {self.sigma}")
-        if self.initial_density_min() < 0.0:
+        rho_min = self.initial_density_range()[0]
+        if rho_min < 0.0:
             raise ConfigError(f"initial density of preset {self.initial_preset} is negative: "
-                              f"its minimum over the box is {self.initial_density_min():.6g}")
+                              f"its minimum over the box is {rho_min:.6g}")
         self.params()  # surfaces scheme parameter violations as config errors
         return self
+
+
+_SQRT_MAX = math.sqrt(sys.float_info.max)
 
 
 def _nested(ns: tuple[int, ...]) -> bool:
@@ -211,12 +217,21 @@ def parse_config(path=None, overrides=()) -> RunConfig:
 def _run(cfg: RunConfig, n: int, T: float | None = None,
          steps: int | None = None) -> scheme.RunResult:
     """`scheme.run` from the configured initial data on the n-per-axis mesh
-    of the box."""
+    of the box.  Initial data whose pressure, kappa*h floor included, reaches
+    sqrt(float max) are a configuration error: GMRES takes 2-norms of vectors
+    on that scale."""
     mesh = build_box_mesh(n, cfg.box[:3], cfg.box[3:])
+    params = cfg.params()
+    with np.errstate(over="ignore"):
+        p_max = float(scheme.pressure(cfg.initial_density_range()[1] + params.kappa * mesh.h,
+                                      params))
+    if p_max >= _SQRT_MAX:
+        raise ConfigError(f"initial pressure of preset {cfg.initial_preset} is too large: "
+                          f"a*rho_max**gamma = {p_max:.6g} reaches sqrt(float max)")
     rho0, m0 = scheme.make_initial_data(
         cfg.initial_preset, cfg.rho_bar, cfg.amp, cfg.sigma, mesh.box_lo, mesh.box_hi
     )
-    return scheme.run(mesh, cfg.params(), rho0, m0, T=T, steps=steps)
+    return scheme.run(mesh, params, rho0, m0, T=T, steps=steps)
 
 
 def cmd_run(cfg: RunConfig) -> int:
@@ -228,11 +243,8 @@ def cmd_run(cfg: RunConfig) -> int:
     write_csv(outdir / "diagnostics.csv", result.rows)
     for state in result.states:
         if state.k % cfg.cadence == 0 or state.k == len(result.states) - 1:
-            write_vtk(
-                outdir / f"state_{state.k:04d}.vtk", mesh,
-                density=state.rho,
-                velocity=element_average(state.u, mesh),
-            )
+            write_vtk(outdir / f"state_{state.k:04d}.vtk", mesh,
+                      state.rho, element_average(state.u, mesh))
     first, last = result.rows[0], result.rows[-1]
     drift = abs(last["mass"] - first["mass"]) / abs(first["mass"])
     print(f"run: {len(result.states) - 1} steps on {mesh.n_elems} elements, dt={result.dt:.6g}")
@@ -275,11 +287,9 @@ def _safe_jacobian_state(mesh, params, rng):
     return prev, scheme.State(rho=guess.rho, u=u, k=guess.k, t=guess.t)
 
 
-def cmd_check(cfg: RunConfig, corrupt: str | None = None) -> int:
+def cmd_check(cfg: RunConfig) -> int:
     """Run the invariant suite on small fixed meshes; exit 0 only if all pass.
 
-    `corrupt="flux-sign"` is a test hook that hands the reference assembly a
-    velocity with flipped sign, which must make the equivalence checks fail.
     Of the configuration only gamma, a, epsilon, kappa and c apply; nothing
     is solved, so the Newton settings do not.
     """
@@ -305,12 +315,9 @@ def cmd_check(cfg: RunConfig, corrupt: str | None = None) -> int:
 
     for n, mesh in meshes.items():
         prev, guess = _probe_state(mesh, params, rng)
-        guess_ref = guess
-        if corrupt == "flux-sign":
-            guess_ref = scheme.State(rho=guess.rho, u=-guess.u, k=guess.k, t=guess.t)
         res = scheme.residual(prev, guess, params, mesh)
-        ref_cont = oracles.continuity_rows_reference(prev, guess_ref, params, mesh)
-        ref_mom = oracles.momentum_rows_reference(prev, guess_ref, params, mesh)
+        ref_cont = oracles.continuity_rows_reference(prev, guess, params, mesh)
+        ref_mom = oracles.momentum_rows_reference(prev, guess, params, mesh)
         scale_c = 1.0 + np.abs(ref_cont).max()
         scale_m = 1.0 + np.abs(ref_mom).max()
         results.append((f"continuity vs reference n={n}",
@@ -349,53 +356,45 @@ def cmd_check(cfg: RunConfig, corrupt: str | None = None) -> int:
 # study
 
 
+def _rates(cfg: RunConfig, T: float) -> tuple[list[dict], list[str]]:
+    study = diagnostics.interpolation_rate_study(SineField(), cfg.ns, cfg.box[:3], cfg.box[3:])
+    rows = [{"n": n, "h": h, "l2_error": l2, "h1_error": h1}
+            for n, h, l2, h1 in zip(cfg.ns, study["h"], study["l2"], study["h1"])]
+    return rows, [f"l2 order {study['l2_order']:.3f}, h1 order {study['h1_order']:.3f}"]
+
+
+def _pdecay(cfg: RunConfig, T: float) -> tuple[list[dict], list[str]]:
+    rng = np.random.default_rng(7)
+    phi, v = ScalarPolynomial.random(rng), PolynomialField.random(rng)
+    data = diagnostics.bump_flow_data(box_lo=cfg.box[:3], box_hi=cfg.box[3:])
+    study = diagnostics.p_decay_study(cfg.ns, data, phi, v, T=T, params=cfg.params(),
+                                      box_lo=cfg.box[:3], box_hi=cfg.box[3:])
+    return study["rows"], [f"{key} log2 rates {' '.join(f'{x:.2f}' for x in rates)}"
+                           for key, rates in study["rates"].items()]
+
+
+def _cauchy(cfg: RunConfig, T: float) -> tuple[list[dict], list[str]]:
+    diffs = diagnostics.cauchy_differences([_run(cfg, n, T) for n in cfg.ns], T)
+    return [{"n_coarse": a, "n_fine": b, "l2_spacetime_diff": d}
+            for a, b, d in zip(cfg.ns, cfg.ns[1:], diffs)], []
+
+
+# Each study kind's rows, keyed by CSV column, and its summary lines.
+_STUDIES = {"rates": _rates, "cauchy": _cauchy, "pdecay": _pdecay}
+
+
 def cmd_study(cfg: RunConfig) -> int:
-    outdir = Path(cfg.outdir)   # made by write_table: a failed study leaves none
     # The defect-decay study needs a longer window so even the coarsest mesh
     # sees several time samples; the Cauchy study keeps a short horizon to
     # bound the fine-mesh cost.
     T = cfg.T if cfg.T is not None else (0.5 if cfg.kind == "pdecay" else 0.25)
-
-    if cfg.kind == "rates":
-        study = diagnostics.interpolation_rate_study(
-            SineField(), cfg.ns, cfg.box[:3], cfg.box[3:]
-        )
-        rows = list(zip(cfg.ns, study["h"], study["l2"], study["h1"]))
-        write_table(outdir / "rates.csv", ("n", "h", "l2_error", "h1_error"), rows)
-        for row in rows:
-            print(f"study rates: n={row[0]} h={row[1]:.6g} l2={row[2]:.6e} h1={row[3]:.6e}")
-        print(f"study rates: l2 order {study['l2_order']:.3f}, h1 order {study['h1_order']:.3f}")
-        print(f"study rates: wrote {outdir / 'rates.csv'}")
-        return 0
-
-    if cfg.kind == "pdecay":
-        rng = np.random.default_rng(7)
-        phi = ScalarPolynomial.random(rng)
-        v = PolynomialField.random(rng)
-        data = diagnostics.bump_flow_data(box_lo=cfg.box[:3], box_hi=cfg.box[3:])
-        study = diagnostics.p_decay_study(
-            cfg.ns, data, phi, v, T=T, params=cfg.params(),
-            box_lo=cfg.box[:3], box_hi=cfg.box[3:],
-        )
-        rows = [(r["n"], r["h"], r["P1"], r["P2"], r["P3"], r["P4"])
-                for r in study["rows"]]
-        write_table(outdir / "pdecay.csv", ("n", "h", "P1", "P2", "P3", "P4"), rows)
-        for r in study["rows"]:
-            print(f"study pdecay: n={r['n']} P1={r['P1']:.6e} P2={r['P2']:.6e} "
-                  f"P3={r['P3']:.6e} P4={r['P4']:.6e}")
-        for key in ("P1", "P2", "P3", "P4"):
-            rates = " ".join(f"{x:.2f}" for x in study["rates"][key])
-            print(f"study pdecay: {key} log2 rates {rates}")
-        print(f"study pdecay: wrote {outdir / 'pdecay.csv'}")
-        return 0
-
-    runs = [_run(cfg, n, T) for n in cfg.ns]
-    diffs = diagnostics.cauchy_differences(runs, T)
-    rows = [(a, b, d) for (a, b), d in zip(zip(cfg.ns[:-1], cfg.ns[1:]), diffs)]
-    write_table(outdir / "cauchy.csv", ("n_coarse", "n_fine", "l2_spacetime_diff"), rows)
-    for a, b, d in rows:
-        print(f"study cauchy: n={a} vs n={b}: {d:.6e}")
-    print(f"study cauchy: wrote {outdir / 'cauchy.csv'}")
+    rows, summary = _STUDIES[cfg.kind](cfg, T)
+    path = Path(cfg.outdir) / f"{cfg.kind}.csv"   # made by write_csv: a failed study leaves none
+    write_csv(path, rows)
+    shown = [" ".join(f"{key}={value}" if isinstance(value, int) else f"{key}={value:.6e}"
+                      for key, value in row.items()) for row in rows]
+    for line in [*shown, *summary, f"wrote {path}"]:
+        print(f"study {cfg.kind}: {line}")
     return 0
 
 
@@ -404,56 +403,43 @@ def cmd_study(cfg: RunConfig) -> int:
 
 
 def _override_pairs(tokens: list[str]) -> list[tuple[str, str]]:
-    pairs = []
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
+    pairs, rest = [], iter(tokens)
+    for tok in rest:
         if not tok.startswith("--"):
             raise ConfigError(f"expected --key value, got {tok!r}")
         key, sep, value = tok[2:].partition("=")
         if not sep:
-            if i + 1 >= len(tokens):
+            value = next(rest, None)
+            if value is None:
                 raise ConfigError(f"flag --{key} is missing a value")
-            value = tokens[i + 1]
-            i += 1
         pairs.append((key, value))
-        i += 1
     return pairs
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="nsfemdg",
-        description="Implicit FEM-DG solver for isentropic compressible flow "
-                    "with a structure-property verification harness.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("run", "time-step a preset and write VTK/CSV output"),
-        ("check", "run the invariant suite on small fixed meshes"),
-        ("study", "refinement studies: rates, cauchy, pdecay"),
-    ):
-        # No prefix matching, so that --c stays the c key instead of --config.
-        p = sub.add_parser(name, help=doc, allow_abbrev=False)
-        p.add_argument("--config", default=None, help="key = value configuration file")
+_COMMANDS = {"run": cmd_run, "check": cmd_check, "study": cmd_study}
 
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if {"-h", "--help"} & set(argv[:2]):
+        print("usage: nsfemdg {run,check,study} [--config FILE] [--key value | --key=value ...]",
+              __doc__, sep="\n")
+        return 0
+    command = argv[0] if argv else ""
     try:
-        args, extra = parser.parse_known_args(argv)
-    except SystemExit as exc:   # argparse printed the help, or usage and an error
-        return 1 if exc.code else 0
-    try:
-        cfg = parse_config(args.config, _override_pairs(extra))
-        _reject_unused(cfg, args.command)
-        if args.command == "run":
-            return cmd_run(cfg)
-        if args.command == "check":
-            return cmd_check(cfg)
-        return cmd_study(cfg)
+        if command not in _COMMANDS:
+            raise ConfigError(f"expected a command, one of {', '.join(_COMMANDS)}"
+                              + (f", got {command!r}" if command else ""))
+        pairs = _override_pairs(argv[1:])
+        cfg = parse_config(dict(pairs).get("config"),
+                           [(key, value) for key, value in pairs if key != "config"])
+        _reject_unused(cfg, command)
+        return _COMMANDS[command](cfg)
     except (ConfigError, scheme.InitialDataError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except solver.StepFailure as exc:
-        print(f"{args.command} failed at step {exc.step}: alpha={exc.alpha:g}, "
+        print(f"{command} failed at step {exc.step}: alpha={exc.alpha:g}, "
               f"{exc.iterations} iterations, residual {exc.residual_norm:.3e}",
               file=sys.stderr)
         return 2

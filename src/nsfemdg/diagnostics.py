@@ -297,17 +297,6 @@ def _defect_integrals(states, mesh: Mesh, moments: TransportMoments,
     return totals
 
 
-def transport_defect_integrals(result, phi, v, degree: int = 4) -> dict[str, float]:
-    """Time integrals of |P_i| along a trajectory.
-
-    Uses the implicit-scheme extension: state k is the value on
-    ((k-1) dt, k dt], so the integral over (0, T] is dt times the sum over
-    all states after the initial one.
-    """
-    moments = transport_moments(result.mesh, phi, v, degree)
-    return _defect_integrals(result.states[1:], result.mesh, moments, result.dt)
-
-
 def bump_flow_data(rho_bar: float = 1.0, amp: float = 0.4, sigma: float = 0.35,
                    drift=(0.2, 0.1, 0.05), box_lo=(0, 0, 0), box_hi=(1, 1, 1)):
     """Smooth time-dependent fields for defect-decay measurements.
@@ -416,7 +405,8 @@ def cauchy_differences(results, T: float) -> list[float]:
 
     Meshes must be nested (each fine element lies inside one coarse element);
     the coarse density is injected exactly and both piecewise-constant-in-time
-    extensions are integrated over [0, T] on the union of their time grids.
+    extensions (state k on ((k-1) dt, k dt], as `scheme.step_count` states)
+    are integrated over [0, T] on the union of their time grids.
     """
     out = []
     for coarse, fine in zip(results[:-1], results[1:]):
@@ -432,9 +422,8 @@ def cauchy_differences(results, T: float) -> list[float]:
         for a, b in zip(cuts[:-1], cuts[1:]):
             if b - a <= 1e-14:
                 continue
-            tm = 0.5 * (a + b)
-            kc = min(int(tm / coarse.dt), len(coarse.states) - 1)
-            kf = min(int(tm / fine.dt), len(fine.states) - 1)
+            kc = min(scheme.step_count(b, coarse.dt), len(coarse.states) - 1)
+            kf = min(scheme.step_count(b, fine.dt), len(fine.states) - 1)
             diff = coarse.states[kc].rho[parent] - fine.states[kf].rho
             total += (b - a) * float(np.sum(vol_f * diff**2))
         out.append(float(np.sqrt(total)))

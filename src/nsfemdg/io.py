@@ -13,7 +13,7 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def write_vtk(path, mesh: Mesh, density=None, velocity=None, title="nsfemdg snapshot"):
+def write_vtk(path, mesh: Mesh, density, velocity):
     """Write a legacy-ASCII VTK unstructured grid with per-cell data.
 
     `density` is one value per element, `velocity` one 3-vector per element
@@ -21,7 +21,7 @@ def write_vtk(path, mesh: Mesh, density=None, velocity=None, title="nsfemdg snap
     """
     lines = [
         "# vtk DataFile Version 3.0",
-        title,
+        "nsfemdg snapshot",
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {mesh.n_verts} double",
@@ -35,17 +35,10 @@ def write_vtk(path, mesh: Mesh, density=None, velocity=None, title="nsfemdg snap
     lines.append(f"CELL_TYPES {ne}")
     lines.extend(["10"] * ne)
 
-    if density is not None or velocity is not None:
-        lines.append(f"CELL_DATA {ne}")
-    if density is not None:
-        density = np.asarray(density, dtype=float)
-        lines.append("SCALARS density double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines.extend(_fmt(x) for x in density)
-    if velocity is not None:
-        velocity = np.asarray(velocity, dtype=float)
-        lines.append("VECTORS velocity double")
-        lines.extend(f"{_fmt(u[0])} {_fmt(u[1])} {_fmt(u[2])}" for u in velocity)
+    lines += [f"CELL_DATA {ne}", "SCALARS density double 1", "LOOKUP_TABLE default"]
+    lines.extend(_fmt(x) for x in density)
+    lines.append("VECTORS velocity double")
+    lines.extend(f"{_fmt(u[0])} {_fmt(u[1])} {_fmt(u[2])}" for u in velocity)
 
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")

@@ -97,17 +97,6 @@ def cached(build):
     return lookup
 
 
-@dataclass(frozen=True)
-class MeshMetrics:
-    n_elems: int
-    n_faces_interior: int
-    n_faces_boundary: int
-    h: float
-    volume_total: float
-    volume_min: float
-    shape_ratio_max: float      # max circumradius / inradius
-
-
 def build_box_mesh(n: int, box_lo=(0.0, 0.0, 0.0), box_hi=(1.0, 1.0, 1.0)) -> Mesh:
     """Build the six-tets-per-cube subdivision of a box with n cells per axis."""
     if n < 1:
@@ -226,31 +215,6 @@ def _mesh_from_tets(vertices, tets, box_lo=None, box_hi=None, n_per_axis=None) -
     )
 
 
-def mesh_metrics(mesh: Mesh) -> MeshMetrics:
-    """Element/face counts and quality measures of a mesh."""
-    v = mesh.vertices[mesh.tets]
-    # Inradius r = 3V / (sum of face areas).
-    areas = mesh.face_area[mesh.elem_faces].sum(axis=1)
-    inradius = 3.0 * mesh.elem_volume / areas
-    # Circumcenter c solves 2 (v_i - v_0) . c = |v_i|^2 - |v_0|^2, i = 1..3.
-    A = 2.0 * (v[:, 1:] - v[:, :1])
-    b = np.einsum("eij,eij->ei", v[:, 1:], v[:, 1:]) - np.einsum(
-        "eij,eij->ei", v[:, :1], v[:, :1]
-    )
-    center = np.linalg.solve(A, b[..., None])[..., 0]
-    circumradius = np.linalg.norm(center - v[:, 0], axis=1)
-    n_int = int(np.count_nonzero(mesh.face_neighbor >= 0))
-    return MeshMetrics(
-        n_elems=mesh.n_elems,
-        n_faces_interior=n_int,
-        n_faces_boundary=mesh.n_faces - n_int,
-        h=mesh.h,
-        volume_total=float(mesh.elem_volume.sum()),
-        volume_min=float(mesh.elem_volume.min()),
-        shape_ratio_max=float((circumradius / inradius).max()),
-    )
-
-
 def find_elements(mesh: Mesh, points: NDArrayF, tol: float = 1e-12) -> NDArrayI:
     """Locate the element containing each point of a box mesh.
 
@@ -280,10 +244,3 @@ def find_elements(mesh: Mesh, points: NDArrayF, tol: float = 1e-12) -> NDArrayI:
     # argmax picks the first candidate that contains the point.
     return cand[np.arange(len(pts)), inside.argmax(axis=1)]
 
-
-def barycentric_coordinates(mesh: Mesh, elem: int, point: NDArrayF) -> NDArrayF:
-    """Barycentric coordinates of a point with respect to one tet."""
-    v = mesh.vertices[mesh.tets[elem]]
-    T = (v[1:] - v[0]).T
-    lam = np.linalg.solve(T, np.asarray(point, dtype=float) - v[0])
-    return np.concatenate([[1.0 - lam.sum()], lam])

@@ -147,9 +147,6 @@ class ResidualVector:
     def ravel(self) -> NDArrayF:
         return np.concatenate([self.continuity, self.momentum.ravel()])
 
-    def norm_inf(self) -> float:
-        return float(np.abs(self.ravel()).max())
-
 
 def pressure(rho, params: SchemeParams):
     """Isentropic pressure p = a rho^gamma."""
@@ -200,11 +197,6 @@ def initial_state(rho0: Callable, m0: Callable, mesh: Mesh, params: SchemeParams
 def _interior(mesh: Mesh):
     int_f = mesh.interior_faces
     return int_f, mesh.face_owner[int_f], mesh.face_neighbor[int_f]
-
-
-def n_unknowns(mesh: Mesh) -> int:
-    int_f, _, _ = _interior(mesh)
-    return mesh.n_elems + 3 * len(int_f)
 
 
 def pack(state: State, mesh: Mesh) -> NDArrayF:
@@ -523,12 +515,21 @@ def bump_data(rho_bar: float = 1.0, amp: float = 0.5, sigma: float = 0.15, cente
     def rho0(p):
         p = np.atleast_2d(p)
         r2 = np.sum((p - ctr) ** 2, axis=1)
-        return rho_bar + amp * np.exp(-r2 / sigma**2)
+        with np.errstate(over="ignore"):   # a subnormal sigma**2: exp(-inf) = 0
+            return rho_bar + amp * np.exp(-r2 / sigma**2)
 
     def m0(p):
         return np.zeros((np.atleast_2d(p).shape[0], 3))
 
     return rho0, m0
+
+
+def bump_range(rho_bar: float, amp: float, sigma: float, box_lo, box_hi) -> tuple[float, float]:
+    """Minimum and maximum over the box of `bump_data`'s density centred in
+    the box, in closed form: its extrema are the centre and the box corners."""
+    r2 = float(np.sum((0.5 * (np.asarray(box_hi) - np.asarray(box_lo))) ** 2))
+    centre, corner = rho_bar + amp, rho_bar + amp * float(np.exp(-r2 / sigma**2))
+    return min(centre, corner), max(centre, corner)
 
 
 def shear_data(rho_bar: float = 1.0, amp: float = 0.5):

@@ -1,5 +1,7 @@
 """Tests for configuration parsing, commands, and exit codes."""
 
+import contextlib
+import io
 import os
 import re
 import subprocess
@@ -9,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nsfemdg import cli, scheme
+from nsfemdg import cli, oracles, scheme
 from nsfemdg.cli import ConfigError, RunConfig, parse_config
 
 
@@ -143,16 +147,16 @@ def test_T_with_steps_exits_one(tmp_path, capsys):
     (["runn"], 1), ([], 1), (["run", "--config"], 1), (["--help"], 0), (["run", "--help"], 0),
 ])
 def test_usage_errors_exit_one_and_help_exits_zero(argv, code, capsys):
-    """A misspelt or missing command, or --config without its value, exits 1,
-    the configuration-error code, with argparse's usage and error lines;
-    --help still exits 0."""
+    """A misspelt or missing command, or --config without its value, exits 1
+    with the one configuration-error line; --help as the first or second
+    token prints the usage line and the module docstring and exits 0."""
     assert cli.main(argv) == code
     out = capsys.readouterr()
     if code:
-        usage, *_, error = out.err.splitlines()
-        assert usage.startswith("usage: nsfemdg") and ": error: " in error
+        assert out.err.startswith("configuration error: ") and out.err.count("\n") == 1
+        assert not out.out
     else:
-        assert out.out.startswith("usage: nsfemdg") and not out.err
+        assert out.out.startswith("usage: nsfemdg") and cli.__doc__ in out.out and not out.err
 
 
 def test_override_pairs_forms():
@@ -281,7 +285,7 @@ def test_initial_density_minimum_is_over_the_box():
     """A positive bump on a negative background is admissible when it lifts
     the box corners above zero, and only then."""
     wide = [("preset", "bump"), ("rho_bar", "-0.1"), ("amp", "1"), ("sigma", "10")]
-    assert parse_config(None, wide).initial_density_min() == pytest.approx(
+    assert parse_config(None, wide).initial_density_range()[0] == pytest.approx(
         -0.1 + np.exp(-0.75 / 100.0))
     with pytest.raises(ConfigError, match="minimum over the box is -0.1$"):
         parse_config(None, [*wide[:3], ("sigma", "0.15")])
@@ -292,7 +296,8 @@ def test_initial_density_minimum_is_over_the_box():
     with pytest.raises(ConfigError, match="preset bump is negative"):
         parse_config(None, [("kind", "cauchy"), ("ns", "1 2"), ("amp", "-1.05")])
     # The shear amplitude is a momentum, not a density.
-    assert parse_config(None, [("preset", "shear"), ("amp", "-5")]).initial_density_min() == 1.0
+    assert parse_config(None, [("preset", "shear"), ("amp", "-5")]).initial_density_range() == (
+        1.0, 1.0)
 
 
 def test_unconverged_run_exits_two(tmp_path, capsys):
@@ -314,16 +319,42 @@ def test_underflowing_sigma_exits_one(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("flags", [["--a", "1e308"], ["--preset", "bump", "--amp", "1e308"]])
-def test_overflowing_residual_exits_two(flags, tmp_path, capsys):
-    """A residual or Jacobian that overflows fails the Newton node, and every
-    schedule with it: the step-failure line, not a traceback from GMRES."""
+@pytest.mark.parametrize("flags", [["--a", "1e308"], ["--preset", "bump", "--amp", "1e308"],
+                                   ["--kappa", "1e300"]])
+def test_overflowing_initial_pressure_exits_one(flags, tmp_path, capsys):
+    """Initial data whose pressure, kappa*h floor included, reaches
+    sqrt(float max) are rejected before the first step, in one line and
+    without a numpy warning."""
     rc = cli.main(["run", "--n", "1", "--steps", "1", *flags,
                    "--outdir", str(tmp_path / "out")])
-    assert rc == 2
+    assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("run failed at step 1: ") and err.count("\n") == 1
+    assert err.startswith("configuration error: initial pressure of preset ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(key=st.sampled_from(["amp", "rho_bar", "sigma"]),
+       x=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
+@example(key="sigma", x=1e200)
+@example(key="amp", x=1e100)
+@example(key="amp", x=1e308)
+@example(key="amp", x=5.13e63)
+@example(key="amp", x=1.85e82)
+@example(key="sigma", x=2.718447203509172e-158)   # sigma**2 subnormal: r2 / sigma**2 overflows
+def test_extreme_initial_data_exit_cleanly(key, x, tmp_path_factory):
+    """Over the whole float range of amp, rho_bar and sigma a bump run exits
+    0, 1 or 2, raises nothing (a RuntimeWarning is an error here), and says
+    why it failed in exactly one stderr line."""
+    outdir = tmp_path_factory.mktemp("out")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(["run", "--preset", "bump", "--n", "1", "--steps", "1",
+                       f"--{key}", repr(x), "--outdir", str(outdir)])
+    assert rc in (0, 1, 2)
+    if rc:
+        assert err.getvalue().count("\n") == 1, err.getvalue()
 
 
 def test_unconverged_study_exits_two_and_leaves_no_outdir(tmp_path, capsys):
@@ -381,8 +412,14 @@ def test_command_rejects_keys_it_ignores(argv, message, tmp_path, capsys):
     assert not outdir.exists()
 
 
-def test_check_detects_corrupted_reference(capsys):
-    rc = cli.cmd_check(RunConfig(), corrupt="flux-sign")
+def test_check_detects_corrupted_reference(monkeypatch, capsys):
+    """Reference assemblies handed the velocity with its sign flipped must
+    fail the equivalence checks."""
+    for name in ("continuity_rows_reference", "momentum_rows_reference"):
+        def flipped(prev, guess, *rest, _reference=getattr(oracles, name)):
+            return _reference(prev, replace(guess, u=-guess.u), *rest)
+        monkeypatch.setattr(oracles, name, flipped)
+    rc = cli.cmd_check(RunConfig())
     assert rc == 2
     out = capsys.readouterr().out
     assert "FAIL" in out

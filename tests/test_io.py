@@ -83,12 +83,3 @@ def test_write_vtk_structure_and_data(tmp_path):
                       for k in range(mesh.n_elems)])
     np.testing.assert_array_equal(got_v, velocity)
 
-
-def test_write_vtk_geometry_only(tmp_path):
-    mesh = build_box_mesh(1)
-    path = tmp_path / "bare.vtk"
-    io.write_vtk(path, mesh)
-    text = path.read_text()
-    assert "CELL_DATA" not in text
-    assert "SCALARS" not in text
-    assert text.endswith("\n")

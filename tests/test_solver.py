@@ -477,7 +477,7 @@ def test_bump_step_converges(mesh2, params):
     assert diag.newton_iters <= params.newton_max_iter
     assert new.rho.min() > 0
     res = scheme.residual(prev, new, params, mesh2)
-    assert res.norm_inf() <= params.newton_tol
+    assert np.abs(res.ravel()).max() <= params.newton_tol
 
 
 def test_mass_conserved_per_step(mesh2, params):
@@ -514,7 +514,7 @@ def test_no_newton_solve_at_the_rounding_floor(mesh2, params, monkeypatch):
     new, diag = solver.homotopy_newton_solve(prev, params, mesh2)
     assert len(residuals) == len(floors) == diag.newton_iters > 0
     assert all(r > f for r, f in zip(residuals, floors))
-    assert scheme.residual(prev, new, params, mesh2).norm_inf() <= params.newton_tol
+    assert np.abs(scheme.residual(prev, new, params, mesh2).ravel()).max() <= params.newton_tol
     m0 = np.sum(mesh2.elem_volume * prev.rho)
     assert abs(np.sum(mesh2.elem_volume * new.rho) - m0) / m0 < 1e-12
 
@@ -535,7 +535,7 @@ def test_loose_tolerance_still_polishes_to_the_floor(mesh2, monkeypatch):
     new, diag = solver.homotopy_newton_solve(prev, params, mesh2)
     assert diag.schedule_index == 0 and diag.alpha_nodes_used == 2   # one node, alpha = 1
     final = diag.residual_norm
-    assert final == scheme.residual(prev, new, params, mesh2).norm_inf()
+    assert final == np.abs(scheme.residual(prev, new, params, mesh2).ravel()).max()
     assert min(solved_at) <= params.newton_tol   # polished past the tolerance
     floor = rounding_floor(scheme.jacobian(prev, new, params, mesh2), scheme.pack(new, mesh2))
     assert final <= floor or solved_at[-1] / final < solver.POLISH_GAIN
@@ -599,6 +599,24 @@ def test_step_failure_reports_context(mesh2):
     assert 0.0 < exc.alpha <= 1.0
     assert exc.iterations >= 1
     assert exc.residual_norm > 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("amp,sigma,residual_finite", [(0.5, 0.15, True), (5.0, 1.0, False)])
+def test_overflowing_residual_fails_the_step(mesh1, amp, sigma, residual_finite, monkeypatch):
+    """At a = 1e308 the Jacobian (amp 0.5), or the residual too (amp 5),
+    overflows: every node fails without a linear solve, and so does the step,
+    with StepFailure rather than an error from GMRES."""
+    params = scheme.SchemeParams(a=1e308)
+    rho0, m0 = scheme.bump_data(1.0, amp, sigma, 0.5 * (mesh1.box_lo + mesh1.box_hi))
+    prev = scheme.initial_state(rho0, m0, mesh1, params)
+    norm = np.abs(scheme.residual(prev, solver.alpha0_solve(prev, params, mesh1),
+                                  params, mesh1).ravel()).max()
+    assert np.isfinite(norm) == residual_finite
+    monkeypatch.setattr(solver, "linear_solve", None)   # must not be reached
+    with pytest.raises(solver.StepFailure) as info:
+        solver.homotopy_newton_solve(prev, params, mesh1)
+    assert info.value.iterations == 0
 
 
 def test_alpha0_solved_once_per_step(mesh2, monkeypatch):
