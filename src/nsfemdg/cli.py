@@ -108,6 +108,15 @@ class RunConfig:
             if (m + 1) ** 3 >= MAX_VERTS:
                 raise ConfigError(f"a box mesh with n = {m} has {(m + 1) ** 3} vertices; "
                                   f"meshes need fewer than {MAX_VERTS}")
+        extents = [hi - lo for lo, hi in zip(self.box[:3], self.box[3:])]
+        spacings = (min(extents) / max(self.n, *self.ns), max(extents) / min(self.n, *self.ns))
+        if spacings[0] < _SPACING[0] or spacings[1] > _SPACING[1]:
+            raise ConfigError(f"box extents {extents} over n cells per axis give mesh spacings "
+                              f"outside [{_SPACING[0]:.3g}, {_SPACING[1]:.3g}]: the mesh "
+                              f"geometry does not fit in floats")
+        if max(extents) > _MAX_ASPECT * min(extents):
+            raise ConfigError(f"box extents {extents} differ by more than a factor "
+                              f"{_MAX_ASPECT:.6g}: squared edge lengths would lose the shortest")
         if self.kind == "cauchy" and not _nested(self.ns):
             raise ConfigError(f"cauchy needs at least two ns, each a larger multiple of "
                               f"the one before, got {self.ns}")
@@ -129,6 +138,11 @@ class RunConfig:
 
 
 _SQRT_MAX = math.sqrt(sys.float_info.max)
+# Mesh spacings s whose geometry fits in normal floats: a face's cross
+# product has components up to 2 s**2, so its squared norm reaches 12 s**4,
+# and the smallest such square, s**4 on a cube face, must not underflow.
+_SPACING = (sys.float_info.min ** 0.25, (sys.float_info.max / 12.0) ** 0.25)
+_MAX_ASPECT = 1.0 / math.sqrt(sys.float_info.epsilon)
 
 
 def _nested(ns: tuple[int, ...]) -> bool:
@@ -217,17 +231,19 @@ def parse_config(path=None, overrides=()) -> RunConfig:
 def _run(cfg: RunConfig, n: int, T: float | None = None,
          steps: int | None = None) -> scheme.RunResult:
     """`scheme.run` from the configured initial data on the n-per-axis mesh
-    of the box.  Initial data whose pressure, kappa*h floor included, reaches
-    sqrt(float max) are a configuration error: GMRES takes 2-norms of vectors
-    on that scale."""
+    of the box.  Initial data whose pressure, kappa*h floor included, or
+    whose pressure force on the largest face reaches sqrt(float max) are a
+    configuration error: GMRES takes 2-norms of vectors on that scale."""
     mesh = build_box_mesh(n, cfg.box[:3], cfg.box[3:])
     params = cfg.params()
     with np.errstate(over="ignore"):
         p_max = float(scheme.pressure(cfg.initial_density_range()[1] + params.kappa * mesh.h,
                                       params))
-    if p_max >= _SQRT_MAX:
+        force = p_max * float(mesh.face_area.max())
+    if max(p_max, force) >= _SQRT_MAX:
         raise ConfigError(f"initial pressure of preset {cfg.initial_preset} is too large: "
-                          f"a*rho_max**gamma = {p_max:.6g} reaches sqrt(float max)")
+                          f"a*rho_max**gamma = {p_max:.6g}, or {force:.6g} on the largest "
+                          f"face, reaches sqrt(float max)")
     rho0, m0 = scheme.make_initial_data(
         cfg.initial_preset, cfg.rho_bar, cfg.amp, cfg.sigma, mesh.box_lo, mesh.box_hi
     )

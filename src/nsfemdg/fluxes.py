@@ -1,8 +1,10 @@
-"""Pointwise face flux and stabilization kernels.
+"""Pointwise face flux and stabilization kernels and their derivatives.
 
-All kernels are written per unit face area in the stored face orientation:
-the minus side is the element the face normal points away from, the plus
-side the one it points into.  With x+ = max(x, 0) and x- = min(x, 0),
+Kernels work in the stored face orientation: the minus side is the element
+the face normal points away from, the plus side the one it points into.
+`upwind_scalar` and `upwind_momentum` are per unit face area;
+`stab_continuity` and `stab_momentum` take the face area and include it.
+With x+ = max(x, 0) and x- = min(x, 0),
 
     upwind_scalar    = rho_minus * flux+  +  rho_plus * flux-
     upwind_momentum  = upwind+ * uhat_minus  +  upwind- * uhat_plus
@@ -11,14 +13,16 @@ so mass leaves with the upstream density and momentum is carried with the
 upstream element-average velocity.  Swapping sides while negating the flux
 negates `upwind_scalar` (conservativity).  The kernels accept scalars or
 ndarrays of matching shape.
+
+Each `*_derivatives` kernel returns the partial derivatives of its kernel,
+one per argument it names, per unit face area.  The kinks of x+ and x- use
+the one-sided convention d(x+)/dx = 1 for x > 0 else 0, and d(x-)/dx = 1 for
+x < 0 else 0, so the derivative at a kink is zero.  Away from sign changes
+of the fluxes they are the classical derivatives.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .mesh import NDArrayF
 
 
 def upwind_scalar(rho_minus, rho_plus, flux):
@@ -26,10 +30,26 @@ def upwind_scalar(rho_minus, rho_plus, flux):
     return rho_minus * np.maximum(flux, 0.0) + rho_plus * np.minimum(flux, 0.0)
 
 
+def upwind_scalar_derivatives(rho_minus, rho_plus, flux):
+    """Derivatives of `upwind_scalar` in rho_minus, rho_plus and flux."""
+    return (np.maximum(flux, 0.0), np.minimum(flux, 0.0),
+            rho_minus * (flux > 0.0) + rho_plus * (flux < 0.0))
+
+
 def upwind_momentum(upwind, uhat_minus, uhat_plus):
     """Momentum flux density: the mass flux times the upstream mean velocity."""
     up = np.asarray(upwind, dtype=float)[..., None]
     return np.maximum(up, 0.0) * np.asarray(uhat_minus) + np.minimum(up, 0.0) * np.asarray(uhat_plus)
+
+
+def upwind_momentum_derivatives(upwind, uhat_minus, uhat_plus):
+    """Derivatives of `upwind_momentum` in upwind, a 3-vector per face (the
+    upstream mean velocity), and in uhat_minus and uhat_plus, each a scalar
+    per face times the identity."""
+    up = np.asarray(upwind, dtype=float)
+    upstream = ((up > 0.0)[..., None] * np.asarray(uhat_minus)
+                + (up < 0.0)[..., None] * np.asarray(uhat_plus))
+    return upstream, np.maximum(up, 0.0), np.minimum(up, 0.0)
 
 
 def stab_continuity(jump_rho, h_power, area):
@@ -48,27 +68,9 @@ def stab_momentum(jump_rho, uhat_minus, uhat_plus, h_power, area):
     return np.asarray(stab_continuity(jump_rho, h_power, area))[..., None] * mean
 
 
-@dataclass(frozen=True)
-class FaceTraces:
-    """Both-side traces and geometry of one interior face.
-
-    Used by the slow reference (oracle) assembly paths; the vectorized
-    assembly in `scheme` calls the same kernels on arrays of faces.
-    """
-
-    rho_minus: float
-    rho_plus: float
-    uhat_minus: NDArrayF
-    uhat_plus: NDArrayF
-    flux: float                  # mean normal velocity, stored orientation
-    area: float
-    h_power: float               # h^(1-eps)
-
-    def mass_flux(self) -> float:
-        return float(upwind_scalar(self.rho_minus, self.rho_plus, self.flux))
-
-    def momentum_flux(self) -> NDArrayF:
-        return upwind_momentum(self.mass_flux(), self.uhat_minus, self.uhat_plus)
-
-    def continuity_stab(self) -> float:
-        return float(stab_continuity(self.rho_plus - self.rho_minus, self.h_power, self.area))
+def stab_momentum_derivatives(jump_rho, uhat_minus, uhat_plus, h_power):
+    """Derivatives of `stab_momentum` per unit face area: in jump_rho, a
+    3-vector per face, and in uhat_minus, which is also the one in uhat_plus,
+    a scalar per face times the identity."""
+    mean = 0.5 * (np.asarray(uhat_minus) + np.asarray(uhat_plus))
+    return h_power * mean, 0.5 * h_power * jump_rho

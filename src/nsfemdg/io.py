@@ -5,12 +5,30 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import Mesh
+from .mesh import Mesh, cached
+
 
 def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".17g")
+
+
+def _lines(template: str, values) -> str:
+    """`template` filled with each row of `values` in turn; "%.17g" writes a
+    float as `_fmt` does."""
+    values = np.asarray(values)
+    return (template * len(values)) % tuple(values.ravel().tolist())
+
+
+@cached
+def _vtk_geometry(mesh: Mesh) -> str:
+    """The header, points, cells and cell types of `mesh`'s VTK snapshots."""
+    ne = mesh.n_elems
+    return ("# vtk DataFile Version 3.0\nnsfemdg snapshot\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+            f"POINTS {mesh.n_verts} double\n" + _lines("%.17g %.17g %.17g\n", mesh.vertices)
+            + f"CELLS {ne} {5 * ne}\n" + _lines("4 %d %d %d %d\n", mesh.tets)
+            + f"CELL_TYPES {ne}\n" + "10\n" * ne)
 
 
 def write_vtk(path, mesh: Mesh, density, velocity):
@@ -19,29 +37,11 @@ def write_vtk(path, mesh: Mesh, density, velocity):
     `density` is one value per element, `velocity` one 3-vector per element
     (the elementwise average of the velocity field).
     """
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "nsfemdg snapshot",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {mesh.n_verts} double",
-    ]
-    for p in mesh.vertices:
-        lines.append(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}")
-    ne = mesh.n_elems
-    lines.append(f"CELLS {ne} {5 * ne}")
-    for t in mesh.tets:
-        lines.append(f"4 {t[0]} {t[1]} {t[2]} {t[3]}")
-    lines.append(f"CELL_TYPES {ne}")
-    lines.extend(["10"] * ne)
-
-    lines += [f"CELL_DATA {ne}", "SCALARS density double 1", "LOOKUP_TABLE default"]
-    lines.extend(_fmt(x) for x in density)
-    lines.append("VECTORS velocity double")
-    lines.extend(f"{_fmt(u[0])} {_fmt(u[1])} {_fmt(u[2])}" for u in velocity)
-
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(_vtk_geometry(mesh))
+        f.write(f"CELL_DATA {mesh.n_elems}\nSCALARS density double 1\nLOOKUP_TABLE default\n"
+                + _lines("%.17g\n", density)
+                + "VECTORS velocity double\n" + _lines("%.17g %.17g %.17g\n", velocity))
 
 
 def write_csv(path, rows: list[dict]):

@@ -77,10 +77,6 @@ class Mesh:
     def interior_faces(self) -> NDArrayI:
         return np.flatnonzero(self.face_neighbor >= 0)
 
-    @property
-    def boundary_faces(self) -> NDArrayI:
-        return np.flatnonzero(self.face_neighbor < 0)
-
 
 def cached(build):
     """Decorate `build(mesh)`, which derives data from the mesh alone, to run

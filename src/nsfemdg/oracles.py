@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import scheme
-from .fluxes import FaceTraces
+from .fluxes import stab_continuity, upwind_momentum, upwind_scalar
 from .mesh import _LOCAL_FACES, Mesh
 
 
@@ -74,10 +74,8 @@ def continuity_rows_reference(prev, guess, params, mesh: Mesh) -> np.ndarray:
             other = sharing[0] if sharing[1] == e else sharing[1]
             area, normal, _ = _face_geometry(vertices, key, centroid)
             f_out = float(np.dot(guess.u[fid[key]], normal))
-            traces = FaceTraces(rho[e], rho[other],
-                                np.zeros(3), np.zeros(3), f_out, area, hp)
-            acc += area * traces.mass_flux()
-            acc -= traces.continuity_stab()
+            acc += area * upwind_scalar(rho[e], rho[other], f_out)
+            acc -= stab_continuity(rho[other] - rho[e], hp, area)
         rows[e] = vol * (rho[e] - rho_prev[e]) / dt + acc
     return rows
 
@@ -131,10 +129,9 @@ def momentum_rows_reference(prev, guess, params, mesh: Mesh) -> np.ndarray:
         e_lo, e_hi = min(sharing), max(sharing)
         area, normal, _ = _face_geometry(vertices, key, centroids[e_lo])
         f = float(np.dot(guess.u[fid[key]], normal))
-        traces = FaceTraces(rho[e_lo], rho[e_hi], uhat[e_lo], uhat[e_hi],
-                            f, area, hp)
-        upm = traces.momentum_flux()
-        stab = traces.continuity_stab() * 0.5 * (uhat[e_lo] + uhat[e_hi])
+        upm = upwind_momentum(upwind_scalar(rho[e_lo], rho[e_hi], f), uhat[e_lo], uhat[e_hi])
+        stab = (stab_continuity(rho[e_hi] - rho[e_lo], hp, area)
+                * 0.5 * (uhat[e_lo] + uhat[e_hi]))
         lo_gids = [fid[_face_key(tets[e_lo], l)] for l in range(4)]
         hi_gids = [fid[_face_key(tets[e_hi], l)] for l in range(4)]
         for g in lo_gids:

@@ -53,7 +53,8 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .fluxes import stab_continuity, stab_momentum, upwind_momentum, upwind_scalar
+from .fluxes import (stab_continuity, stab_momentum, stab_momentum_derivatives, upwind_momentum,
+                     upwind_momentum_derivatives, upwind_scalar, upwind_scalar_derivatives)
 from .mesh import Mesh, NDArrayF, NDArrayI, cached
 from .spaces import (
     apply_bc,
@@ -435,10 +436,8 @@ def jacobian(
 ) -> sp.csr_matrix:
     """Exact Jacobian of `residual` in the packed unknown ordering.
 
-    The kinks of x+ and x- use the one-sided convention d(x+)/dx = 1 for
-    x > 0 else 0, and d(x-)/dx = 1 for x < 0 else 0, so the derivative at a
-    kink is zero.  Away from sign changes of the fluxes the matrix is the
-    classical derivative.  Its values fill a pattern fixed per mesh
+    The flux derivatives are those of `fluxes`, whose docstring states the
+    convention at upwind kinks.  The values fill a pattern fixed per mesh
     (`jacobian_map`); entries that come out exactly zero (at alpha = 0, at
     rest, at upwind kinks) are dropped, so the stored pattern is a subset of
     it that depends on the state.  Each call returns a new matrix that shares
@@ -453,12 +452,11 @@ def jacobian(
     rho = guess.rho
     uhat = element_average(guess.u, mesh)
     flux, up = interior_fluxes(guess, mesh)
-    fp, fm = np.maximum(flux, 0.0), np.minimum(flux, 0.0)
-    half_stab = 0.5 * hp * (rho[nbr] - rho[own])
-    dup_dflux = rho[own] * (flux > 0.0) + rho[nbr] * (flux < 0.0)
-    # Upwind-selected mean velocity (zero exactly at the kink).
-    wsel = (up > 0.0)[:, None] * uhat[own] + (up < 0.0)[:, None] * uhat[nbr]
-    mean = 0.5 * (uhat[own] + uhat[nbr])
+    # Per unit area: Up in (rho own, rho nbr, flux), UpM in (Up, uhat own, uhat nbr)
+    # and the momentum stabilization in ([rho], uhat).
+    dup_own, dup_nbr, dup_dflux = upwind_scalar_derivatives(rho[own], rho[nbr], flux)
+    dupm_dup, dupm_own, dupm_nbr = upwind_momentum_derivatives(up, uhat[own], uhat[nbr])
+    dstab_djump, dstab_du = stab_momentum_derivatives(rho[nbr] - rho[own], uhat[own], uhat[nbr], hp)
 
     a = area[:, None]
 
@@ -466,18 +464,18 @@ def jacobian(
         return np.stack([own_side, nbr_side], axis=1).ravel()
 
     c = np.concatenate([
-        alpha * sides(area * (fp + hp), area * (fm - hp)),
+        alpha * sides(area * (dup_own + hp), area * (dup_nbr - hp)),
         vol / dt,
         alpha * (area * dup_dflux),
         ((vol / dt)[:, None] * uhat).ravel(),
         -alpha * pressure_derivative(rho, params),
-        alpha * sides(a * (fp[:, None] * wsel + hp * mean), a * (fm[:, None] * wsel - hp * mean)),
-        (alpha * (a * dup_dflux[:, None] * wsel)).ravel(),
+        alpha * sides(a * (dup_own[:, None] * dupm_dup + dstab_djump),
+                      a * (dup_nbr[:, None] * dupm_dup - dstab_djump)),
+        (alpha * (a * dup_dflux[:, None] * dupm_dup)).ravel(),
     ])
     s = np.concatenate([
         vol * (rho / dt), np.ones(len(int_f)),
-        alpha * sides(area * (np.maximum(up, 0.0) - half_stab),
-                      area * (np.minimum(up, 0.0) - half_stab)),
+        alpha * sides(area * (dupm_own - dstab_du), area * (dupm_nbr - dstab_du)),
     ])
     data = jm.coefficients @ c
     scalar = jm.scalar @ s

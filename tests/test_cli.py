@@ -334,6 +334,24 @@ def test_overflowing_initial_pressure_exits_one(flags, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _assert_exits_cleanly(argv, tmp_path_factory):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main([*argv, "--outdir", str(tmp_path_factory.mktemp("out"))])
+    assert rc in (0, 1, 2)
+    if rc:
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+
+
+# The smallest run and rates study.
+_SMALLEST = {"run": ["run", "--preset", "bump", "--n", "1", "--steps", "1"],
+             "rates": ["study", "--kind", "rates", "--ns", "1 2"]}
+# Box extents whose mesh geometry does not fit in floats: the squared norms
+# of face cross products overflow (1e200, 1e100) or underflow to a zero face
+# area (1e-100), or tet volumes underflow to zero (1e-120).
+_MISFIT_EXTENTS = [1e200, 1e100, 1e-100, 1e-120]
+
+
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(key=st.sampled_from(["amp", "rho_bar", "sigma"]),
        x=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
@@ -347,14 +365,41 @@ def test_extreme_initial_data_exit_cleanly(key, x, tmp_path_factory):
     """Over the whole float range of amp, rho_bar and sigma a bump run exits
     0, 1 or 2, raises nothing (a RuntimeWarning is an error here), and says
     why it failed in exactly one stderr line."""
-    outdir = tmp_path_factory.mktemp("out")
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        rc = cli.main(["run", "--preset", "bump", "--n", "1", "--steps", "1",
-                       f"--{key}", repr(x), "--outdir", str(outdir)])
-    assert rc in (0, 1, 2)
-    if rc:
-        assert err.getvalue().count("\n") == 1, err.getvalue()
+    _assert_exits_cleanly([*_SMALLEST["run"], f"--{key}", repr(x)], tmp_path_factory)
+
+
+@pytest.mark.parametrize("extent", _MISFIT_EXTENTS)
+@pytest.mark.parametrize("command", sorted(_SMALLEST))
+def test_box_geometry_outside_floats_exits_one(command, extent, tmp_path, capsys):
+    rc = cli.main([*_SMALLEST[command], "--box", f"0 0 0 {extent} {extent} {extent}",
+                   "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: box extents ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(command=st.sampled_from(sorted(_SMALLEST)),
+       extents=st.tuples(*[st.floats(allow_nan=False, allow_infinity=False,
+                                     allow_subnormal=True)] * 3))
+@example(command="run", extents=(1e200,) * 3)
+@example(command="run", extents=(1e100,) * 3)
+@example(command="run", extents=(1e-100,) * 3)
+@example(command="run", extents=(1e-120,) * 3)
+@example(command="rates", extents=(1e200,) * 3)
+@example(command="rates", extents=(1e100,) * 3)
+@example(command="rates", extents=(1e-100,) * 3)
+@example(command="rates", extents=(1e-120,) * 3)
+@example(command="run", extents=(2.0**53, 2.0**53, 2.3e-45))   # aspect 4e60: GMRES overflows
+@example(command="run", extents=(1e42, 1e46, 1e44))   # pressure force 1e245 on a face
+@example(command="rates", extents=(1e-60,) * 3)       # interpolation errors underflow to 0
+def test_extreme_box_exits_cleanly(command, extents, tmp_path_factory):
+    """Over the whole float range of the box extents, the smallest run and
+    rates study exit as `test_extreme_initial_data_exit_cleanly` asks."""
+    box = " ".join(repr(x) for x in (0.0, 0.0, 0.0, *extents))
+    _assert_exits_cleanly([*_SMALLEST[command], "--box", box], tmp_path_factory)
 
 
 def test_unconverged_study_exits_two_and_leaves_no_outdir(tmp_path, capsys):

@@ -87,7 +87,7 @@ def test_interior_normal_points_owner_to_neighbor(mesh2):
 
 
 def test_boundary_normal_points_outward(mesh2):
-    for f in mesh2.boundary_faces:
+    for f in np.flatnonzero(mesh2.is_boundary_face):
         assert mesh2.face_neighbor[f] == -1
         e = mesh2.face_owner[f]
         d = mesh2.face_centroid[f] - mesh2.elem_centroid[e]
@@ -113,7 +113,7 @@ def test_closed_surface_sums_to_zero(mesh2):
 
 def test_face_area_total(mesh1):
     # cube surface 6, each facet split into 2 triangles of area 1/2
-    assert np.isclose(mesh1.face_area[mesh1.boundary_faces].sum(), 6.0, atol=1e-13)
+    assert np.isclose(mesh1.face_area[mesh1.is_boundary_face].sum(), 6.0, atol=1e-13)
 
 
 def test_find_elements_centroids(mesh2):

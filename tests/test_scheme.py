@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from nsfemdg import oracles, scheme, spaces
+from nsfemdg import io, oracles, scheme, spaces
 from nsfemdg.mesh import build_box_mesh
 from nsfemdg.spaces import apply_bc, element_average
 
@@ -349,7 +349,7 @@ def test_jacobian_matches_fd_on_several_cubes(mesh2, params, alpha):
 
 @pytest.mark.parametrize("build", [
     scheme.jacobian_map, scheme._interior, scheme.mesh_operators,
-    spaces.p1_coefficients, spaces.flux_reconstruction_coefficients,
+    spaces.p1_coefficients, spaces.flux_reconstruction_coefficients, io._vtk_geometry,
 ], ids=lambda build: build.__name__)
 def test_jacobian_map_is_built_once_per_mesh(params, build):
     """Every builder of mesh-derived data runs once per mesh object."""

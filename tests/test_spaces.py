@@ -75,7 +75,8 @@ def test_tri_rule_integrates_monomials(degree, mesh1):
     bary, w = tri_rule(degree)
     assert np.isclose(w.sum(), 1.0, atol=1e-14)
     pts, wq = face_quad_points(mesh1, degree)
-    bottom = [f for f in mesh1.boundary_faces if abs(mesh1.face_centroid[f][2]) < 1e-12]
+    bottom = [f for f in np.flatnonzero(mesh1.is_boundary_face)
+              if abs(mesh1.face_centroid[f][2]) < 1e-12]
     assert len(bottom) == 2
     for a, b in [(p, q) for p in range(4) for q in range(4) if p + q <= degree]:
         total = 0.0
@@ -498,4 +499,4 @@ def test_sine_field_is_bitwise_the_product_formula(k, amplitude):
 def test_sine_field_vanishes_on_boundary(mesh2):
     pts, _ = face_quad_points(mesh2, 4)
     vals = SineField()(pts.reshape(-1, 3)).reshape(pts.shape[0], -1, 3)
-    assert np.abs(vals[mesh2.boundary_faces]).max() < 1e-13
+    assert np.abs(vals[mesh2.is_boundary_face]).max() < 1e-13
