@@ -8,8 +8,10 @@ Configuration comes from a plain-text ``key = value`` file (``#`` starts a
 comment) named by ``--config FILE`` and/or ``--key value`` (or
 ``--key=value``) flags; flags override file values.  Unknown keys are
 rejected, and so are keys the command does not read.  Exit codes: 0 success,
-1 configuration or usage error, 2 numerical failure (a step that would not
-converge, or a failed invariant check).
+1 configuration or usage error, 2 numerical failure (a failed invariant
+check, or a failed time step: the solver reports every way a step fails, its
+alpha = 0 solve included, as StepFailure, and a SolverError never leaves a
+step).
 """
 from __future__ import annotations
 
@@ -85,7 +87,20 @@ class RunConfig:
             return self.rho_bar, self.rho_bar
         return scheme.bump_range(self.rho_bar, self.amp, self.sigma, self.box[:3], self.box[3:])
 
-    def validate(self) -> "RunConfig":
+    def time_grid(self, command: str) -> tuple[float | None, int | None]:
+        """(T, None) or (None, steps), what `command` steps to; (None, None)
+        if it does not step.  `run` defaults to 10 steps.  The defect-decay
+        study defaults to T = 0.5, a window in which even the coarsest mesh
+        sees several time samples, and the Cauchy study to T = 0.25, a short
+        horizon that bounds the fine-mesh cost."""
+        if command == "run":
+            return (self.T, None) if self.T is not None else (None, self.steps or 10)
+        if command == "study" and self.kind != "rates":
+            default = 0.5 if self.kind == "pdecay" else 0.25
+            return (default if self.T is None else self.T), None
+        return None, None
+
+    def validate(self, command: str = "run") -> "RunConfig":
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if len(self.box) != 6 or any(self.box[i] >= self.box[i + 3] for i in range(3)):
@@ -117,6 +132,11 @@ class RunConfig:
         if max(extents) > _MAX_ASPECT * min(extents):
             raise ConfigError(f"box extents {extents} differ by more than a factor "
                               f"{_MAX_ASPECT:.6g}: squared edge lengths would lose the shortest")
+        corner = max(abs(x) for x in self.box)
+        if spacings[0] * _MAX_ASPECT < corner:
+            raise ConfigError(f"box {self.box} gives a mesh spacing {spacings[0]:.6g} below "
+                              f"sqrt(eps) times its largest coordinate {corner:.6g}: the grid "
+                              f"points would round together")
         if self.kind == "cauchy" and not _nested(self.ns):
             raise ConfigError(f"cauchy needs at least two ns, each a larger multiple of "
                               f"the one before, got {self.ns}")
@@ -133,7 +153,16 @@ class RunConfig:
         if rho_min < 0.0:
             raise ConfigError(f"initial density of preset {self.initial_preset} is negative: "
                               f"its minimum over the box is {rho_min:.6g}")
-        self.params()  # surfaces scheme parameter violations as config errors
+        params = self.params()  # surfaces scheme parameter violations as config errors
+        T, steps = self.time_grid(command)
+        if T is not None:
+            n = self.n if command == "run" else max(self.ns)
+            dt = params.c * math.hypot(*extents) / n   # c h, h the cell diagonal
+            if T > _MAX_STEPS * dt:   # step_count(T, dt) > _MAX_STEPS, without overflow
+                raise ConfigError(f"T = {T:g} takes more than {_MAX_STEPS} steps of "
+                                  f"dt = c*h = {dt:.6g} on the n = {n} mesh")
+        elif steps is not None and steps > _MAX_STEPS:
+            raise ConfigError(f"steps must be <= {_MAX_STEPS}, got {steps}")
         return self
 
 
@@ -143,6 +172,8 @@ _SQRT_MAX = math.sqrt(sys.float_info.max)
 # and the smallest such square, s**4 on a cube face, must not underflow.
 _SPACING = (sys.float_info.min ** 0.25, (sys.float_info.max / 12.0) ** 0.25)
 _MAX_ASPECT = 1.0 / math.sqrt(sys.float_info.epsilon)
+# The longest time grid a command may step: a run keeps every state.
+_MAX_STEPS = 10_000
 
 
 def _nested(ns: tuple[int, ...]) -> bool:
@@ -201,8 +232,9 @@ def _convert(key: str, raw: str, where: str):
         raise ConfigError(f"{where}: invalid value {raw!r} for {key}: {exc}") from exc
 
 
-def parse_config(path=None, overrides=()) -> RunConfig:
-    """Build a RunConfig from an optional file plus ``(key, value)`` overrides."""
+def parse_config(path=None, overrides=(), command: str = "run") -> RunConfig:
+    """Build a RunConfig for `command` from an optional file plus
+    ``(key, value)`` overrides."""
     values = {}
     if path is not None:
         try:
@@ -221,7 +253,7 @@ def parse_config(path=None, overrides=()) -> RunConfig:
         values[key] = _convert(key, raw, f"--{key}")
     given = tuple(values)
     physics = {key: values.pop(key) for key in given if key in _PHYSICS}
-    return RunConfig(**values, physics=physics, given=given).validate()
+    return RunConfig(**values, physics=physics, given=given).validate(command)
 
 
 # ---------------------------------------------------------------------------
@@ -232,18 +264,22 @@ def _run(cfg: RunConfig, n: int, T: float | None = None,
          steps: int | None = None) -> scheme.RunResult:
     """`scheme.run` from the configured initial data on the n-per-axis mesh
     of the box.  Initial data whose pressure, kappa*h floor included, or
-    whose pressure force on the largest face reaches sqrt(float max) are a
-    configuration error: GMRES takes 2-norms of vectors on that scale."""
+    whose shear momentum flux rho_max*amp**2, or either of these on the
+    largest face, reaches sqrt(float max) are a configuration error: GMRES
+    takes 2-norms of vectors on that scale."""
     mesh = build_box_mesh(n, cfg.box[:3], cfg.box[3:])
     params = cfg.params()
+    area = float(mesh.face_area.max())
+    rho_max = cfg.initial_density_range()[1] + params.kappa * mesh.h
     with np.errstate(over="ignore"):
-        p_max = float(scheme.pressure(cfg.initial_density_range()[1] + params.kappa * mesh.h,
-                                      params))
-        force = p_max * float(mesh.face_area.max())
-    if max(p_max, force) >= _SQRT_MAX:
-        raise ConfigError(f"initial pressure of preset {cfg.initial_preset} is too large: "
-                          f"a*rho_max**gamma = {p_max:.6g}, or {force:.6g} on the largest "
-                          f"face, reaches sqrt(float max)")
+        p_max = float(scheme.pressure(rho_max, params))
+    flux = rho_max * cfg.amp * cfg.amp if cfg.initial_preset == "shear" else 0.0
+    for name, formula, value in (("pressure", "a*rho_max**gamma", p_max),
+                                 ("momentum flux", "rho_max*amp**2", flux)):
+        if max(value, value * area) >= _SQRT_MAX:
+            raise ConfigError(f"initial {name} of preset {cfg.initial_preset} is too large: "
+                              f"{formula} = {value:.6g}, or {value * area:.6g} on the "
+                              f"largest face, reaches sqrt(float max)")
     rho0, m0 = scheme.make_initial_data(
         cfg.initial_preset, cfg.rho_bar, cfg.amp, cfg.sigma, mesh.box_lo, mesh.box_hi
     )
@@ -251,8 +287,7 @@ def _run(cfg: RunConfig, n: int, T: float | None = None,
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    steps = 10 if cfg.T is None and cfg.steps is None else cfg.steps
-    result = _run(cfg, cfg.n, cfg.T, steps)
+    result = _run(cfg, cfg.n, *cfg.time_grid("run"))
     mesh = result.mesh
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -372,7 +407,7 @@ def cmd_check(cfg: RunConfig) -> int:
 # study
 
 
-def _rates(cfg: RunConfig, T: float) -> tuple[list[dict], list[str]]:
+def _rates(cfg: RunConfig, T: float | None) -> tuple[list[dict], list[str]]:
     study = diagnostics.interpolation_rate_study(SineField(), cfg.ns, cfg.box[:3], cfg.box[3:])
     rows = [{"n": n, "h": h, "l2_error": l2, "h1_error": h1}
             for n, h, l2, h1 in zip(cfg.ns, study["h"], study["l2"], study["h1"])]
@@ -400,10 +435,7 @@ _STUDIES = {"rates": _rates, "cauchy": _cauchy, "pdecay": _pdecay}
 
 
 def cmd_study(cfg: RunConfig) -> int:
-    # The defect-decay study needs a longer window so even the coarsest mesh
-    # sees several time samples; the Cauchy study keeps a short horizon to
-    # bound the fine-mesh cost.
-    T = cfg.T if cfg.T is not None else (0.5 if cfg.kind == "pdecay" else 0.25)
+    T, _ = cfg.time_grid("study")   # None for rates, which does not step
     rows, summary = _STUDIES[cfg.kind](cfg, T)
     path = Path(cfg.outdir) / f"{cfg.kind}.csv"   # made by write_csv: a failed study leaves none
     write_csv(path, rows)
@@ -448,19 +480,14 @@ def main(argv=None) -> int:
                               + (f", got {command!r}" if command else ""))
         pairs = _override_pairs(argv[1:])
         cfg = parse_config(dict(pairs).get("config"),
-                           [(key, value) for key, value in pairs if key != "config"])
+                           [(key, value) for key, value in pairs if key != "config"], command)
         _reject_unused(cfg, command)
         return _COMMANDS[command](cfg)
     except (ConfigError, scheme.InitialDataError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except solver.StepFailure as exc:
-        print(f"{command} failed at step {exc.step}: alpha={exc.alpha:g}, "
-              f"{exc.iterations} iterations, residual {exc.residual_norm:.3e}",
-              file=sys.stderr)
-        return 2
-    except solver.SolverError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"{command} failed at step {exc.step}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -92,7 +92,7 @@ class SchemeParams:
             warnings.warn(
                 f"gamma = {self.gamma} <= 3: outside the range covered by the "
                 "convergence theory",
-                stacklevel=2,
+                stacklevel=3,   # past the dataclass-generated __init__, to its caller
             )
         if self.a <= 0.0:
             raise ValueError(f"pressure coefficient a must be > 0, got {self.a}")
@@ -611,11 +611,7 @@ def run(
     factors = solver.BlockFactors()   # the preconditioner, carried from step to step
 
     for k in range(1, steps + 1):
-        try:
-            new, sd = solver.homotopy_newton_solve(state, params, mesh, factors)
-        except solver.StepFailure as exc:
-            exc.step = k
-            raise
+        new, sd = solver.homotopy_newton_solve(state, params, mesh, factors)
         ledger = diag.energy_ledger(new, params, mesh, prev=state)
         dissipation += dt * (ledger.grad_diss + ledger.d2 + ledger.d5)
         margin = e0 - (ledger.total + dissipation)

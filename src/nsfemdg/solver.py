@@ -49,13 +49,17 @@ cycle.  Kept factors get a single cycle, capped at twice the base, or a full
 cycle before any base is set; if it misses, its iterate is discarded, the
 matrix is refactored and solved afresh.  Both blocks are ordered by minimum
 degree on A^T + A with diagonal pivots, which their symmetric patterns allow.
-There is no direct solve of J: a zero pivot in a block, or a solve on fresh
-factors that fails the acceptance check, raises SolverError with the factors
-dropped, and the Newton node fails, so that the next continuation schedule
-runs.  The symmetric positive definite alpha = 0 system is factored with the
-blocks' settings.  GMRES needs J only through products and its diagonal
-blocks; `scheme.jacobian` stores no exact zeros, so neither do the blocks
-factored here.
+There is no direct solve of J: a zero pivot in a block, a Krylov quantity
+that overflows, or a solve on fresh factors that fails the acceptance check,
+raises SolverError with the factors dropped, and the Newton node fails, so
+that the next continuation schedule runs.  The symmetric positive definite
+alpha = 0 system is factored with the blocks' settings.  GMRES needs J only
+through products and its diagonal blocks; `scheme.jacobian` stores no exact
+zeros, so neither do the blocks factored here.
+
+A SolverError never leaves a step: `homotopy_newton_solve` decides that a
+step has failed, when its alpha = 0 solve fails or no schedule converges, and
+raises StepFailure, which carries the step's index and says why.
 """
 from __future__ import annotations
 
@@ -77,10 +81,12 @@ class SolverError(RuntimeError):
 
 
 class StepFailure(RuntimeError):
-    """No continuation schedule converged for a time step."""
+    """Time step `step` failed: its alpha = 0 solve, whose reason the message
+    gives (alpha 0, no iterations, a NaN residual norm), or every
+    continuation schedule."""
 
     def __init__(self, message: str, alpha: float, iterations: int, residual_norm: float,
-                 step: int | None = None):
+                 step: int):
         super().__init__(message)
         self.alpha = alpha
         self.iterations = iterations
@@ -301,6 +307,7 @@ class BlockFactors:
         return precondition
 
 
+@np.errstate(over="ignore", invalid="ignore")   # an overflow ends the solve instead
 def _gmres(J: sp.csr_matrix, b: NDArrayF, precondition: Callable[[NDArrayF], NDArrayF],
            restart: int, cycles: int, stats: StepDiagnostics,
            floor: float = 0.0) -> tuple[NDArrayF, str | None, int]:
@@ -315,9 +322,11 @@ def _gmres(J: sp.csr_matrix, b: NDArrayF, precondition: Callable[[NDArrayF], NDA
     tolerance is the smaller of the current one and KRYLOV_RTOL |M b|_2,
     divided by the factor by which |b - J x|_inf exceeds the check's bound.
     The next cycle starts from the true residual, as after a cycle that runs
-    out of iterations.  Returns the last iterate, why it fails the acceptance
-    check (None if it passes), and the iteration count, which is below
-    `restart` if and only if the first cycle ended the solve.  `stats`
+    out of iterations.  A residual or basis-vector norm that is not finite
+    ends the solve at once: no finite iterate comes of its cycle, whose
+    iterate is returned as NaN.  Returns the last iterate, why it fails the
+    acceptance check (None if it passes), and the iteration count, which is
+    below `restart` if and only if the first cycle ended the solve.  `stats`
     counts the iterations and cycles.
     """
     eps = np.finfo(b.dtype).eps
@@ -345,6 +354,8 @@ def _gmres(J: sp.csr_matrix, b: NDArrayF, precondition: Callable[[NDArrayF], NDA
         for k in range(restart):
             w = precondition(J @ V[k])
             h0 = np.linalg.norm(w)
+            if not math.isfinite(beta + h0):
+                break
             basis = V[: k + 1]
             h = basis @ w
             w -= h @ basis
@@ -371,6 +382,9 @@ def _gmres(J: sp.csr_matrix, b: NDArrayF, precondition: Callable[[NDArrayF], NDA
             iters += 1
             if abs(g[-1]) <= tol or breakdown:
                 break
+        if not math.isfinite(beta + h0):
+            x.fill(np.nan)
+            break
         m = len(rotations)
         if R[m - 1, m - 1] == 0.0:   # singular only in its last column
             m -= 1
@@ -458,13 +472,18 @@ def alpha0_solve(prev, params, mesh: Mesh) -> "scheme.State":
 
 def homotopy_newton_solve(prev, params, mesh: Mesh, factors: BlockFactors | None = None
                           ) -> tuple["scheme.State", StepDiagnostics]:
-    """Advance `prev` by one time step; raises StepFailure if all schedules fail.
-    `factors` carries the preconditioner from the previous step and on to the
-    next; without it the step starts with none."""
+    """Advance `prev` by one time step; raises StepFailure if the alpha = 0
+    solve fails, with its reason, or if all schedules fail.  `factors`
+    carries the preconditioner from the previous step and on to the next;
+    without it the step starts with none."""
     dt = params.dt(mesh)
     k, t = prev.k + 1, prev.t + dt
-    # Every schedule starts here; _newton_at_alpha rebinds x, never mutates it.
-    x0 = scheme.pack(alpha0_solve(prev, params, mesh), mesh)
+    try:
+        # Every schedule starts here; _newton_at_alpha rebinds x, never mutates it.
+        x0 = scheme.pack(alpha0_solve(prev, params, mesh), mesh)
+    except SolverError as exc:
+        raise StepFailure(f"alpha=0, 0 iterations, {exc}", alpha=0.0, iterations=0,
+                          residual_norm=math.nan, step=k) from exc
     factors = factors if factors is not None else BlockFactors()
     # One holder for the step: its counts add up over every schedule tried,
     # the rest describes the last schedule's last node.
@@ -485,11 +504,11 @@ def homotopy_newton_solve(prev, params, mesh: Mesh, factors: BlockFactors | None
             return scheme.unpack(x, mesh, k, t), diag
 
     raise StepFailure(
-        f"no continuation schedule converged (last: alpha={alpha}, "
-        f"residual={diag.residual_norm:.3e})",
+        f"alpha={alpha:g}, {diag.newton_iters} iterations, residual {diag.residual_norm:.3e}",
         alpha=alpha,
         iterations=diag.newton_iters,
         residual_norm=diag.residual_norm,
+        step=k,
     )
 
 
@@ -502,7 +521,8 @@ def _rounding_floor(J: sp.csr_matrix, x: NDArrayF) -> float:
 
 
 def _newton_at_alpha(prev, x, alpha, params, mesh, diag, factors, budget):
-    """Damped Newton at one alpha node, while diag.newton_iters < budget."""
+    """Damped Newton at one alpha node, while diag.newton_iters < budget.
+    Returns the last iterate and whether its residual is within tolerance."""
     ne = mesh.n_elems
     tol = params.newton_tol
 
@@ -515,19 +535,17 @@ def _newton_at_alpha(prev, x, alpha, params, mesh, diag, factors, budget):
     gain = 0.0   # entry below tolerance converges with zero iterations
     floor = 0.0  # rounding floor of the residual, once a Jacobian is known
     while diag.newton_iters < budget:
-        diag.residual_norm = norm
         if norm <= tol and (gain < POLISH_GAIN or norm <= floor):
-            return x, True
+            break
         J = scheme.jacobian(prev, guess, params, mesh, alpha=alpha)
         floor = _rounding_floor(J, x)
         if not np.isfinite(norm + floor):
-            # An overflowed residual or Jacobian gives no Newton step.
-            return x, norm <= tol
+            break   # an overflowed residual or Jacobian gives no Newton step
         try:
             delta = linear_solve(J, -r, n_density=ne, stats=diag, factors=factors,
                                  floor=floor)
         except SolverError:
-            return x, norm <= tol
+            break
         del J   # no name holds it while the next one is built
 
         step = 1.0
@@ -542,8 +560,7 @@ def _newton_at_alpha(prev, x, alpha, params, mesh, diag, factors, budget):
             step *= BACKTRACK_FACTOR
             diag.linesearch_backtracks += 1
         if not accepted:
-            # No admissible decrease; fine if already converged.
-            return x, norm <= tol
+            break   # no admissible decrease; fine if already converged
 
         gain = norm / norm_try if norm_try > 0.0 else np.inf
         x, guess, r, norm = x_try, guess_try, r_try, norm_try

@@ -6,6 +6,8 @@ import os
 import re
 import subprocess
 import sys
+import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -110,6 +112,8 @@ def test_box_needs_six_numbers():
     ("sigma", "-0.1", "sigma must be > 0"),
     ("n", "127", "n = 127 has 2097152 vertices"),
     ("ns", "2 4 200", "n = 200 has"),
+    ("steps", "10001", "steps must be <= 10000"),
+    ("T", "5000", "T = 5000 takes more than 10000 steps"),
 ])
 def test_validation_rejects(key, value, match):
     with pytest.raises(ConfigError, match=match):
@@ -300,12 +304,58 @@ def test_initial_density_minimum_is_over_the_box():
         1.0, 1.0)
 
 
+def test_time_grid_bound_is_inclusive():
+    """steps and the step count T implies may reach the bound, on the
+    command's finest mesh: n for run, the largest of ns for a study."""
+    assert parse_config(None, [("steps", "10000")]).steps == 10000
+    dt = 0.5 * 3**0.5 / 2                        # c h on the n = 2 unit-box mesh
+    assert parse_config(None, [("T", repr(10000 * dt))]).T == 10000 * dt
+    with pytest.raises(ConfigError, match="on the n = 4 mesh"):
+        parse_config(None, [("kind", "cauchy"), ("ns", "2 4"), ("T", repr(10000 * dt))],
+                     "study")
+    with pytest.raises(ConfigError, match="T = 0.25 takes more than 10000 steps"):
+        parse_config(None, [("kind", "cauchy"), ("ns", "1 2"), ("c", "1e-300")], "study")
+    # rates and check do not step
+    parse_config(None, [("kind", "rates"), ("ns", "1 2"), ("T", "1e300")], "study")
+    parse_config(None, [("c", "1e-300")], "check")
+
+
+def test_long_time_grid_exits_one_at_once(tmp_path, capsys):
+    """A box so small that dt = c h on the n = 2 mesh asks for ~115,000
+    steps exits 1 before any mesh is built."""
+    start = time.perf_counter()
+    rc = cli.main(["study", "--kind", "pdecay", "--ns", "1 2", "--T", "0.05",
+                   "--box", "0 0 0 1e-6 1e-6 1e-6", "--outdir", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: T = 0.05 takes more than 10000 steps")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--preset", "bump", "--n", "1", "--steps", "1", "--c", "1e-300"],
+    ["study", "--kind", "cauchy", "--ns", "1 2", "--c", "1e-300", "--T", "1e-300"],
+])
+def test_singular_alpha0_solve_exits_two_in_one_line(argv, tmp_path, capsys):
+    """At c = 1e-300 the alpha = 0 system of step 1 is singular: the command
+    reports it as that step's failure, with the reason, in one line.  The
+    study's T keeps its time grid to two steps."""
+    rc = cli.main([*argv, "--outdir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{argv[0]} failed at step 1: alpha=0, 0 iterations, ")
+    assert "singular" in err and err.count("\n") == 1
+
+
 def test_unconverged_run_exits_two(tmp_path, capsys):
     rc = cli.main(["run", "--preset", "bump", "--n", "1", "--steps", "1",
                    "--newton_tol", "1e-30", "--newton_max_iter", "1",
                    "--outdir", str(tmp_path / "out")])
     assert rc == 2
-    assert "failed at step" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"run failed at step 1: alpha=\S+, \d+ iterations, residual \S+\n", err)
 
 
 def test_underflowing_sigma_exits_one(tmp_path, capsys):
@@ -316,6 +366,19 @@ def test_underflowing_sigma_exits_one(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err == (
         "configuration error: sigma is too small: sigma**2 underflows to 0, got 1e-200\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("amp", ["1e100", "1e150", "-1e100"])
+def test_overflowing_shear_momentum_exits_one(amp, tmp_path, capsys):
+    """Shear data whose momentum flux rho_max*amp**2 reaches sqrt(float max)
+    are rejected before the first step, in one line."""
+    rc = cli.main(["run", "--preset", "shear", "--n", "1", "--steps", "1", "--amp", amp,
+                   "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: initial momentum flux of preset shear ")
+    assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -335,37 +398,55 @@ def test_overflowing_initial_pressure_exits_one(flags, tmp_path, capsys):
 
 
 def _assert_exits_cleanly(argv, tmp_path_factory):
+    """`argv` exits 0, 1 or 2, raises nothing (a RuntimeWarning is an error
+    here), and a failure says why in exactly one stderr line.  A gamma <= 3
+    also warns that the theory does not cover it: the warnings module, not
+    the command, writes that warning to stderr, so it is recorded here and
+    not counted, and it must name the cli line that made the parameters."""
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
         rc = cli.main([*argv, "--outdir", str(tmp_path_factory.mktemp("out"))])
     assert rc in (0, 1, 2)
     if rc:
         assert err.getvalue().count("\n") == 1, err.getvalue()
+    for w in caught:
+        assert "convergence theory" in str(w.message), w
+        assert Path(w.filename) == Path(cli.__file__), w
 
 
-# The smallest run and rates study.
+# The smallest run and studies over a box.
 _SMALLEST = {"run": ["run", "--preset", "bump", "--n", "1", "--steps", "1"],
-             "rates": ["study", "--kind", "rates", "--ns", "1 2"]}
+             "rates": ["study", "--kind", "rates", "--ns", "1 2"],
+             "cauchy": ["study", "--kind", "cauchy", "--ns", "1 2"],
+             "pdecay": ["study", "--kind", "pdecay", "--ns", "1 2"]}
 # Box extents whose mesh geometry does not fit in floats: the squared norms
 # of face cross products overflow (1e200, 1e100) or underflow to a zero face
 # area (1e-100), or tet volumes underflow to zero (1e-120).
 _MISFIT_EXTENTS = [1e200, 1e100, 1e-100, 1e-120]
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
-@given(key=st.sampled_from(["amp", "rho_bar", "sigma"]),
-       x=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
-@example(key="sigma", x=1e200)
-@example(key="amp", x=1e100)
-@example(key="amp", x=1e308)
-@example(key="amp", x=5.13e63)
-@example(key="amp", x=1.85e82)
-@example(key="sigma", x=2.718447203509172e-158)   # sigma**2 subnormal: r2 / sigma**2 overflows
-def test_extreme_initial_data_exit_cleanly(key, x, tmp_path_factory):
-    """Over the whole float range of amp, rho_bar and sigma a bump run exits
-    0, 1 or 2, raises nothing (a RuntimeWarning is an error here), and says
-    why it failed in exactly one stderr line."""
-    _assert_exits_cleanly([*_SMALLEST["run"], f"--{key}", repr(x)], tmp_path_factory)
+@given(preset=st.sampled_from(["bump", "shear"]),
+       key=st.sampled_from(["amp", "rho_bar", "sigma", "a", "gamma", "kappa", "c", "epsilon"]),
+       x=_FLOATS)
+@example(preset="bump", key="sigma", x=1e200)
+@example(preset="bump", key="amp", x=1e100)
+@example(preset="bump", key="amp", x=1e308)
+@example(preset="bump", key="amp", x=5.13e63)
+@example(preset="bump", key="amp", x=1.85e82)
+@example(preset="bump", key="sigma", x=2.718447203509172e-158)   # r2 / sigma**2 overflows
+@example(preset="shear", key="amp", x=1e150)   # energy ledger and GMRES overflow
+@example(preset="shear", key="amp", x=1e100)   # GMRES norms overflow
+@example(preset="bump", key="c", x=1e-300)     # singular alpha = 0 system: exit 2
+@example(preset="bump", key="gamma", x=2.0)    # the theory warning
+def test_extreme_initial_data_exit_cleanly(preset, key, x, tmp_path_factory):
+    """Over the whole float range of each initial-data and physics key, a
+    bump or shear run exits as `_assert_exits_cleanly` asks."""
+    _assert_exits_cleanly(["run", "--preset", preset, "--n", "1", "--steps", "1",
+                           f"--{key}", repr(x)], tmp_path_factory)
 
 
 @pytest.mark.parametrize("extent", _MISFIT_EXTENTS)
@@ -380,25 +461,42 @@ def test_box_geometry_outside_floats_exits_one(command, extent, tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", sorted(_SMALLEST))
+def test_box_far_from_origin_exits_one(command, tmp_path, capsys):
+    """A box whose mesh spacing is below sqrt(eps) times its corners'
+    magnitude would round its grid points together."""
+    rc = cli.main([*_SMALLEST[command], "--box", "1e16 0 0 10000000000000002 1 1",
+                   "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: box (1e+16, ")
+    assert "below sqrt(eps) times its largest coordinate" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(command=st.sampled_from(sorted(_SMALLEST)),
-       extents=st.tuples(*[st.floats(allow_nan=False, allow_infinity=False,
-                                     allow_subnormal=True)] * 3))
-@example(command="run", extents=(1e200,) * 3)
-@example(command="run", extents=(1e100,) * 3)
-@example(command="run", extents=(1e-100,) * 3)
-@example(command="run", extents=(1e-120,) * 3)
-@example(command="rates", extents=(1e200,) * 3)
-@example(command="rates", extents=(1e100,) * 3)
-@example(command="rates", extents=(1e-100,) * 3)
-@example(command="rates", extents=(1e-120,) * 3)
-@example(command="run", extents=(2.0**53, 2.0**53, 2.3e-45))   # aspect 4e60: GMRES overflows
-@example(command="run", extents=(1e42, 1e46, 1e44))   # pressure force 1e245 on a face
-@example(command="rates", extents=(1e-60,) * 3)       # interpolation errors underflow to 0
-def test_extreme_box_exits_cleanly(command, extents, tmp_path_factory):
-    """Over the whole float range of the box extents, the smallest run and
-    rates study exit as `test_extreme_initial_data_exit_cleanly` asks."""
-    box = " ".join(repr(x) for x in (0.0, 0.0, 0.0, *extents))
+       lo=st.tuples(_FLOATS, _FLOATS, _FLOATS), extents=st.tuples(_FLOATS, _FLOATS, _FLOATS))
+@example(command="run", lo=(0.0,) * 3, extents=(1e200,) * 3)
+@example(command="run", lo=(0.0,) * 3, extents=(1e100,) * 3)
+@example(command="run", lo=(0.0,) * 3, extents=(1e-100,) * 3)
+@example(command="run", lo=(0.0,) * 3, extents=(1e-120,) * 3)
+@example(command="rates", lo=(0.0,) * 3, extents=(1e200,) * 3)
+@example(command="rates", lo=(0.0,) * 3, extents=(1e100,) * 3)
+@example(command="rates", lo=(0.0,) * 3, extents=(1e-100,) * 3)
+@example(command="rates", lo=(0.0,) * 3, extents=(1e-120,) * 3)
+@example(command="run", lo=(0.0,) * 3, extents=(2.0**53, 2.0**53, 2.3e-45))   # aspect 4e60
+@example(command="run", lo=(0.0,) * 3, extents=(1e42, 1e46, 1e44))   # face force 1e245
+@example(command="rates", lo=(0.0,) * 3, extents=(1e-60,) * 3)   # errors underflow to 0
+@example(command="run", lo=(1e16, 0.0, 0.0), extents=(2.0, 1.0, 1.0))   # grid rounds together
+@example(command="pdecay", lo=(0.0,) * 3, extents=(1e-6,) * 3)   # 1.15M time steps
+@example(command="cauchy", lo=(-1.0, 2.0, 0.5), extents=(1.0, 2.0, 0.5))   # exit 0
+@example(command="pdecay", lo=(-1.0, 2.0, 0.5), extents=(1.0, 2.0, 0.5))   # exit 0
+def test_extreme_box_exits_cleanly(command, lo, extents, tmp_path_factory):
+    """Over the whole float range of the box corner and extents, the
+    smallest run and studies exit as `_assert_exits_cleanly` asks."""
+    box = " ".join(repr(x) for x in (*lo, *(a + e for a, e in zip(lo, extents))))
     _assert_exits_cleanly([*_SMALLEST[command], "--box", box], tmp_path_factory)
 
 

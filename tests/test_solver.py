@@ -182,6 +182,25 @@ def test_gmres_zero_rhs():
         assert not x.any()
 
 
+def test_overflowing_krylov_quantity_fails_the_solve():
+    """The density row's coupling B, the largest float in each column,
+    which the block preconditioner ignores, overflows the first product
+    J v: the solve ends within its first cycle with the non-finite reason,
+    as a SolverError, and numpy warns of nothing."""
+    big = np.finfo(float).max
+    J = sp.csr_matrix(np.array([[1.0, big, big, big],
+                                [0.0, 1.0, 0.0, 0.0],
+                                [0.0, 0.0, 1.0, 0.0],
+                                [0.0, 0.0, 0.0, 1.0]]))
+    stats = solver.StepDiagnostics()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(solver.SolverError, match="non-finite"):
+            solver.linear_solve(J, np.ones(4), n_density=1, stats=stats)
+    assert stats.krylov_cycles == 1 and stats.krylov_iters == 0
+    assert not caught
+
+
 def test_floor_shortens_the_solve():
     """A rounding floor above KRYLOV_RTOL |b|_inf / FLOOR_MARGIN ends GMRES
     sooner, at an iterate that still passes the acceptance check; one below
@@ -599,6 +618,23 @@ def test_step_failure_reports_context(mesh2):
     assert 0.0 < exc.alpha <= 1.0
     assert exc.iterations >= 1
     assert exc.residual_norm > 0
+    assert exc.step == prev.k + 1
+    assert str(exc) == (f"alpha={exc.alpha:g}, {exc.iterations} iterations, "
+                        f"residual {exc.residual_norm:.3e}")
+
+
+def test_singular_alpha0_solve_fails_the_step(mesh1):
+    """At c = 1e-300 the alpha = 0 system is singular: the step fails with
+    StepFailure at alpha = 0, which says why and carries the step index."""
+    params = scheme.SchemeParams(c=1e-300)
+    prev = bump_state(mesh1, params)
+    with pytest.raises(solver.StepFailure) as info:
+        solver.homotopy_newton_solve(prev, params, mesh1)
+    exc = info.value
+    assert (exc.step, exc.alpha, exc.iterations) == (1, 0.0, 0)
+    assert isinstance(exc.__cause__, solver.SolverError)
+    assert str(exc) == f"alpha=0, 0 iterations, {exc.__cause__}"
+    assert "singular" in str(exc)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
