@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -316,10 +317,21 @@ def cmd_run(cfg: RunConfig) -> int:
 
 
 def _probe_state(mesh, params, rng) -> tuple:
-    """A previous/current state pair with nonuniform density and admissible u."""
+    """A previous/current state pair with nonuniform density and admissible
+    u.  Physics under which the pressure, its derivative or the time scale
+    rho/dt overflows at the probe are a configuration error: the checks
+    would compare infinities."""
     rho0, m0 = scheme.bump_data(1.0, 0.4, 0.3, 0.5 * (mesh.box_lo + mesh.box_hi))
     prev = scheme.initial_state(rho0, m0, mesh, params)
-    rho = prev.rho * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, mesh.n_elems))
+    with np.errstate(over="ignore"):
+        rho = prev.rho * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, mesh.n_elems))
+        rho_max = max(prev.rho.max(), rho.max())
+        p, dp = scheme.pressure(rho_max, params), scheme.pressure_derivative(rho_max, params)
+        rate = rho_max / params.dt(mesh)
+    if not np.isfinite([p, dp, rate]).all():
+        raise ConfigError(f"the check's probe state overflows: at its density {rho_max:.6g} the "
+                          f"pressure a*rho**gamma is {p:.6g}, its derivative {dp:.6g}, and "
+                          f"rho/dt is {rate:.6g}")
     u = apply_bc(0.3 * rng.standard_normal((mesh.n_faces, 3)), mesh)
     guess = scheme.State(rho=rho, u=u, k=1, t=params.dt(mesh))
     return prev, guess
@@ -417,7 +429,7 @@ def _rates(cfg: RunConfig, T: float | None) -> tuple[list[dict], list[str]]:
 def _pdecay(cfg: RunConfig, T: float) -> tuple[list[dict], list[str]]:
     rng = np.random.default_rng(7)
     phi, v = ScalarPolynomial.random(rng), PolynomialField.random(rng)
-    data = diagnostics.bump_flow_data(box_lo=cfg.box[:3], box_hi=cfg.box[3:])
+    data = diagnostics.bump_flow_data(cfg.box[:3], cfg.box[3:])
     study = diagnostics.p_decay_study(cfg.ns, data, phi, v, T=T, params=cfg.params(),
                                       box_lo=cfg.box[:3], box_hi=cfg.box[3:])
     return study["rows"], [f"{key} log2 rates {' '.join(f'{x:.2f}' for x in rates)}"
@@ -479,10 +491,15 @@ def main(argv=None) -> int:
             raise ConfigError(f"expected a command, one of {', '.join(_COMMANDS)}"
                               + (f", got {command!r}" if command else ""))
         pairs = _override_pairs(argv[1:])
-        cfg = parse_config(dict(pairs).get("config"),
-                           [(key, value) for key, value in pairs if key != "config"], command)
+        with warnings.catch_warnings(record=True) as theory:   # gamma <= 3, from SchemeParams
+            cfg = parse_config(dict(pairs).get("config"),
+                               [(key, value) for key, value in pairs if key != "config"], command)
+        for w in theory:
+            print(f"warning: {w.message}", file=sys.stderr)
         _reject_unused(cfg, command)
-        return _COMMANDS[command](cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # shown above, once per command
+            return _COMMANDS[command](cfg)
     except (ConfigError, scheme.InitialDataError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -194,7 +194,7 @@ def transport_moments(mesh: Mesh, phi, v, degree: int = 2) -> TransportMoments:
         x_grad_phi=x_grad_phi,
         phi_face=mesh.face_area * phi_fmean,
         # v_fmean are the face dofs of interpolate_v(v).
-        what=v_fmean[mesh.elem_faces].mean(axis=1),
+        what=element_average(v_fmean, mesh),
         dv=dv,
         dv_x=dv_x,
         v_face=mesh.face_area[:, None] * v_fmean,
@@ -297,8 +297,7 @@ def _defect_integrals(states, mesh: Mesh, moments: TransportMoments,
     return totals
 
 
-def bump_flow_data(rho_bar: float = 1.0, amp: float = 0.4, sigma: float = 0.35,
-                   drift=(0.2, 0.1, 0.05), box_lo=(0, 0, 0), box_hi=(1, 1, 1)):
+def bump_flow_data(box_lo, box_hi):
     """Smooth time-dependent fields for defect-decay measurements.
 
     The density is `scheme.bump_data`'s bump with its center drifting across
@@ -311,11 +310,11 @@ def bump_flow_data(rho_bar: float = 1.0, amp: float = 0.4, sigma: float = 0.35,
     lo = np.asarray(box_lo, dtype=float)
     hi = np.asarray(box_hi, dtype=float)
     ctr0 = 0.5 * (lo + hi)
-    dr = np.asarray(drift, dtype=float)
+    dr = np.array([0.2, 0.1, 0.05])
     span = hi - lo
 
     def data(t: float):
-        rho_fn, _ = scheme.bump_data(rho_bar, amp, sigma, ctr0 + t * dr)
+        rho_fn, _ = scheme.bump_data(1.0, 0.4, 0.35, ctr0 + t * dr)
 
         def u_fn(p):
             p = np.atleast_2d(p)
@@ -337,8 +336,7 @@ def bump_flow_data(rho_bar: float = 1.0, amp: float = 0.4, sigma: float = 0.35,
     return data
 
 
-def p_decay_study(ns, data, phi, v, T: float = 0.5, params=None,
-                  box_lo=(0, 0, 0), box_hi=(1, 1, 1), degree: int = 4) -> dict:
+def p_decay_study(ns, data, phi, v, T: float, params, box_lo, box_hi) -> dict:
     """Defect time-integrals of injected smooth data over a mesh family.
 
     For each mesh the data is sampled on the scheme's own time grid
@@ -347,8 +345,7 @@ def p_decay_study(ns, data, phi, v, T: float = 0.5, params=None,
     Returns per-mesh rows plus the log2 decay rates between consecutive
     refinements.
     """
-    if params is None:
-        params = scheme.SchemeParams()
+    degree = 4   # quadrature degree of the moments and of the injected data
     rows = []
     for n in ns:
         mesh = build_box_mesh(n, box_lo, box_hi)
@@ -379,12 +376,12 @@ def p_decay_study(ns, data, phi, v, T: float = 0.5, params=None,
 # Refinement studies.
 
 
-def interpolation_rate_study(field, ns, box_lo=(0, 0, 0), box_hi=(1, 1, 1), degree: int = 6) -> dict:
+def interpolation_rate_study(field, ns, box_lo, box_hi) -> dict:
     """Interpolation errors over a mesh family and least-squares orders."""
     hs, l2, h1 = [], [], []
     for n in ns:
         mesh = build_box_mesh(n, box_lo, box_hi)
-        e2, e1 = interpolation_errors(field, mesh, degree=degree)
+        e2, e1 = interpolation_errors(field, mesh, degree=6)
         hs.append(mesh.h)
         l2.append(e2)
         h1.append(e1)

@@ -52,9 +52,9 @@ class Mesh:
     face_normal: NDArrayF       # (n_faces, 3) unit, oriented owner -> neighbor
     face_centroid: NDArrayF     # (n_faces, 3)
     h: float                    # max element diameter
-    box_lo: NDArrayF | None = None
-    box_hi: NDArrayF | None = None
-    n_per_axis: int | None = None
+    box_lo: NDArrayF
+    box_hi: NDArrayF
+    n_per_axis: int
     _space_cache: dict = field(default_factory=dict, repr=False)   # see `cached`
 
     @property
@@ -128,7 +128,7 @@ def build_box_mesh(n: int, box_lo=(0.0, 0.0, 0.0), box_hi=(1.0, 1.0, 1.0)) -> Me
     return _mesh_from_tets(vertices, tets, lo, hi, n)
 
 
-def _mesh_from_tets(vertices, tets, box_lo=None, box_hi=None, n_per_axis=None) -> Mesh:
+def _mesh_from_tets(vertices, tets, box_lo, box_hi, n_per_axis) -> Mesh:
     n_verts = len(vertices)
     if n_verts >= MAX_VERTS:
         raise ValueError(f"{n_verts} vertices: face keys need fewer than {MAX_VERTS}")
@@ -211,18 +211,16 @@ def _mesh_from_tets(vertices, tets, box_lo=None, box_hi=None, n_per_axis=None) -
     )
 
 
-def find_elements(mesh: Mesh, points: NDArrayF, tol: float = 1e-12) -> NDArrayI:
+def find_elements(mesh: Mesh, points: NDArrayF) -> NDArrayI:
     """Locate the element containing each point of a box mesh.
 
     Points on inter-element boundaries resolve to the first of the (up to six)
     candidate tets of the enclosing cube that contains them.
     """
-    if mesh.n_per_axis is None:
-        raise ValueError("find_elements requires a mesh built by build_box_mesh")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = mesh.n_per_axis
     rel = (pts - mesh.box_lo) / (mesh.box_hi - mesh.box_lo)
-    if np.any(rel < -tol) or np.any(rel > 1.0 + tol):
+    if np.any(rel < -1e-12) or np.any(rel > 1.0 + 1e-12):
         raise ValueError("point outside the mesh box")
     cell = np.clip((rel * n).astype(np.int64), 0, n - 1)
     cell_id = (cell[:, 0] * n + cell[:, 1]) * n + cell[:, 2]

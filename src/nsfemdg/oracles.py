@@ -144,14 +144,13 @@ def momentum_rows_reference(prev, guess, params, mesh: Mesh) -> np.ndarray:
     return acc[mesh.interior_faces]
 
 
-def jacobian_fd(prev, guess, params, mesh: Mesh, alpha: float = 1.0,
-                eps_scale: float = 1e-6) -> np.ndarray:
+def jacobian_fd(prev, guess, params, mesh: Mesh, alpha: float = 1.0) -> np.ndarray:
     """Dense central-difference Jacobian of the packed residual."""
     x0 = scheme.pack(guess, mesh)
     n = x0.size
     J = np.zeros((n, n))
     for j in range(n):
-        eps = eps_scale * max(1.0, abs(x0[j]))
+        eps = 1e-6 * max(1.0, abs(x0[j]))
         xp, xm = x0.copy(), x0.copy()
         xp[j] += eps
         xm[j] -= eps

@@ -506,7 +506,7 @@ def interior_weighted_mass(mesh: Mesh, rho: NDArrayF) -> sp.csr_matrix:
 # Time stepping and full runs.
 
 
-def bump_data(rho_bar: float = 1.0, amp: float = 0.5, sigma: float = 0.15, center=(0.5, 0.5, 0.5)):
+def bump_data(rho_bar: float, amp: float, sigma: float, center):
     """Gaussian density bump at rest."""
     ctr = np.asarray(center, dtype=float)
 
@@ -530,7 +530,7 @@ def bump_range(rho_bar: float, amp: float, sigma: float, box_lo, box_hi) -> tupl
     return min(centre, corner), max(centre, corner)
 
 
-def shear_data(rho_bar: float = 1.0, amp: float = 0.5):
+def shear_data(rho_bar: float, amp: float):
     """Uniform density with a sinusoidal shear momentum m_x = amp sin(2 pi y)."""
 
     def rho0(p):
@@ -546,12 +546,13 @@ def shear_data(rho_bar: float = 1.0, amp: float = 0.5):
 
 
 # Each preset takes (rho_bar, amp, sigma, center) and returns (rho0, m0).  The
-# stationary state is the default bump at amplitude zero: rho_bar + 0 exp(...)
-# is exactly rho_bar, since the default width keeps exp(...) finite.
+# stationary state is the bump at amplitude zero: rho_bar + 0 exp(...) is
+# exactly rho_bar for every sigma that `cli.RunConfig.validate` admits, since
+# exp(...) then lies in [0, 1].
 PRESETS = {
-    "stationary": lambda rho_bar=1.0, *rest: bump_data(rho_bar, 0.0),
+    "stationary": lambda rho_bar, amp, sigma, center: bump_data(rho_bar, 0.0, sigma, center),
     "bump": bump_data,
-    "shear": lambda rho_bar=1.0, amp=0.5, *rest: shear_data(rho_bar, amp),
+    "shear": lambda rho_bar, amp, sigma, center: shear_data(rho_bar, amp),
 }
 
 

@@ -401,21 +401,17 @@ def _gmres(J: sp.csr_matrix, b: NDArrayF, precondition: Callable[[NDArrayF], NDA
     return x, _rejection(x, r, b), iters
 
 
-def linear_solve(J: sp.csr_matrix, b: NDArrayF, n_density: int,
-                 stats: StepDiagnostics | None = None,
-                 factors: BlockFactors | None = None, floor: float = 0.0) -> NDArrayF:
+def linear_solve(J: sp.csr_matrix, b: NDArrayF, n_density: int, stats: StepDiagnostics,
+                 factors: BlockFactors, floor: float = 0.0) -> NDArrayF:
     """Solve the Newton system J x = b, J with `n_density` density unknowns
     first, by GMRES preconditioned with `factors`, which are kept or
-    refreshed as the module docstring describes; without them the blocks are
-    factored for this matrix alone.  `floor`, the rounding floor of the
-    Newton iterate, loosens GMRES's tolerance (`_gmres`), and `stats` counts
-    the Krylov iterations and factorizations.  x is accepted only if it is
-    finite with |J x - b|_inf <= 1e-10 (1 + |b|_inf).  Raises SolverError at
-    a zero pivot in a block or when the solve on fresh factors fails the
-    check; the factors are then dropped.
+    refreshed as the module docstring describes.  `floor`, the rounding floor
+    of the Newton iterate, loosens GMRES's tolerance (`_gmres`), and `stats`
+    counts the Krylov iterations and factorizations.  x is accepted only if
+    it is finite with |J x - b|_inf <= 1e-10 (1 + |b|_inf).  Raises
+    SolverError at a zero pivot in a block or when the solve on fresh
+    factors fails the check; the factors are then dropped.
     """
-    stats = stats if stats is not None else StepDiagnostics()
-    factors = factors if factors is not None else BlockFactors()
     C = J[n_density:, :n_density]
     if factors.held:
         cap = min(KRYLOV_RESTART, int(STALE_GROWTH * factors.base)) or KRYLOV_RESTART

@@ -392,8 +392,8 @@ class PolynomialField:
     coeffs: NDArrayF
 
     @classmethod
-    def random(cls, rng: np.random.Generator, scale: float = 1.0) -> "PolynomialField":
-        return cls(rng.uniform(-scale, scale, size=(3, 10)))
+    def random(cls, rng: np.random.Generator) -> "PolynomialField":
+        return cls(rng.uniform(-1.0, 1.0, size=(3, 10)))
 
     def __call__(self, pts: NDArrayF) -> NDArrayF:
         return _monomials(np.atleast_2d(pts)) @ self.coeffs.T
@@ -450,8 +450,8 @@ class ScalarPolynomial:
     coeffs: NDArrayF  # (10,)
 
     @classmethod
-    def random(cls, rng: np.random.Generator, scale: float = 1.0) -> "ScalarPolynomial":
-        return cls(rng.uniform(-scale, scale, size=10))
+    def random(cls, rng: np.random.Generator) -> "ScalarPolynomial":
+        return cls(rng.uniform(-1.0, 1.0, size=10))
 
     def __call__(self, pts: NDArrayF) -> NDArrayF:
         return _monomials(np.atleast_2d(pts)) @ self.coeffs

@@ -25,6 +25,7 @@ from nsfemdg.spaces import (
 )
 
 PARAMS = scheme.SchemeParams()
+UNIT_BOX = (0, 0, 0), (1, 1, 1)
 
 
 def _timed_run(preset, n, steps=None, T=None, params=PARAMS):
@@ -173,7 +174,7 @@ def test_criterion_06_gradient_orthogonality():
 
 
 def test_criterion_07_interpolation_rates():
-    study = diagnostics.interpolation_rate_study(SineField(), (2, 4, 8))
+    study = diagnostics.interpolation_rate_study(SineField(), (2, 4, 8), *UNIT_BOX)
     assert 1.8 <= study["l2_order"] <= 2.2
     assert 0.8 <= study["h1_order"] <= 1.2
     _report(7, "interpolation rates on smooth field",
@@ -274,8 +275,8 @@ def test_criterion_14_defect_functional_decay():
     rng = np.random.default_rng(7)
     phi = ScalarPolynomial.random(rng)
     v = PolynomialField.random(rng)
-    study = diagnostics.p_decay_study((2, 4, 8), diagnostics.bump_flow_data(),
-                                      phi, v, T=0.5, params=PARAMS)
+    study = diagnostics.p_decay_study((2, 4, 8), diagnostics.bump_flow_data(*UNIT_BOX),
+                                      phi, v, 0.5, PARAMS, *UNIT_BOX)
     ratios = []
     for key in ("P1", "P2", "P3", "P4"):
         vals = [row[key] for row in study["rows"]]

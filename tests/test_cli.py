@@ -400,20 +400,19 @@ def test_overflowing_initial_pressure_exits_one(flags, tmp_path, capsys):
 def _assert_exits_cleanly(argv, tmp_path_factory):
     """`argv` exits 0, 1 or 2, raises nothing (a RuntimeWarning is an error
     here), and a failure says why in exactly one stderr line.  A gamma <= 3
-    also warns that the theory does not cover it: the warnings module, not
-    the command, writes that warning to stderr, so it is recorded here and
-    not counted, and it must name the cli line that made the parameters."""
+    also warns that the theory does not cover it, in one stderr line before
+    any other; no warning leaves the command through the warnings module."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
         rc = cli.main([*argv, "--outdir", str(tmp_path_factory.mktemp("out"))])
     assert rc in (0, 1, 2)
-    if rc:
-        assert err.getvalue().count("\n") == 1, err.getvalue()
-    for w in caught:
-        assert "convergence theory" in str(w.message), w
-        assert Path(w.filename) == Path(cli.__file__), w
+    warned = err.getvalue().startswith("warning: gamma = ")
+    if warned:
+        assert err.getvalue().splitlines()[0].endswith("convergence theory"), err.getvalue()
+    assert err.getvalue().count("\n") == warned + (rc != 0), err.getvalue()
+    assert caught == []
 
 
 # The smallest run and studies over a box.
@@ -447,6 +446,35 @@ def test_extreme_initial_data_exit_cleanly(preset, key, x, tmp_path_factory):
     bump or shear run exits as `_assert_exits_cleanly` asks."""
     _assert_exits_cleanly(["run", "--preset", preset, "--n", "1", "--steps", "1",
                            f"--{key}", repr(x)], tmp_path_factory)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(key=st.sampled_from(["gamma", "a", "epsilon", "kappa", "c"]), x=_FLOATS)
+@example(key="gamma", x=1e300)   # the probe state's pressure overflows
+@example(key="kappa", x=1e300)
+@example(key="a", x=1e300)       # exits 0
+@example(key="c", x=5e-324)      # rho/dt overflows
+def test_check_over_extreme_physics_exits_cleanly(key, x, tmp_path_factory):
+    """Over the whole float range of each physics key, `check` exits as
+    `_assert_exits_cleanly` asks."""
+    _assert_exits_cleanly(["check", f"--{key}", repr(x)], tmp_path_factory)
+
+
+def test_theory_warning_is_one_line(tmp_path):
+    """Under the CLI the gamma <= 3 warning is one stderr line, printed once
+    and before the failure it precedes."""
+    out = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "nsfemdg.cli", "run",
+         "--gamma", "2", "--n", "1", "--steps", "1", "--c", "1e-300",
+         "--outdir", str(tmp_path / "out")],
+        env=_child_env(), capture_output=True, text=True,
+    )
+    assert out.returncode == 2
+    lines = out.stderr.splitlines()
+    assert lines[0] == ("warning: gamma = 2.0 <= 3: outside the range covered by the "
+                        "convergence theory")
+    assert lines[1].startswith("run failed at step 1: ")
+    assert len(lines) == 2
 
 
 @pytest.mark.parametrize("extent", _MISFIT_EXTENTS)

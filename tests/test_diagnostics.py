@@ -21,6 +21,8 @@ from nsfemdg.spaces import (
     tri_rule,
 )
 
+UNIT_BOX = (0, 0, 0), (1, 1, 1)
+
 
 def _random_state(mesh, rng, k=1, t=0.1, rho_scale=0.5, u_scale=0.4):
     """Admissible but otherwise arbitrary state: positive density, no-slip u."""
@@ -315,9 +317,9 @@ def test_p_decay_study_builds_moments_once_per_mesh(monkeypatch):
     rng = np.random.default_rng(33)
     calls = _count_moments(monkeypatch)
     # T = 0.8 gives one step at n=1 and two at n=2.
-    diagnostics.p_decay_study((1, 2), diagnostics.bump_flow_data(),
+    diagnostics.p_decay_study((1, 2), diagnostics.bump_flow_data(*UNIT_BOX),
                               ScalarPolynomial.random(rng), PolynomialField.random(rng),
-                              T=0.8)
+                              0.8, scheme.SchemeParams(), *UNIT_BOX)
     assert len(calls) == 2
     assert len(set(calls)) == 2
 
@@ -336,7 +338,8 @@ def test_p_decay_study_point_mappings_do_not_grow_with_steps(monkeypatch):
     # At n=2 dt = 0.433: T = 0.4 gives one step and T = 1.2 three.
     for T in (0.4, 1.2):
         calls.clear()
-        study = diagnostics.p_decay_study((2,), diagnostics.bump_flow_data(), phi, v, T=T)
+        study = diagnostics.p_decay_study((2,), diagnostics.bump_flow_data(*UNIT_BOX), phi, v,
+                                          T, scheme.SchemeParams(), *UNIT_BOX)
         assert study["rows"][0]["P1"] > 0.0
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
@@ -347,7 +350,8 @@ def test_p_decay_study_does_not_depend_on_the_block(monkeypatch):
     phi, v = ScalarPolynomial.random(rng), PolynomialField.random(rng)
 
     def study():
-        return diagnostics.p_decay_study((2, 3), diagnostics.bump_flow_data(), phi, v, T=0.8)
+        return diagnostics.p_decay_study((2, 3), diagnostics.bump_flow_data(*UNIT_BOX), phi, v,
+                                         0.8, scheme.SchemeParams(), *UNIT_BOX)
 
     monkeypatch.setattr(spaces, "QUAD_BLOCK", build_box_mesh(3).n_faces)
     whole = study()
@@ -416,7 +420,7 @@ def test_cauchy_differences_pair_count():
 
 def test_cauchy_differences_on_solver_runs_decrease():
     params = scheme.SchemeParams()
-    rho0, m0 = scheme.bump_data(amp=0.3, sigma=0.2)
+    rho0, m0 = scheme.bump_data(1.0, 0.3, 0.2, (0.5, 0.5, 0.5))
     T = 0.5
     results = [
         scheme.run(build_box_mesh(n), params, rho0, m0, T=T) for n in (1, 2)
@@ -431,7 +435,7 @@ def test_cauchy_differences_on_solver_runs_decrease():
 
 
 def test_bump_flow_data_velocity_vanishes_on_boundary():
-    data = diagnostics.bump_flow_data(box_lo=(0, -1, 2), box_hi=(2, 1, 3))
+    data = diagnostics.bump_flow_data((0, -1, 2), (2, 1, 3))
     _, u_fn = data(0.3)
     pts = np.array([
         [0.0, 0.0, 2.5], [2.0, 0.5, 2.2], [1.0, -1.0, 2.9],
@@ -441,7 +445,7 @@ def test_bump_flow_data_velocity_vanishes_on_boundary():
 
 
 def test_bump_flow_data_center_drifts():
-    data = diagnostics.bump_flow_data(drift=(0.2, 0.1, 0.05))
+    data = diagnostics.bump_flow_data(*UNIT_BOX)
     rho0, _ = data(0.0)
     rho1, _ = data(1.0)
     assert rho0(np.array([[0.5, 0.5, 0.5]]))[0] > rho1(np.array([[0.5, 0.5, 0.5]]))[0]
@@ -452,9 +456,9 @@ def test_p_decay_study_shapes_and_hand_check():
     rng = np.random.default_rng(7)
     phi = ScalarPolynomial.random(rng)
     v = PolynomialField.random(rng)
-    data = diagnostics.bump_flow_data()
+    data = diagnostics.bump_flow_data(*UNIT_BOX)
     params = scheme.SchemeParams()
-    study = diagnostics.p_decay_study((1, 2), data, phi, v, T=0.4, params=params)
+    study = diagnostics.p_decay_study((1, 2), data, phi, v, 0.4, params, *UNIT_BOX)
 
     assert [row["n"] for row in study["rows"]] == [1, 2]
     assert all(len(study["rates"][k]) == 1 for k in ("P1", "P2", "P3", "P4"))
@@ -476,7 +480,7 @@ def test_p_decay_study_shapes_and_hand_check():
 
 
 def test_interpolation_rate_study_orders():
-    study = diagnostics.interpolation_rate_study(SineField(), (2, 4))
+    study = diagnostics.interpolation_rate_study(SineField(), (2, 4), *UNIT_BOX)
     assert study["h"][0] == pytest.approx(2.0 * study["h"][1], rel=1e-12)
     assert study["l2"][0] > study["l2"][1]
     assert study["h1"][0] > study["h1"][1]

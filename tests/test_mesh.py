@@ -30,16 +30,6 @@ def shape_ratio_max(mesh):
     return float((np.linalg.norm(center - v[:, 0], axis=1) / inradius).max())
 
 
-@pytest.fixture(scope="module")
-def mesh1():
-    return build_box_mesh(1)
-
-
-@pytest.fixture(scope="module")
-def mesh2():
-    return build_box_mesh(2)
-
-
 def test_unit_cube_counts(mesh1):
     assert mesh1.n_verts == 8
     assert mesh1.n_elems == 6
@@ -240,7 +230,7 @@ def test_shuffled_tets_match_loop_reference(seed):
     tets = mesh.tets[rng.permutation(mesh.n_elems)]
     rotate = rng.random(len(tets)) < 0.5
     tets[rotate] = tets[rotate][:, [0, 2, 3, 1]]
-    shuffled = _mesh_from_tets(mesh.vertices, tets)
+    shuffled = _mesh_from_tets(mesh.vertices, tets, mesh.box_lo, mesh.box_hi, 3)
     face_vertices, owner, neighbor, elem_faces = _reference_faces(tets)
     assert np.array_equal(shuffled.face_vertices, face_vertices)
     assert np.array_equal(shuffled.face_owner, owner)
@@ -253,13 +243,13 @@ def test_face_keys_overflow_raises(mesh1):
     for the 2**21 vertices, so nothing that size is allocated."""
     vertices = np.broadcast_to(np.zeros(3), (2**21, 3))
     with pytest.raises(ValueError, match="2097152 vertices"):
-        _mesh_from_tets(vertices, mesh1.tets)
+        _mesh_from_tets(vertices, mesh1.tets, mesh1.box_lo, mesh1.box_hi, 1)
 
 
 def test_face_shared_by_three_tets_raises(mesh1):
     tets = np.vstack([mesh1.tets, mesh1.tets[:1]])
     with pytest.raises(ValueError, match="shared by more than two tets"):
-        _mesh_from_tets(mesh1.vertices, tets)
+        _mesh_from_tets(mesh1.vertices, tets, mesh1.box_lo, mesh1.box_hi, 1)
 
 
 def _reference_find(mesh, pts):

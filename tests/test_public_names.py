@@ -47,7 +47,8 @@ def test_jacobian_is_a_sparse_matrix_superlu_factors():
     """The benchmark reads J.nnz and factors J with SuperLU."""
     mesh = nsfemdg.build_box_mesh(1)
     params = nsfemdg.SchemeParams()
-    state = nsfemdg.initial_state(*nsfemdg.PRESETS["bump"](), mesh, params)
+    state = nsfemdg.initial_state(*nsfemdg.PRESETS["bump"](1.0, 0.5, 0.15, (0.5, 0.5, 0.5)),
+                                  mesh, params)
     J = nsfemdg.jacobian(state, state, params, mesh)
     assert sp.issparse(J)
     assert J.nnz > 0

@@ -7,21 +7,6 @@ from nsfemdg.mesh import build_box_mesh
 from nsfemdg.spaces import apply_bc, element_average
 
 
-@pytest.fixture(scope="module")
-def mesh1():
-    return build_box_mesh(1)
-
-
-@pytest.fixture(scope="module")
-def mesh2():
-    return build_box_mesh(2)
-
-
-@pytest.fixture(scope="module")
-def params():
-    return scheme.SchemeParams()
-
-
 def random_pair(mesh, params, seed=0, spread=0.2, vel=0.3):
     """Positive nonuniform previous/current states with admissible velocity."""
     rng = np.random.default_rng(seed)
@@ -117,7 +102,7 @@ def test_initial_state_negative_density_rejected(mesh1, params):
 
 
 def test_initial_state_zero_density_needs_a_floor(mesh1):
-    rho0, m0 = scheme.bump_data(0.0, 0.0)
+    rho0, m0 = scheme.bump_data(0.0, 0.0, 0.15, (0.5, 0.5, 0.5))
     with pytest.raises(scheme.InitialDataError, match="zero"):
         scheme.initial_state(rho0, m0, mesh1, scheme.SchemeParams(kappa=0.0))
     state = scheme.initial_state(rho0, m0, mesh1, scheme.SchemeParams())
@@ -158,7 +143,7 @@ def test_run_calls_on_state_per_step(mesh1, params):
     """on_state sees each new state in step order, with the row that run
     appends to result.rows."""
     calls = []
-    rho0, m0 = scheme.bump_data(center=0.5 * (mesh1.box_lo + mesh1.box_hi))
+    rho0, m0 = scheme.bump_data(1.0, 0.5, 0.15, 0.5 * (mesh1.box_lo + mesh1.box_hi))
     result = scheme.run(mesh1, params, rho0, m0, steps=3,
                         on_state=lambda state, row: calls.append((state, row)))
     assert [state.k for state, _ in calls] == [1, 2, 3]

@@ -7,23 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from nsfemdg import scheme, solver
-from nsfemdg.mesh import build_box_mesh
 from nsfemdg.spaces import apply_bc
-
-
-@pytest.fixture(scope="module")
-def mesh1():
-    return build_box_mesh(1)
-
-
-@pytest.fixture(scope="module")
-def mesh2():
-    return build_box_mesh(2)
-
-
-@pytest.fixture(scope="module")
-def params():
-    return scheme.SchemeParams()
 
 
 def bump_state(mesh, params):
@@ -47,7 +31,8 @@ def newton_system(mesh, params):
 def test_newton_solve_matches_direct(mesh2, params):
     J, b = newton_system(mesh2, params)
     stats = solver.StepDiagnostics()
-    x = solver.linear_solve(J, b, n_density=mesh2.n_elems, stats=stats)
+    x = solver.linear_solve(J, b, n_density=mesh2.n_elems, stats=stats,
+                            factors=solver.BlockFactors())
     direct = spla.spsolve(sp.csc_matrix(J), b)
     assert np.abs(x - direct).max() <= 1e-12 * np.abs(direct).max()
     # 9 iterations today (8 with scipy's gmres); a preconditioner without the
@@ -73,7 +58,7 @@ def test_newton_solve_restarts_a_cycle_short_of_the_bound():
     finished by a restarted cycle."""
     J, b, ne = newton_layout(1.0)
     stats = solver.StepDiagnostics()
-    x = solver.linear_solve(J, b, n_density=ne, stats=stats)
+    x = solver.linear_solve(J, b, n_density=ne, stats=stats, factors=solver.BlockFactors())
     direct = np.linalg.solve(J.toarray(), b)
     # 195 iterations over two cycles today.
     assert solver.KRYLOV_RESTART < stats.krylov_iters < 3 * solver.KRYLOV_RESTART
@@ -86,7 +71,7 @@ def test_newton_solve_failure_raises():
     J, b, ne = newton_layout(100.0)
     stats = solver.StepDiagnostics()
     with pytest.raises(solver.SolverError, match="residual too large"):
-        solver.linear_solve(J, b, n_density=ne, stats=stats)
+        solver.linear_solve(J, b, n_density=ne, stats=stats, factors=solver.BlockFactors())
     assert stats.krylov_iters == solver.KRYLOV_RESTART * solver.KRYLOV_CYCLES
     assert stats.krylov_cycles == solver.KRYLOV_CYCLES
 
@@ -196,7 +181,8 @@ def test_overflowing_krylov_quantity_fails_the_solve():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(solver.SolverError, match="non-finite"):
-            solver.linear_solve(J, np.ones(4), n_density=1, stats=stats)
+            solver.linear_solve(J, np.ones(4), n_density=1, stats=stats,
+                                factors=solver.BlockFactors())
     assert stats.krylov_cycles == 1 and stats.krylov_iters == 0
     assert not caught
 
@@ -210,7 +196,8 @@ def test_floor_shortens_the_solve():
 
     def solve(floor):
         stats = solver.StepDiagnostics()
-        x = solver.linear_solve(J, b, n_density=ne, stats=stats, floor=floor)
+        x = solver.linear_solve(J, b, n_density=ne, stats=stats, floor=floor,
+                                factors=solver.BlockFactors())
         return x, stats.krylov_iters
 
     exact, iters = solve(0.0)
@@ -325,11 +312,11 @@ def test_one_iteration_solve_sets_no_base():
 
     J0, b0, _ = newton_layout(0.01)
     factors.drop()
-    solver.linear_solve(J0, b0, n_density=ne, factors=factors)
+    solver.linear_solve(J0, b0, n_density=ne, stats=solver.StepDiagnostics(), factors=factors)
     base = factors.base
     assert base > 1
     factors.drop()
-    solver.linear_solve(J, b, n_density=ne, factors=factors)
+    solver.linear_solve(J, b, n_density=ne, stats=solver.StepDiagnostics(), factors=factors)
     assert factors.held and factors.base == base
 
 
@@ -402,7 +389,8 @@ def test_newton_solve_rejects_singular(mesh1, params):
     with warnings.catch_warnings():
         warnings.simplefilter("error", spla.MatrixRankWarning)
         with pytest.raises(solver.SolverError, match="singular"):
-            solver.linear_solve(J.tocsr(), b, n_density=mesh1.n_elems, stats=stats)
+            solver.linear_solve(J.tocsr(), b, n_density=mesh1.n_elems, stats=stats,
+                                factors=solver.BlockFactors())
     assert stats.krylov_iters == 0 and stats.factorizations == 0
 
 
@@ -479,7 +467,7 @@ def test_alpha0_matches_dense_solve(mesh1, params):
 
 def test_stationary_converges_without_iterations(mesh2):
     params = scheme.SchemeParams(kappa=0.0)
-    rho0, m0 = scheme.bump_data(1.0, 0.0)
+    rho0, m0 = scheme.bump_data(1.0, 0.0, 0.15, (0.5, 0.5, 0.5))
     prev = scheme.initial_state(rho0, m0, mesh2, params)
     new, diag = solver.homotopy_newton_solve(prev, params, mesh2)
     assert diag.newton_iters == 0
@@ -695,7 +683,7 @@ def test_run_steps_from_final_time(mesh2, params):
 
 
 def test_run_requires_T_or_steps(mesh2, params):
-    rho0, m0 = scheme.bump_data(1.0, 0.0)
+    rho0, m0 = scheme.bump_data(1.0, 0.0, 0.15, (0.5, 0.5, 0.5))
     with pytest.raises(ValueError):
         scheme.run(mesh2, params, rho0, m0)
     with pytest.raises(ValueError):

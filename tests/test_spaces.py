@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
-from nsfemdg import diagnostics, spaces
+from nsfemdg import diagnostics, scheme, spaces
 from nsfemdg.mesh import build_box_mesh
 from nsfemdg.spaces import (
     PolynomialField,
@@ -32,16 +32,6 @@ from nsfemdg.spaces import (
     tet_rule,
     tri_rule,
 )
-
-
-@pytest.fixture(scope="module")
-def mesh1():
-    return build_box_mesh(1)
-
-
-@pytest.fixture(scope="module")
-def mesh2():
-    return build_box_mesh(2)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +107,10 @@ def test_studies_agree_with_roots_jacobi_rules(monkeypatch):
     def studies():
         tet_rule.cache_clear()
         tri_rule.cache_clear()
-        rates = diagnostics.interpolation_rate_study(SineField(), (2, 3))
-        pdecay = diagnostics.p_decay_study((1, 2), diagnostics.bump_flow_data(), phi, v, T=0.4)
+        box = (0, 0, 0), (1, 1, 1)
+        rates = diagnostics.interpolation_rate_study(SineField(), (2, 3), *box)
+        pdecay = diagnostics.p_decay_study((1, 2), diagnostics.bump_flow_data(*box), phi, v,
+                                           0.4, scheme.SchemeParams(), *box)
         return (np.array(rates["l2"] + rates["h1"]),
                 np.array([[row[k] for k in ("P1", "P2", "P3", "P4")] for row in pdecay["rows"]]))
 
