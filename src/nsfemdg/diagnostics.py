@@ -16,7 +16,7 @@ import numpy as np
 
 from . import scheme
 from .fluxes import upwind_momentum
-from .mesh import Mesh, NDArrayF, build_box_mesh, find_elements
+from .mesh import Mesh, NDArrayF, build_box_mesh, find_elements, interior_sides
 from .spaces import (
     apply_bc,
     at_points,
@@ -61,11 +61,11 @@ def energy_ledger(state, params, mesh: Mesh, prev=None) -> EnergyLedger:
 
     mass = float(np.sum(vol * rho))
     kinetic = float(0.5 * np.sum(vol * rho * np.sum(uhat**2, axis=1)))
-    internal = float(np.sum(vol * params.a * rho**params.gamma / (params.gamma - 1.0)))
+    internal = float(np.sum(vol * scheme.pressure(rho, params) / (params.gamma - 1.0)))
     G = broken_gradient(state.u, mesh)
     grad_diss = float(np.sum(vol * np.sum(G**2, axis=(1, 2))))
 
-    int_f, own, nbr = scheme._interior(mesh)
+    int_f, own, nbr = interior_sides(mesh)
     _, up = scheme.interior_fluxes(state, mesh)
     jump2 = np.sum((uhat[nbr] - uhat[own]) ** 2, axis=1)
     d2 = float(0.5 * np.sum(mesh.face_area[int_f] * np.abs(up) * jump2))
@@ -175,7 +175,7 @@ class TransportMoments:
     v_elem: NDArrayF        # (n_elems, 3) element integrals of v
 
 
-def transport_moments(mesh: Mesh, phi, v, degree: int = 2) -> TransportMoments:
+def transport_moments(mesh: Mesh, phi, v, degree: int) -> TransportMoments:
     """Evaluate phi, grad phi, v and Dv once at the element and face points."""
 
     def element_terms(p, blk):
@@ -205,7 +205,7 @@ def transport_moments(mesh: Mesh, phi, v, degree: int = 2) -> TransportMoments:
 def continuity_transport(state, mesh: Mesh, moments: TransportMoments):
     """Returns (lhs, volume_term, p1) of the continuity transport identity."""
     rho = state.rho
-    int_f, own, nbr = scheme._interior(mesh)
+    int_f, own, nbr = interior_sides(mesh)
     area = mesh.face_area[int_f]
     flux, up = scheme.interior_fluxes(state, mesh)
 
@@ -237,7 +237,7 @@ def momentum_transport(state, mesh: Mesh, moments: TransportMoments):
     """
     rho = state.rho
     vol = mesh.elem_volume
-    int_f, own, nbr = scheme._interior(mesh)
+    int_f, own, nbr = interior_sides(mesh)
     area = mesh.face_area[int_f]
     flux, up = scheme.interior_fluxes(state, mesh)
     uhat = element_average(state.u, mesh)
@@ -273,7 +273,7 @@ def momentum_transport(state, mesh: Mesh, moments: TransportMoments):
     return lhs, volume, p2, p3, p4
 
 
-def transport_identity_residuals(state, mesh: Mesh, phi, v, degree: int = 2) -> dict:
+def transport_identity_residuals(state, mesh: Mesh, phi, v, degree: int) -> dict:
     """Relative defects |LHS - RHS| / (1 + |LHS|) of both transport identities."""
     moments = transport_moments(mesh, phi, v, degree)
     lhs_c, vol_c, p1 = continuity_transport(state, mesh, moments)

@@ -75,7 +75,7 @@ class Mesh:
 
     @property
     def interior_faces(self) -> NDArrayI:
-        return np.flatnonzero(self.face_neighbor >= 0)
+        return interior_sides(self)[0]
 
 
 def cached(build):
@@ -91,6 +91,13 @@ def cached(build):
         return cache[build]
 
     return lookup
+
+
+@cached
+def interior_sides(mesh: Mesh) -> tuple[NDArrayI, NDArrayI, NDArrayI]:
+    """The interior faces in index order, with their owner and neighbor elements."""
+    int_f = np.flatnonzero(mesh.face_neighbor >= 0)
+    return int_f, mesh.face_owner[int_f], mesh.face_neighbor[int_f]
 
 
 def build_box_mesh(n: int, box_lo=(0.0, 0.0, 0.0), box_hi=(1.0, 1.0, 1.0)) -> Mesh:

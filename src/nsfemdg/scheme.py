@@ -55,7 +55,7 @@ import scipy.sparse as sp
 
 from .fluxes import (stab_continuity, stab_momentum, stab_momentum_derivatives, upwind_momentum,
                      upwind_momentum_derivatives, upwind_scalar, upwind_scalar_derivatives)
-from .mesh import Mesh, NDArrayF, NDArrayI, cached
+from .mesh import Mesh, NDArrayF, NDArrayI, cached, interior_sides
 from .spaces import (
     apply_bc,
     basis_gradients,
@@ -194,19 +194,13 @@ def initial_state(rho0: Callable, m0: Callable, mesh: Mesh, params: SchemeParams
 # Assembly.
 
 
-@cached
-def _interior(mesh: Mesh):
-    int_f = mesh.interior_faces
-    return int_f, mesh.face_owner[int_f], mesh.face_neighbor[int_f]
-
-
 def pack(state: State, mesh: Mesh) -> NDArrayF:
-    int_f, _, _ = _interior(mesh)
+    int_f, _, _ = interior_sides(mesh)
     return np.concatenate([state.rho, state.u[int_f].ravel()])
 
 
 def unpack(x: NDArrayF, mesh: Mesh, k: int, t: float) -> State:
-    int_f, _, _ = _interior(mesh)
+    int_f, _, _ = interior_sides(mesh)
     ne = mesh.n_elems
     u = np.zeros((mesh.n_faces, 3))
     u[int_f] = x[ne:].reshape(-1, 3)
@@ -215,7 +209,7 @@ def unpack(x: NDArrayF, mesh: Mesh, k: int, t: float) -> State:
 
 def interior_fluxes(state: State, mesh: Mesh) -> tuple[NDArrayF, NDArrayF]:
     """Normal velocity flux and upwind mass flux Up on the interior faces."""
-    int_f, own, nbr = _interior(mesh)
+    int_f, own, nbr = interior_sides(mesh)
     flux = normal_flux(state.u, mesh)[int_f]
     rho = state.rho
     return flux, upwind_scalar(rho[own], rho[nbr], flux)
@@ -244,7 +238,7 @@ class MeshOperators:
 @cached
 def mesh_operators(mesh: Mesh) -> MeshOperators:
     """The scheme's operators on `mesh`, built on first use and cached."""
-    int_f, own_e, nbr_e = _interior(mesh)
+    int_f, own_e, nbr_e = interior_sides(mesh)
     ne, nf, ni = mesh.n_elems, mesh.n_faces, len(int_f)
     eye = sp.identity(ne, format="csr")
     own, nbr = eye[own_e], eye[nbr_e]
@@ -281,7 +275,7 @@ def residual(
     """Scheme residual at `guess`, with continuation weight `alpha`."""
     ops = mesh_operators(mesh)
     dt = params.dt(mesh)
-    int_f, own, nbr = _interior(mesh)
+    int_f, own, nbr = interior_sides(mesh)
     vol, area = mesh.elem_volume, mesh.face_area[int_f]
 
     rho = guess.rho
@@ -446,7 +440,7 @@ def jacobian(
     jm = jacobian_map(mesh)
     dt = params.dt(mesh)
     hp = params.h_power(mesh)
-    int_f, own, nbr = _interior(mesh)
+    int_f, own, nbr = interior_sides(mesh)
     vol, area = mesh.elem_volume, mesh.face_area[int_f]
 
     rho = guess.rho
@@ -585,23 +579,15 @@ def run(
     params: SchemeParams,
     rho0: Callable,
     m0: Callable,
-    T: float | None = None,
-    steps: int | None = None,
+    steps: int,
     on_state: Callable | None = None,
 ) -> RunResult:
-    """Run the scheme from projected initial data for `steps` steps, or until
-    the piecewise-constant-in-time extension covers [0, T]; give exactly one."""
+    """Run the scheme from projected initial data for `steps` steps; a final
+    time T takes `step_count(T, params.dt(mesh))` of them."""
     from . import diagnostics as diag
     from . import solver
 
     dt = params.dt(mesh)
-    if (T is None) == (steps is None):
-        raise ValueError("provide either T or steps, not both")
-    if steps is None:
-        if T <= 0.0:
-            raise ValueError(f"T must be > 0, got {T}")
-        steps = step_count(T, dt)
-
     state = initial_state(rho0, m0, mesh, params)
     ledger0 = diag.energy_ledger(state, params, mesh)
     states = [state]

@@ -310,7 +310,7 @@ class BlockFactors:
 @np.errstate(over="ignore", invalid="ignore")   # an overflow ends the solve instead
 def _gmres(J: sp.csr_matrix, b: NDArrayF, precondition: Callable[[NDArrayF], NDArrayF],
            restart: int, cycles: int, stats: StepDiagnostics,
-           floor: float = 0.0) -> tuple[NDArrayF, str | None, int]:
+           floor: float) -> tuple[NDArrayF, str | None, int]:
     """Up to `cycles` cycles of GMRES for J x = b from x = 0, left-preconditioned
     by `precondition` (M), each of at most `restart` iterations.
 
@@ -402,7 +402,7 @@ def _gmres(J: sp.csr_matrix, b: NDArrayF, precondition: Callable[[NDArrayF], NDA
 
 
 def linear_solve(J: sp.csr_matrix, b: NDArrayF, n_density: int, stats: StepDiagnostics,
-                 factors: BlockFactors, floor: float = 0.0) -> NDArrayF:
+                 factors: BlockFactors, floor: float) -> NDArrayF:
     """Solve the Newton system J x = b, J with `n_density` density unknowns
     first, by GMRES preconditioned with `factors`, which are kept or
     refreshed as the module docstring describes.  `floor`, the rounding floor

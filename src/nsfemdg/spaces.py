@@ -113,14 +113,14 @@ def _gauss01(n: int, alpha: int):
     return (t + 1.0) / 2.0, w / w.sum()
 
 
-def elem_quad_points(mesh: Mesh, degree: int, block=slice(None)) -> tuple[NDArrayF, NDArrayF]:
-    """Physical quadrature points (n, nq, 3) of the elements in `block` (all
-    by default) and weights summing to 1."""
+def elem_quad_points(mesh: Mesh, degree: int, block) -> tuple[NDArrayF, NDArrayF]:
+    """Physical quadrature points (n, nq, 3) of the elements in `block` and
+    weights summing to 1."""
     bary, w = tet_rule(degree)
     return bary @ mesh.vertices[mesh.tets[block]], w
 
 
-def face_quad_points(mesh: Mesh, degree: int, block=slice(None)) -> tuple[NDArrayF, NDArrayF]:
+def face_quad_points(mesh: Mesh, degree: int, block) -> tuple[NDArrayF, NDArrayF]:
     bary, w = tri_rule(degree)
     return bary @ mesh.vertices[mesh.face_vertices[block]], w
 
@@ -177,13 +177,13 @@ def at_points(f, pts: NDArrayF) -> NDArrayF:
 # Interpolation.
 
 
-def cell_means(f, mesh: Mesh, degree: int = 2) -> NDArrayF:
+def cell_means(f, mesh: Mesh, degree: int) -> NDArrayF:
     """Elementwise means of a callable: (n_elems,) for scalar values,
     (n_elems, m) for (npts, m) values."""
     return element_means(lambda p, blk: (at_points(f, p),), mesh, degree)[0]
 
 
-def interpolate_v(f, mesh: Mesh, degree: int = 2) -> NDArrayF:
+def interpolate_v(f, mesh: Mesh, degree: int) -> NDArrayF:
     """(n_faces, 3) face averages of a vector function (no BC applied)."""
     return face_means(lambda p, blk: (at_points(f, p),), mesh, degree)[0]
 
@@ -333,7 +333,7 @@ def orthogonality_residual(u: NDArrayF, field, mesh: Mesh, degree: int = 2) -> f
     return float(np.einsum("e,eij,eij->", mesh.elem_volume, Gu, Gi - Gf))
 
 
-def interpolation_errors(field, mesh: Mesh, degree: int = 6) -> tuple[float, float]:
+def interpolation_errors(field, mesh: Mesh, degree: int) -> tuple[float, float]:
     """(L2 error, broken-H1 seminorm error) of the face-average interpolant."""
     interp = interpolate_v(field, mesh, degree=degree)
     coeff = p1_coefficients(mesh) @ interp[mesh.elem_faces]

@@ -25,7 +25,7 @@ from nsfemdg.cli import ConfigError, RunConfig, parse_config
 
 
 def test_defaults_without_file():
-    cfg = parse_config()
+    cfg = parse_config(None, ())
     assert cfg.n == 2
     assert cfg.preset == "stationary"
     assert cfg.T is None and cfg.steps is None
@@ -44,7 +44,7 @@ def test_parse_file_with_comments(tmp_path):
         "box = 0 0 0 2 2 2\n"
         "ns = 2, 4\n"
     )
-    cfg = parse_config(conf)
+    cfg = parse_config(conf, ())
     assert cfg.n == 4
     assert cfg.T == 0.5
     assert cfg.preset == "bump"
@@ -67,26 +67,26 @@ def test_unknown_key_names_location(tmp_path):
     conf = tmp_path / "run.conf"
     conf.write_text("n = 2\nbogus = 1\n")
     with pytest.raises(ConfigError, match=r"run\.conf:2.*bogus"):
-        parse_config(conf)
+        parse_config(conf, ())
 
 
 def test_malformed_line_reports_line_number(tmp_path):
     conf = tmp_path / "run.conf"
     conf.write_text("n 2\n")
     with pytest.raises(ConfigError, match=r"run\.conf:1"):
-        parse_config(conf)
+        parse_config(conf, ())
 
 
 def test_bad_value_reports_key(tmp_path):
     conf = tmp_path / "run.conf"
     conf.write_text("n = abc\n")
     with pytest.raises(ConfigError, match="invalid value 'abc' for n"):
-        parse_config(conf)
+        parse_config(conf, ())
 
 
 def test_missing_file_is_config_error():
     with pytest.raises(ConfigError, match="cannot read config file"):
-        parse_config("/nonexistent/path.conf")
+        parse_config("/nonexistent/path.conf", ())
 
 
 def test_box_needs_six_numbers():
@@ -595,6 +595,26 @@ def test_check_detects_corrupted_reference(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "FAILURES detected" in out
+
+
+@pytest.mark.parametrize("flags", [[], ["--gamma", "6", "--c", "4"], ["--kappa", "0"]])
+def test_check_jacobian_probe_is_away_from_upwind_kinks(flags, monkeypatch):
+    """check compares the Jacobian with finite differences at a probe whose
+    velocity comes from fixed draws alone.  Every interior |u.n| of it is at
+    least 0.01 (0.0137 today), so the differences do not straddle an upwind
+    kink; a change to the draws that moves the probe onto one fails here."""
+    probes = []
+
+    def recording(prev, guess, params, mesh, *rest, _jacobian=scheme.jacobian):
+        probes.append((guess, mesh))
+        return _jacobian(prev, guess, params, mesh, *rest)
+
+    monkeypatch.setattr(scheme, "jacobian", recording)
+    assert cli.main(["check", *flags]) == 0
+    ((guess, mesh),) = probes
+    int_f = mesh.interior_faces
+    flux = np.einsum("fi,fi->f", guess.u[int_f], mesh.face_normal[int_f])
+    assert np.abs(flux).min() >= 0.01
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,33 @@ def test_face_keys_overflow_raises(mesh1):
         _mesh_from_tets(vertices, mesh1.tets, mesh1.box_lo, mesh1.box_hi, 1)
 
 
+@pytest.mark.parametrize("n, lo, hi, match", [
+    (0, (0, 0, 0), (1, 1, 1), "n must be >= 1"),
+    (1, (0, 0), (1, 1), "3-vectors"),
+    (1, (0, 0, 0), (1, 0, 1), "degenerate box"),
+])
+def test_box_mesh_invalid_input_raises(n, lo, hi, match):
+    with pytest.raises(ValueError, match=match):
+        build_box_mesh(n, lo, hi)
+
+
+def test_negatively_oriented_tet_raises(mesh1):
+    tets = mesh1.tets.copy()
+    tets[0, [2, 3]] = tets[0, [3, 2]]
+    with pytest.raises(ValueError, match="non-positively-oriented"):
+        _mesh_from_tets(mesh1.vertices, tets, mesh1.box_lo, mesh1.box_hi, 1)
+
+
+def test_underflowing_face_area_raises(mesh1):
+    """At a spacing of 1e-100 every tet's volume, ~1e-300, is still a normal
+    float, but the squared cross products of its faces, ~1e-400, underflow to
+    zero area."""
+    scale = 1e-100
+    with pytest.raises(ValueError, match="degenerate face"):
+        _mesh_from_tets(scale * mesh1.vertices, mesh1.tets, scale * mesh1.box_lo,
+                        scale * mesh1.box_hi, 1)
+
+
 def test_face_shared_by_three_tets_raises(mesh1):
     tets = np.vstack([mesh1.tets, mesh1.tets[:1]])
     with pytest.raises(ValueError, match="shared by more than two tets"):

@@ -1,4 +1,6 @@
-"""The package's exported names and the functions the benchmark times exist."""
+"""The package's exported names and the functions the benchmark times exist,
+and no parameter in the package has a default that only tests rely on."""
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -9,7 +11,29 @@ import scipy.sparse.linalg as spla
 
 import nsfemdg
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+
+# The only (module, function, parameter) defaults in the package.  Library
+# functions take the values the command line decides; a default stays only
+# where the package, the entry point or the benchmark omits the value, or
+# where a public call needs none.
+KEPT_DEFAULTS = {
+    ("cli", "parse_config", "command"),          # the benchmark's set-up parses run configs
+    ("cli", "main", "argv"),                     # the entry point passes none
+    ("cli", "_run", "steps"),                    # the Cauchy study steps to a final time
+    ("mesh", "build_box_mesh", "box_lo"),        # check and the benchmark's set-up build
+    ("mesh", "build_box_mesh", "box_hi"),        # unit boxes
+    ("scheme", "residual", "alpha"),             # check compares the scheme itself, at
+    ("scheme", "jacobian", "alpha"),             # alpha = 1
+    ("oracles", "jacobian_fd", "alpha"),
+    ("spaces", "commuting_residual", "degree"),  # check uses the default degree
+    ("spaces", "orthogonality_residual", "degree"),
+    ("diagnostics", "energy_ledger", "prev"),    # run's step 0 has no previous state
+    ("scheme", "_map", "extra"),                 # one of its two callers has none
+    ("solver", "homotopy_newton_solve", "factors"),   # a public one-step call
+    ("scheme", "run", "on_state"),               # the hook for streamed output
+}
 
 
 def test_all_names_resolve():
@@ -55,3 +79,23 @@ def test_jacobian_is_a_sparse_matrix_superlu_factors():
     b = np.arange(1.0, J.shape[0] + 1.0)
     x = spla.splu(sp.csc_matrix(J)).solve(b)
     assert np.abs(J @ x - b).max() < 1e-10 * np.abs(b).max()
+
+
+def _defaulted_parameters():
+    """(module, function, parameter) of every parameter with a default in
+    the package's functions and lambdas."""
+    for path in sorted((ROOT / "src" / "nsfemdg").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None]
+            for arg in defaulted:
+                yield path.stem, getattr(node, "name", "<lambda>"), arg.arg
+
+
+def test_only_the_kept_parameters_have_defaults():
+    assert sorted(_defaulted_parameters()) == sorted(KEPT_DEFAULTS)

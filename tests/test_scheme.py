@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from nsfemdg import io, oracles, scheme, spaces
-from nsfemdg.mesh import build_box_mesh
+from nsfemdg.mesh import build_box_mesh, interior_sides
 from nsfemdg.spaces import apply_bc, element_average
 
 
@@ -46,6 +46,8 @@ def test_params_defaults(params):
         {"c": 0.0},
         {"kappa": -0.01},
         {"homotopy_steps": 1},
+        {"newton_tol": 0.0},
+        {"newton_max_iter": 0},
     ],
 )
 def test_params_invalid(kwargs):
@@ -131,7 +133,7 @@ def test_initial_state_velocity_division(mesh2, params):
     interior = mesh2.interior_faces
     from nsfemdg.spaces import face_quad_points
 
-    pts, w = face_quad_points(mesh2, 2)
+    pts, w = face_quad_points(mesh2, 2, slice(None))
     vals = m0(pts.reshape(-1, 3)).reshape(pts.shape[0], -1, 3)
     dens = rho0(pts.reshape(-1, 3)).reshape(pts.shape[0], -1)
     expected = np.einsum("q,fqi->fi", w, vals / (dens + floor)[:, :, None])
@@ -150,6 +152,18 @@ def test_run_calls_on_state_per_step(mesh1, params):
     for k, (state, row) in enumerate(calls, start=1):
         assert state is result.states[k]
         assert row is result.rows[k]
+
+
+def test_step_count_covers_the_final_time():
+    """Steps of dt whose extension, state k on ((k-1) dt, k dt], covers
+    [0, T]: a part of a step counts as a step, a multiple of dt up to
+    rounding does not add one, and there is at least one."""
+    dt = 0.1
+    assert scheme.step_count(2.5 * dt, dt) == 3
+    assert scheme.step_count(2.0 * dt, dt) == 2
+    assert scheme.step_count(0.7, dt) == 7            # 0.7 / 0.1 = 6.999999999999999
+    assert scheme.step_count(0.1 + 0.2, dt) == 3      # 3.0000000000000004
+    assert scheme.step_count(1e-300, dt) == 1
 
 
 def test_presets_shapes(mesh2):
@@ -333,7 +347,7 @@ def test_jacobian_matches_fd_on_several_cubes(mesh2, params, alpha):
 
 
 @pytest.mark.parametrize("build", [
-    scheme.jacobian_map, scheme._interior, scheme.mesh_operators,
+    scheme.jacobian_map, interior_sides, scheme.mesh_operators,
     spaces.p1_coefficients, spaces.flux_reconstruction_coefficients, io._vtk_geometry,
 ], ids=lambda build: build.__name__)
 def test_jacobian_map_is_built_once_per_mesh(params, build):

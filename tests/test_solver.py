@@ -32,7 +32,7 @@ def test_newton_solve_matches_direct(mesh2, params):
     J, b = newton_system(mesh2, params)
     stats = solver.StepDiagnostics()
     x = solver.linear_solve(J, b, n_density=mesh2.n_elems, stats=stats,
-                            factors=solver.BlockFactors())
+                            factors=solver.BlockFactors(), floor=0.0)
     direct = spla.spsolve(sp.csc_matrix(J), b)
     assert np.abs(x - direct).max() <= 1e-12 * np.abs(direct).max()
     # 9 iterations today (8 with scipy's gmres); a preconditioner without the
@@ -58,7 +58,8 @@ def test_newton_solve_restarts_a_cycle_short_of_the_bound():
     finished by a restarted cycle."""
     J, b, ne = newton_layout(1.0)
     stats = solver.StepDiagnostics()
-    x = solver.linear_solve(J, b, n_density=ne, stats=stats, factors=solver.BlockFactors())
+    x = solver.linear_solve(J, b, n_density=ne, stats=stats, factors=solver.BlockFactors(),
+                            floor=0.0)
     direct = np.linalg.solve(J.toarray(), b)
     # 195 iterations over two cycles today.
     assert solver.KRYLOV_RESTART < stats.krylov_iters < 3 * solver.KRYLOV_RESTART
@@ -71,7 +72,8 @@ def test_newton_solve_failure_raises():
     J, b, ne = newton_layout(100.0)
     stats = solver.StepDiagnostics()
     with pytest.raises(solver.SolverError, match="residual too large"):
-        solver.linear_solve(J, b, n_density=ne, stats=stats, factors=solver.BlockFactors())
+        solver.linear_solve(J, b, n_density=ne, stats=stats, factors=solver.BlockFactors(),
+                            floor=0.0)
     assert stats.krylov_iters == solver.KRYLOV_RESTART * solver.KRYLOV_CYCLES
     assert stats.krylov_cycles == solver.KRYLOV_CYCLES
 
@@ -81,13 +83,13 @@ def test_failed_solve_drops_factors():
     once, and drops the factors when the fresh ones fail too."""
     J, b, ne = newton_layout(0.01)
     stats, factors = solver.StepDiagnostics(), solver.BlockFactors()
-    solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors)
+    solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors, floor=0.0)
     assert factors.held
     stale_cap = int(solver.STALE_GROWTH * factors.base)
     J_bad, b_bad, _ = newton_layout(100.0)
     stats = solver.StepDiagnostics()
     with pytest.raises(solver.SolverError, match="residual too large"):
-        solver.linear_solve(J_bad, b_bad, n_density=ne, stats=stats, factors=factors)
+        solver.linear_solve(J_bad, b_bad, n_density=ne, stats=stats, factors=factors, floor=0.0)
     # The held factors' capped stale cycle, then every cycle on fresh factors.
     assert stats.krylov_iters == stale_cap + solver.KRYLOV_RESTART * solver.KRYLOV_CYCLES
     assert stats.krylov_cycles == 1 + solver.KRYLOV_CYCLES
@@ -111,7 +113,7 @@ def test_gmres_matches_scipy():
     J, b, ne = newton_layout(0.01)
     precondition = block_preconditioner(J, ne)
     stats = solver.StepDiagnostics()
-    x, _, iters = solver._gmres(J, b, precondition, solver.KRYLOV_RESTART, 1, stats)
+    x, _, iters = solver._gmres(J, b, precondition, solver.KRYLOV_RESTART, 1, stats, 0.0)
     assert solver._rejection(x, b - J @ x, b) is None
     assert (stats.krylov_iters, stats.krylov_cycles) == (iters, 1)
     residuals = []
@@ -128,14 +130,16 @@ def test_gmres_below_restart_only_at_tolerance():
     J, b, ne = newton_layout(0.01)
     precondition = block_preconditioner(J, ne)
     _, _, k = solver._gmres(J, b, precondition, solver.KRYLOV_RESTART, 1,
-                            solver.StepDiagnostics())
+                            solver.StepDiagnostics(), 0.0)
     assert k < solver.KRYLOV_RESTART
-    _, reason, short = solver._gmres(J, b, precondition, k - 1, 1, solver.StepDiagnostics())
+    _, reason, short = solver._gmres(J, b, precondition, k - 1, 1, solver.StepDiagnostics(),
+                                     0.0)
     assert short == k - 1 and reason is None
     stats = solver.StepDiagnostics()
-    solver._gmres(J, b, precondition, k - 1, solver.KRYLOV_CYCLES, stats)
+    solver._gmres(J, b, precondition, k - 1, solver.KRYLOV_CYCLES, stats, 0.0)
     assert stats.krylov_cycles == 2
-    _, reason, longer = solver._gmres(J, b, precondition, k + 1, 1, solver.StepDiagnostics())
+    _, reason, longer = solver._gmres(J, b, precondition, k + 1, 1, solver.StepDiagnostics(),
+                                      0.0)
     assert longer == k and reason is None
 
 
@@ -147,7 +151,7 @@ def test_gmres_breakdown_with_exact_preconditioner():
     b = np.random.default_rng(5).standard_normal(d.size)
     stats = solver.StepDiagnostics()
     x, reason, iters = solver._gmres(J, b, lambda r: r / d, solver.KRYLOV_RESTART,
-                                     solver.KRYLOV_CYCLES, stats)
+                                     solver.KRYLOV_CYCLES, stats, 0.0)
     assert reason is None and iters == 1 and stats.krylov_cycles == 1
     assert np.allclose(x, b / d, rtol=1e-14, atol=0.0)
 
@@ -182,7 +186,7 @@ def test_overflowing_krylov_quantity_fails_the_solve():
         warnings.simplefilter("always")
         with pytest.raises(solver.SolverError, match="non-finite"):
             solver.linear_solve(J, np.ones(4), n_density=1, stats=stats,
-                                factors=solver.BlockFactors())
+                                factors=solver.BlockFactors(), floor=0.0)
     assert stats.krylov_cycles == 1 and stats.krylov_iters == 0
     assert not caught
 
@@ -220,7 +224,7 @@ def test_velocity_block_factor_is_incomplete(mesh2, params):
     assert factors.lu_u.nnz < exact.nnz   # 1574 against 4048 today
     x, reason, _ = solver._gmres(J, b, factors.preconditioner(J[ne:, :ne]),
                                  solver.KRYLOV_RESTART, solver.KRYLOV_CYCLES,
-                                 solver.StepDiagnostics())
+                                 solver.StepDiagnostics(), 0.0)
     assert reason is None and solver._rejection(x, b - J @ x, b) is None
 
 
@@ -269,10 +273,10 @@ def test_close_newton_matrices_share_factors():
     """Held factors of one matrix precondition the next, close one."""
     J, b, ne = newton_layout(0.01)
     stats, factors = solver.StepDiagnostics(), solver.BlockFactors()
-    solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors)
+    solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors, floor=0.0)
     assert factors.held and stats.factorizations == 1
     J2 = row_scaled(J, ne, 1.0, 1.001)
-    x = solver.linear_solve(J2, b, n_density=ne, stats=stats, factors=factors)
+    x = solver.linear_solve(J2, b, n_density=ne, stats=stats, factors=factors, floor=0.0)
     assert stats.factorizations == 1
     assert np.allclose(x, np.linalg.solve(J2.toarray(), b), rtol=1e-10, atol=1e-12)
 
@@ -282,11 +286,11 @@ def test_stale_factors_missing_their_cap_refactor_once():
     refactored once; the fresh solve's result passes the acceptance check."""
     J, b, ne = newton_layout(0.01)
     stats, factors = solver.StepDiagnostics(), solver.BlockFactors()
-    solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors)
+    solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors, floor=0.0)
     base = factors.base
     first = stats.krylov_iters
     J2 = row_scaled(J, ne, 0.1, 10.0)
-    x = solver.linear_solve(J2, b, n_density=ne, stats=stats, factors=factors)
+    x = solver.linear_solve(J2, b, n_density=ne, stats=stats, factors=factors, floor=0.0)
     assert stats.factorizations == 2
     assert solver._rejection(x, b - J2 @ x, b) is None
     # The stale cycle's iterations, up to the cap, stay counted.
@@ -302,21 +306,23 @@ def test_one_iteration_solve_sets_no_base():
     a base set before is kept."""
     J, b, ne = newton_layout(0.0)
     stats, factors = solver.StepDiagnostics(), solver.BlockFactors()
-    solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors)
+    solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors, floor=0.0)
     assert stats.krylov_iters == 1 and factors.held and factors.base == 0
     J2 = row_scaled(J, ne, 1.0, 1.001)
-    x = solver.linear_solve(J2, b, n_density=ne, stats=stats, factors=factors)
+    x = solver.linear_solve(J2, b, n_density=ne, stats=stats, factors=factors, floor=0.0)
     assert stats.factorizations == 1
     assert stats.krylov_iters - 1 > 2
     assert np.allclose(x, np.linalg.solve(J2.toarray(), b), rtol=1e-10, atol=1e-12)
 
     J0, b0, _ = newton_layout(0.01)
     factors.drop()
-    solver.linear_solve(J0, b0, n_density=ne, stats=solver.StepDiagnostics(), factors=factors)
+    solver.linear_solve(J0, b0, n_density=ne, stats=solver.StepDiagnostics(), factors=factors,
+                        floor=0.0)
     base = factors.base
     assert base > 1
     factors.drop()
-    solver.linear_solve(J, b, n_density=ne, stats=solver.StepDiagnostics(), factors=factors)
+    solver.linear_solve(J, b, n_density=ne, stats=solver.StepDiagnostics(), factors=factors,
+                        floor=0.0)
     assert factors.held and factors.base == base
 
 
@@ -390,7 +396,7 @@ def test_newton_solve_rejects_singular(mesh1, params):
         warnings.simplefilter("error", spla.MatrixRankWarning)
         with pytest.raises(solver.SolverError, match="singular"):
             solver.linear_solve(J.tocsr(), b, n_density=mesh1.n_elems, stats=stats,
-                                factors=solver.BlockFactors())
+                                factors=solver.BlockFactors(), floor=0.0)
     assert stats.krylov_iters == 0 and stats.factorizations == 0
 
 
@@ -670,26 +676,6 @@ def test_run_trajectory_contract(mesh2, params):
     assert [r["step"] for r in result.rows] == [0, 1, 2, 3]
     ts = [s.t for s in result.states]
     assert np.allclose(np.diff(ts), result.dt, atol=1e-14)
-
-
-def test_run_steps_from_final_time(mesh2, params):
-    rho0, m0 = scheme.make_initial_data("stationary", 1.0, 0.5, 0.15,
-                                        mesh2.box_lo, mesh2.box_hi)
-    dt = params.dt(mesh2)
-    result = scheme.run(mesh2, params, rho0, m0, T=2.5 * dt)
-    assert len(result.states) == 4  # ceil(2.5) = 3 steps
-    result = scheme.run(mesh2, params, rho0, m0, T=2.0 * dt)
-    assert len(result.states) == 3  # exact multiple is not rounded up
-
-
-def test_run_requires_T_or_steps(mesh2, params):
-    rho0, m0 = scheme.bump_data(1.0, 0.0, 0.15, (0.5, 0.5, 0.5))
-    with pytest.raises(ValueError):
-        scheme.run(mesh2, params, rho0, m0)
-    with pytest.raises(ValueError):
-        scheme.run(mesh2, params, rho0, m0, T=-1.0)
-    with pytest.raises(ValueError, match="not both"):
-        scheme.run(mesh2, params, rho0, m0, T=0.05, steps=3)
 
 
 def test_step_failure_carries_step_index(mesh2):

@@ -50,7 +50,7 @@ def test_tet_rule_weights(degree):
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
 def test_tet_rule_integrates_monomials(degree, mesh2):
     """Sum over elements must reproduce exact cube integrals up to `degree`."""
-    pts, w = elem_quad_points(mesh2, degree)
+    pts, w = elem_quad_points(mesh2, degree, slice(None))
     for a, b, c in [(p, q, r) for p in range(4) for q in range(4) for r in range(4)
                     if p + q + r <= degree]:
         vals = pts[..., 0] ** a * pts[..., 1] ** b * pts[..., 2] ** c
@@ -64,7 +64,7 @@ def test_tri_rule_integrates_monomials(degree, mesh1):
     """Boundary faces on z=0 tile the unit square; test surface integrals."""
     bary, w = tri_rule(degree)
     assert np.isclose(w.sum(), 1.0, atol=1e-14)
-    pts, wq = face_quad_points(mesh1, degree)
+    pts, wq = face_quad_points(mesh1, degree, slice(None))
     bottom = [f for f in np.flatnonzero(mesh1.is_boundary_face)
               if abs(mesh1.face_centroid[f][2]) < 1e-12]
     assert len(bottom) == 2
@@ -131,7 +131,7 @@ def test_studies_agree_with_roots_jacobi_rules(monkeypatch):
 
 
 def test_cell_means_of_linear_is_centroid_value(mesh2):
-    means = cell_means(lambda p: np.atleast_2d(p)[:, 0], mesh2)
+    means = cell_means(lambda p: np.atleast_2d(p)[:, 0], mesh2, 2)
     assert np.allclose(means, mesh2.elem_centroid[:, 0], atol=1e-14)
     # the means integrate to the mean of x over the unit cube
     assert np.isclose(np.sum(mesh2.elem_volume * means), 0.5, atol=1e-14)
@@ -140,16 +140,16 @@ def test_cell_means_of_linear_is_centroid_value(mesh2):
 def test_interpolate_reproduces_linears(mesh2):
     field = PolynomialField(np.hstack([np.arange(12.0).reshape(3, 4) - 5.0,
                                        np.zeros((3, 6))]))
-    interp = interpolate_v(field, mesh2)
+    interp = interpolate_v(field, mesh2, 2)
     # a linear function's face average is its value at the face centroid
     assert np.allclose(interp, field(mesh2.face_centroid), atol=1e-13)
-    l2, h1 = interpolation_errors(field, mesh2)
+    l2, h1 = interpolation_errors(field, mesh2, 6)
     assert l2 < 1e-13 and h1 < 1e-12
 
 
 def test_element_average_is_barycenter_value(mesh2):
     field = PolynomialField(np.hstack([np.ones((3, 4)), np.zeros((3, 6))]))
-    interp = interpolate_v(field, mesh2)
+    interp = interpolate_v(field, mesh2, 2)
     avg = element_average(interp, mesh2)
     assert np.allclose(avg, field(mesh2.elem_centroid), atol=1e-13)
 
@@ -177,7 +177,7 @@ def test_broken_gradient_exact_for_linear(mesh2):
     A = np.array([[1.0, 2.0, -1.0], [0.5, 0.0, 3.0], [-2.0, 1.0, 1.0]])
     coeffs = np.zeros((3, 10))
     coeffs[:, 1:4] = A
-    interp = interpolate_v(PolynomialField(coeffs), mesh2)
+    interp = interpolate_v(PolynomialField(coeffs), mesh2, 2)
     G = broken_gradient(interp, mesh2)
     assert np.allclose(G, A[None, :, :], atol=1e-12)
     assert np.allclose(broken_divergence(interp, mesh2), np.trace(A), atol=1e-12)
@@ -209,7 +209,7 @@ def test_flux_reconstruction_matches_fluxes(mesh2):
     u = apply_bc(rng.standard_normal((mesh2.n_faces, 3)), mesh2)
     flux = normal_flux(u, mesh2)
     w, s = flux_reconstruction(flux, mesh2)
-    pts, _ = face_quad_points(mesh2, 2)
+    pts, _ = face_quad_points(mesh2, 2, slice(None))
     for e in range(mesh2.n_elems):
         for l in range(4):
             f = mesh2.elem_faces[e, l]
@@ -225,8 +225,8 @@ def test_flux_reconstruction_divergence(mesh2):
 
 
 def test_eval_flux_reconstruction_shape(mesh1):
-    u = interpolate_v(SineField(), mesh1)
-    pts, _ = elem_quad_points(mesh1, 2)
+    u = interpolate_v(SineField(), mesh1, 2)
+    pts, _ = elem_quad_points(mesh1, 2, slice(None))
     vals = eval_flux_reconstruction(normal_flux(u, mesh1), mesh1, pts)
     assert vals.shape == pts.shape
 
@@ -264,7 +264,7 @@ def test_orthogonality_random_pairs(mesh2):
 
 def test_interpolation_error_decreases():
     field = SineField()
-    errs = [interpolation_errors(field, build_box_mesh(n)) for n in (2, 4)]
+    errs = [interpolation_errors(field, build_box_mesh(n), 6) for n in (2, 4)]
     assert errs[1][0] < 0.4 * errs[0][0]
     assert errs[1][1] < 0.7 * errs[0][1]
 
@@ -278,7 +278,7 @@ def test_quad_points_match_einsum_mapping(degree, box):
     for points, rule, corners in (
             (elem_quad_points, tet_rule, mesh.vertices[mesh.tets]),
             (face_quad_points, tri_rule, mesh.vertices[mesh.face_vertices])):
-        pts, w = points(mesh, degree)
+        pts, w = points(mesh, degree, slice(None))
         bary, w_rule = rule(degree)
         ref = np.einsum("qi,eij->eqj", bary, corners)
         assert pts.shape == ref.shape
@@ -337,10 +337,10 @@ def test_interpolation_errors_memory_is_bounded_by_the_block():
     (n_elems, nq, 3, 3) array of the field's Jacobian."""
     mesh = build_box_mesh(8)
     field = SineField()
-    interpolation_errors(field, mesh)       # the mesh caches are not counted
+    interpolation_errors(field, mesh, 6)    # the mesh caches are not counted
     tracemalloc.start()
     try:
-        interpolation_errors(field, mesh)
+        interpolation_errors(field, mesh, 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -354,7 +354,7 @@ def test_means_do_not_depend_on_the_block(field, monkeypatch):
     """Blocks of 7 elements (faces), most of which start at a point row that
     is not a multiple of 64, give the bits of one block."""
     mesh = build_box_mesh(3)
-    u = interpolate_v(PolynomialField.random(np.random.default_rng(5)), mesh)
+    u = interpolate_v(PolynomialField.random(np.random.default_rng(5)), mesh, 2)
 
     def means():
         return (cell_means(field, mesh, 4), interpolate_v(field, mesh, 4),
@@ -381,7 +381,7 @@ def test_means_memory_is_bounded_by_the_block(mean, points):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < points(mesh, 6)[0].nbytes
+    assert peak < points(mesh, 6, slice(None))[0].nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +489,6 @@ def test_sine_field_is_bitwise_the_product_formula(k, amplitude):
 
 
 def test_sine_field_vanishes_on_boundary(mesh2):
-    pts, _ = face_quad_points(mesh2, 4)
+    pts, _ = face_quad_points(mesh2, 4, slice(None))
     vals = SineField()(pts.reshape(-1, 3)).reshape(pts.shape[0], -1, 3)
     assert np.abs(vals[mesh2.is_boundary_face]).max() < 1e-13
