@@ -25,7 +25,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import diagnostics, oracles, scheme, solver
-from .io import write_csv, write_vtk
+from .io import append_rows, write_csv, write_table, write_vtk
 from .mesh import MAX_VERTS, build_box_mesh
 from .spaces import (
     PolynomialField,
@@ -173,7 +173,8 @@ _SQRT_MAX = math.sqrt(sys.float_info.max)
 # and the smallest such square, s**4 on a cube face, must not underflow.
 _SPACING = (sys.float_info.min ** 0.25, (sys.float_info.max / 12.0) ** 0.25)
 _MAX_ASPECT = 1.0 / math.sqrt(sys.float_info.epsilon)
-# The longest time grid a command may step: a run keeps every state.
+# The longest time grid a command may step: the rows and StepDiagnostics a
+# run returns, and its wall time, grow with the step count.
 _MAX_STEPS = 10_000
 
 
@@ -261,10 +262,10 @@ def parse_config(path, overrides, command: str = "run") -> RunConfig:
 # run
 
 
-def _run(cfg: RunConfig, n: int, T: float | None, steps: int | None = None) -> scheme.RunResult:
-    """`scheme.run` from the configured initial data on the n-per-axis mesh
-    of the box, for `steps` steps or, without them, up to the final time T.
-    Initial data whose pressure, kappa*h floor included, or whose shear
+def _run_args(cfg: RunConfig, n: int, T: float | None, steps: int | None) -> tuple:
+    """`scheme.run`'s arguments but its hook: the configured initial data on
+    the n-per-axis mesh of the box, for `steps` steps or up to the final time
+    T.  Initial data whose pressure, kappa*h floor included, or whose shear
     momentum flux rho_max*amp**2, or either of these on the largest face,
     reaches sqrt(float max) are a configuration error: GMRES takes 2-norms of
     vectors on that scale."""
@@ -286,22 +287,39 @@ def _run(cfg: RunConfig, n: int, T: float | None, steps: int | None = None) -> s
     )
     if steps is None:
         steps = scheme.step_count(T, params.dt(mesh))
-    return scheme.run(mesh, params, rho0, m0, steps)
+    return mesh, params, rho0, m0, steps
+
+
+def _outdir(cfg: RunConfig) -> Path:
+    """The output directory, made if missing; a path that cannot be one is a
+    configuration error."""
+    outdir = Path(cfg.outdir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the output directory {outdir}: {exc}") from exc
+    return outdir
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    result = _run(cfg, cfg.n, *cfg.time_grid("run"))
-    mesh = result.mesh
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_csv(outdir / "diagnostics.csv", result.rows)
-    for state in result.states:
-        if state.k % cfg.cadence == 0 or state.k == len(result.states) - 1:
-            write_vtk(outdir / f"state_{state.k:04d}.vtk", mesh,
+    args = _run_args(cfg, cfg.n, *cfg.time_grid("run"))
+    mesh, n_steps = args[0], args[-1]
+    table = Path(cfg.outdir) / "diagnostics.csv"
+
+    def write(state, row):
+        # Each row and snapshot reach disk before the next step is solved; the
+        # directory is made once the initial data have projected.
+        if state.k == 0:
+            write_table(_outdir(cfg) / table.name, tuple(row), [])
+        append_rows(table, [row.values()])
+        if state.k % cfg.cadence == 0 or state.k == n_steps:
+            write_vtk(table.with_name(f"state_{state.k:04d}.vtk"), mesh,
                       state.rho, element_average(state.u, mesh))
+
+    result = scheme.run(*args, write)
     first, last = result.rows[0], result.rows[-1]
     drift = abs(last["mass"] - first["mass"]) / abs(first["mass"])
-    print(f"run: {len(result.states) - 1} steps on {mesh.n_elems} elements, dt={result.dt:.6g}")
+    print(f"run: {n_steps} steps on {mesh.n_elems} elements, dt={result.dt:.6g}")
     print(f"run: mass drift {drift:.3e}, final energy {last['kinetic'] + last['internal']:.9g}, "
           f"min_rho {last['min_rho']:.9g}")
     steps = result.diagnostics[1:]
@@ -310,7 +328,7 @@ def cmd_run(cfg: RunConfig) -> int:
           f"{sum(d.krylov_iters for d in steps)} Krylov iterations, "
           f"{sum(d.krylov_cycles for d in steps)} Krylov cycles, "
           f"{sum(d.factorizations for d in steps)} preconditioner factorizations")
-    print(f"run: wrote {outdir / 'diagnostics.csv'}")
+    print(f"run: wrote {table}")
     return 0
 
 
@@ -429,7 +447,13 @@ def _pdecay(cfg: RunConfig, T: float) -> tuple[list[dict], list[str]]:
 
 
 def _cauchy(cfg: RunConfig, T: float) -> tuple[list[dict], list[str]]:
-    diffs = diagnostics.cauchy_differences([_run(cfg, n, T) for n in cfg.ns], T)
+    runs = []   # (mesh, dt, densities) per mesh: the study needs no more of a state
+    for n in cfg.ns:
+        densities = []
+        result = scheme.run(*_run_args(cfg, n, T, None),
+                            lambda state, row: densities.append(state.rho))
+        runs.append((result.mesh, result.dt, densities))
+    diffs = diagnostics.cauchy_differences(runs, T)
     return [{"n_coarse": a, "n_fine": b, "l2_spacetime_diff": d}
             for a, b, d in zip(cfg.ns, cfg.ns[1:], diffs)], []
 
@@ -441,7 +465,7 @@ _STUDIES = {"rates": _rates, "cauchy": _cauchy, "pdecay": _pdecay}
 def cmd_study(cfg: RunConfig) -> int:
     T, _ = cfg.time_grid("study")   # None for rates, which does not step
     rows, summary = _STUDIES[cfg.kind](cfg, T)
-    path = Path(cfg.outdir) / f"{cfg.kind}.csv"   # made by write_csv: a failed study leaves none
+    path = _outdir(cfg) / f"{cfg.kind}.csv"   # made here: a failed study leaves none
     write_csv(path, rows)
     shown = [" ".join(f"{key}={value}" if isinstance(value, int) else f"{key}={value:.6e}"
                       for key, value in row.items()) for row in rows]

@@ -394,8 +394,9 @@ def interpolation_rate_study(field, ns, box_lo, box_hi) -> dict:
     return {"h": hs, "l2": l2, "h1": h1, "l2_order": order(l2), "h1_order": order(h1)}
 
 
-def cauchy_differences(results, T: float) -> list[float]:
-    """L2 space-time distances between consecutive refinements.
+def cauchy_differences(runs, T: float) -> list[float]:
+    """L2 space-time distances between consecutive refinements, each run a
+    `(mesh, dt, densities)` with densities[k] that of state k.
 
     Meshes must be nested (each fine element lies inside one coarse element);
     the coarse density is injected exactly and both piecewise-constant-in-time
@@ -403,22 +404,22 @@ def cauchy_differences(results, T: float) -> list[float]:
     are integrated over [0, T] on the union of their time grids.
     """
     out = []
-    for coarse, fine in zip(results[:-1], results[1:]):
-        parent = find_elements(coarse.mesh, fine.mesh.elem_centroid)
+    for (mesh_c, dt_c, rho_c), (mesh_f, dt_f, rho_f) in zip(runs[:-1], runs[1:]):
+        parent = find_elements(mesh_c, mesh_f.elem_centroid)
         cuts = np.unique(np.concatenate([
-            np.arange(len(coarse.states)) * coarse.dt,
-            np.arange(len(fine.states)) * fine.dt,
+            np.arange(len(rho_c)) * dt_c,
+            np.arange(len(rho_f)) * dt_f,
             [0.0, T],
         ]))
         cuts = cuts[(cuts >= 0.0) & (cuts <= T + 1e-12)]
         total = 0.0
-        vol_f = fine.mesh.elem_volume
+        vol_f = mesh_f.elem_volume
         for a, b in zip(cuts[:-1], cuts[1:]):
             if b - a <= 1e-14:
                 continue
-            kc = min(scheme.step_count(b, coarse.dt), len(coarse.states) - 1)
-            kf = min(scheme.step_count(b, fine.dt), len(fine.states) - 1)
-            diff = coarse.states[kc].rho[parent] - fine.states[kf].rho
+            kc = min(scheme.step_count(b, dt_c), len(rho_c) - 1)
+            kf = min(scheme.step_count(b, dt_f), len(rho_f) - 1)
+            diff = rho_c[kc][parent] - rho_f[kf]
             total += (b - a) * float(np.sum(vol_f * diff**2))
         out.append(float(np.sqrt(total)))
     return out

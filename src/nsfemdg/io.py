@@ -45,17 +45,19 @@ def write_vtk(path, mesh: Mesh, density, velocity):
 
 
 def write_csv(path, rows: list[dict]):
-    """Write per-step diagnostics rows, which share their keys; the first
+    """Write rows that share their keys, such as a study's table; the first
     row's key order is the column order."""
     write_table(path, tuple(rows[0]), (row.values() for row in rows))
 
 
 def write_table(path, header: tuple[str, ...], rows):
-    """Write a table as CSV, creating its directory first.  Formatting is
-    locale-independent and deterministic, so identical runs produce
-    byte-identical files."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(x) for x in row) + "\n")
+    """Write a table as CSV."""
+    Path(path).write_text(",".join(header) + "\n")
+    append_rows(path, rows)
+
+
+def append_rows(path, rows):
+    """Append rows to a CSV file.  Formatting is locale-independent and
+    deterministic, so identical runs produce byte-identical files."""
+    with open(path, "a") as f:
+        f.writelines(",".join(_fmt(x) for x in row) + "\n" for row in rows)

@@ -555,7 +555,6 @@ class RunResult:
     mesh: Mesh
     params: SchemeParams
     dt: float
-    states: list
     rows: list          # one diagnostics dict per state, CSV column keys
     diagnostics: list   # per-step solver diagnostics (empty slot for step 0)
 
@@ -580,19 +579,20 @@ def run(
     rho0: Callable,
     m0: Callable,
     steps: int,
-    on_state: Callable | None = None,
+    on_state: Callable,
 ) -> RunResult:
     """Run the scheme from projected initial data for `steps` steps; a final
-    time T takes `step_count(T, params.dt(mesh))` of them."""
+    time T takes `step_count(T, params.dt(mesh))` of them.  Each state k =
+    0..steps goes to `on_state(state, row)` once known, and none is kept."""
     from . import diagnostics as diag
     from . import solver
 
     dt = params.dt(mesh)
     state = initial_state(rho0, m0, mesh, params)
     ledger0 = diag.energy_ledger(state, params, mesh)
-    states = [state]
     step_diags: list = [None]
     rows = [diag.csv_row(0, 0.0, ledger0, 0.0, 0.0, 0, 0)]
+    on_state(state, rows[0])
     dissipation = 0.0
     e0 = ledger0.total
     factors = solver.BlockFactors()   # the preconditioner, carried from step to step
@@ -607,11 +607,8 @@ def run(
             diag.csv_row(k, new.t, ledger, margin, slack,
                          sd.newton_iters, sd.alpha_nodes_used)
         )
-        states.append(new)
         step_diags.append(sd)
-        if on_state is not None:
-            on_state(new, rows[-1])
+        on_state(new, rows[-1])
         state = new
 
-    return RunResult(mesh=mesh, params=params, dt=dt, states=states, rows=rows,
-                     diagnostics=step_diags)
+    return RunResult(mesh=mesh, params=params, dt=dt, rows=rows, diagnostics=step_diags)

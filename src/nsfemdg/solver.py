@@ -516,6 +516,7 @@ def _rounding_floor(J: sp.csr_matrix, x: NDArrayF) -> float:
     return FLOOR_FACTOR * UNIT_ROUNDOFF * (abs_J @ np.abs(x)).max()
 
 
+@np.errstate(over="ignore", invalid="ignore")   # an overflow gives no Newton step instead
 def _newton_at_alpha(prev, x, alpha, params, mesh, diag, factors, budget):
     """Damped Newton at one alpha node, while diag.newton_iters < budget.
     Returns the last iterate and whether its residual is within tolerance."""

@@ -6,6 +6,7 @@ expensive trajectories are computed once per module and shared.
 """
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,9 +35,10 @@ def _timed_run(preset, n, steps=None, T=None, params=PARAMS):
                                         mesh.box_lo, mesh.box_hi)
     if steps is None:
         steps = scheme.step_count(T, params.dt(mesh))
+    states = []
     t0 = time.perf_counter()
-    result = scheme.run(mesh, params, rho0, m0, steps)
-    return result, time.perf_counter() - t0
+    result = scheme.run(mesh, params, rho0, m0, steps, lambda state, row: states.append(state))
+    return SimpleNamespace(**vars(result), states=states), time.perf_counter() - t0
 
 
 def _report(num, label, worst):
@@ -265,7 +267,8 @@ def test_criterion_12_solver_robustness(bump_n2, bump_n4, shear_n2, shear_n4):
 
 def test_criterion_13_cauchy_refinement(cauchy_runs):
     results, seconds = cauchy_runs
-    diffs = diagnostics.cauchy_differences(results, T=0.25)
+    diffs = diagnostics.cauchy_differences(
+        [(r.mesh, r.dt, [s.rho for s in r.states]) for r in results], T=0.25)
     assert len(diffs) == 2
     assert diffs[0] > diffs[1] > 0.0
     assert seconds < 1800.0

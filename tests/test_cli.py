@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nsfemdg import cli, oracles, scheme
+from nsfemdg import cli, oracles, scheme, solver
 from nsfemdg.cli import ConfigError, RunConfig, parse_config
 
 
@@ -225,6 +225,52 @@ def test_run_defaults_to_ten_steps(tmp_path):
     assert len(lines) == 12  # header + 11 states
 
 
+def test_run_failing_midway_keeps_its_completed_steps(tmp_path, monkeypatch, capsys):
+    """A run whose step 3 fails exits 2 and leaves the rows and snapshots of
+    steps 0-2, byte for byte those of the same run stopped after step 2."""
+    args = ["run", "--preset", "bump", "--n", "1", "--cadence", "2"]
+    whole = tmp_path / "whole"
+    assert cli.main([*args, "--steps", "2", "--outdir", str(whole)]) == 0
+
+    def failing_at_step_3(prev, *rest, _solve=solver.homotopy_newton_solve):
+        if prev.k == 2:
+            raise solver.StepFailure("injected", alpha=1.0, iterations=0,
+                                     residual_norm=float("nan"), step=3)
+        return _solve(prev, *rest)
+
+    monkeypatch.setattr(solver, "homotopy_newton_solve", failing_at_step_3)
+    cut = tmp_path / "cut"
+    capsys.readouterr()
+    assert cli.main([*args, "--steps", "5", "--outdir", str(cut)]) == 2
+    assert capsys.readouterr().err == "run failed at step 3: injected\n"
+    names = ["diagnostics.csv", "state_0000.vtk", "state_0002.vtk"]
+    assert sorted(p.name for p in cut.iterdir()) == names
+    for name in names:
+        assert (cut / name).read_bytes() == (whole / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["run", "rates"])
+@pytest.mark.parametrize("under_a_file", [False, True])
+def test_outdir_that_cannot_be_a_directory_exits_one(command, under_a_file, tmp_path,
+                                                     monkeypatch, capsys):
+    """An outdir naming a file, or a path under one, is one configuration
+    error line; a run says so before it solves a step."""
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file\n")
+    outdir = blocker / "out" if under_a_file else blocker
+
+    def unsolved(*args):
+        raise AssertionError("a step was solved")
+
+    monkeypatch.setattr(solver, "homotopy_newton_solve", unsolved)
+    rc = cli.main([*_SMALLEST[command], "--outdir", str(outdir)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot make the output directory {outdir}: ")
+    assert err.count("\n") == 1
+    assert blocker.read_text() == "a file\n"
+
+
 def test_config_error_exits_one(tmp_path, capsys):
     rc = cli.main(["run", "--gamma", "0.5", "--outdir", str(tmp_path)])
     assert rc == 1
@@ -427,10 +473,11 @@ _MISFIT_EXTENTS = [1e200, 1e100, 1e-100, 1e-120]
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
 
 
+_RUN_KEYS = ["amp", "rho_bar", "sigma", "a", "gamma", "kappa", "c", "epsilon"]
+
+
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
-@given(preset=st.sampled_from(["bump", "shear"]),
-       key=st.sampled_from(["amp", "rho_bar", "sigma", "a", "gamma", "kappa", "c", "epsilon"]),
-       x=_FLOATS)
+@given(preset=st.sampled_from(["bump", "shear"]), key=st.sampled_from(_RUN_KEYS), x=_FLOATS)
 @example(preset="bump", key="sigma", x=1e200)
 @example(preset="bump", key="amp", x=1e100)
 @example(preset="bump", key="amp", x=1e308)
@@ -446,6 +493,20 @@ def test_extreme_initial_data_exit_cleanly(preset, key, x, tmp_path_factory):
     bump or shear run exits as `_assert_exits_cleanly` asks."""
     _assert_exits_cleanly(["run", "--preset", preset, "--n", "1", "--steps", "1",
                            f"--{key}", repr(x)], tmp_path_factory)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(preset=st.sampled_from(["bump", "shear"]),
+       keys=st.lists(st.sampled_from(_RUN_KEYS), min_size=2, max_size=2, unique=True),
+       xs=st.tuples(_FLOATS, _FLOATS))
+@example(preset="shear", keys=["amp", "gamma"], xs=(1e30, 1000.0))   # a trial pressure overflows
+def test_two_extreme_keys_exit_cleanly(preset, keys, xs, tmp_path_factory):
+    """Two initial-data or physics keys drawn at once, each over the whole
+    float range, let a bump or shear run exit as `_assert_exits_cleanly`
+    asks."""
+    flags = [token for key, x in zip(keys, xs) for token in (f"--{key}", repr(x))]
+    _assert_exits_cleanly(["run", "--preset", preset, "--n", "1", "--steps", "1", *flags],
+                          tmp_path_factory)
 
 
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)

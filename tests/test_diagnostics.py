@@ -379,20 +379,14 @@ def test_csv_row_matches_column_contract():
 # Cauchy differences on synthetic trajectories
 
 
-def _const_result(mesh, dt, values):
-    """Trajectory of spatially constant densities, one value per time level."""
-    states = [
-        scheme.State(rho=np.full(len(mesh.tets), val),
-                     u=_constant_velocity(mesh, (0, 0, 0)), k=k, t=k * dt)
-        for k, val in enumerate(values)
-    ]
-    return scheme.RunResult(mesh=mesh, params=scheme.SchemeParams(), dt=dt,
-                            states=states, rows=[], diagnostics=[])
+def _const_run(mesh, dt, values):
+    """A run of spatially constant densities, one value per time level."""
+    return mesh, dt, [np.full(mesh.n_elems, val) for val in values]
 
 
 def test_cauchy_difference_constant_offset():
-    coarse = _const_result(build_box_mesh(1), 0.5, [1.0, 1.0, 1.0])
-    fine = _const_result(build_box_mesh(2), 0.25, [1.5] * 5)
+    coarse = _const_run(build_box_mesh(1), 0.5, [1.0, 1.0, 1.0])
+    fine = _const_run(build_box_mesh(2), 0.25, [1.5] * 5)
     (diff,) = diagnostics.cauchy_differences([coarse, fine], T=1.0)
     # |difference| = 0.5 on the whole unit box for the whole unit interval
     assert diff == pytest.approx(0.5, rel=1e-13)
@@ -401,17 +395,17 @@ def test_cauchy_difference_constant_offset():
 def test_cauchy_difference_piecewise_in_time():
     # State k holds on ((k-1) dt, k dt]: the coarse levels are 2 on (0, 0.5]
     # and 4 on (0.5, 1], against a fine value of 1, so diff^2 = 0.5 + 4.5.
-    coarse = _const_result(build_box_mesh(1), 0.5, [1.0, 2.0, 4.0])
-    fine = _const_result(build_box_mesh(2), 0.25, [1.0] * 5)
+    coarse = _const_run(build_box_mesh(1), 0.5, [1.0, 2.0, 4.0])
+    fine = _const_run(build_box_mesh(2), 0.25, [1.0] * 5)
     (diff,) = diagnostics.cauchy_differences([coarse, fine], T=1.0)
     assert diff == pytest.approx(np.sqrt(5.0), rel=1e-12)
 
 
 def test_cauchy_differences_pair_count():
     results = [
-        _const_result(build_box_mesh(1), 0.5, [1.0, 1.0, 1.0]),
-        _const_result(build_box_mesh(2), 0.25, [1.0] * 5),
-        _const_result(build_box_mesh(4), 0.125, [1.0] * 9),
+        _const_run(build_box_mesh(1), 0.5, [1.0, 1.0, 1.0]),
+        _const_run(build_box_mesh(2), 0.25, [1.0] * 5),
+        _const_run(build_box_mesh(4), 0.125, [1.0] * 9),
     ]
     diffs = diagnostics.cauchy_differences(results, T=1.0)
     assert len(diffs) == 2
@@ -422,9 +416,13 @@ def test_cauchy_differences_on_solver_runs_decrease():
     params = scheme.SchemeParams()
     rho0, m0 = scheme.bump_data(1.0, 0.3, 0.2, (0.5, 0.5, 0.5))
     T = 0.5
-    results = [scheme.run(mesh, params, rho0, m0, scheme.step_count(T, params.dt(mesh)))
-               for mesh in map(build_box_mesh, (1, 2))]
-    diffs = diagnostics.cauchy_differences(results, T)
+    runs = []
+    for mesh in map(build_box_mesh, (1, 2)):
+        densities = []
+        result = scheme.run(mesh, params, rho0, m0, scheme.step_count(T, params.dt(mesh)),
+                            lambda state, row: densities.append(state.rho))
+        runs.append((mesh, result.dt, densities))
+    diffs = diagnostics.cauchy_differences(runs, T)
     assert len(diffs) == 1
     assert diffs[0] > 0.0
 

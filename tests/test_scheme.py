@@ -142,16 +142,15 @@ def test_initial_state_velocity_division(mesh2, params):
 
 
 def test_run_calls_on_state_per_step(mesh1, params):
-    """on_state sees each new state in step order, with the row that run
-    appends to result.rows."""
+    """on_state sees every state, the initial one first, in step order, with
+    the row that run appends to result.rows."""
     calls = []
     rho0, m0 = scheme.bump_data(1.0, 0.5, 0.15, 0.5 * (mesh1.box_lo + mesh1.box_hi))
-    result = scheme.run(mesh1, params, rho0, m0, steps=3,
-                        on_state=lambda state, row: calls.append((state, row)))
-    assert [state.k for state, _ in calls] == [1, 2, 3]
-    for k, (state, row) in enumerate(calls, start=1):
-        assert state is result.states[k]
-        assert row is result.rows[k]
+    result = scheme.run(mesh1, params, rho0, m0, 3,
+                        lambda state, row: calls.append((state, row)))
+    assert [state.k for state, _ in calls] == [0, 1, 2, 3]
+    assert [row for _, row in calls] == result.rows
+    assert all(row is result.rows[k] for k, (_, row) in enumerate(calls))
 
 
 def test_step_count_covers_the_final_time():

@@ -15,6 +15,10 @@ def bump_state(mesh, params):
     return scheme.initial_state(rho0, m0, mesh, params)
 
 
+def _discard(state, row):
+    """The `on_state` of a run whose states a test does not read."""
+
+
 # ---------------------------------------------------------------------------
 # Newton linear solve
 
@@ -333,12 +337,12 @@ def test_bump_steps_reuse_factors(mesh2, params, monkeypatch):
     same process starts with its own holder and gives bitwise-equal rows."""
     rho0, m0 = scheme.make_initial_data("bump", 1.0, 0.5, 0.15,
                                         mesh2.box_lo, mesh2.box_hi)
-    first = scheme.run(mesh2, params, rho0, m0, steps=3)
-    again = scheme.run(mesh2, params, rho0, m0, steps=3)
+    first = scheme.run(mesh2, params, rho0, m0, 3, _discard)
+    again = scheme.run(mesh2, params, rho0, m0, 3, _discard)
     assert again.rows == first.rows and again.diagnostics == first.diagnostics
     lagged = first.diagnostics[1:]
     monkeypatch.setattr(solver.BlockFactors, "held", property(lambda self: False))
-    fresh = scheme.run(mesh2, params, rho0, m0, steps=3).diagnostics[1:]
+    fresh = scheme.run(mesh2, params, rho0, m0, 3, _discard).diagnostics[1:]
     assert all(d.newton_iters <= f.newton_iters for d, f in zip(lagged, fresh))
     assert sum(d.factorizations for d in lagged) < len(lagged)
 
@@ -349,7 +353,7 @@ def test_bump_run_newton_counts(mesh2, params):
     factor nor the floor-relative tolerance costs a Newton iteration."""
     rho0, m0 = scheme.make_initial_data("bump", 1.0, 0.5, 0.15,
                                         mesh2.box_lo, mesh2.box_hi)
-    steps = scheme.run(mesh2, params, rho0, m0, steps=3).diagnostics[1:]
+    steps = scheme.run(mesh2, params, rho0, m0, 3, _discard).diagnostics[1:]
     assert [d.newton_iters for d in steps] == [4, 3, 2]
 
 
@@ -566,7 +570,7 @@ def test_stress_step_needs_no_direct_solve(mesh2, monkeypatch):
     params = scheme.SchemeParams(gamma=6.0, c=4.0)
     rho0, m0 = scheme.make_initial_data("bump", 1.0, 200.0, 0.15,
                                         mesh2.box_lo, mesh2.box_hi)
-    (diag,) = scheme.run(mesh2, params, rho0, m0, steps=1).diagnostics[1:]
+    (diag,) = scheme.run(mesh2, params, rho0, m0, 1, _discard).diagnostics[1:]
     assert diag.schedule_index == 2
     assert diag.residual_norm <= params.newton_tol
 
@@ -670,11 +674,12 @@ def test_alpha0_solved_once_per_step(mesh2, monkeypatch):
 def test_run_trajectory_contract(mesh2, params):
     rho0, m0 = scheme.make_initial_data("bump", 1.0, 0.5, 0.15,
                                         mesh2.box_lo, mesh2.box_hi)
-    result = scheme.run(mesh2, params, rho0, m0, steps=3)
-    assert len(result.states) == 4
+    states = []
+    result = scheme.run(mesh2, params, rho0, m0, 3, lambda state, row: states.append(state))
+    assert len(states) == 4
     assert len(result.rows) == 4
     assert [r["step"] for r in result.rows] == [0, 1, 2, 3]
-    ts = [s.t for s in result.states]
+    ts = [s.t for s in states]
     assert np.allclose(np.diff(ts), result.dt, atol=1e-14)
 
 
@@ -684,5 +689,5 @@ def test_step_failure_carries_step_index(mesh2):
     rho0, m0 = scheme.make_initial_data("bump", 1.0, 0.5, 0.15,
                                         mesh2.box_lo, mesh2.box_hi)
     with pytest.raises(solver.StepFailure) as info:
-        scheme.run(mesh2, params, rho0, m0, steps=2)
+        scheme.run(mesh2, params, rho0, m0, 2, _discard)
     assert info.value.step == 1
