@@ -353,7 +353,7 @@ def _probe_state(mesh, params, rng) -> tuple:
                           f"pressure a*rho**gamma is {p:.6g}, its derivative {dp:.6g}, and "
                           f"rho/dt is {rate:.6g}")
     u = apply_bc(0.3 * rng.standard_normal((mesh.n_faces, 3)), mesh)
-    guess = scheme.State(rho=rho, u=u, k=1, t=params.dt(mesh))
+    guess = scheme.State(rho=rho, u=u, k=1)
     return prev, guess
 
 

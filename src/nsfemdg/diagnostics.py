@@ -358,7 +358,7 @@ def p_decay_study(ns, data, phi, v, T: float, params, box_lo, box_hi) -> dict:
                              mesh, degree)
         us = face_means(lambda p, blk: [at_points(u_fn, p) for _, u_fn in samples],
                         mesh, degree)
-        states = (scheme.State(rho=rho, u=apply_bc(u, mesh), k=k, t=k * dt)
+        states = (scheme.State(rho=rho, u=apply_bc(u, mesh), k=k)
                   for k, (rho, u) in enumerate(zip(rhos, us), start=1))
         totals = _defect_integrals(states, mesh, moments, dt)
         rows.append({"n": n, "h": mesh.h, **totals})
@@ -396,30 +396,28 @@ def interpolation_rate_study(field, ns, box_lo, box_hi) -> dict:
 
 def cauchy_differences(runs, T: float) -> list[float]:
     """L2 space-time distances between consecutive refinements, each run a
-    `(mesh, dt, densities)` with densities[k] that of state k.
+    `(mesh, dt, densities)` with densities[k] that of state k, k = 0 to
+    `scheme.step_count(T, dt)`.
 
     Meshes must be nested (each fine element lies inside one coarse element);
     the coarse density is injected exactly and both piecewise-constant-in-time
     extensions (state k on ((k-1) dt, k dt], as `scheme.step_count` states)
-    are integrated over [0, T] on the union of their time grids.
+    are integrated over [0, T] on the union of their time grids, less the
+    slivers shorter than `scheme.STEP_SLACK` times the larger dt, whose right
+    ends `step_count` puts on the level below.
     """
     out = []
     for (mesh_c, dt_c, rho_c), (mesh_f, dt_f, rho_f) in zip(runs[:-1], runs[1:]):
         parent = find_elements(mesh_c, mesh_f.elem_centroid)
-        cuts = np.unique(np.concatenate([
-            np.arange(len(rho_c)) * dt_c,
-            np.arange(len(rho_f)) * dt_f,
-            [0.0, T],
-        ]))
-        cuts = cuts[(cuts >= 0.0) & (cuts <= T + 1e-12)]
+        levels = np.concatenate([np.arange(len(rho_c)) * dt_c, np.arange(len(rho_f)) * dt_f])
+        cuts = np.append(np.unique(levels[levels < T]), T)
+        sliver = scheme.STEP_SLACK * max(dt_c, dt_f)
         total = 0.0
         vol_f = mesh_f.elem_volume
         for a, b in zip(cuts[:-1], cuts[1:]):
-            if b - a <= 1e-14:
+            if b - a < sliver:
                 continue
-            kc = min(scheme.step_count(b, dt_c), len(rho_c) - 1)
-            kf = min(scheme.step_count(b, dt_f), len(rho_f) - 1)
-            diff = rho_c[kc][parent] - rho_f[kf]
+            diff = rho_c[scheme.step_count(b, dt_c)][parent] - rho_f[scheme.step_count(b, dt_f)]
             total += (b - a) * float(np.sum(vol_f * diff**2))
         out.append(float(np.sqrt(total)))
     return out

@@ -154,9 +154,9 @@ def jacobian_fd(prev, guess, params, mesh: Mesh, alpha: float = 1.0) -> np.ndarr
         xp, xm = x0.copy(), x0.copy()
         xp[j] += eps
         xm[j] -= eps
-        rp = scheme.residual(prev, scheme.unpack(xp, mesh, guess.k, guess.t),
+        rp = scheme.residual(prev, scheme.unpack(xp, mesh, guess.k),
                              params, mesh, alpha).ravel()
-        rm = scheme.residual(prev, scheme.unpack(xm, mesh, guess.k, guess.t),
+        rm = scheme.residual(prev, scheme.unpack(xm, mesh, guess.k),
                              params, mesh, alpha).ravel()
         J[:, j] = (rp - rm) / (2.0 * eps)
     return J

@@ -121,7 +121,7 @@ class SchemeParams:
 
 @dataclass
 class State:
-    """Discrete state at one time level.
+    """Discrete state at time level `k`, which is at time k dt (`step_count`).
 
     `rho` holds the (n_elems,) element densities and `u` the (n_faces, 3)
     face-average velocities, no-slip dofs included (zero when admissible).
@@ -129,8 +129,7 @@ class State:
 
     rho: NDArrayF
     u: NDArrayF
-    k: int = 0
-    t: float = 0.0
+    k: int
 
 
 @dataclass
@@ -187,7 +186,7 @@ def initial_state(rho0: Callable, m0: Callable, mesh: Mesh, params: SchemeParams
         return np.asarray(m0(p), dtype=float) / (density(p) + floor)[:, None]
 
     u = apply_bc(interpolate_v(velocity, mesh, _PROJECTION_DEGREE), mesh)
-    return State(rho=rho, u=u, k=0, t=0.0)
+    return State(rho=rho, u=u, k=0)
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +198,12 @@ def pack(state: State, mesh: Mesh) -> NDArrayF:
     return np.concatenate([state.rho, state.u[int_f].ravel()])
 
 
-def unpack(x: NDArrayF, mesh: Mesh, k: int, t: float) -> State:
+def unpack(x: NDArrayF, mesh: Mesh, k: int) -> State:
     int_f, _, _ = interior_sides(mesh)
     ne = mesh.n_elems
     u = np.zeros((mesh.n_faces, 3))
     u[int_f] = x[ne:].reshape(-1, 3)
-    return State(rho=x[:ne].copy(), u=u, k=k, t=t)
+    return State(rho=x[:ne].copy(), u=u, k=k)
 
 
 def interior_fluxes(state: State, mesh: Mesh) -> tuple[NDArrayF, NDArrayF]:
@@ -566,11 +565,14 @@ def make_initial_data(preset: str, rho_bar: float, amp: float, sigma: float, box
     return PRESETS[preset](rho_bar, amp, sigma, center)
 
 
+STEP_SLACK = 1e-9   # relative to dt, see step_count
+
+
 def step_count(T: float, dt: float) -> int:
     """Steps of size dt whose piecewise-constant-in-time extension covers
-    [0, T]: state k holds on ((k-1) dt, k dt].  At least one; a T that is a
-    multiple of dt up to rounding is not rounded up."""
-    return max(1, int(np.ceil(T / dt - 1e-9)))
+    [0, T]: level k is at time k dt, and state k holds on ((k-1) dt, k dt].
+    At least one; a T within STEP_SLACK dt above a level is that level."""
+    return max(1, int(np.ceil(T / dt - STEP_SLACK)))
 
 
 def run(
@@ -604,7 +606,7 @@ def run(
         margin = e0 - (ledger.total + dissipation)
         slack = diag.positivity_slack(state, new, params, mesh)
         rows.append(
-            diag.csv_row(k, new.t, ledger, margin, slack,
+            diag.csv_row(k, k * dt, ledger, margin, slack,
                          sd.newton_iters, sd.alpha_nodes_used)
         )
         step_diags.append(sd)

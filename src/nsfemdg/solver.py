@@ -434,8 +434,9 @@ def linear_solve(J: sp.csr_matrix, b: NDArrayF, n_density: int, stats: StepDiagn
     return x
 
 
-def alpha0_solve(prev, params, mesh: Mesh) -> "scheme.State":
-    """Exact solution of the alpha = 0 system.
+def alpha0_solve(prev, params, mesh: Mesh) -> NDArrayF:
+    """Exact solution of the alpha = 0 system, packed as `scheme.pack` packs
+    a state.
 
     The continuity block forces rho = rho_prev; the momentum block is
     (M_rho + dt K) u = M_rho-data with M_rho the rho-weighted mean-velocity
@@ -460,10 +461,7 @@ def alpha0_solve(prev, params, mesh: Mesh) -> "scheme.State":
     if reason is not None:
         raise SolverError(reason)
 
-    state = scheme.unpack(
-        np.concatenate([rho_prev, u.ravel()]), mesh, prev.k + 1, prev.t + dt
-    )
-    return state
+    return np.concatenate([rho_prev, u.ravel()])
 
 
 def homotopy_newton_solve(prev, params, mesh: Mesh, factors: BlockFactors | None = None
@@ -472,11 +470,10 @@ def homotopy_newton_solve(prev, params, mesh: Mesh, factors: BlockFactors | None
     solve fails, with its reason, or if all schedules fail.  `factors`
     carries the preconditioner from the previous step and on to the next;
     without it the step starts with none."""
-    dt = params.dt(mesh)
-    k, t = prev.k + 1, prev.t + dt
+    k = prev.k + 1
     try:
         # Every schedule starts here; _newton_at_alpha rebinds x, never mutates it.
-        x0 = scheme.pack(alpha0_solve(prev, params, mesh), mesh)
+        x0 = alpha0_solve(prev, params, mesh)
     except SolverError as exc:
         raise StepFailure(f"alpha=0, 0 iterations, {exc}", alpha=0.0, iterations=0,
                           residual_norm=math.nan, step=k) from exc
@@ -497,7 +494,7 @@ def homotopy_newton_solve(prev, params, mesh: Mesh, factors: BlockFactors | None
             if not ok:
                 break
         if ok:
-            return scheme.unpack(x, mesh, k, t), diag
+            return scheme.unpack(x, mesh, k), diag
 
     raise StepFailure(
         f"alpha={alpha:g}, {diag.newton_iters} iterations, residual {diag.residual_norm:.3e}",
@@ -524,7 +521,7 @@ def _newton_at_alpha(prev, x, alpha, params, mesh, diag, factors, budget):
     tol = params.newton_tol
 
     def res_norm(xv):
-        guess = scheme.unpack(xv, mesh, prev.k + 1, prev.t)
+        guess = scheme.unpack(xv, mesh, prev.k + 1)
         r = scheme.residual(prev, guess, params, mesh, alpha=alpha).ravel()
         return guess, r, np.abs(r).max()
 

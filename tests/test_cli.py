@@ -219,10 +219,14 @@ def test_run_repeat_is_byte_identical(tmp_path):
 
 def test_run_defaults_to_ten_steps(tmp_path):
     outdir = tmp_path / "out"
-    rc = cli.main(["run", "--n", "1", "--outdir", str(outdir)])
+    rc = cli.main(["run", "--preset", "bump", "--n", "4", "--outdir", str(outdir)])
     assert rc == 0
     lines = (outdir / "diagnostics.csv").read_text().strip().splitlines()
     assert len(lines) == 12  # header + 11 states
+    # Level k is at k dt bit for bit; a running sum of dt first differs at k = 6.
+    dt = parse_config(None, ()).params().dt(cli.build_box_mesh(4))
+    steps_and_times = [tuple(line.split(",")[:2]) for line in lines[1:]]
+    assert all(float(t) == int(k) * dt for k, t in steps_and_times)
 
 
 def test_run_failing_midway_keeps_its_completed_steps(tmp_path, monkeypatch, capsys):

@@ -24,11 +24,11 @@ from nsfemdg.spaces import (
 UNIT_BOX = (0, 0, 0), (1, 1, 1)
 
 
-def _random_state(mesh, rng, k=1, t=0.1, rho_scale=0.5, u_scale=0.4):
+def _random_state(mesh, rng, k=1, rho_scale=0.5, u_scale=0.4):
     """Admissible but otherwise arbitrary state: positive density, no-slip u."""
     rho = 1.0 + rho_scale * rng.uniform(size=len(mesh.tets))
     u = apply_bc(u_scale * rng.standard_normal((len(mesh.face_area), 3)), mesh)
-    return scheme.State(rho=rho, u=u, k=k, t=t)
+    return scheme.State(rho=rho, u=u, k=k)
 
 
 def _constant_velocity(mesh, vec):
@@ -45,7 +45,7 @@ def test_energy_ledger_uniform_rest():
     state = scheme.State(
         rho=np.full(len(mesh.tets), 2.0),
         u=_constant_velocity(mesh, (0.0, 0.0, 0.0)),
-        k=0, t=0.0,
+        k=0,
     )
     led = diagnostics.energy_ledger(state, params, mesh)
     assert led.mass == pytest.approx(2.0, abs=1e-14)
@@ -65,7 +65,7 @@ def test_energy_ledger_constant_velocity_kinetic():
     state = scheme.State(
         rho=np.full(len(mesh.tets), 2.0),
         u=_constant_velocity(mesh, (1.0, 2.0, 3.0)),
-        k=0, t=0.0,
+        k=0,
     )
     led = diagnostics.energy_ledger(state, params, mesh)
     # 0.5 * rho * |u|^2 * |box| = 0.5 * 2 * 14
@@ -85,7 +85,7 @@ def test_energy_ledger_linear_velocity_grad_diss():
     state = scheme.State(
         rho=np.ones(len(mesh.tets)),
         u=interpolate_v(u_fn, mesh, 2),
-        k=0, t=0.0,
+        k=0,
     )
     led = diagnostics.energy_ledger(state, params, mesh)
     # interpolation reproduces linear fields, so the broken gradient is A
@@ -117,8 +117,8 @@ def test_energy_ledger_d5_matches_hand_loop():
     mesh = build_box_mesh(2)
     params = scheme.SchemeParams()
     rng = np.random.default_rng(12)
-    prev = _random_state(mesh, rng, k=0, t=0.0)
-    new = _random_state(mesh, rng, k=1, t=params.dt(mesh))
+    prev = _random_state(mesh, rng, k=0)
+    new = _random_state(mesh, rng, k=1)
     led = diagnostics.energy_ledger(new, params, mesh, prev=prev)
 
     dt = params.dt(mesh)
@@ -144,10 +144,10 @@ def test_positivity_slack_hand_case():
 
     prev = scheme.State(
         rho=np.linspace(0.8, 1.2, len(mesh.tets)),
-        u=_constant_velocity(mesh, (0, 0, 0)), k=0, t=0.0)
+        u=_constant_velocity(mesh, (0, 0, 0)), k=0)
     new = scheme.State(
         rho=np.linspace(0.9, 1.1, len(mesh.tets)),
-        u=interpolate_v(u_fn, mesh, 2), k=1, t=params.dt(mesh))
+        u=interpolate_v(u_fn, mesh, 2), k=1)
 
     # div u = 0.4 - 0.1 + 0.3 = 0.6 exactly, everywhere
     div = broken_divergence(new.u, mesh)
@@ -162,8 +162,8 @@ def test_renormalized_margin_recompute():
     mesh = build_box_mesh(2)
     params = scheme.SchemeParams()
     rng = np.random.default_rng(13)
-    prev = _random_state(mesh, rng, k=0, t=0.0)
-    new = _random_state(mesh, rng, k=1, t=params.dt(mesh))
+    prev = _random_state(mesh, rng, k=0)
+    new = _random_state(mesh, rng, k=1)
 
     lhs, rhs, margin = diagnostics.renormalized_margin(prev, new, params, mesh)
     dt = params.dt(mesh)
@@ -393,12 +393,16 @@ def test_cauchy_difference_constant_offset():
 
 
 def test_cauchy_difference_piecewise_in_time():
-    # State k holds on ((k-1) dt, k dt]: the coarse levels are 2 on (0, 0.5]
-    # and 4 on (0.5, 1], against a fine value of 1, so diff^2 = 0.5 + 4.5.
-    coarse = _const_run(build_box_mesh(1), 0.5, [1.0, 2.0, 4.0])
-    fine = _const_run(build_box_mesh(2), 0.25, [1.0] * 5)
-    (diff,) = diagnostics.cauchy_differences([coarse, fine], T=1.0)
-    assert diff == pytest.approx(np.sqrt(5.0), rel=1e-12)
+    # State k holds on ((k-1) dt, k dt]: the coarse levels are 2 on (0, 0.5 s]
+    # and 4 on (0.5 s, s], against a fine value of 1, so diff^2 = (0.5 + 4.5) s
+    # at any time scale s.  At T = 0.75 s the coarse level 2 lies 0.25 s past
+    # T, and (T, s] is not integrated: diff^2 = (0.5 + 0.25 * 9) s.
+    for s, T, fine_levels, diff2 in ((1.0, 1.0, 5, 5.0), (1e-13, 1.0, 5, 5.0),
+                                     (1e-15, 1.0, 5, 5.0), (1e-13, 0.75, 4, 2.75)):
+        coarse = _const_run(build_box_mesh(1), 0.5 * s, [1.0, 2.0, 4.0])
+        fine = _const_run(build_box_mesh(2), 0.25 * s, [1.0] * fine_levels)
+        (diff,) = diagnostics.cauchy_differences([coarse, fine], T=T * s)
+        assert diff == pytest.approx(np.sqrt(diff2 * s), rel=1e-12), (s, T)
 
 
 def test_cauchy_differences_pair_count():
@@ -467,7 +471,7 @@ def test_p_decay_study_shapes_and_hand_check():
     rho_fn, u_fn = data(dt)
     state = scheme.State(
         rho=cell_means(rho_fn, mesh, 4),
-        u=apply_bc(interpolate_v(u_fn, mesh, degree=4), mesh), k=1, t=dt)
+        u=apply_bc(interpolate_v(u_fn, mesh, degree=4), mesh), k=1)
     moments = diagnostics.transport_moments(mesh, phi, v, degree=4)
     _, _, p1 = diagnostics.continuity_transport(state, mesh, moments)
     _, _, p2, p3, p4 = diagnostics.momentum_transport(state, mesh, moments)

@@ -14,8 +14,8 @@ def random_pair(mesh, params, seed=0, spread=0.2, vel=0.3):
     rho = 1.0 + spread * rng.uniform(-1, 1, mesh.n_elems)
     u_prev = apply_bc(vel * rng.standard_normal((mesh.n_faces, 3)), mesh)
     u = apply_bc(vel * rng.standard_normal((mesh.n_faces, 3)), mesh)
-    prev = scheme.State(rho_prev, u_prev, k=0, t=0.0)
-    cur = scheme.State(rho, u, k=1, t=params.dt(mesh))
+    prev = scheme.State(rho_prev, u_prev, k=0)
+    cur = scheme.State(rho, u, k=1)
     return prev, cur
 
 
@@ -193,7 +193,7 @@ def test_pack_unpack_roundtrip(mesh2, params):
     _, state = random_pair(mesh2, params, seed=1)
     x = scheme.pack(state, mesh2)
     assert x.size == mesh2.n_elems + 3 * len(mesh2.interior_faces)
-    back = scheme.unpack(x, mesh2, state.k, state.t)
+    back = scheme.unpack(x, mesh2, state.k)
     assert np.array_equal(back.rho, state.rho)
     assert np.array_equal(back.u, state.u)
 
@@ -201,7 +201,7 @@ def test_pack_unpack_roundtrip(mesh2, params):
 def test_unpacked_state_does_not_alias_the_iterate(mesh2, params):
     _, state = random_pair(mesh2, params, seed=2)
     x = scheme.pack(state, mesh2)
-    back = scheme.unpack(x, mesh2, state.k, state.t)
+    back = scheme.unpack(x, mesh2, state.k)
     x[:] = 7.0
     assert np.array_equal(back.rho, state.rho)
     assert np.array_equal(back.u, state.u)
@@ -239,8 +239,8 @@ def test_continuity_rows_telescope(mesh2, params):
 def test_momentum_rows_vanish_for_uniform_rest(mesh2, params):
     rho = np.full(mesh2.n_elems, 2.0)
     u = np.zeros((mesh2.n_faces, 3))
-    prev = scheme.State(rho.copy(), u, k=0, t=0.0)
-    cur = scheme.State(rho.copy(), u.copy(), k=1, t=params.dt(mesh2))
+    prev = scheme.State(rho.copy(), u, k=0)
+    cur = scheme.State(rho.copy(), u.copy(), k=1)
     res = scheme.residual(prev, cur, params, mesh2)
     # constant pressure integrates to zero against every test function
     assert np.abs(res.momentum).max() < 1e-12
@@ -293,7 +293,7 @@ def _kink_safe(mesh, state, floor=0.05):
         flux = float(u[f] @ nu)
         if abs(flux) < floor:
             u[f] += ((floor if flux >= 0 else -floor) - flux) * nu
-    return scheme.State(state.rho, u, k=state.k, t=state.t)
+    return scheme.State(state.rho, u, k=state.k)
 
 
 def test_jacobian_matches_fd(mesh1, params):
@@ -306,7 +306,7 @@ def test_jacobian_matches_fd(mesh1, params):
 
 def _rest(mesh):
     """Uniform rest: the state where most Jacobian entries cancel."""
-    return scheme.State(np.full(mesh.n_elems, 1.3), np.zeros((mesh.n_faces, 3)), k=1, t=0.0)
+    return scheme.State(np.full(mesh.n_elems, 1.3), np.zeros((mesh.n_faces, 3)), k=1)
 
 
 def _assert_alpha_affine(prev, cur, params, mesh):
