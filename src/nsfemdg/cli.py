@@ -20,7 +20,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -48,7 +48,8 @@ class RunConfig:
 
     The annotated fields up to `ns` are the non-physics keys; the physics
     keys are the fields of `scheme.SchemeParams`, which owns their types,
-    defaults and bounds.
+    defaults and bounds.  `parse_config` fills the time grid, and a Cauchy
+    study's preset, from the task's entry in `_TASKS`.
     """
 
     n: int = 2
@@ -72,36 +73,14 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    @property
-    def initial_preset(self) -> str:
-        """The preset whose initial data a run starts from.  At rest the
-        stationary default has no dynamics to refine, so a Cauchy study
-        starts from the bump unless a preset is given."""
-        if self.kind == "cauchy" and "preset" not in self.given:
-            return "bump"
-        return self.preset
-
     def initial_density_range(self) -> tuple[float, float]:
         """Minimum and maximum over the box of the initial density, in closed
         form; every preset but the bump is uniform."""
-        if self.initial_preset != "bump":
+        if self.preset != "bump":
             return self.rho_bar, self.rho_bar
         return scheme.bump_range(self.rho_bar, self.amp, self.sigma, self.box[:3], self.box[3:])
 
-    def time_grid(self, command: str) -> tuple[float | None, int | None]:
-        """(T, None) or (None, steps), what `command` steps to; (None, None)
-        if it does not step.  `run` defaults to 10 steps.  The defect-decay
-        study defaults to T = 0.5, a window in which even the coarsest mesh
-        sees several time samples, and the Cauchy study to T = 0.25, a short
-        horizon that bounds the fine-mesh cost."""
-        if command == "run":
-            return (self.T, None) if self.T is not None else (None, self.steps or 10)
-        if command == "study" and self.kind != "rates":
-            default = 0.5 if self.kind == "pdecay" else 0.25
-            return (default if self.T is None else self.T), None
-        return None, None
-
-    def validate(self, command: str) -> "RunConfig":
+    def validate(self, task: _Task) -> "RunConfig":
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if len(self.box) != 6 or any(self.box[i] >= self.box[i + 3] for i in range(3)):
@@ -116,8 +95,6 @@ class RunConfig:
             raise ConfigError(f"cadence must be >= 1, got {self.cadence}")
         if self.preset not in scheme.PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}; choose from {sorted(scheme.PRESETS)}")
-        if self.kind not in _STUDY_READS:
-            raise ConfigError(f"unknown study kind {self.kind!r}; choose from {tuple(_STUDY_READS)}")
         if not self.ns or any(m < 1 for m in self.ns):
             raise ConfigError(f"ns must be positive integers, got {self.ns}")
         for m in (self.n, *self.ns):
@@ -138,12 +115,6 @@ class RunConfig:
             raise ConfigError(f"box {self.box} gives a mesh spacing {spacings[0]:.6g} below "
                               f"sqrt(eps) times its largest coordinate {corner:.6g}: the grid "
                               f"points would round together")
-        if self.kind == "cauchy" and not _nested(self.ns):
-            raise ConfigError(f"cauchy needs at least two ns, each a larger multiple of "
-                              f"the one before, got {self.ns}")
-        if self.kind == "rates" and len(set(self.ns)) < 2:
-            raise ConfigError(f"rates fits an order, so it needs at least two distinct ns, "
-                              f"got {self.ns}")
         if self.sigma <= 0.0:
             raise ConfigError(f"sigma must be > 0, got {self.sigma}")
         if self.sigma > _SQRT_MAX:
@@ -152,18 +123,17 @@ class RunConfig:
             raise ConfigError(f"sigma is too small: sigma**2 underflows to 0, got {self.sigma}")
         rho_min = self.initial_density_range()[0]
         if rho_min < 0.0:
-            raise ConfigError(f"initial density of preset {self.initial_preset} is negative: "
+            raise ConfigError(f"initial density of preset {self.preset} is negative: "
                               f"its minimum over the box is {rho_min:.6g}")
         params = self.params()  # surfaces scheme parameter violations as config errors
-        T, steps = self.time_grid(command)
-        if T is not None:
-            n = self.n if command == "run" else max(self.ns)
+        if self.T is not None and "T" in task.reads:
+            n = max(self.ns) if "ns" in task.reads else self.n   # the task's finest mesh
             dt = params.c * math.hypot(*extents) / n   # c h, h the cell diagonal
-            if T > _MAX_STEPS * dt:   # step_count(T, dt) > _MAX_STEPS, without overflow
-                raise ConfigError(f"T = {T:g} takes more than {_MAX_STEPS} steps of "
+            if self.T > _MAX_STEPS * dt:   # step_count(T, dt) > _MAX_STEPS, without overflow
+                raise ConfigError(f"T = {self.T:g} takes more than {_MAX_STEPS} steps of "
                                   f"dt = c*h = {dt:.6g} on the n = {n} mesh")
-        elif steps is not None and steps > _MAX_STEPS:
-            raise ConfigError(f"steps must be <= {_MAX_STEPS}, got {steps}")
+        if self.steps is not None and self.steps > _MAX_STEPS:
+            raise ConfigError(f"steps must be <= {_MAX_STEPS}, got {self.steps}")
         return self
 
 
@@ -177,35 +147,9 @@ _MAX_ASPECT = 1.0 / math.sqrt(sys.float_info.epsilon)
 # run returns, and its wall time, grow with the step count.
 _MAX_STEPS = 10_000
 
-
-def _nested(ns: tuple[int, ...]) -> bool:
-    """Whether each mesh of the family refines the one before: n -> k n for
-    an integer k >= 2, the only case in which build_box_mesh nests them."""
-    return len(ns) >= 2 and all(b > a and b % a == 0 for a, b in zip(ns, ns[1:]))
-
-
 _PHYSICS = get_type_hints(scheme.SchemeParams)
 _KEY_TYPES = {**{key: tp for key, tp in get_type_hints(RunConfig).items()
                  if key not in ("physics", "given")}, **_PHYSICS}
-_INITIAL_DATA = {"preset", "rho_bar", "amp", "sigma"}
-# The keys each command reads, and for `study` each kind; all take outdir.
-_READS = {
-    "run": {"n", "box", "T", "steps", "cadence", *_INITIAL_DATA, *_PHYSICS},
-    "check": {"gamma", "a", "epsilon", "kappa", "c"},   # no Newton solve
-}
-_STUDY_READS = {
-    "rates": {"kind", "ns", "box"},
-    "cauchy": {"kind", "ns", "box", "T", *_INITIAL_DATA, *_PHYSICS},
-    "pdecay": {"kind", "ns", "box", "T", "c"},   # c sets the time grid; nothing is solved
-}
-
-
-def _reject_unused(cfg: RunConfig, command: str) -> None:
-    """Raise ConfigError if `cfg` sets a key that `command` would ignore."""
-    reads = _STUDY_READS[cfg.kind] if command == "study" else _READS[command]
-    unused = [key for key in cfg.given if key != "outdir" and key not in reads]
-    if unused:
-        raise ConfigError(f"{command} does not use {' or '.join(unused)}")
 
 
 def _finite(raw: str) -> float:
@@ -236,7 +180,8 @@ def _convert(key: str, raw: str, where: str):
 
 def parse_config(path, overrides, command: str = "run") -> RunConfig:
     """Build a RunConfig for `command` from an optional file plus
-    ``(key, value)`` overrides."""
+    ``(key, value)`` overrides, with its task's time grid and preset where
+    they leave them unset."""
     values = {}
     if path is not None:
         try:
@@ -254,39 +199,43 @@ def parse_config(path, overrides, command: str = "run") -> RunConfig:
     for key, raw in overrides:
         values[key] = _convert(key, raw, f"--{key}")
     given = tuple(values)
+    task = _task(command, values.get("kind", RunConfig.kind))
+    if "T" not in values and "steps" not in values:
+        values.update(task.grid)
+    if task.preset is not None:
+        values.setdefault("preset", task.preset)
     physics = {key: values.pop(key) for key in given if key in _PHYSICS}
-    return RunConfig(**values, physics=physics, given=given).validate(command)
+    return RunConfig(**values, physics=physics, given=given).validate(task)
 
 
 # ---------------------------------------------------------------------------
 # run
 
 
-def _run_args(cfg: RunConfig, n: int, T: float | None, steps: int | None) -> tuple:
+def _run_args(cfg: RunConfig, n: int) -> tuple:
     """`scheme.run`'s arguments but its hook: the configured initial data on
     the n-per-axis mesh of the box, for `steps` steps or up to the final time
-    T.  Initial data whose pressure, kappa*h floor included, or whose shear
-    momentum flux rho_max*amp**2, or either of these on the largest face,
-    reaches sqrt(float max) are a configuration error: GMRES takes 2-norms of
-    vectors on that scale."""
+    T, whichever is set.  Initial data whose pressure, kappa*h floor
+    included, or whose shear momentum flux rho_max*amp**2, or either of these
+    on the largest face, reaches sqrt(float max) are a configuration error:
+    GMRES takes 2-norms of vectors on that scale."""
     mesh = build_box_mesh(n, cfg.box[:3], cfg.box[3:])
     params = cfg.params()
     area = float(mesh.face_area.max())
     rho_max = cfg.initial_density_range()[1] + params.kappa * mesh.h
     with np.errstate(over="ignore"):
         p_max = float(scheme.pressure(rho_max, params))
-    flux = rho_max * cfg.amp * cfg.amp if cfg.initial_preset == "shear" else 0.0
+    flux = rho_max * cfg.amp * cfg.amp if cfg.preset == "shear" else 0.0
     for name, formula, value in (("pressure", "a*rho_max**gamma", p_max),
                                  ("momentum flux", "rho_max*amp**2", flux)):
         if max(value, value * area) >= _SQRT_MAX:
-            raise ConfigError(f"initial {name} of preset {cfg.initial_preset} is too large: "
+            raise ConfigError(f"initial {name} of preset {cfg.preset} is too large: "
                               f"{formula} = {value:.6g}, or {value * area:.6g} on the "
                               f"largest face, reaches sqrt(float max)")
     rho0, m0 = scheme.make_initial_data(
-        cfg.initial_preset, cfg.rho_bar, cfg.amp, cfg.sigma, mesh.box_lo, mesh.box_hi
+        cfg.preset, cfg.rho_bar, cfg.amp, cfg.sigma, mesh.box_lo, mesh.box_hi
     )
-    if steps is None:
-        steps = scheme.step_count(T, params.dt(mesh))
+    steps = cfg.steps if cfg.T is None else scheme.step_count(cfg.T, params.dt(mesh))
     return mesh, params, rho0, m0, steps
 
 
@@ -302,7 +251,7 @@ def _outdir(cfg: RunConfig) -> Path:
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    args = _run_args(cfg, cfg.n, *cfg.time_grid("run"))
+    args = _run_args(cfg, cfg.n)
     mesh, n_steps = args[0], args[-1]
     table = Path(cfg.outdir) / "diagnostics.csv"
 
@@ -316,7 +265,11 @@ def cmd_run(cfg: RunConfig) -> int:
             write_vtk(table.with_name(f"state_{state.k:04d}.vtk"), mesh,
                       state.rho, element_average(state.u, mesh))
 
-    result = scheme.run(*args, write)
+    try:
+        result = scheme.run(*args, write)
+    except solver.StepFailure as exc:
+        print(f"run failed at step {exc.step}: {exc}", file=sys.stderr)
+        return 2
     first, last = result.rows[0], result.rows[-1]
     drift = abs(last["mass"] - first["mass"]) / abs(first["mass"])
     print(f"run: {n_steps} steps on {mesh.n_elems} elements, dt={result.dt:.6g}")
@@ -358,11 +311,7 @@ def _probe_state(mesh, params, rng) -> tuple:
 
 
 def cmd_check(cfg: RunConfig) -> int:
-    """Run the invariant suite on small fixed meshes; exit 0 only if all pass.
-
-    Of the configuration only gamma, a, epsilon, kappa and c apply; nothing
-    is solved, so the Newton settings do not.
-    """
+    """Run the invariant suite on small fixed meshes; exit 0 only if all pass."""
     params = cfg.params()
     rng = np.random.default_rng(20240831)
     results: list[tuple[str, float, float]] = []
@@ -429,42 +378,9 @@ def cmd_check(cfg: RunConfig) -> int:
 # study
 
 
-def _rates(cfg: RunConfig, T: float | None) -> tuple[list[dict], list[str]]:
-    study = diagnostics.interpolation_rate_study(SineField(), cfg.ns, cfg.box[:3], cfg.box[3:])
-    rows = [{"n": n, "h": h, "l2_error": l2, "h1_error": h1}
-            for n, h, l2, h1 in zip(cfg.ns, study["h"], study["l2"], study["h1"])]
-    return rows, [f"l2 order {study['l2_order']:.3f}, h1 order {study['h1_order']:.3f}"]
-
-
-def _pdecay(cfg: RunConfig, T: float) -> tuple[list[dict], list[str]]:
-    rng = np.random.default_rng(7)
-    phi, v = ScalarPolynomial.random(rng), PolynomialField.random(rng)
-    data = diagnostics.bump_flow_data(cfg.box[:3], cfg.box[3:])
-    study = diagnostics.p_decay_study(cfg.ns, data, phi, v, T=T, params=cfg.params(),
-                                      box_lo=cfg.box[:3], box_hi=cfg.box[3:])
-    return study["rows"], [f"{key} log2 rates {' '.join(f'{x:.2f}' for x in rates)}"
-                           for key, rates in study["rates"].items()]
-
-
-def _cauchy(cfg: RunConfig, T: float) -> tuple[list[dict], list[str]]:
-    runs = []   # (mesh, dt, densities) per mesh: the study needs no more of a state
-    for n in cfg.ns:
-        densities = []
-        result = scheme.run(*_run_args(cfg, n, T, None),
-                            lambda state, row: densities.append(state.rho))
-        runs.append((result.mesh, result.dt, densities))
-    diffs = diagnostics.cauchy_differences(runs, T)
-    return [{"n_coarse": a, "n_fine": b, "l2_spacetime_diff": d}
-            for a, b, d in zip(cfg.ns, cfg.ns[1:], diffs)], []
-
-
-# Each study kind's rows, keyed by CSV column, and its summary lines.
-_STUDIES = {"rates": _rates, "cauchy": _cauchy, "pdecay": _pdecay}
-
-
-def cmd_study(cfg: RunConfig) -> int:
-    T, _ = cfg.time_grid("study")   # None for rates, which does not step
-    rows, summary = _STUDIES[cfg.kind](cfg, T)
+def _write_study(cfg: RunConfig, rows: list[dict], summary: list[str]) -> int:
+    """Write a study's rows, keyed by CSV column, to <kind>.csv and print
+    them and its summary lines."""
     path = _outdir(cfg) / f"{cfg.kind}.csv"   # made here: a failed study leaves none
     write_csv(path, rows)
     shown = [" ".join(f"{key}={value}" if isinstance(value, int) else f"{key}={value:.6e}"
@@ -472,6 +388,90 @@ def cmd_study(cfg: RunConfig) -> int:
     for line in [*shown, *summary, f"wrote {path}"]:
         print(f"study {cfg.kind}: {line}")
     return 0
+
+
+def _rates(cfg: RunConfig) -> int:
+    if len(set(cfg.ns)) < 2:
+        raise ConfigError(f"rates fits an order, so it needs at least two distinct ns, "
+                          f"got {cfg.ns}")
+    study = diagnostics.interpolation_rate_study(SineField(), cfg.ns, cfg.box[:3], cfg.box[3:])
+    rows = [{"n": n, "h": h, "l2_error": l2, "h1_error": h1}
+            for n, h, l2, h1 in zip(cfg.ns, study["h"], study["l2"], study["h1"])]
+    return _write_study(cfg, rows, [f"l2 order {study['l2_order']:.3f}, "
+                                    f"h1 order {study['h1_order']:.3f}"])
+
+
+def _pdecay(cfg: RunConfig) -> int:
+    rng = np.random.default_rng(7)
+    phi, v = ScalarPolynomial.random(rng), PolynomialField.random(rng)
+    data = diagnostics.bump_flow_data(cfg.box[:3], cfg.box[3:])
+    study = diagnostics.p_decay_study(cfg.ns, data, phi, v, T=cfg.T, params=cfg.params(),
+                                      box_lo=cfg.box[:3], box_hi=cfg.box[3:])
+    return _write_study(cfg, study["rows"], [   # one mesh has no rate
+        f"{key} log2 rates {' '.join(f'{x:.2f}' for x in rates)}"
+        for key, rates in study["rates"].items() if rates])
+
+
+def _cauchy(cfg: RunConfig) -> int:
+    # build_box_mesh nests n and k n meshes for integer k >= 2 only.
+    if len(cfg.ns) < 2 or any(b <= a or b % a for a, b in zip(cfg.ns, cfg.ns[1:])):
+        raise ConfigError(f"cauchy needs at least two ns, each a larger multiple of "
+                          f"the one before, got {cfg.ns}")
+    runs = []   # (mesh, dt, densities) per mesh: the study needs no more of a state
+    for n in cfg.ns:
+        densities = []
+        try:
+            result = scheme.run(*_run_args(cfg, n), lambda state, row: densities.append(state.rho))
+        except solver.StepFailure as exc:
+            print(f"study failed at step {exc.step} on the n = {n} mesh: {exc}", file=sys.stderr)
+            return 2
+        runs.append((result.mesh, result.dt, densities))
+    diffs = diagnostics.cauchy_differences(runs, cfg.T)
+    return _write_study(cfg, [{"n_coarse": a, "n_fine": b, "l2_spacetime_diff": d}
+                              for a, b, d in zip(cfg.ns, cfg.ns[1:], diffs)], [])
+
+
+# ---------------------------------------------------------------------------
+# the task table
+
+
+class _Task(NamedTuple):
+    """The keys a task reads (all take outdir), the function that runs it,
+    and its defaults: the time grid when neither T nor steps is set, and
+    the preset."""
+
+    reads: set[str]
+    run: Callable[[RunConfig], int]
+    grid: dict
+    preset: str | None
+
+
+_INITIAL_DATA = {"preset", "rho_bar", "amp", "sigma"}
+# `run` steps 10 times by default.  The defect-decay study's T = 0.5 is a
+# window in which even the coarsest mesh sees several time samples, and the
+# Cauchy study's T = 0.25 a short horizon that bounds the fine-mesh cost; at
+# rest the stationary default has no dynamics to refine, so the Cauchy study
+# starts from the bump.  check solves nothing, so takes no Newton settings;
+# pdecay solves nothing, and c sets its time grid.
+_TASKS = {
+    "run": _Task({"n", "box", "T", "steps", "cadence", *_INITIAL_DATA, *_PHYSICS},
+                 cmd_run, {"steps": 10}, None),
+    "check": _Task({"gamma", "a", "epsilon", "kappa", "c"}, cmd_check, {}, None),
+    "rates": _Task({"kind", "ns", "box"}, _rates, {}, None),
+    "cauchy": _Task({"kind", "ns", "box", "T", *_INITIAL_DATA, *_PHYSICS},
+                    _cauchy, {"T": 0.25}, "bump"),
+    "pdecay": _Task({"kind", "ns", "box", "T", "c"}, _pdecay, {"T": 0.5}, None),
+}
+# The study kinds, the tasks that read `kind`: `study` runs the one it names,
+# and every other command the task of its name.
+_KINDS = tuple(name for name, task in _TASKS.items() if "kind" in task.reads)
+
+
+def _task(command: str, kind: str) -> _Task:
+    """The task `command` runs; `kind` must name a study even where unused."""
+    if kind not in _KINDS:
+        raise ConfigError(f"unknown study kind {kind!r}; choose from {_KINDS}")
+    return _TASKS[kind if command == "study" else command]
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +492,6 @@ def _override_pairs(tokens: list[str]) -> list[tuple[str, str]]:
     return pairs
 
 
-_COMMANDS = {"run": cmd_run, "check": cmd_check, "study": cmd_study}
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if {"-h", "--help"} & set(argv[:2]):
@@ -502,9 +499,10 @@ def main(argv=None) -> int:
               __doc__, sep="\n")
         return 0
     command = argv[0] if argv else ""
+    commands = [*(name for name in _TASKS if name not in _KINDS), "study"]
     try:
-        if command not in _COMMANDS:
-            raise ConfigError(f"expected a command, one of {', '.join(_COMMANDS)}"
+        if command not in commands:
+            raise ConfigError(f"expected a command, one of {', '.join(commands)}"
                               + (f", got {command!r}" if command else ""))
         pairs = _override_pairs(argv[1:])
         with warnings.catch_warnings(record=True) as theory:   # gamma <= 3, from SchemeParams
@@ -512,16 +510,16 @@ def main(argv=None) -> int:
                                [(key, value) for key, value in pairs if key != "config"], command)
         for w in theory:
             print(f"warning: {w.message}", file=sys.stderr)
-        _reject_unused(cfg, command)
+        task = _task(command, cfg.kind)
+        unused = [key for key in cfg.given if key != "outdir" and key not in task.reads]
+        if unused:
+            raise ConfigError(f"{command} does not use {' or '.join(unused)}")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)   # shown above, once per command
-            return _COMMANDS[command](cfg)
+            return task.run(cfg)
     except (ConfigError, scheme.InitialDataError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except solver.StepFailure as exc:
-        print(f"{command} failed at step {exc.step}: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

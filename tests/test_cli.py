@@ -25,10 +25,11 @@ from nsfemdg.cli import ConfigError, RunConfig, parse_config
 
 
 def test_defaults_without_file():
+    """run's time grid is its task default of 10 steps."""
     cfg = parse_config(None, ())
     assert cfg.n == 2
     assert cfg.preset == "stationary"
-    assert cfg.T is None and cfg.steps is None
+    assert cfg.T is None and cfg.steps == 10
     assert cfg.ns == (2, 4, 8)
     assert cfg.box == (0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
 
@@ -127,12 +128,13 @@ def test_readme_key_table_matches_parser():
     table = readme.split("### Configuration keys", 1)[1].split("###", 1)[0]
     rows = re.findall(r"^\| `(\w+)` \| (.*?) \| (.*?) \|", table, re.M)
     assert sorted(key for key, _, _ in rows) == sorted(cli._KEY_TYPES)
-    readers = {**cli._READS, **cli._STUDY_READS}
+    readers = {name: task.reads for name, task in cli._TASKS.items()}
+    run_defaults = replace(RunConfig(), steps=cli._TASKS["run"].grid["steps"])
     for key, default, read_by in rows:
         if default != "—":
             cfg = parse_config(None, [(key, default.strip("`"))])
             assert cfg.params() == scheme.SchemeParams(), key
-            assert replace(cfg, physics={}, given=()) == RunConfig(), key
+            assert replace(cfg, physics={}, given=()) == run_defaults, key
         expected = sorted(name for name, reads in readers.items()
                           if key in reads or key == "outdir")
         listed = sorted(readers) if read_by == "all" else sorted(read_by.replace("`", "").split(", "))
@@ -348,7 +350,7 @@ def test_initial_density_minimum_is_over_the_box():
         parse_config(None, bump)
     # A Cauchy study starts from the bump when no preset is given.
     with pytest.raises(ConfigError, match="preset bump is negative"):
-        parse_config(None, [("kind", "cauchy"), ("ns", "1 2"), ("amp", "-1.05")])
+        parse_config(None, [("kind", "cauchy"), ("ns", "1 2"), ("amp", "-1.05")], "study")
     # The shear amplitude is a momentum, not a density.
     assert parse_config(None, [("preset", "shear"), ("amp", "-5")]).initial_density_range() == (
         1.0, 1.0)
@@ -395,7 +397,8 @@ def test_singular_alpha0_solve_exits_two_in_one_line(argv, tmp_path, capsys):
     rc = cli.main([*argv, "--outdir", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"{argv[0]} failed at step 1: alpha=0, 0 iterations, ")
+    where = " on the n = 1 mesh" if argv[0] == "study" else ""
+    assert err.startswith(f"{argv[0]} failed at step 1{where}: alpha=0, 0 iterations, ")
     assert "singular" in err and err.count("\n") == 1
 
 
@@ -603,6 +606,26 @@ def test_unconverged_study_exits_two_and_leaves_no_outdir(tmp_path, capsys):
     assert not outdir.exists()
 
 
+def test_failed_cauchy_study_names_its_mesh(tmp_path, monkeypatch, capsys):
+    """A step that fails on the second mesh of the family is reported with
+    that mesh's n, and the study writes nothing."""
+    def failing_on_n2(prev, params, mesh, *rest, _solve=solver.homotopy_newton_solve):
+        if mesh.n_elems == 6 * 2**3:
+            raise solver.StepFailure("injected", alpha=0.5, iterations=3,
+                                     residual_norm=1.0, step=prev.k + 1)
+        return _solve(prev, params, mesh, *rest)
+
+    monkeypatch.setattr(solver, "homotopy_newton_solve", failing_on_n2)
+    outdir = tmp_path / "out"
+    rc = cli.main(["study", "--kind", "cauchy", "--ns", "1 2", "--T", "0.3",
+                   "--outdir", str(outdir)])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.err == "study failed at step 1 on the n = 2 mesh: injected\n"
+    assert not out.out
+    assert not outdir.exists()
+
+
 # ---------------------------------------------------------------------------
 # check command
 
@@ -748,11 +771,16 @@ def test_study_rates_needs_two_mesh_sizes(ns, tmp_path, capsys):
     assert not outdir.exists()
 
 
-def test_study_pdecay_accepts_one_mesh(tmp_path):
+def test_study_pdecay_accepts_one_mesh(tmp_path, capsys):
+    """One mesh gives one row and no rate, so no rate line is printed."""
     outdir = tmp_path / "study"
     assert cli.main(["study", "--kind", "pdecay", "--ns", "1", "--T", "0.2",
                      "--outdir", str(outdir)]) == 0
     assert len((outdir / "pdecay.csv").read_text().strip().splitlines()) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("study pdecay: n=1 h=")
+    assert lines[1] == f"study pdecay: wrote {outdir / 'pdecay.csv'}"
 
 
 def test_study_rejects_steps(tmp_path, capsys):

@@ -65,6 +65,16 @@ def test_benchmark_patched_names_exist():
     assert _missing(names) == []
 
 
+def test_benchmark_setup_parses_every_workload(monkeypatch):
+    """The benchmark's set-up timing parses each workload's keys, the study
+    keys included, as a `run` configuration, then builds its meshes and
+    initial states; a parse that rejects them fails every benchmark pass."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for name in workloads.NAMES:
+        assert workloads.setup_seconds(workloads.build(name, 0, smoke=True)) > 0.0, name
+
+
 def test_jacobian_is_a_sparse_matrix_superlu_factors():
     """The benchmark reads J.nnz and factors J with SuperLU."""
     mesh = nsfemdg.build_box_mesh(1)
