@@ -205,18 +205,19 @@ def transport_moments(mesh: Mesh, phi, v, degree: int) -> TransportMoments:
 def continuity_transport(state, mesh: Mesh, moments: TransportMoments):
     """Returns (lhs, volume_term, p1) of the continuity transport identity."""
     rho = state.rho
+    w, s = flux_reconstruction(normal_flux(state.u, mesh), mesh)
+    volume = float(np.sum(
+        rho * mesh.elem_volume
+        * (np.einsum("ei,ei->e", w, moments.grad_phi) + s * moments.x_grad_phi)
+    ))
+    del w, s
+
     int_f, own, nbr = interior_sides(mesh)
     area = mesh.face_area[int_f]
     flux, up = scheme.interior_fluxes(state, mesh)
 
     phat = moments.phat
     lhs = float(np.sum(area * up * (phat[nbr] - phat[own])))
-
-    w, s = flux_reconstruction(normal_flux(state.u, mesh), mesh)
-    volume = float(np.sum(
-        rho * mesh.elem_volume
-        * (np.einsum("ei,ei->e", w, moments.grad_phi) + s * moments.x_grad_phi)
-    ))
 
     phi_int = moments.phi_face[int_f]
     p1 = float(
@@ -237,38 +238,55 @@ def momentum_transport(state, mesh: Mesh, moments: TransportMoments):
     """
     rho = state.rho
     vol = mesh.elem_volume
-    int_f, own, nbr = interior_sides(mesh)
-    area = mesh.face_area[int_f]
-    flux, up = scheme.interior_fluxes(state, mesh)
     uhat = element_average(state.u, mesh)
-    upm = upwind_momentum(up, uhat[own], uhat[nbr])
-
     what = moments.what
-    lhs = float(np.sum(area * np.einsum("ij,ij->i", upm, what[nbr] - what[own])))
+    # The element terms come first, and each (n_interior, 3) array of the
+    # face terms is dropped once it has been used, so few are alive at once.
+    div = broken_divergence(state.u, mesh)
+    p4 = float(
+        -np.sum(rho * div * np.einsum("ei,ei->e", uhat, vol[:, None] * what - moments.v_elem))
+    )
+    del div
 
     w, s = flux_reconstruction(normal_flux(state.u, mesh), mesh)
     dv_ut = np.einsum("eij,ej->ei", moments.dv, w) + s[:, None] * moments.dv_x
     volume = float(np.sum(rho * vol * np.einsum("ei,ei->e", uhat, dv_ut)))
+    del w, s, dv_ut
 
+    int_f, own, nbr = interior_sides(mesh)
+    area = mesh.face_area[int_f]
+    flux, up = scheme.interior_fluxes(state, mesh)
+    uhat_own, uhat_nbr = uhat[own], uhat[nbr]
+    del uhat
+    upm = upwind_momentum(up, uhat_own, uhat_nbr)
+    dwhat = what[nbr]
+    dwhat -= what[own]
+    lhs = float(np.sum(area * np.einsum("ij,ij->i", upm, dwhat)))
+    del upm, dwhat
+
+    # p2 and p3 side by side, each face term dotted with int_f (what_E - v).
     v_int = moments.v_face[int_f]
-    defect_own = area[:, None] * what[own] - v_int      # int_f (what_E - v)
-    defect_nbr = area[:, None] * what[nbr] - v_int
+    jump = uhat_own - uhat_nbr
+    defect = what[own]
+    defect *= area[:, None]
+    defect -= v_int
+    p2_own = np.einsum("ij,ij->i", uhat_own, defect)
+    p3_own = np.einsum("ij,ij->i", jump, defect)
+    del uhat_own, defect
+    defect = what[nbr]
+    defect *= area[:, None]
+    defect -= v_int
+    del v_int
+    p2_nbr = np.einsum("ij,ij->i", uhat_nbr, defect)
+    p3_nbr = np.einsum("ij,ij->i", np.negative(jump, out=jump), defect)
+    del uhat_nbr, jump, defect
 
     p2 = float(
-        np.sum((rho[own] - rho[nbr]) * np.minimum(flux, 0.0)
-               * np.einsum("ij,ij->i", uhat[own], defect_own))
-        + np.sum((rho[nbr] - rho[own]) * np.minimum(-flux, 0.0)
-                 * np.einsum("ij,ij->i", uhat[nbr], defect_nbr))
+        np.sum((rho[own] - rho[nbr]) * np.minimum(flux, 0.0) * p2_own)
+        + np.sum((rho[nbr] - rho[own]) * np.minimum(-flux, 0.0) * p2_nbr)
     )
-    jump = uhat[own] - uhat[nbr]
     p3 = float(
-        np.sum(np.minimum(up, 0.0) * np.einsum("ij,ij->i", jump, defect_own))
-        + np.sum(np.minimum(-up, 0.0) * np.einsum("ij,ij->i", -jump, defect_nbr))
-    )
-
-    div = broken_divergence(state.u, mesh)
-    p4 = float(
-        -np.sum(rho * div * np.einsum("ei,ei->e", uhat, vol[:, None] * what - moments.v_elem))
+        np.sum(np.minimum(up, 0.0) * p3_own) + np.sum(np.minimum(-up, 0.0) * p3_nbr)
     )
     return lhs, volume, p2, p3, p4
 

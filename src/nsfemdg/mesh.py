@@ -24,7 +24,9 @@ import numpy.typing as npt
 NDArrayF = npt.NDArray[np.floating]
 NDArrayI = npt.NDArray[np.integer]
 
-# Local faces of a tet, opposite vertices 0..3.
+# Local faces of a tet, opposite vertices 0..3: local face l omits vertex l,
+# so `elem_faces[:, l]` is the face opposite vertex `tets[:, l]`, which
+# `spaces.flux_reconstruction` relies on.
 _LOCAL_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 # Face keys pack three vertex ids into one int64, so nv**3 must stay below
 # 2**63: a box up to n = 126.
@@ -44,7 +46,7 @@ class Mesh:
     face_vertices: NDArrayI     # (n_faces, 3)
     face_owner: NDArrayI        # (n_faces,)  lower adjacent element index
     face_neighbor: NDArrayI     # (n_faces,)  higher adjacent element, -1 on boundary
-    elem_faces: NDArrayI        # (n_elems, 4) global face id of local face l
+    elem_faces: NDArrayI        # (n_elems, 4) global face id of local face l, opposite tets[:, l]
     elem_face_sign: NDArrayF    # (n_elems, 4) +1 if stored normal is outward
     elem_volume: NDArrayF       # (n_elems,)
     elem_centroid: NDArrayF     # (n_elems, 3)
@@ -136,6 +138,8 @@ def build_box_mesh(n: int, box_lo=(0.0, 0.0, 0.0), box_hi=(1.0, 1.0, 1.0)) -> Me
 
 
 def _mesh_from_tets(vertices, tets, box_lo, box_hi, n_per_axis) -> Mesh:
+    # Each whole-mesh temporary is dropped once it has been used, so the
+    # build holds little beside the arrays the mesh keeps.
     n_verts = len(vertices)
     if n_verts >= MAX_VERTS:
         raise ValueError(f"{n_verts} vertices: face keys need fewer than {MAX_VERTS}")
@@ -150,6 +154,11 @@ def _mesh_from_tets(vertices, tets, box_lo, box_hi, n_per_axis) -> Mesh:
         raise ValueError("mesh contains a non-positively-oriented or degenerate tet")
     elem_volume = signed6 / 6.0
     elem_centroid = v.mean(axis=1)
+    h = np.float64(0.0)
+    for a, b in itertools.combinations(range(4), 2):
+        h = np.maximum(h, np.linalg.norm(v[:, a] - v[:, b], axis=1).max())
+    h = float(h)
+    del v, signed6
 
     # Collect faces; each sorted vertex triple appears in one or two elements.
     # Faces are numbered by first appearance in (element, local face) order,
@@ -158,45 +167,58 @@ def _mesh_from_tets(vertices, tets, box_lo, box_hi, n_per_axis) -> Mesh:
     # orders as the triples do, so the 1-D `unique` numbers faces as a
     # row-wise one would, without sorting a void view.
     keys = np.sort(tets[:, _LOCAL_FACES], axis=2).reshape(-1, 3)
+    n_slots = len(keys)
     a, b, c = keys.astype(np.int64, copy=False).T
-    packed = (a * n_verts + b) * n_verts + c
-    _, first, inverse, counts = np.unique(
-        packed, return_index=True, return_inverse=True, return_counts=True)
+    packed = a * n_verts
+    packed += b
+    packed *= n_verts
+    packed += c
+    del a, b, c
+    first, inverse, counts = np.unique(
+        packed, return_index=True, return_inverse=True, return_counts=True)[1:]
+    del packed
     if np.any(counts > 2):
         key = tuple(int(i) for i in keys[first[np.argmax(counts > 2)]])
         raise ValueError(f"face {key} shared by more than two tets")
+    del counts
     order = np.argsort(first)                     # face id -> unique row
+    first_slot = first[order]
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
+    del first, order
     slot_face = rank[inverse.reshape(-1)]         # face id of each (element, local face)
+    del inverse, rank
     elem_faces = slot_face.reshape(n_elems, 4)
 
-    first_slot = first[order]
     face_vertices = keys[first_slot]
+    del keys
     face_owner = first_slot // 4
-    face_neighbor = np.full(len(order), -1, dtype=np.int64)
-    second = np.flatnonzero(first_slot[slot_face] != np.arange(len(keys)))
+    face_neighbor = np.full(len(first_slot), -1, dtype=np.int64)
+    is_second = np.ones(n_slots, dtype=bool)
+    is_second[first_slot] = False
+    del first_slot
+    second = np.flatnonzero(is_second)
+    del is_second
     face_neighbor[slot_face[second]] = second // 4
+    del second
 
     fv = vertices[face_vertices]
-    cross = np.cross(fv[:, 1] - fv[:, 0], fv[:, 2] - fv[:, 0])
-    face_area = 0.5 * np.linalg.norm(cross, axis=1)
+    face_normal = np.cross(fv[:, 1] - fv[:, 0], fv[:, 2] - fv[:, 0])   # twice the area long
+    face_centroid = fv.mean(axis=1)
+    del fv
+    face_area = 0.5 * np.linalg.norm(face_normal, axis=1)
     if np.any(face_area <= 0.0):
         raise ValueError("mesh contains a degenerate face")
-    face_normal = cross / (2.0 * face_area)[:, None]
-    face_centroid = fv.mean(axis=1)
+    face_normal /= (2.0 * face_area)[:, None]
 
     # Orient normals away from the owner, owner -> neighbor on interior faces.
     away = face_centroid - elem_centroid[face_owner]
     face_normal[np.einsum("fi,fi->f", face_normal, away) < 0.0] *= -1.0
+    del away
 
     elem_face_sign = np.where(
         face_owner[elem_faces] == np.arange(n_elems)[:, None], 1.0, -1.0
     )
-
-    edges = list(itertools.combinations(range(4), 2))
-    edge_len = np.stack([np.linalg.norm(v[:, a] - v[:, b], axis=1) for a, b in edges])
-    h = float(edge_len.max())
 
     return Mesh(
         vertices=vertices,

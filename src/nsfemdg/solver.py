@@ -45,10 +45,12 @@ afresh at each of its nodes.  A fresh factorization gets GMRES restarted
 every 100 iterations for at most 10 cycles, and its iteration count becomes
 the base unless the solve took at most one, which leaves the base as it was;
 the factors are kept for the next matrix only if that solve ended within one
-cycle.  Kept factors get a single cycle, capped at twice the base, or a full
-cycle before any base is set; if it misses, its iterate is discarded, the
-matrix is refactored and solved afresh.  Both blocks are ordered by minimum
-degree on A^T + A with diagonal pivots, which their symmetric patterns allow.
+cycle.  Kept factors get a single cycle, capped at twice the base; the first
+fresh solve of a run sets the base in every configuration measured, and a
+held set with no base would get a full cycle.  If the cycle misses, its
+iterate is discarded, the matrix is refactored and solved afresh.  Both
+blocks are ordered by minimum degree on A^T + A with diagonal pivots, which
+their symmetric patterns allow.
 There is no direct solve of J: a zero pivot in a block, a Krylov quantity
 that overflows, or a solve on fresh factors that fails the acceptance check,
 raises SolverError with the factors dropped, and the Newton node fails, so
@@ -190,12 +192,12 @@ FLOOR_MARGIN = 0.1
 # factorizations (one holder per schedule) to 1, for 558 -> 586 Krylov
 # iterations and the same 46 Newton iterations.  A stale cycle of up to
 # KRYLOV_RESTART iterations instead of the cap made the stress configuration
-# (gamma 6, c 4, amp 30, n=4 x4) 6-7% slower.  The first Newton matrix of a
-# node entered from the alpha = 0 state was solved in one iteration (a
-# breakdown) in every configuration measured; such a solve sets no base, and
-# the factors then get a full cycle.  A 16-iteration first cycle would cut
-# the stale cycle that fails in step 1 of the stress configuration from 100
-# iterations to 16, but the first stale solve of bump n=8 already takes 14.
+# (gamma 6, c 4, amp 30, n=4 x4) 6-7% slower.  The first fresh solve of a
+# run sets the base: on bump n=4 x20, the bump Cauchy pair n = 3, 6 and the
+# stress configuration, at seeds 0-3 of the benchmark, no fresh solve took
+# fewer than 6 iterations (the fewest per run 6-8).  Only a solve of at most
+# one iteration, a breakdown at once, leaves the base unset, and held
+# factors then get a full cycle; no measured run takes that path.
 STALE_GROWTH = 2.0
 
 # SuperLU settings of both blocks and of the alpha = 0 system.  Their

@@ -220,29 +220,21 @@ def p1_coefficients(mesh: Mesh) -> NDArrayF:
 
     Rows of the inverted Vandermonde correspond to the element's local faces
     in `elem_faces` order; face values are imposed at face centroids, where a
-    linear function attains its face average.
+    linear function attains its face average.  The matrices are inverted one
+    `quad_blocks` block at a time; each inverse is independent of the others,
+    so the result does not depend on the blocking.
     """
-    centroids = mesh.face_centroid[mesh.elem_faces]          # (ne, 4, 3)
-    V = np.concatenate([centroids, np.ones(centroids.shape[:2] + (1,))], axis=2)
-    return np.linalg.inv(V)
+    coeff = np.empty((mesh.n_elems, 4, 4))
+    for blk in quad_blocks(mesh.n_elems):
+        centroids = mesh.face_centroid[mesh.elem_faces[blk]]     # (nb, 4, 3)
+        V = np.concatenate([centroids, np.ones(centroids.shape[:2] + (1,))], axis=2)
+        coeff[blk] = np.linalg.inv(V)
+    return coeff
 
 
 def basis_gradients(mesh: Mesh) -> NDArrayF:
     """(n_elems, 3, 4): constant gradient of the face-dof basis functions."""
     return p1_coefficients(mesh)[:, :3, :]
-
-
-@cached
-def flux_reconstruction_coefficients(mesh: Mesh) -> NDArrayF:
-    """(n_elems, 4, 4) maps 4 face fluxes to [w1, w2, w3, s] with u = w + s*x.
-
-    The normal component of w + s*x is constant on each face plane, so
-    matching the four stored-orientation fluxes is a 4x4 solve per element.
-    """
-    nu = mesh.face_normal[mesh.elem_faces]                   # (ne, 4, 3)
-    d = np.einsum("eli,eli->el", nu, mesh.face_centroid[mesh.elem_faces])
-    V = np.concatenate([nu, d[:, :, None]], axis=2)
-    return np.linalg.inv(V)
 
 
 def broken_gradient(u: NDArrayF, mesh: Mesh) -> NDArrayF:
@@ -268,11 +260,25 @@ def broken_curl(u: NDArrayF, mesh: Mesh) -> NDArrayF:
 
 def flux_reconstruction(flux: NDArrayF, mesh: Mesh) -> tuple[NDArrayF, NDArrayF]:
     """Per-element (w, s) of the div-conforming field u = w + s*x matching the
-    (n_faces,) normal fluxes `flux`."""
-    coeff = np.einsum(
-        "elk,ek->el", flux_reconstruction_coefficients(mesh), flux[mesh.elem_faces]
-    )
-    return coeff[:, :3], coeff[:, 3]
+    (n_faces,) normal fluxes `flux`.
+
+    This is the lowest-order Raviart-Thomas field.  Its basis function of
+    local face l, |f_l| (x - x_l) / (3 |E|) with x_l the vertex opposite the
+    face, has outward normal component 1 on f_l and 0 on the other faces.
+    With q_l = sign_l |f_l| F_l / (3 |E|), the field is sum_l q_l (x - x_l):
+    s = sum_l q_l and w = -sum_l q_l x_l.
+    """
+    vol3 = 3.0 * mesh.elem_volume
+    w = np.zeros((mesh.n_elems, 3))
+    s = np.zeros(mesh.n_elems)
+    for l in range(4):
+        face = mesh.elem_faces[:, l]
+        q = mesh.elem_face_sign[:, l] * mesh.face_area[face] * flux[face] / vol3
+        s += q
+        qx = np.take(mesh.vertices, mesh.tets[:, l], axis=0)   # rows, faster than mesh.vertices[...]
+        qx *= q[:, None]
+        w -= qx
+    return w, s
 
 
 def eval_flux_reconstruction(flux: NDArrayF, mesh: Mesh, pts: NDArrayF) -> NDArrayF:

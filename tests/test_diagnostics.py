@@ -1,5 +1,7 @@
 """Tests for the energy ledger, structure checks, and refinement studies."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,24 @@ def test_transport_volume_terms_match_direct_quadrature(n, degree):
         assert abs(ref_c) > 1e-3 and abs(ref_m) > 1e-3
         assert vol_c == pytest.approx(ref_c, rel=1e-13)
         assert vol_m == pytest.approx(ref_m, rel=1e-13)
+
+
+def test_momentum_transport_memory_is_bounded():
+    """At n=8, with the mesh caches built, the traced peak of one call stays
+    below eight (n_interior, 3) float64 arrays."""
+    mesh = build_box_mesh(8)
+    rng = np.random.default_rng(23)
+    state = _random_state(mesh, rng)
+    moments = diagnostics.transport_moments(
+        mesh, ScalarPolynomial.random(rng), PolynomialField.random(rng), degree=2)
+    diagnostics.momentum_transport(state, mesh, moments)
+    tracemalloc.start()
+    try:
+        diagnostics.momentum_transport(state, mesh, moments)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(mesh.interior_faces) * 3 * 8
 
 
 def _transport_moments_reference(mesh, phi, v, degree):

@@ -1,5 +1,6 @@
 """Mesh construction, connectivity, and geometry invariants."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,22 +221,30 @@ def test_box_mesh_matches_loop_reference(n, lo, hi):
     assert np.array_equal(mesh.elem_faces, elem_faces)
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_shuffled_tets_match_loop_reference(seed):
+def test_shuffled_tets_match_loop_reference(shuffled3):
     """Faces from packed keys are numbered as the loop numbers them in any
     element order, and with each tet's vertices rotated by an even
     permutation, which keeps its orientation but reorders its face keys."""
-    rng = np.random.default_rng(seed)
-    mesh = build_box_mesh(3)
-    tets = mesh.tets[rng.permutation(mesh.n_elems)]
-    rotate = rng.random(len(tets)) < 0.5
-    tets[rotate] = tets[rotate][:, [0, 2, 3, 1]]
-    shuffled = _mesh_from_tets(mesh.vertices, tets, mesh.box_lo, mesh.box_hi, 3)
-    face_vertices, owner, neighbor, elem_faces = _reference_faces(tets)
-    assert np.array_equal(shuffled.face_vertices, face_vertices)
-    assert np.array_equal(shuffled.face_owner, owner)
-    assert np.array_equal(shuffled.face_neighbor, neighbor)
-    assert np.array_equal(shuffled.elem_faces, elem_faces)
+    face_vertices, owner, neighbor, elem_faces = _reference_faces(shuffled3.tets)
+    assert np.array_equal(shuffled3.face_vertices, face_vertices)
+    assert np.array_equal(shuffled3.face_owner, owner)
+    assert np.array_equal(shuffled3.face_neighbor, neighbor)
+    assert np.array_equal(shuffled3.elem_faces, elem_faces)
+
+
+def test_build_memory_is_bounded_by_the_mesh():
+    """At n=8 the traced peak of a build stays below 2.5 times the bytes of
+    the arrays the mesh keeps: each whole-mesh temporary is dropped once it
+    has been used."""
+    build_box_mesh(8)
+    tracemalloc.start()
+    try:
+        mesh = build_box_mesh(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(val.nbytes for val in vars(mesh).values() if isinstance(val, np.ndarray))
+    assert peak < 2.5 * kept
 
 
 def test_face_keys_overflow_raises(mesh1):

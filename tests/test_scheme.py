@@ -347,7 +347,7 @@ def test_jacobian_matches_fd_on_several_cubes(mesh2, params, alpha):
 
 @pytest.mark.parametrize("build", [
     scheme.jacobian_map, interior_sides, scheme.mesh_operators,
-    spaces.p1_coefficients, spaces.flux_reconstruction_coefficients, io._vtk_geometry,
+    spaces.p1_coefficients, io._vtk_geometry,
 ], ids=lambda build: build.__name__)
 def test_jacobian_map_is_built_once_per_mesh(params, build):
     """Every builder of mesh-derived data runs once per mesh object."""

@@ -203,25 +203,40 @@ def test_basis_gradients_partition(mesh2):
     assert np.abs(gb.sum(axis=2)).max() < 1e-12
 
 
-def test_flux_reconstruction_matches_fluxes(mesh2):
+def _assert_reconstruction_matches_fluxes(mesh, seed):
     """The reconstructed field has the prescribed constant normal flux per face."""
-    rng = np.random.default_rng(3)
-    u = apply_bc(rng.standard_normal((mesh2.n_faces, 3)), mesh2)
-    flux = normal_flux(u, mesh2)
-    w, s = flux_reconstruction(flux, mesh2)
-    pts, _ = face_quad_points(mesh2, 2, slice(None))
-    for e in range(mesh2.n_elems):
+    rng = np.random.default_rng(seed)
+    u = apply_bc(rng.standard_normal((mesh.n_faces, 3)), mesh)
+    flux = normal_flux(u, mesh)
+    w, s = flux_reconstruction(flux, mesh)
+    pts, _ = face_quad_points(mesh, 2, slice(None))
+    for e in range(mesh.n_elems):
         for l in range(4):
-            f = mesh2.elem_faces[e, l]
-            vals = (w[e][None, :] + s[e] * pts[f]) @ mesh2.face_normal[f]
+            f = mesh.elem_faces[e, l]
+            vals = (w[e][None, :] + s[e] * pts[f]) @ mesh.face_normal[f]
             assert np.allclose(vals, flux[f], atol=1e-10)
 
 
+def _assert_reconstruction_divergence(mesh, seed):
+    rng = np.random.default_rng(seed)
+    u = apply_bc(rng.standard_normal((mesh.n_faces, 3)), mesh)
+    _, s = flux_reconstruction(normal_flux(u, mesh), mesh)
+    assert np.allclose(3.0 * s, broken_divergence(u, mesh), atol=1e-10)
+
+
+def test_flux_reconstruction_matches_fluxes(mesh2):
+    _assert_reconstruction_matches_fluxes(mesh2, 3)
+
+
 def test_flux_reconstruction_divergence(mesh2):
-    rng = np.random.default_rng(4)
-    u = apply_bc(rng.standard_normal((mesh2.n_faces, 3)), mesh2)
-    _, s = flux_reconstruction(normal_flux(u, mesh2), mesh2)
-    assert np.allclose(3.0 * s, broken_divergence(u, mesh2), atol=1e-10)
+    _assert_reconstruction_divergence(mesh2, 4)
+
+
+def test_flux_reconstruction_on_rotated_tets(shuffled3):
+    """The closed form reads the vertex opposite each local face, which the
+    rotations move."""
+    _assert_reconstruction_matches_fluxes(shuffled3, 3)
+    _assert_reconstruction_divergence(shuffled3, 4)
 
 
 def test_eval_flux_reconstruction_shape(mesh1):
@@ -298,6 +313,15 @@ def test_quad_blocks_cover_the_range(monkeypatch):
     monkeypatch.setattr(spaces, "QUAD_BLOCK", 7)
     blocks = quad_blocks(48)
     assert [(b.start, b.stop) for b in blocks] == [(k, min(k + 7, 48)) for k in range(0, 48, 7)]
+
+
+def test_p1_coefficients_do_not_depend_on_the_block(monkeypatch):
+    """Blocks of 7 of the 162 elements (the last one ragged) invert the
+    Vandermonde matrices to the bits of one block."""
+    monkeypatch.setattr(spaces, "QUAD_BLOCK", 7)
+    blocked = p1_coefficients(build_box_mesh(3))
+    monkeypatch.setattr(spaces, "QUAD_BLOCK", 162)
+    assert np.array_equal(blocked, p1_coefficients(build_box_mesh(3)))
 
 
 def _interpolation_errors_reference(field, mesh, degree=6):
