@@ -360,7 +360,7 @@ def cmd_check(cfg: RunConfig) -> int:
                                                np.zeros(10 - degree_coeffs)]))
         v = PolynomialField(np.concatenate([rng.uniform(-1, 1, (3, degree_coeffs)),
                                             np.zeros((3, 10 - degree_coeffs))], axis=1))
-        res = diagnostics.transport_identity_residuals(guess, mesh1, phi, v, degree=2)
+        res = diagnostics.transport_identity_residuals(guess, mesh1, phi, v)
         worst = max(worst, res["continuity"], res["momentum"])
     results.append(("transport identities n=1", worst, 1e-10))
 

@@ -152,16 +152,19 @@ def csv_row(step, t, ledger: EnergyLedger, energy_margin, positivity_slack_val,
 #   int_E utilde . grad phi       = |E| (w . <grad phi> + s <x . grad phi>),
 #   int_E uhat . Dv utilde        = |E| uhat . (<Dv> w + s <Dv x>),
 #
-# with <.> the element quadrature mean; this is the same finite quadrature
-# sum regrouped.  The per-state functions then do O(elements + faces) work.
+# with <.> the element mean by the degree-2 rule, which is exact for test
+# functions of degree <= 2; this is the same finite quadrature sum regrouped.
+# The per-state functions then do O(elements + faces) work, and the face
+# fluxes they share are formed once per state by `transport_fluxes`.
 
 
 @dataclass(frozen=True)
 class TransportMoments:
     """State-independent moments of the test functions phi and v on one mesh.
 
-    Element quantities are quadrature means (or integrals) at the degree the
-    moments were built with; face integrals are area times face mean.
+    Element quantities are means (or integrals), face integrals are area
+    times face mean, all exact up to rounding for test functions of degree
+    <= 2.
     """
 
     phat: NDArrayF          # (n_elems,) element means of phi
@@ -175,8 +178,13 @@ class TransportMoments:
     v_elem: NDArrayF        # (n_elems, 3) element integrals of v
 
 
-def transport_moments(mesh: Mesh, phi, v, degree: int) -> TransportMoments:
-    """Evaluate phi, grad phi, v and Dv once at the element and face points."""
+def transport_moments(mesh: Mesh, phi, v) -> TransportMoments:
+    """Evaluate phi, grad phi, v and Dv once at the element and face points.
+
+    phi and v have degree <= 2 (`ScalarPolynomial`, `PolynomialField`), so
+    every integrand here (phi, v, grad phi, x . grad phi, Dv, Dv x) has
+    degree <= 2, and the degree-2 rules integrate it exactly.
+    """
 
     def element_terms(p, blk):
         grad = at_points(phi.gradient, p)
@@ -184,9 +192,9 @@ def transport_moments(mesh: Mesh, phi, v, degree: int) -> TransportMoments:
         return (at_points(phi, p), at_points(v, p), grad, np.einsum("eqi,eqi->eq", p, grad),
                 J, (J @ p[..., None])[..., 0])
 
-    phat, v_mean, grad_phi, x_grad_phi, dv, dv_x = element_means(element_terms, mesh, degree)
+    phat, v_mean, grad_phi, x_grad_phi, dv, dv_x = element_means(element_terms, mesh, 2)
     phi_fmean, v_fmean = face_means(lambda p, blk: (at_points(phi, p), at_points(v, p)),
-                                    mesh, degree)
+                                    mesh, 2)
 
     return TransportMoments(
         phat=phat,
@@ -202,19 +210,33 @@ def transport_moments(mesh: Mesh, phi, v, degree: int) -> TransportMoments:
     )
 
 
-def continuity_transport(state, mesh: Mesh, moments: TransportMoments):
+@dataclass(frozen=True)
+class TransportFluxes:
+    """The face fluxes of one state that both transport identities read."""
+
+    w: NDArrayF      # (n_elems, 3) and
+    s: NDArrayF      # (n_elems,): the flux reconstruction w + s x per element
+    flux: NDArrayF   # (n_interior,) normal velocity flux
+    up: NDArrayF     # (n_interior,) upwind mass flux
+
+
+def transport_fluxes(state, mesh: Mesh) -> TransportFluxes:
+    w, s = flux_reconstruction(normal_flux(state.u, mesh), mesh)
+    return TransportFluxes(w, s, *scheme.interior_fluxes(state, mesh))
+
+
+def continuity_transport(state, mesh: Mesh, moments: TransportMoments,
+                         fluxes: TransportFluxes):
     """Returns (lhs, volume_term, p1) of the continuity transport identity."""
     rho = state.rho
-    w, s = flux_reconstruction(normal_flux(state.u, mesh), mesh)
     volume = float(np.sum(
         rho * mesh.elem_volume
-        * (np.einsum("ei,ei->e", w, moments.grad_phi) + s * moments.x_grad_phi)
+        * (np.einsum("ei,ei->e", fluxes.w, moments.grad_phi) + fluxes.s * moments.x_grad_phi)
     ))
-    del w, s
 
     int_f, own, nbr = interior_sides(mesh)
     area = mesh.face_area[int_f]
-    flux, up = scheme.interior_fluxes(state, mesh)
+    flux, up = fluxes.flux, fluxes.up
 
     phat = moments.phat
     lhs = float(np.sum(area * up * (phat[nbr] - phat[own])))
@@ -227,7 +249,8 @@ def continuity_transport(state, mesh: Mesh, moments: TransportMoments):
     return lhs, volume, p1
 
 
-def momentum_transport(state, mesh: Mesh, moments: TransportMoments):
+def momentum_transport(state, mesh: Mesh, moments: TransportMoments,
+                       fluxes: TransportFluxes):
     """Returns (lhs, volume_term, p2, p3, p4) of the momentum transport identity.
 
     p4 is decided by rounding at n >= 8: its factor vol*what - v_elem is the
@@ -248,14 +271,13 @@ def momentum_transport(state, mesh: Mesh, moments: TransportMoments):
     )
     del div
 
-    w, s = flux_reconstruction(normal_flux(state.u, mesh), mesh)
-    dv_ut = np.einsum("eij,ej->ei", moments.dv, w) + s[:, None] * moments.dv_x
+    dv_ut = np.einsum("eij,ej->ei", moments.dv, fluxes.w) + fluxes.s[:, None] * moments.dv_x
     volume = float(np.sum(rho * vol * np.einsum("ei,ei->e", uhat, dv_ut)))
-    del w, s, dv_ut
+    del dv_ut
 
     int_f, own, nbr = interior_sides(mesh)
     area = mesh.face_area[int_f]
-    flux, up = scheme.interior_fluxes(state, mesh)
+    flux, up = fluxes.flux, fluxes.up
     uhat_own, uhat_nbr = uhat[own], uhat[nbr]
     del uhat
     upm = upwind_momentum(up, uhat_own, uhat_nbr)
@@ -291,11 +313,12 @@ def momentum_transport(state, mesh: Mesh, moments: TransportMoments):
     return lhs, volume, p2, p3, p4
 
 
-def transport_identity_residuals(state, mesh: Mesh, phi, v, degree: int) -> dict:
+def transport_identity_residuals(state, mesh: Mesh, phi, v) -> dict:
     """Relative defects |LHS - RHS| / (1 + |LHS|) of both transport identities."""
-    moments = transport_moments(mesh, phi, v, degree)
-    lhs_c, vol_c, p1 = continuity_transport(state, mesh, moments)
-    lhs_m, vol_m, p2, p3, p4 = momentum_transport(state, mesh, moments)
+    moments = transport_moments(mesh, phi, v)
+    fluxes = transport_fluxes(state, mesh)
+    lhs_c, vol_c, p1 = continuity_transport(state, mesh, moments, fluxes)
+    lhs_m, vol_m, p2, p3, p4 = momentum_transport(state, mesh, moments, fluxes)
     return {
         "continuity": abs(lhs_c - (vol_c + p1)) / (1.0 + abs(lhs_c)),
         "momentum": abs(lhs_m - (vol_m + p2 + p3 + p4)) / (1.0 + abs(lhs_m)),
@@ -308,8 +331,9 @@ def _defect_integrals(states, mesh: Mesh, moments: TransportMoments,
     terms P1-P4."""
     totals = {"P1": 0.0, "P2": 0.0, "P3": 0.0, "P4": 0.0}
     for state in states:
-        _, _, p1 = continuity_transport(state, mesh, moments)
-        _, _, p2, p3, p4 = momentum_transport(state, mesh, moments)
+        fluxes = transport_fluxes(state, mesh)
+        _, _, p1 = continuity_transport(state, mesh, moments, fluxes)
+        _, _, p2, p3, p4 = momentum_transport(state, mesh, moments, fluxes)
         for key, val in zip(totals, (p1, p2, p3, p4)):
             totals[key] += dt * abs(val)
     return totals
@@ -363,11 +387,11 @@ def p_decay_study(ns, data, phi, v, T: float, params, box_lo, box_hi) -> dict:
     Returns per-mesh rows plus the log2 decay rates between consecutive
     refinements.
     """
-    degree = 4   # quadrature degree of the moments and of the injected data
+    degree = 4   # quadrature degree of the injected data; the moments are exact at 2
     rows = []
     for n in ns:
         mesh = build_box_mesh(n, box_lo, box_hi)
-        moments = transport_moments(mesh, phi, v, degree)
+        moments = transport_moments(mesh, phi, v)
         dt = params.dt(mesh)
         steps = scheme.step_count(T, dt)
         # Every sample of the data is injected in one pass over the points.

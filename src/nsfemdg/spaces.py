@@ -38,8 +38,44 @@ from .mesh import Mesh, NDArrayF, cached
 # Rules are returned in barycentric coordinates with weights summing to one:
 # integral over a simplex S of f  ~=  |S| * sum_q w_q f(x_q).
 # The degree-2 defaults are the 4-point tet rule and the edge-midpoint
-# triangle rule; higher degrees use collapsed Gauss-Jacobi product rules.
-# Each rule is computed once per degree and returned as read-only arrays.
+# triangle rule.  Above degree 2 the rules are fully symmetric, with positive
+# weights and interior points: 14 tet points at degree 5 and 24 at degree 6
+# (Keast, Comput. Methods Appl. Mech. Eng. 55, 1986), 6 triangle points at
+# degree 4 and 12 at degree 6 (Dunavant, Int. J. Numer. Methods Eng. 21,
+# 1985).  Each is stored by orbit, its parameters and per-point weight
+# polished against the moment equations in 50-digit arithmetic and kept to
+# 17 significant digits.  A requested degree gets the smallest rule at or
+# above it.  Each rule is expanded on first request and returned as
+# read-only arrays.
+
+# The points of an orbit are the distinct permutations of its barycentric
+# tuple; each coordinate has its own closed form, so that equal coordinates
+# are equal in floating point and no orbit splits.
+_ORBITS = {
+    "S31": lambda a: (a, a, a, 1.0 - 3.0 * a),
+    "S22": lambda a: (a, a, 0.5 - a, 0.5 - a),
+    "S211": lambda a, b: (a, a, b, 1.0 - 2.0 * a - b),
+    "S21": lambda a: (a, a, 1.0 - 2.0 * a),
+    "S111": lambda a, b: (a, b, 1.0 - a - b),
+}
+
+# (degree, orbits) with orbits (kind, parameters, weight of each point).
+_TET_RULES = (
+    (5, (("S31", (0.092735250310891226,), 0.073493043116361950),
+         ("S31", (0.31088591926330061,), 0.11268792571801585),
+         ("S22", (0.45449629587435035,), 0.042546020777081466))),
+    (6, (("S31", (0.21460287125915203,), 0.039922750258167492),
+         ("S31", (0.040673958534611353,), 0.010077211055320643),
+         ("S31", (0.32233789014227551,), 0.055357181543654722),
+         ("S211", (0.063661001875017525, 0.60300566479164914), 27.0 / 560.0))),
+)
+_TRI_RULES = (
+    (4, (("S21", (0.44594849091596489,), 0.22338158967801147),
+         ("S21", (0.091576213509770743,), 0.10995174365532187))),
+    (6, (("S21", (0.24928674517091042,), 0.11678627572637937),
+         ("S21", (0.063089014491502228,), 0.050844906370206817),
+         ("S111", (0.053145049844816947, 0.31035245103378441), 0.082851075618373575))),
+)
 
 
 def _read_only(rule):
@@ -58,7 +94,7 @@ def tet_rule(degree: int) -> tuple[NDArrayF, NDArrayF]:
         bary = np.full((4, 4), b)
         np.fill_diagonal(bary, a)
         return _read_only((bary, np.full(4, 0.25)))
-    return _collapsed_rule(3, degree)
+    return _symmetric_rule(_TET_RULES, degree)
 
 
 @cache
@@ -68,49 +104,21 @@ def tri_rule(degree: int) -> tuple[NDArrayF, NDArrayF]:
     if degree == 2:
         bary = 0.5 * (1.0 - np.eye(3))
         return _read_only((bary, np.full(3, 1.0 / 3.0)))
-    return _collapsed_rule(2, degree)
+    return _symmetric_rule(_TRI_RULES, degree)
 
 
-def _collapsed_rule(dim: int, degree: int) -> tuple[NDArrayF, NDArrayF]:
-    """Collapsed Gauss-Jacobi product rule on the dim-simplex, exact to
-    `degree`.  Axis i takes the rule for the weight (1-t)^(dim-1-i), and its
-    node is scaled by (1 - t_j) of every axis j before it."""
-    n = (degree + 2) // 2
-    axes = [list(zip(*_gauss01(n, alpha))) for alpha in range(dim - 1, -1, -1)]
+def _symmetric_rule(rules, degree: int) -> tuple[NDArrayF, NDArrayF]:
+    """The first of `rules` exact to `degree`, its orbits expanded."""
+    orbits = next((o for exact, o in rules if exact >= degree), None)
+    if orbits is None:
+        raise ValueError(f"no quadrature rule of degree {degree}: the highest stored is "
+                         f"{rules[-1][0]}")
     pts, wts = [], []
-    for nodes in itertools.product(*axes):
-        coords, weight = [], 1.0
-        for i, (t, w) in enumerate(nodes):
-            for s, _ in nodes[:i]:
-                t = t * (1.0 - s)
-            coords.append(t)
-            weight *= w
-        first = 1.0
-        for x in coords:
-            first -= x
-        pts.append((first, *coords))
-        wts.append(weight)
-    w = np.array(wts)
-    return _read_only((np.array(pts), w / w.sum()))
-
-
-def _gauss01(n: int, alpha: int):
-    """n-point Gauss rule for the weight (1-x)^alpha on [0, 1], weights summing
-    to one: the Gauss-Jacobi rule for (1-t)^alpha on [-1, 1], by Golub-Welsch
-    (Math. Comp. 23, 1969).  Its nodes are the eigenvalues of the symmetric
-    tridiagonal Jacobi matrix of the monic recurrence, its weights the squared
-    first components of the unit eigenvectors.  For n <= 8 and alpha <= 2 the
-    weights are within 5.3e-15 relative of a 40-digit evaluation, those of
-    scipy.special.roots_jacobi within 2.1e-14."""
-    k = np.arange(1, n)
-    s = 2.0 * k + alpha   # 2k + alpha + beta, beta = 0
-    diag = np.empty(n)
-    diag[0] = -alpha / (alpha + 2.0)
-    diag[1:] = -alpha**2 / (s * (s + 2.0))
-    off = 2.0 * k * (k + alpha) / (s * np.sqrt(s**2 - 1.0))
-    t, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    w = vectors[0] ** 2
-    return (t + 1.0) / 2.0, w / w.sum()
+    for kind, params, weight in orbits:
+        orbit = sorted(set(itertools.permutations(_ORBITS[kind](*params))))
+        pts += orbit
+        wts += [weight] * len(orbit)
+    return _read_only((np.array(pts), np.array(wts)))
 
 
 def elem_quad_points(mesh: Mesh, degree: int, block) -> tuple[NDArrayF, NDArrayF]:
@@ -127,14 +135,15 @@ def face_quad_points(mesh: Mesh, degree: int, block) -> tuple[NDArrayF, NDArrayF
 
 # Elements (or faces) per block of every element and face mean
 # (`element_means`, `face_means`): one (QUAD_BLOCK, nq, 3, 3) float64 array
-# of the degree-6 rule (nq = 64) takes at most 2 MB, and a block's
+# of the degree-6 rule (nq = 24) takes at most 1 MB, and a block's
 # temporaries about three times that, so no array of points or values grows
-# with the mesh.  Each block is reduced to per-element values.  A multiple
-# of 64 starts every block at a multiple of 64 nq point rows, so BLAS
-# kernels, whose results for a row can depend on its offset modulo their
-# unrolling, treat each point as in one whole-mesh call, and no result
-# depends on the blocking.
-QUAD_BLOCK = (2 << 20) // (64 * 3 * 3 * 8) // 64 * 64
+# with the mesh.  (At 2 MB, 1152 elements, the temporaries of a degree-6
+# `cell_means` at n=8 outgrow one whole-mesh array of its points.)  Each
+# block is reduced to per-element values.  A multiple of 64 starts every
+# block at a multiple of 64 nq point rows, so BLAS kernels, whose results
+# for a row can depend on its offset modulo their unrolling, treat each
+# point as in one whole-mesh call, and no result depends on the blocking.
+QUAD_BLOCK = (1 << 20) // (24 * 3 * 3 * 8) // 64 * 64
 
 
 def quad_blocks(n: int) -> list[slice]:
@@ -378,6 +387,17 @@ def _monomials(pts: NDArrayF) -> NDArrayF:
     return out.T
 
 
+def _combine(coeffs: NDArrayF, pts: NDArrayF) -> NDArrayF:
+    """sum_m coeffs[..., m] * (monomial m), one (..., npts) array, added
+    elementwise in monomial order: each point's value is then the same bits
+    wherever it sits in `pts`, which a BLAS product does not guarantee."""
+    rows = _monomials(np.atleast_2d(pts)).T
+    out = coeffs[..., 0, None] * rows[0]
+    for m in range(1, 10):
+        out += coeffs[..., m, None] * rows[m]
+    return out
+
+
 # _GRAD_CONST[d, m]: constant part of d(monomial m)/dx_d.
 _GRAD_CONST = np.zeros((3, 10))
 _GRAD_CONST[[0, 1, 2], [1, 2, 3]] = 1.0
@@ -402,7 +422,7 @@ class PolynomialField:
         return cls(rng.uniform(-1.0, 1.0, size=(3, 10)))
 
     def __call__(self, pts: NDArrayF) -> NDArrayF:
-        return _monomials(np.atleast_2d(pts)) @ self.coeffs.T
+        return _combine(self.coeffs, pts).T
 
     def jacobian(self, pts: NDArrayF) -> NDArrayF:
         pts = np.atleast_2d(pts)
@@ -460,7 +480,7 @@ class ScalarPolynomial:
         return cls(rng.uniform(-1.0, 1.0, size=10))
 
     def __call__(self, pts: NDArrayF) -> NDArrayF:
-        return _monomials(np.atleast_2d(pts)) @ self.coeffs
+        return _combine(self.coeffs, pts)
 
     def gradient(self, pts: NDArrayF) -> NDArrayF:
         return _GRAD_CONST @ self.coeffs + np.atleast_2d(pts) @ (_GRAD_LIN @ self.coeffs)

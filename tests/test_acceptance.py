@@ -196,8 +196,7 @@ def test_criterion_08_transport_identities(bump_n1, bump_n2):
                 v = PolynomialField(np.concatenate(
                     [rng.uniform(-1, 1, (3, n_coeffs)),
                      np.zeros((3, 10 - n_coeffs))], axis=1))
-                res = diagnostics.transport_identity_residuals(
-                    state, result.mesh, phi, v, degree=2)
+                res = diagnostics.transport_identity_residuals(state, result.mesh, phi, v)
                 worst = max(worst, res["continuity"], res["momentum"])
                 assert worst <= 1e-10
     _report(8, "transport summation identities", f"worst {worst:.1e}")

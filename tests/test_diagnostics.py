@@ -17,6 +17,7 @@ from nsfemdg.spaces import (
     element_average,
     elem_quad_points,
     eval_flux_reconstruction,
+    flux_reconstruction,
     interpolate_v,
     normal_flux,
     tet_rule,
@@ -190,7 +191,7 @@ def test_transport_identities_arbitrary_state(n):
     v = PolynomialField.random(rng)
     for trial in range(3):
         state = _random_state(mesh, rng, u_scale=0.6)
-        res = diagnostics.transport_identity_residuals(state, mesh, phi, v, degree=4)
+        res = diagnostics.transport_identity_residuals(state, mesh, phi, v)
         assert res["continuity"] <= 1e-12
         assert res["momentum"] <= 1e-12
 
@@ -202,9 +203,10 @@ def test_transport_identity_has_teeth():
     phi = ScalarPolynomial.random(rng)
     v = PolynomialField.random(rng)
     state = _random_state(mesh, rng, u_scale=0.6)
-    moments = diagnostics.transport_moments(mesh, phi, v, degree=4)
-    lhs_c, vol_c, p1 = diagnostics.continuity_transport(state, mesh, moments)
-    lhs_m, vol_m, p2, p3, p4 = diagnostics.momentum_transport(state, mesh, moments)
+    moments = diagnostics.transport_moments(mesh, phi, v)
+    fluxes = diagnostics.transport_fluxes(state, mesh)
+    lhs_c, vol_c, p1 = diagnostics.continuity_transport(state, mesh, moments, fluxes)
+    lhs_m, vol_m, p2, p3, p4 = diagnostics.momentum_transport(state, mesh, moments, fluxes)
     assert max(abs(lhs_c), abs(vol_c), abs(p1)) > 1e-4
     assert max(abs(lhs_m), abs(vol_m), abs(p2), abs(p3), abs(p4)) > 1e-4
     assert abs(lhs_c - (vol_c + p1)) <= 1e-12 * (1.0 + abs(lhs_c))
@@ -220,10 +222,11 @@ def test_transport_constant_test_functions_vanish():
     v = PolynomialField(coeffs=np.zeros((3, 10)))
     v.coeffs[:, 0] = (1.0, -2.0, 0.5)
 
-    moments = diagnostics.transport_moments(mesh, phi, v, degree=2)
-    lhs_c, vol_c, p1 = diagnostics.continuity_transport(state, mesh, moments)
+    moments = diagnostics.transport_moments(mesh, phi, v)
+    fluxes = diagnostics.transport_fluxes(state, mesh)
+    lhs_c, vol_c, p1 = diagnostics.continuity_transport(state, mesh, moments, fluxes)
     assert abs(lhs_c) < 1e-13 and abs(vol_c) < 1e-13 and abs(p1) < 1e-13
-    lhs_m, vol_m, p2, p3, p4 = diagnostics.momentum_transport(state, mesh, moments)
+    lhs_m, vol_m, p2, p3, p4 = diagnostics.momentum_transport(state, mesh, moments, fluxes)
     for val in (lhs_m, vol_m, p2, p3, p4):
         assert abs(val) < 1e-12
 
@@ -231,12 +234,13 @@ def test_transport_constant_test_functions_vanish():
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("degree", [2, 4])
 def test_transport_volume_terms_match_direct_quadrature(n, degree):
-    """The moment form is the quadrature sum regrouped: compare with the sum."""
+    """The moment form is the degree-2 quadrature sum regrouped, and the
+    integrands have degree 2: it matches the sum at degree 2, and at 4."""
     mesh = build_box_mesh(n)
     rng = np.random.default_rng(40 + 10 * n + degree)
     phi = ScalarPolynomial.random(rng)
     v = PolynomialField.random(rng)
-    moments = diagnostics.transport_moments(mesh, phi, v, degree)
+    moments = diagnostics.transport_moments(mesh, phi, v)
     pts, w = elem_quad_points(mesh, degree, slice(None))
     flat = pts.reshape(-1, 3)
     grad = phi.gradient(flat).reshape(pts.shape[0], -1, 3)
@@ -248,8 +252,9 @@ def test_transport_volume_terms_match_direct_quadrature(n, degree):
         uhat = element_average(state.u, mesh)
         ref_c = np.sum(rho_vol * np.einsum("q,eqi,eqi->e", w, ut, grad))
         ref_m = np.sum(rho_vol * np.einsum("q,ei,eqij,eqj->e", w, uhat, J, ut))
-        _, vol_c, _ = diagnostics.continuity_transport(state, mesh, moments)
-        _, vol_m, *_ = diagnostics.momentum_transport(state, mesh, moments)
+        fluxes = diagnostics.transport_fluxes(state, mesh)
+        _, vol_c, _ = diagnostics.continuity_transport(state, mesh, moments, fluxes)
+        _, vol_m, *_ = diagnostics.momentum_transport(state, mesh, moments, fluxes)
         assert abs(ref_c) > 1e-3 and abs(ref_m) > 1e-3
         assert vol_c == pytest.approx(ref_c, rel=1e-13)
         assert vol_m == pytest.approx(ref_m, rel=1e-13)
@@ -262,11 +267,12 @@ def test_momentum_transport_memory_is_bounded():
     rng = np.random.default_rng(23)
     state = _random_state(mesh, rng)
     moments = diagnostics.transport_moments(
-        mesh, ScalarPolynomial.random(rng), PolynomialField.random(rng), degree=2)
-    diagnostics.momentum_transport(state, mesh, moments)
+        mesh, ScalarPolynomial.random(rng), PolynomialField.random(rng))
+    fluxes = diagnostics.transport_fluxes(state, mesh)
+    diagnostics.momentum_transport(state, mesh, moments, fluxes)
     tracemalloc.start()
     try:
-        diagnostics.momentum_transport(state, mesh, moments)
+        diagnostics.momentum_transport(state, mesh, moments, fluxes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -303,16 +309,16 @@ def _transport_moments_reference(mesh, phi, v, degree):
 def test_transport_moments_do_not_depend_on_the_block(degree, monkeypatch):
     """Blocks of 64 of the 162 elements and 378 faces (the last ones ragged)
     give the bits of one block, and both match the whole-mesh einsum
-    evaluation to rounding."""
+    evaluation at `degree` to rounding: the degree-2 moments are exact."""
     mesh = build_box_mesh(3)
     rng = np.random.default_rng(90 + degree)
     phi = ScalarPolynomial.random(rng)
     v = PolynomialField.random(rng)
     monkeypatch.setattr(spaces, "QUAD_BLOCK", mesh.n_faces)
-    whole = diagnostics.transport_moments(mesh, phi, v, degree)
+    whole = diagnostics.transport_moments(mesh, phi, v)
     monkeypatch.setattr(spaces, "QUAD_BLOCK", 64)
     assert mesh.n_elems % 64 and mesh.n_faces % 64
-    blocked = diagnostics.transport_moments(mesh, phi, v, degree)
+    blocked = diagnostics.transport_moments(mesh, phi, v)
     ref = _transport_moments_reference(mesh, phi, v, degree)
     for name in diagnostics.TransportMoments.__dataclass_fields__:
         got, want = getattr(whole, name), getattr(ref, name)
@@ -377,6 +383,41 @@ def test_p_decay_study_does_not_depend_on_the_block(monkeypatch):
     whole = study()
     monkeypatch.setattr(spaces, "QUAD_BLOCK", 7)
     assert study() == whole
+
+
+def test_defect_integrals_form_the_face_fluxes_once_per_state(monkeypatch):
+    """One `transport_fluxes` call per state, and P1-P4 are the bits of the
+    two identities each forming the state's face fluxes on its own."""
+    mesh = build_box_mesh(3)
+    rng = np.random.default_rng(36)
+    moments = diagnostics.transport_moments(mesh, ScalarPolynomial.random(rng),
+                                            PolynomialField.random(rng))
+    states = [_random_state(mesh, rng, u_scale=0.6) for _ in range(3)]
+    dt = 0.1
+    calls = []
+    original = diagnostics.transport_fluxes
+
+    def counted(state, mesh):
+        calls.append(state)
+        return original(state, mesh)
+
+    monkeypatch.setattr(diagnostics, "transport_fluxes", counted)
+    totals = diagnostics._defect_integrals(iter(states), mesh, moments, dt)
+    assert len(calls) == len(states) and all(a is b for a, b in zip(calls, states))
+
+    def own_fluxes(state):
+        w, s = flux_reconstruction(normal_flux(state.u, mesh), mesh)
+        return diagnostics.TransportFluxes(w, s, *scheme.interior_fluxes(state, mesh))
+
+    ref = {"P1": 0.0, "P2": 0.0, "P3": 0.0, "P4": 0.0}
+    for state in states:
+        _, _, p1 = diagnostics.continuity_transport(state, mesh, moments, own_fluxes(state))
+        _, _, p2, p3, p4 = diagnostics.momentum_transport(state, mesh, moments,
+                                                          own_fluxes(state))
+        for key, val in zip(ref, (p1, p2, p3, p4)):
+            ref[key] += dt * abs(val)
+    assert min(ref.values()) > 0.0
+    assert totals == ref
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +533,10 @@ def test_p_decay_study_shapes_and_hand_check():
     state = scheme.State(
         rho=cell_means(rho_fn, mesh, 4),
         u=apply_bc(interpolate_v(u_fn, mesh, degree=4), mesh), k=1)
-    moments = diagnostics.transport_moments(mesh, phi, v, degree=4)
-    _, _, p1 = diagnostics.continuity_transport(state, mesh, moments)
-    _, _, p2, p3, p4 = diagnostics.momentum_transport(state, mesh, moments)
+    moments = diagnostics.transport_moments(mesh, phi, v)
+    fluxes = diagnostics.transport_fluxes(state, mesh)
+    _, _, p1 = diagnostics.continuity_transport(state, mesh, moments, fluxes)
+    _, _, p2, p3, p4 = diagnostics.momentum_transport(state, mesh, moments, fluxes)
     row = study["rows"][0]
     for key, val in zip(("P1", "P2", "P3", "P4"), (p1, p2, p3, p4)):
         assert row[key] == pytest.approx(dt * abs(val), rel=1e-13)
