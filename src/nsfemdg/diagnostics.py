@@ -221,6 +221,7 @@ class TransportFluxes:
 
 
 def transport_fluxes(state, mesh: Mesh) -> TransportFluxes:
+    """One pass over the faces of `state`, shared by both identities."""
     w, s = flux_reconstruction(normal_flux(state.u, mesh), mesh)
     return TransportFluxes(w, s, *scheme.interior_fluxes(state, mesh))
 
