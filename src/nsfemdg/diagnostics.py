@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scheme
-from .fluxes import upwind_momentum
+from .fluxes import upwind_momentum, upwind_scalar
 from .mesh import Mesh, NDArrayF, build_box_mesh, find_elements, interior_sides
 from .spaces import (
     apply_bc,
@@ -28,6 +28,7 @@ from .spaces import (
     flux_reconstruction,
     interpolation_errors,
     normal_flux,
+    tet_rule,
 )
 
 
@@ -175,38 +176,42 @@ class TransportMoments:
     dv: NDArrayF            # (n_elems, 3, 3) element means of Dv
     dv_x: NDArrayF          # (n_elems, 3) element means of Dv x
     v_face: NDArrayF        # (n_faces, 3) face integrals of v
-    v_elem: NDArrayF        # (n_elems, 3) element integrals of v
+    interp_defect: NDArrayF  # (n_elems, 3) element integrals of interpolate_v(v) - v
 
 
 def transport_moments(mesh: Mesh, phi, v) -> TransportMoments:
     """Evaluate phi, grad phi, v and Dv once at the element and face points.
 
     phi and v have degree <= 2 (`ScalarPolynomial`, `PolynomialField`), so
-    every integrand here (phi, v, grad phi, x . grad phi, Dv, Dv x) has
-    degree <= 2, and the degree-2 rules integrate it exactly.
+    every integrand here (phi, v, grad phi, x . grad phi, Dv, Dv x, interp v
+    - v) has degree <= 2, and the degree-2 rules integrate it exactly.
     """
+    phi_fmean, v_fmean = face_means(lambda p, blk: (at_points(phi, p), at_points(v, p)),
+                                    mesh, 2)
+    # v_fmean are the face dofs of interpolate_v(v).  Local face l omits vertex
+    # l (`mesh._LOCAL_FACES`), so its basis function is 1 - 3 lambda_l.
+    basis = 1.0 - 3.0 * tet_rule(2)[0]                       # (nq, 4)
 
     def element_terms(p, blk):
         grad = at_points(phi.gradient, p)
         J = at_points(v.jacobian, p)
-        return (at_points(phi, p), at_points(v, p), grad, np.einsum("eqi,eqi->eq", p, grad),
+        defect = basis @ v_fmean[mesh.elem_faces[blk]]      # interpolate_v(v) at p
+        defect -= at_points(v, p)
+        return (at_points(phi, p), defect, grad, np.einsum("eqi,eqi->eq", p, grad),
                 J, (J @ p[..., None])[..., 0])
 
-    phat, v_mean, grad_phi, x_grad_phi, dv, dv_x = element_means(element_terms, mesh, 2)
-    phi_fmean, v_fmean = face_means(lambda p, blk: (at_points(phi, p), at_points(v, p)),
-                                    mesh, 2)
+    phat, defect_mean, grad_phi, x_grad_phi, dv, dv_x = element_means(element_terms, mesh, 2)
 
     return TransportMoments(
         phat=phat,
         grad_phi=grad_phi,
         x_grad_phi=x_grad_phi,
         phi_face=mesh.face_area * phi_fmean,
-        # v_fmean are the face dofs of interpolate_v(v).
         what=element_average(v_fmean, mesh),
         dv=dv,
         dv_x=dv_x,
         v_face=mesh.face_area[:, None] * v_fmean,
-        v_elem=mesh.elem_volume[:, None] * v_mean,
+        interp_defect=mesh.elem_volume[:, None] * defect_mean,
     )
 
 
@@ -221,9 +226,13 @@ class TransportFluxes:
 
 
 def transport_fluxes(state, mesh: Mesh) -> TransportFluxes:
-    """One pass over the faces of `state`, shared by both identities."""
-    w, s = flux_reconstruction(normal_flux(state.u, mesh), mesh)
-    return TransportFluxes(w, s, *scheme.interior_fluxes(state, mesh))
+    """One pass over the faces of `state`, shared by both identities: one
+    normal flux feeds the reconstruction and `scheme.interior_fluxes`' upwind flux."""
+    flux = normal_flux(state.u, mesh)
+    w, s = flux_reconstruction(flux, mesh)
+    int_f, own, nbr = interior_sides(mesh)
+    flux = flux[int_f]
+    return TransportFluxes(w, s, flux, upwind_scalar(state.rho[own], state.rho[nbr], flux))
 
 
 def continuity_transport(state, mesh: Mesh, moments: TransportMoments,
@@ -254,11 +263,10 @@ def momentum_transport(state, mesh: Mesh, moments: TransportMoments,
                        fluxes: TransportFluxes):
     """Returns (lhs, volume_term, p2, p3, p4) of the momentum transport identity.
 
-    p4 is decided by rounding at n >= 8: its factor vol*what - v_elem is the
-    element integral of v's CR interpolant minus that of v, two quadrature
-    sums that agree to O(h^2) relative and cancel.  Quadrature-weight changes
-    of 2e-14 relative moved p4 by 1.3e-12 relative at n=8 and 1.1e-11 at
-    n=16, so comparisons of p4 across versions need rtol >= 1e-10.
+    p4's factor, the element integral of interpolate_v(v) - v, is one
+    quadrature mean, which the weights scale: degree-2 tet weights scaled by
+    1 + 2e-14 moved p4 by 2.0e-14 relative at n=8 and 2.2e-14 at n=16 (pdecay's
+    injected state), by 0 at 1 + 2**-52.  rtol = 1e-13 compares it, as p1-p3.
     """
     rho = state.rho
     vol = mesh.elem_volume
@@ -266,11 +274,8 @@ def momentum_transport(state, mesh: Mesh, moments: TransportMoments,
     what = moments.what
     # The element terms come first, and each (n_interior, 3) array of the
     # face terms is dropped once it has been used, so few are alive at once.
-    div = broken_divergence(state.u, mesh)
-    p4 = float(
-        -np.sum(rho * div * np.einsum("ei,ei->e", uhat, vol[:, None] * what - moments.v_elem))
-    )
-    del div
+    # 3 s, the reconstruction's divergence, is the broken divergence.
+    p4 = float(-np.sum(rho * 3.0 * fluxes.s * np.einsum("ei,ei->e", uhat, moments.interp_defect)))
 
     dv_ut = np.einsum("eij,ej->ei", moments.dv, fluxes.w) + fluxes.s[:, None] * moments.dv_x
     volume = float(np.sum(rho * vol * np.einsum("ei,ei->e", uhat, dv_ut)))

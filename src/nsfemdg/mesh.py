@@ -154,19 +154,24 @@ def _mesh_from_tets(vertices, tets, box_lo, box_hi, n_per_axis) -> Mesh:
         raise ValueError("mesh contains a non-positively-oriented or degenerate tet")
     elem_volume = signed6 / 6.0
     elem_centroid = v.mean(axis=1)
-    h = np.float64(0.0)
+    h2 = 0.0   # the largest squared edge, summed as np.linalg.norm sums it: one sqrt, same bits
     for a, b in itertools.combinations(range(4), 2):
-        h = np.maximum(h, np.linalg.norm(v[:, a] - v[:, b], axis=1).max())
-    h = float(h)
-    del v, signed6
+        e = v[:, a] - v[:, b]
+        h2 = max(h2, (e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1] + e[:, 2] * e[:, 2]).max())
+    h = float(np.sqrt(h2))
+    del v, signed6, e
 
     # Collect faces; each sorted vertex triple appears in one or two elements.
     # Faces are numbered by first appearance in (element, local face) order,
     # so the owner, the first element seen, is the lower adjacent index.
     # A triple (a, b, c) is packed into the int64 (a*nv + b)*nv + c, which
     # orders as the triples do, so the 1-D `unique` numbers faces as a
-    # row-wise one would, without sorting a void view.
-    keys = np.sort(tets[:, _LOCAL_FACES], axis=2).reshape(-1, 3)
+    # row-wise one would, without sorting a void view.  A min/max network of
+    # the (n_elems, 4) columns sorts the triples: the middle is max(lo, min(hi, c)).
+    a, b, c = (tets[:, list(col)] for col in zip(*_LOCAL_FACES))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    keys = np.stack([np.minimum(lo, c), np.maximum(lo, np.minimum(hi, c)), np.maximum(hi, c)],
+                    axis=2).reshape(-1, 3)
     n_slots = len(keys)
     a, b, c = keys.astype(np.int64, copy=False).T
     packed = a * n_verts

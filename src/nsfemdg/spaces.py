@@ -227,17 +227,18 @@ def normal_flux(u: NDArrayF, mesh: Mesh) -> NDArrayF:
 def p1_coefficients(mesh: Mesh) -> NDArrayF:
     """(n_elems, 4, 4) maps 4 face values to [a1, a2, a3, d] with p = a.x + d.
 
-    Rows of the inverted Vandermonde correspond to the element's local faces
-    in `elem_faces` order; face values are imposed at face centroids, where a
-    linear function attains its face average.  The matrices are inverted one
-    `quad_blocks` block at a time; each inverse is independent of the others,
-    so the result does not depend on the blocking.
+    Column l, of local face l in `elem_faces` order, is the Crouzeix-Raviart
+    basis function (RAIRO Anal. Numer. 7, 1973) with gradient
+    sign_l |f_l| n_l / |E| and d_l = 1 - grad . x_l: it is 1 at its face
+    centroid x_l, where a linear function attains its face average, and 0 at
+    the other three.
     """
-    coeff = np.empty((mesh.n_elems, 4, 4))
-    for blk in quad_blocks(mesh.n_elems):
-        centroids = mesh.face_centroid[mesh.elem_faces[blk]]     # (nb, 4, 3)
-        V = np.concatenate([centroids, np.ones(centroids.shape[:2] + (1,))], axis=2)
-        coeff[blk] = np.linalg.inv(V)
+    ef = mesh.elem_faces
+    scale = mesh.elem_face_sign * mesh.face_area[ef] / mesh.elem_volume[:, None]
+    coeff = np.ones((mesh.n_elems, 4, 4))
+    for i in range(3):          # one coordinate at a time: gathers of scalars
+        grad = np.multiply(mesh.face_normal[ef, i], scale, out=coeff[:, i, :])
+        coeff[:, 3, :] -= grad * mesh.face_centroid[ef, i]
     return coeff
 
 
@@ -253,10 +254,11 @@ def broken_gradient(u: NDArrayF, mesh: Mesh) -> NDArrayF:
 
 
 def broken_divergence(u: NDArrayF, mesh: Mesh) -> NDArrayF:
-    """(n_elems,) trace of `broken_gradient`, forming only its diagonal: the
-    same sums of products, added in the same order, so the same bits."""
-    g = np.einsum("eik,eki->ei", p1_coefficients(mesh)[:, :3, :], u[mesh.elem_faces])
-    return g[:, 0] + g[:, 1] + g[:, 2]
+    """(n_elems,) trace of `broken_gradient`, by the divergence theorem
+    sum_l sign_l |f_l| F_l / |E| with F = `normal_flux(u)`."""
+    ef = mesh.elem_faces
+    return (np.einsum("el,el,el->e", mesh.elem_face_sign, mesh.face_area[ef],
+                      normal_flux(u, mesh)[ef]) / mesh.elem_volume)
 
 
 def broken_curl(u: NDArrayF, mesh: Mesh) -> NDArrayF:
@@ -319,18 +321,9 @@ def commuting_residual(field, mesh: Mesh, degree: int = 2) -> dict[str, float]:
     res_div = np.abs(broken_divergence(interp, mesh) - div_mean).max()
     res_curl = np.abs(broken_curl(interp, mesh) - curl_mean).max()
 
-    # Face-averaged normal fluxes of the field itself.
-    fluxes = normal_flux(interp, mesh)
-    div_flux = (
-        np.einsum(
-            "el,el,el->e",
-            mesh.elem_face_sign,
-            mesh.face_area[mesh.elem_faces],
-            fluxes[mesh.elem_faces],
-        )
-        / mesh.elem_volume
-    )
-    res_flux = np.abs(div_flux - div_mean).max()
+    # The reconstruction w + s x of the field's face fluxes has divergence 3 s.
+    _, s = flux_reconstruction(normal_flux(interp, mesh), mesh)
+    res_flux = np.abs(3.0 * s - div_mean).max()
 
     return {"div": float(res_div), "curl": float(res_curl), "flux_div": float(res_flux)}
 
@@ -352,15 +345,17 @@ def interpolation_errors(field, mesh: Mesh, degree: int) -> tuple[float, float]:
     """(L2 error, broken-H1 seminorm error) of the face-average interpolant."""
     interp = interpolate_v(field, mesh, degree=degree)
     coeff = p1_coefficients(mesh) @ interp[mesh.elem_faces]
-    a, d = coeff[:, :3, :], coeff[:, 3, :]
-    grad = a.transpose(0, 2, 1)                    # broken_gradient(interp, mesh)
+    a, d = coeff[:, :3, :], coeff[:, 3, :]          # a[e, j, i] = d u_i / d x_j
 
     def squared_errors(p, blk):
+        val, jac = (x.reshape(p.shape[:2] + x.shape[1:])
+                    for x in field.value_and_jacobian(p.reshape(-1, 3)))
         err = p @ a[blk]
         err += d[blk, None, :]
-        err -= at_points(field, p)
-        dif = at_points(field.jacobian, p) - grad[blk, None, :, :]
-        return np.einsum("eqi,eqi->eq", err, err), np.einsum("eqij,eqij->eq", dif, dif)
+        err -= val
+        h1 = sum(np.square(jac[..., i, j] - a[blk, None, j, i])     # one (nb, nq) entry at a time
+                 for i, j in itertools.product(range(3), repeat=2))
+        return np.einsum("eqi,eqi->eq", err, err), h1
 
     l2_sq, h1_sq = element_means(squared_errors, mesh, degree)
     vol = mesh.elem_volume
@@ -430,6 +425,9 @@ class PolynomialField:
         lin = np.einsum("kdm,im->kid", _GRAD_LIN, self.coeffs).reshape(3, 9)
         return const + (pts @ lin).reshape(-1, 3, 3)
 
+    def value_and_jacobian(self, pts: NDArrayF) -> tuple[NDArrayF, NDArrayF]:
+        return self(pts), self.jacobian(pts)
+
 
 @dataclass
 class SineField:
@@ -444,29 +442,35 @@ class SineField:
         """k pi x as a (3, npts) array, one contiguous row per axis."""
         return np.multiply(self.k * np.pi, np.atleast_2d(pts).T, order="C")
 
-    def __call__(self, pts: NDArrayF) -> NDArrayF:
-        phase = self._phase(pts)
-        s = np.sin(phase, out=phase)
+    def _value(self, s: NDArrayF) -> NDArrayF:
+        """The field from the (3, npts) sines."""
         val = s[0] * s[1]
         val *= s[2]
         val *= self.amplitude
         return np.broadcast_to(val[:, None], (len(val), 3))
 
+    def __call__(self, pts: NDArrayF) -> NDArrayF:
+        return self._value(np.sin(self._phase(pts)))
+
     def jacobian(self, pts: NDArrayF) -> NDArrayF:
+        return self.value_and_jacobian(pts)[1]
+
+    def value_and_jacobian(self, pts: NDArrayF) -> tuple[NDArrayF, NDArrayF]:
+        """`self(pts)` and `self.jacobian(pts)` from one sin and one cos pass."""
         kp = self.k * np.pi
         phase = self._phase(pts)
         s = np.sin(phase)
         c = np.cos(phase, out=phase)
-        # Column i is ((kp * f_0) * f_1) * f_2 with f_i = c_i and the other
-        # two factors s.
-        grad = np.empty((s.shape[1], 3))
+        # Row i of grad, d/dx_i, is ((kp * f_0) * f_1) * f_2 with f_i = c_i
+        # and the other two factors s.
+        grad = np.empty_like(s)
         for i in range(3):
             f = [c[m] if m == i else s[m] for m in range(3)]
-            col = np.multiply(kp, f[0], out=grad[:, i])
-            col *= f[1]
-            col *= f[2]
+            row = np.multiply(kp, f[0], out=grad[i])
+            row *= f[1]
+            row *= f[2]
         grad *= self.amplitude
-        return np.broadcast_to(grad[:, None, :], (len(grad), 3, 3))
+        return self._value(s), np.broadcast_to(grad.T[:, None, :], (s.shape[1], 3, 3))
 
 
 @dataclass

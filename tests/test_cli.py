@@ -403,7 +403,9 @@ def test_singular_alpha0_solve_exits_two_in_one_line(argv, tmp_path, capsys):
 
 
 def test_unconverged_run_exits_two(tmp_path, capsys):
-    rc = cli.main(["run", "--preset", "bump", "--n", "1", "--steps", "1",
+    """At n=2 the bump's elements differ in density, so the entry residual
+    is far above 1e-30 (at n=1 the six tets are alike and it can be 0)."""
+    rc = cli.main(["run", "--preset", "bump", "--n", "2", "--steps", "1",
                    "--newton_tol", "1e-30", "--newton_max_iter", "1",
                    "--outdir", str(tmp_path / "out")])
     assert rc == 2

@@ -301,7 +301,9 @@ def _transport_moments_reference(mesh, phi, v, degree):
         dv=np.einsum("q,eqij->eij", w, J),
         dv_x=np.einsum("q,eqij,eqj->ei", w, J, pts),
         v_face=mesh.face_area[:, None] * v_fmean,
-        v_elem=mesh.elem_volume[:, None] * np.einsum("q,eqi->ei", w, v(flat).reshape(ne, nq, 3)),
+        interp_defect=mesh.elem_volume[:, None] * np.einsum(
+            "q,eqi->ei", w, np.einsum("ql,eli->eqi", 1.0 - 3.0 * bary, v_fmean[mesh.elem_faces])
+            - v(flat).reshape(ne, nq, 3)),
     )
 
 
@@ -323,7 +325,11 @@ def test_transport_moments_do_not_depend_on_the_block(degree, monkeypatch):
     for name in diagnostics.TransportMoments.__dataclass_fields__:
         got, want = getattr(whole, name), getattr(ref, name)
         assert np.array_equal(getattr(blocked, name), got), name
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), name
+        # The interpolation error is formed pointwise against values of v's
+        # size, and rounds at that size times the element volume.
+        scale = (mesh.elem_volume.max() * np.abs(ref.what).max() if name == "interp_defect"
+                 else np.abs(want).max())
+        assert np.abs(got - want).max() <= 1e-14 * scale, name
 
 
 def _count_moments(monkeypatch):
@@ -383,6 +389,30 @@ def test_p_decay_study_does_not_depend_on_the_block(monkeypatch):
     whole = study()
     monkeypatch.setattr(spaces, "QUAD_BLOCK", 7)
     assert study() == whole
+
+
+def test_p4_moves_by_rounding_when_the_weights_do(monkeypatch):
+    """Scaling the degree-2 tet weights by 1 + 2**-52 moves P4 at n=8, on the
+    pdecay study's injected state, by at most 1e-13 relative: its factor is
+    one quadrature mean of the interpolation error, which the weights scale,
+    not the difference of two O(1) means, which they would not cancel in."""
+    mesh = build_box_mesh(8)
+    rng = np.random.default_rng(37)
+    phi, v = ScalarPolynomial.random(rng), PolynomialField.random(rng)
+    rho_fn, u_fn = diagnostics.bump_flow_data(*UNIT_BOX)(0.1)
+    state = scheme.State(rho=cell_means(rho_fn, mesh, 4),
+                         u=apply_bc(interpolate_v(u_fn, mesh, 4), mesh), k=1)
+    fluxes = diagnostics.transport_fluxes(state, mesh)
+
+    def p4():
+        moments = diagnostics.transport_moments(mesh, phi, v)
+        return diagnostics.momentum_transport(state, mesh, moments, fluxes)[4]
+
+    base = p4()
+    rule = spaces.tet_rule
+    monkeypatch.setattr(spaces, "tet_rule", lambda degree: (
+        (rule(2)[0], rule(2)[1] * (1.0 + 2.0**-52)) if degree == 2 else rule(degree)))
+    assert abs(p4() - base) <= 1e-13 * abs(base)
 
 
 def test_defect_integrals_form_the_face_fluxes_once_per_state(monkeypatch):
