@@ -183,8 +183,8 @@ def transport_moments(mesh: Mesh, phi, v) -> TransportMoments:
     """Evaluate phi, grad phi, v and Dv once at the element and face points.
 
     phi and v have degree <= 2 (`ScalarPolynomial`, `PolynomialField`), so
-    every integrand here (phi, v, grad phi, x . grad phi, Dv, Dv x, interp v
-    - v) has degree <= 2, and the degree-2 rules integrate it exactly.
+    every integrand here (phi, v, grad phi, x . grad phi, Dv, Dv x and
+    interp v - v) has degree <= 2, and the degree-2 rules integrate it exactly.
     """
     phi_fmean, v_fmean = face_means(lambda p, blk: (at_points(phi, p), at_points(v, p)),
                                     mesh, 2)
