@@ -28,6 +28,7 @@ from .spaces import (
     flux_reconstruction,
     interpolation_errors,
     normal_flux,
+    polynomial_values,
     tet_rule,
 )
 
@@ -186,8 +187,11 @@ def transport_moments(mesh: Mesh, phi, v) -> TransportMoments:
     every integrand here (phi, v, grad phi, x . grad phi, Dv, Dv x and
     interp v - v) has degree <= 2, and the degree-2 rules integrate it exactly.
     """
-    phi_fmean, v_fmean = face_means(lambda p, blk: (at_points(phi, p), at_points(v, p)),
-                                    mesh, 2)
+    def phi_and_v(p):
+        phi_p, v_p = polynomial_values(phi, v, p.reshape(-1, 3))
+        return phi_p.reshape(p.shape[:2]), v_p.reshape(p.shape[:2] + (3,))
+
+    phi_fmean, v_fmean = face_means(lambda p, blk: phi_and_v(p), mesh, 2)
     # v_fmean are the face dofs of interpolate_v(v).  Local face l omits vertex
     # l (`mesh._LOCAL_FACES`), so its basis function is 1 - 3 lambda_l.
     basis = 1.0 - 3.0 * tet_rule(2)[0]                       # (nq, 4)
@@ -195,9 +199,10 @@ def transport_moments(mesh: Mesh, phi, v) -> TransportMoments:
     def element_terms(p, blk):
         grad = at_points(phi.gradient, p)
         J = at_points(v.jacobian, p)
+        phi_p, v_p = phi_and_v(p)
         defect = basis @ v_fmean[mesh.elem_faces[blk]]      # interpolate_v(v) at p
-        defect -= at_points(v, p)
-        return (at_points(phi, p), defect, grad, np.einsum("eqi,eqi->eq", p, grad),
+        defect -= v_p
+        return (phi_p, defect, grad, np.einsum("eqi,eqi->eq", p, grad),
                 J, (J @ p[..., None])[..., 0])
 
     phat, defect_mean, grad_phi, x_grad_phi, dv, dv_x = element_means(element_terms, mesh, 2)

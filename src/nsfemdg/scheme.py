@@ -597,7 +597,7 @@ def run(
     on_state(state, rows[0])
     dissipation = 0.0
     e0 = ledger0.total
-    factors = solver.BlockFactors()   # the preconditioner, carried from step to step
+    factors = solver.BlockFactors()   # the density factor, carried from step to step
 
     for k in range(1, steps + 1):
         new, sd = solver.homotopy_newton_solve(state, params, mesh, factors)

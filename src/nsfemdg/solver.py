@@ -24,11 +24,14 @@ Each Newton matrix J = [[A, B], [C, D]] (densities first, then the
 interleaved velocity components) is solved by restarted GMRES (Saad &
 Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) to relative tolerance 1e-15, or
 to a tenth of the iterate's rounding floor relative to the right-hand side
-when that is larger, left-preconditioned by the block lower triangle that
-keeps the alpha = 0 structure: the density block A, factored exactly by
-SuperLU, and one scalar velocity-component block S of D, factored by
-SuperLU's threshold incomplete LU, with the coupling C of the current
-matrix; B is ignored.  The GMRES kernel is this module's own (`_gmres`):
+when that is larger, left-preconditioned by the block lower triangle
+[[A, 0], [C, (dt L0^-1) (x) I]] (Knoll & Keyes, J. Comput. Phys. 193, 2004,
+section 3): the density block A factored exactly by SuperLU, the coupling C
+of the current matrix, and for each velocity component the step's own
+alpha = 0 factor L0 of M_rho_prev + dt K, so one velocity factorization
+serves the whole step; B is ignored.  At alpha = 0 and rho = rho_prev, B = 0
+and D = (M_rho_prev / dt + K) (x) I, so there the preconditioner is J^-1.
+The GMRES kernel is this module's own (`_gmres`):
 each Arnoldi step orthogonalizes against the whole basis with two classical
 Gram-Schmidt passes, two matrix-vector products each, which keep the basis
 orthogonal to working precision (Giraud, Langou & Rozloznik, Comput. Math.
@@ -36,28 +39,29 @@ Appl. 50, 2005).
 A cycle that reaches the tolerance with an iterate that fails the residual
 acceptance check is followed by one whose tolerance, stripped of the floor
 loosening, is tightened by the factor the residual misses the bound by.
-The factors are lagged (`BlockFactors`): a run holds one set across its time
-steps, keyed to the continuation weight alpha they were made at, and
-refreshes them on evidence.
-Entering a node at another alpha drops them, so the default schedule {0, 1}
-carries them from step to step at alpha = 1 and a fallback schedule factors
-afresh at each of its nodes.  A fresh factorization gets GMRES restarted
-every 100 iterations for at most 10 cycles, and its iteration count becomes
-the base unless the solve took at most one, which leaves the base as it was;
-the factors are kept for the next matrix only if that solve ended within one
-cycle.  Kept factors get a single cycle, capped at twice the base; the first
-fresh solve of a run sets the base in every configuration measured, and a
-held set with no base would get a full cycle.  If the cycle misses, its
-iterate is discarded, the matrix is refactored and solved afresh.  Both
-blocks are ordered by minimum degree on A^T + A with diagonal pivots, which
-their symmetric patterns allow.
-There is no direct solve of J: a zero pivot in a block, a Krylov quantity
-that overflows, or a solve on fresh factors that fails the acceptance check,
-raises SolverError with the factors dropped, and the Newton node fails, so
-that the next continuation schedule runs.  The symmetric positive definite
-alpha = 0 system is factored with the blocks' settings.  GMRES needs J only
-through products and its diagonal blocks; `scheme.jacobian` stores no exact
-zeros, so neither do the blocks factored here.
+The density factor is lagged (`BlockFactors`): a run holds it across its
+time steps, keyed to the continuation weight alpha it was made at, and
+refreshes it on evidence; L0 does not depend on alpha, and the step drops it
+when it returns or fails.
+Entering a node at another alpha drops the density factor, so the default
+schedule {0, 1} carries it from step to step at alpha = 1 and a fallback
+schedule factors A afresh at each of its nodes.  A fresh factorization gets
+GMRES restarted every 100 iterations for at most 10 cycles, and its
+iteration count becomes the base unless the solve took at most one, which
+leaves the base as it was; the factor is kept for the next matrix only if
+that solve ended within one cycle.  A kept factor gets a single cycle,
+capped at twice the base; the first fresh solve of a run sets the base in
+every configuration measured, and a held factor with no base would get a
+full cycle.  If the cycle misses, its iterate is discarded, A is refactored
+and the matrix solved afresh.  A and the alpha = 0 system are ordered by
+minimum degree on A^T + A with diagonal pivots, which their symmetric
+patterns allow.
+There is no direct solve of J: a zero pivot in A, a Krylov quantity that
+overflows, or a solve on a fresh factor that fails the acceptance check,
+raises SolverError with the density factor dropped, and the Newton node
+fails, so that the next continuation schedule runs.  GMRES needs J only
+through products and its blocks A and C; `scheme.jacobian` stores no exact
+zeros, so neither does the factored A.
 
 A SolverError never leaves a step: `homotopy_newton_solve` decides that a
 step has failed, when its alpha = 0 solve fails or no schedule converges, and
@@ -132,7 +136,7 @@ class StepDiagnostics:
     linesearch_backtracks: int = 0
     krylov_iters: int = 0
     krylov_cycles: int = 0
-    factorizations: int = 0     # preconditioner block pairs factored
+    factorizations: int = 0     # density blocks factored
 
 
 # GMRES on Newton matrices: cycles of KRYLOV_RESTART iterations to a tolerance
@@ -154,89 +158,64 @@ class StepDiagnostics:
 # continuation schedule absorbs into an out-of-memory kill.  The
 # preconditioned 2-norm underweights some rows, so a cycle can reach the
 # tolerance with an iterate that fails the check (on the stress
-# configuration, gamma 6, c 4, amp 30, n=4: one solve in about half the runs,
-# 1.1-90x over the bound).  Restarted at the same tolerance, such a solve
-# sometimes ran cycles of 2-3 iterations that never passed.  The next cycle
-# therefore runs to KRYLOV_RTOL |M b|_2, without the floor loosening below
-# (or to the tighter tolerance of an earlier rejected cycle), divided by the
-# factor the residual misses the bound by.  Dividing the floor-loosened
-# tolerance by that factor instead stagnated on the stress configuration at
-# amp 200, n=2 (9 solves over seeds 0-10 of the benchmark): once an iterate
-# missed the bound by 1.02-2.4x, each further cycle took one iteration and
-# gained nothing, 47-59 iterations in all.  With the loosening dropped, all
-# 9 passed in the second cycle, after 49-65 iterations.
+# configuration, gamma 6, c 4, at amp 200, n=2 x2: 11 solves per run at each
+# of seeds 0-10 of the benchmark, 4-4e4x over the bound; at amp 30, n=4 x4:
+# none at seeds 0-7).  The next cycle therefore runs to KRYLOV_RTOL |M b|_2,
+# without the floor loosening below (or to the tighter tolerance of an
+# earlier rejected cycle), divided by the factor the residual misses the
+# bound by.  Dividing the floor-loosened tolerance by that factor instead
+# failed step 1 at amp 200, n=2, at 4 of those 11 seeds; this rule passes all.
 #
 # The tolerance is loosened to FLOOR_MARGIN times the current iterate's
 # rounding floor (FLOOR_FACTOR u |||J| |x|||_inf, see above) relative to
 # |b|_inf, when that is larger: a step resolved further than the residual
 # the next iterate can show gains Newton nothing (Eisenstat & Walker, SIAM J.
 # Sci. Comput. 17, 1996), and the floor is far below the acceptance bound.
-# With the exact velocity factor this alone cut Krylov iterations 586 -> 389
-# on bump n=4 x20, 2263 -> 1937 on the stress configuration and 96 -> 69 on
-# the bump Cauchy pair n = 3, 6, all at seed 0 of the benchmark, with the
-# same Newton counts.  With the ILU below, a margin of 1.0 raised the Newton
-# counts of the first two 46 -> 48 and 37 -> 39; 0.01 took 462 / 1952 / 105
-# Krylov iterations against 0.1's 422 / 1878 / 100.  The previous iterate's
-# floor instead of the current one took 436 Krylov iterations instead of
-# 389 on bump n=4 x20 with the exact factor.
+# At seed 0 of the benchmark, Krylov iterations on bump n=4 x20 / the stress
+# configuration (amp 30, n=4 x4) / the bump Cauchy pair n = 3, 6 were
+# 577 / 1666 / 119 without the loosening, 424 / 1413 / 102 at a margin of
+# 0.01 and 393 / 1352 / 96 at 0.1, with the same Newton counts; a margin of
+# 1.0 took 357 / 1320 / 90 but raised bump's Newton count 46 -> 47.
 KRYLOV_RESTART = 100
 KRYLOV_CYCLES = 10
 KRYLOV_RTOL = 1e-15
 FLOOR_MARGIN = 0.1
 
-# Lagged preconditioner (Knoll & Keyes, JCP 193, 2004, section 3): the Newton
-# matrices at one continuation weight differ little, within a step and from
-# one step to the next, so block factors are kept while a single GMRES cycle
-# of fewer than STALE_GROWTH times the base iterations still solves with
-# them.  Held by the run and keyed to alpha, they cut bump n=4 x20 from 21
-# factorizations (one holder per schedule) to 1, for 558 -> 586 Krylov
-# iterations and the same 46 Newton iterations.  A stale cycle of up to
-# KRYLOV_RESTART iterations instead of the cap made the stress configuration
-# (gamma 6, c 4, amp 30, n=4 x4) 6-7% slower.  The first fresh solve of a
-# run sets the base: on bump n=4 x20, the bump Cauchy pair n = 3, 6 and the
-# stress configuration, at seeds 0-3 of the benchmark, no fresh solve took
-# fewer than 6 iterations (the fewest per run 6-8).  Only a solve of at most
-# one iteration, a breakdown at once, leaves the base unset, and held
-# factors then get a full cycle; no measured run takes that path.
+# Lagged density factor (Knoll & Keyes, JCP 193, 2004, section 3): the
+# Newton matrices at one continuation weight differ little, within a step
+# and from one step to the next, so A's factor is kept while a single GMRES
+# cycle of fewer than STALE_GROWTH times the base iterations still solves
+# with it.  Held by the run and keyed to alpha, it cut bump n=4 x20 from 21
+# factorizations (one holder per step) to 2, for 390 -> 393 Krylov
+# iterations and the same 46 Newton iterations (seed 0 of the benchmark).  A
+# stale cycle of up to KRYLOV_RESTART iterations instead of the cap took
+# 1436 Krylov iterations instead of 1352 on the stress configuration (gamma
+# 6, c 4, amp 30, n=4 x4), but 381 instead of 393 on bump n=4 x20 and 77
+# instead of 96 on the bump Cauchy pair n = 3, 6, with one and two fewer
+# factorizations.  The first fresh solve of a run sets the base: on those
+# three, at seeds 0-7 of the benchmark, no fresh solve took fewer than 5
+# iterations (the fewest per run 5 on bump and Cauchy, 8 on stress).  Only
+# a solve of at most one iteration, a breakdown at once, leaves the base
+# unset, and a held factor then gets a full cycle; no measured run takes
+# that path.
 STALE_GROWTH = 2.0
 
-# SuperLU settings of both blocks and of the alpha = 0 system.  Their
+# SuperLU settings of the density block and of the alpha = 0 system.  Their
 # patterns are symmetric, so they are ordered by minimum degree on A^T + A
-# and factored with diagonal pivots.  Measured on the first bump Newton
-# matrix, 2-core host: the velocity block's fill at n = 4/6/8 falls
-# 92k/708k/3.40M -> 53k/522k/2.49M against SuperLU's default ordering, its
-# factorization 4.4/43/323 -> 2.6/42/248 ms; the same ordering with partial
-# pivoting took 717 ms at n=8.  The alpha = 0 solve for three right-hand
-# sides, with its assembly, fell 5.7 -> 3.2 ms at n=4 and 32 -> 11 ms at n=6
-# against SuperLU's default settings.
-# A zero pivot raises RuntimeError, in the incomplete factor as in the exact
-# ones; `linear_solve` and the alpha = 0 solve turn it into a SolverError.
+# and factored with diagonal pivots.  The alpha = 0 matrix of the bump's
+# initial state, 2-core host, one thread: fill (L.nnz + U.nnz) /
+# factorization / solve for three right-hand sides,
+#
+#   n   SuperLU's defaults       these settings           partial pivoting
+#   4   46k / 3.7 ms / 217 us    25k / 2.3 ms / 177 us    25k / 3.9 ms / 246 us
+#   6   363k / 28 ms / 1.36 ms   173k / 14 ms / 0.86 ms   173k / 52 ms / 1.76 ms
+#   8   1.47M / 128 ms / 4.5 ms  623k / 69 ms / 2.9 ms    623k / 262 ms / 3.9 ms
+#
+# (the last column: this ordering with SuperLU's partial pivoting).
+# A zero pivot raises RuntimeError; `linear_solve` and the alpha = 0 solve
+# turn it into a SolverError.
 BLOCK_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options=dict(SymmetricMode=True))
-
-# The velocity block S is factored incompletely, by SuperLU's threshold ILU
-# (ILUTP: Li & Shao, ACM TOMS 37, 2011) with BLOCK_LU's ordering and pivots:
-# entries below ILU_DROP_TOL relative to their column are dropped and the
-# factor keeps at most ILU_FILL_FACTOR times the entries of S.  The density
-# block A, a P0 upwind block, and the alpha = 0 system stay exact.  S of the
-# first alpha = 1 bump matrix: fill (L.nnz + U.nnz) / factorization / solve
-# for three right-hand sides, 2-core host, one thread:
-#
-#   n   splu                     spilu(1e-4, 10)        spilu(1e-3, 5)
-#   4   63.0k / 4.7 ms / 177 us  23.6k / 6.4 ms / 166 us 17.2k / 5.0 ms / 120 us
-#   6   771k / 73 ms / 2.68 ms   139k / 48 ms / 851 us   79.3k / 39 ms / 631 us
-#   8   2.75M / 309 ms / 10.1 ms 457k / 237 ms / 2.14 ms 227k / 179 ms / 1.59 ms
-#
-# and spilu(1e-2, 3): 10.6k / 4.7 ms / 89 us, 41.1k / 32 ms / 508 us, 103k /
-# 110 ms / 1.20 ms.  In a one-step bump run at n=16 the held factor of S
-# has 2.50M entries against 114-116M exact.  At seed 0 of the benchmark the
-# three ILU settings took 402 / 422 / 483 Krylov iterations on bump n=4 x20,
-# 1854 / 1878 / 1948 on the stress configuration (gamma 6, c 4, amp 30, n=4
-# x4) and 100 / 100 / 117 on the bump Cauchy pair n = 3, 6, with the Newton
-# counts of the exact factor; (1e-3, 5) takes about the iterations of
-# (1e-4, 10) at half its fill.
-ILU_DROP_TOL = 1e-3
-ILU_FILL_FACTOR = 5
 
 
 def _residual_bound(b: NDArrayF) -> float:
@@ -257,53 +236,53 @@ def _rejection(x: NDArrayF, r: NDArrayF, b: NDArrayF) -> str | None:
 
 class BlockFactors:
     """Preconditioner factors for Newton matrices J = [[A, B], [C, D]] with
-    `ne` density rows, held from one matrix to the next.
+    `ne` density rows.
 
-    `lu_rho` factors A exactly and `lu_u` factors S = J[ne::3, ne::3], the
-    first velocity component's block of D, incompletely; `alpha` is the
-    continuation weight of the node they serve.  `base` is the iteration
-    count of the latest solve right after a factorization, among those that
-    took more than one iteration; 0 before there is one.  A run creates one
-    holder and hands it to every step.
+    `lu_rho` factors A exactly and is held from one matrix to the next;
+    `alpha` is the continuation weight of the node it serves.  `base` is the
+    iteration count of the latest solve right after a factorization, among
+    those that took more than one iteration; 0 before there is one.  `lu_u`
+    is the step's factor of M_rho_prev + dt K from `alpha0_solve`, and `dt`
+    the time step: (dt lu_u^-1) (x) I stands for D^-1.  The step sets both
+    and drops `lu_u` when it ends.  A run creates one holder and hands it to
+    every step.
     """
 
     def __init__(self):
-        self.lu_rho = self.lu_u = None
+        self.lu_rho = self.lu_u = self.dt = None
         self.base = 0
         self.alpha = None
 
     def keep_for(self, alpha: float) -> None:
-        """Enter a continuation node at weight `alpha`: factors made at another
-        weight are dropped."""
+        """Enter a continuation node at weight `alpha`: a density factor made
+        at another weight is dropped."""
         if alpha != self.alpha:
             self.drop()
             self.alpha = alpha
 
     @property
     def held(self) -> bool:
-        return self.lu_u is not None
+        return self.lu_rho is not None
 
     def factor(self, J: sp.csr_matrix, ne: int) -> None:
-        """Factor A exactly and S incompletely; raises RuntimeError at a zero
-        pivot."""
-        self.drop()   # before the new factors are allocated
-        lu_rho = spla.splu(sp.csc_matrix(J[:ne, :ne]), **BLOCK_LU)
-        lu_u = spla.spilu(sp.csc_matrix(J[ne::3, ne::3]), drop_tol=ILU_DROP_TOL,
-                          fill_factor=ILU_FILL_FACTOR, **BLOCK_LU)
-        self.lu_rho, self.lu_u = lu_rho, lu_u
+        """Factor A exactly; raises RuntimeError at a zero pivot."""
+        self.drop()   # before the new factor is allocated
+        self.lu_rho = spla.splu(sp.csc_matrix(J[:ne, :ne]), **BLOCK_LU)
 
     def drop(self) -> None:
-        self.lu_rho = self.lu_u = None
+        self.lu_rho = None
 
     def preconditioner(self, C: sp.csr_matrix) -> Callable[[NDArrayF], NDArrayF]:
         """The map r -> z that solves A z_rho = r_rho, then
-        S z_d = (r_u - C z_rho)_d for each velocity component d."""
+        (M_rho_prev / dt + K) z_d = (r_u - C z_rho)_d for each velocity
+        component d."""
         ne = C.shape[1]
-        lu_rho, lu_u = self.lu_rho, self.lu_u
+        lu_rho, lu_u, dt = self.lu_rho, self.lu_u, self.dt
 
         def precondition(r):
             z_rho = lu_rho.solve(r[:ne])
             z_u = lu_u.solve((r[ne:] - C @ z_rho).reshape(-1, 3))
+            z_u *= dt
             return np.concatenate([z_rho, z_u.ravel()])
 
         return precondition
@@ -436,9 +415,9 @@ def linear_solve(J: sp.csr_matrix, b: NDArrayF, n_density: int, stats: StepDiagn
     return x
 
 
-def alpha0_solve(prev, params, mesh: Mesh) -> NDArrayF:
+def alpha0_solve(prev, params, mesh: Mesh) -> tuple[NDArrayF, spla.SuperLU]:
     """Exact solution of the alpha = 0 system, packed as `scheme.pack` packs
-    a state.
+    a state, and the factor of its momentum matrix.
 
     The continuity block forces rho = rho_prev; the momentum block is
     (M_rho + dt K) u = M_rho-data with M_rho the rho-weighted mean-velocity
@@ -451,60 +430,66 @@ def alpha0_solve(prev, params, mesh: Mesh) -> NDArrayF:
     Ks = scheme.interior_stiffness(mesh)
 
     # One scalar system, factored once, for the three velocity components;
-    # it is symmetric positive definite, so the blocks' SuperLU settings hold.
+    # it is symmetric positive definite, so BLOCK_LU's settings hold.
     uhat_prev = scheme.element_average(prev.u, mesh)
     rhs = scheme.mesh_operators(mesh).avg.T @ ((mesh.elem_volume * rho_prev)[:, None] * uhat_prev)
     A = sp.csc_matrix(Ms + dt * Ks)
     try:
-        u = spla.splu(A, **BLOCK_LU).solve(rhs)
+        lu = spla.splu(A, **BLOCK_LU)
     except RuntimeError as exc:   # exactly singular
         raise SolverError(f"alpha = 0 system: {exc}") from exc
+    u = lu.solve(rhs)
     reason = _rejection(u, rhs - A @ u, rhs)
     if reason is not None:
         raise SolverError(reason)
 
-    return np.concatenate([rho_prev, u.ravel()])
+    return np.concatenate([rho_prev, u.ravel()]), lu
 
 
 def homotopy_newton_solve(prev, params, mesh: Mesh, factors: BlockFactors | None = None
                           ) -> tuple["scheme.State", StepDiagnostics]:
     """Advance `prev` by one time step; raises StepFailure if the alpha = 0
     solve fails, with its reason, or if all schedules fail.  `factors`
-    carries the preconditioner from the previous step and on to the next;
-    without it the step starts with none."""
+    carries the density factor from the previous step and on to the next;
+    without it the step starts with none.  The step's alpha = 0 factor
+    serves every schedule and is dropped when the step returns or fails."""
     k = prev.k + 1
+    factors = factors if factors is not None else BlockFactors()
     try:
         # Every schedule starts here; _newton_at_alpha rebinds x, never mutates it.
-        x0 = alpha0_solve(prev, params, mesh)
+        x0, factors.lu_u = alpha0_solve(prev, params, mesh)
     except SolverError as exc:
         raise StepFailure(f"alpha=0, 0 iterations, {exc}", alpha=0.0, iterations=0,
                           residual_norm=math.nan, step=k) from exc
-    factors = factors if factors is not None else BlockFactors()
+    factors.dt = params.dt(mesh)
     # One holder for the step: its counts add up over every schedule tried,
     # the rest describes the last schedule's last node.
     diag = StepDiagnostics()
 
-    for ischedule, schedule in enumerate(schedules(params.homotopy_steps)):
-        x = x0
-        diag.schedule_index, diag.alpha_nodes_used = ischedule, 1
-        budget = diag.newton_iters + params.newton_max_iter   # per schedule
-        ok = True
-        for alpha in schedule[1:]:
-            diag.alpha_nodes_used += 1
-            factors.keep_for(alpha)
-            x, ok = _newton_at_alpha(prev, x, alpha, params, mesh, diag, factors, budget)
-            if not ok:
-                break
-        if ok:
-            return scheme.unpack(x, mesh, k), diag
+    try:
+        for ischedule, schedule in enumerate(schedules(params.homotopy_steps)):
+            x = x0
+            diag.schedule_index, diag.alpha_nodes_used = ischedule, 1
+            budget = diag.newton_iters + params.newton_max_iter   # per schedule
+            ok = True
+            for alpha in schedule[1:]:
+                diag.alpha_nodes_used += 1
+                factors.keep_for(alpha)
+                x, ok = _newton_at_alpha(prev, x, alpha, params, mesh, diag, factors, budget)
+                if not ok:
+                    break
+            if ok:
+                return scheme.unpack(x, mesh, k), diag
 
-    raise StepFailure(
-        f"alpha={alpha:g}, {diag.newton_iters} iterations, residual {diag.residual_norm:.3e}",
-        alpha=alpha,
-        iterations=diag.newton_iters,
-        residual_norm=diag.residual_norm,
-        step=k,
-    )
+        raise StepFailure(
+            f"alpha={alpha:g}, {diag.newton_iters} iterations, residual {diag.residual_norm:.3e}",
+            alpha=alpha,
+            iterations=diag.newton_iters,
+            residual_norm=diag.residual_norm,
+            step=k,
+        )
+    finally:
+        factors.lu_u = None
 
 
 def _rounding_floor(J: sp.csr_matrix, x: NDArrayF) -> float:

@@ -249,8 +249,7 @@ def basis_gradients(mesh: Mesh) -> NDArrayF:
 
 def broken_gradient(u: NDArrayF, mesh: Mesh) -> NDArrayF:
     """(n_elems, 3, 3) with G[e, i, j] = d u_i / d x_j, constant per element."""
-    coeff = np.einsum("elk,eki->eli", p1_coefficients(mesh), u[mesh.elem_faces])
-    return coeff[:, :3, :].transpose(0, 2, 1)
+    return np.matmul(basis_gradients(mesh), u[mesh.elem_faces]).transpose(0, 2, 1)
 
 
 def broken_divergence(u: NDArrayF, mesh: Mesh) -> NDArrayF:
@@ -400,6 +399,13 @@ _GRAD_CONST[[0, 1, 2], [1, 2, 3]] = 1.0
 _GRAD_LIN = np.zeros((3, 3, 10))
 _GRAD_LIN[[0, 1, 2], [0, 1, 2], [4, 5, 6]] = 2.0
 _GRAD_LIN[[1, 0, 2, 0, 2, 1], [0, 1, 0, 2, 1, 2], [7, 7, 8, 8, 9, 9]] = 1.0
+
+
+def polynomial_values(phi: "ScalarPolynomial", v: "PolynomialField",
+                      pts: NDArrayF) -> tuple[NDArrayF, NDArrayF]:
+    """`phi(pts)` and `v(pts)`, with their bits, from one monomial table."""
+    out = _combine(np.vstack([phi.coeffs, v.coeffs]), pts)
+    return out[0], out[1:].T
 
 
 @dataclass

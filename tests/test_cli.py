@@ -413,6 +413,21 @@ def test_unconverged_run_exits_two(tmp_path, capsys):
     assert re.fullmatch(r"run failed at step 1: alpha=\S+, \d+ iterations, residual \S+\n", err)
 
 
+def test_dense_bump_runs_without_rescue_flags(tmp_path):
+    """At rho_bar 100 the acoustic Courant number is ~300.  The n=3 bump
+    still runs two steps on the default schedules and budgets, and every row
+    keeps the mass of row 0 to rounding."""
+    outdir = tmp_path / "out"
+    rc = cli.main(["run", "--preset", "bump", "--n", "3", "--steps", "2",
+                   "--rho_bar", "100", "--outdir", str(outdir)])
+    assert rc == 0
+    lines = (outdir / "diagnostics.csv").read_text().strip().splitlines()
+    column = lines[0].split(",").index("mass")
+    mass = np.array([float(line.split(",")[column]) for line in lines[1:]])
+    assert len(mass) == 3
+    assert np.abs(mass - mass[0]).max() <= 1e-12 * mass[0]
+
+
 def test_underflowing_sigma_exits_one(tmp_path, capsys):
     """sigma > 0 whose square underflows to 0 would divide by zero in the
     bump's closed-form minimum: a configuration error, one line."""

@@ -1,5 +1,7 @@
 """Linear solves, the decoupled entry solve, and the continuation Newton loop."""
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -23,20 +25,30 @@ def _discard(state, row):
 # Newton linear solve
 
 
+def step_factors(lu_u, dt):
+    """A holder with no density factor and the velocity factor `lu_u` at
+    time step `dt`, as a step hands it its alpha = 0 factor."""
+    factors = solver.BlockFactors()
+    factors.lu_u, factors.dt = lu_u, dt
+    return factors
+
+
 def newton_system(mesh, params):
-    """First Newton matrix and right-hand side of the second bump step."""
+    """First Newton matrix and right-hand side of the second bump step, and
+    a holder with that step's alpha = 0 factor."""
     first, _ = solver.homotopy_newton_solve(bump_state(mesh, params), params, mesh)
-    guess = scheme.unpack(solver.alpha0_solve(first, params, mesh), mesh, first.k + 1)
+    x0, lu_u = solver.alpha0_solve(first, params, mesh)
+    guess = scheme.unpack(x0, mesh, first.k + 1)
     J = scheme.jacobian(first, guess, params, mesh, alpha=1.0)
     r = scheme.residual(first, guess, params, mesh, alpha=1.0)
-    return J, -r.ravel()
+    return J, -r.ravel(), step_factors(lu_u, params.dt(mesh))
 
 
 def test_newton_solve_matches_direct(mesh2, params):
-    J, b = newton_system(mesh2, params)
+    J, b, factors = newton_system(mesh2, params)
     stats = solver.StepDiagnostics()
     x = solver.linear_solve(J, b, n_density=mesh2.n_elems, stats=stats,
-                            factors=solver.BlockFactors(), floor=0.0)
+                            factors=factors, floor=0.0)
     direct = spla.spsolve(sp.csc_matrix(J), b)
     assert np.abs(x - direct).max() <= 1e-12 * np.abs(direct).max()
     # 9 iterations today (8 with scipy's gmres); a preconditioner without the
@@ -57,12 +69,19 @@ def newton_layout(b_scale):
     return J, rng.standard_normal(ne + 3 * ni), ne
 
 
+def layout_factors(J, ne):
+    """A holder whose velocity factor is the exact factor of J's first
+    velocity-component block, at dt = 1: for a Newton-layout matrix, the
+    part of the preconditioner that a step's alpha = 0 factor plays."""
+    return step_factors(spla.splu(sp.csc_matrix(J[ne::3, ne::3]), **solver.BLOCK_LU), 1.0)
+
+
 def test_newton_solve_restarts_a_cycle_short_of_the_bound():
     """A system that one GMRES cycle leaves short of the acceptance bound is
     finished by a restarted cycle."""
     J, b, ne = newton_layout(1.0)
     stats = solver.StepDiagnostics()
-    x = solver.linear_solve(J, b, n_density=ne, stats=stats, factors=solver.BlockFactors(),
+    x = solver.linear_solve(J, b, n_density=ne, stats=stats, factors=layout_factors(J, ne),
                             floor=0.0)
     direct = np.linalg.solve(J.toarray(), b)
     # 195 iterations over two cycles today.
@@ -76,7 +95,7 @@ def test_newton_solve_failure_raises():
     J, b, ne = newton_layout(100.0)
     stats = solver.StepDiagnostics()
     with pytest.raises(solver.SolverError, match="residual too large"):
-        solver.linear_solve(J, b, n_density=ne, stats=stats, factors=solver.BlockFactors(),
+        solver.linear_solve(J, b, n_density=ne, stats=stats, factors=layout_factors(J, ne),
                             floor=0.0)
     assert stats.krylov_iters == solver.KRYLOV_RESTART * solver.KRYLOV_CYCLES
     assert stats.krylov_cycles == solver.KRYLOV_CYCLES
@@ -84,9 +103,11 @@ def test_newton_solve_failure_raises():
 
 def test_failed_solve_drops_factors():
     """A solve that fails on factors held from an earlier matrix refactors
-    once, and drops the factors when the fresh ones fail too."""
+    once, and drops the density factor when the fresh one fails too; the
+    velocity factor, which the step owns, stays."""
     J, b, ne = newton_layout(0.01)
-    stats, factors = solver.StepDiagnostics(), solver.BlockFactors()
+    stats, factors = solver.StepDiagnostics(), layout_factors(J, ne)
+    lu_u = factors.lu_u
     solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors, floor=0.0)
     assert factors.held
     stale_cap = int(solver.STALE_GROWTH * factors.base)
@@ -98,7 +119,7 @@ def test_failed_solve_drops_factors():
     assert stats.krylov_iters == stale_cap + solver.KRYLOV_RESTART * solver.KRYLOV_CYCLES
     assert stats.krylov_cycles == 1 + solver.KRYLOV_CYCLES
     assert stats.factorizations == 1
-    assert factors.lu_rho is None and factors.lu_u is None
+    assert factors.lu_rho is None and factors.lu_u is lu_u
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +127,7 @@ def test_failed_solve_drops_factors():
 
 
 def block_preconditioner(J, ne):
-    factors = solver.BlockFactors()
+    factors = layout_factors(J, ne)
     factors.factor(J, ne)
     return factors.preconditioner(J[ne:, :ne])
 
@@ -190,7 +211,7 @@ def test_overflowing_krylov_quantity_fails_the_solve():
         warnings.simplefilter("always")
         with pytest.raises(solver.SolverError, match="non-finite"):
             solver.linear_solve(J, np.ones(4), n_density=1, stats=stats,
-                                factors=solver.BlockFactors(), floor=0.0)
+                                factors=layout_factors(J, 1), floor=0.0)
     assert stats.krylov_cycles == 1 and stats.krylov_iters == 0
     assert not caught
 
@@ -205,7 +226,7 @@ def test_floor_shortens_the_solve():
     def solve(floor):
         stats = solver.StepDiagnostics()
         x = solver.linear_solve(J, b, n_density=ne, stats=stats, floor=floor,
-                                factors=solver.BlockFactors())
+                                factors=layout_factors(J, ne))
         return x, stats.krylov_iters
 
     exact, iters = solve(0.0)
@@ -216,20 +237,99 @@ def test_floor_shortens_the_solve():
     assert same == iters and np.array_equal(below, exact)
 
 
-def test_velocity_block_factor_is_incomplete(mesh2, params):
-    """On a bump Newton matrix the held velocity factor stores fewer entries
-    than SuperLU's exact factor of the same block, and preconditions GMRES
-    to an iterate that passes the acceptance check."""
-    J, b = newton_system(mesh2, params)
-    ne = mesh2.n_elems
+def test_velocity_factor_is_the_steps_alpha0_factor(mesh2, params, monkeypatch):
+    """Bump n=2 on the fallback schedule: every preconditioner of the step
+    uses the factor that its alpha = 0 solve made, and the step makes no
+    other velocity factorization: one SuperLU call per density factor plus
+    that one, and no incomplete factor."""
+    made, used, splu_calls = [], [], []
+    alpha0_solve, preconditioner, splu = (solver.alpha0_solve,
+                                          solver.BlockFactors.preconditioner, spla.splu)
+
+    def recorded_alpha0(*args):
+        x0, lu_u = alpha0_solve(*args)
+        made.append(lu_u)
+        return x0, lu_u
+
+    def recorded_preconditioner(self, C):
+        used.append(self.lu_u)
+        return preconditioner(self, C)
+
+    def counted_splu(*args, **kwargs):
+        splu_calls.append(1)
+        return splu(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("incomplete factor made")
+
+    monkeypatch.setattr(solver, "alpha0_solve", recorded_alpha0)
+    monkeypatch.setattr(solver.BlockFactors, "preconditioner", recorded_preconditioner)
+    monkeypatch.setattr(spla, "splu", counted_splu)
+    monkeypatch.setattr(spla, "spilu", refuse)
+    monkeypatch.setattr(solver, "schedules", lambda steps: [(0.0, 0.25, 0.5, 0.75, 1.0)])
     factors = solver.BlockFactors()
-    factors.factor(J, ne)
-    exact = spla.splu(sp.csc_matrix(J[ne::3, ne::3]), **solver.BLOCK_LU)
-    assert factors.lu_u.nnz < exact.nnz   # 1574 against 4048 today
-    x, reason, _ = solver._gmres(J, b, factors.preconditioner(J[ne:, :ne]),
-                                 solver.KRYLOV_RESTART, solver.KRYLOV_CYCLES,
-                                 solver.StepDiagnostics(), 0.0)
-    assert reason is None and solver._rejection(x, b - J @ x, b) is None
+    _, diag = solver.homotopy_newton_solve(bump_state(mesh2, params), params, mesh2, factors)
+    assert diag.alpha_nodes_used == 5 and diag.factorizations == 4
+    assert len(made) == 1 and len(used) >= 4
+    assert all(lu_u is made[0] for lu_u in used)
+    assert len(splu_calls) == diag.factorizations + 1
+    assert factors.lu_u is None
+
+
+def test_alpha0_newton_matrix_solves_in_one_iteration(mesh2, params):
+    """At alpha = 0 and the alpha = 0 state, B = 0 and D is
+    (M_rho_prev / dt + K) (x) I, so the preconditioner with the step's
+    alpha = 0 factor is the inverse of J: GMRES ends in one iteration."""
+    prev = bump_state(mesh2, params)
+    x0, lu_u = solver.alpha0_solve(prev, params, mesh2)
+    J = scheme.jacobian(prev, scheme.unpack(x0, mesh2, prev.k + 1), params, mesh2, alpha=0.0)
+    b = np.random.default_rng(6).standard_normal(J.shape[0])
+    stats = solver.StepDiagnostics()
+    x = solver.linear_solve(J, b, n_density=mesh2.n_elems, stats=stats,
+                            factors=step_factors(lu_u, params.dt(mesh2)), floor=0.0)
+    assert (stats.krylov_iters, stats.krylov_cycles, stats.factorizations) == (1, 1, 1)
+    assert solver._rejection(x, b - J @ x, b) is None
+
+
+class _Factor:
+    """A weakly referable stand-in for a SuperLU factor, which is not."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, rhs):
+        return self.lu.solve(rhs)
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_no_reference_to_alpha0_factor_outlives_the_step(mesh2, fails, monkeypatch):
+    """The step drops its alpha = 0 factor when it returns (bump n=2) and
+    when it raises StepFailure (one Newton iteration per schedule at
+    newton_tol 1e-16), although the holder and the exception outlive it."""
+    params = (scheme.SchemeParams(newton_tol=1e-16, newton_max_iter=1, homotopy_steps=2)
+              if fails else scheme.SchemeParams())
+    refs = []
+    alpha0_solve = solver.alpha0_solve
+
+    def weakly_referable(*args):
+        x0, lu_u = alpha0_solve(*args)
+        factor = _Factor(lu_u)
+        refs.append(weakref.ref(factor))
+        return x0, factor
+
+    monkeypatch.setattr(solver, "alpha0_solve", weakly_referable)
+    factors = solver.BlockFactors()
+    prev = bump_state(mesh2, params)
+    if fails:
+        with pytest.raises(solver.StepFailure) as info:
+            solver.homotopy_newton_solve(prev, params, mesh2, factors)
+        assert info.value.iterations >= 1
+    else:
+        _, diag = solver.homotopy_newton_solve(prev, params, mesh2, factors)
+        assert diag.krylov_iters > 0
+    gc.collect()
+    assert len(refs) == 1 and refs[0]() is None
+    assert factors.lu_u is None and factors.held
 
 
 def test_gmres_tightens_after_rejected_cycle():
@@ -276,7 +376,7 @@ def row_scaled(J, ne, lo, hi):
 def test_close_newton_matrices_share_factors():
     """Held factors of one matrix precondition the next, close one."""
     J, b, ne = newton_layout(0.01)
-    stats, factors = solver.StepDiagnostics(), solver.BlockFactors()
+    stats, factors = solver.StepDiagnostics(), layout_factors(J, ne)
     solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors, floor=0.0)
     assert factors.held and stats.factorizations == 1
     J2 = row_scaled(J, ne, 1.0, 1.001)
@@ -289,7 +389,7 @@ def test_stale_factors_missing_their_cap_refactor_once():
     """A stale cycle that misses its cap is discarded and the matrix is
     refactored once; the fresh solve's result passes the acceptance check."""
     J, b, ne = newton_layout(0.01)
-    stats, factors = solver.StepDiagnostics(), solver.BlockFactors()
+    stats, factors = solver.StepDiagnostics(), layout_factors(J, ne)
     solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors, floor=0.0)
     base = factors.base
     first = stats.krylov_iters
@@ -309,7 +409,7 @@ def test_one_iteration_solve_sets_no_base():
     held factors, where a cap of twice one iteration would refactor it, and
     a base set before is kept."""
     J, b, ne = newton_layout(0.0)
-    stats, factors = solver.StepDiagnostics(), solver.BlockFactors()
+    stats, factors = solver.StepDiagnostics(), layout_factors(J, ne)
     solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors, floor=0.0)
     assert stats.krylov_iters == 1 and factors.held and factors.base == 0
     J2 = row_scaled(J, ne, 1.0, 1.001)
@@ -392,7 +492,7 @@ def test_newton_solve_rejects_singular(mesh1, params):
     """A zero density row makes the density block exactly singular: the
     solve raises SolverError before any GMRES iteration, and no LU of J
     warns of a singular matrix."""
-    J, b = newton_system(mesh1, params)
+    J, b, factors = newton_system(mesh1, params)
     J = J.tolil()
     J[0, :] = 0.0
     stats = solver.StepDiagnostics()
@@ -400,7 +500,7 @@ def test_newton_solve_rejects_singular(mesh1, params):
         warnings.simplefilter("error", spla.MatrixRankWarning)
         with pytest.raises(solver.SolverError, match="singular"):
             solver.linear_solve(J.tocsr(), b, n_density=mesh1.n_elems, stats=stats,
-                                factors=solver.BlockFactors(), floor=0.0)
+                                factors=factors, floor=0.0)
     assert stats.krylov_iters == 0 and stats.factorizations == 0
 
 
@@ -427,7 +527,7 @@ def test_settings_schedules_order():
 
 def test_alpha0_keeps_density(mesh2, params):
     prev = bump_state(mesh2, params)
-    x = solver.alpha0_solve(prev, params, mesh2)
+    x, _ = solver.alpha0_solve(prev, params, mesh2)
     assert x.shape == scheme.pack(prev, mesh2).shape
     assert np.array_equal(x[:mesh2.n_elems], prev.rho)
 
@@ -436,7 +536,7 @@ def test_alpha0_zeroes_residual(mesh2, params):
     """The entry state solves the alpha = 0 nonlinear system exactly: the
     momentum block is linear in u once rho is frozen."""
     prev = bump_state(mesh2, params)
-    new = scheme.unpack(solver.alpha0_solve(prev, params, mesh2), mesh2, prev.k + 1)
+    new = scheme.unpack(solver.alpha0_solve(prev, params, mesh2)[0], mesh2, prev.k + 1)
     res = scheme.residual(prev, new, params, mesh2, alpha=0.0)
     scale = 1.0 + np.abs(scheme.pack(prev, mesh2)).max()
     assert np.abs(res.continuity).max() < 1e-12
@@ -449,7 +549,7 @@ def test_alpha0_matches_dense_solve(mesh1, params):
     rho = 1.0 + 0.3 * rng.uniform(-1, 1, mesh1.n_elems)
     dofs = 0.4 * rng.standard_normal((mesh1.n_faces, 3))
     prev = scheme.State(rho, apply_bc(dofs, mesh1), k=0)
-    new = scheme.unpack(solver.alpha0_solve(prev, params, mesh1), mesh1, prev.k + 1)
+    new = scheme.unpack(solver.alpha0_solve(prev, params, mesh1)[0], mesh1, prev.k + 1)
 
     dt = params.dt(mesh1)
     Ms = scheme.interior_weighted_mass(mesh1, prev.rho).toarray()
@@ -645,7 +745,7 @@ def test_overflowing_residual_fails_the_step(mesh1, amp, sigma, residual_finite,
     params = scheme.SchemeParams(a=1e308)
     rho0, m0 = scheme.bump_data(1.0, amp, sigma, (0.4, 0.5, 0.5))
     prev = scheme.initial_state(rho0, m0, mesh1, params)
-    entry = scheme.unpack(solver.alpha0_solve(prev, params, mesh1), mesh1, prev.k + 1)
+    entry = scheme.unpack(solver.alpha0_solve(prev, params, mesh1)[0], mesh1, prev.k + 1)
     norm = np.abs(scheme.residual(prev, entry, params, mesh1).ravel()).max()
     assert np.isfinite(norm) == residual_finite
     monkeypatch.setattr(solver, "linear_solve", None)   # must not be reached
