@@ -385,13 +385,13 @@ def _gmres(J: sp.csr_matrix, b: NDArrayF, precondition: Callable[[NDArrayF], NDA
 def linear_solve(J: sp.csr_matrix, b: NDArrayF, n_density: int, stats: StepDiagnostics,
                  factors: BlockFactors, floor: float) -> NDArrayF:
     """Solve the Newton system J x = b, J with `n_density` density unknowns
-    first, by GMRES preconditioned with `factors`, which are kept or
-    refreshed as the module docstring describes.  `floor`, the rounding floor
+    first, by GMRES preconditioned with `factors`, whose density factor is
+    kept or refreshed as the module docstring describes.  `floor`, the rounding floor
     of the Newton iterate, loosens GMRES's tolerance (`_gmres`), and `stats`
     counts the Krylov iterations and factorizations.  x is accepted only if
     it is finite with |J x - b|_inf <= 1e-10 (1 + |b|_inf).  Raises
-    SolverError at a zero pivot in a block or when the solve on fresh
-    factors fails the check; the factors are then dropped.
+    SolverError at a zero pivot in A or when the solve on a fresh factor
+    fails the check; the density factor is then dropped.
     """
     C = J[n_density:, :n_density]
     if factors.held:
@@ -401,7 +401,7 @@ def linear_solve(J: sp.csr_matrix, b: NDArrayF, n_density: int, stats: StepDiagn
             return x
     try:
         factors.factor(J, n_density)
-    except RuntimeError as exc:   # exactly singular block; factor dropped the old ones
+    except RuntimeError as exc:   # exactly singular A; factor dropped the old one
         raise SolverError(f"preconditioner block: {exc}") from exc
     stats.factorizations += 1
     x, reason, iters = _gmres(J, b, factors.preconditioner(C),

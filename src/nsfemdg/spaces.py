@@ -401,13 +401,6 @@ _GRAD_LIN[[0, 1, 2], [0, 1, 2], [4, 5, 6]] = 2.0
 _GRAD_LIN[[1, 0, 2, 0, 2, 1], [0, 1, 0, 2, 1, 2], [7, 7, 8, 8, 9, 9]] = 1.0
 
 
-def polynomial_values(phi: "ScalarPolynomial", v: "PolynomialField",
-                      pts: NDArrayF) -> tuple[NDArrayF, NDArrayF]:
-    """`phi(pts)` and `v(pts)`, with their bits, from one monomial table."""
-    out = _combine(np.vstack([phi.coeffs, v.coeffs]), pts)
-    return out[0], out[1:].T
-
-
 @dataclass
 class PolynomialField:
     """Vector field with trivariate polynomial components of degree <= 2.
@@ -494,3 +487,10 @@ class ScalarPolynomial:
 
     def gradient(self, pts: NDArrayF) -> NDArrayF:
         return _GRAD_CONST @ self.coeffs + np.atleast_2d(pts) @ (_GRAD_LIN @ self.coeffs)
+
+
+def polynomial_values(phi: ScalarPolynomial, v: PolynomialField,
+                      pts: NDArrayF) -> tuple[NDArrayF, NDArrayF]:
+    """`phi(pts)` and `v(pts)`, with their bits, from one monomial table."""
+    out = _combine(np.vstack([phi.coeffs, v.coeffs]), pts)
+    return out[0], out[1:].T

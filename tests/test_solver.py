@@ -51,8 +51,8 @@ def test_newton_solve_matches_direct(mesh2, params):
                             factors=factors, floor=0.0)
     direct = spla.spsolve(sp.csc_matrix(J), b)
     assert np.abs(x - direct).max() <= 1e-12 * np.abs(direct).max()
-    # 9 iterations today (8 with scipy's gmres); a preconditioner without the
-    # coupling C needed 16.
+    # 5 iterations today; the same preconditioner without the coupling C
+    # takes 9.
     assert 0 < stats.krylov_iters <= 12
 
 
@@ -448,9 +448,10 @@ def test_bump_steps_reuse_factors(mesh2, params, monkeypatch):
 
 
 def test_bump_run_newton_counts(mesh2, params):
-    """Bump n=2 x3 takes 4, 3 and 2 Newton iterations, as with the exact
-    velocity factor and GMRES run to KRYLOV_RTOL: neither the incomplete
-    factor nor the floor-relative tolerance costs a Newton iteration."""
+    """Bump n=2 x3 takes 4, 3 and 2 Newton iterations, as with an exact
+    factor of the velocity block and GMRES run to KRYLOV_RTOL: neither the
+    alpha = 0 factor in its place nor the floor-relative tolerance costs a
+    Newton iteration."""
     rho0, m0 = scheme.make_initial_data("bump", 1.0, 0.5, 0.15,
                                         mesh2.box_lo, mesh2.box_hi)
     steps = scheme.run(mesh2, params, rho0, m0, 3, _discard).diagnostics[1:]

@@ -631,6 +631,15 @@ def test_value_and_jacobian_are_the_bits_of_call_and_jacobian(field):
         assert np.array_equal(jac, field.jacobian(pts))
 
 
+def test_polynomial_values_are_the_bits_of_the_two_calls():
+    rng = np.random.default_rng(17)
+    phi, v = ScalarPolynomial.random(rng), PolynomialField.random(rng)
+    for pts in (rng.uniform(-0.5, 1.5, size=(448 * 64, 3)), np.array([0.25, 0.5, 0.125])):
+        phi_p, v_p = spaces.polynomial_values(phi, v, pts)
+        assert phi_p.shape == phi(pts).shape and v_p.shape == v(pts).shape
+        assert np.array_equal(phi_p, phi(pts)) and np.array_equal(v_p, v(pts))
+
+
 def test_sine_field_vanishes_on_boundary(mesh2):
     pts, _ = face_quad_points(mesh2, 4, slice(None))
     vals = SineField()(pts.reshape(-1, 3)).reshape(pts.shape[0], -1, 3)
