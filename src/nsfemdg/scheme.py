@@ -597,10 +597,9 @@ def run(
     on_state(state, rows[0])
     dissipation = 0.0
     e0 = ledger0.total
-    factors = solver.BlockFactors()   # the density factor, carried from step to step
 
     for k in range(1, steps + 1):
-        new, sd = solver.homotopy_newton_solve(state, params, mesh, factors)
+        new, sd = solver.homotopy_newton_solve(state, params, mesh)
         ledger = diag.energy_ledger(new, params, mesh, prev=state)
         dissipation += dt * (ledger.grad_diss + ledger.d2 + ledger.d5)
         margin = e0 - (ledger.total + dissipation)

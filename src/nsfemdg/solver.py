@@ -39,23 +39,16 @@ Appl. 50, 2005).
 A cycle that reaches the tolerance with an iterate that fails the residual
 acceptance check is followed by one whose tolerance, stripped of the floor
 loosening, is tightened by the factor the residual misses the bound by.
-The density factor is lagged (`BlockFactors`): a run holds it across its
-time steps, keyed to the continuation weight alpha it was made at, and
-refreshes it on evidence; L0 does not depend on alpha, and the step drops it
-when it returns or fails.
-Entering a node at another alpha drops the density factor, so the default
-schedule {0, 1} carries it from step to step at alpha = 1 and a fallback
-schedule factors A afresh at each of its nodes.  A fresh factorization gets
-GMRES restarted every 100 iterations for at most 10 cycles, and its
-iteration count becomes the base unless the solve took at most one, which
-leaves the base as it was; the factor is kept for the next matrix only if
-that solve ended within one cycle.  A kept factor gets a single cycle,
-capped at twice the base; the first fresh solve of a run sets the base in
-every configuration measured, and a held factor with no base would get a
-full cycle.  If the cycle misses, its iterate is discarded, A is refactored
-and the matrix solved afresh.  A and the alpha = 0 system are ordered by
-minimum degree on A^T + A with diagonal pivots, which their symmetric
-patterns allow.
+The density factor lives for one continuation node (`BlockFactors`): the
+node factors A at its first Newton matrix and keeps the factor while a
+single GMRES cycle of 100 iterations still solves with it.  If that cycle
+misses, its iterate is discarded, A is refactored and the matrix solved
+afresh, with GMRES restarted every 100 iterations for at most 10 cycles;
+the fresh factor is kept for the next matrix only if that solve ended within
+one cycle.  L0 does not depend on alpha and serves every node of the step,
+which drops it when it returns or fails.  A and the alpha = 0 system are
+ordered by minimum degree on A^T + A with diagonal pivots, which their
+symmetric patterns allow.
 There is no direct solve of J: a zero pivot in A, a Krylov quantity that
 overflows, or a solve on a fresh factor that fails the acceptance check,
 raises SolverError with the density factor dropped, and the Newton node
@@ -158,13 +151,14 @@ class StepDiagnostics:
 # continuation schedule absorbs into an out-of-memory kill.  The
 # preconditioned 2-norm underweights some rows, so a cycle can reach the
 # tolerance with an iterate that fails the check (on the stress
-# configuration, gamma 6, c 4, at amp 200, n=2 x2: 11 solves per run at each
-# of seeds 0-10 of the benchmark, 4-4e4x over the bound; at amp 30, n=4 x4:
-# none at seeds 0-7).  The next cycle therefore runs to KRYLOV_RTOL |M b|_2,
-# without the floor loosening below (or to the tighter tolerance of an
-# earlier rejected cycle), divided by the factor the residual misses the
-# bound by.  Dividing the floor-loosened tolerance by that factor instead
-# failed step 1 at amp 200, n=2, at 4 of those 11 seeds; this rule passes all.
+# configuration, gamma 6, c 4, at amp 200, n=2 x2: 10-11 solves per run at
+# each of seeds 0-10 of the benchmark, 1.2-3.2e4x over the bound; at amp 30,
+# n=4 x4: one at 6 of seeds 0-7, at most 82x).  The next cycle therefore
+# runs to KRYLOV_RTOL |M b|_2, without the floor loosening below (or to the
+# tighter tolerance of an earlier rejected cycle), divided by the factor the
+# residual misses the bound by.  Dividing the floor-loosened tolerance by
+# that factor instead failed step 1 at amp 200, n=2, at 5 of those 11 seeds;
+# this rule passes all.
 #
 # The tolerance is loosened to FLOOR_MARGIN times the current iterate's
 # rounding floor (FLOOR_FACTOR u |||J| |x|||_inf, see above) relative to
@@ -173,32 +167,13 @@ class StepDiagnostics:
 # Sci. Comput. 17, 1996), and the floor is far below the acceptance bound.
 # At seed 0 of the benchmark, Krylov iterations on bump n=4 x20 / the stress
 # configuration (amp 30, n=4 x4) / the bump Cauchy pair n = 3, 6 were
-# 577 / 1666 / 119 without the loosening, 424 / 1413 / 102 at a margin of
-# 0.01 and 393 / 1352 / 96 at 0.1, with the same Newton counts; a margin of
-# 1.0 took 357 / 1320 / 90 but raised bump's Newton count 46 -> 47.
+# 561 / 1736 / 103 without the loosening, 415 / 1474 / 82 at a margin of
+# 0.01 and 380 / 1418 / 77 at 0.1, with the same Newton counts; a margin of
+# 1.0 took 348 / 1383 / 71 but raised bump's Newton count 46 -> 47.
 KRYLOV_RESTART = 100
 KRYLOV_CYCLES = 10
 KRYLOV_RTOL = 1e-15
 FLOOR_MARGIN = 0.1
-
-# Lagged density factor (Knoll & Keyes, JCP 193, 2004, section 3): the
-# Newton matrices at one continuation weight differ little, within a step
-# and from one step to the next, so A's factor is kept while a single GMRES
-# cycle of fewer than STALE_GROWTH times the base iterations still solves
-# with it.  Held by the run and keyed to alpha, it cut bump n=4 x20 from 21
-# factorizations (one holder per step) to 2, for 390 -> 393 Krylov
-# iterations and the same 46 Newton iterations (seed 0 of the benchmark).  A
-# stale cycle of up to KRYLOV_RESTART iterations instead of the cap took
-# 1436 Krylov iterations instead of 1352 on the stress configuration (gamma
-# 6, c 4, amp 30, n=4 x4), but 381 instead of 393 on bump n=4 x20 and 77
-# instead of 96 on the bump Cauchy pair n = 3, 6, with one and two fewer
-# factorizations.  The first fresh solve of a run sets the base: on those
-# three, at seeds 0-7 of the benchmark, no fresh solve took fewer than 5
-# iterations (the fewest per run 5 on bump and Cauchy, 8 on stress).  Only
-# a solve of at most one iteration, a breakdown at once, leaves the base
-# unset, and a held factor then gets a full cycle; no measured run takes
-# that path.
-STALE_GROWTH = 2.0
 
 # SuperLU settings of the density block and of the alpha = 0 system.  Their
 # patterns are symmetric, so they are ordered by minimum degree on A^T + A
@@ -235,30 +210,18 @@ def _rejection(x: NDArrayF, r: NDArrayF, b: NDArrayF) -> str | None:
 
 
 class BlockFactors:
-    """Preconditioner factors for Newton matrices J = [[A, B], [C, D]] with
-    `ne` density rows.
+    """Preconditioner factors for the Newton matrices J = [[A, B], [C, D]]
+    of one continuation node, with `ne` density rows.
 
-    `lu_rho` factors A exactly and is held from one matrix to the next;
-    `alpha` is the continuation weight of the node it serves.  `base` is the
-    iteration count of the latest solve right after a factorization, among
-    those that took more than one iteration; 0 before there is one.  `lu_u`
-    is the step's factor of M_rho_prev + dt K from `alpha0_solve`, and `dt`
-    the time step: (dt lu_u^-1) (x) I stands for D^-1.  The step sets both
-    and drops `lu_u` when it ends.  A run creates one holder and hands it to
-    every step.
+    `lu_rho` factors A exactly and is held from one matrix of the node to
+    the next; the node starts with none.  `lu_u` is the step's factor of
+    M_rho_prev + dt K from `alpha0_solve`, and `dt` the time step:
+    (dt lu_u^-1) (x) I stands for D^-1.
     """
 
-    def __init__(self):
-        self.lu_rho = self.lu_u = self.dt = None
-        self.base = 0
-        self.alpha = None
-
-    def keep_for(self, alpha: float) -> None:
-        """Enter a continuation node at weight `alpha`: a density factor made
-        at another weight is dropped."""
-        if alpha != self.alpha:
-            self.drop()
-            self.alpha = alpha
+    def __init__(self, lu_u: spla.SuperLU, dt: float):
+        self.lu_rho = None
+        self.lu_u, self.dt = lu_u, dt
 
     @property
     def held(self) -> bool:
@@ -395,9 +358,9 @@ def linear_solve(J: sp.csr_matrix, b: NDArrayF, n_density: int, stats: StepDiagn
     """
     C = J[n_density:, :n_density]
     if factors.held:
-        cap = min(KRYLOV_RESTART, int(STALE_GROWTH * factors.base)) or KRYLOV_RESTART
-        x, reason, iters = _gmres(J, b, factors.preconditioner(C), cap, 1, stats, floor)
-        if reason is None and iters < cap:
+        x, reason, iters = _gmres(J, b, factors.preconditioner(C), KRYLOV_RESTART, 1, stats,
+                                  floor)
+        if reason is None and iters < KRYLOV_RESTART:
             return x
     try:
         factors.factor(J, n_density)
@@ -406,8 +369,6 @@ def linear_solve(J: sp.csr_matrix, b: NDArrayF, n_density: int, stats: StepDiagn
     stats.factorizations += 1
     x, reason, iters = _gmres(J, b, factors.preconditioner(C),
                               KRYLOV_RESTART, KRYLOV_CYCLES, stats, floor)
-    if iters > 1:   # a breakdown at once says nothing of the next matrix
-        factors.base = iters
     if not (reason is None and iters < KRYLOV_RESTART):   # kept only after one cycle
         factors.drop()
     if reason is not None:
@@ -446,22 +407,19 @@ def alpha0_solve(prev, params, mesh: Mesh) -> tuple[NDArrayF, spla.SuperLU]:
     return np.concatenate([rho_prev, u.ravel()]), lu
 
 
-def homotopy_newton_solve(prev, params, mesh: Mesh, factors: BlockFactors | None = None
-                          ) -> tuple["scheme.State", StepDiagnostics]:
+def homotopy_newton_solve(prev, params, mesh: Mesh) -> tuple["scheme.State", StepDiagnostics]:
     """Advance `prev` by one time step; raises StepFailure if the alpha = 0
-    solve fails, with its reason, or if all schedules fail.  `factors`
-    carries the density factor from the previous step and on to the next;
-    without it the step starts with none.  The step's alpha = 0 factor
-    serves every schedule and is dropped when the step returns or fails."""
+    solve fails, with its reason, or if all schedules fail.  The step's
+    alpha = 0 factor serves every node of every schedule, and each node
+    starts with no density factor."""
     k = prev.k + 1
-    factors = factors if factors is not None else BlockFactors()
     try:
         # Every schedule starts here; _newton_at_alpha rebinds x, never mutates it.
-        x0, factors.lu_u = alpha0_solve(prev, params, mesh)
+        x0, lu_u = alpha0_solve(prev, params, mesh)
     except SolverError as exc:
         raise StepFailure(f"alpha=0, 0 iterations, {exc}", alpha=0.0, iterations=0,
                           residual_norm=math.nan, step=k) from exc
-    factors.dt = params.dt(mesh)
+    dt = params.dt(mesh)
     # One holder for the step: its counts add up over every schedule tried,
     # the rest describes the last schedule's last node.
     diag = StepDiagnostics()
@@ -474,8 +432,8 @@ def homotopy_newton_solve(prev, params, mesh: Mesh, factors: BlockFactors | None
             ok = True
             for alpha in schedule[1:]:
                 diag.alpha_nodes_used += 1
-                factors.keep_for(alpha)
-                x, ok = _newton_at_alpha(prev, x, alpha, params, mesh, diag, factors, budget)
+                x, ok = _newton_at_alpha(prev, x, alpha, params, mesh, diag,
+                                         BlockFactors(lu_u, dt), budget)
                 if not ok:
                     break
             if ok:
@@ -489,7 +447,7 @@ def homotopy_newton_solve(prev, params, mesh: Mesh, factors: BlockFactors | None
             step=k,
         )
     finally:
-        factors.lu_u = None
+        lu_u = None   # a StepFailure's traceback keeps this frame, not L0
 
 
 def _rounding_floor(J: sp.csr_matrix, x: NDArrayF) -> float:

@@ -30,7 +30,6 @@ KEPT_DEFAULTS = {
     ("spaces", "orthogonality_residual", "degree"),
     ("diagnostics", "energy_ledger", "prev"),    # run's step 0 has no previous state
     ("scheme", "_map", "extra"),                 # one of its two callers has none
-    ("solver", "homotopy_newton_solve", "factors"),   # a public one-step call
 }
 
 

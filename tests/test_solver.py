@@ -25,14 +25,6 @@ def _discard(state, row):
 # Newton linear solve
 
 
-def step_factors(lu_u, dt):
-    """A holder with no density factor and the velocity factor `lu_u` at
-    time step `dt`, as a step hands it its alpha = 0 factor."""
-    factors = solver.BlockFactors()
-    factors.lu_u, factors.dt = lu_u, dt
-    return factors
-
-
 def newton_system(mesh, params):
     """First Newton matrix and right-hand side of the second bump step, and
     a holder with that step's alpha = 0 factor."""
@@ -41,7 +33,7 @@ def newton_system(mesh, params):
     guess = scheme.unpack(x0, mesh, first.k + 1)
     J = scheme.jacobian(first, guess, params, mesh, alpha=1.0)
     r = scheme.residual(first, guess, params, mesh, alpha=1.0)
-    return J, -r.ravel(), step_factors(lu_u, params.dt(mesh))
+    return J, -r.ravel(), solver.BlockFactors(lu_u, params.dt(mesh))
 
 
 def test_newton_solve_matches_direct(mesh2, params):
@@ -73,7 +65,7 @@ def layout_factors(J, ne):
     """A holder whose velocity factor is the exact factor of J's first
     velocity-component block, at dt = 1: for a Newton-layout matrix, the
     part of the preconditioner that a step's alpha = 0 factor plays."""
-    return step_factors(spla.splu(sp.csc_matrix(J[ne::3, ne::3]), **solver.BLOCK_LU), 1.0)
+    return solver.BlockFactors(spla.splu(sp.csc_matrix(J[ne::3, ne::3]), **solver.BLOCK_LU), 1.0)
 
 
 def test_newton_solve_restarts_a_cycle_short_of_the_bound():
@@ -110,13 +102,12 @@ def test_failed_solve_drops_factors():
     lu_u = factors.lu_u
     solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors, floor=0.0)
     assert factors.held
-    stale_cap = int(solver.STALE_GROWTH * factors.base)
     J_bad, b_bad, _ = newton_layout(100.0)
     stats = solver.StepDiagnostics()
     with pytest.raises(solver.SolverError, match="residual too large"):
         solver.linear_solve(J_bad, b_bad, n_density=ne, stats=stats, factors=factors, floor=0.0)
-    # The held factors' capped stale cycle, then every cycle on fresh factors.
-    assert stats.krylov_iters == stale_cap + solver.KRYLOV_RESTART * solver.KRYLOV_CYCLES
+    # The held factors' full stale cycle, then every cycle on fresh factors.
+    assert stats.krylov_iters == solver.KRYLOV_RESTART * (1 + solver.KRYLOV_CYCLES)
     assert stats.krylov_cycles == 1 + solver.KRYLOV_CYCLES
     assert stats.factorizations == 1
     assert factors.lu_rho is None and factors.lu_u is lu_u
@@ -267,13 +258,11 @@ def test_velocity_factor_is_the_steps_alpha0_factor(mesh2, params, monkeypatch):
     monkeypatch.setattr(spla, "splu", counted_splu)
     monkeypatch.setattr(spla, "spilu", refuse)
     monkeypatch.setattr(solver, "schedules", lambda steps: [(0.0, 0.25, 0.5, 0.75, 1.0)])
-    factors = solver.BlockFactors()
-    _, diag = solver.homotopy_newton_solve(bump_state(mesh2, params), params, mesh2, factors)
+    _, diag = solver.homotopy_newton_solve(bump_state(mesh2, params), params, mesh2)
     assert diag.alpha_nodes_used == 5 and diag.factorizations == 4
     assert len(made) == 1 and len(used) >= 4
     assert all(lu_u is made[0] for lu_u in used)
     assert len(splu_calls) == diag.factorizations + 1
-    assert factors.lu_u is None
 
 
 def test_alpha0_newton_matrix_solves_in_one_iteration(mesh2, params):
@@ -286,7 +275,7 @@ def test_alpha0_newton_matrix_solves_in_one_iteration(mesh2, params):
     b = np.random.default_rng(6).standard_normal(J.shape[0])
     stats = solver.StepDiagnostics()
     x = solver.linear_solve(J, b, n_density=mesh2.n_elems, stats=stats,
-                            factors=step_factors(lu_u, params.dt(mesh2)), floor=0.0)
+                            factors=solver.BlockFactors(lu_u, params.dt(mesh2)), floor=0.0)
     assert (stats.krylov_iters, stats.krylov_cycles, stats.factorizations) == (1, 1, 1)
     assert solver._rejection(x, b - J @ x, b) is None
 
@@ -305,7 +294,7 @@ class _Factor:
 def test_no_reference_to_alpha0_factor_outlives_the_step(mesh2, fails, monkeypatch):
     """The step drops its alpha = 0 factor when it returns (bump n=2) and
     when it raises StepFailure (one Newton iteration per schedule at
-    newton_tol 1e-16), although the holder and the exception outlive it."""
+    newton_tol 1e-16), although the exception and its traceback outlive it."""
     params = (scheme.SchemeParams(newton_tol=1e-16, newton_max_iter=1, homotopy_steps=2)
               if fails else scheme.SchemeParams())
     refs = []
@@ -318,18 +307,16 @@ def test_no_reference_to_alpha0_factor_outlives_the_step(mesh2, fails, monkeypat
         return x0, factor
 
     monkeypatch.setattr(solver, "alpha0_solve", weakly_referable)
-    factors = solver.BlockFactors()
     prev = bump_state(mesh2, params)
     if fails:
         with pytest.raises(solver.StepFailure) as info:
-            solver.homotopy_newton_solve(prev, params, mesh2, factors)
+            solver.homotopy_newton_solve(prev, params, mesh2)
         assert info.value.iterations >= 1
     else:
-        _, diag = solver.homotopy_newton_solve(prev, params, mesh2, factors)
+        _, diag = solver.homotopy_newton_solve(prev, params, mesh2)
         assert diag.krylov_iters > 0
     gc.collect()
     assert len(refs) == 1 and refs[0]() is None
-    assert factors.lu_u is None and factors.held
 
 
 def test_gmres_tightens_after_rejected_cycle():
@@ -385,56 +372,30 @@ def test_close_newton_matrices_share_factors():
     assert np.allclose(x, np.linalg.solve(J2.toarray(), b), rtol=1e-10, atol=1e-12)
 
 
-def test_stale_factors_missing_their_cap_refactor_once():
-    """A stale cycle that misses its cap is discarded and the matrix is
-    refactored once; the fresh solve's result passes the acceptance check."""
+def test_stale_factors_missing_a_full_cycle_refactor_once():
+    """A stale cycle that runs its KRYLOV_RESTART iterations without reaching
+    the tolerance is discarded and the matrix is refactored once; the fresh
+    solve's result passes the acceptance check.  The next matrix has a larger
+    coupling B and rescaled density rows: fresh factors solve it in one cycle
+    (70 iterations today), the held ones do not."""
     J, b, ne = newton_layout(0.01)
     stats, factors = solver.StepDiagnostics(), layout_factors(J, ne)
     solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors, floor=0.0)
-    base = factors.base
     first = stats.krylov_iters
-    J2 = row_scaled(J, ne, 0.1, 10.0)
+    J2 = row_scaled(newton_layout(0.5)[0], ne, 0.1, 10.0)
     x = solver.linear_solve(J2, b, n_density=ne, stats=stats, factors=factors, floor=0.0)
     assert stats.factorizations == 2
     assert solver._rejection(x, b - J2 @ x, b) is None
-    # The stale cycle's iterations, up to the cap, stay counted.
-    cap = int(solver.STALE_GROWTH * base)
-    assert stats.krylov_iters - first >= cap + 1
+    # The stale cycle's iterations stay counted.
+    assert stats.krylov_iters - first > solver.KRYLOV_RESTART
     assert factors.held
 
 
-def test_one_iteration_solve_sets_no_base():
-    """With B = 0 the block preconditioner is J itself, so GMRES ends in one
-    iteration.  That solve sets no base: a nearby matrix is solved with the
-    held factors, where a cap of twice one iteration would refactor it, and
-    a base set before is kept."""
-    J, b, ne = newton_layout(0.0)
-    stats, factors = solver.StepDiagnostics(), layout_factors(J, ne)
-    solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors, floor=0.0)
-    assert stats.krylov_iters == 1 and factors.held and factors.base == 0
-    J2 = row_scaled(J, ne, 1.0, 1.001)
-    x = solver.linear_solve(J2, b, n_density=ne, stats=stats, factors=factors, floor=0.0)
-    assert stats.factorizations == 1
-    assert stats.krylov_iters - 1 > 2
-    assert np.allclose(x, np.linalg.solve(J2.toarray(), b), rtol=1e-10, atol=1e-12)
-
-    J0, b0, _ = newton_layout(0.01)
-    factors.drop()
-    solver.linear_solve(J0, b0, n_density=ne, stats=solver.StepDiagnostics(), factors=factors,
-                        floor=0.0)
-    base = factors.base
-    assert base > 1
-    factors.drop()
-    solver.linear_solve(J, b, n_density=ne, stats=solver.StepDiagnostics(), factors=factors,
-                        floor=0.0)
-    assert factors.held and factors.base == base
-
-
 def test_bump_steps_reuse_factors(mesh2, params, monkeypatch):
-    """Bump n=2 x3: the run holds one preconditioner across its steps, so it
-    factors fewer times than it takes steps, and no step takes more Newton
-    iterations than with every matrix factored afresh.  A second run in the
-    same process starts with its own holder and gives bitwise-equal rows."""
+    """Bump n=2 x3: each step's one node keeps its density factor from one
+    Newton matrix to the next, so it factors once, and no step takes more
+    Newton iterations than with every matrix factored afresh.  A second run
+    in the same process gives bitwise-equal rows."""
     rho0, m0 = scheme.make_initial_data("bump", 1.0, 0.5, 0.15,
                                         mesh2.box_lo, mesh2.box_hi)
     first = scheme.run(mesh2, params, rho0, m0, 3, _discard)
@@ -444,7 +405,7 @@ def test_bump_steps_reuse_factors(mesh2, params, monkeypatch):
     monkeypatch.setattr(solver.BlockFactors, "held", property(lambda self: False))
     fresh = scheme.run(mesh2, params, rho0, m0, 3, _discard).diagnostics[1:]
     assert all(d.newton_iters <= f.newton_iters for d, f in zip(lagged, fresh))
-    assert sum(d.factorizations for d in lagged) < len(lagged)
+    assert all(d.schedule_index == 0 and d.factorizations == 1 for d in lagged)
 
 
 def test_bump_run_newton_counts(mesh2, params):
@@ -459,12 +420,9 @@ def test_bump_run_newton_counts(mesh2, params):
 
 
 def test_fallback_schedule_refactors_at_each_node(mesh2, params, monkeypatch):
-    """Factors are kept for one continuation weight: a step on the fallback
-    schedule factors afresh at the first Newton matrix of each of its nodes,
-    although the holder arrives with the previous step's alpha = 1 factors."""
-    factors = solver.BlockFactors()
-    first, _ = solver.homotopy_newton_solve(bump_state(mesh2, params), params, mesh2, factors)
-    assert factors.held and factors.alpha == 1.0
+    """A step on the fallback schedule factors afresh at the first Newton
+    matrix of each of its nodes."""
+    first, _ = solver.homotopy_newton_solve(bump_state(mesh2, params), params, mesh2)
 
     events = []
     jacobian, factor = scheme.jacobian, solver.BlockFactors.factor
@@ -474,19 +432,46 @@ def test_fallback_schedule_refactors_at_each_node(mesh2, params, monkeypatch):
         return jacobian(*args, alpha=alpha)
 
     def recorded_factor(self, J, ne):
-        events.append(("F", self.alpha))
+        events.append(("F", events[-1][1]))
         factor(self, J, ne)
 
     monkeypatch.setattr(scheme, "jacobian", recorded_jacobian)
     monkeypatch.setattr(solver.BlockFactors, "factor", recorded_factor)
     monkeypatch.setattr(solver, "schedules", lambda steps: [(0.0, 0.25, 0.5, 0.75, 1.0)])
-    _, diag = solver.homotopy_newton_solve(first, params, mesh2, factors)
+    _, diag = solver.homotopy_newton_solve(first, params, mesh2)
     assert diag.alpha_nodes_used == 5
     nodes = list(dict.fromkeys(alpha for kind, alpha in events if kind == "J"))
     assert nodes == [0.25, 0.5, 0.75, 1.0]
     for alpha in nodes:
         i = events.index(("J", alpha))
         assert events[i + 1] == ("F", alpha)
+
+
+def test_no_density_factor_crosses_a_step_or_a_node(mesh2, params, monkeypatch):
+    """Bump n=2 x2 on the default schedule, one node per step at alpha = 1:
+    each node's first Newton matrix is solved on a holder of its own that
+    arrives with no density factor, and that solve factors A."""
+    solves = []
+    linear_solve = solver.linear_solve
+
+    def recorded_solve(J, b, **kwargs):
+        factors, stats = kwargs["factors"], kwargs["stats"]
+        held, before = factors.held, stats.factorizations
+        x = linear_solve(J, b, **kwargs)
+        solves.append((factors, held, stats.factorizations - before))
+        return x
+
+    monkeypatch.setattr(solver, "linear_solve", recorded_solve)
+    rho0, m0 = scheme.make_initial_data("bump", 1.0, 0.5, 0.15,
+                                        mesh2.box_lo, mesh2.box_hi)
+    steps = scheme.run(mesh2, params, rho0, m0, 2, _discard).diagnostics[1:]
+    assert [(d.schedule_index, d.alpha_nodes_used) for d in steps] == [(0, 2), (0, 2)]
+    assert len(solves) == sum(d.newton_iters for d in steps)
+    holders = list(dict.fromkeys(factors for factors, _, _ in solves))
+    assert len(holders) == 2
+    for factors in holders:
+        first = next(s for s in solves if s[0] is factors)
+        assert first[1:] == (False, 1)
 
 
 def test_newton_solve_rejects_singular(mesh1, params):
