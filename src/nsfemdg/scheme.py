@@ -83,7 +83,6 @@ class SchemeParams:
     c: float = 0.5
     newton_tol: float = 1e-9
     newton_max_iter: int = 50
-    homotopy_steps: int = 10
 
     def __post_init__(self):
         if self.gamma <= 1.0:
@@ -109,8 +108,6 @@ class SchemeParams:
             raise ValueError(f"time step factor c must be > 0, got {self.c}")
         if self.newton_tol <= 0.0 or self.newton_max_iter < 1:
             raise ValueError("invalid Newton settings")
-        if self.homotopy_steps < 2:
-            raise ValueError("homotopy_steps must be >= 2")
 
     def dt(self, mesh: Mesh) -> float:
         return self.c * mesh.h

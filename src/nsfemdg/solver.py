@@ -2,29 +2,37 @@
 
 Each step starts from the exactly solvable continuation weight alpha = 0,
 where the density equation returns the previous density and the momentum
-equation is a symmetric positive definite linear system, then tracks the
-solution along a schedule of alpha nodes up to alpha = 1 with damped Newton.
-The alpha = 0 state is computed once per step and is the start of every
-schedule.  The first schedule is {0, 1}; on failure the step restarts with
-{0, 1/4, 1/2, 3/4, 1} and finally the uniform schedule of `homotopy_steps`
-steps (`schedules`).  A trial Newton update is accepted only if every density
-stays strictly positive and the residual norm decreases.  After the tolerance
-is met the iteration goes on to the rounding floor of the residual, which is
-what makes discrete mass conservation hold to near machine precision: a node
-ends at an iterate below the tolerance once the step that reached it gained
-less than a digit, or once its residual is at most FLOOR_FACTOR u |||J| |x|||
-(u the unit roundoff, J and x the previous iterate's matrix and iterate), a
-normwise backward error of a few u at which no further step can gain a digit
-(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, ch.
-12).  The floor test costs no Jacobian, linear solve or residual: the floor
-of an iterate comes from the Jacobian it is solved with, and is computed
-before that solve, whose GMRES tolerance it also sets.
+equation is a symmetric positive definite linear system, and follows the
+solution to alpha = 1 with damped Newton at alpha nodes that one loop
+chooses (step-length adaptation: Allgower & Georg, Introduction to Numerical
+Continuation Methods, SIAM, 2003, ch. 6; Deuflhard, Newton Methods for
+Nonlinear Problems, Springer, 2004, ch. 5).  The first node is the whole
+jump, d_alpha = 1.  A node that fails halves d_alpha and is retried from
+the last accepted node's iterate; one that converges doubles d_alpha,
+capped at 1 - alpha.  The step fails once d_alpha falls below MIN_DALPHA or
+its `newton_max_iter` Newton iterations are spent.  Nodes and d_alpha are
+binary fractions, exact in floating point, so the last node is alpha = 1.
+A trial Newton update is accepted only if every density stays strictly
+positive and the residual norm decreases, and a node ends at its first
+iterate within `newton_tol`.
+
+Mass needs no iteration past that tolerance.  The continuity rows' face
+terms telescope (1^T jump_t = 0), so their sum is (sum |E| rho -
+sum |E| rho_prev) / dt at every alpha, and every Newton matrix has
+1^T A = |E|^T / dt and 1^T B = 0.  Summing the continuity rows of
+J delta = -r + e, e the linear solve's residual, an update of any step
+length s turns the mass defect m = sum |E| (rho - rho_prev) into
+(1 - s) m + s dt 1^T e_rho.  The alpha = 0 start has m = 0, so the mass
+stays at the linear solves' rounding however far Newton has converged.
 
 Each Newton matrix J = [[A, B], [C, D]] (densities first, then the
 interleaved velocity components) is solved by restarted GMRES (Saad &
-Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) to relative tolerance 1e-15, or
-to a tenth of the iterate's rounding floor relative to the right-hand side
-when that is larger, left-preconditioned by the block lower triangle
+Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) to relative tolerance 1e-15,
+or, when that is larger, to a tenth of the iterate's rounding floor
+FLOOR_FACTOR u |||J| |x|||_inf (u the unit roundoff, a normwise backward
+error of a few u at which no Newton step can gain a digit: Higham, Accuracy
+and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 12) relative to
+the right-hand side.  It is left-preconditioned by the block lower triangle
 [[A, 0], [C, (dt L0^-1) (x) I]] (Knoll & Keyes, J. Comput. Phys. 193, 2004,
 section 3): the density block A factored exactly by SuperLU, the coupling C
 of the current matrix, and for each velocity component the step's own
@@ -52,13 +60,13 @@ symmetric patterns allow.
 There is no direct solve of J: a zero pivot in A, a Krylov quantity that
 overflows, or a solve on a fresh factor that fails the acceptance check,
 raises SolverError with the density factor dropped, and the Newton node
-fails, so that the next continuation schedule runs.  GMRES needs J only
+fails, so that the continuation halves d_alpha.  GMRES needs J only
 through products and its blocks A and C; `scheme.jacobian` stores no exact
 zeros, so neither does the factored A.
 
 A SolverError never leaves a step: `homotopy_newton_solve` decides that a
-step has failed, when its alpha = 0 solve fails or no schedule converges, and
-raises StepFailure, which carries the step's index and says why.
+step has failed, when its alpha = 0 solve fails or its continuation gives
+up, and raises StepFailure, which carries the step's index and says why.
 """
 from __future__ import annotations
 
@@ -81,8 +89,9 @@ class SolverError(RuntimeError):
 
 class StepFailure(RuntimeError):
     """Time step `step` failed: its alpha = 0 solve, whose reason the message
-    gives (alpha 0, no iterations, a NaN residual norm), or every
-    continuation schedule."""
+    gives (alpha 0, no iterations, a NaN residual norm), or its continuation,
+    at the node `alpha` that failed last, after `iterations` Newton
+    iterations in all."""
 
     def __init__(self, message: str, alpha: float, iterations: int, residual_norm: float,
                  step: int):
@@ -95,33 +104,27 @@ class StepFailure(RuntimeError):
 
 # Line search: the step length is multiplied by BACKTRACK_FACTOR until the
 # update keeps every density positive and lowers the residual norm, giving up
-# below BACKTRACK_FLOOR.  Below the Newton tolerance the iteration goes on
-# while each step still divides the residual norm by at least POLISH_GAIN and
-# the residual is above FLOOR_FACTOR UNIT_ROUNDOFF |||J| |x|||_inf.  Over nine
-# bump, shear and stress configurations (n = 2-4), |r|_inf / (u |||J| |x|||)
-# was 0.11-3.9 at 92 of the 94 iterates below the tolerance whose next step
-# gained under a digit (6.1 and 6.6 at the other two) and at least 3.9 at the
-# 67 whose next step gained one or more; all but one of those were above 12.
+# below BACKTRACK_FLOOR.  FLOOR_FACTOR UNIT_ROUNDOFF |||J| |x|||_inf is the
+# rounding floor (module docstring).  The continuation gives up below a
+# d_alpha of MIN_DALPHA, so from 1 it halves down to 1/64.  With a least
+# d_alpha of 1/10 the halving stopped at 1/8, and the bump at n=4,
+# rho_bar 100 failed its first step there.
 BACKTRACK_FACTOR = 0.5
 BACKTRACK_FLOOR = 1e-4
-POLISH_GAIN = 10.0
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
 FLOOR_FACTOR = 4.0
-
-
-def schedules(uniform_steps: int) -> list[tuple]:
-    """Continuation schedules in the order they are tried: {0, 1}, then
-    {0, 1/4, 1/2, 3/4, 1}, then `uniform_steps` equal steps, without repeats."""
-    out = []
-    for s in ((0.0, 1.0), (0.0, 0.25, 0.5, 0.75, 1.0),
-              tuple(np.linspace(0.0, 1.0, uniform_steps + 1))):
-        if s not in out:
-            out.append(s)
-    return out
+MIN_DALPHA = 1.0 / 64
 
 
 @dataclass
 class StepDiagnostics:
+    """Counts of one step, summed over every node it tried, the failed ones
+    included.  `alpha_nodes_used` counts the accepted nodes, alpha = 0
+    included, so a step whose first jump converges reads 2;
+    `schedule_index` counts the failed nodes, so it is at least 1 exactly
+    when that jump failed; `residual_norm` is the last node's last residual.
+    """
+
     newton_iters: int = 0
     alpha_nodes_used: int = 0
     residual_norm: float = 0.0
@@ -147,8 +150,8 @@ class StepDiagnostics:
 #   6    8,424     12.1M    3.7 s     83 ->  350 MB
 #   8   20,352     54.0M    27 s     104 -> 1287 MB
 #
-# so at the sizes the solver targets it would turn a failure that the next
-# continuation schedule absorbs into an out-of-memory kill.  The
+# so at the sizes the solver targets it would turn a failure that a halved
+# continuation step absorbs into an out-of-memory kill.  The
 # preconditioned 2-norm underweights some rows, so a cycle can reach the
 # tolerance with an iterate that fails the check (on the stress
 # configuration, gamma 6, c 4, at amp 200, n=2 x2: 10-11 solves per run at
@@ -408,44 +411,44 @@ def alpha0_solve(prev, params, mesh: Mesh) -> tuple[NDArrayF, spla.SuperLU]:
 
 
 def homotopy_newton_solve(prev, params, mesh: Mesh) -> tuple["scheme.State", StepDiagnostics]:
-    """Advance `prev` by one time step; raises StepFailure if the alpha = 0
-    solve fails, with its reason, or if all schedules fail.  The step's
-    alpha = 0 factor serves every node of every schedule, and each node
-    starts with no density factor."""
+    """Advance `prev` by one time step along the continuation the module
+    docstring describes; raises StepFailure if the alpha = 0 solve fails,
+    with its reason, or if the continuation gives up.  The step's alpha = 0
+    factor serves every node, and each node starts with no density factor."""
     k = prev.k + 1
     try:
-        # Every schedule starts here; _newton_at_alpha rebinds x, never mutates it.
-        x0, lu_u = alpha0_solve(prev, params, mesh)
+        x, lu_u = alpha0_solve(prev, params, mesh)
     except SolverError as exc:
         raise StepFailure(f"alpha=0, 0 iterations, {exc}", alpha=0.0, iterations=0,
                           residual_norm=math.nan, step=k) from exc
     dt = params.dt(mesh)
-    # One holder for the step: its counts add up over every schedule tried,
-    # the rest describes the last schedule's last node.
-    diag = StepDiagnostics()
+    diag = StepDiagnostics(alpha_nodes_used=1)
+    alpha, d_alpha = 0.0, 1.0
 
     try:
-        for ischedule, schedule in enumerate(schedules(params.homotopy_steps)):
-            x = x0
-            diag.schedule_index, diag.alpha_nodes_used = ischedule, 1
-            budget = diag.newton_iters + params.newton_max_iter   # per schedule
-            ok = True
-            for alpha in schedule[1:]:
-                diag.alpha_nodes_used += 1
-                x, ok = _newton_at_alpha(prev, x, alpha, params, mesh, diag,
-                                         BlockFactors(lu_u, dt), budget)
-                if not ok:
-                    break
+        while alpha < 1.0:
+            trial = alpha + d_alpha
+            # _newton_at_alpha rebinds the iterate, never mutates it, so a
+            # failed node leaves x at the last accepted node's.
+            x_new, ok = _newton_at_alpha(prev, x, trial, params, mesh, diag,
+                                         BlockFactors(lu_u, dt), params.newton_max_iter)
             if ok:
-                return scheme.unpack(x, mesh, k), diag
-
-        raise StepFailure(
-            f"alpha={alpha:g}, {diag.newton_iters} iterations, residual {diag.residual_norm:.3e}",
-            alpha=alpha,
-            iterations=diag.newton_iters,
-            residual_norm=diag.residual_norm,
-            step=k,
-        )
+                x, alpha = x_new, trial
+                diag.alpha_nodes_used += 1
+                d_alpha = min(2.0 * d_alpha, 1.0 - alpha)
+                continue
+            diag.schedule_index += 1
+            d_alpha /= 2.0
+            if d_alpha < MIN_DALPHA or diag.newton_iters >= params.newton_max_iter:
+                raise StepFailure(
+                    f"alpha={trial:g}, {diag.newton_iters} iterations, "
+                    f"residual {diag.residual_norm:.3e}",
+                    alpha=trial,
+                    iterations=diag.newton_iters,
+                    residual_norm=diag.residual_norm,
+                    step=k,
+                )
+        return scheme.unpack(x, mesh, k), diag
     finally:
         lu_u = None   # a StepFailure's traceback keeps this frame, not L0
 
@@ -460,8 +463,9 @@ def _rounding_floor(J: sp.csr_matrix, x: NDArrayF) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")   # an overflow gives no Newton step instead
 def _newton_at_alpha(prev, x, alpha, params, mesh, diag, factors, budget):
-    """Damped Newton at one alpha node, while diag.newton_iters < budget.
-    Returns the last iterate and whether its residual is within tolerance."""
+    """Damped Newton at one alpha node, until the residual is within
+    tolerance or diag.newton_iters reaches budget.  Returns the last iterate
+    and whether its residual is within tolerance."""
     ne = mesh.n_elems
     tol = params.newton_tol
 
@@ -471,11 +475,7 @@ def _newton_at_alpha(prev, x, alpha, params, mesh, diag, factors, budget):
         return guess, r, np.abs(r).max()
 
     guess, r, norm = res_norm(x)
-    gain = 0.0   # entry below tolerance converges with zero iterations
-    floor = 0.0  # rounding floor of the residual, once a Jacobian is known
-    while diag.newton_iters < budget:
-        if norm <= tol and (gain < POLISH_GAIN or norm <= floor):
-            break
+    while not norm <= tol and diag.newton_iters < budget:
         J = scheme.jacobian(prev, guess, params, mesh, alpha=alpha)
         floor = _rounding_floor(J, x)
         if not np.isfinite(norm + floor):
@@ -499,9 +499,8 @@ def _newton_at_alpha(prev, x, alpha, params, mesh, diag, factors, budget):
             step *= BACKTRACK_FACTOR
             diag.linesearch_backtracks += 1
         if not accepted:
-            break   # no admissible decrease; fine if already converged
+            break   # no admissible decrease
 
-        gain = norm / norm_try if norm_try > 0.0 else np.inf
         x, guess, r, norm = x_try, guess_try, r_try, norm_try
         diag.newton_iters += 1
 

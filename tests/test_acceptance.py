@@ -256,7 +256,9 @@ def test_criterion_12_solver_robustness(bump_n2, bump_n4, shear_n2, shear_n4):
                 continue
             assert sd.residual_norm <= 1e-9
             assert sd.newton_iters <= 50
-            assert sd.schedule_index <= 1  # never past {0, 0.25, 0.5, 0.75, 1}
+            # On default settings the continuation fails at most one node (one
+            # halving of d_alpha) and accepts at most four after alpha = 0.
+            assert sd.schedule_index <= 1
             assert sd.alpha_nodes_used <= 5
             worst_iters = max(worst_iters, sd.newton_iters)
             worst_nodes = max(worst_nodes, sd.alpha_nodes_used)

@@ -64,11 +64,18 @@ def test_overrides_beat_file(tmp_path):
     assert params.kappa == 0.0
 
 
-def test_unknown_key_names_location(tmp_path):
+def test_unknown_key_names_location(tmp_path, capsys):
+    """An unknown key, in a file or as a flag, exits 1 with its location;
+    `homotopy_steps` is one since the continuation chooses its own nodes."""
     conf = tmp_path / "run.conf"
     conf.write_text("n = 2\nbogus = 1\n")
     with pytest.raises(ConfigError, match=r"run\.conf:2.*bogus"):
         parse_config(conf, ())
+    conf.write_text("homotopy_steps = 10\n")
+    for argv in (["--config", str(conf)], ["--homotopy_steps", "10"]):
+        assert cli.main(["run", *argv, "--outdir", str(tmp_path / "out")]) == 1
+        assert "unknown key 'homotopy_steps'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_line_reports_line_number(tmp_path):

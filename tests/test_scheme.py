@@ -45,7 +45,6 @@ def test_params_defaults(params):
         {"a": -1.0},
         {"c": 0.0},
         {"kappa": -0.01},
-        {"homotopy_steps": 1},
         {"newton_tol": 0.0},
         {"newton_max_iter": 0},
     ],

@@ -2,6 +2,7 @@
 import gc
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,16 @@ from nsfemdg.spaces import apply_bc
 def bump_state(mesh, params):
     rho0, m0 = scheme.bump_data(1.0, 0.5, 0.15, 0.5 * (mesh.box_lo + mesh.box_hi))
     return scheme.initial_state(rho0, m0, mesh, params)
+
+
+def stress_state(mesh, params):
+    """Bump amp 200 under gamma 6, c 4: at n=2 its first step's jump to
+    alpha = 1 fails, and the continuation halves d_alpha three times."""
+    rho0, m0 = scheme.make_initial_data("bump", 1.0, 200.0, 0.15, mesh.box_lo, mesh.box_hi)
+    return scheme.initial_state(rho0, m0, mesh, params)
+
+
+STRESS = dict(gamma=6.0, c=4.0)
 
 
 def _discard(state, row):
@@ -228,11 +239,12 @@ def test_floor_shortens_the_solve():
     assert same == iters and np.array_equal(below, exact)
 
 
-def test_velocity_factor_is_the_steps_alpha0_factor(mesh2, params, monkeypatch):
-    """Bump n=2 on the fallback schedule: every preconditioner of the step
-    uses the factor that its alpha = 0 solve made, and the step makes no
-    other velocity factorization: one SuperLU call per density factor plus
-    that one, and no incomplete factor."""
+def test_velocity_factor_is_the_steps_alpha0_factor(mesh2, monkeypatch):
+    """The stress step, which retries halved nodes: every preconditioner of
+    the step uses the factor that its alpha = 0 solve made, and the step
+    makes no other velocity factorization: one SuperLU call per density
+    factor plus that one, and no incomplete factor.  Each node tried, the
+    failed ones included, factors its density block once."""
     made, used, splu_calls = [], [], []
     alpha0_solve, preconditioner, splu = (solver.alpha0_solve,
                                           solver.BlockFactors.preconditioner, spla.splu)
@@ -257,10 +269,11 @@ def test_velocity_factor_is_the_steps_alpha0_factor(mesh2, params, monkeypatch):
     monkeypatch.setattr(solver.BlockFactors, "preconditioner", recorded_preconditioner)
     monkeypatch.setattr(spla, "splu", counted_splu)
     monkeypatch.setattr(spla, "spilu", refuse)
-    monkeypatch.setattr(solver, "schedules", lambda steps: [(0.0, 0.25, 0.5, 0.75, 1.0)])
-    _, diag = solver.homotopy_newton_solve(bump_state(mesh2, params), params, mesh2)
-    assert diag.alpha_nodes_used == 5 and diag.factorizations == 4
-    assert len(made) == 1 and len(used) >= 4
+    params = scheme.SchemeParams(**STRESS)
+    _, diag = solver.homotopy_newton_solve(stress_state(mesh2, params), params, mesh2)
+    tried = diag.alpha_nodes_used - 1 + diag.schedule_index
+    assert diag.schedule_index >= 1 and diag.factorizations == tried
+    assert len(made) == 1 and len(used) >= tried
     assert all(lu_u is made[0] for lu_u in used)
     assert len(splu_calls) == diag.factorizations + 1
 
@@ -293,9 +306,9 @@ class _Factor:
 @pytest.mark.parametrize("fails", [False, True])
 def test_no_reference_to_alpha0_factor_outlives_the_step(mesh2, fails, monkeypatch):
     """The step drops its alpha = 0 factor when it returns (bump n=2) and
-    when it raises StepFailure (one Newton iteration per schedule at
+    when it raises StepFailure (a budget of one Newton iteration at
     newton_tol 1e-16), although the exception and its traceback outlive it."""
-    params = (scheme.SchemeParams(newton_tol=1e-16, newton_max_iter=1, homotopy_steps=2)
+    params = (scheme.SchemeParams(newton_tol=1e-16, newton_max_iter=1)
               if fails else scheme.SchemeParams())
     refs = []
     alpha0_solve = solver.alpha0_solve
@@ -409,23 +422,26 @@ def test_bump_steps_reuse_factors(mesh2, params, monkeypatch):
 
 
 def test_bump_run_newton_counts(mesh2, params):
-    """Bump n=2 x3 takes 4, 3 and 2 Newton iterations, as with an exact
+    """Bump n=2 x3 takes 3, 2 and 2 Newton iterations, as with an exact
     factor of the velocity block and GMRES run to KRYLOV_RTOL: neither the
     alpha = 0 factor in its place nor the floor-relative tolerance costs a
     Newton iteration."""
     rho0, m0 = scheme.make_initial_data("bump", 1.0, 0.5, 0.15,
                                         mesh2.box_lo, mesh2.box_hi)
     steps = scheme.run(mesh2, params, rho0, m0, 3, _discard).diagnostics[1:]
-    assert [d.newton_iters for d in steps] == [4, 3, 2]
+    assert [d.newton_iters for d in steps] == [3, 2, 2]
 
 
-def test_fallback_schedule_refactors_at_each_node(mesh2, params, monkeypatch):
-    """A step on the fallback schedule factors afresh at the first Newton
-    matrix of each of its nodes."""
-    first, _ = solver.homotopy_newton_solve(bump_state(mesh2, params), params, mesh2)
-
+def test_fallback_schedule_refactors_at_each_node(mesh2, monkeypatch):
+    """The stress step, which retries halved nodes, factors afresh at the
+    first Newton matrix of each node it tries, the failed ones included."""
     events = []
-    jacobian, factor = scheme.jacobian, solver.BlockFactors.factor
+    newton_at_alpha, jacobian, factor = (solver._newton_at_alpha, scheme.jacobian,
+                                         solver.BlockFactors.factor)
+
+    def recorded_node(prev, x, alpha, *args):
+        events.append(("N", alpha))
+        return newton_at_alpha(prev, x, alpha, *args)
 
     def recorded_jacobian(*args, alpha):
         events.append(("J", alpha))
@@ -435,20 +451,21 @@ def test_fallback_schedule_refactors_at_each_node(mesh2, params, monkeypatch):
         events.append(("F", events[-1][1]))
         factor(self, J, ne)
 
+    monkeypatch.setattr(solver, "_newton_at_alpha", recorded_node)
     monkeypatch.setattr(scheme, "jacobian", recorded_jacobian)
     monkeypatch.setattr(solver.BlockFactors, "factor", recorded_factor)
-    monkeypatch.setattr(solver, "schedules", lambda steps: [(0.0, 0.25, 0.5, 0.75, 1.0)])
-    _, diag = solver.homotopy_newton_solve(first, params, mesh2)
-    assert diag.alpha_nodes_used == 5
-    nodes = list(dict.fromkeys(alpha for kind, alpha in events if kind == "J"))
-    assert nodes == [0.25, 0.5, 0.75, 1.0]
-    for alpha in nodes:
-        i = events.index(("J", alpha))
-        assert events[i + 1] == ("F", alpha)
+    params = scheme.SchemeParams(**STRESS)
+    _, diag = solver.homotopy_newton_solve(stress_state(mesh2, params), params, mesh2)
+    starts = [i for i, event in enumerate(events) if event[0] == "N"]
+    assert diag.schedule_index >= 1
+    assert len(starts) == diag.alpha_nodes_used - 1 + diag.schedule_index
+    for i in starts:
+        alpha = events[i][1]
+        assert events[i + 1: i + 3] == [("J", alpha), ("F", alpha)]
 
 
 def test_no_density_factor_crosses_a_step_or_a_node(mesh2, params, monkeypatch):
-    """Bump n=2 x2 on the default schedule, one node per step at alpha = 1:
+    """Bump n=2 x2, whose jumps to alpha = 1 converge, one node per step:
     each node's first Newton matrix is solved on a holder of its own that
     arrives with no density factor, and that solve factors A."""
     solves = []
@@ -488,23 +505,6 @@ def test_newton_solve_rejects_singular(mesh1, params):
             solver.linear_solve(J.tocsr(), b, n_density=mesh1.n_elems, stats=stats,
                                 factors=factors, floor=0.0)
     assert stats.krylov_iters == 0 and stats.factorizations == 0
-
-
-# ---------------------------------------------------------------------------
-# Continuation schedules.
-
-
-def test_settings_schedules_dedup():
-    # four uniform steps repeat the fallback {0,.25,.5,.75,1}
-    assert solver.schedules(4) == [(0.0, 1.0), (0.0, 0.25, 0.5, 0.75, 1.0)]
-
-
-def test_settings_schedules_order():
-    schedules = solver.schedules(10)
-    assert schedules[0] == (0.0, 1.0)
-    assert schedules[1] == (0.0, 0.25, 0.5, 0.75, 1.0)
-    assert len(schedules[2]) == 11
-    assert schedules[2][0] == 0.0 and schedules[2][-1] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -621,9 +621,11 @@ def test_no_newton_solve_at_the_rounding_floor(mesh2, params, monkeypatch):
     assert abs(np.sum(mesh2.elem_volume * new.rho) - m0) / m0 < 1e-12
 
 
-def test_loose_tolerance_still_polishes_to_the_floor(mesh2, monkeypatch):
-    """With newton_tol 1e-4 the node goes on past the tolerance until the
-    residual reaches its rounding floor or a step gains under POLISH_GAIN."""
+def test_loose_tolerance_keeps_the_mass_without_solving_below_it(mesh2, monkeypatch):
+    """At newton_tol 1e-4, bump n=2 x3: no linear solve is made at an iterate
+    whose residual is already within the tolerance, and every row keeps the
+    mass of row 0 to rounding, because each Newton update changes the mass
+    only by the rounding of its linear solve (module docstring)."""
     params = scheme.SchemeParams(newton_tol=1e-4)
     solved_at = []
     linear_solve = solver.linear_solve
@@ -633,36 +635,35 @@ def test_loose_tolerance_still_polishes_to_the_floor(mesh2, monkeypatch):
         return linear_solve(J, b, **kwargs)
 
     monkeypatch.setattr(solver, "linear_solve", recorded_solve)
-    prev = bump_state(mesh2, params)
-    new, diag = solver.homotopy_newton_solve(prev, params, mesh2)
-    assert diag.schedule_index == 0 and diag.alpha_nodes_used == 2   # one node, alpha = 1
-    final = diag.residual_norm
-    assert final == np.abs(scheme.residual(prev, new, params, mesh2).ravel()).max()
-    assert min(solved_at) <= params.newton_tol   # polished past the tolerance
-    floor = rounding_floor(scheme.jacobian(prev, new, params, mesh2), scheme.pack(new, mesh2))
-    assert final <= floor or solved_at[-1] / final < solver.POLISH_GAIN
+    rho0, m0 = scheme.make_initial_data("bump", 1.0, 0.5, 0.15,
+                                        mesh2.box_lo, mesh2.box_hi)
+    result = scheme.run(mesh2, params, rho0, m0, 3, _discard)
+    assert len(solved_at) == sum(d.newton_iters for d in result.diagnostics[1:]) > 0
+    assert min(solved_at) > params.newton_tol
+    mass = np.array([row["mass"] for row in result.rows])
+    assert np.abs(mass - mass[0]).max() <= 1e-13 * mass[0]
 
 
 def test_stress_step_needs_no_direct_solve(mesh2, monkeypatch):
-    """Bump amp 200 with gamma 6, c 4 on n=2: step 1 needs the third
-    continuation schedule, and its hardest GMRES solves on fresh factors miss
-    the acceptance bound after their first cycle.  The restarted cycles pass
-    without any sparse direct solve."""
+    """Bump amp 200 with gamma 6, c 4 on n=2: step 1's jump to alpha = 1
+    fails and the continuation halves d_alpha, and its hardest GMRES solves
+    on fresh factors miss the acceptance bound after their first cycle.  The
+    restarted cycles pass without any sparse direct solve."""
     def refuse(*args, **kwargs):
         raise AssertionError("sparse direct solve called")
 
     monkeypatch.setattr(spla, "spsolve", refuse)
-    params = scheme.SchemeParams(gamma=6.0, c=4.0)
+    params = scheme.SchemeParams(**STRESS)
     rho0, m0 = scheme.make_initial_data("bump", 1.0, 200.0, 0.15,
                                         mesh2.box_lo, mesh2.box_hi)
     (diag,) = scheme.run(mesh2, params, rho0, m0, 1, _discard).diagnostics[1:]
-    assert diag.schedule_index == 2
+    assert diag.schedule_index >= 1
     assert diag.residual_norm <= params.newton_tol
 
 
 def test_step_counts_add_up_over_every_schedule(mesh2, monkeypatch):
-    """On a step that falls back to the third schedule, the step's counts are
-    the sums over every node tried, the failed schedules' nodes included."""
+    """On the stress step, which retries halved nodes, the step's counts are
+    the sums over every node tried, the failed nodes included."""
     counts = ("newton_iters", "linesearch_backtracks", "krylov_iters", "krylov_cycles",
               "factorizations")
     sums = dict.fromkeys(counts, 0)
@@ -678,26 +679,56 @@ def test_step_counts_add_up_over_every_schedule(mesh2, monkeypatch):
         return x, ok
 
     monkeypatch.setattr(solver, "_newton_at_alpha", recorded)
-    params = scheme.SchemeParams(gamma=6.0, c=4.0)
-    rho0, m0 = scheme.make_initial_data("bump", 1.0, 200.0, 0.15,
-                                        mesh2.box_lo, mesh2.box_hi)
-    _, diag = solver.homotopy_newton_solve(scheme.initial_state(rho0, m0, mesh2, params),
-                                           params, mesh2)
-    assert diag.schedule_index == 2 and nodes.count(False) == 2
+    params = scheme.SchemeParams(**STRESS)
+    _, diag = solver.homotopy_newton_solve(stress_state(mesh2, params), params, mesh2)
+    assert diag.schedule_index == nodes.count(False) >= 1
     assert {key: getattr(diag, key) for key in counts} == sums
     assert sums["newton_iters"] > 0 and sums["factorizations"] > 0
-    # The node count is the converged schedule's, alpha = 0 included.
-    assert diag.alpha_nodes_used == len(solver.schedules(params.homotopy_steps)[2])
+    # The node count is the accepted nodes', alpha = 0 included.
+    assert diag.alpha_nodes_used == nodes.count(True) + 1
+
+
+def test_retries_start_from_the_last_accepted_node(mesh2, monkeypatch):
+    """The stress step, with the first node that converges after an accepted
+    alpha > 0 refused as well: every retry halves the failed jump from the
+    last accepted node and starts from that node's iterate.  A budget of 10
+    Newton iterations, fewer than the first accepted node needs, is spent in
+    full and not exceeded: the step fails."""
+    nodes, refused = [], []
+    newton_at_alpha = solver._newton_at_alpha
+
+    def recorded(prev, x, alpha, *args):
+        x_new, ok = newton_at_alpha(prev, x, alpha, *args)
+        if ok and not refused and any(node[3] for node in nodes):
+            refused.append(alpha)
+            ok = False
+        nodes.append((x, alpha, x_new, ok))
+        return x_new, ok
+
+    monkeypatch.setattr(solver, "_newton_at_alpha", recorded)
+    params = scheme.SchemeParams(**STRESS)
+    prev = stress_state(mesh2, params)
+    solver.homotopy_newton_solve(prev, params, mesh2)
+    accepted, jump, retries = (solver.alpha0_solve(prev, params, mesh2)[0], 0.0), None, []
+    for x, alpha, x_new, ok in nodes:
+        if jump is not None:
+            retries.append(accepted[1])
+            assert alpha == accepted[1] + 0.5 * jump and np.array_equal(x, accepted[0])
+        accepted, jump = ((x_new, alpha), None) if ok else (accepted, alpha - accepted[1])
+    assert len(refused) == 1 and retries[0] == 0.0 and retries[-1] > 0.0
+
+    with pytest.raises(solver.StepFailure) as info:
+        solver.homotopy_newton_solve(prev, replace(params, newton_max_iter=10), mesh2)
+    assert info.value.iterations == 10
 
 
 def test_step_failure_reports_context(mesh2):
-    params = scheme.SchemeParams(newton_tol=1e-16, newton_max_iter=1,
-                                 homotopy_steps=2)
+    params = scheme.SchemeParams(newton_tol=1e-16, newton_max_iter=1)
     prev = bump_state(mesh2, params)
     with pytest.raises(solver.StepFailure) as info:
         solver.homotopy_newton_solve(prev, params, mesh2)
     exc = info.value
-    # the reported alpha is where the last-tried schedule stalled
+    # the reported alpha is the node at which the continuation gave up
     assert 0.0 < exc.alpha <= 1.0
     assert exc.iterations >= 1
     assert exc.residual_norm > 0
@@ -741,9 +772,8 @@ def test_overflowing_residual_fails_the_step(mesh1, amp, sigma, residual_finite,
 
 
 def test_alpha0_solved_once_per_step(mesh2, monkeypatch):
-    """Every continuation schedule starts from one alpha = 0 solve."""
-    params = scheme.SchemeParams(newton_tol=1e-16, newton_max_iter=1,
-                                 homotopy_steps=2)
+    """The stress step retries halved nodes on one alpha = 0 solve."""
+    params = scheme.SchemeParams(**STRESS)
     calls = []
     original = solver.alpha0_solve
 
@@ -752,9 +782,8 @@ def test_alpha0_solved_once_per_step(mesh2, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(solver, "alpha0_solve", counted)
-    with pytest.raises(solver.StepFailure):
-        solver.homotopy_newton_solve(bump_state(mesh2, params), params, mesh2)
-    assert len(solver.schedules(params.homotopy_steps)) == 3
+    _, diag = solver.homotopy_newton_solve(stress_state(mesh2, params), params, mesh2)
+    assert diag.schedule_index >= 1
     assert len(calls) == 1
 
 
@@ -771,8 +800,7 @@ def test_run_trajectory_contract(mesh2, params):
 
 
 def test_step_failure_carries_step_index(mesh2):
-    params = scheme.SchemeParams(newton_tol=1e-16, newton_max_iter=1,
-                                 homotopy_steps=2)
+    params = scheme.SchemeParams(newton_tol=1e-16, newton_max_iter=1)
     rho0, m0 = scheme.make_initial_data("bump", 1.0, 0.5, 0.15,
                                         mesh2.box_lo, mesh2.box_hi)
     with pytest.raises(solver.StepFailure) as info:
