@@ -16,23 +16,34 @@ A trial Newton update is accepted only if every density stays strictly
 positive and the residual norm decreases, and a node ends at its first
 iterate within `newton_tol`.
 
-Mass needs no iteration past that tolerance.  The continuity rows' face
-terms telescope (1^T jump_t = 0), so their sum is (sum |E| rho -
-sum |E| rho_prev) / dt at every alpha, and every Newton matrix has
-1^T A = |E|^T / dt and 1^T B = 0.  Summing the continuity rows of
-J delta = -r + e, e the linear solve's residual, an update of any step
-length s turns the mass defect m = sum |E| (rho - rho_prev) into
-(1 - s) m + s dt 1^T e_rho.  The alpha = 0 start has m = 0, so the mass
-stays at the linear solves' rounding however far Newton has converged.
+Mass needs no iteration past that tolerance, and no linear solve past its
+target.  The continuity rows' face terms telescope (1^T jump_t = 0), so
+their sum is (sum |E| rho - sum |E| rho_prev) / dt at every alpha, and every
+Newton matrix has 1^T A = |E|^T / dt and 1^T B = 0.  So the functional
+m(v) = |E|^T v_rho / dt is invariant under M^-1 J, M the preconditioner
+below: w = (M^-1 J v)_rho solves A w = A v_rho + B v_u, so
+|E|^T w = |E|^T v_rho.  A GMRES iterate x from x0 = 0 has the
+preconditioned residual q(M^-1 J) M^-1 b, q its residual polynomial with
+q(0) = 1, so its residual e = b - J x has
+1^T e_rho = m(M^-1 e) = q(1) 1^T b_rho, and each restarted cycle multiplies
+this by its own q(1).  For the Newton right-hand side b = -r,
+1^T b_rho = -mu / dt, mu = sum |E| (rho - rho_prev) the iterate's mass
+defect, so an update of any step length s turns mu into
+(1 - s) mu - s dt 1^T e_rho = (1 - s + s q(1)) mu.  The alpha = 0 start has
+mu = 0, so the mass stays at rounding however early GMRES stops.
 
 Each Newton matrix J = [[A, B], [C, D]] (densities first, then the
 interleaved velocity components) is solved by restarted GMRES (Saad &
-Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) to relative tolerance 1e-15,
-or, when that is larger, to a tenth of the iterate's rounding floor
-FLOOR_FACTOR u |||J| |x|||_inf (u the unit roundoff, a normwise backward
-error of a few u at which no Newton step can gain a digit: Higham, Accuracy
-and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 12) relative to
-the right-hand side.  It is left-preconditioned by the block lower triangle
+Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) to an absolute target: a
+hundredth of `newton_tol` (NEWTON_TOL_SHARE), or a tenth of the iterate's
+rounding floor FLOOR_FACTOR u |||J| |x|||_inf when that is larger (u the unit
+roundoff, a normwise backward error of a few u at which no Newton step can
+gain a digit: Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+ed., 2002, ch. 12).  A correction solved further than the Newton stop can
+see is oversolved (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
+1982; Knoll & Keyes, J. Comput. Phys. 193, 2004, section 2.3).  GMRES stops
+at the relative tolerance max(KRYLOV_RTOL, target / |b|_inf).  GMRES is
+left-preconditioned by the block lower triangle
 [[A, 0], [C, (dt L0^-1) (x) I]] (Knoll & Keyes, J. Comput. Phys. 193, 2004,
 section 3): the density block A factored exactly by SuperLU, the coupling C
 of the current matrix, and for each velocity component the step's own
@@ -45,15 +56,18 @@ Gram-Schmidt passes, two matrix-vector products each, which keep the basis
 orthogonal to working precision (Giraud, Langou & Rozloznik, Comput. Math.
 Appl. 50, 2005).
 A cycle that reaches the tolerance with an iterate that fails the residual
-acceptance check is followed by one whose tolerance, stripped of the floor
+acceptance check is followed by one whose tolerance, stripped of the target
 loosening, is tightened by the factor the residual misses the bound by.
 The density factor lives for one continuation node (`BlockFactors`): the
-node factors A at its first Newton matrix and keeps the factor while a
-single GMRES cycle of 100 iterations still solves with it.  If that cycle
-misses, its iterate is discarded, A is refactored and the matrix solved
-afresh, with GMRES restarted every 100 iterations for at most 10 cycles;
-the fresh factor is kept for the next matrix only if that solve ended within
-one cycle.  L0 does not depend on alpha and serves every node of the step,
+node factors A at its first Newton matrix and keeps the factor until a
+GMRES cycle of 100 iterations on it runs out of iterations.  A miss of the
+acceptance check by a cycle that reached its tolerance comes from the norm,
+not from the factor, so that cycle's tightened successor runs on the same
+factor.  When a cycle on the held factor runs out, or the held solve
+fails otherwise, its iterate is discarded, A is refactored and the matrix solved afresh, with GMRES
+restarted every 100 iterations for at most 10 cycles; the fresh factor is
+kept for the next matrix unless one of those cycles ran out of iterations.
+L0 does not depend on alpha and serves every node of the step,
 which drops it when it returns or fails.  A and the alpha = 0 system are
 ordered by minimum degree on A^T + A with diagonal pivots, which their
 symmetric patterns allow.
@@ -135,15 +149,17 @@ class StepDiagnostics:
     factorizations: int = 0     # density blocks factored
 
 
-# GMRES on Newton matrices: cycles of KRYLOV_RESTART iterations to a tolerance
-# that leaves residuals as small as a direct LU's (at 1e-13 converged steps
-# drifted from the direct solver's by up to 3e-13 relative).  The tolerance is
-# checked on the preconditioned residual: a cycle that reaches it ends the
-# solve if its iterate passes the acceptance check, and a cycle that runs out
-# of iterations is restarted, at most KRYLOV_CYCLES times.  Most solves end
-# within one cycle; the hardest matrices of a strongly perturbed first step
-# take two to five.  There is no direct solve to fall back on: full-J LU with
-# SuperLU's default settings, bump preset, alpha = 1 at the alpha = 0 state,
+# GMRES on Newton matrices: cycles of KRYLOV_RESTART iterations to the
+# Newton step's target (below), never to less than KRYLOV_RTOL relative, a
+# tolerance that leaves residuals as small as a direct LU's (at 1e-13
+# converged steps drifted from the direct solver's by up to 3e-13 relative).
+# The tolerance is checked on the preconditioned residual: a cycle that
+# reaches it ends the solve if its iterate passes the acceptance check, and a
+# cycle that runs out of iterations is restarted; a solve runs at most
+# KRYLOV_CYCLES cycles.  Most solves end within one cycle; the hardest matrices of a
+# strongly perturbed first step take two to five.  There is no direct solve
+# to fall back on: full-J LU with SuperLU's default settings, bump preset,
+# alpha = 1 at the alpha = 0 state,
 #
 #   n   unknowns   fill     factor   peak RSS
 #   4    2,400     1.41M    0.3 s     72 ->  103 MB
@@ -154,29 +170,38 @@ class StepDiagnostics:
 # continuation step absorbs into an out-of-memory kill.  The
 # preconditioned 2-norm underweights some rows, so a cycle can reach the
 # tolerance with an iterate that fails the check (on the stress
-# configuration, gamma 6, c 4, at amp 200, n=2 x2: 10-11 solves per run at
-# each of seeds 0-10 of the benchmark, 1.2-3.2e4x over the bound; at amp 30,
-# n=4 x4: one at 6 of seeds 0-7, at most 82x).  The next cycle therefore
-# runs to KRYLOV_RTOL |M b|_2, without the floor loosening below (or to the
-# tighter tolerance of an earlier rejected cycle), divided by the factor the
-# residual misses the bound by.  Dividing the floor-loosened tolerance by
-# that factor instead failed step 1 at amp 200, n=2, at 5 of those 11 seeds;
-# this rule passes all.
+# configuration, gamma 6, c 4, at amp 200, n=2 x2: 5-8 solves per run at
+# each of seeds 0-10 of the benchmark, 5e4-7e5x over the bound; at amp 30,
+# n=4 x4: one at 4 of seeds 0-7, at most 1.4x).  The next cycle therefore
+# runs to KRYLOV_RTOL |M b|_2, without the target loosening below (or to
+# the tighter tolerance of an earlier rejected cycle), divided by the
+# factor the residual misses the bound by.  With the rounding floor as the
+# only loosening, dividing the loosened tolerance by that factor instead
+# failed step 1 at amp 200, n=2, at 5 of those 11 seeds; with the target
+# both rules pass all 11.
 #
-# The tolerance is loosened to FLOOR_MARGIN times the current iterate's
-# rounding floor (FLOOR_FACTOR u |||J| |x|||_inf, see above) relative to
-# |b|_inf, when that is larger: a step resolved further than the residual
-# the next iterate can show gains Newton nothing (Eisenstat & Walker, SIAM J.
-# Sci. Comput. 17, 1996), and the floor is far below the acceptance bound.
-# At seed 0 of the benchmark, Krylov iterations on bump n=4 x20 / the stress
-# configuration (amp 30, n=4 x4) / the bump Cauchy pair n = 3, 6 were
-# 561 / 1736 / 103 without the loosening, 415 / 1474 / 82 at a margin of
-# 0.01 and 380 / 1418 / 77 at 0.1, with the same Newton counts; a margin of
-# 1.0 took 348 / 1383 / 71 but raised bump's Newton count 46 -> 47.
+# The target is NEWTON_TOL_SHARE times newton_tol, or FLOOR_MARGIN times the
+# current iterate's rounding floor (FLOOR_FACTOR u |||J| |x|||_inf, see
+# above) when that is larger, and the tolerance is loosened to it relative
+# to |b|_inf: a correction resolved further than the Newton stop, or than
+# the residual the next iterate can show, gains Newton nothing (Dembo,
+# Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982), and both lie below
+# the acceptance bound.  Eisenstat-Walker forcing (SIAM J. Sci. Comput. 17,
+# 1996) loosens relative to the Newton residual instead, and cost a Newton
+# iteration here; the target is never looser than a hundredth of
+# newton_tol.  At seed 0 of the benchmark, Krylov iterations on bump n=4 x20
+# / the stress configuration (amp 30, n=4 x4) / the bump Cauchy pair n = 3,
+# 6 were 298 / 995 / 74 with the floor term alone and 161 / 811 / 41 at a
+# share of 0.01, with the same Newton counts at seeds 0-3.  A share of
+# 0.003 took 175 / 841 / 45 and 0.001 took 185 / 862 / 48, Newton counts
+# again the same.  Against the floor term alone, the Cauchy pair's wall time
+# fell 10.7% at 0.003 and 13.4% at 0.01 (10 alternating benchmark pairs
+# each, seeds 1-10).
 KRYLOV_RESTART = 100
 KRYLOV_CYCLES = 10
 KRYLOV_RTOL = 1e-15
 FLOOR_MARGIN = 0.1
+NEWTON_TOL_SHARE = 0.01
 
 # SuperLU settings of the density block and of the alpha = 0 system.  Their
 # patterns are symmetric, so they are ordered by minimum degree on A^T + A
@@ -256,25 +281,26 @@ class BlockFactors:
 
 @np.errstate(over="ignore", invalid="ignore")   # an overflow ends the solve instead
 def _gmres(J: sp.csr_matrix, b: NDArrayF, precondition: Callable[[NDArrayF], NDArrayF],
-           restart: int, cycles: int, stats: StepDiagnostics,
-           floor: float) -> tuple[NDArrayF, str | None, int]:
-    """Up to `cycles` cycles of GMRES for J x = b from x = 0, left-preconditioned
-    by `precondition` (M), each of at most `restart` iterations.
+           restart: int, full_cycles: int, stats: StepDiagnostics,
+           target: float) -> tuple[NDArrayF, str | None, bool]:
+    """GMRES for J x = b from x = 0, left-preconditioned by `precondition`
+    (M), in cycles of at most `restart` iterations.
 
     A cycle ends when the preconditioned residual estimate reaches the
-    tolerance, max(KRYLOV_RTOL, FLOOR_MARGIN floor / |b|_inf) |M b|_2 at
-    first (KRYLOV_RTOL |M b|_2 for a zero floor or b = 0), or at breakdown
-    (the Krylov space holds the solution).  Such a cycle ends the solve if
-    its iterate passes the acceptance check; if not, the next cycle's
-    tolerance is the smaller of the current one and KRYLOV_RTOL |M b|_2,
-    divided by the factor by which |b - J x|_inf exceeds the check's bound.
-    The next cycle starts from the true residual, as after a cycle that runs
-    out of iterations.  A residual or basis-vector norm that is not finite
-    ends the solve at once: no finite iterate comes of its cycle, whose
-    iterate is returned as NaN.  Returns the last iterate, why it fails the
-    acceptance check (None if it passes), and the iteration count, which is
-    below `restart` if and only if the first cycle ended the solve.  `stats`
-    counts the iterations and cycles.
+    tolerance, max(KRYLOV_RTOL, target / |b|_inf) |M b|_2 at first
+    (KRYLOV_RTOL |M b|_2 for b = 0), at breakdown (the Krylov space holds
+    the solution), or when it runs out of iterations.  A cycle that reaches
+    the tolerance ends the solve if its iterate passes the acceptance check;
+    if not, the next cycle's tolerance is the smaller of the current one and
+    KRYLOV_RTOL |M b|_2, divided by the factor by which |b - J x|_inf
+    exceeds the check's bound.  Every cycle after the first starts from the
+    true residual.  The solve ends after `full_cycles` cycles that ran out
+    of iterations, or KRYLOV_CYCLES cycles in all.  A residual or
+    basis-vector norm that is not finite ends the solve at once: no finite
+    iterate comes of its cycle, whose iterate is returned as NaN.  Returns
+    the last iterate, why it fails the acceptance check (None if it passes),
+    and whether a cycle ran out of iterations.  `stats` counts the
+    iterations and cycles.
     """
     eps = np.finfo(b.dtype).eps
     x = np.zeros_like(b)
@@ -282,13 +308,13 @@ def _gmres(J: sp.csr_matrix, b: NDArrayF, precondition: Callable[[NDArrayF], NDA
     z = precondition(b)
     mb = np.linalg.norm(z)
     rtol = KRYLOV_RTOL
-    if floor > 0.0 and b.any():
-        rtol = max(rtol, FLOOR_MARGIN * floor / np.abs(b).max())
+    if b.any():
+        rtol = max(rtol, target / np.abs(b).max())
     tol = rtol * mb
     V = np.empty((restart + 1, b.size))   # Arnoldi basis, one vector per row
     R = np.zeros((restart, restart))      # triangular factor of the Hessenberg matrix
-    iters = 0
-    for cycle in range(cycles):
+    iters = full = 0
+    for cycle in range(KRYLOV_CYCLES):
         if cycle:
             z = precondition(r)
         beta = np.linalg.norm(z)
@@ -337,42 +363,47 @@ def _gmres(J: sp.csr_matrix, b: NDArrayF, precondition: Callable[[NDArrayF], NDA
             m -= 1
         x += sla.solve_triangular(R[:m, :m], g[:m]) @ V[:m]
         r = b - J @ x
-        if len(rotations) < restart:   # the cycle reached the tolerance
-            if _rejection(x, r, b) is None:
+        if len(rotations) == restart:   # the cycle ran out of iterations
+            full += 1
+            if full == full_cycles:
                 break
+        elif _rejection(x, r, b) is None:
+            break
+        else:
             # The preconditioned norm underweights the rows that fail the
-            # check: drop the floor loosening and tighten the tolerance by the
-            # factor they miss it by.
+            # check: drop the target loosening and tighten the tolerance by
+            # the factor they miss it by.
             tol = min(tol, KRYLOV_RTOL * mb) * _residual_bound(b) / np.abs(r).max()
     stats.krylov_iters += iters
-    return x, _rejection(x, r, b), iters
+    return x, _rejection(x, r, b), full > 0
 
 
 def linear_solve(J: sp.csr_matrix, b: NDArrayF, n_density: int, stats: StepDiagnostics,
-                 factors: BlockFactors, floor: float) -> NDArrayF:
+                 factors: BlockFactors, target: float) -> NDArrayF:
     """Solve the Newton system J x = b, J with `n_density` density unknowns
     first, by GMRES preconditioned with `factors`, whose density factor is
-    kept or refreshed as the module docstring describes.  `floor`, the rounding floor
-    of the Newton iterate, loosens GMRES's tolerance (`_gmres`), and `stats`
-    counts the Krylov iterations and factorizations.  x is accepted only if
-    it is finite with |J x - b|_inf <= 1e-10 (1 + |b|_inf).  Raises
+    kept or refreshed as the module docstring describes.  `target`, the
+    absolute residual the Newton step needs, loosens GMRES's tolerance
+    (`_gmres`), and `stats` counts the Krylov iterations and factorizations.
+    x is accepted only if it is finite with
+    |J x - b|_inf <= 1e-10 (1 + |b|_inf).  Raises
     SolverError at a zero pivot in A or when the solve on a fresh factor
     fails the check; the density factor is then dropped.
     """
     C = J[n_density:, :n_density]
     if factors.held:
-        x, reason, iters = _gmres(J, b, factors.preconditioner(C), KRYLOV_RESTART, 1, stats,
-                                  floor)
-        if reason is None and iters < KRYLOV_RESTART:
+        x, reason, exhausted = _gmres(J, b, factors.preconditioner(C), KRYLOV_RESTART, 1,
+                                      stats, target)
+        if reason is None and not exhausted:
             return x
     try:
         factors.factor(J, n_density)
     except RuntimeError as exc:   # exactly singular A; factor dropped the old one
         raise SolverError(f"preconditioner block: {exc}") from exc
     stats.factorizations += 1
-    x, reason, iters = _gmres(J, b, factors.preconditioner(C),
-                              KRYLOV_RESTART, KRYLOV_CYCLES, stats, floor)
-    if not (reason is None and iters < KRYLOV_RESTART):   # kept only after one cycle
+    x, reason, exhausted = _gmres(J, b, factors.preconditioner(C),
+                                  KRYLOV_RESTART, KRYLOV_CYCLES, stats, target)
+    if reason is not None or exhausted:
         factors.drop()
     if reason is not None:
         raise SolverError(reason)
@@ -480,9 +511,10 @@ def _newton_at_alpha(prev, x, alpha, params, mesh, diag, factors, budget):
         floor = _rounding_floor(J, x)
         if not np.isfinite(norm + floor):
             break   # an overflowed residual or Jacobian gives no Newton step
+        target = max(FLOOR_MARGIN * floor, NEWTON_TOL_SHARE * tol)
         try:
             delta = linear_solve(J, -r, n_density=ne, stats=diag, factors=factors,
-                                 floor=floor)
+                                 target=target)
         except SolverError:
             break
         del J   # no name holds it while the next one is built

@@ -422,7 +422,7 @@ def test_unconverged_run_exits_two(tmp_path, capsys):
 
 def test_dense_bump_runs_without_rescue_flags(tmp_path):
     """At rho_bar 100 the acoustic Courant number is ~300.  The n=3 bump
-    still runs two steps on the default schedules and budgets, and every row
+    still runs two steps on the default continuation and Newton budget, and every row
     keeps the mass of row 0 to rounding."""
     outdir = tmp_path / "out"
     rc = cli.main(["run", "--preset", "bump", "--n", "3", "--steps", "2",

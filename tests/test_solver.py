@@ -51,7 +51,7 @@ def test_newton_solve_matches_direct(mesh2, params):
     J, b, factors = newton_system(mesh2, params)
     stats = solver.StepDiagnostics()
     x = solver.linear_solve(J, b, n_density=mesh2.n_elems, stats=stats,
-                            factors=factors, floor=0.0)
+                            factors=factors, target=0.0)
     direct = spla.spsolve(sp.csc_matrix(J), b)
     assert np.abs(x - direct).max() <= 1e-12 * np.abs(direct).max()
     # 5 iterations today; the same preconditioner without the coupling C
@@ -85,7 +85,7 @@ def test_newton_solve_restarts_a_cycle_short_of_the_bound():
     J, b, ne = newton_layout(1.0)
     stats = solver.StepDiagnostics()
     x = solver.linear_solve(J, b, n_density=ne, stats=stats, factors=layout_factors(J, ne),
-                            floor=0.0)
+                            target=0.0)
     direct = np.linalg.solve(J.toarray(), b)
     # 195 iterations over two cycles today.
     assert solver.KRYLOV_RESTART < stats.krylov_iters < 3 * solver.KRYLOV_RESTART
@@ -99,7 +99,7 @@ def test_newton_solve_failure_raises():
     stats = solver.StepDiagnostics()
     with pytest.raises(solver.SolverError, match="residual too large"):
         solver.linear_solve(J, b, n_density=ne, stats=stats, factors=layout_factors(J, ne),
-                            floor=0.0)
+                            target=0.0)
     assert stats.krylov_iters == solver.KRYLOV_RESTART * solver.KRYLOV_CYCLES
     assert stats.krylov_cycles == solver.KRYLOV_CYCLES
 
@@ -111,12 +111,12 @@ def test_failed_solve_drops_factors():
     J, b, ne = newton_layout(0.01)
     stats, factors = solver.StepDiagnostics(), layout_factors(J, ne)
     lu_u = factors.lu_u
-    solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors, floor=0.0)
+    solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors, target=0.0)
     assert factors.held
     J_bad, b_bad, _ = newton_layout(100.0)
     stats = solver.StepDiagnostics()
     with pytest.raises(solver.SolverError, match="residual too large"):
-        solver.linear_solve(J_bad, b_bad, n_density=ne, stats=stats, factors=factors, floor=0.0)
+        solver.linear_solve(J_bad, b_bad, n_density=ne, stats=stats, factors=factors, target=0.0)
     # The held factors' full stale cycle, then every cycle on fresh factors.
     assert stats.krylov_iters == solver.KRYLOV_RESTART * (1 + solver.KRYLOV_CYCLES)
     assert stats.krylov_cycles == 1 + solver.KRYLOV_CYCLES
@@ -140,9 +140,10 @@ def test_gmres_matches_scipy():
     J, b, ne = newton_layout(0.01)
     precondition = block_preconditioner(J, ne)
     stats = solver.StepDiagnostics()
-    x, _, iters = solver._gmres(J, b, precondition, solver.KRYLOV_RESTART, 1, stats, 0.0)
+    x, _, exhausted = solver._gmres(J, b, precondition, solver.KRYLOV_RESTART, 1, stats, 0.0)
     assert solver._rejection(x, b - J @ x, b) is None
-    assert (stats.krylov_iters, stats.krylov_cycles) == (iters, 1)
+    assert not exhausted and stats.krylov_cycles == 1
+    iters = stats.krylov_iters
     residuals = []
     spla.gmres(J, b, rtol=solver.KRYLOV_RTOL, atol=0.0, restart=solver.KRYLOV_RESTART,
                maxiter=1, M=spla.LinearOperator(J.shape, matvec=precondition, dtype=float),
@@ -156,18 +157,22 @@ def test_gmres_below_restart_only_at_tolerance():
     check; one iteration longer ends at the tolerance."""
     J, b, ne = newton_layout(0.01)
     precondition = block_preconditioner(J, ne)
-    _, _, k = solver._gmres(J, b, precondition, solver.KRYLOV_RESTART, 1,
-                            solver.StepDiagnostics(), 0.0)
-    assert k < solver.KRYLOV_RESTART
-    _, reason, short = solver._gmres(J, b, precondition, k - 1, 1, solver.StepDiagnostics(),
-                                     0.0)
-    assert short == k - 1 and reason is None
-    stats = solver.StepDiagnostics()
-    solver._gmres(J, b, precondition, k - 1, solver.KRYLOV_CYCLES, stats, 0.0)
+
+    def run(restart, full_cycles):
+        stats = solver.StepDiagnostics()
+        _, reason, exhausted = solver._gmres(J, b, precondition, restart, full_cycles, stats,
+                                             0.0)
+        return reason, exhausted, stats
+
+    _, exhausted, stats = run(solver.KRYLOV_RESTART, 1)
+    k = stats.krylov_iters
+    assert k < solver.KRYLOV_RESTART and not exhausted
+    reason, exhausted, stats = run(k - 1, 1)
+    assert stats.krylov_iters == k - 1 and exhausted and reason is None
+    _, _, stats = run(k - 1, solver.KRYLOV_CYCLES)
     assert stats.krylov_cycles == 2
-    _, reason, longer = solver._gmres(J, b, precondition, k + 1, 1, solver.StepDiagnostics(),
-                                      0.0)
-    assert longer == k and reason is None
+    reason, exhausted, stats = run(k + 1, 1)
+    assert stats.krylov_iters == k and not exhausted and reason is None
 
 
 def test_gmres_breakdown_with_exact_preconditioner():
@@ -177,24 +182,27 @@ def test_gmres_breakdown_with_exact_preconditioner():
     J = sp.diags(d).tocsr()
     b = np.random.default_rng(5).standard_normal(d.size)
     stats = solver.StepDiagnostics()
-    x, reason, iters = solver._gmres(J, b, lambda r: r / d, solver.KRYLOV_RESTART,
-                                     solver.KRYLOV_CYCLES, stats, 0.0)
-    assert reason is None and iters == 1 and stats.krylov_cycles == 1
+    x, reason, exhausted = solver._gmres(J, b, lambda r: r / d, solver.KRYLOV_RESTART,
+                                         solver.KRYLOV_CYCLES, stats, 0.0)
+    assert reason is None and not exhausted
+    assert (stats.krylov_iters, stats.krylov_cycles) == (1, 1)
     assert np.allclose(x, b / d, rtol=1e-14, atol=0.0)
 
 
 def test_gmres_zero_rhs():
-    """b = 0 ends before any iteration, with or without a floor, and warns
+    """b = 0 ends before any iteration, with or without a target, and warns
     of no 0/0."""
     J, b, ne = newton_layout(0.01)
-    for floor in (0.0, 1e-3):
+    for target in (0.0, 1e-3):
         stats = solver.StepDiagnostics()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, reason, iters = solver._gmres(J, np.zeros_like(b), block_preconditioner(J, ne),
-                                             solver.KRYLOV_RESTART, solver.KRYLOV_CYCLES,
-                                             stats, floor)
-        assert reason is None and iters == 0 and stats.krylov_cycles == 0
+            x, reason, exhausted = solver._gmres(J, np.zeros_like(b),
+                                                 block_preconditioner(J, ne),
+                                                 solver.KRYLOV_RESTART, solver.KRYLOV_CYCLES,
+                                                 stats, target)
+        assert reason is None and not exhausted
+        assert stats.krylov_iters == 0 and stats.krylov_cycles == 0
         assert not x.any()
 
 
@@ -213,21 +221,22 @@ def test_overflowing_krylov_quantity_fails_the_solve():
         warnings.simplefilter("always")
         with pytest.raises(solver.SolverError, match="non-finite"):
             solver.linear_solve(J, np.ones(4), n_density=1, stats=stats,
-                                factors=layout_factors(J, 1), floor=0.0)
+                                factors=layout_factors(J, 1), target=0.0)
     assert stats.krylov_cycles == 1 and stats.krylov_iters == 0
     assert not caught
 
 
 def test_floor_shortens_the_solve():
-    """A rounding floor above KRYLOV_RTOL |b|_inf / FLOOR_MARGIN ends GMRES
-    sooner, at an iterate that still passes the acceptance check; one below
-    it gives the iterate of floor 0 bitwise."""
+    """A target, such as FLOOR_MARGIN times a rounding floor, above
+    KRYLOV_RTOL |b|_inf ends GMRES sooner, at an iterate that still passes
+    the acceptance check; one below it gives the iterate of target 0
+    bitwise."""
     J, b, ne = newton_layout(0.01)
     bmax = np.abs(b).max()
 
-    def solve(floor):
+    def solve(target):
         stats = solver.StepDiagnostics()
-        x = solver.linear_solve(J, b, n_density=ne, stats=stats, floor=floor,
+        x = solver.linear_solve(J, b, n_density=ne, stats=stats, target=target,
                                 factors=layout_factors(J, ne))
         return x, stats.krylov_iters
 
@@ -235,7 +244,7 @@ def test_floor_shortens_the_solve():
     x, fewer = solve(1e-10 * bmax)
     assert fewer < iters
     assert solver._rejection(x, b - J @ x, b) is None
-    below, same = solve(0.5 * solver.KRYLOV_RTOL * bmax / solver.FLOOR_MARGIN)
+    below, same = solve(0.5 * solver.KRYLOV_RTOL * bmax)
     assert same == iters and np.array_equal(below, exact)
 
 
@@ -288,7 +297,7 @@ def test_alpha0_newton_matrix_solves_in_one_iteration(mesh2, params):
     b = np.random.default_rng(6).standard_normal(J.shape[0])
     stats = solver.StepDiagnostics()
     x = solver.linear_solve(J, b, n_density=mesh2.n_elems, stats=stats,
-                            factors=solver.BlockFactors(lu_u, params.dt(mesh2)), floor=0.0)
+                            factors=solver.BlockFactors(lu_u, params.dt(mesh2)), target=0.0)
     assert (stats.krylov_iters, stats.krylov_cycles, stats.factorizations) == (1, 1, 1)
     assert solver._rejection(x, b - J @ x, b) is None
 
@@ -332,11 +341,34 @@ def test_no_reference_to_alpha0_factor_outlives_the_step(mesh2, fails, monkeypat
     assert len(refs) == 1 and refs[0]() is None
 
 
-def test_gmres_tightens_after_rejected_cycle():
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_early_gmres_iterate_keeps_the_mass(mesh2, params, k):
+    """GMRES stopped after k iterations on a bump Newton matrix, for a
+    right-hand side whose continuity rows sum to 0: the residual's
+    continuity rows still sum to 0 at rounding, because 1^T A = |E|^T / dt
+    and 1^T B = 0 make |E|^T x_rho / dt invariant under M^-1 J (module
+    docstring)."""
+    J, b, factors = newton_system(mesh2, params)
+    ne = mesh2.n_elems
+    b = np.random.default_rng(7).standard_normal(b.size)
+    b[:ne] -= b[:ne].mean()
+    assert abs(b[:ne].sum()) <= 1e-14 * np.abs(b).sum()
+    factors.factor(J, ne)
+    stats = solver.StepDiagnostics()
+    x, _, exhausted = solver._gmres(J, b, factors.preconditioner(J[ne:, :ne]), k, 1, stats,
+                                    0.0)
+    assert exhausted and stats.krylov_iters == k
+    e = b - J @ x
+    assert np.abs(e).max() > 1e-6 * np.abs(b).max()   # far from solved
+    assert abs(e[:ne].sum()) <= 1e-14 * np.abs(b).sum()
+
+
+def test_gmres_tightens_after_rejected_cycle(monkeypatch):
     """A cycle that reaches the tolerance with an iterate failing the
     acceptance check is followed by one with a tighter tolerance, which
-    passes, with or without a rounding floor loosening the first cycle's
-    tolerance.  A preconditioner that shrinks the density rows by 1e-10
+    passes, with or without a target loosening the first cycle's tolerance.
+    No cycle runs out of iterations, so a budget of one such cycle does not
+    end the solve.  A preconditioner that shrinks the density rows by 1e-10
     makes the first cycle end that way."""
     J, b, ne = newton_layout(0.01)
     precondition = block_preconditioner(J, ne)
@@ -345,14 +377,21 @@ def test_gmres_tightens_after_rejected_cycle():
     def shrunk(r):
         return scale * precondition(r)
 
-    for floor in (0.0, 1e-10 * np.abs(b).max()):
-        _, reason, first = solver._gmres(J, b, shrunk, solver.KRYLOV_RESTART, 1,
-                                         solver.StepDiagnostics(), floor)
-        assert first < solver.KRYLOV_RESTART and reason is not None
+    verdicts = []
+    rejection = solver._rejection
+
+    def recorded(x, r, b):
+        verdicts.append(rejection(x, r, b))
+        return verdicts[-1]
+
+    monkeypatch.setattr(solver, "_rejection", recorded)
+    for target in (0.0, 1e-10 * np.abs(b).max()):
+        verdicts.clear()
         stats = solver.StepDiagnostics()
-        x, reason, _ = solver._gmres(J, b, shrunk, solver.KRYLOV_RESTART,
-                                     solver.KRYLOV_CYCLES, stats, floor)
-        assert reason is None and solver._rejection(x, b - J @ x, b) is None
+        x, reason, exhausted = solver._gmres(J, b, shrunk, solver.KRYLOV_RESTART, 1, stats,
+                                             target)
+        assert verdicts[0] is not None and not exhausted
+        assert reason is None and rejection(x, b - J @ x, b) is None
         assert 1 < stats.krylov_cycles < solver.KRYLOV_CYCLES
 
 
@@ -373,14 +412,40 @@ def row_scaled(J, ne, lo, hi):
     return (sp.diags(scale) @ J).tocsr()
 
 
+def test_rejected_cycle_keeps_the_held_factor(monkeypatch):
+    """A cycle on held factors that reaches its tolerance with an iterate
+    failing the acceptance check gets its tightened cycle on the same
+    factors: the miss comes from the norm, not from the factor, so A is not
+    refactored.  The first converged iterate is refused once."""
+    J, b, ne = newton_layout(0.01)
+    stats, factors = solver.StepDiagnostics(), layout_factors(J, ne)
+    solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors, target=0.0)
+    assert factors.held and stats.factorizations == 1
+    rejection, refused = solver._rejection, []
+
+    def refuse_once(x, r, b):
+        if not refused:
+            refused.append(x)
+            return "refused once"
+        return rejection(x, r, b)
+
+    monkeypatch.setattr(solver, "_rejection", refuse_once)
+    J2 = row_scaled(J, ne, 1.0, 1.001)
+    cycles = stats.krylov_cycles
+    x = solver.linear_solve(J2, b, n_density=ne, stats=stats, factors=factors, target=0.0)
+    assert len(refused) == 1 and stats.krylov_cycles - cycles == 2
+    assert stats.factorizations == 1 and factors.held
+    assert rejection(x, b - J2 @ x, b) is None
+
+
 def test_close_newton_matrices_share_factors():
     """Held factors of one matrix precondition the next, close one."""
     J, b, ne = newton_layout(0.01)
     stats, factors = solver.StepDiagnostics(), layout_factors(J, ne)
-    solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors, floor=0.0)
+    solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors, target=0.0)
     assert factors.held and stats.factorizations == 1
     J2 = row_scaled(J, ne, 1.0, 1.001)
-    x = solver.linear_solve(J2, b, n_density=ne, stats=stats, factors=factors, floor=0.0)
+    x = solver.linear_solve(J2, b, n_density=ne, stats=stats, factors=factors, target=0.0)
     assert stats.factorizations == 1
     assert np.allclose(x, np.linalg.solve(J2.toarray(), b), rtol=1e-10, atol=1e-12)
 
@@ -393,10 +458,10 @@ def test_stale_factors_missing_a_full_cycle_refactor_once():
     (70 iterations today), the held ones do not."""
     J, b, ne = newton_layout(0.01)
     stats, factors = solver.StepDiagnostics(), layout_factors(J, ne)
-    solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors, floor=0.0)
+    solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors, target=0.0)
     first = stats.krylov_iters
     J2 = row_scaled(newton_layout(0.5)[0], ne, 0.1, 10.0)
-    x = solver.linear_solve(J2, b, n_density=ne, stats=stats, factors=factors, floor=0.0)
+    x = solver.linear_solve(J2, b, n_density=ne, stats=stats, factors=factors, target=0.0)
     assert stats.factorizations == 2
     assert solver._rejection(x, b - J2 @ x, b) is None
     # The stale cycle's iterations stay counted.
@@ -424,15 +489,15 @@ def test_bump_steps_reuse_factors(mesh2, params, monkeypatch):
 def test_bump_run_newton_counts(mesh2, params):
     """Bump n=2 x3 takes 3, 2 and 2 Newton iterations, as with an exact
     factor of the velocity block and GMRES run to KRYLOV_RTOL: neither the
-    alpha = 0 factor in its place nor the floor-relative tolerance costs a
-    Newton iteration."""
+    alpha = 0 factor in its place nor GMRES's stop at the Newton step's
+    target costs a Newton iteration."""
     rho0, m0 = scheme.make_initial_data("bump", 1.0, 0.5, 0.15,
                                         mesh2.box_lo, mesh2.box_hi)
     steps = scheme.run(mesh2, params, rho0, m0, 3, _discard).diagnostics[1:]
     assert [d.newton_iters for d in steps] == [3, 2, 2]
 
 
-def test_fallback_schedule_refactors_at_each_node(mesh2, monkeypatch):
+def test_each_continuation_node_tried_refactors(mesh2, monkeypatch):
     """The stress step, which retries halved nodes, factors afresh at the
     first Newton matrix of each node it tries, the failed ones included."""
     events = []
@@ -503,7 +568,7 @@ def test_newton_solve_rejects_singular(mesh1, params):
         warnings.simplefilter("error", spla.MatrixRankWarning)
         with pytest.raises(solver.SolverError, match="singular"):
             solver.linear_solve(J.tocsr(), b, n_density=mesh1.n_elems, stats=stats,
-                                factors=factors, floor=0.0)
+                                factors=factors, target=0.0)
     assert stats.krylov_iters == 0 and stats.factorizations == 0
 
 
@@ -624,8 +689,9 @@ def test_no_newton_solve_at_the_rounding_floor(mesh2, params, monkeypatch):
 def test_loose_tolerance_keeps_the_mass_without_solving_below_it(mesh2, monkeypatch):
     """At newton_tol 1e-4, bump n=2 x3: no linear solve is made at an iterate
     whose residual is already within the tolerance, and every row keeps the
-    mass of row 0 to rounding, because each Newton update changes the mass
-    only by the rounding of its linear solve (module docstring)."""
+    mass of row 0 to rounding, because a GMRES iterate keeps the mass defect
+    of the iterate it corrects however early GMRES stops (module
+    docstring)."""
     params = scheme.SchemeParams(newton_tol=1e-4)
     solved_at = []
     linear_solve = solver.linear_solve
@@ -661,7 +727,7 @@ def test_stress_step_needs_no_direct_solve(mesh2, monkeypatch):
     assert diag.residual_norm <= params.newton_tol
 
 
-def test_step_counts_add_up_over_every_schedule(mesh2, monkeypatch):
+def test_step_counts_add_up_over_every_continuation_node(mesh2, monkeypatch):
     """On the stress step, which retries halved nodes, the step's counts are
     the sums over every node tried, the failed nodes included."""
     counts = ("newton_iters", "linesearch_backtracks", "krylov_iters", "krylov_cycles",
