@@ -250,6 +250,12 @@ def _outdir(cfg: RunConfig) -> Path:
     return outdir
 
 
+def _spent(failure: solver.StepFailure) -> str:
+    """The linear work that a failed step spent, over every node it tried."""
+    d = failure.diagnostics
+    return f"{d.krylov_iters} Krylov iterations, {d.factorizations} preconditioner factorizations"
+
+
 def cmd_run(cfg: RunConfig) -> int:
     args = _run_args(cfg, cfg.n)
     mesh, n_steps = args[0], args[-1]
@@ -268,7 +274,7 @@ def cmd_run(cfg: RunConfig) -> int:
     try:
         result = scheme.run(*args, write)
     except solver.StepFailure as exc:
-        print(f"run failed at step {exc.step}: {exc}", file=sys.stderr)
+        print(f"run failed at step {exc.step}: {exc}; {_spent(exc)}", file=sys.stderr)
         return 2
     first, last = result.rows[0], result.rows[-1]
     drift = abs(last["mass"] - first["mass"]) / abs(first["mass"])
@@ -423,7 +429,8 @@ def _cauchy(cfg: RunConfig) -> int:
         try:
             result = scheme.run(*_run_args(cfg, n), lambda state, row: densities.append(state.rho))
         except solver.StepFailure as exc:
-            print(f"study failed at step {exc.step} on the n = {n} mesh: {exc}", file=sys.stderr)
+            print(f"study failed at step {exc.step} on the n = {n} mesh: {exc}; {_spent(exc)}",
+                  file=sys.stderr)
             return 2
         runs.append((result.mesh, result.dt, densities))
     diffs = diagnostics.cauchy_differences(runs, cfg.T)

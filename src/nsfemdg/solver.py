@@ -57,30 +57,24 @@ orthogonal to working precision (Giraud, Langou & Rozloznik, Comput. Math.
 Appl. 50, 2005).
 A cycle that reaches the tolerance with an iterate that fails the residual
 acceptance check is followed by one whose tolerance, stripped of the target
-loosening, is tightened by the factor the residual misses the bound by.
-The density factor lives for one continuation node (`BlockFactors`): the
-node factors A at its first Newton matrix and keeps the factor until a
-GMRES cycle of 100 iterations on it runs out of iterations.  A miss of the
-acceptance check by a cycle that reached its tolerance comes from the norm,
-not from the factor, so that cycle's tightened successor runs on the same
-factor.  When a cycle on the held factor runs out, or the held solve
-fails otherwise, its iterate is discarded, A is refactored and the matrix solved afresh, with GMRES
-restarted every 100 iterations for at most 10 cycles; the fresh factor is
-kept for the next matrix unless one of those cycles ran out of iterations.
-L0 does not depend on alpha and serves every node of the step,
-which drops it when it returns or fails.  A and the alpha = 0 system are
-ordered by minimum degree on A^T + A with diagonal pivots, which their
-symmetric patterns allow.
+loosening, is tightened by the factor the residual misses the bound by; a
+cycle that runs out of its 100 iterations is restarted, for at most 10
+cycles.  A moves with the velocity at every Newton iterate, so every Newton
+matrix factors its own A (`block_preconditioner`), and no density factor
+outlives its solve.  L0 does not depend on alpha and serves every node of
+the step, which drops it when it returns or fails.  A and the alpha = 0
+system are ordered by minimum degree on A^T + A with diagonal pivots, which
+their symmetric patterns allow.
 There is no direct solve of J: a zero pivot in A, a Krylov quantity that
-overflows, or a solve on a fresh factor that fails the acceptance check,
-raises SolverError with the density factor dropped, and the Newton node
-fails, so that the continuation halves d_alpha.  GMRES needs J only
-through products and its blocks A and C; `scheme.jacobian` stores no exact
-zeros, so neither does the factored A.
+overflows, or a solve that fails the acceptance check, raises SolverError,
+and the Newton node fails, so that the continuation halves d_alpha.  GMRES
+needs J only through products and its blocks A and C; `scheme.jacobian`
+stores no exact zeros, so neither does the factored A.
 
 A SolverError never leaves a step: `homotopy_newton_solve` decides that a
 step has failed, when its alpha = 0 solve fails or its continuation gives
-up, and raises StepFailure, which carries the step's index and says why.
+up, and raises StepFailure, which carries the step's index and counts and
+says why.
 """
 from __future__ import annotations
 
@@ -103,16 +97,14 @@ class SolverError(RuntimeError):
 
 class StepFailure(RuntimeError):
     """Time step `step` failed: its alpha = 0 solve, whose reason the message
-    gives (alpha 0, no iterations, a NaN residual norm), or its continuation,
-    at the node `alpha` that failed last, after `iterations` Newton
-    iterations in all."""
+    gives (alpha 0, zero counts and a NaN residual norm), or its
+    continuation, at the node `alpha` that failed last.  `diagnostics` holds
+    the step's counts over every node it tried."""
 
-    def __init__(self, message: str, alpha: float, iterations: int, residual_norm: float,
-                 step: int):
+    def __init__(self, message: str, alpha: float, diagnostics: StepDiagnostics, step: int):
         super().__init__(message)
         self.alpha = alpha
-        self.iterations = iterations
-        self.residual_norm = residual_norm
+        self.diagnostics = diagnostics
         self.step = step
 
 
@@ -203,21 +195,27 @@ KRYLOV_RTOL = 1e-15
 FLOOR_MARGIN = 0.1
 NEWTON_TOL_SHARE = 0.01
 
-# SuperLU settings of the density block and of the alpha = 0 system.  Their
-# patterns are symmetric, so they are ordered by minimum degree on A^T + A
-# and factored with diagonal pivots.  The alpha = 0 matrix of the bump's
-# initial state, 2-core host, one thread: fill (L.nnz + U.nnz) /
-# factorization / solve for three right-hand sides,
+# SuperLU settings of the density block A and of the alpha = 0 matrix L0.
+# Their patterns are symmetric, so they are ordered by minimum degree on
+# A^T + A and factored with diagonal pivots: on the bump's initial L0 at
+# n = 4 / 6 / 8 that keeps the fill (L.nnz + U.nnz) at 25k / 173k / 623k,
+# against 46k / 363k / 1.47M with SuperLU's defaults, and factors 1.7-3.8x
+# faster than partial pivoting on the same ordering.  Relaxed supernodes of
+# one column in panels of four (relax, panel_size) keep that fill and factor
+# faster.  Minimum `splu` times without and with them, 2-core host, one
+# thread, A the density block of a bump step's first Newton matrix:
 #
-#   n   SuperLU's defaults       these settings           partial pivoting
-#   4   46k / 3.7 ms / 217 us    25k / 2.3 ms / 177 us    25k / 3.9 ms / 246 us
-#   6   363k / 28 ms / 1.36 ms   173k / 14 ms / 0.86 ms   173k / 52 ms / 1.76 ms
-#   8   1.47M / 128 ms / 4.5 ms  623k / 69 ms / 2.9 ms    623k / 262 ms / 3.9 ms
+#   n    fill A / L0     A                  L0
+#   4    8.7k / 25k      0.67 -> 0.57 ms    1.32 -> 1.10 ms
+#   6    51k / 173k      2.77 -> 2.31 ms    7.51 -> 6.24 ms
+#   8    194k / 623k     9.31 -> 7.56 ms    43.2 -> 24.4 ms
+#   12   - / 3.55M                          392 -> 203 ms
+#   16   - / 11.8M                          1.26 -> 1.27 s
 #
-# (the last column: this ordering with SuperLU's partial pivoting).
-# A zero pivot raises RuntimeError; `linear_solve` and the alpha = 0 solve
-# turn it into a SolverError.
-BLOCK_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+# A panel size of 1 took 259 ms at n = 12 and 1.78 s at n = 16.  A zero
+# pivot raises RuntimeError; `linear_solve` and the alpha = 0 solve turn it
+# into a SolverError.
+BLOCK_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1, panel_size=4,
                 options=dict(SymmetricMode=True))
 
 
@@ -237,52 +235,30 @@ def _rejection(x: NDArrayF, r: NDArrayF, b: NDArrayF) -> str | None:
     return None
 
 
-class BlockFactors:
-    """Preconditioner factors for the Newton matrices J = [[A, B], [C, D]]
-    of one continuation node, with `ne` density rows.
+def block_preconditioner(J: sp.csr_matrix, ne: int, lu_u: spla.SuperLU,
+                         dt: float) -> Callable[[NDArrayF], NDArrayF]:
+    """The preconditioner of the Newton matrix J = [[A, B], [C, D]] with `ne`
+    density rows: the map r -> z that solves A z_rho = r_rho, A factored
+    exactly here, then (M_rho_prev / dt + K) z_d = (r_u - C z_rho)_d for
+    each velocity component d, `lu_u` being the step's factor of
+    M_rho_prev + dt K from `alpha0_solve` and `dt` the time step.  Raises
+    RuntimeError at a zero pivot in A."""
+    lu_rho = spla.splu(sp.csc_matrix(J[:ne, :ne]), **BLOCK_LU)
+    C = J[ne:, :ne]
 
-    `lu_rho` factors A exactly and is held from one matrix of the node to
-    the next; the node starts with none.  `lu_u` is the step's factor of
-    M_rho_prev + dt K from `alpha0_solve`, and `dt` the time step:
-    (dt lu_u^-1) (x) I stands for D^-1.
-    """
+    def precondition(r):
+        z_rho = lu_rho.solve(r[:ne])
+        z_u = lu_u.solve((r[ne:] - C @ z_rho).reshape(-1, 3))
+        z_u *= dt
+        return np.concatenate([z_rho, z_u.ravel()])
 
-    def __init__(self, lu_u: spla.SuperLU, dt: float):
-        self.lu_rho = None
-        self.lu_u, self.dt = lu_u, dt
-
-    @property
-    def held(self) -> bool:
-        return self.lu_rho is not None
-
-    def factor(self, J: sp.csr_matrix, ne: int) -> None:
-        """Factor A exactly; raises RuntimeError at a zero pivot."""
-        self.drop()   # before the new factor is allocated
-        self.lu_rho = spla.splu(sp.csc_matrix(J[:ne, :ne]), **BLOCK_LU)
-
-    def drop(self) -> None:
-        self.lu_rho = None
-
-    def preconditioner(self, C: sp.csr_matrix) -> Callable[[NDArrayF], NDArrayF]:
-        """The map r -> z that solves A z_rho = r_rho, then
-        (M_rho_prev / dt + K) z_d = (r_u - C z_rho)_d for each velocity
-        component d."""
-        ne = C.shape[1]
-        lu_rho, lu_u, dt = self.lu_rho, self.lu_u, self.dt
-
-        def precondition(r):
-            z_rho = lu_rho.solve(r[:ne])
-            z_u = lu_u.solve((r[ne:] - C @ z_rho).reshape(-1, 3))
-            z_u *= dt
-            return np.concatenate([z_rho, z_u.ravel()])
-
-        return precondition
+    return precondition
 
 
 @np.errstate(over="ignore", invalid="ignore")   # an overflow ends the solve instead
 def _gmres(J: sp.csr_matrix, b: NDArrayF, precondition: Callable[[NDArrayF], NDArrayF],
-           restart: int, full_cycles: int, stats: StepDiagnostics,
-           target: float) -> tuple[NDArrayF, str | None, bool]:
+           restart: int, stats: StepDiagnostics,
+           target: float) -> tuple[NDArrayF, str | None]:
     """GMRES for J x = b from x = 0, left-preconditioned by `precondition`
     (M), in cycles of at most `restart` iterations.
 
@@ -293,14 +269,13 @@ def _gmres(J: sp.csr_matrix, b: NDArrayF, precondition: Callable[[NDArrayF], NDA
     the tolerance ends the solve if its iterate passes the acceptance check;
     if not, the next cycle's tolerance is the smaller of the current one and
     KRYLOV_RTOL |M b|_2, divided by the factor by which |b - J x|_inf
-    exceeds the check's bound.  Every cycle after the first starts from the
-    true residual.  The solve ends after `full_cycles` cycles that ran out
-    of iterations, or KRYLOV_CYCLES cycles in all.  A residual or
+    exceeds the check's bound.  A cycle that runs out of iterations is
+    restarted.  Every cycle after the first starts from the true residual,
+    and the solve ends after KRYLOV_CYCLES cycles.  A residual or
     basis-vector norm that is not finite ends the solve at once: no finite
     iterate comes of its cycle, whose iterate is returned as NaN.  Returns
-    the last iterate, why it fails the acceptance check (None if it passes),
-    and whether a cycle ran out of iterations.  `stats` counts the
-    iterations and cycles.
+    the last iterate and why it fails the acceptance check (None if it
+    passes).  `stats` counts the iterations and cycles.
     """
     eps = np.finfo(b.dtype).eps
     x = np.zeros_like(b)
@@ -313,7 +288,7 @@ def _gmres(J: sp.csr_matrix, b: NDArrayF, precondition: Callable[[NDArrayF], NDA
     tol = rtol * mb
     V = np.empty((restart + 1, b.size))   # Arnoldi basis, one vector per row
     R = np.zeros((restart, restart))      # triangular factor of the Hessenberg matrix
-    iters = full = 0
+    iters = 0
     for cycle in range(KRYLOV_CYCLES):
         if cycle:
             z = precondition(r)
@@ -364,47 +339,34 @@ def _gmres(J: sp.csr_matrix, b: NDArrayF, precondition: Callable[[NDArrayF], NDA
         x += sla.solve_triangular(R[:m, :m], g[:m]) @ V[:m]
         r = b - J @ x
         if len(rotations) == restart:   # the cycle ran out of iterations
-            full += 1
-            if full == full_cycles:
-                break
-        elif _rejection(x, r, b) is None:
+            continue
+        if _rejection(x, r, b) is None:
             break
-        else:
-            # The preconditioned norm underweights the rows that fail the
-            # check: drop the target loosening and tighten the tolerance by
-            # the factor they miss it by.
-            tol = min(tol, KRYLOV_RTOL * mb) * _residual_bound(b) / np.abs(r).max()
+        # The preconditioned norm underweights the rows that fail the check:
+        # drop the target loosening and tighten the tolerance by the factor
+        # they miss it by.
+        tol = min(tol, KRYLOV_RTOL * mb) * _residual_bound(b) / np.abs(r).max()
     stats.krylov_iters += iters
-    return x, _rejection(x, r, b), full > 0
+    return x, _rejection(x, r, b)
 
 
 def linear_solve(J: sp.csr_matrix, b: NDArrayF, n_density: int, stats: StepDiagnostics,
-                 factors: BlockFactors, target: float) -> NDArrayF:
+                 lu_u: spla.SuperLU, dt: float, target: float) -> NDArrayF:
     """Solve the Newton system J x = b, J with `n_density` density unknowns
-    first, by GMRES preconditioned with `factors`, whose density factor is
-    kept or refreshed as the module docstring describes.  `target`, the
-    absolute residual the Newton step needs, loosens GMRES's tolerance
-    (`_gmres`), and `stats` counts the Krylov iterations and factorizations.
-    x is accepted only if it is finite with
-    |J x - b|_inf <= 1e-10 (1 + |b|_inf).  Raises
-    SolverError at a zero pivot in A or when the solve on a fresh factor
-    fails the check; the density factor is then dropped.
+    first, by GMRES preconditioned with a fresh factor of its density block
+    and the step's alpha = 0 factor `lu_u` at time step `dt`
+    (`block_preconditioner`).  `target`, the absolute residual the Newton
+    step needs, loosens GMRES's tolerance (`_gmres`), and `stats` counts the
+    Krylov iterations and factorizations.  x is accepted only if it is
+    finite with |J x - b|_inf <= 1e-10 (1 + |b|_inf).  Raises SolverError at
+    a zero pivot in A or when GMRES's last iterate fails the check.
     """
-    C = J[n_density:, :n_density]
-    if factors.held:
-        x, reason, exhausted = _gmres(J, b, factors.preconditioner(C), KRYLOV_RESTART, 1,
-                                      stats, target)
-        if reason is None and not exhausted:
-            return x
     try:
-        factors.factor(J, n_density)
-    except RuntimeError as exc:   # exactly singular A; factor dropped the old one
+        precondition = block_preconditioner(J, n_density, lu_u, dt)
+    except RuntimeError as exc:   # exactly singular A
         raise SolverError(f"preconditioner block: {exc}") from exc
     stats.factorizations += 1
-    x, reason, exhausted = _gmres(J, b, factors.preconditioner(C),
-                                  KRYLOV_RESTART, KRYLOV_CYCLES, stats, target)
-    if reason is not None or exhausted:
-        factors.drop()
+    x, reason = _gmres(J, b, precondition, KRYLOV_RESTART, stats, target)
     if reason is not None:
         raise SolverError(reason)
     return x
@@ -445,13 +407,13 @@ def homotopy_newton_solve(prev, params, mesh: Mesh) -> tuple["scheme.State", Ste
     """Advance `prev` by one time step along the continuation the module
     docstring describes; raises StepFailure if the alpha = 0 solve fails,
     with its reason, or if the continuation gives up.  The step's alpha = 0
-    factor serves every node, and each node starts with no density factor."""
+    factor serves every node."""
     k = prev.k + 1
     try:
         x, lu_u = alpha0_solve(prev, params, mesh)
     except SolverError as exc:
-        raise StepFailure(f"alpha=0, 0 iterations, {exc}", alpha=0.0, iterations=0,
-                          residual_norm=math.nan, step=k) from exc
+        raise StepFailure(f"alpha=0, 0 iterations, {exc}", alpha=0.0,
+                          diagnostics=StepDiagnostics(residual_norm=math.nan), step=k) from exc
     dt = params.dt(mesh)
     diag = StepDiagnostics(alpha_nodes_used=1)
     alpha, d_alpha = 0.0, 1.0
@@ -461,8 +423,7 @@ def homotopy_newton_solve(prev, params, mesh: Mesh) -> tuple["scheme.State", Ste
             trial = alpha + d_alpha
             # _newton_at_alpha rebinds the iterate, never mutates it, so a
             # failed node leaves x at the last accepted node's.
-            x_new, ok = _newton_at_alpha(prev, x, trial, params, mesh, diag,
-                                         BlockFactors(lu_u, dt), params.newton_max_iter)
+            x_new, ok = _newton_at_alpha(prev, x, trial, params, mesh, diag, lu_u, dt)
             if ok:
                 x, alpha = x_new, trial
                 diag.alpha_nodes_used += 1
@@ -475,8 +436,7 @@ def homotopy_newton_solve(prev, params, mesh: Mesh) -> tuple["scheme.State", Ste
                     f"alpha={trial:g}, {diag.newton_iters} iterations, "
                     f"residual {diag.residual_norm:.3e}",
                     alpha=trial,
-                    iterations=diag.newton_iters,
-                    residual_norm=diag.residual_norm,
+                    diagnostics=diag,
                     step=k,
                 )
         return scheme.unpack(x, mesh, k), diag
@@ -493,10 +453,12 @@ def _rounding_floor(J: sp.csr_matrix, x: NDArrayF) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")   # an overflow gives no Newton step instead
-def _newton_at_alpha(prev, x, alpha, params, mesh, diag, factors, budget):
+def _newton_at_alpha(prev, x, alpha, params, mesh, diag, lu_u, dt):
     """Damped Newton at one alpha node, until the residual is within
-    tolerance or diag.newton_iters reaches budget.  Returns the last iterate
-    and whether its residual is within tolerance."""
+    tolerance or diag.newton_iters reaches params.newton_max_iter, its
+    matrices preconditioned with the step's alpha = 0 factor `lu_u` at time
+    step `dt`.  Returns the last iterate and whether its residual is within
+    tolerance."""
     ne = mesh.n_elems
     tol = params.newton_tol
 
@@ -506,14 +468,14 @@ def _newton_at_alpha(prev, x, alpha, params, mesh, diag, factors, budget):
         return guess, r, np.abs(r).max()
 
     guess, r, norm = res_norm(x)
-    while not norm <= tol and diag.newton_iters < budget:
+    while not norm <= tol and diag.newton_iters < params.newton_max_iter:
         J = scheme.jacobian(prev, guess, params, mesh, alpha=alpha)
         floor = _rounding_floor(J, x)
         if not np.isfinite(norm + floor):
             break   # an overflowed residual or Jacobian gives no Newton step
         target = max(FLOOR_MARGIN * floor, NEWTON_TOL_SHARE * tol)
         try:
-            delta = linear_solve(J, -r, n_density=ne, stats=diag, factors=factors,
+            delta = linear_solve(J, -r, n_density=ne, stats=diag, lu_u=lu_u, dt=dt,
                                  target=target)
         except SolverError:
             break

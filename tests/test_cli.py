@@ -247,15 +247,17 @@ def test_run_failing_midway_keeps_its_completed_steps(tmp_path, monkeypatch, cap
 
     def failing_at_step_3(prev, *rest, _solve=solver.homotopy_newton_solve):
         if prev.k == 2:
-            raise solver.StepFailure("injected", alpha=1.0, iterations=0,
-                                     residual_norm=float("nan"), step=3)
+            raise solver.StepFailure("injected", alpha=1.0,
+                                     diagnostics=solver.StepDiagnostics(krylov_iters=7),
+                                     step=3)
         return _solve(prev, *rest)
 
     monkeypatch.setattr(solver, "homotopy_newton_solve", failing_at_step_3)
     cut = tmp_path / "cut"
     capsys.readouterr()
     assert cli.main([*args, "--steps", "5", "--outdir", str(cut)]) == 2
-    assert capsys.readouterr().err == "run failed at step 3: injected\n"
+    assert capsys.readouterr().err == ("run failed at step 3: injected; 7 Krylov iterations, "
+                                       "0 preconditioner factorizations\n")
     names = ["diagnostics.csv", "state_0000.vtk", "state_0002.vtk"]
     assert sorted(p.name for p in cut.iterdir()) == names
     for name in names:
@@ -417,7 +419,34 @@ def test_unconverged_run_exits_two(tmp_path, capsys):
                    "--outdir", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert re.fullmatch(r"run failed at step 1: alpha=\S+, \d+ iterations, residual \S+\n", err)
+    assert re.fullmatch(r"run failed at step 1: alpha=\S+, \d+ iterations, residual \S+; "
+                        r"\d+ Krylov iterations, \d+ preconditioner factorizations\n", err)
+
+
+def test_failed_step_reports_its_linear_work(tmp_path, monkeypatch, capsys):
+    """At rho_bar 1e3 the n=2 bump's step 1 gives up at alpha = 1/64.  Its
+    stderr line ends with the Krylov iterations and density factorizations
+    of every linear solve the step made, the failed nodes' included: one
+    factorization per solve."""
+    krylov = []
+    linear_solve = solver.linear_solve
+
+    def counted(J, b, **kwargs):
+        before = kwargs["stats"].krylov_iters
+        try:
+            return linear_solve(J, b, **kwargs)
+        finally:
+            krylov.append(kwargs["stats"].krylov_iters - before)
+
+    monkeypatch.setattr(solver, "linear_solve", counted)
+    rc = cli.main(["run", "--preset", "bump", "--n", "2", "--steps", "2", "--rho_bar", "1e3",
+                   "--outdir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run failed at step 1: alpha=0.015625, ")
+    assert err.endswith(f"; {sum(krylov)} Krylov iterations, "
+                        f"{len(krylov)} preconditioner factorizations\n")
+    assert sum(krylov) > 0
 
 
 def test_dense_bump_runs_without_rescue_flags(tmp_path):
@@ -635,8 +664,9 @@ def test_failed_cauchy_study_names_its_mesh(tmp_path, monkeypatch, capsys):
     that mesh's n, and the study writes nothing."""
     def failing_on_n2(prev, params, mesh, *rest, _solve=solver.homotopy_newton_solve):
         if mesh.n_elems == 6 * 2**3:
-            raise solver.StepFailure("injected", alpha=0.5, iterations=3,
-                                     residual_norm=1.0, step=prev.k + 1)
+            raise solver.StepFailure("injected", alpha=0.5,
+                                     diagnostics=solver.StepDiagnostics(factorizations=2),
+                                     step=prev.k + 1)
         return _solve(prev, params, mesh, *rest)
 
     monkeypatch.setattr(solver, "homotopy_newton_solve", failing_on_n2)
@@ -645,7 +675,8 @@ def test_failed_cauchy_study_names_its_mesh(tmp_path, monkeypatch, capsys):
                    "--outdir", str(outdir)])
     assert rc == 2
     out = capsys.readouterr()
-    assert out.err == "study failed at step 1 on the n = 2 mesh: injected\n"
+    assert out.err == ("study failed at step 1 on the n = 2 mesh: injected; "
+                       "0 Krylov iterations, 2 preconditioner factorizations\n")
     assert not out.out
     assert not outdir.exists()
 

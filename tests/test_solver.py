@@ -38,20 +38,19 @@ def _discard(state, row):
 
 def newton_system(mesh, params):
     """First Newton matrix and right-hand side of the second bump step, and
-    a holder with that step's alpha = 0 factor."""
+    that step's alpha = 0 factor and time step, as `linear_solve` takes them."""
     first, _ = solver.homotopy_newton_solve(bump_state(mesh, params), params, mesh)
     x0, lu_u = solver.alpha0_solve(first, params, mesh)
     guess = scheme.unpack(x0, mesh, first.k + 1)
     J = scheme.jacobian(first, guess, params, mesh, alpha=1.0)
     r = scheme.residual(first, guess, params, mesh, alpha=1.0)
-    return J, -r.ravel(), solver.BlockFactors(lu_u, params.dt(mesh))
+    return J, -r.ravel(), dict(lu_u=lu_u, dt=params.dt(mesh))
 
 
 def test_newton_solve_matches_direct(mesh2, params):
-    J, b, factors = newton_system(mesh2, params)
+    J, b, step = newton_system(mesh2, params)
     stats = solver.StepDiagnostics()
-    x = solver.linear_solve(J, b, n_density=mesh2.n_elems, stats=stats,
-                            factors=factors, target=0.0)
+    x = solver.linear_solve(J, b, n_density=mesh2.n_elems, stats=stats, target=0.0, **step)
     direct = spla.spsolve(sp.csc_matrix(J), b)
     assert np.abs(x - direct).max() <= 1e-12 * np.abs(direct).max()
     # 5 iterations today; the same preconditioner without the coupling C
@@ -72,11 +71,11 @@ def newton_layout(b_scale):
     return J, rng.standard_normal(ne + 3 * ni), ne
 
 
-def layout_factors(J, ne):
-    """A holder whose velocity factor is the exact factor of J's first
-    velocity-component block, at dt = 1: for a Newton-layout matrix, the
-    part of the preconditioner that a step's alpha = 0 factor plays."""
-    return solver.BlockFactors(spla.splu(sp.csc_matrix(J[ne::3, ne::3]), **solver.BLOCK_LU), 1.0)
+def layout_step(J, ne):
+    """The exact factor of J's first velocity-component block, at dt = 1:
+    for a Newton-layout matrix, the part of the preconditioner that a step's
+    alpha = 0 factor and time step play."""
+    return dict(lu_u=spla.splu(sp.csc_matrix(J[ne::3, ne::3]), **solver.BLOCK_LU), dt=1.0)
 
 
 def test_newton_solve_restarts_a_cycle_short_of_the_bound():
@@ -84,8 +83,7 @@ def test_newton_solve_restarts_a_cycle_short_of_the_bound():
     finished by a restarted cycle."""
     J, b, ne = newton_layout(1.0)
     stats = solver.StepDiagnostics()
-    x = solver.linear_solve(J, b, n_density=ne, stats=stats, factors=layout_factors(J, ne),
-                            target=0.0)
+    x = solver.linear_solve(J, b, n_density=ne, stats=stats, target=0.0, **layout_step(J, ne))
     direct = np.linalg.solve(J.toarray(), b)
     # 195 iterations over two cycles today.
     assert solver.KRYLOV_RESTART < stats.krylov_iters < 3 * solver.KRYLOV_RESTART
@@ -98,51 +96,59 @@ def test_newton_solve_failure_raises():
     J, b, ne = newton_layout(100.0)
     stats = solver.StepDiagnostics()
     with pytest.raises(solver.SolverError, match="residual too large"):
-        solver.linear_solve(J, b, n_density=ne, stats=stats, factors=layout_factors(J, ne),
-                            target=0.0)
+        solver.linear_solve(J, b, n_density=ne, stats=stats, target=0.0,
+                            **layout_step(J, ne))
     assert stats.krylov_iters == solver.KRYLOV_RESTART * solver.KRYLOV_CYCLES
     assert stats.krylov_cycles == solver.KRYLOV_CYCLES
 
 
-def test_failed_solve_drops_factors():
-    """A solve that fails on factors held from an earlier matrix refactors
-    once, and drops the density factor when the fresh one fails too; the
-    velocity factor, which the step owns, stays."""
-    J, b, ne = newton_layout(0.01)
-    stats, factors = solver.StepDiagnostics(), layout_factors(J, ne)
-    lu_u = factors.lu_u
-    solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors, target=0.0)
-    assert factors.held
-    J_bad, b_bad, _ = newton_layout(100.0)
+def test_failed_solve_drops_factors(monkeypatch):
+    """A solve that fails the acceptance check leaves no density factor
+    behind once its SolverError is handled.  The velocity factor, which the
+    step owns, serves the next matrix, whose density block is factored
+    afresh."""
+    J_bad, b_bad, ne = newton_layout(100.0)
+    J, b, _ = newton_layout(0.01)   # the same velocity blocks
+    step = layout_step(J, ne)
+    refs, splu = [], spla.splu
+
+    def weakly_referable(*args, **kwargs):
+        factor = _Factor(splu(*args, **kwargs))
+        refs.append(weakref.ref(factor))
+        return factor
+
+    monkeypatch.setattr(spla, "splu", weakly_referable)
     stats = solver.StepDiagnostics()
-    with pytest.raises(solver.SolverError, match="residual too large"):
-        solver.linear_solve(J_bad, b_bad, n_density=ne, stats=stats, factors=factors, target=0.0)
-    # The held factors' full stale cycle, then every cycle on fresh factors.
-    assert stats.krylov_iters == solver.KRYLOV_RESTART * (1 + solver.KRYLOV_CYCLES)
-    assert stats.krylov_cycles == 1 + solver.KRYLOV_CYCLES
-    assert stats.factorizations == 1
-    assert factors.lu_rho is None and factors.lu_u is lu_u
+    try:
+        solver.linear_solve(J_bad, b_bad, n_density=ne, stats=stats, target=0.0, **step)
+    except solver.SolverError as exc:
+        assert "residual too large" in str(exc)
+    else:
+        pytest.fail("the solve passed")
+    gc.collect()
+    assert stats.factorizations == len(refs) == 1 and refs[0]() is None
+    x = solver.linear_solve(J, b, n_density=ne, stats=stats, target=0.0, **step)
+    assert stats.factorizations == len(refs) == 2
+    assert solver._rejection(x, b - J @ x, b) is None
 
 
 # ---------------------------------------------------------------------------
 # GMRES kernel
 
 
-def block_preconditioner(J, ne):
-    factors = layout_factors(J, ne)
-    factors.factor(J, ne)
-    return factors.preconditioner(J[ne:, :ne])
+def layout_preconditioner(J, ne):
+    return solver.block_preconditioner(J, ne, **layout_step(J, ne))
 
 
 def test_gmres_matches_scipy():
     """One cycle passes the acceptance check within one iteration of scipy's
     GMRES with the same preconditioner and tolerance."""
     J, b, ne = newton_layout(0.01)
-    precondition = block_preconditioner(J, ne)
+    precondition = layout_preconditioner(J, ne)
     stats = solver.StepDiagnostics()
-    x, _, exhausted = solver._gmres(J, b, precondition, solver.KRYLOV_RESTART, 1, stats, 0.0)
-    assert solver._rejection(x, b - J @ x, b) is None
-    assert not exhausted and stats.krylov_cycles == 1
+    x, reason = solver._gmres(J, b, precondition, solver.KRYLOV_RESTART, stats, 0.0)
+    assert reason is None and solver._rejection(x, b - J @ x, b) is None
+    assert stats.krylov_cycles == 1
     iters = stats.krylov_iters
     residuals = []
     spla.gmres(J, b, rtol=solver.KRYLOV_RTOL, atol=0.0, restart=solver.KRYLOV_RESTART,
@@ -151,28 +157,30 @@ def test_gmres_matches_scipy():
     assert abs(iters - len(residuals)) <= 1
 
 
-def test_gmres_below_restart_only_at_tolerance():
+def test_gmres_below_restart_only_at_tolerance(monkeypatch):
     """A cycle one iteration shorter than the converged one runs out of
     iterations, and is restarted although its iterate passes the acceptance
-    check; one iteration longer ends at the tolerance."""
+    check (as a budget of one cycle shows); one iteration longer ends at the
+    tolerance."""
     J, b, ne = newton_layout(0.01)
-    precondition = block_preconditioner(J, ne)
+    precondition = layout_preconditioner(J, ne)
 
-    def run(restart, full_cycles):
+    def run(restart):
         stats = solver.StepDiagnostics()
-        _, reason, exhausted = solver._gmres(J, b, precondition, restart, full_cycles, stats,
-                                             0.0)
-        return reason, exhausted, stats
+        _, reason = solver._gmres(J, b, precondition, restart, stats, 0.0)
+        return reason, stats
 
-    _, exhausted, stats = run(solver.KRYLOV_RESTART, 1)
+    reason, stats = run(solver.KRYLOV_RESTART)
     k = stats.krylov_iters
-    assert k < solver.KRYLOV_RESTART and not exhausted
-    reason, exhausted, stats = run(k - 1, 1)
-    assert stats.krylov_iters == k - 1 and exhausted and reason is None
-    _, _, stats = run(k - 1, solver.KRYLOV_CYCLES)
-    assert stats.krylov_cycles == 2
-    reason, exhausted, stats = run(k + 1, 1)
-    assert stats.krylov_iters == k and not exhausted and reason is None
+    assert k < solver.KRYLOV_RESTART and stats.krylov_cycles == 1 and reason is None
+    with monkeypatch.context() as m:
+        m.setattr(solver, "KRYLOV_CYCLES", 1)
+        reason, stats = run(k - 1)
+    assert (stats.krylov_iters, stats.krylov_cycles) == (k - 1, 1) and reason is None
+    reason, stats = run(k - 1)
+    assert stats.krylov_cycles == 2 and reason is None
+    reason, stats = run(k + 1)
+    assert (stats.krylov_iters, stats.krylov_cycles) == (k, 1) and reason is None
 
 
 def test_gmres_breakdown_with_exact_preconditioner():
@@ -182,9 +190,8 @@ def test_gmres_breakdown_with_exact_preconditioner():
     J = sp.diags(d).tocsr()
     b = np.random.default_rng(5).standard_normal(d.size)
     stats = solver.StepDiagnostics()
-    x, reason, exhausted = solver._gmres(J, b, lambda r: r / d, solver.KRYLOV_RESTART,
-                                         solver.KRYLOV_CYCLES, stats, 0.0)
-    assert reason is None and not exhausted
+    x, reason = solver._gmres(J, b, lambda r: r / d, solver.KRYLOV_RESTART, stats, 0.0)
+    assert reason is None
     assert (stats.krylov_iters, stats.krylov_cycles) == (1, 1)
     assert np.allclose(x, b / d, rtol=1e-14, atol=0.0)
 
@@ -197,11 +204,9 @@ def test_gmres_zero_rhs():
         stats = solver.StepDiagnostics()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, reason, exhausted = solver._gmres(J, np.zeros_like(b),
-                                                 block_preconditioner(J, ne),
-                                                 solver.KRYLOV_RESTART, solver.KRYLOV_CYCLES,
-                                                 stats, target)
-        assert reason is None and not exhausted
+            x, reason = solver._gmres(J, np.zeros_like(b), layout_preconditioner(J, ne),
+                                      solver.KRYLOV_RESTART, stats, target)
+        assert reason is None
         assert stats.krylov_iters == 0 and stats.krylov_cycles == 0
         assert not x.any()
 
@@ -220,8 +225,8 @@ def test_overflowing_krylov_quantity_fails_the_solve():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(solver.SolverError, match="non-finite"):
-            solver.linear_solve(J, np.ones(4), n_density=1, stats=stats,
-                                factors=layout_factors(J, 1), target=0.0)
+            solver.linear_solve(J, np.ones(4), n_density=1, stats=stats, target=0.0,
+                                **layout_step(J, 1))
     assert stats.krylov_cycles == 1 and stats.krylov_iters == 0
     assert not caught
 
@@ -237,7 +242,7 @@ def test_floor_shortens_the_solve():
     def solve(target):
         stats = solver.StepDiagnostics()
         x = solver.linear_solve(J, b, n_density=ne, stats=stats, target=target,
-                                factors=layout_factors(J, ne))
+                                **layout_step(J, ne))
         return x, stats.krylov_iters
 
     exact, iters = solve(0.0)
@@ -252,20 +257,21 @@ def test_velocity_factor_is_the_steps_alpha0_factor(mesh2, monkeypatch):
     """The stress step, which retries halved nodes: every preconditioner of
     the step uses the factor that its alpha = 0 solve made, and the step
     makes no other velocity factorization: one SuperLU call per density
-    factor plus that one, and no incomplete factor.  Each node tried, the
-    failed ones included, factors its density block once."""
+    factor plus that one, and no incomplete factor.  Every preconditioner,
+    in every node tried, the failed ones included, factors its own density
+    block."""
     made, used, splu_calls = [], [], []
-    alpha0_solve, preconditioner, splu = (solver.alpha0_solve,
-                                          solver.BlockFactors.preconditioner, spla.splu)
+    alpha0_solve, block_preconditioner, splu = (solver.alpha0_solve,
+                                                solver.block_preconditioner, spla.splu)
 
     def recorded_alpha0(*args):
         x0, lu_u = alpha0_solve(*args)
         made.append(lu_u)
         return x0, lu_u
 
-    def recorded_preconditioner(self, C):
-        used.append(self.lu_u)
-        return preconditioner(self, C)
+    def recorded_preconditioner(J, ne, lu_u, dt):
+        used.append(lu_u)
+        return block_preconditioner(J, ne, lu_u, dt)
 
     def counted_splu(*args, **kwargs):
         splu_calls.append(1)
@@ -275,14 +281,14 @@ def test_velocity_factor_is_the_steps_alpha0_factor(mesh2, monkeypatch):
         raise AssertionError("incomplete factor made")
 
     monkeypatch.setattr(solver, "alpha0_solve", recorded_alpha0)
-    monkeypatch.setattr(solver.BlockFactors, "preconditioner", recorded_preconditioner)
+    monkeypatch.setattr(solver, "block_preconditioner", recorded_preconditioner)
     monkeypatch.setattr(spla, "splu", counted_splu)
     monkeypatch.setattr(spla, "spilu", refuse)
     params = scheme.SchemeParams(**STRESS)
     _, diag = solver.homotopy_newton_solve(stress_state(mesh2, params), params, mesh2)
     tried = diag.alpha_nodes_used - 1 + diag.schedule_index
-    assert diag.schedule_index >= 1 and diag.factorizations == tried
-    assert len(made) == 1 and len(used) >= tried
+    assert diag.schedule_index >= 1 and diag.factorizations == len(used) >= tried
+    assert len(made) == 1
     assert all(lu_u is made[0] for lu_u in used)
     assert len(splu_calls) == diag.factorizations + 1
 
@@ -296,8 +302,8 @@ def test_alpha0_newton_matrix_solves_in_one_iteration(mesh2, params):
     J = scheme.jacobian(prev, scheme.unpack(x0, mesh2, prev.k + 1), params, mesh2, alpha=0.0)
     b = np.random.default_rng(6).standard_normal(J.shape[0])
     stats = solver.StepDiagnostics()
-    x = solver.linear_solve(J, b, n_density=mesh2.n_elems, stats=stats,
-                            factors=solver.BlockFactors(lu_u, params.dt(mesh2)), target=0.0)
+    x = solver.linear_solve(J, b, n_density=mesh2.n_elems, stats=stats, lu_u=lu_u,
+                            dt=params.dt(mesh2), target=0.0)
     assert (stats.krylov_iters, stats.krylov_cycles, stats.factorizations) == (1, 1, 1)
     assert solver._rejection(x, b - J @ x, b) is None
 
@@ -333,7 +339,7 @@ def test_no_reference_to_alpha0_factor_outlives_the_step(mesh2, fails, monkeypat
     if fails:
         with pytest.raises(solver.StepFailure) as info:
             solver.homotopy_newton_solve(prev, params, mesh2)
-        assert info.value.iterations >= 1
+        assert info.value.diagnostics.newton_iters >= 1
     else:
         _, diag = solver.homotopy_newton_solve(prev, params, mesh2)
         assert diag.krylov_iters > 0
@@ -342,22 +348,21 @@ def test_no_reference_to_alpha0_factor_outlives_the_step(mesh2, fails, monkeypat
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_early_gmres_iterate_keeps_the_mass(mesh2, params, k):
+def test_early_gmres_iterate_keeps_the_mass(mesh2, params, k, monkeypatch):
     """GMRES stopped after k iterations on a bump Newton matrix, for a
     right-hand side whose continuity rows sum to 0: the residual's
     continuity rows still sum to 0 at rounding, because 1^T A = |E|^T / dt
     and 1^T B = 0 make |E|^T x_rho / dt invariant under M^-1 J (module
     docstring)."""
-    J, b, factors = newton_system(mesh2, params)
+    J, b, step = newton_system(mesh2, params)
     ne = mesh2.n_elems
     b = np.random.default_rng(7).standard_normal(b.size)
     b[:ne] -= b[:ne].mean()
     assert abs(b[:ne].sum()) <= 1e-14 * np.abs(b).sum()
-    factors.factor(J, ne)
+    monkeypatch.setattr(solver, "KRYLOV_CYCLES", 1)
     stats = solver.StepDiagnostics()
-    x, _, exhausted = solver._gmres(J, b, factors.preconditioner(J[ne:, :ne]), k, 1, stats,
-                                    0.0)
-    assert exhausted and stats.krylov_iters == k
+    x, _ = solver._gmres(J, b, solver.block_preconditioner(J, ne, **step), k, stats, 0.0)
+    assert (stats.krylov_iters, stats.krylov_cycles) == (k, 1)
     e = b - J @ x
     assert np.abs(e).max() > 1e-6 * np.abs(b).max()   # far from solved
     assert abs(e[:ne].sum()) <= 1e-14 * np.abs(b).sum()
@@ -366,12 +371,12 @@ def test_early_gmres_iterate_keeps_the_mass(mesh2, params, k):
 def test_gmres_tightens_after_rejected_cycle(monkeypatch):
     """A cycle that reaches the tolerance with an iterate failing the
     acceptance check is followed by one with a tighter tolerance, which
-    passes, with or without a target loosening the first cycle's tolerance.
-    No cycle runs out of iterations, so a budget of one such cycle does not
-    end the solve.  A preconditioner that shrinks the density rows by 1e-10
-    makes the first cycle end that way."""
+    passes, with or without a target loosening the first cycle's tolerance;
+    every cycle ends at its tolerance, none by running out of iterations.  A
+    preconditioner that shrinks the density rows by 1e-10 makes the first
+    cycle end that way."""
     J, b, ne = newton_layout(0.01)
-    precondition = block_preconditioner(J, ne)
+    precondition = layout_preconditioner(J, ne)
     scale = np.r_[np.full(ne, 1e-10), np.ones(J.shape[0] - ne)]
 
     def shrunk(r):
@@ -388,11 +393,12 @@ def test_gmres_tightens_after_rejected_cycle(monkeypatch):
     for target in (0.0, 1e-10 * np.abs(b).max()):
         verdicts.clear()
         stats = solver.StepDiagnostics()
-        x, reason, exhausted = solver._gmres(J, b, shrunk, solver.KRYLOV_RESTART, 1, stats,
-                                             target)
-        assert verdicts[0] is not None and not exhausted
+        x, reason = solver._gmres(J, b, shrunk, solver.KRYLOV_RESTART, stats, target)
+        assert verdicts[0] is not None
         assert reason is None and rejection(x, b - J @ x, b) is None
         assert 1 < stats.krylov_cycles < solver.KRYLOV_CYCLES
+        # One verdict per cycle that reached its tolerance, and the returned one.
+        assert len(verdicts) == stats.krylov_cycles + 1
 
 
 def test_bump_step_runs_without_scipy_gmres(mesh2, params, monkeypatch):
@@ -405,85 +411,26 @@ def test_bump_step_runs_without_scipy_gmres(mesh2, params, monkeypatch):
     assert diag.krylov_iters > 0
 
 
-def row_scaled(J, ne, lo, hi):
-    """J with its density rows scaled by factors drawn from [lo, hi]."""
-    rng = np.random.default_rng(4)
-    scale = np.r_[rng.uniform(lo, hi, ne), np.ones(J.shape[0] - ne)]
-    return (sp.diags(scale) @ J).tocsr()
-
-
-def test_rejected_cycle_keeps_the_held_factor(monkeypatch):
-    """A cycle on held factors that reaches its tolerance with an iterate
-    failing the acceptance check gets its tightened cycle on the same
-    factors: the miss comes from the norm, not from the factor, so A is not
-    refactored.  The first converged iterate is refused once."""
-    J, b, ne = newton_layout(0.01)
-    stats, factors = solver.StepDiagnostics(), layout_factors(J, ne)
-    solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors, target=0.0)
-    assert factors.held and stats.factorizations == 1
-    rejection, refused = solver._rejection, []
-
-    def refuse_once(x, r, b):
-        if not refused:
-            refused.append(x)
-            return "refused once"
-        return rejection(x, r, b)
-
-    monkeypatch.setattr(solver, "_rejection", refuse_once)
-    J2 = row_scaled(J, ne, 1.0, 1.001)
-    cycles = stats.krylov_cycles
-    x = solver.linear_solve(J2, b, n_density=ne, stats=stats, factors=factors, target=0.0)
-    assert len(refused) == 1 and stats.krylov_cycles - cycles == 2
-    assert stats.factorizations == 1 and factors.held
-    assert rejection(x, b - J2 @ x, b) is None
-
-
-def test_close_newton_matrices_share_factors():
-    """Held factors of one matrix precondition the next, close one."""
-    J, b, ne = newton_layout(0.01)
-    stats, factors = solver.StepDiagnostics(), layout_factors(J, ne)
-    solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors, target=0.0)
-    assert factors.held and stats.factorizations == 1
-    J2 = row_scaled(J, ne, 1.0, 1.001)
-    x = solver.linear_solve(J2, b, n_density=ne, stats=stats, factors=factors, target=0.0)
-    assert stats.factorizations == 1
-    assert np.allclose(x, np.linalg.solve(J2.toarray(), b), rtol=1e-10, atol=1e-12)
-
-
-def test_stale_factors_missing_a_full_cycle_refactor_once():
-    """A stale cycle that runs its KRYLOV_RESTART iterations without reaching
-    the tolerance is discarded and the matrix is refactored once; the fresh
-    solve's result passes the acceptance check.  The next matrix has a larger
-    coupling B and rescaled density rows: fresh factors solve it in one cycle
-    (70 iterations today), the held ones do not."""
-    J, b, ne = newton_layout(0.01)
-    stats, factors = solver.StepDiagnostics(), layout_factors(J, ne)
-    solver.linear_solve(J, b, n_density=ne, stats=stats, factors=factors, target=0.0)
-    first = stats.krylov_iters
-    J2 = row_scaled(newton_layout(0.5)[0], ne, 0.1, 10.0)
-    x = solver.linear_solve(J2, b, n_density=ne, stats=stats, factors=factors, target=0.0)
-    assert stats.factorizations == 2
-    assert solver._rejection(x, b - J2 @ x, b) is None
-    # The stale cycle's iterations stay counted.
-    assert stats.krylov_iters - first > solver.KRYLOV_RESTART
-    assert factors.held
-
-
 def test_bump_steps_reuse_factors(mesh2, params, monkeypatch):
-    """Bump n=2 x3: each step's one node keeps its density factor from one
-    Newton matrix to the next, so it factors once, and no step takes more
-    Newton iterations than with every matrix factored afresh.  A second run
-    in the same process gives bitwise-equal rows."""
+    """Bump n=2 x3: each step's one node reuses the step's alpha = 0 factor
+    at every Newton matrix and factors each matrix's density block, so a
+    step makes one SuperLU call per Newton iteration plus its alpha = 0
+    one.  A second run in the same process gives bitwise-equal rows."""
+    splu_calls, splu = [], spla.splu
+
+    def counted_splu(*args, **kwargs):
+        splu_calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted_splu)
     rho0, m0 = scheme.make_initial_data("bump", 1.0, 0.5, 0.15,
                                         mesh2.box_lo, mesh2.box_hi)
     first = scheme.run(mesh2, params, rho0, m0, 3, _discard)
+    steps = first.diagnostics[1:]
+    assert all(d.schedule_index == 0 and d.factorizations == d.newton_iters for d in steps)
+    assert len(splu_calls) == sum(d.factorizations + 1 for d in steps)
     again = scheme.run(mesh2, params, rho0, m0, 3, _discard)
     assert again.rows == first.rows and again.diagnostics == first.diagnostics
-    lagged = first.diagnostics[1:]
-    monkeypatch.setattr(solver.BlockFactors, "held", property(lambda self: False))
-    fresh = scheme.run(mesh2, params, rho0, m0, 3, _discard).diagnostics[1:]
-    assert all(d.newton_iters <= f.newton_iters for d, f in zip(lagged, fresh))
-    assert all(d.schedule_index == 0 and d.factorizations == 1 for d in lagged)
 
 
 def test_bump_run_newton_counts(mesh2, params):
@@ -498,11 +445,13 @@ def test_bump_run_newton_counts(mesh2, params):
 
 
 def test_each_continuation_node_tried_refactors(mesh2, monkeypatch):
-    """The stress step, which retries halved nodes, factors afresh at the
-    first Newton matrix of each node it tries, the failed ones included."""
+    """The stress step, which retries halved nodes, factors afresh at every
+    Newton matrix of each node it tries, the failed ones included: a node
+    starts with a Jacobian, and each Jacobian is followed by the
+    factorization of its density block."""
     events = []
-    newton_at_alpha, jacobian, factor = (solver._newton_at_alpha, scheme.jacobian,
-                                         solver.BlockFactors.factor)
+    newton_at_alpha, jacobian, block_preconditioner = (solver._newton_at_alpha, scheme.jacobian,
+                                                       solver.block_preconditioner)
 
     def recorded_node(prev, x, alpha, *args):
         events.append(("N", alpha))
@@ -512,55 +461,99 @@ def test_each_continuation_node_tried_refactors(mesh2, monkeypatch):
         events.append(("J", alpha))
         return jacobian(*args, alpha=alpha)
 
-    def recorded_factor(self, J, ne):
+    def recorded_preconditioner(*args):
         events.append(("F", events[-1][1]))
-        factor(self, J, ne)
+        return block_preconditioner(*args)
 
     monkeypatch.setattr(solver, "_newton_at_alpha", recorded_node)
     monkeypatch.setattr(scheme, "jacobian", recorded_jacobian)
-    monkeypatch.setattr(solver.BlockFactors, "factor", recorded_factor)
+    monkeypatch.setattr(solver, "block_preconditioner", recorded_preconditioner)
     params = scheme.SchemeParams(**STRESS)
     _, diag = solver.homotopy_newton_solve(stress_state(mesh2, params), params, mesh2)
     starts = [i for i, event in enumerate(events) if event[0] == "N"]
     assert diag.schedule_index >= 1
     assert len(starts) == diag.alpha_nodes_used - 1 + diag.schedule_index
     for i in starts:
-        alpha = events[i][1]
-        assert events[i + 1: i + 3] == [("J", alpha), ("F", alpha)]
+        assert events[i + 1][0] == "J"
+    jacobians = [i for i, event in enumerate(events) if event[0] == "J"]
+    assert [events[i + 1] for i in jacobians] == [("F", events[i][1]) for i in jacobians]
+    assert diag.factorizations == len(jacobians)
 
 
 def test_no_density_factor_crosses_a_step_or_a_node(mesh2, params, monkeypatch):
     """Bump n=2 x2, whose jumps to alpha = 1 converge, one node per step:
-    each node's first Newton matrix is solved on a holder of its own that
-    arrives with no density factor, and that solve factors A."""
-    solves = []
-    linear_solve = solver.linear_solve
+    each Newton solve makes one density factor, which nothing holds once
+    the solve returns, and the solves of a step share its alpha = 0
+    factor, which differs between the steps."""
+    solves, made = [], []
+    linear_solve, splu = solver.linear_solve, spla.splu
+
+    def weakly_referable(*args, **kwargs):
+        factor = _Factor(splu(*args, **kwargs))
+        made.append(weakref.ref(factor))
+        return factor
 
     def recorded_solve(J, b, **kwargs):
-        factors, stats = kwargs["factors"], kwargs["stats"]
-        held, before = factors.held, stats.factorizations
+        before = len(made)
         x = linear_solve(J, b, **kwargs)
-        solves.append((factors, held, stats.factorizations - before))
+        gc.collect()
+        solves.append((kwargs["lu_u"], [ref() for ref in made[before:]]))
         return x
 
+    monkeypatch.setattr(spla, "splu", weakly_referable)
     monkeypatch.setattr(solver, "linear_solve", recorded_solve)
     rho0, m0 = scheme.make_initial_data("bump", 1.0, 0.5, 0.15,
                                         mesh2.box_lo, mesh2.box_hi)
     steps = scheme.run(mesh2, params, rho0, m0, 2, _discard).diagnostics[1:]
     assert [(d.schedule_index, d.alpha_nodes_used) for d in steps] == [(0, 2), (0, 2)]
     assert len(solves) == sum(d.newton_iters for d in steps)
-    holders = list(dict.fromkeys(factors for factors, _, _ in solves))
-    assert len(holders) == 2
-    for factors in holders:
-        first = next(s for s in solves if s[0] is factors)
-        assert first[1:] == (False, 1)
+    assert all(factors == [None] for _, factors in solves)
+    velocity = [lu_u for lu_u, _ in solves]
+    first = steps[0].newton_iters
+    assert len({id(lu_u) for lu_u in velocity[:first]}) == 1
+    assert len({id(lu_u) for lu_u in velocity[first:]}) == 1
+    assert velocity[0] is not velocity[first]
+
+
+def test_every_gmres_solve_factors_its_density_block_once(mesh2, monkeypatch):
+    """The stress step, which has failed nodes: every `linear_solve` that
+    reaches GMRES makes exactly one SuperLU factorization, of its own
+    density block, failed nodes' solves included, and the step's count of
+    factorizations is the number of those solves."""
+    solves, splu_calls, gmres_calls = [], [], []
+    linear_solve, gmres, splu = solver.linear_solve, solver._gmres, spla.splu
+
+    def counted_splu(*args, **kwargs):
+        splu_calls.append(1)
+        return splu(*args, **kwargs)
+
+    def counted_gmres(*args):
+        gmres_calls.append(1)
+        return gmres(*args)
+
+    def recorded_solve(J, b, **kwargs):
+        before = len(splu_calls), len(gmres_calls)
+        try:
+            return linear_solve(J, b, **kwargs)
+        finally:
+            solves.append((len(splu_calls) - before[0], len(gmres_calls) - before[1]))
+
+    monkeypatch.setattr(spla, "splu", counted_splu)
+    monkeypatch.setattr(solver, "_gmres", counted_gmres)
+    monkeypatch.setattr(solver, "linear_solve", recorded_solve)
+    params = scheme.SchemeParams(**STRESS)
+    _, diag = solver.homotopy_newton_solve(stress_state(mesh2, params), params, mesh2)
+    assert diag.schedule_index >= 1
+    reached = [factored for factored, gmres_runs in solves if gmres_runs == 1]
+    assert len(reached) == len(solves) == diag.factorizations
+    assert reached == [1] * len(reached)
 
 
 def test_newton_solve_rejects_singular(mesh1, params):
     """A zero density row makes the density block exactly singular: the
     solve raises SolverError before any GMRES iteration, and no LU of J
     warns of a singular matrix."""
-    J, b, factors = newton_system(mesh1, params)
+    J, b, step = newton_system(mesh1, params)
     J = J.tolil()
     J[0, :] = 0.0
     stats = solver.StepDiagnostics()
@@ -568,7 +561,7 @@ def test_newton_solve_rejects_singular(mesh1, params):
         warnings.simplefilter("error", spla.MatrixRankWarning)
         with pytest.raises(solver.SolverError, match="singular"):
             solver.linear_solve(J.tocsr(), b, n_density=mesh1.n_elems, stats=stats,
-                                factors=factors, target=0.0)
+                                target=0.0, **step)
     assert stats.krylov_iters == 0 and stats.factorizations == 0
 
 
@@ -713,7 +706,7 @@ def test_loose_tolerance_keeps_the_mass_without_solving_below_it(mesh2, monkeypa
 def test_stress_step_needs_no_direct_solve(mesh2, monkeypatch):
     """Bump amp 200 with gamma 6, c 4 on n=2: step 1's jump to alpha = 1
     fails and the continuation halves d_alpha, and its hardest GMRES solves
-    on fresh factors miss the acceptance bound after their first cycle.  The
+    miss the acceptance bound after their first cycle.  The
     restarted cycles pass without any sparse direct solve."""
     def refuse(*args, **kwargs):
         raise AssertionError("sparse direct solve called")
@@ -785,7 +778,7 @@ def test_retries_start_from_the_last_accepted_node(mesh2, monkeypatch):
 
     with pytest.raises(solver.StepFailure) as info:
         solver.homotopy_newton_solve(prev, replace(params, newton_max_iter=10), mesh2)
-    assert info.value.iterations == 10
+    assert info.value.diagnostics.newton_iters == 10
 
 
 def test_step_failure_reports_context(mesh2):
@@ -793,14 +786,15 @@ def test_step_failure_reports_context(mesh2):
     prev = bump_state(mesh2, params)
     with pytest.raises(solver.StepFailure) as info:
         solver.homotopy_newton_solve(prev, params, mesh2)
-    exc = info.value
+    exc, diag = info.value, info.value.diagnostics
     # the reported alpha is the node at which the continuation gave up
     assert 0.0 < exc.alpha <= 1.0
-    assert exc.iterations >= 1
-    assert exc.residual_norm > 0
+    assert diag.newton_iters >= 1
+    assert diag.krylov_iters > 0 and diag.factorizations >= 1
+    assert diag.residual_norm > 0
     assert exc.step == prev.k + 1
-    assert str(exc) == (f"alpha={exc.alpha:g}, {exc.iterations} iterations, "
-                        f"residual {exc.residual_norm:.3e}")
+    assert str(exc) == (f"alpha={exc.alpha:g}, {diag.newton_iters} iterations, "
+                        f"residual {diag.residual_norm:.3e}")
 
 
 def test_singular_alpha0_solve_fails_the_step(mesh1):
@@ -811,7 +805,7 @@ def test_singular_alpha0_solve_fails_the_step(mesh1):
     with pytest.raises(solver.StepFailure) as info:
         solver.homotopy_newton_solve(prev, params, mesh1)
     exc = info.value
-    assert (exc.step, exc.alpha, exc.iterations) == (1, 0.0, 0)
+    assert (exc.step, exc.alpha, exc.diagnostics.newton_iters) == (1, 0.0, 0)
     assert isinstance(exc.__cause__, solver.SolverError)
     assert str(exc) == f"alpha=0, 0 iterations, {exc.__cause__}"
     assert "singular" in str(exc)
@@ -834,7 +828,7 @@ def test_overflowing_residual_fails_the_step(mesh1, amp, sigma, residual_finite,
     monkeypatch.setattr(solver, "linear_solve", None)   # must not be reached
     with pytest.raises(solver.StepFailure) as info:
         solver.homotopy_newton_solve(prev, params, mesh1)
-    assert info.value.iterations == 0
+    assert info.value.diagnostics.newton_iters == 0
 
 
 def test_alpha0_solved_once_per_step(mesh2, monkeypatch):
