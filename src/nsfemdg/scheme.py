@@ -34,7 +34,9 @@ stiffness, G the |E|-weighted basis gradients, and F = |f| (UpM - h^(1-eps)
 with diagonal scalings, so its sparsity pattern is fixed per mesh: the first
 call on a mesh builds the pattern and a linear map from the scalings to the
 matrix values (`jacobian_map`), and every call fills the values with one
-sparse product.
+sparse product.  The alpha = 0 matrix M_rho + dt K, the scalar velocity
+block's mass and stiffness, has a map of its own on its own smaller pattern
+(`alpha0_map`).
 
 `residual` and `jacobian` take a continuation weight alpha in [0, 1] that
 scales convection, pressure and both stabilization terms; time terms and
@@ -490,6 +492,19 @@ def interior_weighted_mass(mesh: Mesh, rho: NDArrayF) -> sp.csr_matrix:
     """Scalar matrix of sum_E |E| rho_E uhat_E vhat_E on interior face dofs."""
     avg = mesh_operators(mesh).avg
     return (avg.T @ sp.diags(mesh.elem_volume * rho) @ avg).tocsr()
+
+
+def alpha0_map(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csc_matrix]:
+    """The pattern of the alpha = 0 matrix interior_weighted_mass(mesh, rho)
+    + dt interior_stiffness(mesh), and the map W that gives its values in
+    that pattern's CSR order as W @ concatenate([|E| rho, dt 1]), bitwise
+    those of the sum of the two matrices."""
+    ops = mesh_operators(mesh)
+    ni = ops.avg.shape[1]
+    pattern, values, _ = _map([(ops.avg.T, ops.avg, 0, 0, 1),
+                               (ops.stiffness_int, sp.identity(ni, format="csr"), 0, 0, 1)],
+                              (ni, ni))
+    return pattern, values
 
 
 # ---------------------------------------------------------------------------

@@ -62,9 +62,16 @@ cycle that runs out of its 100 iterations is restarted, for at most 10
 cycles.  A moves with the velocity at every Newton iterate, so every Newton
 matrix factors its own A (`block_preconditioner`), and no density factor
 outlives its solve.  L0 does not depend on alpha and serves every node of
-the step, which drops it when it returns or fails.  A and the alpha = 0
-system are ordered by minimum degree on A^T + A with diagonal pivots, which
-their symmetric patterns allow.
+the step, which drops it when it returns or fails.  The patterns of A and of
+the alpha = 0 system depend only on the mesh, and so does their
+fill-reducing order, which is computed once per mesh (`density_order`,
+`alpha0_order`): the first factor of each pattern on a mesh is ordered by
+minimum degree on A^T + A with diagonal pivots, which their symmetric
+patterns allow, and the mesh keeps that order.  Every later matrix of the pattern is gathered
+straight into the symmetrically permuted layout and factored in its natural
+order, at the same fill and without the ordering step.  Its factor rounds
+differently from the first one's, so a second run on the same mesh object
+reproduces the first to rounding, and a run on a new mesh bitwise.
 There is no direct solve of J: a zero pivot in A, a Krylov quantity that
 overflows, or a solve that fails the acceptance check, raises SolverError,
 and the Newton node fails, so that the continuation halves d_alpha.  GMRES
@@ -88,7 +95,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import scheme
-from .mesh import Mesh, NDArrayF
+from .mesh import Mesh, NDArrayF, NDArrayI, cached
 
 
 class SolverError(RuntimeError):
@@ -215,8 +222,141 @@ NEWTON_TOL_SHARE = 0.01
 # A panel size of 1 took 259 ms at n = 12 and 1.78 s at n = 16.  A zero
 # pivot raises RuntimeError; `linear_solve` and the alpha = 0 solve turn it
 # into a SolverError.
+#
+# Only a mesh's first matrix of each pattern is factored with BLOCK_LU;
+# every later one is gathered into the order that factor kept and factored
+# with KEPT_LU (`KeptOrder`), which skips the ordering at the same fill.
+# Minimum `splu` times with BLOCK_LU and in the kept order, gather included,
+# one run each on the same host, A at a bump step's alpha = 0 velocity
+# plus 1e-3:
+#
+#   n    A                   L0
+#   4    0.95 -> 0.40 ms     1.74 -> 1.41 ms
+#   6    4.11 -> 2.70 ms     6.56 -> 5.71 ms
+#   8    12.2 -> 9.4 ms      31.4 -> 31.5 ms
+#   12   78 -> 69 ms         235 -> 212 ms
+#   16   508 -> 533 ms       1.54 -> 1.48 s
+#
+# Factoring A's natural order instead, with no permutation, makes 2.7x the
+# fill at n = 4 (23,934 against 8,710).
 BLOCK_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1, panel_size=4,
                 options=dict(SymmetricMode=True))
+KEPT_LU = dict(BLOCK_LU, permc_spec="NATURAL")
+
+
+class _Reordered:
+    """The SuperLU factor `lu` of P A P^T, with (P A P^T)[i, j] =
+    A[order[i], order[j]] and `perm` the inverse of `order`, solving with A."""
+
+    def __init__(self, lu: spla.SuperLU, order: NDArrayI, perm: NDArrayI):
+        self.lu, self.order, self.perm = lu, order, perm
+
+    def solve(self, b: NDArrayF) -> NDArrayF:
+        # np.take gathers the rows of an (n, 3) b about 3x faster than b[order].
+        return np.take(self.lu.solve(np.take(b, self.order, axis=0)), self.perm, axis=0)
+
+
+class KeptOrder:
+    """One square pattern of `n` rows on a mesh, whose matrices read each
+    value at a fixed position of a source vector, and the column order of
+    the pattern's first SuperLU factor.
+
+    The first matrix is factored with BLOCK_LU, and that factor's order
+    `perm` is kept; every later one is gathered straight into the
+    symmetrically permuted CSC layout and factored with KEPT_LU, which keeps
+    the fill and skips the ordering.
+    """
+
+    def __init__(self, rows: NDArrayI, cols: NDArrayI, positions: NDArrayI, n: int):
+        self.n = n
+        self.perm = self.order = None
+        self._lay_out(rows, cols, positions)
+
+    def _lay_out(self, rows, cols, positions):
+        """Store the entries (rows, cols), read at `positions`, in CSC order."""
+        by_column = np.argsort(cols.astype(np.int64) * self.n + rows)
+        self.indices = rows[by_column].astype(np.int32)
+        self.positions = positions[by_column]
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=self.n))]
+                                     ).astype(np.int32)
+
+    def factor(self, source: NDArrayF):
+        """The factor of the matrix whose values `source` holds; raises
+        RuntimeError at a zero pivot."""
+        matrix = sp.csc_matrix((source[self.positions], self.indices, self.indptr),
+                               shape=(self.n, self.n))
+        if self.perm is not None:
+            return _Reordered(spla.splu(matrix, **KEPT_LU), self.order, self.perm)
+        lu = spla.splu(matrix, **BLOCK_LU)
+        perm = lu.perm_c.copy()   # lu.perm_c is a view that keeps the whole factor alive
+        cols = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        self._lay_out(perm[self.indices], perm[cols], self.positions)
+        self.perm, self.order = perm, np.argsort(perm)
+        return lu
+
+
+class DensityOrder(KeptOrder):
+    """The kept order of the density block A = J[:n, :n] of the Newton
+    matrices J on the canonical CSR pattern (indptr, indices), A's values
+    read from J.data.  A J may store fewer entries than the pattern (B loses
+    its entries at rest, where the upwind derivative in the flux is zero),
+    but A keeps all of them at alpha > 0: each row of J stores them first,
+    so A's k-th entry of row i sits at J.indptr[i] + k."""
+
+    def __init__(self, indptr: NDArrayI, indices: NDArrayI, n: int):
+        rows = np.repeat(np.arange(n), np.diff(indptr[:n + 1]))
+        cols = indices[:indptr[n]]
+        block = cols < n
+        self.rows, self.cols = rows[block], cols[block]
+        self.counts = np.bincount(self.rows, minlength=n)
+        self.offsets = np.arange(self.rows.size) - np.repeat(
+            np.cumsum(self.counts) - self.counts, self.counts)
+        super().__init__(self.rows, self.cols, np.arange(self.rows.size), n)
+
+    def factor_block(self, J: sp.csr_matrix):
+        """The factor of J's density block: in the kept order when J stores
+        every entry of A's pattern, else of its own slice with BLOCK_LU.
+        Raises RuntimeError at a zero pivot."""
+        n = self.n
+        if np.all(np.diff(J.indptr[:n + 1]) >= self.counts):
+            at = J.indptr[self.rows] + self.offsets
+            if np.array_equal(J.indices[at], self.cols):
+                return self.factor(J.data[at])
+        return spla.splu(sp.csc_matrix(J[:n, :n]), **BLOCK_LU)
+
+
+@dataclass(frozen=True)
+class Alpha0Order:
+    """A mesh's kept order of the alpha = 0 matrix, whose values `values` @
+    concatenate([|E| rho_prev, dt 1]) gives in the CSR order of `pattern`
+    (`scheme.alpha0_map`)."""
+
+    kept: KeptOrder
+    pattern: sp.csr_matrix
+    values: sp.csc_matrix
+
+
+@cached
+def alpha0_order(mesh: Mesh) -> Alpha0Order:
+    """`mesh`'s Alpha0Order, built on first use and cached; its order is set
+    by the mesh's first alpha = 0 factor."""
+    pattern, values = scheme.alpha0_map(mesh)
+    n = pattern.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+    return Alpha0Order(KeptOrder(rows, pattern.indices, np.arange(pattern.nnz), n),
+                       pattern, values)
+
+
+@cached
+def density_order(mesh: Mesh) -> DensityOrder:
+    """`mesh`'s kept order of the Newton density block, built on first use
+    and cached; its order is set by the mesh's first density factor.  The
+    Newton loop first asks for it after the step's alpha = 0 factor is made,
+    as it first asked for `scheme.jacobian_map`: building the map before
+    that factor left heap holes the factor filled, and one n=16 bump step
+    peaked 100 MB higher."""
+    jm = scheme.jacobian_map(mesh)
+    return DensityOrder(jm.indptr, jm.indices, mesh.n_elems)
 
 
 def _residual_bound(b: NDArrayF) -> float:
@@ -235,15 +375,17 @@ def _rejection(x: NDArrayF, r: NDArrayF, b: NDArrayF) -> str | None:
     return None
 
 
-def block_preconditioner(J: sp.csr_matrix, ne: int, lu_u: spla.SuperLU,
+def block_preconditioner(J: sp.csr_matrix, density: DensityOrder, lu_u,
                          dt: float) -> Callable[[NDArrayF], NDArrayF]:
-    """The preconditioner of the Newton matrix J = [[A, B], [C, D]] with `ne`
-    density rows: the map r -> z that solves A z_rho = r_rho, A factored
-    exactly here, then (M_rho_prev / dt + K) z_d = (r_u - C z_rho)_d for
-    each velocity component d, `lu_u` being the step's factor of
-    M_rho_prev + dt K from `alpha0_solve` and `dt` the time step.  Raises
-    RuntimeError at a zero pivot in A."""
-    lu_rho = spla.splu(sp.csc_matrix(J[:ne, :ne]), **BLOCK_LU)
+    """The preconditioner of the Newton matrix J = [[A, B], [C, D]] with
+    `density.n` density rows: the map r -> z that solves A z_rho = r_rho, A
+    factored exactly here in the kept order `density`, then
+    (M_rho_prev / dt + K) z_d = (r_u - C z_rho)_d for each velocity
+    component d, `lu_u` being the step's factor of M_rho_prev + dt K from
+    `alpha0_solve` and `dt` the time step.  Raises RuntimeError at a zero
+    pivot in A."""
+    ne = density.n
+    lu_rho = density.factor_block(J)
     C = J[ne:, :ne]
 
     def precondition(r):
@@ -286,7 +428,11 @@ def _gmres(J: sp.csr_matrix, b: NDArrayF, precondition: Callable[[NDArrayF], NDA
     if b.any():
         rtol = max(rtol, target / np.abs(b).max())
     tol = rtol * mb
-    V = np.empty((restart + 1, b.size))   # Arnoldi basis, one vector per row
+    # Arnoldi basis, one vector per row, doubled as the iterations need it.
+    # Most solves end within a few iterations; restart + 1 rows allocated at
+    # every solve (6.8 MB at n = 6) fragmented the heap and raised the peak
+    # resident memory of the bump Cauchy pair n = 3, 6 by about 5 MB.
+    V = np.empty((min(restart, 8) + 1, b.size))
     R = np.zeros((restart, restart))      # triangular factor of the Hessenberg matrix
     iters = 0
     for cycle in range(KRYLOV_CYCLES):
@@ -300,6 +446,8 @@ def _gmres(J: sp.csr_matrix, b: NDArrayF, precondition: Callable[[NDArrayF], NDA
         g = [beta]        # rotated right-hand side, |g[-1]| the residual estimate
         rotations = []
         for k in range(restart):
+            if k + 2 > len(V):
+                V = np.concatenate([V, np.empty((min(len(V), restart + 1 - len(V)), b.size))])
             w = precondition(J @ V[k])
             h0 = np.linalg.norm(w)
             if not math.isfinite(beta + h0):
@@ -350,19 +498,19 @@ def _gmres(J: sp.csr_matrix, b: NDArrayF, precondition: Callable[[NDArrayF], NDA
     return x, _rejection(x, r, b)
 
 
-def linear_solve(J: sp.csr_matrix, b: NDArrayF, n_density: int, stats: StepDiagnostics,
-                 lu_u: spla.SuperLU, dt: float, target: float) -> NDArrayF:
-    """Solve the Newton system J x = b, J with `n_density` density unknowns
+def linear_solve(J: sp.csr_matrix, b: NDArrayF, density: DensityOrder, stats: StepDiagnostics,
+                 lu_u, dt: float, target: float) -> NDArrayF:
+    """Solve the Newton system J x = b, J with `density.n` density unknowns
     first, by GMRES preconditioned with a fresh factor of its density block
-    and the step's alpha = 0 factor `lu_u` at time step `dt`
-    (`block_preconditioner`).  `target`, the absolute residual the Newton
-    step needs, loosens GMRES's tolerance (`_gmres`), and `stats` counts the
-    Krylov iterations and factorizations.  x is accepted only if it is
+    in the kept order `density` and the step's alpha = 0 factor `lu_u` at
+    time step `dt` (`block_preconditioner`).  `target`, the absolute
+    residual the Newton step needs, loosens GMRES's tolerance (`_gmres`),
+    and `stats` counts the Krylov iterations and factorizations.  x is accepted only if it is
     finite with |J x - b|_inf <= 1e-10 (1 + |b|_inf).  Raises SolverError at
     a zero pivot in A or when GMRES's last iterate fails the check.
     """
     try:
-        precondition = block_preconditioner(J, n_density, lu_u, dt)
+        precondition = block_preconditioner(J, density, lu_u, dt)
     except RuntimeError as exc:   # exactly singular A
         raise SolverError(f"preconditioner block: {exc}") from exc
     stats.factorizations += 1
@@ -372,7 +520,7 @@ def linear_solve(J: sp.csr_matrix, b: NDArrayF, n_density: int, stats: StepDiagn
     return x
 
 
-def alpha0_solve(prev, params, mesh: Mesh) -> tuple[NDArrayF, spla.SuperLU]:
+def alpha0_solve(prev, params, mesh: Mesh) -> tuple:
     """Exact solution of the alpha = 0 system, packed as `scheme.pack` packs
     a state, and the factor of its momentum matrix.
 
@@ -382,17 +530,19 @@ def alpha0_solve(prev, params, mesh: Mesh) -> tuple[NDArrayF, spla.SuperLU]:
     """
     dt = params.dt(mesh)
     rho_prev = prev.rho
+    alpha0 = alpha0_order(mesh)
 
-    Ms = scheme.interior_weighted_mass(mesh, rho_prev)
-    Ks = scheme.interior_stiffness(mesh)
-
-    # One scalar system, factored once, for the three velocity components;
-    # it is symmetric positive definite, so BLOCK_LU's settings hold.
+    # One scalar system, factored once in the mesh's kept order, for the
+    # three velocity components; it is symmetric positive definite, so
+    # BLOCK_LU's settings hold.
+    mass = mesh.elem_volume * rho_prev
     uhat_prev = scheme.element_average(prev.u, mesh)
-    rhs = scheme.mesh_operators(mesh).avg.T @ ((mesh.elem_volume * rho_prev)[:, None] * uhat_prev)
-    A = sp.csc_matrix(Ms + dt * Ks)
+    rhs = scheme.mesh_operators(mesh).avg.T @ (mass[:, None] * uhat_prev)
+    values = alpha0.values @ np.concatenate([mass, np.full(len(rhs), dt)])
+    pattern = alpha0.pattern
+    A = sp.csr_matrix((values, pattern.indices, pattern.indptr), shape=pattern.shape)
     try:
-        lu = spla.splu(A, **BLOCK_LU)
+        lu = alpha0.kept.factor(values)
     except RuntimeError as exc:   # exactly singular
         raise SolverError(f"alpha = 0 system: {exc}") from exc
     u = lu.solve(rhs)
@@ -459,7 +609,8 @@ def _newton_at_alpha(prev, x, alpha, params, mesh, diag, lu_u, dt):
     matrices preconditioned with the step's alpha = 0 factor `lu_u` at time
     step `dt`.  Returns the last iterate and whether its residual is within
     tolerance."""
-    ne = mesh.n_elems
+    density = density_order(mesh)
+    ne = density.n
     tol = params.newton_tol
 
     def res_norm(xv):
@@ -475,7 +626,7 @@ def _newton_at_alpha(prev, x, alpha, params, mesh, diag, lu_u, dt):
             break   # an overflowed residual or Jacobian gives no Newton step
         target = max(FLOOR_MARGIN * floor, NEWTON_TOL_SHARE * tol)
         try:
-            delta = linear_solve(J, -r, n_density=ne, stats=diag, lu_u=lu_u, dt=dt,
+            delta = linear_solve(J, -r, density=density, stats=diag, lu_u=lu_u, dt=dt,
                                  target=target)
         except SolverError:
             break

@@ -1,6 +1,7 @@
 """Residual assembly, Jacobian, parameters, and initial data."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nsfemdg import io, oracles, scheme, spaces
 from nsfemdg.mesh import build_box_mesh, interior_sides
@@ -399,6 +400,28 @@ def test_scalar_positions_are_the_component_copies(n):
     assert np.array_equal(dj, di)
     assert np.all(i == i[0]) and np.all(j == j[0])
     assert np.all(np.diff(i[0] * ni + j[0]) > 0)
+
+
+@pytest.mark.parametrize("alpha", [1.0 / 64, 0.5, 1.0])
+def test_density_block_holds_its_whole_pattern(mesh2, params, alpha):
+    """At alpha in (0, 1] no entry of the density block A comes out zero, on
+    random states and at rest (u = 0, uniform density or not): its diagonal
+    is at least |E| / dt and its off-diagonals are strictly negative.  So A
+    always has the Jacobian map's pattern, and the solver reads it from
+    J.data in the mesh's kept order.  (B, whose upwind derivative in the
+    flux is zero at rest, does lose its entries there.)"""
+    ne = mesh2.n_elems
+    jm = scheme.jacobian_map(mesh2)
+    pattern = sp.csr_matrix((np.ones(jm.indices.size), jm.indices, jm.indptr))[:ne, :ne]
+    rest = _rest(mesh2)
+    graded = scheme.State(np.linspace(0.5, 2.0, ne), np.zeros((mesh2.n_faces, 3)), k=1)
+    pairs = [random_pair(mesh2, params, seed=seed) for seed in (40, 41)]
+    for prev, cur in pairs + [(rest, rest), (rest, graded)]:
+        A = scheme.jacobian(prev, cur, params, mesh2, alpha=alpha)[:ne, :ne]
+        assert np.array_equal(A.indptr, pattern.indptr)
+        assert np.array_equal(A.indices, pattern.indices)
+        assert np.all(A.diagonal() >= mesh2.elem_volume / params.dt(mesh2))
+        assert np.all((A - sp.diags(A.diagonal())).data < 0.0)
 
 
 def test_jacobian_is_canonical_without_stored_zeros(mesh2, params):

@@ -10,6 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from nsfemdg import scheme, solver
+from nsfemdg.mesh import build_box_mesh
 from nsfemdg.spaces import apply_bc
 
 
@@ -38,19 +39,21 @@ def _discard(state, row):
 
 def newton_system(mesh, params):
     """First Newton matrix and right-hand side of the second bump step, and
-    that step's alpha = 0 factor and time step, as `linear_solve` takes them."""
+    the mesh's density order and that step's alpha = 0 factor and time
+    step, as `linear_solve` takes them."""
     first, _ = solver.homotopy_newton_solve(bump_state(mesh, params), params, mesh)
     x0, lu_u = solver.alpha0_solve(first, params, mesh)
     guess = scheme.unpack(x0, mesh, first.k + 1)
     J = scheme.jacobian(first, guess, params, mesh, alpha=1.0)
     r = scheme.residual(first, guess, params, mesh, alpha=1.0)
-    return J, -r.ravel(), dict(lu_u=lu_u, dt=params.dt(mesh))
+    return J, -r.ravel(), dict(density=solver.density_order(mesh), lu_u=lu_u,
+                               dt=params.dt(mesh))
 
 
 def test_newton_solve_matches_direct(mesh2, params):
     J, b, step = newton_system(mesh2, params)
     stats = solver.StepDiagnostics()
-    x = solver.linear_solve(J, b, n_density=mesh2.n_elems, stats=stats, target=0.0, **step)
+    x = solver.linear_solve(J, b, stats=stats, target=0.0, **step)
     direct = spla.spsolve(sp.csc_matrix(J), b)
     assert np.abs(x - direct).max() <= 1e-12 * np.abs(direct).max()
     # 5 iterations today; the same preconditioner without the coupling C
@@ -72,10 +75,12 @@ def newton_layout(b_scale):
 
 
 def layout_step(J, ne):
-    """The exact factor of J's first velocity-component block, at dt = 1:
-    for a Newton-layout matrix, the part of the preconditioner that a step's
+    """A density order on J's pattern and the exact factor of J's first
+    velocity-component block, at dt = 1: for a Newton-layout matrix, the
+    parts of the preconditioner that a mesh's density order and a step's
     alpha = 0 factor and time step play."""
-    return dict(lu_u=spla.splu(sp.csc_matrix(J[ne::3, ne::3]), **solver.BLOCK_LU), dt=1.0)
+    return dict(density=solver.DensityOrder(J.indptr, J.indices, ne),
+                lu_u=spla.splu(sp.csc_matrix(J[ne::3, ne::3]), **solver.BLOCK_LU), dt=1.0)
 
 
 def test_newton_solve_restarts_a_cycle_short_of_the_bound():
@@ -83,7 +88,7 @@ def test_newton_solve_restarts_a_cycle_short_of_the_bound():
     finished by a restarted cycle."""
     J, b, ne = newton_layout(1.0)
     stats = solver.StepDiagnostics()
-    x = solver.linear_solve(J, b, n_density=ne, stats=stats, target=0.0, **layout_step(J, ne))
+    x = solver.linear_solve(J, b, stats=stats, target=0.0, **layout_step(J, ne))
     direct = np.linalg.solve(J.toarray(), b)
     # 195 iterations over two cycles today.
     assert solver.KRYLOV_RESTART < stats.krylov_iters < 3 * solver.KRYLOV_RESTART
@@ -96,8 +101,7 @@ def test_newton_solve_failure_raises():
     J, b, ne = newton_layout(100.0)
     stats = solver.StepDiagnostics()
     with pytest.raises(solver.SolverError, match="residual too large"):
-        solver.linear_solve(J, b, n_density=ne, stats=stats, target=0.0,
-                            **layout_step(J, ne))
+        solver.linear_solve(J, b, stats=stats, target=0.0, **layout_step(J, ne))
     assert stats.krylov_iters == solver.KRYLOV_RESTART * solver.KRYLOV_CYCLES
     assert stats.krylov_cycles == solver.KRYLOV_CYCLES
 
@@ -120,14 +124,14 @@ def test_failed_solve_drops_factors(monkeypatch):
     monkeypatch.setattr(spla, "splu", weakly_referable)
     stats = solver.StepDiagnostics()
     try:
-        solver.linear_solve(J_bad, b_bad, n_density=ne, stats=stats, target=0.0, **step)
+        solver.linear_solve(J_bad, b_bad, stats=stats, target=0.0, **step)
     except solver.SolverError as exc:
         assert "residual too large" in str(exc)
     else:
         pytest.fail("the solve passed")
     gc.collect()
     assert stats.factorizations == len(refs) == 1 and refs[0]() is None
-    x = solver.linear_solve(J, b, n_density=ne, stats=stats, target=0.0, **step)
+    x = solver.linear_solve(J, b, stats=stats, target=0.0, **step)
     assert stats.factorizations == len(refs) == 2
     assert solver._rejection(x, b - J @ x, b) is None
 
@@ -137,7 +141,7 @@ def test_failed_solve_drops_factors(monkeypatch):
 
 
 def layout_preconditioner(J, ne):
-    return solver.block_preconditioner(J, ne, **layout_step(J, ne))
+    return solver.block_preconditioner(J, **layout_step(J, ne))
 
 
 def test_gmres_matches_scipy():
@@ -225,8 +229,7 @@ def test_overflowing_krylov_quantity_fails_the_solve():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(solver.SolverError, match="non-finite"):
-            solver.linear_solve(J, np.ones(4), n_density=1, stats=stats, target=0.0,
-                                **layout_step(J, 1))
+            solver.linear_solve(J, np.ones(4), stats=stats, target=0.0, **layout_step(J, 1))
     assert stats.krylov_cycles == 1 and stats.krylov_iters == 0
     assert not caught
 
@@ -241,8 +244,7 @@ def test_floor_shortens_the_solve():
 
     def solve(target):
         stats = solver.StepDiagnostics()
-        x = solver.linear_solve(J, b, n_density=ne, stats=stats, target=target,
-                                **layout_step(J, ne))
+        x = solver.linear_solve(J, b, stats=stats, target=target, **layout_step(J, ne))
         return x, stats.krylov_iters
 
     exact, iters = solve(0.0)
@@ -269,9 +271,9 @@ def test_velocity_factor_is_the_steps_alpha0_factor(mesh2, monkeypatch):
         made.append(lu_u)
         return x0, lu_u
 
-    def recorded_preconditioner(J, ne, lu_u, dt):
+    def recorded_preconditioner(J, density, lu_u, dt):
         used.append(lu_u)
-        return block_preconditioner(J, ne, lu_u, dt)
+        return block_preconditioner(J, density, lu_u, dt)
 
     def counted_splu(*args, **kwargs):
         splu_calls.append(1)
@@ -302,8 +304,8 @@ def test_alpha0_newton_matrix_solves_in_one_iteration(mesh2, params):
     J = scheme.jacobian(prev, scheme.unpack(x0, mesh2, prev.k + 1), params, mesh2, alpha=0.0)
     b = np.random.default_rng(6).standard_normal(J.shape[0])
     stats = solver.StepDiagnostics()
-    x = solver.linear_solve(J, b, n_density=mesh2.n_elems, stats=stats, lu_u=lu_u,
-                            dt=params.dt(mesh2), target=0.0)
+    x = solver.linear_solve(J, b, density=solver.density_order(mesh2), stats=stats,
+                            lu_u=lu_u, dt=params.dt(mesh2), target=0.0)
     assert (stats.krylov_iters, stats.krylov_cycles, stats.factorizations) == (1, 1, 1)
     assert solver._rejection(x, b - J @ x, b) is None
 
@@ -316,6 +318,9 @@ class _Factor:
 
     def solve(self, rhs):
         return self.lu.solve(rhs)
+
+    def __getattr__(self, name):   # perm_c, L and U
+        return getattr(self.lu, name)
 
 
 @pytest.mark.parametrize("fails", [False, True])
@@ -361,7 +366,7 @@ def test_early_gmres_iterate_keeps_the_mass(mesh2, params, k, monkeypatch):
     assert abs(b[:ne].sum()) <= 1e-14 * np.abs(b).sum()
     monkeypatch.setattr(solver, "KRYLOV_CYCLES", 1)
     stats = solver.StepDiagnostics()
-    x, _ = solver._gmres(J, b, solver.block_preconditioner(J, ne, **step), k, stats, 0.0)
+    x, _ = solver._gmres(J, b, solver.block_preconditioner(J, **step), k, stats, 0.0)
     assert (stats.krylov_iters, stats.krylov_cycles) == (k, 1)
     e = b - J @ x
     assert np.abs(e).max() > 1e-6 * np.abs(b).max()   # far from solved
@@ -411,11 +416,13 @@ def test_bump_step_runs_without_scipy_gmres(mesh2, params, monkeypatch):
     assert diag.krylov_iters > 0
 
 
-def test_bump_steps_reuse_factors(mesh2, params, monkeypatch):
+def test_bump_steps_reuse_factors(params, monkeypatch):
     """Bump n=2 x3: each step's one node reuses the step's alpha = 0 factor
     at every Newton matrix and factors each matrix's density block, so a
     step makes one SuperLU call per Newton iteration plus its alpha = 0
-    one.  A second run in the same process gives bitwise-equal rows."""
+    one.  A second run in the same process on a new mesh gives bitwise-equal
+    rows.  A rerun on the first mesh, whose factors all take the orders its
+    first run kept, gives the same counts and rows equal to rounding."""
     splu_calls, splu = [], spla.splu
 
     def counted_splu(*args, **kwargs):
@@ -423,14 +430,127 @@ def test_bump_steps_reuse_factors(mesh2, params, monkeypatch):
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counted_splu)
-    rho0, m0 = scheme.make_initial_data("bump", 1.0, 0.5, 0.15,
-                                        mesh2.box_lo, mesh2.box_hi)
-    first = scheme.run(mesh2, params, rho0, m0, 3, _discard)
+    mesh = build_box_mesh(2)
+    rho0, m0 = scheme.make_initial_data("bump", 1.0, 0.5, 0.15, mesh.box_lo, mesh.box_hi)
+    first = scheme.run(mesh, params, rho0, m0, 3, _discard)
     steps = first.diagnostics[1:]
     assert all(d.schedule_index == 0 and d.factorizations == d.newton_iters for d in steps)
     assert len(splu_calls) == sum(d.factorizations + 1 for d in steps)
-    again = scheme.run(mesh2, params, rho0, m0, 3, _discard)
+    again = scheme.run(build_box_mesh(2), params, rho0, m0, 3, _discard)
     assert again.rows == first.rows and again.diagnostics == first.diagnostics
+    rerun = scheme.run(mesh, params, rho0, m0, 3, _discard)
+    assert [replace(d, residual_norm=0.0) for d in rerun.diagnostics[1:]] == [
+        replace(d, residual_norm=0.0) for d in steps]
+    for row, expected in zip(rerun.rows, first.rows):
+        for key, value in expected.items():
+            assert row[key] == pytest.approx(value, rel=1e-10, abs=1e-12), key
+
+
+def _permc_specs(monkeypatch):
+    """The permc_spec of every SuperLU factorization made from now on."""
+    specs, splu = [], spla.splu
+
+    def recorded(*args, **kwargs):
+        specs.append(kwargs["permc_spec"])
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recorded)
+    return specs
+
+
+def test_one_ordering_per_pattern_per_mesh(params, monkeypatch):
+    """Bump n=2 x3 on a new mesh, then again on the same mesh: the first
+    step orders the alpha = 0 matrix and then the density block by minimum
+    degree, once each, and every other factorization of either run takes the
+    kept order."""
+    specs = _permc_specs(monkeypatch)
+    mesh = build_box_mesh(2)
+    rho0, m0 = scheme.make_initial_data("bump", 1.0, 0.5, 0.15, mesh.box_lo, mesh.box_hi)
+    for _ in range(2):
+        scheme.run(mesh, params, rho0, m0, 3, _discard)
+    assert len(specs) > 4
+    assert specs == ["MMD_AT_PLUS_A"] * 2 + ["NATURAL"] * (len(specs) - 2)
+
+
+def _fill(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
+def _assert_kept_orders_keep_the_fill(mesh, params):
+    """On `mesh`, the second alpha = 0 matrix and the second density block
+    are factored in the kept order, with the fill of BLOCK_LU's own
+    minimum-degree factor of the same matrix, and solve as it does."""
+    prev = bump_state(mesh, params)
+    dt, ne = params.dt(mesh), mesh.n_elems
+    density = solver.density_order(mesh)
+    rng = np.random.default_rng(mesh.n_elems)
+    b = rng.standard_normal((len(mesh.interior_faces), 3))
+    for scale in (1.0, 1.3):
+        later = scheme.State(scale * prev.rho, prev.u, k=0)
+        x0, lu_u = solver.alpha0_solve(later, params, mesh)
+        guess = scheme.unpack(x0, mesh, 1)
+        guess.rho = guess.rho * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, ne))
+        J = scheme.jacobian(later, guess, params, mesh, alpha=1.0)
+        lu_rho = density.factor_block(J)
+    L0 = scheme.interior_weighted_mass(mesh, later.rho) + dt * scheme.interior_stiffness(mesh)
+    A = J[:ne, :ne]
+    for kept, matrix, rhs in ((lu_u, L0, b), (lu_rho, A, b.ravel()[:ne])):
+        assert isinstance(kept, solver._Reordered)
+        mmd = spla.splu(sp.csc_matrix(matrix), **solver.BLOCK_LU)
+        assert _fill(kept.lu) == _fill(mmd)
+        exact = mmd.solve(rhs)
+        assert np.abs(kept.solve(rhs) - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kept_orders_keep_the_fill(n, params):
+    _assert_kept_orders_keep_the_fill(build_box_mesh(n), params)
+
+
+def test_kept_orders_keep_the_fill_on_a_renumbered_mesh(shuffled3, params):
+    _assert_kept_orders_keep_the_fill(shuffled3, params)
+
+
+def test_orders_live_and_die_with_their_mesh(params):
+    """Step an n=3 mesh, drop it, then step an n=2 mesh: the n=2 mesh gets
+    orders of its own, sized by it, and the n=3 mesh's orders are freed
+    with it, so no order outlives its mesh to be read for another."""
+    mesh = build_box_mesh(3)
+    solver.homotopy_newton_solve(bump_state(mesh, params), params, mesh)
+    freed = [weakref.ref(solver.density_order(mesh)), weakref.ref(solver.alpha0_order(mesh))]
+    del mesh
+    gc.collect()
+    assert [ref() for ref in freed] == [None, None]
+    other = build_box_mesh(2)
+    _, diag = solver.homotopy_newton_solve(bump_state(other, params), params, other)
+    assert diag.residual_norm <= params.newton_tol
+    assert solver.density_order(other).perm.size == other.n_elems
+    assert solver.alpha0_order(other).kept.perm.size == len(other.interior_faces)
+
+
+def test_kept_orders_hold_no_factor(params):
+    """A SuperLU factor's perm_c is a view whose base is the factor, so an
+    order kept from it would keep the mesh's first factors alive, L0's the
+    largest; no array the orders keep is a view of a factor."""
+    mesh = build_box_mesh(2)
+    solver.homotopy_newton_solve(bump_state(mesh, params), params, mesh)
+    for order in (solver.density_order(mesh), solver.alpha0_order(mesh).kept):
+        assert order.perm is not None
+        assert all(not isinstance(array.base, spla.SuperLU)
+                   for array in vars(order).values() if isinstance(array, np.ndarray))
+
+
+def test_renumbered_meshes_get_orders_of_their_own(shuffled3, params):
+    """The n=3 mesh and its shuffled, rotated-tet renumbering each step on
+    orders of their own."""
+    plain = build_box_mesh(3)
+    for mesh in (plain, shuffled3):
+        _, diag = solver.homotopy_newton_solve(bump_state(mesh, params), params, mesh)
+        assert diag.residual_norm <= params.newton_tol
+    for order in (solver.density_order, lambda mesh: solver.alpha0_order(mesh).kept):
+        mine, theirs = order(plain), order(shuffled3)
+        assert mine is not theirs
+        assert not np.array_equal(mine.perm, theirs.perm)
 
 
 def test_bump_run_newton_counts(mesh2, params):
@@ -560,8 +680,7 @@ def test_newton_solve_rejects_singular(mesh1, params):
     with warnings.catch_warnings():
         warnings.simplefilter("error", spla.MatrixRankWarning)
         with pytest.raises(solver.SolverError, match="singular"):
-            solver.linear_solve(J.tocsr(), b, n_density=mesh1.n_elems, stats=stats,
-                                target=0.0, **step)
+            solver.linear_solve(J.tocsr(), b, stats=stats, target=0.0, **step)
     assert stats.krylov_iters == 0 and stats.factorizations == 0
 
 
