@@ -36,7 +36,7 @@ call on a mesh builds the pattern and a linear map from the scalings to the
 matrix values (`jacobian_map`), and every call fills the values with one
 sparse product.  The alpha = 0 matrix M_rho + dt K, the scalar velocity
 block's mass and stiffness, has a map of its own on its own smaller pattern
-(`alpha0_map`).
+(`alpha0_map`, `alpha0_matrix`).
 
 `residual` and `jacobian` take a continuation weight alpha in [0, 1] that
 scales convection, pressure and both stabilization terms; time terms and
@@ -324,10 +324,12 @@ def _paths(left: sp.spmatrix, right: sp.spmatrix):
 
 def _map(terms, shape, extra=()):
     """From the entries that the paths of `terms` reach and the `extra`
-    (rows, cols) entries: the boolean pattern they form, the matrix that
-    takes the coefficient vector of `terms` to the values of its entries, and
-    the positions of each extra entry in those values.  Every entry looked up
-    is in the pattern by construction."""
+    (rows, cols) entries: the boolean pattern they form and the matrix that
+    takes the coefficient vector of `terms`, followed by one coefficient per
+    extra entry of a group, to the values of its entries.  The extra groups
+    share those last coefficients: the k-th entry of every group adds the
+    k-th of them, in columns after every term's.  Every entry looked up is
+    in the pattern by construction."""
     entries, coefficients, weights = [], [], []
     offset = 0
     for left, right, row0, col0, width in terms:
@@ -353,23 +355,40 @@ def _map(terms, shape, extra=()):
     coefficients = np.concatenate(coefficients)
     weights = np.concatenate(weights)
     values = sp.csc_matrix((weights, (positions, coefficients)), shape=(pattern.nnz, offset))
-    return pattern, values, extra_positions
+    if not extra_positions:
+        return pattern, values
+    # The extra columns are appended once the terms' inputs are freed, and
+    # each of the terms' arrays is freed once joined: built with those
+    # inputs, their weights and indices raised an n=16 step's peak resident
+    # memory by 75 MB.
+    del positions, coefficients, weights
+    groups, m = len(extra_positions), extra_positions[0].size
+    data, indices, indptr = values.data, values.indices, values.indptr
+    del values
+    k = indptr[-1]
+    data = np.concatenate([data, np.ones(groups * m)])
+    indices = np.concatenate([indices, np.stack(extra_positions, axis=1).ravel()])
+    del extra_positions
+    indptr = np.concatenate([indptr, k + groups * np.arange(1, m + 1, dtype=indptr.dtype)])
+    values = sp.csc_matrix((data, indices, indptr), shape=(pattern.nnz, offset + m))
+    return pattern, values
 
 
 @dataclass(frozen=True)
 class JacobianMap:
     """The Jacobian's fixed pattern on a mesh and the linear maps that fill it.
 
-    J.data is `coefficients @ c`, with c the coefficient vectors of
-    `jacobian` concatenated, plus the scalar velocity block's values
-    `scalar @ s` added at `scalar_positions[d]` for each velocity component d.
+    J.data is `coefficients @ concatenate([c, scalar @ s])`, with c the
+    coefficient vectors of `jacobian` concatenated and `scalar @ s` the
+    scalar velocity block's values: `coefficients`' last columns, one per
+    scalar-block entry (i, j), add that value at (3 i + d, 3 j + d) for each
+    velocity component d, after every other term of the entry.
     """
 
     indptr: NDArrayI
     indices: NDArrayI
-    coefficients: sp.csc_matrix   # (nnz, len(c))
+    coefficients: sp.csc_matrix   # (nnz, len(c) + nnz of the scalar block)
     scalar: sp.csc_matrix         # (nnz of the scalar block, len(s))
-    scalar_positions: NDArrayI    # (3, nnz of the scalar block)
 
 
 def _component_copies(block: sp.csr_matrix, offset: int):
@@ -414,13 +433,12 @@ def jacobian_map(mesh: Mesh) -> JacobianMap:
         (*upwind(ops.face_test, ops.own, ops.nbr), ne, 0, 3),   # C: momentum flux
         (ops.face_test, ops.normal, ne, ne, 3),             # D: momentum flux
     ]
-    block, scalar, _ = _map(scalar_terms, (ni, ni))
+    block, scalar = _map(scalar_terms, (ni, ni))
     copies = _component_copies(block, ne)
     del block   # held by `copies` alone, and freed once `_map` has read them
-    pattern, coefficients, positions = _map(terms, (n, n), copies)
+    pattern, coefficients = _map(terms, (n, n), copies)
     return JacobianMap(indptr=pattern.indptr, indices=pattern.indices,
-                       coefficients=coefficients, scalar=scalar,
-                       scalar_positions=np.stack(positions))
+                       coefficients=coefficients, scalar=scalar)
 
 
 def jacobian(
@@ -469,10 +487,7 @@ def jacobian(
         vol * (rho / dt), np.ones(len(int_f)),
         alpha * sides(area * (dupm_own - dstab_du), area * (dupm_nbr - dstab_du)),
     ])
-    data = jm.coefficients @ c
-    scalar = jm.scalar @ s
-    for pos in jm.scalar_positions:
-        data[pos] += scalar
+    data = jm.coefficients @ np.concatenate([c, jm.scalar @ s])
     n = len(jm.indptr) - 1
     J = sp.csr_matrix((data, jm.indices.copy(), jm.indptr.copy()), shape=(n, n))
     J.eliminate_zeros()
@@ -494,17 +509,49 @@ def interior_weighted_mass(mesh: Mesh, rho: NDArrayF) -> sp.csr_matrix:
     return (avg.T @ sp.diags(mesh.elem_volume * rho) @ avg).tocsr()
 
 
-def alpha0_map(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csc_matrix]:
-    """The pattern of the alpha = 0 matrix interior_weighted_mass(mesh, rho)
-    + dt interior_stiffness(mesh), and the map W that gives its values in
-    that pattern's CSR order as W @ concatenate([|E| rho, dt 1]), bitwise
-    those of the sum of the two matrices."""
+@dataclass(frozen=True)
+class Alpha0Map:
+    """The alpha = 0 matrix's fixed pattern on a mesh, the scalar velocity
+    block's mass and stiffness entries, and the map that fills it: its
+    values in CSR order are `values @ concatenate([|E| rho, [dt]])`."""
+
+    indptr: NDArrayI
+    indices: NDArrayI
+    values: sp.csc_matrix   # (nnz, n_elems + 1)
+
+
+@cached
+def alpha0_map(mesh: Mesh) -> Alpha0Map:
+    """`mesh`'s Alpha0Map, built on first use and cached."""
     ops = mesh_operators(mesh)
-    ni = ops.avg.shape[1]
-    pattern, values, _ = _map([(ops.avg.T, ops.avg, 0, 0, 1),
-                               (ops.stiffness_int, sp.identity(ni, format="csr"), 0, 0, 1)],
-                              (ni, ni))
-    return pattern, values
+    avg, K = ops.avg, ops.stiffness_int
+    ne, ni = avg.shape
+    # The pattern of the sum, from absolute values so that no entry cancels.
+    pattern = (abs(avg.T) @ abs(avg) + abs(K)).tocsr()
+    pattern.sort_indices()
+    keys = np.repeat(np.arange(ni, dtype=np.int64) * ni, np.diff(pattern.indptr)) + pattern.indices
+    # Mass entries are the paths face i -> element k -> face j, with
+    # coefficient k; stiffness entries take the last coefficient, dt.
+    i, k, j, w = _paths(avg.T, avg)
+    k_rows = np.repeat(np.arange(ni, dtype=np.int64), np.diff(K.indptr))
+    positions = np.searchsorted(keys, np.concatenate([i.astype(np.int64) * ni + j,
+                                                      k_rows * ni + K.indices]))
+    coefficients = np.concatenate([k, np.full(K.nnz, ne, dtype=k.dtype)])
+    values = sp.csc_matrix((np.concatenate([w, K.data]), (positions, coefficients)),
+                           shape=(keys.size, ne + 1))
+    return Alpha0Map(indptr=pattern.indptr, indices=pattern.indices, values=values)
+
+
+def alpha0_matrix(mesh: Mesh, rho: NDArrayF, dt: float) -> sp.csr_matrix:
+    """The alpha = 0 matrix interior_weighted_mass(mesh, rho) + dt
+    interior_stiffness(mesh) on its fixed pattern (`alpha0_map`), bitwise
+    that sum: each entry adds its element terms in element order, then dt
+    times its stiffness, and the averages of 1/4 scale exactly.  The matrix
+    shares no array with the cache."""
+    am = alpha0_map(mesh)
+    data = am.values @ np.append(mesh.elem_volume * rho, dt)
+    n = len(am.indptr) - 1
+    return sp.csr_matrix((data, am.indices.copy(), am.indptr.copy()), shape=(n, n))
 
 
 # ---------------------------------------------------------------------------

@@ -67,11 +67,11 @@ the alpha = 0 system depend only on the mesh, and so does their
 fill-reducing order, which is computed once per mesh (`density_order`,
 `alpha0_order`): the first factor of each pattern on a mesh is ordered by
 minimum degree on A^T + A with diagonal pivots, which their symmetric
-patterns allow, and the mesh keeps that order.  Every later matrix of the pattern is gathered
-straight into the symmetrically permuted layout and factored in its natural
-order, at the same fill and without the ordering step.  Its factor rounds
-differently from the first one's, so a second run on the same mesh object
-reproduces the first to rounding, and a run on a new mesh bitwise.
+patterns allow, and the mesh keeps that order.  Every later matrix of the
+pattern is gathered straight into the symmetrically permuted layout and
+factored in its natural order, without the ordering step, into bitwise the
+factor the first one's settings would make (`KeptOrder`); so a run does not
+depend on whether its mesh has been used before.
 There is no direct solve of J: a zero pivot in A, a Krylov quantity that
 overflows, or a solve that fails the acceptance check, raises SolverError,
 and the Newton node fails, so that the continuation halves d_alpha.  GMRES
@@ -225,17 +225,17 @@ NEWTON_TOL_SHARE = 0.01
 #
 # Only a mesh's first matrix of each pattern is factored with BLOCK_LU;
 # every later one is gathered into the order that factor kept and factored
-# with KEPT_LU (`KeptOrder`), which skips the ordering at the same fill.
-# Minimum `splu` times with BLOCK_LU and in the kept order, gather included,
-# one run each on the same host, A at a bump step's alpha = 0 velocity
-# plus 1e-3:
+# with KEPT_LU (`KeptOrder`), which skips the ordering and gives bitwise
+# the same factor.  Minimum `splu` times with BLOCK_LU and in the kept
+# order, gather included, one run each on the same host, A at a bump step's
+# alpha = 0 velocity plus 1e-3 and L0 of the bump's initial state:
 #
 #   n    A                   L0
-#   4    0.95 -> 0.40 ms     1.74 -> 1.41 ms
-#   6    4.11 -> 2.70 ms     6.56 -> 5.71 ms
-#   8    12.2 -> 9.4 ms      31.4 -> 31.5 ms
-#   12   78 -> 69 ms         235 -> 212 ms
-#   16   508 -> 533 ms       1.54 -> 1.48 s
+#   4    0.92 -> 0.49 ms     1.43 -> 1.12 ms
+#   6    2.93 -> 1.92 ms     7.43 -> 6.68 ms
+#   8    9.40 -> 7.08 ms     29.3 -> 27.0 ms
+#   12   84 -> 70 ms         294 -> 277 ms
+#   16   502 -> 462 ms       1.54 -> 1.28 s
 #
 # Factoring A's natural order instead, with no permutation, makes 2.7x the
 # fill at n = 4 (23,934 against 8,710).
@@ -257,42 +257,56 @@ class _Reordered:
 
 
 class KeptOrder:
-    """One square pattern of `n` rows on a mesh, whose matrices read each
-    value at a fixed position of a source vector, and the column order of
-    the pattern's first SuperLU factor.
+    """A square CSR pattern (indptr, indices) on a mesh, whose matrices come
+    as their values in that CSR order, and the column order of the
+    pattern's first SuperLU factor.
 
     The first matrix is factored with BLOCK_LU, and that factor's order
     `perm` is kept; every later one is gathered straight into the
-    symmetrically permuted CSC layout and factored with KEPT_LU, which keeps
-    the fill and skips the ordering.
+    symmetrically permuted CSC layout and factored with KEPT_LU, which skips
+    the ordering.  Each column of that layout keeps its rows in the
+    unpermuted matrix's order, as BLOCK_LU's factor sees them, so that
+    SuperLU updates every column in the same sequence: the factor is bitwise
+    BLOCK_LU's, and the pattern's first matrix on a mesh factors as every
+    later one does.  (Rows sorted in the permuted order give the same fill,
+    but round differently.)
     """
 
-    def __init__(self, rows: NDArrayI, cols: NDArrayI, positions: NDArrayI, n: int):
-        self.n = n
+    def __init__(self, indptr: NDArrayI, indices: NDArrayI):
+        self.indptr, self.indices = indptr, indices
+        self.n = len(indptr) - 1
         self.perm = self.order = None
-        self._lay_out(rows, cols, positions)
+        self._layout = None   # (positions, indices, indptr), laid out on the second factor
 
-    def _lay_out(self, rows, cols, positions):
-        """Store the entries (rows, cols), read at `positions`, in CSC order."""
-        by_column = np.argsort(cols.astype(np.int64) * self.n + rows)
-        self.indices = rows[by_column].astype(np.int32)
-        self.positions = positions[by_column]
-        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=self.n))]
-                                     ).astype(np.int32)
+    def _lay_out(self):
+        """The permuted CSC layout: for each of its entries, the position of
+        the value in CSR order and the permuted row, and its column pointer."""
+        n, nnz = self.n, self.indices.size
+        csc = sp.csr_matrix((np.arange(nnz), self.indices, self.indptr), shape=(n, n)).tocsc()
+        counts = np.diff(csc.indptr)[self.order]
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        at = np.arange(nnz) + np.repeat(csc.indptr[self.order] - indptr[:-1], counts)
+        return (csc.data[at], self.perm[csc.indices[at]].astype(np.int32),
+                indptr.astype(np.int32))
 
-    def factor(self, source: NDArrayF):
-        """The factor of the matrix whose values `source` holds; raises
-        RuntimeError at a zero pivot."""
-        matrix = sp.csc_matrix((source[self.positions], self.indices, self.indptr),
-                               shape=(self.n, self.n))
-        if self.perm is not None:
-            return _Reordered(spla.splu(matrix, **KEPT_LU), self.order, self.perm)
-        lu = spla.splu(matrix, **BLOCK_LU)
-        perm = lu.perm_c.copy()   # lu.perm_c is a view that keeps the whole factor alive
-        cols = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        self._lay_out(perm[self.indices], perm[cols], self.positions)
-        self.perm, self.order = perm, np.argsort(perm)
-        return lu
+    def factor(self, values: NDArrayF):
+        """The factor of the matrix with `values`; raises RuntimeError at a
+        zero pivot."""
+        n = self.n
+        if self.perm is None:
+            matrix = sp.csr_matrix((values, self.indices, self.indptr), shape=(n, n))
+            lu = spla.splu(matrix.tocsc(), **BLOCK_LU)
+            self.perm = lu.perm_c.copy()   # lu.perm_c is a view that keeps the whole factor alive
+            self.order = np.argsort(self.perm)
+            return lu
+        if self._layout is None:
+            self._layout = self._lay_out()
+        positions, indices, indptr = self._layout
+        matrix = sp.csc_matrix((values[positions], indices, indptr), shape=(n, n))
+        # Its rows are unique but unsorted: flagged canonical, `splu` hands
+        # them to SuperLU in this order instead of sorting them.
+        matrix.has_canonical_format = True
+        return _Reordered(spla.splu(matrix, **KEPT_LU), self.order, self.perm)
 
 
 class DensityOrder(KeptOrder):
@@ -307,11 +321,12 @@ class DensityOrder(KeptOrder):
         rows = np.repeat(np.arange(n), np.diff(indptr[:n + 1]))
         cols = indices[:indptr[n]]
         block = cols < n
-        self.rows, self.cols = rows[block], cols[block]
+        self.rows = rows[block]
         self.counts = np.bincount(self.rows, minlength=n)
         self.offsets = np.arange(self.rows.size) - np.repeat(
             np.cumsum(self.counts) - self.counts, self.counts)
-        super().__init__(self.rows, self.cols, np.arange(self.rows.size), n)
+        super().__init__(np.concatenate([[0], np.cumsum(self.counts)]).astype(np.int32),
+                         cols[block].astype(np.int32))
 
     def factor_block(self, J: sp.csr_matrix):
         """The factor of J's density block: in the kept order when J stores
@@ -320,31 +335,18 @@ class DensityOrder(KeptOrder):
         n = self.n
         if np.all(np.diff(J.indptr[:n + 1]) >= self.counts):
             at = J.indptr[self.rows] + self.offsets
-            if np.array_equal(J.indices[at], self.cols):
+            if np.array_equal(J.indices[at], self.indices):
                 return self.factor(J.data[at])
         return spla.splu(sp.csc_matrix(J[:n, :n]), **BLOCK_LU)
 
 
-@dataclass(frozen=True)
-class Alpha0Order:
-    """A mesh's kept order of the alpha = 0 matrix, whose values `values` @
-    concatenate([|E| rho_prev, dt 1]) gives in the CSR order of `pattern`
-    (`scheme.alpha0_map`)."""
-
-    kept: KeptOrder
-    pattern: sp.csr_matrix
-    values: sp.csc_matrix
-
-
 @cached
-def alpha0_order(mesh: Mesh) -> Alpha0Order:
-    """`mesh`'s Alpha0Order, built on first use and cached; its order is set
-    by the mesh's first alpha = 0 factor."""
-    pattern, values = scheme.alpha0_map(mesh)
-    n = pattern.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
-    return Alpha0Order(KeptOrder(rows, pattern.indices, np.arange(pattern.nnz), n),
-                       pattern, values)
+def alpha0_order(mesh: Mesh) -> KeptOrder:
+    """`mesh`'s kept order of the alpha = 0 matrix (`scheme.alpha0_map`),
+    built on first use and cached; its order is set by the mesh's first
+    alpha = 0 factor."""
+    am = scheme.alpha0_map(mesh)
+    return KeptOrder(am.indptr, am.indices)
 
 
 @cached
@@ -428,11 +430,7 @@ def _gmres(J: sp.csr_matrix, b: NDArrayF, precondition: Callable[[NDArrayF], NDA
     if b.any():
         rtol = max(rtol, target / np.abs(b).max())
     tol = rtol * mb
-    # Arnoldi basis, one vector per row, doubled as the iterations need it.
-    # Most solves end within a few iterations; restart + 1 rows allocated at
-    # every solve (6.8 MB at n = 6) fragmented the heap and raised the peak
-    # resident memory of the bump Cauchy pair n = 3, 6 by about 5 MB.
-    V = np.empty((min(restart, 8) + 1, b.size))
+    V = np.empty((restart + 1, b.size))   # Arnoldi basis, one vector per row
     R = np.zeros((restart, restart))      # triangular factor of the Hessenberg matrix
     iters = 0
     for cycle in range(KRYLOV_CYCLES):
@@ -446,8 +444,6 @@ def _gmres(J: sp.csr_matrix, b: NDArrayF, precondition: Callable[[NDArrayF], NDA
         g = [beta]        # rotated right-hand side, |g[-1]| the residual estimate
         rotations = []
         for k in range(restart):
-            if k + 2 > len(V):
-                V = np.concatenate([V, np.empty((min(len(V), restart + 1 - len(V)), b.size))])
             w = precondition(J @ V[k])
             h0 = np.linalg.norm(w)
             if not math.isfinite(beta + h0):
@@ -530,19 +526,15 @@ def alpha0_solve(prev, params, mesh: Mesh) -> tuple:
     """
     dt = params.dt(mesh)
     rho_prev = prev.rho
-    alpha0 = alpha0_order(mesh)
 
     # One scalar system, factored once in the mesh's kept order, for the
     # three velocity components; it is symmetric positive definite, so
     # BLOCK_LU's settings hold.
-    mass = mesh.elem_volume * rho_prev
     uhat_prev = scheme.element_average(prev.u, mesh)
-    rhs = scheme.mesh_operators(mesh).avg.T @ (mass[:, None] * uhat_prev)
-    values = alpha0.values @ np.concatenate([mass, np.full(len(rhs), dt)])
-    pattern = alpha0.pattern
-    A = sp.csr_matrix((values, pattern.indices, pattern.indptr), shape=pattern.shape)
+    rhs = scheme.mesh_operators(mesh).avg.T @ ((mesh.elem_volume * rho_prev)[:, None] * uhat_prev)
+    A = scheme.alpha0_matrix(mesh, rho_prev, dt)
     try:
-        lu = alpha0.kept.factor(values)
+        lu = alpha0_order(mesh).factor(A.data)
     except RuntimeError as exc:   # exactly singular
         raise SolverError(f"alpha = 0 system: {exc}") from exc
     u = lu.solve(rhs)

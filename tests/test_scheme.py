@@ -375,22 +375,26 @@ def test_every_pattern_slot_is_filled_by_a_path(n):
     coefficients in [1, 2] no value of the map comes out zero."""
     jm = scheme.jacobian_map(build_box_mesh(n))
     rng = np.random.default_rng(n)
-    data = jm.coefficients @ rng.uniform(1.0, 2.0, jm.coefficients.shape[1])
+    n_c = jm.coefficients.shape[1] - jm.scalar.shape[0]
     scalar = jm.scalar @ rng.uniform(1.0, 2.0, jm.scalar.shape[1])
-    for pos in jm.scalar_positions:
-        data[pos] += scalar
+    data = jm.coefficients @ np.concatenate([rng.uniform(1.0, 2.0, n_c), scalar])
     assert np.all(data != 0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_scalar_positions_are_the_component_copies(n):
     """The scalar block's entry (i, j) lands at D's entry (3 i + d, 3 j + d)
-    for each component d, at distinct positions, in the block's row order."""
+    for each component d, at distinct positions, in the block's row order:
+    its copy column, one of the last columns of the coefficient map, holds
+    a 1 at those three positions and nothing else, and no J position takes
+    more than one copy."""
     mesh = build_box_mesh(n)
     jm = scheme.jacobian_map(mesh)
-    ne, ni = mesh.n_elems, len(mesh.interior_faces)
-    pos = jm.scalar_positions
-    assert pos.shape == (3, jm.scalar.shape[0])
+    ne, ni, m = mesh.n_elems, len(mesh.interior_faces), jm.scalar.shape[0]
+    copies = jm.coefficients[:, -m:]
+    assert np.array_equal(np.diff(copies.indptr), np.full(m, 3))
+    assert np.all(copies.data == 1.0)
+    pos = copies.indices.reshape(m, 3).T
     assert np.unique(pos).size == pos.size
     rows = np.repeat(np.arange(len(jm.indptr) - 1), np.diff(jm.indptr))[pos] - ne
     cols = jm.indices[pos] - ne
@@ -400,6 +404,22 @@ def test_scalar_positions_are_the_component_copies(n):
     assert np.array_equal(dj, di)
     assert np.all(i == i[0]) and np.all(j == j[0])
     assert np.all(np.diff(i[0] * ni + j[0]) > 0)
+
+
+def test_alpha0_matrix_is_the_mass_plus_stiffness(mesh2, shuffled3, params):
+    """The alpha = 0 matrix filled from its per-mesh map is bitwise the sum
+    of the weighted mass and dt times the stiffness, in pattern and values,
+    and shares no array with the map."""
+    for mesh in (mesh2, shuffled3):
+        rho = np.random.default_rng(mesh.n_elems).uniform(0.5, 2.0, mesh.n_elems)
+        dt = params.dt(mesh)
+        L0 = scheme.alpha0_matrix(mesh, rho, dt)
+        expected = scheme.interior_weighted_mass(mesh, rho) + dt * scheme.interior_stiffness(mesh)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(L0, name), getattr(expected, name)), name
+        am = scheme.alpha0_map(mesh)
+        assert not np.shares_memory(L0.indices, am.indices)
+        assert not np.shares_memory(L0.indptr, am.indptr)
 
 
 @pytest.mark.parametrize("alpha", [1.0 / 64, 0.5, 1.0])
