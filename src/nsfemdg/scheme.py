@@ -32,11 +32,12 @@ and -neighbor, avg the 1/4 element average of face dofs, K the broken-gradient
 stiffness, G the |E|-weighted basis gradients, and F = |f| (UpM - h^(1-eps)
 [rho] mean(uhat)) the momentum face flux.  The Jacobian is the same products
 with diagonal scalings, so its sparsity pattern is fixed per mesh: the first
-call on a mesh builds the pattern and a linear map from the scalings to the
-matrix values (`jacobian_map`), and every call fills the values with one
-sparse product.  The alpha = 0 matrix M_rho + dt K, the scalar velocity
-block's mass and stiffness, has a map of its own on its own smaller pattern
-(`alpha0_map`, `alpha0_matrix`).
+call on a mesh lists every path of those products once, and one sort of the
+list gives the pattern and a linear map from the scalings to the matrix
+values (`jacobian_map`); every call fills the whole pattern, zeros included,
+with one sparse product.  The alpha = 0 matrix M_rho + dt K, the scalar
+velocity block's mass and stiffness, has a map of its own on its own
+smaller pattern (`alpha0_map`, `alpha0_matrix`).
 
 `residual` and `jacobian` take a continuation weight alpha in [0, 1] that
 scales convection, pressure and both stabilization terms; time terms and
@@ -299,79 +300,88 @@ def residual(
 
 
 def _paths(left: sp.spmatrix, right: sp.spmatrix):
-    """Every path i -> k -> j of left @ diag(c) @ right with a nonzero weight,
-    as the arrays (i, k, j, left[i, k] * right[k, j])."""
-    left, right = sp.csc_matrix(left), sp.csr_matrix(right)
-    n_left, n_right = np.diff(left.indptr), np.diff(right.indptr)
-    count = (n_left * n_right).astype(np.int32)
-    k = np.repeat(np.arange(count.size, dtype=np.int32), count)
-    local = np.arange(count.sum(), dtype=np.int32)
-    local -= np.repeat(np.cumsum(count, dtype=np.int32) - count, count)
-    a = left.indptr[k] + local // n_right[k]
-    b = right.indptr[k] + local % n_right[k]
-    weight = left.data[a] * right.data[b]
-    keep = weight != 0.0
-    return left.indices[a[keep]], k[keep], right.indices[b[keep]], weight[keep]
+    """Every path i -> k -> j of left @ diag(c) @ right through stored
+    nonzeros of left and right, in order of k, as the arrays
+    (i, k, j, left[i, k] * right[k, j])."""
+    left, right = sp.csc_matrix(left, copy=True), sp.csr_matrix(right, copy=True)
+    left.eliminate_zeros()
+    right.eliminate_zeros()
+    # Each entry of left's column k pairs with the reps entries of right's
+    # row k, the b-th of right's entries being the paths' second factor.
+    k = np.repeat(np.arange(left.shape[1], dtype=np.int32), np.diff(left.indptr))
+    reps = np.diff(right.indptr)[k]
+    ends = np.cumsum(reps)
+    b = np.repeat(right.indptr[k] + reps - ends, reps) + np.arange(reps.sum())
+    return (np.repeat(left.indices, reps), np.repeat(k, reps), right.indices[b],
+            np.repeat(left.data, reps) * right.data[b])
 
 
 # A Jacobian term (left, right, row0, col0, width) is left @ diag(c) @ right
 # placed at row row0 and column col0.  With width 1 it reads one coefficient
 # per column k of `left`, and its entry (i, j) lands at (row0 + i, col0 + j).
 # With width 3 it reads one per k and velocity component d, stored at
-# 3 k + d, and lands at (row0 + 3 i + d, col0 + j) for each d.  The
-# coefficient vector of a list of terms is the concatenation of theirs.
+# d K + k for K columns of `left`, and lands at (row0 + 3 i + d, col0 + j)
+# for each d.  The coefficient vector of a list of terms is the
+# concatenation of theirs.
 
 
-def _map(terms, shape, extra=()):
-    """From the entries that the paths of `terms` reach and the `extra`
-    (rows, cols) entries: the boolean pattern they form and the matrix that
-    takes the coefficient vector of `terms`, followed by one coefficient per
-    extra entry of a group, to the values of its entries.  The extra groups
-    share those last coefficients: the k-th entry of every group adds the
-    k-th of them, in columns after every term's.  Every entry looked up is
-    in the pattern by construction."""
-    entries, coefficients, weights = [], [], []
-    offset = 0
+def _map(terms, shape, extra):
+    """The canonical CSR pattern (indptr, indices) of the entries that the
+    paths of `terms` and the `extra` (rows, cols) entries reach, and the
+    matrix that takes the coefficient vector of `terms`, followed by one
+    coefficient per extra entry of a group (the k-th entry of every group
+    adds the k-th), to the pattern's values.  Its CSC layout is the list of
+    paths and extra entries in coefficient order; two stable counting sorts
+    of the list, by column and then by row, give each entry's position
+    (Davis, Direct Methods for Sparse Linear Systems, SIAM, 2006, ch. 2), so
+    a product with it sums each entry's terms in coefficient order."""
+    rows, cols, weights, counts = [], [], [], []
     for left, right, row0, col0, width in terms:
         i, k, j, w = _paths(left, right)
+        j += col0
+        count = np.bincount(k, minlength=left.shape[1])
         for d in range(width):
-            entries.append((row0 + width * i + d, col0 + j))
-            coefficients.append(offset + width * k + d)
+            rows.append(width * i + (row0 + d))
+            cols.append(j)
             weights.append(w)
-        offset += width * left.shape[1]
-    entries += extra
-    # Summed entry by entry, so that no joined copy of the entries is made.
-    pattern = sum((sp.csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)), shape=shape)
-                   for rows, cols in entries), sp.csr_matrix(shape, dtype=bool))
-    # Indexed at stored entries, `index` reads their positions in the data.
-    index = sp.csr_matrix((np.arange(pattern.nnz, dtype=np.int32), pattern.indices,
-                           pattern.indptr), shape=shape)
-    # Popped, so that each entry is freed once looked up.
-    positions = [np.asarray(index[entries.pop(0)]).ravel() for _ in range(len(entries))]
-    del index
-    extra_positions = positions[len(weights):]
-    # Reassigned one at a time, so that each list is freed once joined.
-    positions = np.concatenate(positions[:len(weights)])
-    coefficients = np.concatenate(coefficients)
-    weights = np.concatenate(weights)
-    values = sp.csc_matrix((weights, (positions, coefficients)), shape=(pattern.nnz, offset))
-    if not extra_positions:
-        return pattern, values
-    # The extra columns are appended once the terms' inputs are freed, and
-    # each of the terms' arrays is freed once joined: built with those
-    # inputs, their weights and indices raised an n=16 step's peak resident
-    # memory by 75 MB.
-    del positions, coefficients, weights
-    groups, m = len(extra_positions), extra_positions[0].size
-    data, indices, indptr = values.data, values.indices, values.indptr
-    del values
-    k = indptr[-1]
-    data = np.concatenate([data, np.ones(groups * m)])
-    indices = np.concatenate([indices, np.stack(extra_positions, axis=1).ravel()])
-    del extra_positions
-    indptr = np.concatenate([indptr, k + groups * np.arange(1, m + 1, dtype=indptr.dtype)])
-    values = sp.csc_matrix((data, indices, indptr), shape=(pattern.nnz, offset + m))
-    return pattern, values
+            counts.append(count)
+    groups = list(extra)
+    if groups:   # popped, so that each group is freed once stacked
+        rows.append(np.stack([group.pop(0) for group in groups], axis=1).ravel())
+        cols.append(np.stack([group.pop(0) for group in groups], axis=1).ravel())
+        weights.append(np.broadcast_to(1.0, cols[-1].size))
+        counts.append(np.full(cols[-1].size // len(groups), len(groups)))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    # By column: the transpose of the matrix with rows[p] at (p, cols[p]).
+    # Its counter then takes the positions: made after the sorts' arrays,
+    # this kept array left one n=16 bump step's peak resident memory ~5 MB
+    # higher.
+    positions = np.arange(rows.size + 1, dtype=np.int32)
+    by_col = sp.csr_matrix((rows, cols, positions), shape=(rows.size, shape[1])).tocsc()
+    del rows, cols
+    # By row: in CSR form, each row lists its entries by column, and a
+    # column's in order of p.
+    by_row = sp.csc_matrix((by_col.indices, by_col.data, by_col.indptr), shape=shape).tocsr()
+    col, order, starts = by_row.indices, by_row.data, by_row.indptr
+    del by_col, by_row
+    # A pattern entry starts at each row's first entry and at each change of
+    # column; the flag past the end closes the last one.
+    first = np.zeros(col.size + 1, dtype=bool)
+    first[starts] = True
+    first[1:-1] |= col[1:] != col[:-1]
+    indices = col[first[:-1]]
+    # The position of each sorted entry, and past the end the pattern's size.
+    sorted_positions = np.cumsum(first, dtype=np.int32) - 1
+    del col, first
+    indptr = sorted_positions[starts]
+    positions = positions[:-1]
+    positions[order] = sorted_positions[:-1]
+    del order, sorted_positions
+    counts = np.concatenate(counts)
+    values = sp.csc_matrix((np.concatenate(weights), positions,
+                            np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)),
+                           shape=(indices.size, counts.size))
+    return indptr, indices, values
 
 
 @dataclass(frozen=True)
@@ -382,23 +392,15 @@ class JacobianMap:
     coefficient vectors of `jacobian` concatenated and `scalar @ s` the
     scalar velocity block's values: `coefficients`' last columns, one per
     scalar-block entry (i, j), add that value at (3 i + d, 3 j + d) for each
-    velocity component d, after every other term of the entry.
+    velocity component d, after every other term of the entry.  `_map`
+    builds each map by one sort of its paths.  J stores the whole pattern:
+    entries that come out zero (alpha = 0, rest, upwind kinks) stay zeros.
     """
 
     indptr: NDArrayI
     indices: NDArrayI
     coefficients: sp.csc_matrix   # (nnz, len(c) + nnz of the scalar block)
     scalar: sp.csc_matrix         # (nnz of the scalar block, len(s))
-
-
-def _component_copies(block: sp.csr_matrix, offset: int):
-    """For each velocity component d, the (rows, cols) arrays that place the
-    scalar block's entry (i, j) at (offset + 3 i + d, offset + 3 j + d)."""
-    rows = offset + 3 * np.repeat(np.arange(block.shape[0], dtype=np.int32),
-                                  np.diff(block.indptr))
-    cols = offset + 3 * block.indices
-    for d in range(3):
-        yield rows + d, cols + d
 
 
 @cached
@@ -433,12 +435,14 @@ def jacobian_map(mesh: Mesh) -> JacobianMap:
         (*upwind(ops.face_test, ops.own, ops.nbr), ne, 0, 3),   # C: momentum flux
         (ops.face_test, ops.normal, ne, ne, 3),             # D: momentum flux
     ]
-    block, scalar = _map(scalar_terms, (ni, ni))
-    copies = _component_copies(block, ne)
-    del block   # held by `copies` alone, and freed once `_map` has read them
-    pattern, coefficients = _map(terms, (n, n), copies)
-    return JacobianMap(indptr=pattern.indptr, indices=pattern.indices,
-                       coefficients=coefficients, scalar=scalar)
+    block_indptr, block_indices, scalar = _map(scalar_terms, (ni, ni), ())
+    del scalar_terms
+    # The scalar block's entry (i, j) lands at (ne + 3 i + d, ne + 3 j + d)
+    # for each component d: a generator, so that only `_map` holds each copy.
+    rows = ne + 3 * np.repeat(np.arange(ni, dtype=np.int32), np.diff(block_indptr))
+    copies = ([rows + d, ne + 3 * block_indices + d] for d in range(3))
+    indptr, indices, coefficients = _map(terms, (n, n), copies)
+    return JacobianMap(indptr=indptr, indices=indices, coefficients=coefficients, scalar=scalar)
 
 
 def jacobian(
@@ -447,11 +451,10 @@ def jacobian(
     """Exact Jacobian of `residual` in the packed unknown ordering.
 
     The flux derivatives are those of `fluxes`, whose docstring states the
-    convention at upwind kinks.  The values fill a pattern fixed per mesh
-    (`jacobian_map`); entries that come out exactly zero (at alpha = 0, at
-    rest, at upwind kinks) are dropped, so the stored pattern is a subset of
-    it that depends on the state.  Each call returns a new matrix that shares
-    no array with the cache.
+    convention at upwind kinks.  The values fill the pattern fixed per mesh
+    (`jacobian_map`), all of it: entries that come out exactly zero (at
+    alpha = 0, at rest, at upwind kinks) are stored as zeros.  Each call
+    returns a new matrix that shares no array with the cache.
     """
     jm = jacobian_map(mesh)
     dt = params.dt(mesh)
@@ -470,18 +473,18 @@ def jacobian(
 
     a = area[:, None]
 
-    def sides(own_side, nbr_side):
-        return np.stack([own_side, nbr_side], axis=1).ravel()
+    def sides(own_side, nbr_side):   # in turn per face, one velocity component after another
+        return np.stack([own_side, nbr_side], axis=1).reshape(2 * len(area), -1).T.ravel()
 
     c = np.concatenate([
         alpha * sides(area * (dup_own + hp), area * (dup_nbr - hp)),
         vol / dt,
         alpha * (area * dup_dflux),
-        ((vol / dt)[:, None] * uhat).ravel(),
+        ((vol / dt)[:, None] * uhat).T.ravel(),
         -alpha * pressure_derivative(rho, params),
         alpha * sides(a * (dup_own[:, None] * dupm_dup + dstab_djump),
                       a * (dup_nbr[:, None] * dupm_dup - dstab_djump)),
-        (alpha * (a * dup_dflux[:, None] * dupm_dup)).ravel(),
+        (alpha * (a * dup_dflux[:, None] * dupm_dup)).T.ravel(),
     ])
     s = np.concatenate([
         vol * (rho / dt), np.ones(len(int_f)),
@@ -489,9 +492,7 @@ def jacobian(
     ])
     data = jm.coefficients @ np.concatenate([c, jm.scalar @ s])
     n = len(jm.indptr) - 1
-    J = sp.csr_matrix((data, jm.indices.copy(), jm.indptr.copy()), shape=(n, n))
-    J.eliminate_zeros()
-    return J
+    return sp.csr_matrix((data, jm.indices.copy(), jm.indptr.copy()), shape=(n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -513,33 +514,25 @@ def interior_weighted_mass(mesh: Mesh, rho: NDArrayF) -> sp.csr_matrix:
 class Alpha0Map:
     """The alpha = 0 matrix's fixed pattern on a mesh, the scalar velocity
     block's mass and stiffness entries, and the map that fills it: its
-    values in CSR order are `values @ concatenate([|E| rho, [dt]])`."""
+    values in CSR order are `values @ concatenate([|E| rho, dt 1])`, 1 the
+    ones of the interior faces."""
 
     indptr: NDArrayI
     indices: NDArrayI
-    values: sp.csc_matrix   # (nnz, n_elems + 1)
+    values: sp.csc_matrix   # (nnz, n_elems + n interior faces)
 
 
 @cached
 def alpha0_map(mesh: Mesh) -> Alpha0Map:
     """`mesh`'s Alpha0Map, built on first use and cached."""
     ops = mesh_operators(mesh)
-    avg, K = ops.avg, ops.stiffness_int
-    ne, ni = avg.shape
-    # The pattern of the sum, from absolute values so that no entry cancels.
-    pattern = (abs(avg.T) @ abs(avg) + abs(K)).tocsr()
-    pattern.sort_indices()
-    keys = np.repeat(np.arange(ni, dtype=np.int64) * ni, np.diff(pattern.indptr)) + pattern.indices
+    ni = ops.avg.shape[1]
     # Mass entries are the paths face i -> element k -> face j, with
-    # coefficient k; stiffness entries take the last coefficient, dt.
-    i, k, j, w = _paths(avg.T, avg)
-    k_rows = np.repeat(np.arange(ni, dtype=np.int64), np.diff(K.indptr))
-    positions = np.searchsorted(keys, np.concatenate([i.astype(np.int64) * ni + j,
-                                                      k_rows * ni + K.indices]))
-    coefficients = np.concatenate([k, np.full(K.nnz, ne, dtype=k.dtype)])
-    values = sp.csc_matrix((np.concatenate([w, K.data]), (positions, coefficients)),
-                           shape=(keys.size, ne + 1))
-    return Alpha0Map(indptr=pattern.indptr, indices=pattern.indices, values=values)
+    # coefficient k; the stiffness entry (i, j) takes coefficient n_elems + j.
+    indptr, indices, values = _map([(ops.avg.T, ops.avg, 0, 0, 1),
+                                    (ops.stiffness_int, sp.identity(ni, format="csr"), 0, 0, 1)],
+                                   (ni, ni), ())
+    return Alpha0Map(indptr=indptr, indices=indices, values=values)
 
 
 def alpha0_matrix(mesh: Mesh, rho: NDArrayF, dt: float) -> sp.csr_matrix:
@@ -549,7 +542,7 @@ def alpha0_matrix(mesh: Mesh, rho: NDArrayF, dt: float) -> sp.csr_matrix:
     times its stiffness, and the averages of 1/4 scale exactly.  The matrix
     shares no array with the cache."""
     am = alpha0_map(mesh)
-    data = am.values @ np.append(mesh.elem_volume * rho, dt)
+    data = am.values @ np.concatenate([mesh.elem_volume * rho, np.full(len(am.indptr) - 1, dt)])
     n = len(am.indptr) - 1
     return sp.csr_matrix((data, am.indices.copy(), am.indptr.copy()), shape=(n, n))
 

@@ -29,7 +29,6 @@ KEPT_DEFAULTS = {
     ("spaces", "commuting_residual", "degree"),  # check uses the default degree
     ("spaces", "orthogonality_residual", "degree"),
     ("diagnostics", "energy_ledger", "prev"),    # run's step 0 has no previous state
-    ("scheme", "_map", "extra"),                 # one of its two callers has none
 }
 
 

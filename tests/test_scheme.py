@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from nsfemdg import io, oracles, scheme, spaces
+from nsfemdg import io, oracles, scheme, solver, spaces
 from nsfemdg.mesh import build_box_mesh, interior_sides
 from nsfemdg.spaces import apply_bc, element_average
 
@@ -347,7 +347,7 @@ def test_jacobian_matches_fd_on_several_cubes(mesh2, params, alpha):
 
 @pytest.mark.parametrize("build", [
     scheme.jacobian_map, interior_sides, scheme.mesh_operators,
-    spaces.p1_coefficients, io._vtk_geometry,
+    spaces.p1_coefficients, io._vtk_geometry, solver.density_order, solver.alpha0_order,
 ], ids=lambda build: build.__name__)
 def test_jacobian_map_is_built_once_per_mesh(params, build):
     """Every builder of mesh-derived data runs once per mesh object."""
@@ -379,6 +379,81 @@ def test_every_pattern_slot_is_filled_by_a_path(n):
     scalar = jm.scalar @ rng.uniform(1.0, 2.0, jm.scalar.shape[1])
     data = jm.coefficients @ np.concatenate([rng.uniform(1.0, 2.0, n_c), scalar])
     assert np.all(data != 0.0)
+
+
+def _term_products(mesh):
+    """The terms of `jacobian_map` as the comment above `scheme._map` lays
+    them out, written from the mesh's operators: the scalar block's (left,
+    right), and (left, right, row0, col0, width) for the rest, each list in
+    coefficient order."""
+    ops = scheme.mesh_operators(mesh)
+    ne, ni = ops.avg.shape
+    eye = sp.identity(ne, format="csr")
+    twice = np.repeat(np.arange(ni), 2)
+    sides = np.arange(2 * ni).reshape(2, ni).T.ravel()
+
+    def upwind(left, own, nbr):
+        return left[:, twice], sp.vstack([own, nbr]).tocsr()[sides]
+
+    scalar_terms = [(ops.avg.T, ops.avg), (ops.stiffness_int, sp.identity(ni)),
+                    upwind(ops.face_test, ops.own @ ops.avg, ops.nbr @ ops.avg)]
+    terms = [(*upwind(ops.jump_t, ops.own, ops.nbr), 0, 0, 1), (eye, eye, 0, 0, 1),
+             (ops.jump_t, ops.normal, 0, ne, 1), (ops.avg.T, eye, ne, 0, 3),
+             (ops.pressure, eye, ne, 0, 1), (*upwind(ops.face_test, ops.own, ops.nbr), ne, 0, 3),
+             (ops.face_test, ops.normal, ne, ne, 3)]
+    return scalar_terms, terms
+
+
+def _assemble(mesh, c, s, product):
+    """J from the terms of `_term_products` by scipy products: each term's
+    product(left, diag(its coefficients), right) placed at its rows and
+    columns, and the scalar block's sum at (ne + 3 i + d, ne + 3 j + d)."""
+    scalar_terms, terms = _term_products(mesh)
+    ne, ni = mesh.n_elems, len(mesh.interior_faces)
+    n = ne + 3 * ni
+
+    def place(rows, cols, shape):
+        return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape)
+
+    total, offset = sp.csr_matrix((n, n)), 0
+    for left, right, row0, col0, width in terms:
+        (m, k), j = left.shape, np.arange(right.shape[1])
+        cols = place(j, col0 + j, (j.size, n))
+        for d in range(width):
+            rows = place(row0 + width * np.arange(m) + d, np.arange(m), (n, m))
+            block = product(left, sp.diags(c[offset + d * k:offset + (d + 1) * k]), right)
+            total = total + rows @ block @ cols
+        offset += width * k
+    assert offset == c.size
+    scalar, offset = sp.csr_matrix((ni, ni)), 0
+    for left, right in scalar_terms:
+        scalar = scalar + product(left, sp.diags(s[offset:offset + left.shape[1]]), right)
+        offset += left.shape[1]
+    assert offset == s.size
+    copies = sp.bmat([[sp.csr_matrix((ne, ne)), None],
+                      [None, sp.kron(scalar, sp.identity(3))]], format="csr")
+    return (total + copies).tocsr()
+
+
+def test_jacobian_map_matches_scipy_products(mesh1, mesh2, shuffled3):
+    """For random coefficient vectors c and s, J filled from the map as
+    `jacobian` fills it has the pattern of the terms' products taken from
+    absolute values, and the values of their sum to 1e-14 relative."""
+    for mesh in (mesh1, mesh2, shuffled3):
+        jm = scheme.jacobian_map(mesh)
+        rng = np.random.default_rng(mesh.n_elems)
+        c = rng.standard_normal(jm.coefficients.shape[1] - jm.scalar.shape[0])
+        s = rng.standard_normal(jm.scalar.shape[1])
+        n = len(jm.indptr) - 1
+        J = sp.csr_matrix((jm.coefficients @ np.concatenate([c, jm.scalar @ s]), jm.indices,
+                           jm.indptr), shape=(n, n))
+        pattern = _assemble(mesh, np.ones_like(c), np.ones_like(s),
+                            lambda left, diag, right: abs(left) @ diag @ abs(right))
+        pattern.sort_indices()
+        assert np.array_equal(J.indptr, pattern.indptr)
+        assert np.array_equal(J.indices, pattern.indices)
+        expected = _assemble(mesh, c, s, lambda left, diag, right: left @ diag @ right)
+        assert abs(J - expected).max() <= 1e-14 * abs(expected).max()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -429,7 +504,7 @@ def test_density_block_holds_its_whole_pattern(mesh2, params, alpha):
     is at least |E| / dt and its off-diagonals are strictly negative.  So A
     always has the Jacobian map's pattern, and the solver reads it from
     J.data in the mesh's kept order.  (B, whose upwind derivative in the
-    flux is zero at rest, does lose its entries there.)"""
+    flux is zero at rest, stores zeros there.)"""
     ne = mesh2.n_elems
     jm = scheme.jacobian_map(mesh2)
     pattern = sp.csr_matrix((np.ones(jm.indices.size), jm.indices, jm.indptr))[:ne, :ne]
@@ -441,18 +516,25 @@ def test_density_block_holds_its_whole_pattern(mesh2, params, alpha):
         assert np.array_equal(A.indptr, pattern.indptr)
         assert np.array_equal(A.indices, pattern.indices)
         assert np.all(A.diagonal() >= mesh2.elem_volume / params.dt(mesh2))
-        assert np.all((A - sp.diags(A.diagonal())).data < 0.0)
+        rows = np.repeat(np.arange(ne), np.diff(A.indptr))
+        assert np.all(A.data[A.indices != rows] < 0.0)   # every stored off-diagonal
 
 
-def test_jacobian_is_canonical_without_stored_zeros(mesh2, params):
+def test_jacobian_is_canonical_on_the_maps_pattern(mesh2, params):
+    """At random states, at rest and at alpha = 0, J is canonical and stores
+    exactly the map's pattern, zeros included (many at rest and at
+    alpha = 0)."""
     rest = _rest(mesh2)
+    jm = scheme.jacobian_map(mesh2)
     for (prev, cur), alpha in ((random_pair(mesh2, params, seed=36), 1.0),
+                               (random_pair(mesh2, params, seed=38), 0.5),
                                ((rest, rest), 1.0), ((rest, rest), 0.0)):
         J = scheme.jacobian(prev, cur, params, mesh2, alpha=alpha)
         assert J.has_canonical_format
         row = np.repeat(np.arange(J.shape[0]), np.diff(J.indptr))
         assert np.all(np.diff(row * J.shape[1] + J.indices) > 0)   # sorted, no duplicates
-        assert np.all(J.data != 0.0)
+        assert np.array_equal(J.indptr, jm.indptr)
+        assert np.array_equal(J.indices, jm.indices)
 
 
 def test_changing_a_jacobian_leaves_the_next_one_unchanged(mesh2, params):
