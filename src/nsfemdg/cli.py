@@ -11,14 +11,17 @@ rejected, and so are keys the command does not read.  Exit codes: 0 success,
 1 configuration or usage error, 2 numerical failure (a failed invariant
 check, or a failed time step: the solver reports every way a step fails, its
 alpha = 0 solve included, as StepFailure, and a SolverError never leaves a
-step).
+step).  A run whose step k fails also writes ``failure_step_k.npz`` (k in
+four digits) to its outdir: the state that step starts from (``rho``, ``u``,
+``k``), the mesh (``n``, ``box``) and the `scheme.SchemeParams` fields, so
+that `solver.homotopy_newton_solve` repeats the failure.
 """
 from __future__ import annotations
 
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
@@ -258,12 +261,15 @@ def _spent(failure: solver.StepFailure) -> str:
 
 def cmd_run(cfg: RunConfig) -> int:
     args = _run_args(cfg, cfg.n)
-    mesh, n_steps = args[0], args[-1]
+    mesh, params, n_steps = args[0], args[1], args[-1]
     table = Path(cfg.outdir) / "diagnostics.csv"
+    latest = None   # the latest state, which the next step starts from
 
     def write(state, row):
         # Each row and snapshot reach disk before the next step is solved; the
         # directory is made once the initial data have projected.
+        nonlocal latest
+        latest = state
         if state.k == 0:
             write_table(_outdir(cfg) / table.name, tuple(row), [])
         append_rows(table, [row.values()])
@@ -275,6 +281,10 @@ def cmd_run(cfg: RunConfig) -> int:
         result = scheme.run(*args, write)
     except solver.StepFailure as exc:
         print(f"run failed at step {exc.step}: {exc}; {_spent(exc)}", file=sys.stderr)
+        snapshot = table.with_name(f"failure_step_{exc.step:04d}.npz")
+        np.savez(snapshot, rho=latest.rho, u=latest.u, k=latest.k, n=cfg.n, box=cfg.box,
+                 **asdict(params))
+        print(f"run: wrote {snapshot}")
         return 2
     first, last = result.rows[0], result.rows[-1]
     drift = abs(last["mass"] - first["mass"]) / abs(first["mass"])

@@ -69,7 +69,7 @@ def energy_ledger(state, params, mesh: Mesh, prev=None) -> EnergyLedger:
 
     int_f, own, nbr = interior_sides(mesh)
     _, up = scheme.interior_fluxes(state, mesh)
-    jump2 = np.sum((uhat[nbr] - uhat[own]) ** 2, axis=1)
+    jump2 = np.sum((np.take(uhat, nbr, axis=0) - np.take(uhat, own, axis=0)) ** 2, axis=1)
     d2 = float(0.5 * np.sum(mesh.face_area[int_f] * np.abs(up) * jump2))
 
     d5 = 0.0

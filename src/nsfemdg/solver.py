@@ -531,7 +531,7 @@ def alpha0_solve(prev, params, mesh: Mesh) -> tuple:
     # three velocity components; it is symmetric positive definite, so
     # BLOCK_LU's settings hold.
     uhat_prev = scheme.element_average(prev.u, mesh)
-    rhs = scheme.mesh_operators(mesh).avg.T @ ((mesh.elem_volume * rho_prev)[:, None] * uhat_prev)
+    rhs = scheme.mesh_operators(mesh).avg_t @ ((mesh.elem_volume * rho_prev)[:, None] * uhat_prev)
     A = scheme.alpha0_matrix(mesh, rho_prev, dt)
     try:
         lu = alpha0_order(mesh).factor(A.data)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import Mesh, NDArrayF, cached
 
@@ -204,13 +205,27 @@ def apply_bc(u: NDArrayF, mesh: Mesh) -> NDArrayF:
     return out
 
 
+@cached
+def element_incidence(mesh: Mesh) -> sp.csr_matrix:
+    """(n_elems, n_faces) matrix of ones whose row e holds the element's four
+    faces in `elem_faces` order, built on first use and cached."""
+    ef = mesh.elem_faces
+    return sp.csr_matrix((np.ones(ef.size), ef.ravel(), np.arange(0, ef.size + 1, 4)),
+                         shape=(mesh.n_elems, mesh.n_faces))
+
+
 def element_average(u: NDArrayF, mesh: Mesh) -> NDArrayF:
     """Elementwise mean velocity: the mean of the element's four face dofs.
 
     For a piecewise-linear field the mean over the element equals its value at
-    the barycenter, which is the average of the four face centroids.
+    the barycenter, which is the average of the four face centroids.  Each
+    row of `element_incidence` sums its four dofs in `elem_faces` order with
+    unit weights, and the sum is scaled by 1/4 once, so the result is
+    bitwise `u[mesh.elem_faces].mean(axis=1)`, subnormal values included
+    (weights of 1/4 would round each term there); a sum of four -0.0 comes
+    out +0.0.
     """
-    return u[mesh.elem_faces].mean(axis=1)
+    return (element_incidence(mesh) @ u) * 0.25
 
 
 def normal_flux(u: NDArrayF, mesh: Mesh) -> NDArrayF:
@@ -249,7 +264,7 @@ def basis_gradients(mesh: Mesh) -> NDArrayF:
 
 def broken_gradient(u: NDArrayF, mesh: Mesh) -> NDArrayF:
     """(n_elems, 3, 3) with G[e, i, j] = d u_i / d x_j, constant per element."""
-    return np.matmul(basis_gradients(mesh), u[mesh.elem_faces]).transpose(0, 2, 1)
+    return np.matmul(basis_gradients(mesh), np.take(u, mesh.elem_faces, axis=0)).transpose(0, 2, 1)
 
 
 def broken_divergence(u: NDArrayF, mesh: Mesh) -> NDArrayF:

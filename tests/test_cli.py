@@ -8,7 +8,7 @@ import subprocess
 import sys
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -259,9 +259,10 @@ def test_run_failing_midway_keeps_its_completed_steps(tmp_path, monkeypatch, cap
     assert capsys.readouterr().err == ("run failed at step 3: injected; 7 Krylov iterations, "
                                        "0 preconditioner factorizations\n")
     names = ["diagnostics.csv", "state_0000.vtk", "state_0002.vtk"]
-    assert sorted(p.name for p in cut.iterdir()) == names
+    assert sorted(p.name for p in cut.iterdir()) == sorted([*names, "failure_step_0003.npz"])
     for name in names:
         assert (cut / name).read_bytes() == (whole / name).read_bytes(), name
+    assert int(np.load(cut / "failure_step_0003.npz")["k"]) == 2
 
 
 @pytest.mark.parametrize("command", ["run", "rates"])
@@ -447,6 +448,48 @@ def test_failed_step_reports_its_linear_work(tmp_path, monkeypatch, capsys):
     assert err.endswith(f"; {sum(krylov)} Krylov iterations, "
                         f"{len(krylov)} preconditioner factorizations\n")
     assert sum(krylov) > 0
+
+
+def test_failure_snapshot_repeats_the_failed_step(tmp_path, monkeypatch, capsys):
+    """The n=2 bump at rho_bar 1e3 fails step 1, and the run writes the
+    state it started from, the mesh and the parameters to
+    failure_step_0001.npz.  From that file alone, `homotopy_newton_solve`
+    fails the same way: alpha = 1/64, the same message, and the same counts,
+    Newton and Krylov iterations and factorizations included."""
+    failures = []
+    solve = solver.homotopy_newton_solve
+
+    def recorded(*args):
+        try:
+            return solve(*args)
+        except solver.StepFailure as exc:
+            failures.append(exc)
+            raise
+
+    monkeypatch.setattr(solver, "homotopy_newton_solve", recorded)
+    outdir = tmp_path / "out"
+    rc = cli.main(["run", "--preset", "bump", "--n", "2", "--steps", "2", "--rho_bar", "1e3",
+                   "--outdir", str(outdir)])
+    assert rc == 2
+    snapshot = outdir / "failure_step_0001.npz"
+    assert capsys.readouterr().out == f"run: wrote {snapshot}\n"
+    monkeypatch.undo()
+
+    data = np.load(snapshot)
+    params = scheme.SchemeParams(**{f.name: data[f.name].item()
+                                    for f in fields(scheme.SchemeParams)})
+    assert params == parse_config(None, [("rho_bar", "1e3")]).params()
+    box = data["box"]
+    prev = scheme.State(rho=data["rho"], u=data["u"], k=int(data["k"]))
+    assert prev.k == 0
+    with pytest.raises(solver.StepFailure) as again:
+        solver.homotopy_newton_solve(prev, params, cli.build_box_mesh(int(data["n"]), box[:3],
+                                                                      box[3:]))
+    (first,) = failures
+    assert again.value.alpha == first.alpha == 1.0 / 64
+    assert (again.value.step, str(again.value)) == (first.step, str(first))
+    assert vars(again.value.diagnostics) == vars(first.diagnostics)
+    assert first.diagnostics.newton_iters > 0 and first.diagnostics.krylov_iters > 0
 
 
 def test_dense_bump_runs_without_rescue_flags(tmp_path):

@@ -348,6 +348,7 @@ def test_jacobian_matches_fd_on_several_cubes(mesh2, params, alpha):
 @pytest.mark.parametrize("build", [
     scheme.jacobian_map, interior_sides, scheme.mesh_operators,
     spaces.p1_coefficients, io._vtk_geometry, solver.density_order, solver.alpha0_order,
+    spaces.element_incidence,
 ], ids=lambda build: build.__name__)
 def test_jacobian_map_is_built_once_per_mesh(params, build):
     """Every builder of mesh-derived data runs once per mesh object."""
@@ -547,6 +548,19 @@ def test_changing_a_jacobian_leaves_the_next_one_unchanged(mesh2, params):
     assert np.array_equal(again.indptr, expected.indptr)
     assert np.array_equal(again.indices, expected.indices)
     assert np.array_equal(again.data, expected.data)
+
+
+def test_avg_t_is_avg_transposed(mesh2, shuffled3):
+    """`avg_t` stores exactly the entries of avg.T, and its products are
+    bitwise avg.T's: both sum each face's elements in element order."""
+    for mesh in (mesh2, shuffled3):
+        ops = scheme.mesh_operators(mesh)
+        stored, expected = ops.avg_t.tocoo(), ops.avg.T.tocoo()
+        assert stored.shape == expected.shape
+        assert sorted(zip(stored.row, stored.col, stored.data)) == sorted(
+            zip(expected.row, expected.col, expected.data))
+        x = np.random.default_rng(mesh.n_elems).standard_normal((mesh.n_elems, 3))
+        assert np.array_equal((ops.avg_t @ x).view(np.int64), (ops.avg.T @ x).view(np.int64))
 
 
 def test_interior_stiffness_spd(mesh1):

@@ -213,6 +213,18 @@ def test_element_average_is_barycenter_value(mesh2):
     assert np.allclose(avg, field(mesh2.elem_centroid), atol=1e-13)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-310])
+def test_element_average_is_bitwise_the_mean(mesh2, shuffled3, scale):
+    """The incidence product sums each element's four dofs in `elem_faces`
+    order with unit weights and scales once by 1/4, so it is bitwise the
+    mean of the gathered dofs, also at subnormal scale, where weights of 1/4
+    inside the sum would round each term."""
+    for mesh in (mesh2, shuffled3):
+        u = scale * np.random.default_rng(mesh.n_elems).standard_normal((mesh.n_faces, 3))
+        expected = u[mesh.elem_faces].mean(axis=1)
+        assert np.array_equal(element_average(u, mesh).view(np.int64), expected.view(np.int64))
+
+
 def test_apply_bc_zeros_only_boundary(mesh2):
     rng = np.random.default_rng(0)
     u = rng.standard_normal((mesh2.n_faces, 3))
