@@ -468,6 +468,19 @@ def jacobian(
     index arrays are copies, since scipy edits them in place (as
     `eliminate_zeros` does).  The coefficient vectors are written straight
     into their blocks of the one vector the map reads.
+
+    J also carries `J.acoustic`, the (ni, 2) face terms h of its pressure
+    coupling, which the solver's preconditioner keeps.  With
+    B = alpha jump^T diag(|f| rho_up) normal, rho_up the upwind flux's
+    derivative in the normal flux, and C_p = -alpha pressure diag(p'(rho))
+    the pressure part of C, and since normal @ pressure is |f| in a face's
+    owner column and -|f| in its neighbor's, for any face weights q
+
+        -B (diag(q) (x) I) C_p = jump^T diag(q) (diag(h_own) own + diag(h_nbr) nbr),
+
+    own and nbr the face-to-element selections of `mesh_operators`, and
+    h = alpha^2 |f|^2 rho_up (p'(rho_own), -p'(rho_nbr)): the two-sided
+    face stencil of the upwind term of A.
     """
     jm = jacobian_map(mesh)
     dt = params.dt(mesh)
@@ -513,7 +526,11 @@ def jacobian(
     values[-jm.scalar.shape[0]:] = jm.scalar @ s
     data = jm.coefficients @ values
     n = len(jm.indptr) - 1
-    return sp.csr_matrix((data, jm.indices.copy(), jm.indptr.copy()), shape=(n, n))
+    J = sp.csr_matrix((data, jm.indices.copy(), jm.indptr.copy()), shape=(n, n))
+    # B's and C_p's coefficients make the pressure coupling's face terms.
+    ab = area * b
+    J.acoustic = np.stack([-ab * np.take(c_p, own), ab * np.take(c_p, nbr)], axis=1)
+    return J
 
 
 # ---------------------------------------------------------------------------

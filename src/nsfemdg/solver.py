@@ -21,8 +21,9 @@ target.  The continuity rows' face terms telescope (1^T jump_t = 0), so
 their sum is (sum |E| rho - sum |E| rho_prev) / dt at every alpha, and every
 Newton matrix has 1^T A = |E|^T / dt and 1^T B = 0.  So the functional
 m(v) = |E|^T v_rho / dt is invariant under M^-1 J, M the preconditioner
-below: w = (M^-1 J v)_rho solves A w = A v_rho + B v_u, so
-|E|^T w = |E|^T v_rho.  A GMRES iterate x from x0 = 0 has the
+below: w = (M^-1 J v)_rho solves S w = A v_rho + B v_u, and S's columns
+sum as A's do (1^T S = 1^T A, see below), so |E|^T w = |E|^T v_rho.  A
+GMRES iterate x from x0 = 0 has the
 preconditioned residual q(M^-1 J) M^-1 b, q its residual polynomial with
 q(0) = 1, so its residual e = b - J x has
 1^T e_rho = m(M^-1 e) = q(1) 1^T b_rho, and each restarted cycle multiplies
@@ -44,12 +45,27 @@ see is oversolved (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
 1982; Knoll & Keyes, J. Comput. Phys. 193, 2004, section 2.3).  GMRES stops
 at the relative tolerance max(KRYLOV_RTOL, target / |b|_inf).  GMRES is
 left-preconditioned by the block lower triangle
-[[A, 0], [C, (dt L0^-1) (x) I]] (Knoll & Keyes, J. Comput. Phys. 193, 2004,
-section 3): the density block A factored exactly by SuperLU, the coupling C
-of the current matrix, and for each velocity component the step's own
-alpha = 0 factor L0 of M_rho_prev + dt K, so one velocity factorization
-serves the whole step; B is ignored.  At alpha = 0 and rho = rho_prev, B = 0
-and D = (M_rho_prev / dt + K) (x) I, so there the preconditioner is J^-1.
+[[S, 0], [C, (dt L0^-1) (x) I]] (Knoll & Keyes, J. Comput. Phys. 193, 2004,
+section 3): for each velocity component the step's own alpha = 0 factor L0
+of M_rho_prev + dt K, so one velocity factorization serves the whole step,
+the coupling C of the current matrix, and a density block S factored
+exactly by SuperLU.  S keeps the acoustic coupling that the triangle drops
+with B, the implicit pressure wave, as SIMPLE does (Patankar & Spalding,
+Int. J. Heat Mass Transfer 15, 1972): S = A - B Q C_p, the density Schur
+complement of J with its velocity block D ~ (L0 / dt) (x) I replaced by
+the inverse Q = diag(q) (x) I of its diagonal, damped by the weight
+w = SCHUR_WEIGHT, q = w dt / diag(L0), and C by its pressure part
+C_p = -alpha pressure diag(p'(rho)).  Since normal @ pressure is |f| in a
+face's owner column and -|f| in its neighbor's,
+
+    S = A + alpha^2 jump^T diag(|f|^2 rho_up q) (p'(rho_own) own - p'(rho_nbr) nbr),
+
+rho_up the upwind flux's derivative in the normal flux (0 at a kink): the
+two-sided face stencil of A's own upwind term, so S has A's pattern, its
+kept order and its fill, and 1^T jump^T = 0 gives 1^T S = 1^T A.  The full C
+in place of C_p makes 3.2x A's fill.  At alpha = 0 and at rest S = A; at
+alpha = 0 and rho = rho_prev, B = 0 and D = (M_rho_prev / dt + K) (x) I, so
+there the preconditioner is J^-1.
 The GMRES kernel is this module's own (`_gmres`):
 each Arnoldi step orthogonalizes against the whole basis with two classical
 Gram-Schmidt passes, two matrix-vector products each, which keep the basis
@@ -59,8 +75,8 @@ A cycle that reaches the tolerance with an iterate that fails the residual
 acceptance check is followed by one whose tolerance, stripped of the target
 loosening, is tightened by the factor the residual misses the bound by; a
 cycle that runs out of its 100 iterations is restarted, for at most 10
-cycles.  A moves with the velocity at every Newton iterate, so every Newton
-matrix factors its own A (`block_preconditioner`), and no density factor
+cycles.  S moves with the velocity at every Newton iterate, so every Newton
+matrix factors its own S (`block_preconditioner`), and no density factor
 outlives its solve.  L0 does not depend on alpha and serves every node of
 the step, which drops it when it returns or fails.  The patterns of A and of
 the alpha = 0 system depend only on the mesh, and so does their
@@ -75,9 +91,11 @@ depend on whether its mesh has been used before.
 There is no direct solve of J: a zero pivot in A, a Krylov quantity that
 overflows, or a solve that fails the acceptance check, raises SolverError,
 and the Newton node fails, so that the continuation halves d_alpha.  GMRES
-needs J only through products and its blocks A and C.  Every J stores the
-mesh's whole pattern, zeros included, so A and C are read from J.data at
-positions fixed per mesh (`DensityOrder`).
+needs J only through products, its blocks A and C and the face terms of
+S that J carries (`scheme.jacobian`).  Every J stores the mesh's whole
+pattern, zeros included, so A and C are read from J.data at positions
+fixed per mesh, and S's face terms are added at A's entries of each face's
+stencil (`DensityOrder`).
 
 A SolverError never leaves a step: `homotopy_newton_solve` decides that a
 step has failed, when its alpha = 0 solve fails or its continuation gives
@@ -96,7 +114,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import scheme
-from .mesh import Mesh, NDArrayF, NDArrayI, cached
+from .mesh import Mesh, NDArrayF, NDArrayI, cached, interior_sides
 
 
 class SolverError(RuntimeError):
@@ -245,6 +263,19 @@ BLOCK_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1, pane
                 options=dict(SymmetricMode=True))
 KEPT_LU = dict(BLOCK_LU, permc_spec="NATURAL")
 
+# The weight w of the density block's face weights
+# q = w dt / diag(M_rho_prev + dt K) (module docstring).  The benchmark's
+# stepping workloads keep their Newton totals at seeds 0-3 for w in
+# 0.25-0.7 (at 0.4, every step's counts), and
+# stress_bump_n4's Krylov total falls with w (seed 2: 697 with A alone, 554
+# at w = 0.25, 532 at 0.35, 518 at 0.4, 500 at 0.5, 474 at 0.7), while the
+# bump Cauchy pair's rises (seeds 0-3: +1 at 0.25, up to +3 from 0.4).  Of
+# ROADMAP item 8's hard cases, bump n=2 x2 at rho_bar 100 takes 6 Newton
+# iterations, as with A alone, for w in 0.25-0.42 and 9 for w in 0.43-0.54
+# and 0.6-0.7 (at 0.55 only 6, and 9 at 0.55 +- 1e-10).  0.4 is within the
+# band that keeps it, and there w +- 1e-10 keeps it too.
+SCHUR_WEIGHT = 0.4
+
 
 class _Reordered:
     """The SuperLU factor `lu` of P A P^T, with (P A P^T)[i, j] =
@@ -291,20 +322,34 @@ class KeptOrder:
         return (csc.data[at], self.perm[csc.indices[at]].astype(np.int32),
                 indptr.astype(np.int32))
 
+    def _layout_positions(self) -> NDArrayI:
+        """Where each entry of the permuted layout takes its value from,
+        laid out on first use."""
+        if self._layout is None:
+            self._layout = self._lay_out()
+        return self._layout[0]
+
     def factor(self, values: NDArrayF):
         """The factor of the matrix with `values`; raises RuntimeError at a
         zero pivot."""
-        n = self.n
         if self.perm is None:
-            matrix = sp.csr_matrix((values, self.indices, self.indptr), shape=(n, n))
-            lu = spla.splu(matrix.tocsc(), **BLOCK_LU)
-            self.perm = lu.perm_c.copy()   # lu.perm_c is a view that keeps the whole factor alive
-            self.order = np.argsort(self.perm)
-            return lu
-        if self._layout is None:
-            self._layout = self._lay_out()
-        positions, indices, indptr = self._layout
-        matrix = sp.csc_matrix((values[positions], indices, indptr), shape=(n, n))
+            return self._factor_first(values)
+        return self._factor_kept(values[self._layout_positions()])
+
+    def _factor_first(self, values: NDArrayF):
+        """BLOCK_LU's factor of the matrix with `values` in CSR order, whose
+        order is kept."""
+        n = self.n
+        matrix = sp.csr_matrix((values, self.indices, self.indptr), shape=(n, n))
+        lu = spla.splu(matrix.tocsc(), **BLOCK_LU)
+        self.perm = lu.perm_c.copy()   # lu.perm_c is a view that keeps the whole factor alive
+        self.order = np.argsort(self.perm)
+        return lu
+
+    def _factor_kept(self, values: NDArrayF) -> _Reordered:
+        """The factor of the matrix with `values` in the permuted layout."""
+        _, indices, indptr = self._layout
+        matrix = sp.csc_matrix((values, indices, indptr), shape=(self.n, self.n))
         # Its rows are unique but unsorted: flagged canonical, `splu` hands
         # them to SuperLU in this order instead of sorting them.
         matrix.has_canonical_format = True
@@ -314,20 +359,49 @@ class KeptOrder:
 class DensityOrder(KeptOrder):
     """The kept order of the density block A = J[:n, :n] of the Newton
     matrices J that store the whole canonical CSR pattern (indptr, indices),
-    zeros included, as `scheme.jacobian` does.  Density columns lead every
-    row, so A's entries sit at `positions` in J.data, and those of the
-    coupling block C = J[n:, :n] lead the other rows."""
+    zeros included, as `scheme.jacobian` does, and of the preconditioner's
+    density block S = A + jump^T diag(q) (diag(h_own) own + diag(h_nbr) nbr)
+    on A's pattern, h = J.acoustic (`scheme.jacobian`), for the faces with
+    owner and neighbor elements `own` and `nbr` (`block_preconditioner`).
+    Density columns lead every row, so A's
+    entries sit at `positions` in J.data, and those of the coupling block
+    C = J[n:, :n] lead the other rows.  The permuted layout reads J.data
+    itself, its positions composed with `positions` once per mesh, and the
+    face terms are added at `stencil`, A's entries (own, own), (own, nbr),
+    (nbr, own) and (nbr, nbr) of each face, in CSR order until the layout
+    is made and in the layout's order from then on."""
 
-    def __init__(self, indptr: NDArrayI, indices: NDArrayI, n: int):
+    def __init__(self, indptr: NDArrayI, indices: NDArrayI, n: int,
+                 own: NDArrayI, nbr: NDArrayI):
         # The pointer of the density columns over every row of J.
         columns = np.searchsorted(np.flatnonzero(indices < n), indptr).astype(np.int32)
         self.positions = np.flatnonzero(indices[:indptr[n]] < n).astype(np.int32)
         super().__init__(columns[:n + 1], indices[self.positions])
         self.coupling_indptr = columns[n:] - columns[n]
+        # A's CSR entries are sorted by their keys row n + column.
+        keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr)) * n + self.indices
+        sides = np.stack([own, nbr], axis=1).astype(np.int64)
+        self.stencil = np.searchsorted(keys, (sides.T[:, :, None] * n + sides).ravel())
 
-    def factor_block(self, J: sp.csr_matrix):
-        """The factor of J's density block A; raises RuntimeError at a zero pivot."""
-        return self.factor(J.data[self.positions])
+    def _lay_out(self):
+        """The permuted layout, its positions those of J.data; moves the
+        stencil into the layout's order."""
+        positions, indices, indptr = super()._lay_out()
+        at = np.empty_like(positions)
+        at[positions] = np.arange(positions.size)
+        self.stencil = at[self.stencil]
+        return self.positions[positions], indices, indptr
+
+    def factor_block(self, J: sp.csr_matrix, q: NDArrayF):
+        """The factor of the density block S of J with face weights `q`;
+        raises RuntimeError at a zero pivot."""
+        first = self.perm is None
+        values = J.data[self.positions if first else self._layout_positions()]
+        terms = np.empty((2, len(q), 2))
+        np.multiply(q[:, None], J.acoustic, out=terms[0])
+        np.negative(terms[0], out=terms[1])
+        values += np.bincount(self.stencil, terms.ravel(), minlength=values.size)
+        return self._factor_first(values) if first else self._factor_kept(values)
 
     def coupling_block(self, J: sp.csr_matrix) -> sp.csr_matrix:
         """J's coupling block C without its stored zeros, which are 85-87%
@@ -358,7 +432,8 @@ def density_order(mesh: Mesh) -> DensityOrder:
     that factor left heap holes the factor filled, and one n=16 bump step
     peaked 100 MB higher."""
     jm = scheme.jacobian_map(mesh)
-    return DensityOrder(jm.indptr, jm.indices, mesh.n_elems)
+    _, own, nbr = interior_sides(mesh)
+    return DensityOrder(jm.indptr, jm.indices, mesh.n_elems, own, nbr)
 
 
 def _residual_bound(b: NDArrayF) -> float:
@@ -380,14 +455,17 @@ def _rejection(x: NDArrayF, r: NDArrayF, b: NDArrayF) -> str | None:
 def block_preconditioner(J: sp.csr_matrix, density: DensityOrder, lu_u,
                          dt: float) -> Callable[[NDArrayF], NDArrayF]:
     """The preconditioner of the Newton matrix J = [[A, B], [C, D]] with
-    `density.n` density rows: the map r -> z that solves A z_rho = r_rho, A
-    factored exactly here in the kept order `density`, then
+    `density.n` density rows: the map r -> z that solves S z_rho = r_rho,
+    S = A - B (diag(q) (x) I) C_p the pressure Schur block, factored exactly
+    here in the kept order `density`, then
     (M_rho_prev / dt + K) z_d = (r_u - C z_rho)_d for each velocity
     component d, `lu_u` being the step's factor of M_rho_prev + dt K from
-    `alpha0_solve` and `dt` the time step.  Raises RuntimeError at a zero
-    pivot in A."""
+    `alpha0_solve` and `dt` the time step.  q = SCHUR_WEIGHT dt /
+    diag(M_rho_prev + dt K), and S is A plus J's face terms `J.acoustic`
+    weighted by q (`scheme.jacobian`).  Raises RuntimeError at a zero pivot
+    in S."""
     ne = density.n
-    lu_rho = density.factor_block(J)
+    lu_rho = density.factor_block(J, SCHUR_WEIGHT * dt / lu_u.diagonal)
     C = density.coupling_block(J)
 
     def precondition(r):
@@ -516,9 +594,18 @@ def linear_solve(J: sp.csr_matrix, b: NDArrayF, density: DensityOrder, stats: St
     return x
 
 
+class Alpha0Factor:
+    """The step's factor `lu` of the alpha = 0 matrix M_rho_prev + dt K,
+    which solves with it, and the matrix's `diagonal`."""
+
+    def __init__(self, lu, diagonal: NDArrayF):
+        self.lu, self.diagonal = lu, diagonal
+        self.solve = lu.solve
+
+
 def alpha0_solve(prev, params, mesh: Mesh) -> tuple:
     """Exact solution of the alpha = 0 system, packed as `scheme.pack` packs
-    a state, and the factor of its momentum matrix.
+    a state, and the Alpha0Factor of its momentum matrix.
 
     The continuity block forces rho = rho_prev; the momentum block is
     (M_rho + dt K) u = M_rho-data with M_rho the rho-weighted mean-velocity
@@ -542,7 +629,7 @@ def alpha0_solve(prev, params, mesh: Mesh) -> tuple:
     if reason is not None:
         raise SolverError(reason)
 
-    return np.concatenate([rho_prev, u.ravel()]), lu
+    return np.concatenate([rho_prev, u.ravel()]), Alpha0Factor(lu, A.diagonal())
 
 
 def homotopy_newton_solve(prev, params, mesh: Mesh) -> tuple["scheme.State", StepDiagnostics]:

@@ -7,6 +7,11 @@ from nsfemdg import scheme
 from nsfemdg.mesh import _mesh_from_tets, build_box_mesh
 
 
+def pytest_addoption(parser):
+    parser.addoption("--hard-cases", action="store_true",
+                     help="run ROADMAP item 8's hard cases (tests/test_hard_cases.py)")
+
+
 @pytest.fixture(scope="module")
 def mesh1():
     return build_box_mesh(1)

@@ -208,6 +208,20 @@ def test_run_writes_outputs_and_summary(tmp_path, capsys):
     assert len(lines) == 5  # header + initial state + 3 steps
 
 
+@pytest.mark.parametrize("flag,value,krylov_bound", [("--rho_bar", "10", 45), ("--a", "1e6", 300)])
+def test_acoustic_coupling_is_preconditioned(flag, value, krylov_bound, tmp_path, capsys):
+    """Bump n=2 x2 at acoustic Courant numbers of ~17 and ~900: the
+    pressure Schur density block keeps the 6 Newton iterations and needs 36
+    and 227 Krylov iterations, where the density block A alone needed 80
+    and 477."""
+    rc = cli.main(["run", "--preset", "bump", "--n", "2", "--steps", "2", flag, value,
+                   "--outdir", str(tmp_path)])
+    assert rc == 0
+    newton, krylov = map(int, re.search(r"^run: (\d+) Newton iterations, .* (\d+) Krylov "
+                                        r"iterations", capsys.readouterr().out, re.M).groups())
+    assert newton == 6 and krylov <= krylov_bound
+
+
 def test_run_cadence_thins_snapshots(tmp_path):
     outdir = tmp_path / "out"
     rc = cli.main(["run", "--preset", "bump", "--n", "1", "--steps", "4",

@@ -61,6 +61,13 @@ def test_newton_solve_matches_direct(mesh2, params):
     assert 0 < stats.krylov_iters <= 12
 
 
+def faceless(J):
+    """J as a Newton matrix without faces, so without pressure-coupling
+    face terms: its preconditioner's density block is A."""
+    J.acoustic = np.empty((0, 2))
+    return J
+
+
 def newton_layout(b_scale):
     """A Newton-layout system whose upper-right block B, which the
     preconditioner ignores, is scaled by `b_scale`."""
@@ -71,16 +78,20 @@ def newton_layout(b_scale):
     C = sp.random(3 * ni, ne, density=0.2, random_state=rng)
     S = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(ni, ni))
     J = sp.bmat([[A, B], [C, sp.kron(S, sp.identity(3))]], format="csr")
-    return J, rng.standard_normal(ne + 3 * ni), ne
+    return faceless(J), rng.standard_normal(ne + 3 * ni), ne
 
 
 def layout_step(J, ne):
     """A density order on J's pattern and the exact factor of J's first
-    velocity-component block, at dt = 1: for a Newton-layout matrix, the
-    parts of the preconditioner that a mesh's density order and a step's
-    alpha = 0 factor and time step play."""
-    return dict(density=solver.DensityOrder(J.indptr, J.indices, ne),
-                lu_u=spla.splu(sp.csc_matrix(J[ne::3, ne::3]), **solver.BLOCK_LU), dt=1.0)
+    velocity-component block, at dt = 1, without faces, so with no face
+    weights: for a faceless Newton-layout matrix, the parts of the
+    preconditioner that a mesh's density order and a step's alpha = 0
+    factor and time step play."""
+    block = sp.csc_matrix(J[ne::3, ne::3])
+    no_faces = np.empty(0, dtype=int)
+    return dict(density=solver.DensityOrder(J.indptr, J.indices, ne, no_faces, no_faces),
+                lu_u=solver.Alpha0Factor(spla.splu(block, **solver.BLOCK_LU), np.empty(0)),
+                dt=1.0)
 
 
 def test_newton_solve_restarts_a_cycle_short_of_the_bound():
@@ -221,10 +232,10 @@ def test_overflowing_krylov_quantity_fails_the_solve():
     J v: the solve ends within its first cycle with the non-finite reason,
     as a SolverError, and numpy warns of nothing."""
     big = np.finfo(float).max
-    J = sp.csr_matrix(np.array([[1.0, big, big, big],
-                                [0.0, 1.0, 0.0, 0.0],
-                                [0.0, 0.0, 1.0, 0.0],
-                                [0.0, 0.0, 0.0, 1.0]]))
+    J = faceless(sp.csr_matrix(np.array([[1.0, big, big, big],
+                                         [0.0, 1.0, 0.0, 0.0],
+                                         [0.0, 0.0, 1.0, 0.0],
+                                         [0.0, 0.0, 0.0, 1.0]])))
     stats = solver.StepDiagnostics()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -475,10 +486,42 @@ def _fill(lu):
     return lu.L.nnz + lu.U.nnz
 
 
-def _assert_kept_orders_keep_the_fill(mesh, params):
-    """On `mesh`, the second alpha = 0 matrix and the second density block
-    are factored in the kept order, with the fill of BLOCK_LU's own
-    minimum-degree factor of the same matrix, and solve bitwise as it does."""
+def moving_guess(mesh, params, prev, rng):
+    """The alpha = 0 iterate of the step from `prev` with its densities
+    perturbed by up to 10% and a random velocity of up to 0.3 per component
+    in its place, so that every face has a normal flux."""
+    x0, lu_u = solver.alpha0_solve(prev, params, mesh)
+    guess = scheme.unpack(x0, mesh, prev.k + 1)
+    guess.rho = guess.rho * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, mesh.n_elems))
+    guess.u = apply_bc(rng.uniform(-0.3, 0.3, guess.u.shape), mesh)
+    return guess, lu_u
+
+
+def factored_block(J, density, lu_u, dt, monkeypatch):
+    """The factor of J's preconditioner density block and the matrix that
+    SuperLU factored, in the density unknowns' own order, as CSR."""
+    factored, splu = [], spla.splu
+
+    def recorded(matrix, **kwargs):
+        factored.append((matrix.data.copy(), matrix.indices.copy(), matrix.indptr.copy(),
+                         kwargs["permc_spec"]))
+        return splu(matrix, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(spla, "splu", recorded)
+        lu = density.factor_block(J, solver.SCHUR_WEIGHT * dt / lu_u.diagonal)
+    [(data, indices, indptr, spec)] = factored
+    coo = sp.csc_matrix((data, indices, indptr), shape=(density.n, density.n)).tocoo()
+    # In the kept order entry (i, j) is the block's (order[i], order[j]).
+    order = density.order if spec == "NATURAL" else np.arange(density.n)
+    return lu, sp.csr_matrix((coo.data, (order[coo.row], order[coo.col])), shape=coo.shape)
+
+
+def _assert_kept_orders_keep_the_fill(mesh, params, monkeypatch):
+    """On `mesh`, the second alpha = 0 matrix and the second pressure Schur
+    density block are factored in the kept order, with the fill of BLOCK_LU's
+    own minimum-degree factor of the same matrix, and solve bitwise as it
+    does; the Schur block stores A's pattern and its factor has A's fill."""
     prev = bump_state(mesh, params)
     dt, ne = params.dt(mesh), mesh.n_elems
     density = solver.density_order(mesh)
@@ -486,27 +529,85 @@ def _assert_kept_orders_keep_the_fill(mesh, params):
     b = rng.standard_normal((len(mesh.interior_faces), 3))
     for scale in (1.0, 1.3):
         later = scheme.State(scale * prev.rho, prev.u, k=0)
-        x0, lu_u = solver.alpha0_solve(later, params, mesh)
-        guess = scheme.unpack(x0, mesh, 1)
-        guess.rho = guess.rho * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, ne))
+        guess, lu_u = moving_guess(mesh, params, later, rng)
         J = scheme.jacobian(later, guess, params, mesh, alpha=1.0)
-        lu_rho = density.factor_block(J)
+        assert np.abs(J.acoustic).min(axis=1).max() > 0.0
+        lu_rho, S = factored_block(J, density, lu_u, dt, monkeypatch)
     L0 = scheme.interior_weighted_mass(mesh, later.rho) + dt * scheme.interior_stiffness(mesh)
-    A = J[:ne, :ne]
-    for kept, matrix, rhs in ((lu_u, L0, b), (lu_rho, A, b.ravel()[:ne])):
+    A = sp.csr_matrix(J[:ne, :ne])
+    assert np.array_equal(S.indptr, A.indptr) and np.array_equal(S.indices, A.indices)
+    for kept, matrix, rhs in ((lu_u.lu, L0, b), (lu_rho, S, b.ravel()[:ne])):
         assert isinstance(kept, solver._Reordered)
         mmd = spla.splu(sp.csc_matrix(matrix), **solver.BLOCK_LU)
         assert _fill(kept.lu) == _fill(mmd)
         assert np.array_equal(kept.solve(rhs), mmd.solve(rhs))
+    assert _fill(lu_rho.lu) == _fill(spla.splu(sp.csc_matrix(A), **solver.BLOCK_LU))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_kept_orders_keep_the_fill(n, params):
-    _assert_kept_orders_keep_the_fill(build_box_mesh(n), params)
+def test_kept_orders_keep_the_fill(n, params, monkeypatch):
+    _assert_kept_orders_keep_the_fill(build_box_mesh(n), params, monkeypatch)
 
 
-def test_kept_orders_keep_the_fill_on_a_renumbered_mesh(shuffled3, params):
-    _assert_kept_orders_keep_the_fill(shuffled3, params)
+def test_kept_orders_keep_the_fill_on_a_renumbered_mesh(shuffled3, params, monkeypatch):
+    _assert_kept_orders_keep_the_fill(shuffled3, params, monkeypatch)
+
+
+def _assert_density_block_is_the_pressure_schur_complement(mesh, params, monkeypatch):
+    """At two random moving states and alpha = 1 and 1/2 the
+    preconditioner's density block is A - B (diag(q) (x) I) C_p,
+    C_p = -alpha pressure diag(p'(rho)) the pressure part of C and
+    q = SCHUR_WEIGHT dt / diag(L0), formed here by sparse products, to
+    1e-13 relative."""
+    prev = bump_state(mesh, params)
+    dt, ne = params.dt(mesh), mesh.n_elems
+    density = solver.density_order(mesh)
+    pressure = scheme.mesh_operators(mesh).pressure
+    L0 = scheme.alpha0_matrix(mesh, prev.rho, dt)
+    Q = sp.diags(np.repeat(solver.SCHUR_WEIGHT * dt / L0.diagonal(), 3))
+    rng = np.random.default_rng(11)
+    for alpha in (1.0, 1.0, 0.5, 0.5):
+        guess, lu_u = moving_guess(mesh, params, prev, rng)
+        J = scheme.jacobian(prev, guess, params, mesh, alpha=alpha)
+        C_p = -alpha * pressure @ sp.diags(scheme.pressure_derivative(guess.rho, params))
+        expected = (J[:ne, :ne] - J[:ne, ne:] @ Q @ C_p).toarray()
+        _, S = factored_block(J, density, lu_u, dt, monkeypatch)
+        correction = np.abs(expected - J[:ne, :ne].toarray()).max()
+        assert correction > 1e-3 * np.abs(expected).max()
+        assert np.abs(S.toarray() - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_density_block_is_the_pressure_schur_complement(mesh2, params, monkeypatch):
+    _assert_density_block_is_the_pressure_schur_complement(mesh2, params, monkeypatch)
+
+
+def test_density_block_is_the_pressure_schur_complement_on_a_renumbered_mesh(
+        shuffled3, params, monkeypatch):
+    _assert_density_block_is_the_pressure_schur_complement(shuffled3, params, monkeypatch)
+
+
+def _assert_density_block_is_A_at_alpha0_and_at_rest(mesh, params, monkeypatch):
+    """At alpha = 0, and at rest at alpha = 1, B (diag(q) (x) I) C_p = 0:
+    the preconditioner's density block is A, bitwise."""
+    prev = bump_state(mesh, params)
+    dt, ne = params.dt(mesh), mesh.n_elems
+    guess, lu_u = moving_guess(mesh, params, prev, np.random.default_rng(12))
+    rest = scheme.State(guess.rho, np.zeros_like(guess.u), guess.k)
+    for state, alpha in ((guess, 0.0), (rest, 1.0)):
+        J = scheme.jacobian(prev, state, params, mesh, alpha=alpha)
+        _, S = factored_block(J, solver.density_order(mesh), lu_u, dt, monkeypatch)
+        A = sp.csr_matrix(J[:ne, :ne])
+        assert np.array_equal(S.indptr, A.indptr) and np.array_equal(S.indices, A.indices)
+        assert np.array_equal(S.data, A.data)
+
+
+def test_density_block_is_A_at_alpha0_and_at_rest(mesh2, params, monkeypatch):
+    _assert_density_block_is_A_at_alpha0_and_at_rest(mesh2, params, monkeypatch)
+
+
+def test_density_block_is_A_at_alpha0_and_at_rest_on_a_renumbered_mesh(shuffled3, params,
+                                                                       monkeypatch):
+    _assert_density_block_is_A_at_alpha0_and_at_rest(shuffled3, params, monkeypatch)
 
 
 def test_orders_live_and_die_with_their_mesh(params):
