@@ -56,8 +56,8 @@ def test_newton_solve_matches_direct(mesh2, params):
     x = solver.linear_solve(J, b, stats=stats, target=0.0, **step)
     direct = spla.spsolve(sp.csc_matrix(J), b)
     assert np.abs(x - direct).max() <= 1e-12 * np.abs(direct).max()
-    # 5 iterations today; the same preconditioner without the coupling C
-    # takes 9.
+    # 6 iterations today, 5 with the density block A in place of S; with A
+    # and without the coupling C, 9.
     assert 0 < stats.krylov_iters <= 12
 
 
