@@ -11,10 +11,11 @@ rejected, and so are keys the command does not read.  Exit codes: 0 success,
 1 configuration or usage error, 2 numerical failure (a failed invariant
 check, or a failed time step: the solver reports every way a step fails, its
 alpha = 0 solve included, as StepFailure, and a SolverError never leaves a
-step).  A run whose step k fails also writes ``failure_step_k.npz`` (k in
-four digits) to its outdir: the state that step starts from (``rho``, ``u``,
-``k``), the mesh (``n``, ``box``) and the `scheme.SchemeParams` fields, so
-that `solver.homotopy_newton_solve` repeats the failure.
+step).  A run or Cauchy study whose step k fails also writes
+``failure_step_k.npz`` (k in four digits) to its outdir: the state that step
+starts from (``rho``, ``u``, ``k``), the mesh (``n``, ``box``) and the
+`scheme.SchemeParams` fields, so that `solver.homotopy_newton_solve`
+repeats the failure.
 """
 from __future__ import annotations
 
@@ -259,6 +260,17 @@ def _spent(failure: solver.StepFailure) -> str:
     return f"{d.krylov_iters} Krylov iterations, {d.factorizations} preconditioner factorizations"
 
 
+def _write_failure(cfg: RunConfig, who: str, n: int, params: scheme.SchemeParams,
+                   state: scheme.State, step: int) -> None:
+    """Write failure_step_NNNN.npz (NNNN = `step`) to the outdir and print its
+    path after `who`: `state`, which the failed step started from, the mesh
+    (`n`, `box`) and `params`, from which `solver.homotopy_newton_solve`
+    repeats the failure."""
+    snapshot = _outdir(cfg) / f"failure_step_{step:04d}.npz"
+    np.savez(snapshot, rho=state.rho, u=state.u, k=state.k, n=n, box=cfg.box, **asdict(params))
+    print(f"{who}: wrote {snapshot}")
+
+
 def cmd_run(cfg: RunConfig) -> int:
     args = _run_args(cfg, cfg.n)
     mesh, params, n_steps = args[0], args[1], args[-1]
@@ -281,10 +293,7 @@ def cmd_run(cfg: RunConfig) -> int:
         result = scheme.run(*args, write)
     except solver.StepFailure as exc:
         print(f"run failed at step {exc.step}: {exc}; {_spent(exc)}", file=sys.stderr)
-        snapshot = table.with_name(f"failure_step_{exc.step:04d}.npz")
-        np.savez(snapshot, rho=latest.rho, u=latest.u, k=latest.k, n=cfg.n, box=cfg.box,
-                 **asdict(params))
-        print(f"run: wrote {snapshot}")
+        _write_failure(cfg, "run", cfg.n, params, latest, exc.step)
         return 2
     first, last = result.rows[0], result.rows[-1]
     drift = abs(last["mass"] - first["mass"]) / abs(first["mass"])
@@ -397,7 +406,7 @@ def cmd_check(cfg: RunConfig) -> int:
 def _write_study(cfg: RunConfig, rows: list[dict], summary: list[str]) -> int:
     """Write a study's rows, keyed by CSV column, to <kind>.csv and print
     them and its summary lines."""
-    path = _outdir(cfg) / f"{cfg.kind}.csv"   # made here: a failed study leaves none
+    path = _outdir(cfg) / f"{cfg.kind}.csv"   # made here: a failed study leaves no CSV
     write_csv(path, rows)
     shown = [" ".join(f"{key}={value}" if isinstance(value, int) else f"{key}={value:.6e}"
                       for key, value in row.items()) for row in rows]
@@ -434,13 +443,22 @@ def _cauchy(cfg: RunConfig) -> int:
         raise ConfigError(f"cauchy needs at least two ns, each a larger multiple of "
                           f"the one before, got {cfg.ns}")
     runs = []   # (mesh, dt, densities) per mesh: the study needs no more of a state
+    latest = None   # the latest state, which the next step starts from
     for n in cfg.ns:
         densities = []
+
+        def keep(state, row):
+            nonlocal latest
+            latest = state
+            densities.append(state.rho)
+
+        args = _run_args(cfg, n)
         try:
-            result = scheme.run(*_run_args(cfg, n), lambda state, row: densities.append(state.rho))
+            result = scheme.run(*args, keep)
         except solver.StepFailure as exc:
             print(f"study failed at step {exc.step} on the n = {n} mesh: {exc}; {_spent(exc)}",
                   file=sys.stderr)
+            _write_failure(cfg, "study cauchy", n, args[1], latest, exc.step)
             return 2
         runs.append((result.mesh, result.dt, densities))
     diffs = diagnostics.cauchy_differences(runs, cfg.T)

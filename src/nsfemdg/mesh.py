@@ -137,88 +137,128 @@ def build_box_mesh(n: int, box_lo=(0.0, 0.0, 0.0), box_hi=(1.0, 1.0, 1.0)) -> Me
     return _mesh_from_tets(vertices, tets, lo, hi, n)
 
 
+def _cross(a: NDArrayF, b: NDArrayF) -> NDArrayF:
+    """`np.cross` of two (n, 3) arrays, one coordinate at a time: the same
+    products and differences, so the same bits, without its general set-up."""
+    out = np.empty_like(a)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        np.multiply(a[:, j], b[:, k], out=out[:, i])
+        out[:, i] -= a[:, k] * b[:, j]
+    return out
+
+
+def _squared_norms(a: NDArrayF) -> NDArrayF:
+    """Squared lengths of (n, 3) rows, summed as `np.linalg.norm` sums them."""
+    out = a[:, 0] * a[:, 0]
+    out += a[:, 1] * a[:, 1]
+    out += a[:, 2] * a[:, 2]
+    return out
+
+
+def _mean(points: list[NDArrayF]) -> NDArrayF:
+    """The mean of (n, 3) point arrays, summed in order and divided once, as
+    `mean(axis=1)` of their stack sums and divides: its bits."""
+    out = points[0] + points[1]
+    for p in points[2:]:
+        out += p
+    out /= len(points)
+    return out
+
+
 def _mesh_from_tets(vertices, tets, box_lo, box_hi, n_per_axis) -> Mesh:
     # Each whole-mesh temporary is dropped once it has been used, so the
-    # build holds little beside the arrays the mesh keeps.
+    # build holds little beside the arrays the mesh keeps.  Geometry is formed
+    # from one (n, 3) array per corner, and the helpers above give the bits
+    # of `np.cross`, `mean(axis=1)` and `np.linalg.norm`.
     n_verts = len(vertices)
     if n_verts >= MAX_VERTS:
         raise ValueError(f"{n_verts} vertices: face keys need fewer than {MAX_VERTS}")
     n_elems = tets.shape[0]
-    v = vertices[tets]
-    signed6 = np.einsum(
-        "ei,ei->e",
-        np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]),
-        v[:, 3] - v[:, 0],
-    )
+    v = [np.take(vertices, tets[:, i], axis=0) for i in range(4)]
+    e1, e2, e3 = (v[i] - v[0] for i in (1, 2, 3))
+    signed6 = np.einsum("ei,ei->e", _cross(e1, e2), e3)
     if np.any(signed6 <= 0):
         raise ValueError("mesh contains a non-positively-oriented or degenerate tet")
     elem_volume = signed6 / 6.0
-    elem_centroid = v.mean(axis=1)
-    h2 = 0.0   # the largest squared edge, summed as np.linalg.norm sums it: one sqrt, same bits
-    for a, b in itertools.combinations(range(4), 2):
-        e = v[:, a] - v[:, b]
-        h2 = max(h2, (e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1] + e[:, 2] * e[:, 2]).max())
+    del signed6
+    # The largest squared edge, one sqrt: the bits of the largest edge norm.
+    h2 = max(_squared_norms(e).max() for e in (e1, e2, e3))
+    del e1, e2, e3
+    for a, b in ((1, 2), (1, 3), (2, 3)):
+        h2 = max(h2, _squared_norms(v[b] - v[a]).max())
     h = float(np.sqrt(h2))
-    del v, signed6, e
+    elem_centroid = _mean(v)
+    del v
 
     # Collect faces; each sorted vertex triple appears in one or two elements.
-    # Faces are numbered by first appearance in (element, local face) order,
-    # so the owner, the first element seen, is the lower adjacent index.
     # A triple (a, b, c) is packed into the int64 (a*nv + b)*nv + c, which
-    # orders as the triples do, so the 1-D `unique` numbers faces as a
-    # row-wise one would, without sorting a void view.  A min/max network of
-    # the (n_elems, 4) columns sorts the triples: the middle is max(lo, min(hi, c)).
+    # orders as the triples do; a min/max network of the (n_elems, 4) columns
+    # sorts the triples (the middle is max(lo, min(hi, c))), and the key of
+    # slot 4e + l, local face l of element e, is packed[e, l].
     a, b, c = (tets[:, list(col)] for col in zip(*_LOCAL_FACES))
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    keys = np.stack([np.minimum(lo, c), np.maximum(lo, np.minimum(hi, c)), np.maximum(hi, c)],
-                    axis=2).reshape(-1, 3)
-    n_slots = len(keys)
-    a, b, c = keys.astype(np.int64, copy=False).T
-    packed = a * n_verts
-    packed += b
+    del a, b
+    packed = np.minimum(lo, c, dtype=np.int64)
     packed *= n_verts
-    packed += c
-    del a, b, c
-    first, inverse, counts = np.unique(
-        packed, return_index=True, return_inverse=True, return_counts=True)[1:]
-    del packed
-    if np.any(counts > 2):
-        key = tuple(int(i) for i in keys[first[np.argmax(counts > 2)]])
-        raise ValueError(f"face {key} shared by more than two tets")
-    del counts
-    order = np.argsort(first)                     # face id -> unique row
-    first_slot = first[order]
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    del first, order
-    slot_face = rank[inverse.reshape(-1)]         # face id of each (element, local face)
-    del inverse, rank
+    packed += np.maximum(lo, np.minimum(hi, c))
+    packed *= n_verts
+    packed += np.maximum(hi, c)
+    del lo, hi, c
+    packed = packed.reshape(-1)
+    n_slots = len(packed)
+
+    # One stable sort of the keys groups the slots of each face, and puts the
+    # lowest slot of a group first.  Faces are numbered by first appearance in
+    # slot order, so the owner, the element of a face's first slot, is the
+    # lower adjacent index, and a face's number is the count of first slots
+    # before its own: a cumulative count over the slots that start a group.
+    order = np.argsort(packed, kind="stable")
+    key = packed[order]
+    starts = np.empty(n_slots, dtype=bool)
+    starts[0] = True
+    np.not_equal(key[1:], key[:-1], out=starts[1:])
+    third = ~(starts[2:] | starts[1:-1])          # neither starts nor follows a start
+    if np.any(third):
+        q, last = divmod(int(key[2 + np.argmax(third)]), n_verts)
+        raise ValueError(f"face {(*divmod(q, n_verts), last)} shared by more than two tets")
+    del key, third
+    is_first = np.zeros(n_slots, dtype=bool)
+    is_first[order[starts]] = True
+    first_slot = np.flatnonzero(is_first)         # face id -> its first slot
+    slot_face = np.cumsum(is_first)               # face id + 1, on first slots
+    del is_first
+    slot_face -= 1
+    follows = np.flatnonzero(~starts)             # sorted positions of second slots
+    del starts
+    second = order[follows]
+    slot_face[second] = slot_face[order[follows - 1]]
+    del order, follows
     elem_faces = slot_face.reshape(n_elems, 4)
 
-    face_vertices = keys[first_slot]
-    del keys
     face_owner = first_slot // 4
     face_neighbor = np.full(len(first_slot), -1, dtype=np.int64)
-    is_second = np.ones(n_slots, dtype=bool)
-    is_second[first_slot] = False
-    del first_slot
-    second = np.flatnonzero(is_second)
-    del is_second
     face_neighbor[slot_face[second]] = second // 4
     del second
+    face_vertices = np.empty((len(first_slot), 3), dtype=np.int64)
+    q, face_vertices[:, 2] = np.divmod(packed[first_slot], n_verts)
+    del packed, first_slot
+    face_vertices[:, 0], face_vertices[:, 1] = np.divmod(q, n_verts)
+    del q
 
-    fv = vertices[face_vertices]
-    face_normal = np.cross(fv[:, 1] - fv[:, 0], fv[:, 2] - fv[:, 0])   # twice the area long
-    face_centroid = fv.mean(axis=1)
+    fv = [np.take(vertices, face_vertices[:, i], axis=0) for i in range(3)]
+    face_normal = _cross(fv[1] - fv[0], fv[2] - fv[0])   # twice the area long
+    face_centroid = _mean(fv)
     del fv
-    face_area = 0.5 * np.linalg.norm(face_normal, axis=1)
+    face_area = 0.5 * np.sqrt(_squared_norms(face_normal))
     if np.any(face_area <= 0.0):
         raise ValueError("mesh contains a degenerate face")
     face_normal /= (2.0 * face_area)[:, None]
 
     # Orient normals away from the owner, owner -> neighbor on interior faces.
-    away = face_centroid - elem_centroid[face_owner]
-    face_normal[np.einsum("fi,fi->f", face_normal, away) < 0.0] *= -1.0
+    away = np.take(elem_centroid, face_owner, axis=0)
+    np.subtract(face_centroid, away, out=away)
+    face_normal *= np.where(np.einsum("fi,fi->f", face_normal, away) < 0.0, -1.0, 1.0)[:, None]
     del away
 
     elem_face_sign = np.where(

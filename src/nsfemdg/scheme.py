@@ -595,7 +595,11 @@ def bump_data(rho_bar: float, amp: float, sigma: float, center):
 
     def rho0(p):
         p = np.atleast_2d(p)
-        r2 = np.sum((p - ctr) ** 2, axis=1)
+        # |p - ctr|^2 one coordinate at a time, in the order and with the
+        # bits of np.sum((p - ctr) ** 2, axis=1).
+        r2 = np.square(p[:, 0] - ctr[0])
+        for i in (1, 2):
+            r2 += np.square(p[:, i] - ctr[i])
         with np.errstate(over="ignore"):   # a subnormal sigma**2: exp(-inf) = 0
             return rho_bar + amp * np.exp(-r2 / sigma**2)
 

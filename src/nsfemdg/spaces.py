@@ -134,39 +134,47 @@ def face_quad_points(mesh: Mesh, degree: int, block) -> tuple[NDArrayF, NDArrayF
     return bary @ mesh.vertices[mesh.face_vertices[block]], w
 
 
-# Elements (or faces) per block of every element and face mean
-# (`element_means`, `face_means`): one (QUAD_BLOCK, nq, 3, 3) float64 array
-# of the degree-6 rule (nq = 24) takes at most 1 MB, and a block's
-# temporaries about three times that, so no array of points or values grows
-# with the mesh.  (At 2 MB, 1152 elements, the temporaries of a degree-6
-# `cell_means` at n=8 outgrow one whole-mesh array of its points.)  Each
-# block is reduced to per-element values.  A multiple of 64 starts every
-# block at a multiple of 64 nq point rows, so BLAS kernels, whose results
-# for a row can depend on its offset modulo their unrolling, treat each
-# point as in one whole-mesh call, and no result depends on the blocking.
-QUAD_BLOCK = (1 << 20) // (24 * 3 * 3 * 8) // 64 * 64
+# Quadrature points per block of every element and face mean
+# (`element_means`, `face_means`): a block holds QUAD_POINTS // nq elements
+# (or faces) of an nq-point rule, so its (nb, nq, 3, 3) float64 arrays take
+# at most 1 MB whatever the rule, and a block's temporaries about three times
+# that; no array of points or values grows with the mesh.  (At 2 MB, the
+# temporaries of a degree-6 `cell_means` at n=8 outgrow one whole-mesh array
+# of its points.)  Each block is reduced to per-element values.  Above 64
+# elements a block is cut to a multiple of 64, which starts every block at a
+# multiple of 64 point rows, so BLAS kernels, whose results for a row can
+# depend on its offset modulo their unrolling, treat each point as in one
+# whole-mesh call, and no result depends on the blocking.  The budget is
+# 576 elements of the 24-point degree-6 tet rule (995,328 bytes per (nb, nq,
+# 3, 3) array); the degree-2 tet rule takes 3456 elements per block, the
+# degree-5 one 960, and the 3- and 6-point triangle rules 4608 and 2304 faces.
+QUAD_POINTS = 576 * 24
 
 
-def quad_blocks(n: int) -> list[slice]:
-    """Consecutive slices of at most QUAD_BLOCK rows covering range(n)."""
-    return [slice(start, min(start + QUAD_BLOCK, n)) for start in range(0, n, QUAD_BLOCK)]
+def quad_blocks(n: int, nq: int) -> list[slice]:
+    """Consecutive slices covering range(n), each of at most QUAD_POINTS // nq
+    rows of an nq-point rule, cut to a multiple of 64 above 64."""
+    size = QUAD_POINTS // nq
+    if size > 64:
+        size -= size % 64
+    return [slice(start, min(start + size, n)) for start in range(0, n, size)]
 
 
 def element_means(fn, mesh: Mesh, degree: int) -> list[NDArrayF]:
     """Element quadrature means, one (n_elems, ...) array for each (nb, nq, ...)
     array that `fn(points, block)` returns at the (nb, nq, 3) points of the
     elements in `block`."""
-    return _quad_means(fn, mesh, degree, mesh.n_elems, elem_quad_points)
+    return _quad_means(fn, mesh, degree, mesh.n_elems, tet_rule, elem_quad_points)
 
 
 def face_means(fn, mesh: Mesh, degree: int) -> list[NDArrayF]:
     """As `element_means`, over the faces: one (n_faces, ...) array each."""
-    return _quad_means(fn, mesh, degree, mesh.n_faces, face_quad_points)
+    return _quad_means(fn, mesh, degree, mesh.n_faces, tri_rule, face_quad_points)
 
 
-def _quad_means(fn, mesh: Mesh, degree: int, n: int, points) -> list[NDArrayF]:
+def _quad_means(fn, mesh: Mesh, degree: int, n: int, rule, points) -> list[NDArrayF]:
     means = None
-    for blk in quad_blocks(n):
+    for blk in quad_blocks(n, len(rule(degree)[1])):
         pts, w = points(mesh, degree, blk)
         vals = fn(pts, blk)
         if means is None:

@@ -464,12 +464,13 @@ def test_failed_step_reports_its_linear_work(tmp_path, monkeypatch, capsys):
     assert sum(krylov) > 0
 
 
-def test_failure_snapshot_repeats_the_failed_step(tmp_path, monkeypatch, capsys):
-    """The n=2 bump at rho_bar 1e3 fails step 1, and the run writes the
-    state it started from, the mesh and the parameters to
-    failure_step_0001.npz.  From that file alone, `homotopy_newton_solve`
-    fails the same way: alpha = 1/64, the same message, and the same counts,
-    Newton and Krylov iterations and factorizations included."""
+def _assert_snapshot_repeats_the_failure(argv, who, tmp_path, monkeypatch, capsys):
+    """`argv` (with an outdir) fails step 1 of the n=2 mesh at rho_bar 1e3 and
+    writes, and names after `who` on standard output, failure_step_0001.npz
+    alone: the state the step started from, the mesh and the parameters.
+    From that file alone, `homotopy_newton_solve` fails the same way: alpha
+    = 1/64, the same message, and the same counts, Newton and Krylov
+    iterations and factorizations included."""
     failures = []
     solve = solver.homotopy_newton_solve
 
@@ -482,11 +483,9 @@ def test_failure_snapshot_repeats_the_failed_step(tmp_path, monkeypatch, capsys)
 
     monkeypatch.setattr(solver, "homotopy_newton_solve", recorded)
     outdir = tmp_path / "out"
-    rc = cli.main(["run", "--preset", "bump", "--n", "2", "--steps", "2", "--rho_bar", "1e3",
-                   "--outdir", str(outdir)])
-    assert rc == 2
+    assert cli.main([*argv, "--rho_bar", "1e3", "--outdir", str(outdir)]) == 2
     snapshot = outdir / "failure_step_0001.npz"
-    assert capsys.readouterr().out == f"run: wrote {snapshot}\n"
+    assert capsys.readouterr().out == f"{who}: wrote {snapshot}\n"
     monkeypatch.undo()
 
     data = np.load(snapshot)
@@ -495,15 +494,33 @@ def test_failure_snapshot_repeats_the_failed_step(tmp_path, monkeypatch, capsys)
     assert params == parse_config(None, [("rho_bar", "1e3")]).params()
     box = data["box"]
     prev = scheme.State(rho=data["rho"], u=data["u"], k=int(data["k"]))
-    assert prev.k == 0
+    assert prev.k == 0 and int(data["n"]) == 2
     with pytest.raises(solver.StepFailure) as again:
         solver.homotopy_newton_solve(prev, params, cli.build_box_mesh(int(data["n"]), box[:3],
                                                                       box[3:]))
-    (first,) = failures
+    first = failures[-1]
     assert again.value.alpha == first.alpha == 1.0 / 64
     assert (again.value.step, str(again.value)) == (first.step, str(first))
     assert vars(again.value.diagnostics) == vars(first.diagnostics)
     assert first.diagnostics.newton_iters > 0 and first.diagnostics.krylov_iters > 0
+    return outdir
+
+
+def test_failure_snapshot_repeats_the_failed_step(tmp_path, monkeypatch, capsys):
+    """The n=2 bump at rho_bar 1e3 fails step 1: the run writes its failure
+    snapshot, from which the step fails again the same way."""
+    _assert_snapshot_repeats_the_failure(["run", "--preset", "bump", "--n", "2", "--steps", "2"],
+                                         "run", tmp_path, monkeypatch, capsys)
+
+
+def test_failed_cauchy_study_snapshot_repeats_the_failed_step(tmp_path, monkeypatch, capsys):
+    """The Cauchy study's n=1 mesh runs, its n=2 mesh fails step 1 as the
+    run above does, and the study writes that mesh's failure snapshot and no
+    CSV."""
+    outdir = _assert_snapshot_repeats_the_failure(
+        ["study", "--kind", "cauchy", "--preset", "bump", "--ns", "1 2"], "study cauchy",
+        tmp_path, monkeypatch, capsys)
+    assert [p.name for p in outdir.iterdir()] == ["failure_step_0001.npz"]
 
 
 def test_dense_bump_runs_without_rescue_flags(tmp_path):
@@ -706,19 +723,19 @@ def test_extreme_box_exits_cleanly(command, lo, extents, tmp_path_factory):
     _assert_exits_cleanly([*_SMALLEST[command], "--box", box], tmp_path_factory)
 
 
-def test_unconverged_study_exits_two_and_leaves_no_outdir(tmp_path, capsys):
+def test_unconverged_study_exits_two_and_writes_only_its_snapshot(tmp_path, capsys):
     outdir = tmp_path / "out"
     rc = cli.main(["study", "--kind", "cauchy", "--ns", "1 2", "--T", "0.1",
                    "--newton_tol", "1e-30", "--newton_max_iter", "1",
                    "--outdir", str(outdir)])
     assert rc == 2
     assert "study failed at step 1" in capsys.readouterr().err
-    assert not outdir.exists()
+    assert [p.name for p in outdir.iterdir()] == ["failure_step_0001.npz"]
 
 
 def test_failed_cauchy_study_names_its_mesh(tmp_path, monkeypatch, capsys):
     """A step that fails on the second mesh of the family is reported with
-    that mesh's n, and the study writes nothing."""
+    that mesh's n, and the study writes only that mesh's failure snapshot."""
     def failing_on_n2(prev, params, mesh, *rest, _solve=solver.homotopy_newton_solve):
         if mesh.n_elems == 6 * 2**3:
             raise solver.StepFailure("injected", alpha=0.5,
@@ -734,8 +751,10 @@ def test_failed_cauchy_study_names_its_mesh(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr()
     assert out.err == ("study failed at step 1 on the n = 2 mesh: injected; "
                        "0 Krylov iterations, 2 preconditioner factorizations\n")
-    assert not out.out
-    assert not outdir.exists()
+    snapshot = outdir / "failure_step_0001.npz"
+    assert out.out == f"study cauchy: wrote {snapshot}\n"
+    assert [p.name for p in outdir.iterdir()] == [snapshot.name]
+    assert int(np.load(snapshot)["n"]) == 2
 
 
 # ---------------------------------------------------------------------------

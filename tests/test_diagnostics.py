@@ -17,6 +17,7 @@ from nsfemdg.spaces import (
     element_average,
     elem_quad_points,
     eval_flux_reconstruction,
+    face_quad_points,
     flux_reconstruction,
     interpolate_v,
     normal_flux,
@@ -260,6 +261,19 @@ def test_transport_volume_terms_match_direct_quadrature(n, degree):
         assert vol_m == pytest.approx(ref_m, rel=1e-13)
 
 
+def _traced_peak(call):
+    """The traced peak of `call()`, made once beforehand so that the mesh
+    caches are not counted, and what it returns."""
+    call()
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, out
+
+
 def test_momentum_transport_memory_is_bounded():
     """At n=8, with the mesh caches built, the traced peak of one call stays
     below eight (n_interior, 3) float64 arrays."""
@@ -269,13 +283,7 @@ def test_momentum_transport_memory_is_bounded():
     moments = diagnostics.transport_moments(
         mesh, ScalarPolynomial.random(rng), PolynomialField.random(rng))
     fluxes = diagnostics.transport_fluxes(state, mesh)
-    diagnostics.momentum_transport(state, mesh, moments, fluxes)
-    tracemalloc.start()
-    try:
-        diagnostics.momentum_transport(state, mesh, moments, fluxes)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = _traced_peak(lambda: diagnostics.momentum_transport(state, mesh, moments, fluxes))
     assert peak < 8 * len(mesh.interior_faces) * 3 * 8
 
 
@@ -309,16 +317,17 @@ def _transport_moments_reference(mesh, phi, v, degree):
 
 @pytest.mark.parametrize("degree", [2, 4])
 def test_transport_moments_do_not_depend_on_the_block(degree, monkeypatch):
-    """Blocks of 64 of the 162 elements and 378 faces (the last ones ragged)
-    give the bits of one block, and both match the whole-mesh einsum
-    evaluation at `degree` to rounding: the degree-2 moments are exact."""
+    """Blocks of 64 of the 162 elements and of the same 256 points (85 of the
+    378 faces; the last blocks ragged) give the bits of one block, and both
+    match the whole-mesh einsum evaluation at `degree` to rounding: the
+    degree-2 moments are exact."""
     mesh = build_box_mesh(3)
     rng = np.random.default_rng(90 + degree)
     phi = ScalarPolynomial.random(rng)
     v = PolynomialField.random(rng)
-    monkeypatch.setattr(spaces, "QUAD_BLOCK", mesh.n_faces)
+    monkeypatch.setattr(spaces, "QUAD_POINTS", 2**40)
     whole = diagnostics.transport_moments(mesh, phi, v)
-    monkeypatch.setattr(spaces, "QUAD_BLOCK", 64)
+    monkeypatch.setattr(spaces, "QUAD_POINTS", 64 * len(tet_rule(2)[1]))
     assert mesh.n_elems % 64 and mesh.n_faces % 64
     blocked = diagnostics.transport_moments(mesh, phi, v)
     ref = _transport_moments_reference(mesh, phi, v, degree)
@@ -330,6 +339,32 @@ def test_transport_moments_do_not_depend_on_the_block(degree, monkeypatch):
         scale = (mesh.elem_volume.max() * np.abs(ref.what).max() if name == "interp_defect"
                  else np.abs(want).max())
         assert np.abs(got - want).max() <= 1e-14 * scale, name
+
+
+def test_transport_moments_memory_is_bounded_by_the_block():
+    """At n=16, which the degree-2 rules cut into 8 element and 11 face
+    blocks, the traced peak less the moments returned stays below one
+    whole-mesh (n_elems, nq, 3, 3) array of v's Jacobian.  (At n=8 one
+    degree-2 element block holds the whole mesh.)"""
+    mesh = build_box_mesh(16)
+    rng = np.random.default_rng(38)
+    phi, v = ScalarPolynomial.random(rng), PolynomialField.random(rng)
+    peak, moments = _traced_peak(lambda: diagnostics.transport_moments(mesh, phi, v))
+    kept = sum(getattr(moments, name).nbytes
+               for name in diagnostics.TransportMoments.__dataclass_fields__)
+    assert peak - kept < mesh.n_elems * len(tet_rule(2)[1]) * 3 * 3 * 8
+
+
+def test_injected_states_memory_is_bounded_by_the_block():
+    """At n=16, which the degree-4 rules cut into 26 element and 22 face
+    blocks, the traced peak of injecting three samples, less the means kept,
+    stays below one whole-mesh array of the degree-4 face points."""
+    mesh = build_box_mesh(16)
+    data = diagnostics.bump_flow_data(*UNIT_BOX)
+    samples = [data(0.05 * k) for k in (1, 2, 3)]
+    peak, _ = _traced_peak(lambda: diagnostics.injected_states(samples, mesh, 4))
+    kept = len(samples) * (mesh.n_elems + 3 * mesh.n_faces) * 8
+    assert peak - kept < face_quad_points(mesh, 4, slice(None))[0].nbytes
 
 
 def _count_moments(monkeypatch):
@@ -385,9 +420,11 @@ def test_p_decay_study_does_not_depend_on_the_block(monkeypatch):
         return diagnostics.p_decay_study((2, 3), diagnostics.bump_flow_data(*UNIT_BOX), phi, v,
                                          0.8, scheme.SchemeParams(), *UNIT_BOX)
 
-    monkeypatch.setattr(spaces, "QUAD_BLOCK", build_box_mesh(3).n_faces)
+    monkeypatch.setattr(spaces, "QUAD_POINTS", 2**40)
     whole = study()
-    monkeypatch.setattr(spaces, "QUAD_BLOCK", 7)
+    # 7 elements of the injected states' degree-4 rule per block, 24 of the
+    # moments' degree-2 one.
+    monkeypatch.setattr(spaces, "QUAD_POINTS", 7 * len(tet_rule(4)[1]))
     assert study() == whole
 
 
@@ -534,6 +571,27 @@ def test_bump_flow_data_velocity_vanishes_on_boundary():
         [1.5, 1.0, 2.1], [0.7, 0.3, 2.0], [0.2, -0.5, 3.0],
     ])
     assert np.max(np.abs(u_fn(pts))) < 1e-14
+
+
+def test_bump_flow_data_is_bitwise_the_array_formulas():
+    """The density and velocity, computed one coordinate row at a time, give
+    the bits of the formulas on (n, 3) arrays, in a C-ordered (n, 3) array:
+    the quadrature sums over another layout can round differently."""
+    lo, hi = np.array([-0.3, 0.1, 1.7]), np.array([0.4, 1.3, 2.9])
+    pts = np.random.default_rng(39).uniform(lo, hi, size=(5000, 3))
+    for t in (0.0, 0.07, 0.5):
+        rho_fn, u_fn = diagnostics.bump_flow_data(lo, hi)(t)
+        ctr = 0.5 * (lo + hi) + t * np.array([0.2, 0.1, 0.05])
+        rho = 1.0 + 0.4 * np.exp(-np.sum((pts - ctr) ** 2, axis=1) / 0.35**2)
+        x = (pts - lo) / (hi - lo)
+        g = x * (1.0 - x)
+        g3 = g[:, 0] * g[:, 1] * g[:, 2]
+        u = 32.0 * (1.0 + 0.3 * np.sin(2.0 * t)) * np.stack(
+            [g3 * (1.0 + 0.4 * x[:, 0] - 0.2 * x[:, 1]), g3 * (0.7 - 0.3 * x[:, 2]),
+             g3 * (0.5 + 0.2 * x[:, 1])], axis=1)
+        got_rho, got_u = rho_fn(pts), u_fn(pts)
+        assert got_rho.tobytes() == rho.tobytes()
+        assert got_u.flags.c_contiguous and got_u.tobytes() == u.tobytes()
 
 
 def test_bump_flow_data_center_drifts():

@@ -232,6 +232,51 @@ def test_shuffled_tets_match_loop_reference(shuffled3):
     assert np.array_equal(shuffled3.elem_faces, elem_faces)
 
 
+def _reference_geometry(mesh):
+    """Element and face geometry of the mesh's connectivity from whole-array
+    formulas: `np.cross`, `mean(axis=1)` and `np.linalg.norm`."""
+    v = mesh.vertices[mesh.tets]
+    signed6 = np.einsum("ei,ei->e", np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]),
+                        v[:, 3] - v[:, 0])
+    elem_centroid = v.mean(axis=1)
+    h = max(np.linalg.norm(v[:, a] - v[:, b], axis=1).max()
+            for a, b in itertools.combinations(range(4), 2))
+    fv = mesh.vertices[mesh.face_vertices]
+    normal = np.cross(fv[:, 1] - fv[:, 0], fv[:, 2] - fv[:, 0])
+    face_centroid = fv.mean(axis=1)
+    area = 0.5 * np.linalg.norm(normal, axis=1)
+    normal /= (2.0 * area)[:, None]
+    away = face_centroid - elem_centroid[mesh.face_owner]
+    normal[np.einsum("fi,fi->f", normal, away) < 0.0] *= -1.0
+    return {"elem_volume": signed6 / 6.0, "elem_centroid": elem_centroid, "face_area": area,
+            "face_normal": normal, "face_centroid": face_centroid, "h": h}
+
+
+def _assert_geometry_is_the_reference(mesh):
+    for name, want in _reference_geometry(mesh).items():
+        got = getattr(mesh, name)
+        if name == "h":
+            assert type(got) is float and got == want
+            continue
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.flags.c_contiguous, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("lo, hi", [((0, 0, 0), (1, 1, 1)), ((0.0, -1.0, 0.5), (2.0, 1.0, 1.5)),
+                                    ((-0.3, 0.1, 1.7), (0.4, 1.3, 2.9))])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
+def test_geometry_is_bitwise_the_whole_array_formulas(n, lo, hi):
+    """The build's coordinate-at-a-time arithmetic gives the bits of the
+    whole-array formulas, every -0.0 included.  On the unit box most sums
+    are exact in any order; the other boxes' are not."""
+    _assert_geometry_is_the_reference(build_box_mesh(n, lo, hi))
+
+
+def test_shuffled_geometry_is_bitwise_the_whole_array_formulas(shuffled3):
+    _assert_geometry_is_the_reference(shuffled3)
+
+
 def test_build_memory_is_bounded_by_the_mesh():
     """At n=8 the traced peak of a build stays below 2.5 times the bytes of
     the arrays the mesh keeps: each whole-mesh temporary is dropped once it

@@ -413,9 +413,31 @@ def test_monomials_match_column_stack():
 
 
 def test_quad_blocks_cover_the_range(monkeypatch):
-    monkeypatch.setattr(spaces, "QUAD_BLOCK", 7)
-    blocks = quad_blocks(48)
+    monkeypatch.setattr(spaces, "QUAD_POINTS", 7 * 4)
+    blocks = quad_blocks(48, 4)
     assert [(b.start, b.stop) for b in blocks] == [(k, min(k + 7, 48)) for k in range(0, 48, 7)]
+
+
+@pytest.mark.parametrize("rule, degree, size, blocks_n16", [
+    (tet_rule, 2, 3456, 8), (tet_rule, 4, 960, 26), (tet_rule, 6, 576, 43),
+    (tri_rule, 2, 4608, 11), (tri_rule, 4, 2304, 22), (tri_rule, 6, 1152, 44),
+])
+def test_quad_blocks_share_one_point_budget(rule, degree, size, blocks_n16):
+    """Every stored rule's blocks are a multiple of 64 rows whose (nb, nq, 3,
+    3) float64 array fits in 1 MB; the n=16 mesh (24,576 elements, 50,688
+    faces) takes the listed number of blocks."""
+    nq = len(rule(degree)[1])
+    n = 24576 if rule is tet_rule else 50688
+    blocks = quad_blocks(n, nq)
+    assert blocks[0] == slice(0, size)
+    assert size % 64 == 0 and size * nq * 3 * 3 * 8 <= 1 << 20
+    assert len(blocks) == blocks_n16 and blocks[-1].stop == n
+
+
+def _rows_per_block(monkeypatch, rows, rule, degree):
+    """Set the point budget to `rows` elements (faces) of `rule` at `degree`.
+    (A budget of 2**40 points makes one block of any mesh here.)"""
+    monkeypatch.setattr(spaces, "QUAD_POINTS", rows * len(rule(degree)[1]))
 
 
 def _interpolation_errors_reference(field, mesh, degree=6):
@@ -438,12 +460,13 @@ def _interpolation_errors_reference(field, mesh, degree=6):
 @pytest.mark.parametrize("field", [SineField(k=1.5, amplitude=0.7),
                                    PolynomialField.random(np.random.default_rng(3))])
 def test_interpolation_errors_do_not_depend_on_the_block(field, degree, monkeypatch):
-    """Blocks of 64 of the 162 elements (the last one ragged) give the bits
-    of one block, and both match the whole-mesh einsum evaluation."""
+    """Blocks of 64 of the 162 elements (the last one ragged), and the faces
+    in blocks of the same number of points, give the bits of one block, and
+    both match the whole-mesh einsum evaluation."""
     mesh = build_box_mesh(3)
-    monkeypatch.setattr(spaces, "QUAD_BLOCK", mesh.n_elems)
+    monkeypatch.setattr(spaces, "QUAD_POINTS", 2**40)
     whole = interpolation_errors(field, mesh, degree)
-    monkeypatch.setattr(spaces, "QUAD_BLOCK", 64)
+    _rows_per_block(monkeypatch, 64, tet_rule, degree)
     assert interpolation_errors(field, mesh, degree) == whole
     ref = _interpolation_errors_reference(field, mesh, degree)
     assert min(ref) > 1e-3
@@ -469,8 +492,9 @@ def test_interpolation_errors_memory_is_bounded_by_the_block():
 @pytest.mark.parametrize("field", [SineField(k=1.5, amplitude=0.7),
                                    PolynomialField.random(np.random.default_rng(4))])
 def test_means_do_not_depend_on_the_block(field, monkeypatch):
-    """Blocks of 7 elements (faces), most of which start at a point row that
-    is not a multiple of 64, give the bits of one block."""
+    """Blocks of 7 elements of the degree-4 rule (98 points, so 16 faces),
+    most of which start at a point row that is not a multiple of 64, give
+    the bits of one block."""
     mesh = build_box_mesh(3)
     u = interpolate_v(PolynomialField.random(np.random.default_rng(5)), mesh, 2)
 
@@ -478,9 +502,9 @@ def test_means_do_not_depend_on_the_block(field, monkeypatch):
         return (cell_means(field, mesh, 4), interpolate_v(field, mesh, 4),
                 orthogonality_residual(u, field, mesh, 4))
 
-    monkeypatch.setattr(spaces, "QUAD_BLOCK", mesh.n_faces)
+    monkeypatch.setattr(spaces, "QUAD_POINTS", 2**40)
     whole = means()
-    monkeypatch.setattr(spaces, "QUAD_BLOCK", 7)
+    _rows_per_block(monkeypatch, 7, tet_rule, 4)
     for got, want in zip(means(), whole):
         assert np.array_equal(got, want)
 
@@ -489,25 +513,28 @@ def test_means_do_not_depend_on_the_block(field, monkeypatch):
 def test_polynomial_means_do_not_depend_on_the_block(n, monkeypatch):
     """10 scalar and 10 vector polynomial fields: their element and face
     means at degrees 2, 4 and 6 are the same bits in blocks of 7 and of 64
-    as in one block.  A point's value must not depend on where it sits in
-    the point array, as the rounding of a BLAS product over the monomials
-    can."""
+    elements (faces) as in one block.  A point's value must not depend on
+    where it sits in the point array, as the rounding of a BLAS product over
+    the monomials can."""
     mesh = build_box_mesh(n)
     rng = np.random.default_rng(35)
     fields = ([ScalarPolynomial.random(rng) for _ in range(10)]
               + [PolynomialField.random(rng) for _ in range(10)])
 
-    def means():   # as cell_means and interpolate_v, all fields in one pass
-        return [vals for degree in (2, 4, 6) for means in (element_means, face_means)
-                for vals in means(lambda p, blk: [at_points(f, p) for f in fields],
-                                  mesh, degree)]
+    def means(rows=None):   # as cell_means and interpolate_v, all fields in one pass
+        out = []
+        for degree in (2, 4, 6):
+            for means, rule in ((element_means, tet_rule), (face_means, tri_rule)):
+                if rows is not None:
+                    _rows_per_block(monkeypatch, rows, rule, degree)
+                out += means(lambda p, blk: [at_points(f, p) for f in fields], mesh, degree)
+        return out
 
-    monkeypatch.setattr(spaces, "QUAD_BLOCK", mesh.n_faces)
+    monkeypatch.setattr(spaces, "QUAD_POINTS", 2**40)
     whole = means()
-    for block in (7, 64):
-        monkeypatch.setattr(spaces, "QUAD_BLOCK", block)
-        for i, (got, want) in enumerate(zip(means(), whole)):
-            assert np.array_equal(got, want), (block, i)
+    for rows in (7, 64):
+        for i, (got, want) in enumerate(zip(means(rows), whole)):
+            assert np.array_equal(got, want), (rows, i)
 
 
 @pytest.mark.parametrize("mean, points", [(cell_means, elem_quad_points),
