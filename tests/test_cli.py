@@ -498,7 +498,7 @@ def _assert_snapshot_repeats_the_failure(argv, who, tmp_path, monkeypatch, capsy
     with pytest.raises(solver.StepFailure) as again:
         solver.homotopy_newton_solve(prev, params, cli.build_box_mesh(int(data["n"]), box[:3],
                                                                       box[3:]))
-    first = failures[-1]
+    (first,) = failures
     assert again.value.alpha == first.alpha == 1.0 / 64
     assert (again.value.step, str(again.value)) == (first.step, str(first))
     assert vars(again.value.diagnostics) == vars(first.diagnostics)

@@ -317,8 +317,9 @@ def _transport_moments_reference(mesh, phi, v, degree):
 
 @pytest.mark.parametrize("degree", [2, 4])
 def test_transport_moments_do_not_depend_on_the_block(degree, monkeypatch):
-    """Blocks of 64 of the 162 elements and of the same 256 points (85 of the
-    378 faces; the last blocks ragged) give the bits of one block, and both
+    """A 256-point budget gives blocks of 64 of the 162 elements and of 64 of
+    the 378 faces (85 rows of the 3-point rule, cut to a multiple of 64; the
+    last blocks ragged).  These give the bits of one block, and both
     match the whole-mesh einsum evaluation at `degree` to rounding: the
     degree-2 moments are exact."""
     mesh = build_box_mesh(3)
