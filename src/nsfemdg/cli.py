@@ -261,12 +261,13 @@ def _spent(failure: solver.StepFailure) -> str:
 
 
 def _write_failure(cfg: RunConfig, who: str, n: int, params: scheme.SchemeParams,
-                   state: scheme.State, step: int) -> None:
-    """Write failure_step_NNNN.npz (NNNN = `step`) to the outdir and print its
-    path after `who`: `state`, which the failed step started from, the mesh
-    (`n`, `box`) and `params`, from which `solver.homotopy_newton_solve`
+                   failure: solver.StepFailure) -> None:
+    """Write failure_step_NNNN.npz (NNNN = the failed step) to the outdir and
+    print its path after `who`: the state the failed step started from, the
+    mesh (`n`, `box`) and `params`, from which `solver.homotopy_newton_solve`
     repeats the failure."""
-    snapshot = _outdir(cfg) / f"failure_step_{step:04d}.npz"
+    state = failure.state
+    snapshot = _outdir(cfg) / f"failure_step_{failure.step:04d}.npz"
     np.savez(snapshot, rho=state.rho, u=state.u, k=state.k, n=n, box=cfg.box, **asdict(params))
     print(f"{who}: wrote {snapshot}")
 
@@ -275,13 +276,10 @@ def cmd_run(cfg: RunConfig) -> int:
     args = _run_args(cfg, cfg.n)
     mesh, params, n_steps = args[0], args[1], args[-1]
     table = Path(cfg.outdir) / "diagnostics.csv"
-    latest = None   # the latest state, which the next step starts from
 
     def write(state, row):
         # Each row and snapshot reach disk before the next step is solved; the
         # directory is made once the initial data have projected.
-        nonlocal latest
-        latest = state
         if state.k == 0:
             write_table(_outdir(cfg) / table.name, tuple(row), [])
         append_rows(table, [row.values()])
@@ -293,7 +291,7 @@ def cmd_run(cfg: RunConfig) -> int:
         result = scheme.run(*args, write)
     except solver.StepFailure as exc:
         print(f"run failed at step {exc.step}: {exc}; {_spent(exc)}", file=sys.stderr)
-        _write_failure(cfg, "run", cfg.n, params, latest, exc.step)
+        _write_failure(cfg, "run", cfg.n, params, exc)
         return 2
     first, last = result.rows[0], result.rows[-1]
     drift = abs(last["mass"] - first["mass"]) / abs(first["mass"])
@@ -443,22 +441,15 @@ def _cauchy(cfg: RunConfig) -> int:
         raise ConfigError(f"cauchy needs at least two ns, each a larger multiple of "
                           f"the one before, got {cfg.ns}")
     runs = []   # (mesh, dt, densities) per mesh: the study needs no more of a state
-    latest = None   # the latest state, which the next step starts from
     for n in cfg.ns:
         densities = []
-
-        def keep(state, row):
-            nonlocal latest
-            latest = state
-            densities.append(state.rho)
-
         args = _run_args(cfg, n)
         try:
-            result = scheme.run(*args, keep)
+            result = scheme.run(*args, lambda state, row: densities.append(state.rho))
         except solver.StepFailure as exc:
             print(f"study failed at step {exc.step} on the n = {n} mesh: {exc}; {_spent(exc)}",
                   file=sys.stderr)
-            _write_failure(cfg, "study cauchy", n, args[1], latest, exc.step)
+            _write_failure(cfg, "study cauchy", n, args[1], exc)
             return 2
         runs.append((result.mesh, result.dt, densities))
     diffs = diagnostics.cauchy_differences(runs, cfg.T)

@@ -47,16 +47,18 @@ at the relative tolerance max(KRYLOV_RTOL, target / |b|_inf).  GMRES is
 left-preconditioned by the block lower triangle
 [[S, 0], [C, (dt L0^-1) (x) I]] (Knoll & Keyes, J. Comput. Phys. 193, 2004,
 section 3): for each velocity component the step's own alpha = 0 factor L0
-of M_rho_prev + dt K, so one velocity factorization serves the whole step,
-the coupling C of the current matrix, and a density block S factored
-exactly by SuperLU.  S keeps the acoustic coupling that the triangle drops
-with B, the implicit pressure wave, as SIMPLE does (Patankar & Spalding,
-Int. J. Heat Mass Transfer 15, 1972): S = A - B Q C_p, the density Schur
-complement of J with its velocity block D ~ (L0 / dt) (x) I replaced by
-the inverse Q = diag(q) (x) I of its diagonal, damped by the weight
-w = SCHUR_WEIGHT, q = w dt / diag(L0), and C by its pressure part
-C_p = -alpha pressure diag(p'(rho)).  Since normal @ pressure is |f| in a
-face's owner column and -|f| in its neighbor's,
+of M_rho_prev + dt K, so one velocity factorization serves the whole step
+(`alpha0_solve` hands it out once per step, with S's weights q, as the
+step's `VelocityBlock`), the coupling C of the current matrix, and a
+density block S factored exactly by SuperLU.  S keeps the acoustic
+coupling that the triangle drops with B, the implicit pressure wave, as
+SIMPLE does (Patankar & Spalding, Int. J. Heat Mass Transfer 15, 1972):
+S = A - B Q C_p, the density Schur complement of J with its velocity block
+D ~ (L0 / dt) (x) I replaced by the inverse Q = diag(q) (x) I of its
+diagonal, damped by the weight w = SCHUR_WEIGHT, q = w dt / diag(L0), and C
+by its pressure part C_p = -alpha pressure diag(p'(rho)).  Since
+normal @ pressure is |f| in a face's owner column and -|f| in its
+neighbor's,
 
     S = A + alpha^2 jump^T diag(|f|^2 rho_up q) (p'(rho_own) own - p'(rho_nbr) nbr),
 
@@ -99,8 +101,8 @@ stencil (`DensityOrder`).
 
 A SolverError never leaves a step: `homotopy_newton_solve` decides that a
 step has failed, when its alpha = 0 solve fails or its continuation gives
-up, and raises StepFailure, which carries the step's index and counts and
-says why.
+up, and raises StepFailure, which carries the state the step started from,
+the step's index and counts, and says why.
 """
 from __future__ import annotations
 
@@ -122,16 +124,19 @@ class SolverError(RuntimeError):
 
 
 class StepFailure(RuntimeError):
-    """Time step `step` failed: its alpha = 0 solve, whose reason the message
-    gives (alpha 0, zero counts and a NaN residual norm), or its
-    continuation, at the node `alpha` that failed last.  `diagnostics` holds
-    the step's counts over every node it tried."""
+    """Time step `step` from `state`, the state it started from, failed: its
+    alpha = 0 solve, whose reason the message gives (alpha 0, zero counts
+    and a NaN residual norm), or its continuation, at the node `alpha` that
+    failed last.  `diagnostics` holds the step's counts over every node it
+    tried."""
 
-    def __init__(self, message: str, alpha: float, diagnostics: StepDiagnostics, step: int):
+    def __init__(self, message: str, alpha: float, diagnostics: StepDiagnostics,
+                 state: scheme.State):
         super().__init__(message)
         self.alpha = alpha
         self.diagnostics = diagnostics
-        self.step = step
+        self.state = state
+        self.step = state.k + 1
 
 
 # Line search: the step length is multiplied by BACKTRACK_FACTOR until the
@@ -309,47 +314,29 @@ class KeptOrder:
         self.indptr, self.indices = indptr, indices
         self.n = len(indptr) - 1
         self.perm = self.order = None
-        self._layout = None   # (positions, indices, indptr), laid out on the second factor
-
-    def _lay_out(self):
-        """The permuted CSC layout: for each of its entries, the position of
-        the value in CSR order and the permuted row, and its column pointer."""
-        n, nnz = self.n, self.indices.size
-        csc = sp.csr_matrix((np.arange(nnz), self.indices, self.indptr), shape=(n, n)).tocsc()
-        counts = np.diff(csc.indptr)[self.order]
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        at = np.arange(nnz) + np.repeat(csc.indptr[self.order] - indptr[:-1], counts)
-        return (csc.data[at], self.perm[csc.indices[at]].astype(np.int32),
-                indptr.astype(np.int32))
-
-    def _layout_positions(self) -> NDArrayI:
-        """Where each entry of the permuted layout takes its value from,
-        laid out on first use."""
-        if self._layout is None:
-            self._layout = self._lay_out()
-        return self._layout[0]
+        # For each entry of the permuted CSC layout, the position of its
+        # value in CSR order and its permuted row, and the layout's column
+        # pointer; laid out at the first factor.
+        self.layout = None
 
     def factor(self, values: NDArrayF):
-        """The factor of the matrix with `values`; raises RuntimeError at a
-        zero pivot."""
-        if self.perm is None:
-            return self._factor_first(values)
-        return self._factor_kept(values[self._layout_positions()])
-
-    def _factor_first(self, values: NDArrayF):
-        """BLOCK_LU's factor of the matrix with `values` in CSR order, whose
-        order is kept."""
+        """The factor of the matrix with `values` in CSR order; raises
+        RuntimeError at a zero pivot."""
         n = self.n
-        matrix = sp.csr_matrix((values, self.indices, self.indptr), shape=(n, n))
-        lu = spla.splu(matrix.tocsc(), **BLOCK_LU)
-        self.perm = lu.perm_c.copy()   # lu.perm_c is a view that keeps the whole factor alive
-        self.order = np.argsort(self.perm)
-        return lu
-
-    def _factor_kept(self, values: NDArrayF) -> _Reordered:
-        """The factor of the matrix with `values` in the permuted layout."""
-        _, indices, indptr = self._layout
-        matrix = sp.csc_matrix((values, indices, indptr), shape=(self.n, self.n))
+        if self.perm is None:
+            matrix = sp.csr_matrix((values, self.indices, self.indptr), shape=(n, n))
+            lu = spla.splu(matrix.tocsc(), **BLOCK_LU)
+            self.perm = lu.perm_c.copy()   # lu.perm_c is a view that keeps the whole factor alive
+            self.order = np.argsort(self.perm)
+            # The values' CSR positions, their columns selected in order,
+            # which keeps each column's rows in the unpermuted order.
+            positions = sp.csr_matrix((np.arange(self.indices.size, dtype=np.int32),
+                                       self.indices, self.indptr), shape=(n, n)).tocsc()
+            positions = positions[:, self.order]
+            self.layout = (positions.data, self.perm[positions.indices], positions.indptr)
+            return lu
+        positions, indices, indptr = self.layout
+        matrix = sp.csc_matrix((values[positions], indices, indptr), shape=(n, n))
         # Its rows are unique but unsorted: flagged canonical, `splu` hands
         # them to SuperLU in this order instead of sorting them.
         matrix.has_canonical_format = True
@@ -365,11 +352,9 @@ class DensityOrder(KeptOrder):
     owner and neighbor elements `own` and `nbr` (`block_preconditioner`).
     Density columns lead every row, so A's
     entries sit at `positions` in J.data, and those of the coupling block
-    C = J[n:, :n] lead the other rows.  The permuted layout reads J.data
-    itself, its positions composed with `positions` once per mesh, and the
-    face terms are added at `stencil`, A's entries (own, own), (own, nbr),
-    (nbr, own) and (nbr, nbr) of each face, in CSR order until the layout
-    is made and in the layout's order from then on."""
+    C = J[n:, :n] lead the other rows.  The face terms are added at
+    `stencil`, A's entries (own, own), (own, nbr), (nbr, own) and (nbr, nbr)
+    of each face in CSR order."""
 
     def __init__(self, indptr: NDArrayI, indices: NDArrayI, n: int,
                  own: NDArrayI, nbr: NDArrayI):
@@ -383,25 +368,15 @@ class DensityOrder(KeptOrder):
         sides = np.stack([own, nbr], axis=1).astype(np.int64)
         self.stencil = np.searchsorted(keys, (sides.T[:, :, None] * n + sides).ravel())
 
-    def _lay_out(self):
-        """The permuted layout, its positions those of J.data; moves the
-        stencil into the layout's order."""
-        positions, indices, indptr = super()._lay_out()
-        at = np.empty_like(positions)
-        at[positions] = np.arange(positions.size)
-        self.stencil = at[self.stencil]
-        return self.positions[positions], indices, indptr
-
     def factor_block(self, J: sp.csr_matrix, q: NDArrayF):
         """The factor of the density block S of J with face weights `q`;
         raises RuntimeError at a zero pivot."""
-        first = self.perm is None
-        values = J.data[self.positions if first else self._layout_positions()]
+        values = J.data[self.positions]
         terms = np.empty((2, len(q), 2))
         np.multiply(q[:, None], J.acoustic, out=terms[0])
         np.negative(terms[0], out=terms[1])
         values += np.bincount(self.stencil, terms.ravel(), minlength=values.size)
-        return self._factor_first(values) if first else self._factor_kept(values)
+        return self.factor(values)
 
     def coupling_block(self, J: sp.csr_matrix) -> sp.csr_matrix:
         """J's coupling block C without its stored zeros, which are 85-87%
@@ -452,26 +427,24 @@ def _rejection(x: NDArrayF, r: NDArrayF, b: NDArrayF) -> str | None:
     return None
 
 
-def block_preconditioner(J: sp.csr_matrix, density: DensityOrder, lu_u,
-                         dt: float) -> Callable[[NDArrayF], NDArrayF]:
+def block_preconditioner(J: sp.csr_matrix, density: DensityOrder,
+                         velocity: VelocityBlock) -> Callable[[NDArrayF], NDArrayF]:
     """The preconditioner of the Newton matrix J = [[A, B], [C, D]] with
     `density.n` density rows: the map r -> z that solves S z_rho = r_rho,
     S = A - B (diag(q) (x) I) C_p the pressure Schur block, factored exactly
     here in the kept order `density`, then
     (M_rho_prev / dt + K) z_d = (r_u - C z_rho)_d for each velocity
-    component d, `lu_u` being the step's factor of M_rho_prev + dt K from
-    `alpha0_solve` and `dt` the time step.  q = SCHUR_WEIGHT dt /
-    diag(M_rho_prev + dt K), and S is A plus J's face terms `J.acoustic`
-    weighted by q (`scheme.jacobian`).  Raises RuntimeError at a zero pivot
+    component d by the step's `velocity` block from `alpha0_solve`.  S is A
+    plus J's face terms `J.acoustic` weighted by the velocity block's
+    weights q (`scheme.jacobian`).  Raises RuntimeError at a zero pivot
     in S."""
     ne = density.n
-    lu_rho = density.factor_block(J, SCHUR_WEIGHT * dt / lu_u.diagonal)
+    lu_rho = density.factor_block(J, velocity.weights)
     C = density.coupling_block(J)
 
     def precondition(r):
         z_rho = lu_rho.solve(r[:ne])
-        z_u = lu_u.solve((r[ne:] - C @ z_rho).reshape(-1, 3))
-        z_u *= dt
+        z_u = velocity.solve((r[ne:] - C @ z_rho).reshape(-1, 3))
         return np.concatenate([z_rho, z_u.ravel()])
 
     return precondition
@@ -479,10 +452,9 @@ def block_preconditioner(J: sp.csr_matrix, density: DensityOrder, lu_u,
 
 @np.errstate(over="ignore", invalid="ignore")   # an overflow ends the solve instead
 def _gmres(J: sp.csr_matrix, b: NDArrayF, precondition: Callable[[NDArrayF], NDArrayF],
-           restart: int, stats: StepDiagnostics,
-           target: float) -> tuple[NDArrayF, str | None]:
+           stats: StepDiagnostics, target: float) -> tuple[NDArrayF, str | None]:
     """GMRES for J x = b from x = 0, left-preconditioned by `precondition`
-    (M), in cycles of at most `restart` iterations.
+    (M), in cycles of at most KRYLOV_RESTART iterations.
 
     A cycle ends when the preconditioned residual estimate reaches the
     tolerance, max(KRYLOV_RTOL, target / |b|_inf) |M b|_2 at first
@@ -508,8 +480,8 @@ def _gmres(J: sp.csr_matrix, b: NDArrayF, precondition: Callable[[NDArrayF], NDA
     if b.any():
         rtol = max(rtol, target / np.abs(b).max())
     tol = rtol * mb
-    V = np.empty((restart + 1, b.size))   # Arnoldi basis, one vector per row
-    R = np.zeros((restart, restart))      # triangular factor of the Hessenberg matrix
+    V = np.empty((KRYLOV_RESTART + 1, b.size))      # Arnoldi basis, one vector per row
+    R = np.zeros((KRYLOV_RESTART, KRYLOV_RESTART))  # triangular factor of the Hessenberg matrix
     iters = 0
     for cycle in range(KRYLOV_CYCLES):
         if cycle:
@@ -521,7 +493,7 @@ def _gmres(J: sp.csr_matrix, b: NDArrayF, precondition: Callable[[NDArrayF], NDA
         np.multiply(z, 1.0 / beta, out=V[0])
         g = [beta]        # rotated right-hand side, |g[-1]| the residual estimate
         rotations = []
-        for k in range(restart):
+        for k in range(KRYLOV_RESTART):
             w = precondition(J @ V[k])
             h0 = np.linalg.norm(w)
             if not math.isfinite(beta + h0):
@@ -560,7 +532,7 @@ def _gmres(J: sp.csr_matrix, b: NDArrayF, precondition: Callable[[NDArrayF], NDA
             m -= 1
         x += sla.solve_triangular(R[:m, :m], g[:m]) @ V[:m]
         r = b - J @ x
-        if len(rotations) == restart:   # the cycle ran out of iterations
+        if len(rotations) == KRYLOV_RESTART:   # the cycle ran out of iterations
             continue
         if _rejection(x, r, b) is None:
             break
@@ -573,39 +545,48 @@ def _gmres(J: sp.csr_matrix, b: NDArrayF, precondition: Callable[[NDArrayF], NDA
 
 
 def linear_solve(J: sp.csr_matrix, b: NDArrayF, density: DensityOrder, stats: StepDiagnostics,
-                 lu_u, dt: float, target: float) -> NDArrayF:
+                 velocity: VelocityBlock, target: float) -> NDArrayF:
     """Solve the Newton system J x = b, J with `density.n` density unknowns
     first, by GMRES preconditioned with a fresh factor of its density block
-    in the kept order `density` and the step's alpha = 0 factor `lu_u` at
-    time step `dt` (`block_preconditioner`).  `target`, the absolute
-    residual the Newton step needs, loosens GMRES's tolerance (`_gmres`),
-    and `stats` counts the Krylov iterations and factorizations.  x is accepted only if it is
+    in the kept order `density` and the step's `velocity` block
+    (`block_preconditioner`).  `target`, the absolute residual the Newton
+    step needs, loosens GMRES's tolerance (`_gmres`), and `stats` counts the
+    Krylov iterations and factorizations.  x is accepted only if it is
     finite with |J x - b|_inf <= 1e-10 (1 + |b|_inf).  Raises SolverError at
     a zero pivot in A or when GMRES's last iterate fails the check.
     """
     try:
-        precondition = block_preconditioner(J, density, lu_u, dt)
+        precondition = block_preconditioner(J, density, velocity)
     except RuntimeError as exc:   # exactly singular A
         raise SolverError(f"preconditioner block: {exc}") from exc
     stats.factorizations += 1
-    x, reason = _gmres(J, b, precondition, KRYLOV_RESTART, stats, target)
+    x, reason = _gmres(J, b, precondition, stats, target)
     if reason is not None:
         raise SolverError(reason)
     return x
 
 
-class Alpha0Factor:
-    """The step's factor `lu` of the alpha = 0 matrix M_rho_prev + dt K,
-    which solves with it, and the matrix's `diagonal`."""
+class VelocityBlock:
+    """The preconditioner's velocity block of one step, (dt L0^-1) (x) I:
+    `lu` the factor of the alpha = 0 matrix L0 = M_rho_prev + dt K, and
+    `weights` the density block's face weights q = SCHUR_WEIGHT dt /
+    diag(L0), from L0's `diagonal`."""
 
-    def __init__(self, lu, diagonal: NDArrayF):
-        self.lu, self.diagonal = lu, diagonal
-        self.solve = lu.solve
+    def __init__(self, lu, dt: float, diagonal: NDArrayF):
+        self.lu, self.dt = lu, dt
+        self.weights = SCHUR_WEIGHT * dt / diagonal
+
+    def solve(self, r: NDArrayF) -> NDArrayF:
+        """dt L0^-1 r, r one column per velocity component."""
+        z = self.lu.solve(r)
+        z *= self.dt
+        return z
 
 
 def alpha0_solve(prev, params, mesh: Mesh) -> tuple:
     """Exact solution of the alpha = 0 system, packed as `scheme.pack` packs
-    a state, and the Alpha0Factor of its momentum matrix.
+    a state, and the step's VelocityBlock, made from the factor of its
+    momentum matrix.
 
     The continuity block forces rho = rho_prev; the momentum block is
     (M_rho + dt K) u = M_rho-data with M_rho the rho-weighted mean-velocity
@@ -629,21 +610,19 @@ def alpha0_solve(prev, params, mesh: Mesh) -> tuple:
     if reason is not None:
         raise SolverError(reason)
 
-    return np.concatenate([rho_prev, u.ravel()]), Alpha0Factor(lu, A.diagonal())
+    return np.concatenate([rho_prev, u.ravel()]), VelocityBlock(lu, dt, A.diagonal())
 
 
 def homotopy_newton_solve(prev, params, mesh: Mesh) -> tuple["scheme.State", StepDiagnostics]:
     """Advance `prev` by one time step along the continuation the module
-    docstring describes; raises StepFailure if the alpha = 0 solve fails,
-    with its reason, or if the continuation gives up.  The step's alpha = 0
-    factor serves every node."""
-    k = prev.k + 1
+    docstring describes; raises StepFailure, which carries `prev`, if the
+    alpha = 0 solve fails, with its reason, or if the continuation gives up.
+    The step's velocity block from the alpha = 0 solve serves every node."""
     try:
-        x, lu_u = alpha0_solve(prev, params, mesh)
+        x, velocity = alpha0_solve(prev, params, mesh)
     except SolverError as exc:
         raise StepFailure(f"alpha=0, 0 iterations, {exc}", alpha=0.0,
-                          diagnostics=StepDiagnostics(residual_norm=math.nan), step=k) from exc
-    dt = params.dt(mesh)
+                          diagnostics=StepDiagnostics(residual_norm=math.nan), state=prev) from exc
     diag = StepDiagnostics(alpha_nodes_used=1)
     alpha, d_alpha = 0.0, 1.0
 
@@ -652,7 +631,7 @@ def homotopy_newton_solve(prev, params, mesh: Mesh) -> tuple["scheme.State", Ste
             trial = alpha + d_alpha
             # _newton_at_alpha rebinds the iterate, never mutates it, so a
             # failed node leaves x at the last accepted node's.
-            x_new, ok = _newton_at_alpha(prev, x, trial, params, mesh, diag, lu_u, dt)
+            x_new, ok = _newton_at_alpha(prev, x, trial, params, mesh, diag, velocity)
             if ok:
                 x, alpha = x_new, trial
                 diag.alpha_nodes_used += 1
@@ -666,11 +645,11 @@ def homotopy_newton_solve(prev, params, mesh: Mesh) -> tuple["scheme.State", Ste
                     f"residual {diag.residual_norm:.3e}",
                     alpha=trial,
                     diagnostics=diag,
-                    step=k,
+                    state=prev,
                 )
-        return scheme.unpack(x, mesh, k), diag
+        return scheme.unpack(x, mesh, prev.k + 1), diag
     finally:
-        lu_u = None   # a StepFailure's traceback keeps this frame, not L0
+        velocity = None   # a StepFailure's traceback keeps this frame, not L0
 
 
 def _rounding_floor(J: sp.csr_matrix, x: NDArrayF) -> float:
@@ -689,12 +668,11 @@ def _rounding_floor(J: sp.csr_matrix, x: NDArrayF) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")   # an overflow gives no Newton step instead
-def _newton_at_alpha(prev, x, alpha, params, mesh, diag, lu_u, dt):
+def _newton_at_alpha(prev, x, alpha, params, mesh, diag, velocity):
     """Damped Newton at one alpha node, until the residual is within
     tolerance or diag.newton_iters reaches params.newton_max_iter, its
-    matrices preconditioned with the step's alpha = 0 factor `lu_u` at time
-    step `dt`.  Returns the last iterate and whether its residual is within
-    tolerance."""
+    matrices preconditioned with the step's `velocity` block.  Returns the
+    last iterate and whether its residual is within tolerance."""
     density = density_order(mesh)
     ne = density.n
     tol = params.newton_tol
@@ -712,7 +690,7 @@ def _newton_at_alpha(prev, x, alpha, params, mesh, diag, lu_u, dt):
             break   # an overflowed residual or Jacobian gives no Newton step
         target = max(FLOOR_MARGIN * floor, NEWTON_TOL_SHARE * tol)
         try:
-            delta = linear_solve(J, -r, density=density, stats=diag, lu_u=lu_u, dt=dt,
+            delta = linear_solve(J, -r, density=density, stats=diag, velocity=velocity,
                                  target=target)
         except SolverError:
             break

@@ -263,7 +263,7 @@ def test_run_failing_midway_keeps_its_completed_steps(tmp_path, monkeypatch, cap
         if prev.k == 2:
             raise solver.StepFailure("injected", alpha=1.0,
                                      diagnostics=solver.StepDiagnostics(krylov_iters=7),
-                                     step=3)
+                                     state=prev)
         return _solve(prev, *rest)
 
     monkeypatch.setattr(solver, "homotopy_newton_solve", failing_at_step_3)
@@ -740,7 +740,7 @@ def test_failed_cauchy_study_names_its_mesh(tmp_path, monkeypatch, capsys):
         if mesh.n_elems == 6 * 2**3:
             raise solver.StepFailure("injected", alpha=0.5,
                                      diagnostics=solver.StepDiagnostics(factorizations=2),
-                                     step=prev.k + 1)
+                                     state=prev)
         return _solve(prev, params, mesh, *rest)
 
     monkeypatch.setattr(solver, "homotopy_newton_solve", failing_on_n2)

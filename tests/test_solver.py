@@ -39,15 +39,14 @@ def _discard(state, row):
 
 def newton_system(mesh, params):
     """First Newton matrix and right-hand side of the second bump step, and
-    the mesh's density order and that step's alpha = 0 factor and time
-    step, as `linear_solve` takes them."""
+    the mesh's density order and that step's velocity block, as
+    `linear_solve` takes them."""
     first, _ = solver.homotopy_newton_solve(bump_state(mesh, params), params, mesh)
-    x0, lu_u = solver.alpha0_solve(first, params, mesh)
+    x0, velocity = solver.alpha0_solve(first, params, mesh)
     guess = scheme.unpack(x0, mesh, first.k + 1)
     J = scheme.jacobian(first, guess, params, mesh, alpha=1.0)
     r = scheme.residual(first, guess, params, mesh, alpha=1.0)
-    return J, -r.ravel(), dict(density=solver.density_order(mesh), lu_u=lu_u,
-                               dt=params.dt(mesh))
+    return J, -r.ravel(), dict(density=solver.density_order(mesh), velocity=velocity)
 
 
 def test_newton_solve_matches_direct(mesh2, params):
@@ -82,16 +81,16 @@ def newton_layout(b_scale):
 
 
 def layout_step(J, ne):
-    """A density order on J's pattern and the exact factor of J's first
-    velocity-component block, at dt = 1, without faces, so with no face
-    weights: for a faceless Newton-layout matrix, the parts of the
-    preconditioner that a mesh's density order and a step's alpha = 0
-    factor and time step play."""
+    """A density order on J's pattern and a velocity block of the exact
+    factor of J's first velocity-component block, at dt = 1, without faces,
+    so with no face weights: for a faceless Newton-layout matrix, the parts
+    of the preconditioner that a mesh's density order and a step's velocity
+    block play."""
     block = sp.csc_matrix(J[ne::3, ne::3])
     no_faces = np.empty(0, dtype=int)
     return dict(density=solver.DensityOrder(J.indptr, J.indices, ne, no_faces, no_faces),
-                lu_u=solver.Alpha0Factor(spla.splu(block, **solver.BLOCK_LU), np.empty(0)),
-                dt=1.0)
+                velocity=solver.VelocityBlock(spla.splu(block, **solver.BLOCK_LU), 1.0,
+                                              np.empty(0)))
 
 
 def test_newton_solve_restarts_a_cycle_short_of_the_bound():
@@ -161,7 +160,7 @@ def test_gmres_matches_scipy():
     J, b, ne = newton_layout(0.01)
     precondition = layout_preconditioner(J, ne)
     stats = solver.StepDiagnostics()
-    x, reason = solver._gmres(J, b, precondition, solver.KRYLOV_RESTART, stats, 0.0)
+    x, reason = solver._gmres(J, b, precondition, stats, 0.0)
     assert reason is None and solver._rejection(x, b - J @ x, b) is None
     assert stats.krylov_cycles == 1
     iters = stats.krylov_iters
@@ -182,7 +181,9 @@ def test_gmres_below_restart_only_at_tolerance(monkeypatch):
 
     def run(restart):
         stats = solver.StepDiagnostics()
-        _, reason = solver._gmres(J, b, precondition, restart, stats, 0.0)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "KRYLOV_RESTART", restart)
+            _, reason = solver._gmres(J, b, precondition, stats, 0.0)
         return reason, stats
 
     reason, stats = run(solver.KRYLOV_RESTART)
@@ -205,7 +206,7 @@ def test_gmres_breakdown_with_exact_preconditioner():
     J = sp.diags(d).tocsr()
     b = np.random.default_rng(5).standard_normal(d.size)
     stats = solver.StepDiagnostics()
-    x, reason = solver._gmres(J, b, lambda r: r / d, solver.KRYLOV_RESTART, stats, 0.0)
+    x, reason = solver._gmres(J, b, lambda r: r / d, stats, 0.0)
     assert reason is None
     assert (stats.krylov_iters, stats.krylov_cycles) == (1, 1)
     assert np.allclose(x, b / d, rtol=1e-14, atol=0.0)
@@ -220,7 +221,7 @@ def test_gmres_zero_rhs():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             x, reason = solver._gmres(J, np.zeros_like(b), layout_preconditioner(J, ne),
-                                      solver.KRYLOV_RESTART, stats, target)
+                                      stats, target)
         assert reason is None
         assert stats.krylov_iters == 0 and stats.krylov_cycles == 0
         assert not x.any()
@@ -278,13 +279,13 @@ def test_velocity_factor_is_the_steps_alpha0_factor(mesh2, monkeypatch):
                                                 solver.block_preconditioner, spla.splu)
 
     def recorded_alpha0(*args):
-        x0, lu_u = alpha0_solve(*args)
-        made.append(lu_u)
-        return x0, lu_u
+        x0, velocity = alpha0_solve(*args)
+        made.append(velocity)
+        return x0, velocity
 
-    def recorded_preconditioner(J, density, lu_u, dt):
-        used.append(lu_u)
-        return block_preconditioner(J, density, lu_u, dt)
+    def recorded_preconditioner(J, density, velocity):
+        used.append(velocity)
+        return block_preconditioner(J, density, velocity)
 
     def counted_splu(*args, **kwargs):
         splu_calls.append(1)
@@ -302,7 +303,7 @@ def test_velocity_factor_is_the_steps_alpha0_factor(mesh2, monkeypatch):
     tried = diag.alpha_nodes_used - 1 + diag.schedule_index
     assert diag.schedule_index >= 1 and diag.factorizations == len(used) >= tried
     assert len(made) == 1
-    assert all(lu_u is made[0] for lu_u in used)
+    assert all(velocity is made[0] for velocity in used)
     assert len(splu_calls) == diag.factorizations + 1
 
 
@@ -311,7 +312,7 @@ def test_alpha0_newton_matrix_solves_in_one_iteration(mesh2, params):
     (M_rho_prev / dt + K) (x) I, so the preconditioner with the step's
     alpha = 0 factor is the inverse of J: GMRES ends in one iteration."""
     prev = bump_state(mesh2, params)
-    x0, lu_u = solver.alpha0_solve(prev, params, mesh2)
+    x0, velocity = solver.alpha0_solve(prev, params, mesh2)
     J = scheme.jacobian(prev, scheme.unpack(x0, mesh2, prev.k + 1), params, mesh2, alpha=0.0)
     # Most of J is stored zeros here, B all of it, yet A and C are read by
     # position, as at any other matrix.
@@ -319,7 +320,7 @@ def test_alpha0_newton_matrix_solves_in_one_iteration(mesh2, params):
     b = np.random.default_rng(6).standard_normal(J.shape[0])
     stats = solver.StepDiagnostics()
     x = solver.linear_solve(J, b, density=solver.density_order(mesh2), stats=stats,
-                            lu_u=lu_u, dt=params.dt(mesh2), target=0.0)
+                            velocity=velocity, target=0.0)
     assert (stats.krylov_iters, stats.krylov_cycles, stats.factorizations) == (1, 1, 1)
     assert solver._rejection(x, b - J @ x, b) is None
 
@@ -348,8 +349,8 @@ def test_no_reference_to_alpha0_factor_outlives_the_step(mesh2, fails, monkeypat
     alpha0_solve = solver.alpha0_solve
 
     def weakly_referable(*args):
-        x0, lu_u = alpha0_solve(*args)
-        factor = _Factor(lu_u)
+        x0, velocity = alpha0_solve(*args)
+        factor = _Factor(velocity)
         refs.append(weakref.ref(factor))
         return x0, factor
 
@@ -379,8 +380,9 @@ def test_early_gmres_iterate_keeps_the_mass(mesh2, params, k, monkeypatch):
     b[:ne] -= b[:ne].mean()
     assert abs(b[:ne].sum()) <= 1e-14 * np.abs(b).sum()
     monkeypatch.setattr(solver, "KRYLOV_CYCLES", 1)
+    monkeypatch.setattr(solver, "KRYLOV_RESTART", k)
     stats = solver.StepDiagnostics()
-    x, _ = solver._gmres(J, b, solver.block_preconditioner(J, **step), k, stats, 0.0)
+    x, _ = solver._gmres(J, b, solver.block_preconditioner(J, **step), stats, 0.0)
     assert (stats.krylov_iters, stats.krylov_cycles) == (k, 1)
     e = b - J @ x
     assert np.abs(e).max() > 1e-6 * np.abs(b).max()   # far from solved
@@ -412,7 +414,7 @@ def test_gmres_tightens_after_rejected_cycle(monkeypatch):
     for target in (0.0, 1e-10 * np.abs(b).max()):
         verdicts.clear()
         stats = solver.StepDiagnostics()
-        x, reason = solver._gmres(J, b, shrunk, solver.KRYLOV_RESTART, stats, target)
+        x, reason = solver._gmres(J, b, shrunk, stats, target)
         assert verdicts[0] is not None
         assert reason is None and rejection(x, b - J @ x, b) is None
         assert 1 < stats.krylov_cycles < solver.KRYLOV_CYCLES
@@ -490,14 +492,14 @@ def moving_guess(mesh, params, prev, rng):
     """The alpha = 0 iterate of the step from `prev` with its densities
     perturbed by up to 10% and a random velocity of up to 0.3 per component
     in its place, so that every face has a normal flux."""
-    x0, lu_u = solver.alpha0_solve(prev, params, mesh)
+    x0, velocity = solver.alpha0_solve(prev, params, mesh)
     guess = scheme.unpack(x0, mesh, prev.k + 1)
     guess.rho = guess.rho * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, mesh.n_elems))
     guess.u = apply_bc(rng.uniform(-0.3, 0.3, guess.u.shape), mesh)
-    return guess, lu_u
+    return guess, velocity
 
 
-def factored_block(J, density, lu_u, dt, monkeypatch):
+def factored_block(J, density, velocity, monkeypatch):
     """The factor of J's preconditioner density block and the matrix that
     SuperLU factored, in the density unknowns' own order, as CSR."""
     factored, splu = [], spla.splu
@@ -509,7 +511,7 @@ def factored_block(J, density, lu_u, dt, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(spla, "splu", recorded)
-        lu = density.factor_block(J, solver.SCHUR_WEIGHT * dt / lu_u.diagonal)
+        lu = density.factor_block(J, velocity.weights)
     [(data, indices, indptr, spec)] = factored
     coo = sp.csc_matrix((data, indices, indptr), shape=(density.n, density.n)).tocoo()
     # In the kept order entry (i, j) is the block's (order[i], order[j]).
@@ -529,14 +531,14 @@ def _assert_kept_orders_keep_the_fill(mesh, params, monkeypatch):
     b = rng.standard_normal((len(mesh.interior_faces), 3))
     for scale in (1.0, 1.3):
         later = scheme.State(scale * prev.rho, prev.u, k=0)
-        guess, lu_u = moving_guess(mesh, params, later, rng)
+        guess, velocity = moving_guess(mesh, params, later, rng)
         J = scheme.jacobian(later, guess, params, mesh, alpha=1.0)
         assert np.abs(J.acoustic).min(axis=1).max() > 0.0
-        lu_rho, S = factored_block(J, density, lu_u, dt, monkeypatch)
+        lu_rho, S = factored_block(J, density, velocity, monkeypatch)
     L0 = scheme.interior_weighted_mass(mesh, later.rho) + dt * scheme.interior_stiffness(mesh)
     A = sp.csr_matrix(J[:ne, :ne])
     assert np.array_equal(S.indptr, A.indptr) and np.array_equal(S.indices, A.indices)
-    for kept, matrix, rhs in ((lu_u.lu, L0, b), (lu_rho, S, b.ravel()[:ne])):
+    for kept, matrix, rhs in ((velocity.lu, L0, b), (lu_rho, S, b.ravel()[:ne])):
         assert isinstance(kept, solver._Reordered)
         mmd = spla.splu(sp.csc_matrix(matrix), **solver.BLOCK_LU)
         assert _fill(kept.lu) == _fill(mmd)
@@ -567,11 +569,11 @@ def _assert_density_block_is_the_pressure_schur_complement(mesh, params, monkeyp
     Q = sp.diags(np.repeat(solver.SCHUR_WEIGHT * dt / L0.diagonal(), 3))
     rng = np.random.default_rng(11)
     for alpha in (1.0, 1.0, 0.5, 0.5):
-        guess, lu_u = moving_guess(mesh, params, prev, rng)
+        guess, velocity = moving_guess(mesh, params, prev, rng)
         J = scheme.jacobian(prev, guess, params, mesh, alpha=alpha)
         C_p = -alpha * pressure @ sp.diags(scheme.pressure_derivative(guess.rho, params))
         expected = (J[:ne, :ne] - J[:ne, ne:] @ Q @ C_p).toarray()
-        _, S = factored_block(J, density, lu_u, dt, monkeypatch)
+        _, S = factored_block(J, density, velocity, monkeypatch)
         correction = np.abs(expected - J[:ne, :ne].toarray()).max()
         assert correction > 1e-3 * np.abs(expected).max()
         assert np.abs(S.toarray() - expected).max() <= 1e-13 * np.abs(expected).max()
@@ -590,12 +592,12 @@ def _assert_density_block_is_A_at_alpha0_and_at_rest(mesh, params, monkeypatch):
     """At alpha = 0, and at rest at alpha = 1, B (diag(q) (x) I) C_p = 0:
     the preconditioner's density block is A, bitwise."""
     prev = bump_state(mesh, params)
-    dt, ne = params.dt(mesh), mesh.n_elems
-    guess, lu_u = moving_guess(mesh, params, prev, np.random.default_rng(12))
+    ne = mesh.n_elems
+    guess, velocity = moving_guess(mesh, params, prev, np.random.default_rng(12))
     rest = scheme.State(guess.rho, np.zeros_like(guess.u), guess.k)
     for state, alpha in ((guess, 0.0), (rest, 1.0)):
         J = scheme.jacobian(prev, state, params, mesh, alpha=alpha)
-        _, S = factored_block(J, solver.density_order(mesh), lu_u, dt, monkeypatch)
+        _, S = factored_block(J, solver.density_order(mesh), velocity, monkeypatch)
         A = sp.csr_matrix(J[:ne, :ne])
         assert np.array_equal(S.indptr, A.indptr) and np.array_equal(S.indices, A.indices)
         assert np.array_equal(S.data, A.data)
@@ -716,7 +718,7 @@ def test_no_density_factor_crosses_a_step_or_a_node(mesh2, params, monkeypatch):
         before = len(made)
         x = linear_solve(J, b, **kwargs)
         gc.collect()
-        solves.append((kwargs["lu_u"], [ref() for ref in made[before:]]))
+        solves.append((kwargs["velocity"], [ref() for ref in made[before:]]))
         return x
 
     monkeypatch.setattr(spla, "splu", weakly_referable)
@@ -727,10 +729,10 @@ def test_no_density_factor_crosses_a_step_or_a_node(mesh2, params, monkeypatch):
     assert [(d.schedule_index, d.alpha_nodes_used) for d in steps] == [(0, 2), (0, 2)]
     assert len(solves) == sum(d.newton_iters for d in steps)
     assert all(factors == [None] for _, factors in solves)
-    velocity = [lu_u for lu_u, _ in solves]
+    velocity = [block for block, _ in solves]
     first = steps[0].newton_iters
-    assert len({id(lu_u) for lu_u in velocity[:first]}) == 1
-    assert len({id(lu_u) for lu_u in velocity[first:]}) == 1
+    assert len({id(block) for block in velocity[:first]}) == 1
+    assert len({id(block) for block in velocity[first:]}) == 1
     assert velocity[0] is not velocity[first]
 
 
@@ -1012,6 +1014,25 @@ def test_step_failure_reports_context(mesh2):
     assert exc.step == prev.k + 1
     assert str(exc) == (f"alpha={exc.alpha:g}, {diag.newton_iters} iterations, "
                         f"residual {diag.residual_norm:.3e}")
+
+
+@pytest.mark.parametrize("alpha0", [True, False])
+def test_step_failure_carries_the_state_it_started_from(alpha0, request):
+    """Both exits of a step from a level-3 state, the alpha = 0 solve
+    failing (n=1 at c = 1e-300) and the continuation giving up (the n=2
+    bump at rho_bar 1e3, at alpha = 1/64), raise StepFailure carrying that
+    very state and step index 4."""
+    mesh = request.getfixturevalue("mesh1" if alpha0 else "mesh2")
+    params = scheme.SchemeParams(c=1e-300) if alpha0 else scheme.SchemeParams()
+    rho0, m0 = scheme.make_initial_data("bump", 1.0 if alpha0 else 1e3, 0.5, 0.15,
+                                        mesh.box_lo, mesh.box_hi)
+    initial = scheme.initial_state(rho0, m0, mesh, params)
+    prev = scheme.State(initial.rho, initial.u, k=3)
+    with pytest.raises(solver.StepFailure) as info:
+        solver.homotopy_newton_solve(prev, params, mesh)
+    exc = info.value
+    assert exc.alpha == (0.0 if alpha0 else 1.0 / 64)
+    assert exc.state is prev and exc.step == 4
 
 
 def test_singular_alpha0_solve_fails_the_step(mesh1):
